@@ -4,7 +4,8 @@ Subcommands: triangle, extract, aseq, check, hyper.  Output formats are
 text (aligned columns), csv, and jsonl (canonical JSON, one record per
 line, all numbers as decimal strings so arbitrary precision survives the
 round trip).  Exit codes: 0 success / identity holds, 1 counterexample
-found, 2 usage or spec error.
+found (including two computation routes that disagree), 2 usage or spec
+error (including a check that covers no points).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from .arrays import (
     RiordanArray,
+    TheoremViolationError,
     Triangle,
     a_sequence,
     ballot_triangle,
@@ -221,6 +223,10 @@ def _cmd_check(args, out) -> int:
     all_hold = True
     for identity in ids:
         report = check_registry(identity, max_n=args.max_n, pinned=pinned or None)
+        if not report.points:
+            raise UsageError(
+                f"{identity}: no points checked ({report.grid}); an empty grid is not a pass"
+            )
         _emit_report(report, args.format, out)
         all_hold = all_hold and report.holds
     return 0 if all_hold else 1
@@ -339,6 +345,10 @@ def main(argv=None) -> int:
     except RegistryError as exc:
         print(f"riordan: {exc}", file=sys.stderr)
         return 2
+    except TheoremViolationError as exc:
+        # two routes that must agree did not: a counterexample, not a usage error
+        print(f"riordan: counterexample: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"riordan: {exc}", file=sys.stderr)
         return 2

@@ -235,6 +235,13 @@ def _weight_series(signs: Iterable[int], precision: int) -> FormalPowerSeries:
     return num / den
 
 
+# closed forms of the first column d of the even and odd row extractions
+_EXTRACTED_D: dict[str, Callable[[int], int]] = {
+    "even": lambda m: comb(2 * m, m),
+    "odd": lambda m: comb(2 * m + 1, m + 1),
+}
+
+
 def check_via_riordan(n_max: int) -> IdentityReport:
     """Reproduce the generating-function proof of the Fibonacci identities.
 
@@ -250,9 +257,23 @@ def check_via_riordan(n_max: int) -> IdentityReport:
     odd = base.extract_subarray(2, 1)
 
     # the extracted first columns have their own closed forms
-    for m in range(n):
-        assert even.d.coeff(m) == comb(2 * m, m)
-        assert odd.d.coeff(m) == comb(2 * m + 1, m + 1)
+    checked = 0
+    for label, arr in (("even", even), ("odd", odd)):
+        closed_form = _EXTRACTED_D[label]
+        for m in range(n):
+            checked += 1
+            got, want = arr.d.coeff(m), closed_form(m)
+            if got != want:
+                return IdentityReport(
+                    identity="fibonacci-riordan",
+                    grid=f"first column of rows {label}, n <= {n_max}",
+                    points=checked,
+                    counterexample=Counterexample(
+                        {"rows": label, "column": "d", "n": str(m)},
+                        lhs=str(got),
+                        rhs=str(want),
+                    ),
+                )
 
     checks = [
         ("even", even, _weight_series([0, 1, -1, -1, 1], n),

@@ -2,10 +2,16 @@
 
 A series is a finite coefficient vector together with an explicit
 precision: ``f`` is known modulo ``t**f.precision`` and nothing beyond.
-Coefficients are :class:`fractions.Fraction`; no operation ever rounds.
-Requesting a coefficient at or past the precision is an error rather
-than a silent zero, and binary operations truncate to the smaller
-operand precision, so knowledge never grows by accident.
+Coefficients are exact rationals, stored as integer numerators over one
+common positive denominator in lowest terms.  Every kernel runs on those
+integers: products and sums reduce by one gcd per operation, and the
+division and exp recurrences by one per output coefficient, instead of
+one per coefficient operation.  :meth:`FormalPowerSeries.coeff` and
+:attr:`FormalPowerSeries.coeffs` return :class:`fractions.Fraction`.  No
+operation ever rounds.  Requesting a coefficient at or past the
+precision is an error rather than a silent zero, and binary operations
+truncate to the smaller operand precision, so knowledge never grows by
+accident.
 
 Everything here is immutable and pure; values can be shared freely
 across threads.
@@ -14,6 +20,8 @@ across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -56,6 +64,74 @@ def _fraction(value) -> Fraction:
     return Fraction(value)
 
 
+# -- integer kernels ---------------------------------------------------
+#
+# A series is the integer tuple ``nums`` over the positive integer ``den``
+# with gcd(den, *nums) == 1, so equal series have equal (nums, den).
+
+
+def _wrap(nums, den: int) -> "FormalPowerSeries":
+    # (nums, den) must already be canonical
+    s = object.__new__(FormalPowerSeries)
+    s._nums = tuple(nums)
+    s._den = den
+    return s
+
+
+def _series(nums, den: int) -> "FormalPowerSeries":
+    """The series ``nums / den`` (``den != 0``), brought to canonical form."""
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    return _wrap(nums, den)
+
+
+def _convolve(a, b, n: int) -> list[int]:
+    """The first ``n`` coefficients of the product of integer sequences."""
+    out = [0] * n
+    oa = next((i for i in range(n) if a[i]), n)
+    ob = next((i for i in range(n) if b[i]), n)
+    a = a[oa:n]
+    rb = b[n - 1:ob - 1 if ob else None:-1]  # b[n-1], ..., b[ob]
+    for k in range(oa + ob, n):
+        # a[i] b[k-i] for oa <= i <= k - ob; map stops at the shorter input
+        out[k] = sum(map(mul, a, rb[n - 1 - k + oa:]))
+    return out
+
+
+def _solve(rhs, a: int, w, b: int, c, e: int) -> tuple[list[int], int]:
+    """Solve ``x_i = (rhs_i/a - sum_{1<=j<=i} (w_j/b) x_{i-j}) * e / c_i``.
+
+    The solution is built as integer numerators over one running common
+    denominator: each step reduces its new term once and rescales the
+    prefix only when the denominator must grow, so no integer gets larger
+    than in the canonical form of the prefix (a fraction-free recurrence
+    would carry ``c**i``).  The result is canonical.
+    """
+    xs: list[int] = []
+    den = 1
+    w1 = w[1:]
+    for i, r in enumerate(rhs):
+        s = sum(map(mul, w1, reversed(xs)))  # w_1 x_{i-1} + ... + w_i x_0
+        num = (r * b * den - a * s) * e
+        step = a * b * den * c[i]
+        g = gcd(num, step)
+        if step < 0:
+            g = -g
+        num //= g
+        step //= g
+        if den % step:
+            grow = step // gcd(den, step)
+            xs = [x * grow for x in xs]
+            den *= grow
+        xs.append(num * (den // step))
+    return xs, den
+
+
 class FormalPowerSeries:
     """A power series known modulo ``t**precision``.
 
@@ -65,7 +141,7 @@ class FormalPowerSeries:
     series truncated to the smaller operand precision.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar], precision: int | None = None):
         cs = [_fraction(c) for c in coeffs]
@@ -78,7 +154,10 @@ class FormalPowerSeries:
                 cs.extend([_ZERO] * (precision - len(cs)))
         elif not cs:
             raise SeriesError("empty coefficient list needs an explicit precision")
-        self._coeffs = tuple(cs)
+        # the lcm of reduced denominators shares no factor with every numerator
+        den = lcm(*(c.denominator for c in cs))
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
 
     # -- constructors ------------------------------------------------
 
@@ -103,81 +182,84 @@ class FormalPowerSeries:
 
     @property
     def precision(self) -> int:
-        return len(self._coeffs)
+        return len(self._nums)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        """The coefficients as fractions, built on each access."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._nums)
 
     def coeff(self, n: int) -> Fraction:
         """Coefficient of ``t**n``; error if ``n`` is out of the known range."""
         if n < 0:
             raise SeriesError(f"negative index {n}")
-        if n >= len(self._coeffs):
+        if n >= len(self._nums):
             raise PrecisionError(
-                f"coefficient {n} requested but series only known mod t^{len(self._coeffs)}"
+                f"coefficient {n} requested but series only known mod t^{len(self._nums)}"
             )
-        return self._coeffs[n]
+        return Fraction(self._nums[n], self._den)
 
     __getitem__ = coeff
 
     @property
     def order(self) -> int:
         """Index of the first nonzero coefficient (= precision if all zero)."""
-        for i, c in enumerate(self._coeffs):
-            if c:
+        for i, x in enumerate(self._nums):
+            if x:
                 return i
-        return len(self._coeffs)
+        return len(self._nums)
 
     @property
     def is_zero(self) -> bool:
-        return self.order == len(self._coeffs)
+        return self.order == len(self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalPowerSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self._coeffs[:8])
-        tail = ", ..." if len(self._coeffs) > 8 else ""
-        return f"FormalPowerSeries([{head}{tail}], precision={len(self._coeffs)})"
+        n = len(self._nums)
+        head = ", ".join(str(self.coeff(i)) for i in range(min(n, 8)))
+        tail = ", ..." if n > 8 else ""
+        return f"FormalPowerSeries([{head}{tail}], precision={n})"
 
     # -- precision management ----------------------------------------
 
     def truncate(self, precision: int) -> "FormalPowerSeries":
         """Forget coefficients from ``precision`` on (never invents any)."""
-        if precision > len(self._coeffs):
+        if precision > len(self._nums):
             raise PrecisionError(
-                f"cannot extend precision {len(self._coeffs)} to {precision}"
+                f"cannot extend precision {len(self._nums)} to {precision}"
             )
-        if precision == len(self._coeffs):
+        if precision == len(self._nums):
             return self
-        return FormalPowerSeries(self._coeffs[:precision])
+        return _series(self._nums[:precision], self._den)
 
     def _padded(self, extra: int) -> "FormalPowerSeries":
         # Internal only: appends zeros *claiming* knowledge.  Every call site
         # must argue why the fabricated coefficients cannot reach the result.
-        return FormalPowerSeries(self._coeffs + (_ZERO,) * extra)
+        return _wrap(self._nums + (0,) * extra, self._den)
 
     def shift_up(self, k: int = 1) -> "FormalPowerSeries":
         """Multiply by ``t**k``; the result is genuinely known ``k`` orders further."""
         if k < 0:
             raise SeriesError("shift_up needs k >= 0")
-        return FormalPowerSeries((_ZERO,) * k + self._coeffs)
+        return _wrap((0,) * k + self._nums, self._den)
 
     def shift_down(self, k: int = 1) -> "FormalPowerSeries":
         """Divide by ``t**k``; the first ``k`` coefficients must vanish."""
         if k < 0:
             raise SeriesError("shift_down needs k >= 0")
-        if len(self._coeffs) - k < 1:
+        if len(self._nums) - k < 1:
             raise PrecisionError(f"shift_down({k}) would leave no known coefficients")
-        if any(self._coeffs[i] for i in range(k)):
+        if any(self._nums[:k]):
             raise SeriesError(f"series has order < {k}, cannot divide by t^{k}")
-        return FormalPowerSeries(self._coeffs[k:])
+        return _wrap(self._nums[k:], self._den)
 
     # -- ring operations ---------------------------------------------
 
@@ -189,31 +271,34 @@ class FormalPowerSeries:
             return FormalPowerSeries.constant(value, precision)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other, len(self._coeffs))
-        if other is None:
+    def _combine(self, other, sign: int):
+        # self + sign * other, over the lcm of the two denominators
+        if isinstance(other, (int, Fraction)):
+            c = _fraction(other)
+            den = lcm(self._den, c.denominator)
+            k = den // self._den
+            nums = [x * k for x in self._nums]
+            nums[0] += sign * c.numerator * (den // c.denominator)
+            return _series(nums, den)
+        if not isinstance(other, FormalPowerSeries):
             return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return FormalPowerSeries(
-            [self._coeffs[i] + other._coeffs[i] for i in range(n)]
-        )
+        den = lcm(self._den, other._den)
+        p, q = den // self._den, sign * (den // other._den)
+        return _series([x * p + y * q for x, y in zip(self._nums, other._nums)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FormalPowerSeries([-c for c in self._coeffs])
+        return _wrap([-x for x in self._nums], self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other, len(self._coeffs))
-        if other is None:
-            return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return FormalPowerSeries(
-            [self._coeffs[i] - other._coeffs[i] for i in range(n)]
-        )
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other, len(self._coeffs))
+        other = self._coerce(other, len(self._nums))
         if other is None:
             return NotImplemented
         return other - self
@@ -221,21 +306,11 @@ class FormalPowerSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _fraction(other)
-            return FormalPowerSeries([c * a for a in self._coeffs])
+            return _series([c.numerator * x for x in self._nums], c.denominator * self._den)
         if not isinstance(other, FormalPowerSeries):
             return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        a, b = self._coeffs, other._coeffs
-        out = [_ZERO] * n
-        for i in range(n):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return FormalPowerSeries(out)
+        n = min(len(self._nums), len(other._nums))
+        return _series(_convolve(self._nums, other._nums, n), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -244,25 +319,18 @@ class FormalPowerSeries:
             c = _fraction(other)
             if not c:
                 raise NonInvertibleError("division by zero scalar")
-            return FormalPowerSeries([a / c for a in self._coeffs])
+            return _series([c.denominator * x for x in self._nums], c.numerator * self._den)
         if not isinstance(other, FormalPowerSeries):
             return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        g = other._coeffs
+        n = min(len(self._nums), len(other._nums))
+        g = other._nums
         if not g[0]:
             raise NonInvertibleError("divisor has zero constant term")
-        g0 = g[0]
-        out = [_ZERO] * n
-        for i in range(n):
-            acc = self._coeffs[i]
-            for j in range(1, i + 1):
-                if g[j] and out[i - j]:
-                    acc -= g[j] * out[i - j]
-            out[i] = acc / g0
-        return FormalPowerSeries(out)
+        b = other._den
+        return _wrap(*_solve(self._nums[:n], self._den, g, b, [g[0]] * n, b))
 
     def __rtruediv__(self, other):
-        other = self._coerce(other, len(self._coeffs))
+        other = self._coerce(other, len(self._nums))
         if other is None:
             return NotImplemented
         return other / self
@@ -271,9 +339,9 @@ class FormalPowerSeries:
         """Integer power by square-and-multiply; ``f**0`` is 1."""
         if not isinstance(k, int):
             return NotImplemented
-        n = len(self._coeffs)
+        n = len(self._nums)
         if k < 0:
-            if not self._coeffs[0]:
+            if not self._nums[0]:
                 raise NonInvertibleError("negative power of a series with f(0) = 0")
             return (FormalPowerSeries.one(n) / self) ** (-k)
         result = FormalPowerSeries.one(n)
@@ -290,17 +358,19 @@ class FormalPowerSeries:
 
     def derivative(self) -> "FormalPowerSeries":
         """Termwise derivative; precision drops by one."""
-        if len(self._coeffs) < 2:
+        if len(self._nums) < 2:
             raise PrecisionError("derivative needs precision >= 2")
-        return FormalPowerSeries(
-            [i * self._coeffs[i] for i in range(1, len(self._coeffs))]
-        )
+        return _series([i * x for i, x in enumerate(self._nums[1:], 1)], self._den)
 
     def integral(self, constant: Scalar = 0) -> "FormalPowerSeries":
         """Termwise antiderivative; precision grows by one."""
-        out = [_fraction(constant)]
-        out.extend(c / (i + 1) for i, c in enumerate(self._coeffs))
-        return FormalPowerSeries(out)
+        c = _fraction(constant)
+        # coefficient i + 1 is nums[i] / (den (i + 1)); put all over den * lcm(1..n)
+        scale = lcm(*range(1, len(self._nums) + 1))
+        den = self._den * scale
+        out = [c.numerator * den]
+        out.extend(x * (scale // i) * c.denominator for i, x in enumerate(self._nums, 1))
+        return _series(out, den * c.denominator)
 
     # -- composition, powers, reversion ------------------------------
 
@@ -308,12 +378,12 @@ class FormalPowerSeries:
         """``self(inner(t))`` by Horner's rule; requires ``inner(0) = 0``."""
         if not isinstance(inner, FormalPowerSeries):
             raise SeriesError("compose needs a series argument")
-        if inner._coeffs[0]:
+        if inner._nums[0]:
             raise CompositionOrderError("inner series must have order >= 1")
-        n = min(len(self._coeffs), len(inner._coeffs))
+        n = min(len(self._nums), len(inner._nums))
         g = inner.truncate(n)
         acc = FormalPowerSeries.zero(n)
-        for c in reversed(self._coeffs[:n]):
+        for c in reversed(self.coeffs[:n]):
             acc = acc * g
             if c:
                 acc = acc + c
@@ -321,28 +391,22 @@ class FormalPowerSeries:
 
     def _log(self) -> "FormalPowerSeries":
         # log f = integral(f'/f), valid for f(0) = 1
-        if len(self._coeffs) == 1:
+        if len(self._nums) == 1:
             return FormalPowerSeries.zero(1)
         return (self.derivative() / self).integral()
 
     @staticmethod
     def _exp(g: "FormalPowerSeries") -> "FormalPowerSeries":
-        # exp g for g(0) = 0, via e' = e g' termwise: n e_n = sum k g_k e_{n-k}
-        n = len(g._coeffs)
-        e = [_ONE] + [_ZERO] * (n - 1)
-        gc = g._coeffs
-        for m in range(1, n):
-            acc = _ZERO
-            for k in range(1, m + 1):
-                if gc[k] and e[m - k]:
-                    acc += k * gc[k] * e[m - k]
-            e[m] = acc / m
-        return FormalPowerSeries(e)
+        # exp g for g(0) = 0, via e' = e g' termwise: m e_m = sum k g_k e_{m-k}
+        n = len(g._nums)
+        rhs = [1] + [0] * (n - 1)
+        w = [-k * x for k, x in enumerate(g._nums)]
+        return _wrap(*_solve(rhs, 1, w, g._den, [1, *range(1, n)], 1))
 
     def pow_rational(self, r: Scalar) -> "FormalPowerSeries":
         """``f**r`` for rational ``r`` via exp(r log f); needs ``f(0) = 1``."""
         r = _fraction(r)
-        if self._coeffs[0] != 1:
+        if self._nums[0] != self._den:
             raise NormalizationError(
                 "rational powers need constant term exactly 1; factor out constants first"
             )
@@ -355,17 +419,17 @@ class FormalPowerSeries:
         precision; the independent Lagrange coefficient formula
         (:func:`lagrange_coeffs`) serves as the test oracle.
         """
-        n = len(self._coeffs)
+        n = len(self._nums)
         if self.order != 1:
             raise ReversionOrderError("reversion needs a series of order exactly 1")
-        w = FormalPowerSeries([_ZERO, _ONE / self._coeffs[1]], precision=min(2, n))
+        w = FormalPowerSeries([_ZERO, _ONE / self.coeff(1)], precision=min(2, n))
         prec = 2
         while prec < n:
             prec = min(2 * prec, n)
             g = self.truncate(prec)
             # Zero-padding the current guess is safe: the Newton step below
             # repairs every coefficient up to twice the previously correct order.
-            w = w._padded(prec - len(w._coeffs))
+            w = w._padded(prec - len(w._nums))
             err = g.compose(w) - FormalPowerSeries.t(prec)
             den = g.derivative().compose(w)  # precision prec - 1, den(0) != 0
             inv = FormalPowerSeries.one(prec - 1) / den
@@ -378,7 +442,7 @@ class FormalPowerSeries:
 
     def to_record(self) -> dict:
         """JSON-ready record; fractions as decimal strings, round-trips exactly."""
-        return {"prec": len(self._coeffs), "coeffs": [str(c) for c in self._coeffs]}
+        return {"prec": len(self._nums), "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_record(cls, record: dict) -> "FormalPowerSeries":
@@ -431,13 +495,15 @@ def lagrange_coeffs(phi: FormalPowerSeries, k: int, precision: int) -> FormalPow
             raise SeriesError("phi(0) must be nonzero")
         return FormalPowerSeries.zero(1)
     p = _check_phi(phi, precision)
-    out = [_ZERO] * precision
+    nums, dens = [0] * precision, [1] * precision
     power = FormalPowerSeries.one(precision)
     for n in range(1, precision):
         power = power * p
         if n >= k:
-            out[n] = Fraction(k, n) * power.coeff(n - k)
-    return FormalPowerSeries(out)
+            nums[n] = k * power._nums[n - k]
+            dens[n] = n * power._den
+    den = lcm(*dens)
+    return _series([x * (den // d) for x, d in zip(nums, dens)], den)
 
 
 def lagrange_gf(

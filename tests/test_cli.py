@@ -1,9 +1,12 @@
 """CLI behaviour: rendering, exit codes, jsonl round trips."""
 
 import json
+from fractions import Fraction
+from math import comb
 
 import pytest
 
+from riordan import identities
 from riordan.cli import main
 from riordan.hypergeom import h_for_binomial_A
 
@@ -295,3 +298,38 @@ def test_hyper_jsonl(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec == {"prec": 4, "coeffs": ["1", "1", "1", "1"]}
+
+
+# -- honest verdicts ------------------------------------------------------------
+
+
+def test_check_zero_points_is_not_a_pass(capsys):
+    code, out, err = run(capsys, "check", "rothe-hagen", "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert "no points checked" in err
+
+
+def test_check_disagreeing_routes_exit_1(capsys, monkeypatch):
+    # a wrong direct summation makes fuss_ballot_gf's two routes disagree
+    monkeypatch.setattr(identities, "_ballot_term", lambda p, y, m: Fraction(m + 1))
+    code, _, err = run(capsys, "check", "product-laws", "--max-n", "3")
+    assert code == 1
+    assert "routes disagree" in err
+
+
+def test_check_via_riordan_closed_form_mismatch(capsys, monkeypatch):
+    wrong = dict(identities._EXTRACTED_D, odd=lambda m: comb(2 * m + 1, m + 1) + (m == 3))
+    monkeypatch.setattr(identities, "_EXTRACTED_D", wrong)
+    code, out, _ = run(
+        capsys, "check", "fibonacci-riordan", "--max-n", "5", "--format", "jsonl"
+    )
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["verdict"] == "counterexample"
+    assert rec["counterexample"] == {
+        "params": {"rows": "odd", "column": "d", "n": "3"},
+        "lhs": "35",
+        "rhs": "36",
+    }
+    assert rec["points"] == 6 + 4

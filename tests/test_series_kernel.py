@@ -1,0 +1,224 @@
+"""Differential tests: the integer series kernels against a Fraction reference.
+
+``FormalPowerSeries`` stores integer numerators over one common
+denominator.  The reference below is the plain coefficient-by-coefficient
+``Fraction`` arithmetic on lists; every kernel must agree with it exactly,
+and every result must be in canonical form (positive denominator sharing
+no factor with all numerators).
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riordan.series import FormalPowerSeries as FPS
+from riordan.series import lagrange_coeffs, lagrange_solve
+
+KERNEL = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+# -- Fraction reference ------------------------------------------------------
+
+
+def ref_mul(a, b):
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_div(f, g):
+    n = min(len(f), len(g))
+    g = [Fraction(x) for x in g]
+    out = []
+    for i in range(n):
+        out.append((f[i] - sum(g[j] * out[i - j] for j in range(1, i + 1))) / g[0])
+    return out
+
+
+def ref_pow(f, k):
+    out = [Fraction(1)] + [Fraction(0)] * (len(f) - 1)
+    for _ in range(k):
+        out = ref_mul(out, f)
+    return out
+
+
+def ref_compose(f, g):
+    n = min(len(f), len(g))
+    acc = [Fraction(0)] * n
+    for c in reversed(f[:n]):
+        acc = ref_mul(acc, g[:n])
+        acc[0] += c
+    return acc
+
+
+def ref_pow_rational(f, r):
+    # Miller's recurrence for g = f**r, f(0) = 1: n g_n = sum ((r+1)k - n) f_k g_{n-k}
+    out = [Fraction(1)]
+    for n in range(1, len(f)):
+        out.append(sum(((r + 1) * k - n) * f[k] * out[n - k] for k in range(1, n + 1)) / n)
+    return out
+
+
+# -- strategies ---------------------------------------------------------------
+
+# integers, and fractions built from a numerator and denominator that share a
+# factor (the Fraction reduces them; the series must too)
+integer = st.integers(-30, 30)
+rational = st.builds(
+    lambda n, d, k: Fraction(n * k, d * k),
+    st.integers(-30, 30), st.integers(1, 12), st.integers(1, 6),
+)
+coefficient = st.one_of(integer, rational, st.just(0))
+unit = st.sampled_from([1, -1, 2, Fraction(3, 5), Fraction(-7, 4), 12])
+
+
+def coeff_lists(min_size=1, max_size=12, unit=False, order_one=False):
+    def shape(cs):
+        cs = list(cs)
+        if unit:
+            cs[0] = 1
+        if order_one:
+            cs[0] = 0
+            cs[1] = cs[1] or 1
+        return cs
+
+    lo = 2 if order_one else min_size
+    return st.lists(coefficient, min_size=lo, max_size=max_size).map(shape)
+
+
+def integral_or_rational_lists(**kw):
+    return st.one_of(
+        st.lists(integer, min_size=kw.get("min_size", 1), max_size=12), coeff_lists(**kw)
+    )
+
+
+def canonical(s):
+    assert s._den > 0
+    assert gcd(s._den, *s._nums) == 1
+    return list(s.coeffs)
+
+
+# -- kernels against the reference -----------------------------------------
+
+
+@KERNEL
+@given(integral_or_rational_lists(), integral_or_rational_lists())
+def test_mul_add_sub(a, b):
+    f, g = FPS(a), FPS(b)
+    n = min(len(a), len(b))
+    assert canonical(f * g) == ref_mul(a, b)
+    assert canonical(f + g) == [x + y for x, y in zip(a, b)]
+    assert canonical(f - g) == [x - y for x, y in zip(a, b)]
+    assert canonical(-f) == [-x for x in a]
+    assert (f * g).precision == (f + g).precision == n
+
+
+@KERNEL
+@given(coeff_lists(), coefficient)
+def test_scalar_ops(a, c):
+    f = FPS(a)
+    assert canonical(f * c) == canonical(c * f) == [x * c for x in a]
+    assert canonical(f + c) == [a[0] + c] + a[1:]
+    assert canonical(c - f) == [c - a[0]] + [-x for x in a[1:]]
+    if c:
+        assert canonical(f / c) == [Fraction(x) / c for x in a]
+
+
+@KERNEL
+@given(integral_or_rational_lists(), coeff_lists(), unit)
+def test_div(a, b, b0):
+    b[0] = b0
+    assert canonical(FPS(a) / FPS(b)) == ref_div(a, b)
+
+
+@KERNEL
+@given(coeff_lists(max_size=8), st.integers(-3, 4))
+def test_pow(a, k):
+    if k < 0:
+        a[0] = a[0] or 2
+        want = ref_pow(ref_div([1] + [0] * (len(a) - 1), a), -k)
+    else:
+        want = ref_pow(a, k)
+    assert canonical(FPS(a) ** k) == want
+
+
+@KERNEL
+@given(integral_or_rational_lists(max_size=10), coeff_lists(max_size=10, order_one=True))
+def test_compose(a, g):
+    assert canonical(FPS(a).compose(FPS(g))) == ref_compose(a, g)
+
+
+@KERNEL
+@given(coeff_lists(min_size=2, order_one=True))
+def test_revert(a):
+    w = FPS(a).revert()
+    t = [0, 1] + [0] * (len(a) - 2)
+    assert ref_compose(a, canonical(w)) == t
+    assert ref_compose(canonical(w), a) == t
+
+
+@KERNEL
+@given(coeff_lists(unit=True), rational)
+def test_pow_rational(a, r):
+    assert canonical(FPS(a).pow_rational(r)) == ref_pow_rational(a, r)
+
+
+@KERNEL
+@given(coeff_lists(min_size=2), coefficient)
+def test_derivative_integral(a, c):
+    f = FPS(a)
+    d = f.derivative()
+    assert canonical(d) == [i * x for i, x in enumerate(a)][1:]
+    assert d.precision == f.precision - 1
+    integral = f.integral(c)
+    assert canonical(integral) == [c] + [Fraction(x, i + 1) for i, x in enumerate(a)]
+    assert integral.precision == f.precision + 1
+    assert integral.derivative() == f
+
+
+@KERNEL
+@given(coeff_lists(max_size=9), unit, st.integers(1, 4))
+def test_lagrange_coeffs_against_solve(phi, phi0, k):
+    phi[0] = phi0
+    n = len(phi)
+    got = lagrange_coeffs(FPS(phi), k, n)
+    want = [Fraction(0)] * n
+    for m in range(max(k, 1), n):
+        want[m] = Fraction(k, m) * ref_pow(phi, m)[m - k]
+    assert canonical(got) == want
+    assert got == lagrange_solve(FPS(phi), n) ** k
+
+
+# -- canonical form and precision rules ----------------------------------------
+
+
+def test_canonical_form_equality_and_hash():
+    half = FPS([Fraction(2, 4)])
+    assert half == FPS([Fraction(1, 2)]) == FPS(["1/2"])
+    assert hash(half) == hash(FPS([Fraction(1, 2)]))
+    assert (half._nums, half._den) == ((1,), 2)
+    # a common factor of every numerator cancels against the denominator
+    f = FPS([Fraction(2, 3), Fraction(4, 3)]) * 3
+    assert (f._nums, f._den) == ((2, 4), 1)
+    assert hash(f) == hash(FPS([2, 4]))
+    g = FPS([1, 2, 3]) / -6
+    assert g._den == 6 and g._nums == (-1, -2, -3)
+    assert FPS.zero(4)._den == 1
+    assert (FPS([Fraction(1, 2), 1]) - FPS([Fraction(1, 2), 0]))._den == 1
+
+
+def test_truncation_reduces_and_precision_rules_hold():
+    f = FPS([1, 2, Fraction(1, 6)])
+    assert f._den == 6
+    assert f.truncate(2)._den == 1
+    assert f.truncate(2) == FPS([1, 2])
+    assert (f * FPS([1] * 10)).precision == 3
+    assert f.shift_up(2).precision == 5
+    assert f.shift_up(2).shift_down(2) == f
+    assert (f / FPS([2] * 7)).precision == 3
+    assert f.compose(FPS.t(9)) == f
