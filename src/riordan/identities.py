@@ -11,14 +11,24 @@ one term on each side as a guard.
 Binomial convention: C(n, m) = 0 for m < 0 or m > n when n >= 0; for a
 rational upper argument the falling-factorial product is used.  Floors of
 negative arguments round toward minus infinity (Python's ``//``).
+
+Representation: the pointwise sums and the binomial-type terms run on
+plain integers.  A rational argument x enters as the pair
+(x.numerator, x.denominator), a term is an integer (numerator,
+denominator) pair, e.g. C(a/b, k) = prod(a - i b) / (b^k k!), and each
+sum keeps one integer total over a running common denominator that grows
+(by a two-argument lcm) only when a term's denominator does not divide
+it.  One ``Fraction`` is built per evaluated point; the public term
+functions (``binomial`` and the ``_*_term`` helpers) are thin
+``Fraction`` wrappers over the cached integer kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import lru_cache, partial
+from math import comb, factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .arrays import TheoremViolationError, pascal
@@ -34,9 +44,8 @@ from .reports import Counterexample, IdentityReport
 from .series import FormalPowerSeries, lagrange_solve
 
 Scalar = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# an exact rational as an integer (numerator, denominator) pair
+Ratio = tuple[int, int]
 
 # rational sample points for identities that are polynomial in their slots
 RATIONAL_GRID = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3, 7))
@@ -46,7 +55,10 @@ class RegistryError(ValueError):
     """Unknown identity id or unsupported parameter pin."""
 
 
-@lru_cache(maxsize=None)
+# Each cache in this module is bounded above its working set in
+# ``check --all --max-n 50`` (binomial 4,717 entries, Catalan power terms
+# 2,397, central power terms 765, fixed points 3), so that run never evicts.
+@lru_cache(maxsize=16)
 def _power_fixed_point(exponent: int, precision: int) -> FormalPowerSeries:
     # w = t (1 + w)^exponent; shared across the many (x, y) grid points
     return lagrange_solve((1 + FormalPowerSeries.t(precision)) ** exponent, precision)
@@ -64,18 +76,103 @@ def icomb(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@lru_cache(maxsize=None)
+def _ratio(x: Scalar) -> Ratio:
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _reduced(num: int, den: int) -> Ratio:
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _sum_ratios(terms: Iterable[Ratio]) -> Fraction:
+    """Exact sum of (numerator, denominator) terms over one running denominator.
+
+    The denominator is raised to the lcm only when a term's denominator
+    does not divide it; a zero denominator raises ``ZeroDivisionError``.
+    """
+    total, den = 0, 1
+    for num, d in terms:
+        if den % d:
+            common = lcm(den, d)
+            total *= common // den
+            den = common
+        total += num * (den // d)
+    return Fraction(total, den)
+
+
+def _convolve_ratios(
+    left: Callable[[int], Ratio], right: Callable[[int], Ratio], n: int
+) -> Fraction:
+    """sum_{i=0..n} left(i) * right(n - i) for (numerator, denominator) terms."""
+    pairs = zip(map(left, range(n + 1)), map(right, range(n, -1, -1)))
+    return _sum_ratios((u * w, v * t) for (u, v), (w, t) in pairs)
+
+
+@lru_cache(maxsize=8192)
+def _binomial_ratio(a: int, b: int, k: int) -> Ratio:
+    # C(a/b, k) for b > 0: prod_{i<k} (a - i b) / (b^k k!); 0 for k < 0
+    if k < 0:
+        return 0, 1
+    if b == 1 and a >= 0:
+        return comb(a, k), 1
+    num = 1
+    for i in range(k):
+        num *= a - i * b
+    return _reduced(num, b**k * factorial(k))
+
+
+@lru_cache(maxsize=4096)
+def _catalan_power_ratio(z: int, a: int, b: int, i: int) -> Ratio:
+    # x/(x + zi) C(x + zi, i) at x = a/b, in the cancelled form
+    # x prod_{1<=m<i} (x + zi - m) / i!, valid for rational x; equals [t^i]
+    # of the x-th power of the generalized binomial series with step z
+    if i == 0:
+        return 1, 1
+    num = a
+    for m in range(1, i):
+        num *= a + (z * i - m) * b
+    return _reduced(num, b**i * factorial(i))
+
+
+@lru_cache(maxsize=2048)
+def _central_power_ratio(p: int, a: int, b: int, i: int) -> Ratio:
+    # 2x/((2p-1)i + 2x) C(2pi + 2x - 1, i) at x = a/b, cancelled: the
+    # denominator is the last factor of the falling product, so the first
+    # i-1 factors remain
+    if i == 0:
+        return 1, 1
+    num = 2 * a
+    for m in range(i - 1):
+        num *= 2 * a + (2 * p * i - 1 - m) * b
+    return _reduced(num, b**i * factorial(i))
+
+
+def _ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
+    # ((p-1)m + y + 1)/(pm + y + 1) C((p+1)m + y, m) at y = a/b; the b of
+    # the first quotient cancels, and ((p+1)m b + a)/b is in lowest terms
+    den = p * m * b + a + b
+    if den == 0:
+        raise PoleError(f"pm + y + 1 vanishes at m = {m}")
+    num, cden = _binomial_ratio((p + 1) * m * b + a, b, m)
+    return ((p - 1) * m * b + a + b) * num, den * cden
+
+
+def _central_ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
+    # ((p-1)m + y + 1)/(pm + y + 1) C(2(pm + y + 1), m) at y = a/b
+    den = p * m * b + a + b
+    if den == 0:
+        raise PoleError(f"pm + y + 1 vanishes at m = {m}")
+    upper, lower = _reduced(2 * den, b)
+    num, cden = _binomial_ratio(upper, lower, m)
+    return ((p - 1) * m * b + a + b) * num, den * cden
+
+
 def binomial(a: Scalar, k: int) -> Fraction:
     """Generalized binomial: falling-factorial product over k!; 0 for k < 0."""
-    if k < 0:
-        return _ZERO
-    a = Fraction(a)
-    if a.denominator == 1 and a >= 0:
-        return Fraction(icomb(int(a), k))
-    num = _ONE
-    for i in range(k):
-        num *= a - i
-    return num / factorial(k)
+    num, den = _binomial_ratio(*_ratio(a), k)
+    return Fraction(num, den)
 
 
 _fib_cache = [0, 1]
@@ -90,49 +187,30 @@ def fibonacci(n: int) -> int:
     return _fib_cache[n]
 
 
-@lru_cache(maxsize=None)
 def _catalan_power_term(z: int, x: Scalar, i: int) -> Fraction:
-    # x/(x + zi) C(x + zi, i), in the cancelled form x prod(x + zi - m)/i!
-    # valid for rational x; equals [t^i] of the x-th power of the
-    # generalized binomial series with step z
-    if i == 0:
-        return _ONE
-    x = Fraction(x)
-    prod = x
-    for m in range(1, i):
-        prod *= x + z * i - m
-    return prod / factorial(i)
+    num, den = _catalan_power_ratio(z, *_ratio(x), i)
+    return Fraction(num, den)
 
 
-@lru_cache(maxsize=None)
 def _central_power_term(p: int, x: Scalar, i: int) -> Fraction:
-    # 2x/((2p-1)i + 2x) C(2pi + 2x - 1, i), cancelled: the denominator is the
-    # last factor of the falling product, so the first i-1 factors remain
-    if i == 0:
-        return _ONE
-    x = Fraction(x)
-    prod = 2 * x
-    for m in range(i - 1):
-        prod *= 2 * p * i + 2 * x - 1 - m
-    return prod / factorial(i)
+    num, den = _central_power_ratio(p, *_ratio(x), i)
+    return Fraction(num, den)
 
 
 def _ballot_term(p: int, y: Scalar, m: int) -> Fraction:
-    # ((p-1)m + y + 1)/(pm + y + 1) C((p+1)m + y, m)
-    y = Fraction(y)
-    den = p * m + y + 1
-    if den == 0:
-        raise PoleError(f"pm + y + 1 vanishes at m = {m}")
-    return ((p - 1) * m + y + 1) / den * binomial((p + 1) * m + y, m)
+    num, den = _ballot_ratio(p, *_ratio(y), m)
+    return Fraction(num, den)
 
 
 def _central_ballot_term(p: int, y: Scalar, m: int) -> Fraction:
-    # ((p-1)m + y + 1)/(pm + y + 1) C(2(pm + y + 1), m)
-    y = Fraction(y)
-    den = p * m + y + 1
-    if den == 0:
-        raise PoleError(f"pm + y + 1 vanishes at m = {m}")
-    return ((p - 1) * m + y + 1) / den * binomial(2 * (p * m + y + 1), m)
+    num, den = _central_ballot_ratio(p, *_ratio(y), m)
+    return Fraction(num, den)
+
+
+# the wrappers keep no cache of their own; they report their kernel's
+binomial.cache_info = _binomial_ratio.cache_info
+_catalan_power_term.cache_info = _catalan_power_ratio.cache_info
+_central_power_term.cache_info = _central_power_ratio.cache_info
 
 
 # -- the Fibonacci / alternating binomial suite --------------------------
@@ -468,14 +546,13 @@ def check_product_laws(p: int, x: Scalar, y: Scalar, precision: int) -> Identity
 
 def subarray_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
     """sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s)."""
-    total = _ZERO
-    for j in range(s, n + 1):
-        total += (
-            Fraction(p * s, (p - 1) * j + s)
-            * icomb(p * j - 1, j - s)
-            * icomb(p * (n - j) + r, n - j - k + s)
+    return _sum_ratios(
+        (
+            p * s * icomb(p * j - 1, j - s) * icomb(p * (n - j) + r, n - j - k + s),
+            (p - 1) * j + s,
         )
-    return total
+        for j in range(s, n + 1)
+    )
 
 
 def subarray_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
@@ -484,13 +561,12 @@ def subarray_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
 
 def catalan_vandermonde_lhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
     """sum_i x/(x+zi) C(x+zi, i) C(y+z(n-i), n-i)."""
-    return sum(
-        (
-            _catalan_power_term(z, Fraction(x), i)
-            * binomial(Fraction(y) + z * (n - i), n - i)
-            for i in range(n + 1)
-        ),
-        _ZERO,
+    c, e = _ratio(y)
+    return _convolve_ratios(
+        partial(_catalan_power_ratio, z, *_ratio(x)),
+        # y + zm = (c + zme)/e is in lowest terms
+        lambda m: _binomial_ratio(c + z * m * e, e, m),
+        n,
     )
 
 
@@ -500,13 +576,10 @@ def catalan_vandermonde_rhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
 
 def catalan_column_sum_lhs(p: int, r: int, n: int, k: int) -> Fraction:
     """sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1)."""
-    total = _ZERO
-    for j in range(n + 1):
-        total += (
-            Fraction(icomb(p * j + 1, j), p * j + 1)
-            * icomb(p * (n - j) + r, n - j - k + 1)
-        )
-    return total
+    return _sum_ratios(
+        (icomb(p * j + 1, j) * icomb(p * (n - j) + r, n - j - k + 1), p * j + 1)
+        for j in range(n + 1)
+    )
 
 
 def catalan_column_sum_rhs(p: int, r: int, n: int, k: int) -> Fraction:
@@ -515,15 +588,16 @@ def catalan_column_sum_rhs(p: int, r: int, n: int, k: int) -> Fraction:
 
 def catalan_triangle_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
     """The convolution over the subsampled Catalan triangle entries."""
-    total = _ZERO
-    for j in range(s, n + 1):
-        total += (
-            Fraction(2 * p * s, (2 * p - 1) * j + s)
+    return _sum_ratios(
+        (
+            2 * p * s
             * icomb(2 * p * j - 1, j - s)
-            * Fraction((p - 1) * (n - j) + r + k - s + 1, p * (n - j) + r + 1)
-            * icomb(2 * (p * (n - j) + r + 1), n - j - k + s)
+            * ((p - 1) * (n - j) + r + k - s + 1)
+            * icomb(2 * (p * (n - j) + r + 1), n - j - k + s),
+            ((2 * p - 1) * j + s) * (p * (n - j) + r + 1),
         )
-    return total
+        for j in range(s, n + 1)
+    )
 
 
 def catalan_triangle_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
@@ -534,15 +608,16 @@ def catalan_triangle_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction
 
 def ballot_triangle_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
     """The convolution over the subsampled ballot-variant triangle entries."""
-    total = _ZERO
-    for j in range(s, n - k + s + 1):
-        total += (
-            Fraction(p * s, (p + 1) * j - s)
+    return _sum_ratios(
+        (
+            p * s
             * icomb((p + 1) * j - s, j - s)
-            * Fraction((p - 1) * (n - j) + k - s + r + 1, p * (n - j) + r + 1)
-            * icomb((p + 1) * (n - j) + r - k + s, p * (n - j) + r)
+            * ((p - 1) * (n - j) + k - s + r + 1)
+            * icomb((p + 1) * (n - j) + r - k + s, p * (n - j) + r),
+            ((p + 1) * j - s) * (p * (n - j) + r + 1),
         )
-    return total
+        for j in range(s, n - k + s + 1)
+    )
 
 
 def ballot_triangle_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
@@ -553,13 +628,10 @@ def ballot_triangle_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
 
 def ballot_vandermonde_lhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
     """sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot term at y, index n-i."""
-    x, y = Fraction(x), Fraction(y)
-    return sum(
-        (
-            _catalan_power_term(p + 1, x, i) * _ballot_term(p, y, n - i)
-            for i in range(n + 1)
-        ),
-        _ZERO,
+    return _convolve_ratios(
+        partial(_catalan_power_ratio, p + 1, *_ratio(x)),
+        partial(_ballot_ratio, p, *_ratio(y)),
+        n,
     )
 
 
@@ -569,13 +641,10 @@ def ballot_vandermonde_rhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
 
 def rothe_hagen_lhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
     """sum_i x/(x+zi) C(x+zi, i) y/(y+z(n-i)) C(y+z(n-i), n-i)."""
-    x, y = Fraction(x), Fraction(y)
-    return sum(
-        (
-            _catalan_power_term(z, x, i) * _catalan_power_term(z, y, n - i)
-            for i in range(n + 1)
-        ),
-        _ZERO,
+    return _convolve_ratios(
+        partial(_catalan_power_ratio, z, *_ratio(x)),
+        partial(_catalan_power_ratio, z, *_ratio(y)),
+        n,
     )
 
 
@@ -585,13 +654,10 @@ def rothe_hagen_rhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
 
 def central_vandermonde_lhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
     """sum_i central power term at x * central ballot term at y."""
-    x, y = Fraction(x), Fraction(y)
-    return sum(
-        (
-            _central_power_term(p, x, i) * _central_ballot_term(p, y, n - i)
-            for i in range(n + 1)
-        ),
-        _ZERO,
+    return _convolve_ratios(
+        partial(_central_power_ratio, p, *_ratio(x)),
+        partial(_central_ballot_ratio, p, *_ratio(y)),
+        n,
     )
 
 
@@ -621,29 +687,73 @@ class RegistryEntry:
         }
 
 
-def _ks_pairs(n: int, full_upto: int = 20) -> Iterator[tuple[int, int]]:
-    # all (k, s) with 1 <= s <= k <= n for small n; corner sample beyond
-    if n <= full_upto:
-        for k in range(1, n + 1):
-            for s in range(1, k + 1):
-                yield k, s
+def _pin_values(pinned: Mapping[str, Scalar], name: str, default):
+    if name in pinned:
+        return (pinned[name],)
+    return default
+
+
+def _ks_pairs(
+    n: int, pinned: Mapping[str, Scalar], full_upto: int = 20
+) -> Iterator[tuple[int, int]]:
+    # all (k, s) with 1 <= s <= k <= n for small n, a corner sample beyond;
+    # a pinned k or s is enumerated with every valid partner at every n
+    if n <= full_upto or "k" in pinned or "s" in pinned:
+        for k in _pin_values(pinned, "k", range(1, n + 1)):
+            if 1 <= k <= n:
+                for s in _pin_values(pinned, "s", range(1, k + 1)):
+                    if 1 <= s <= k:
+                        yield k, s
     else:
         for k in sorted({1, n // 2, n}):
             for s in sorted({1, (k + 1) // 2, k}):
                 yield k, s
 
 
-def _k_values(n: int, full_upto: int = 20) -> Iterator[int]:
-    if n <= full_upto:
-        yield from range(1, n + 1)
+def _k_values(n: int, pinned: Mapping[str, Scalar], full_upto: int = 20) -> Iterator[int]:
+    if n <= full_upto or "k" in pinned:
+        for k in _pin_values(pinned, "k", range(1, n + 1)):
+            if 1 <= k <= n:
+                yield k
     else:
         yield from sorted({1, n // 2, n})
 
 
-def _pin_values(pinned: Mapping[str, Scalar], name: str, default):
-    if name in pinned:
-        return (pinned[name],)
-    return default
+def _n_values(max_n: int, pinned: Mapping[str, Scalar]):
+    return _pin_values(pinned, "n", range(0, max_n + 1))
+
+
+# A grid's text is a sequence of parts (slots, text, partial): ``text``
+# names the default set of ``slots``; a pinned slot is named by its value
+# instead, and ``partial`` (formatted with the slots left free) describes
+# what the rest of a part still ranges over.
+GridPart = tuple[tuple[str, ...], str, str]
+
+
+def _set_part(slot: str, values: tuple) -> GridPart:
+    return (slot,), f"{slot} in ({','.join(map(str, values))})", ""
+
+
+_RATIONAL_PAIR_PART: GridPart = (("x", "y"), "rational (x, y) grid", "{} over the rational grid")
+
+
+def _grid_text(parts: Iterable[GridPart], pinned: Mapping[str, Scalar]) -> str:
+    """The grid that runs: each part's default set, or the pins that replace it."""
+    out = []
+    for slots, text, partial_text in parts:
+        pins = [f"{slot}={pinned[slot]}" for slot in slots if slot in pinned]
+        free = [slot for slot in slots if slot not in pinned]
+        if not pins:
+            out.append(text)
+        else:
+            out.extend(pins)
+            if free:
+                out.append(partial_text.format(", ".join(free)))
+    return ", ".join(part for part in out if part)
+
+
+def _sum_grid_text(parts: tuple[GridPart, ...]) -> Callable[[int, Mapping[str, Scalar]], str]:
+    return lambda max_n, pinned: _grid_text(parts + ((("n",), f"n <= {max_n}", ""),), pinned)
 
 
 def _sum_identity_runner(
@@ -677,64 +787,62 @@ def _sum_identity_runner(
     return run
 
 
-def _convolution_points(ps, rs):
+# A sum grid is (points, parts): the point generator and the text parts of
+# the slots it ranges over, ``n`` excepted.  k and s have no set of their
+# own (a slotless constraint part names their range), so they show only
+# when pinned.
+_K_PIN: GridPart = (("k",), "", "")
+_S_PIN: GridPart = (("s",), "", "")
+
+
+def _convolution_grid(ps, rs):
     def points(max_n, pinned):
         for p in _pin_values(pinned, "p", ps):
             for r in _pin_values(pinned, "r", rs):
-                for n in range(0, max_n + 1):
-                    for k, s in _ks_pairs(n):
-                        if "k" in pinned and k != pinned["k"]:
-                            continue
-                        if "s" in pinned and s != pinned["s"]:
-                            continue
+                for n in _n_values(max_n, pinned):
+                    for k, s in _ks_pairs(n, pinned):
                         yield {"p": int(p), "r": int(r), "n": n, "k": k, "s": s}
 
-    return points
+    parts = (_set_part("p", ps), _set_part("r", rs), _K_PIN, _S_PIN, ((), "1 <= s <= k <= n", ""))
+    return points, parts
 
 
-def _column_sum_points(ps, rs):
+def _column_sum_grid(ps, rs):
     def points(max_n, pinned):
         for p in _pin_values(pinned, "p", ps):
             for r in _pin_values(pinned, "r", rs):
-                for n in range(0, max_n + 1):
-                    for k in _k_values(n):
-                        if "k" in pinned and k != pinned["k"]:
-                            continue
+                for n in _n_values(max_n, pinned):
+                    for k in _k_values(n, pinned):
                         yield {"p": int(p), "r": int(r), "n": n, "k": k}
 
-    return points
+    parts = (_set_part("p", ps), _set_part("r", rs), _K_PIN, ((), "1 <= k <= n", ""))
+    return points, parts
 
 
-def _rational_pair_points(zs, zname="p"):
+def _rational_pair_grid(zs, zname="p"):
     def points(max_n, pinned):
         for z in _pin_values(pinned, zname, zs):
             for x in _pin_values(pinned, "x", RATIONAL_GRID):
                 for y in _pin_values(pinned, "y", RATIONAL_GRID):
-                    for n in range(0, max_n + 1):
+                    for n in _n_values(max_n, pinned):
                         yield {zname: int(z), "x": Fraction(x), "y": Fraction(y), "n": n}
 
-    return points
+    return points, (_set_part(zname, zs), _RATIONAL_PAIR_PART)
 
 
 def _drop_lhs_only(params: dict, lhs_only: tuple[str, ...]) -> dict:
     return {k: v for k, v in params.items() if k not in lhs_only}
 
 
-def _make_sum_entry(
-    identity, description, slots, default_grid, lhs, rhs, point_iter, rhs_drop=()
-):
+def _make_sum_entry(identity, description, slots, lhs, rhs, grid, rhs_drop=()):
     rhs_eval = (lambda **kw: rhs(**_drop_lhs_only(kw, rhs_drop))) if rhs_drop else rhs
-
-    def grid_text(max_n, pinned):
-        pins = ", ".join(f"{k}={v}" for k, v in pinned.items())
-        return f"{default_grid}, n <= {max_n}" + (f" [{pins}]" if pins else "")
-
+    point_iter, parts = grid
     return RegistryEntry(
         id=identity,
         description=description,
         slots=slots,
-        default_grid=default_grid,
-        run=_sum_identity_runner(identity, lhs, rhs_eval, point_iter, grid_text),
+        default_grid=_grid_text(parts, {}),
+        run=_sum_identity_runner(identity, lhs, rhs_eval, point_iter, _sum_grid_text(parts)),
     )
 
 
@@ -783,9 +891,10 @@ def _product_laws_entry() -> RegistryEntry:
                             points=points,
                             counterexample=rep.counterexample,
                         )
+        parts = ((("p",), "p in (2, 3)", ""), _RATIONAL_PAIR_PART)
         return IdentityReport(
             identity="product-laws",
-            grid=f"p in (2, 3), rational (x, y) grid, coefficients below {precision}",
+            grid=f"{_grid_text(parts, pinned)}, coefficients below {precision}",
             points=points,
         )
 
@@ -812,9 +921,10 @@ def _power_law_entry() -> RegistryEntry:
                 points += rep.points
                 if not rep.holds:
                     return rep
+        parts = ((("p",), "q in (2, 3, 4)", ""), (("x",), "rational exponents", ""))
         return IdentityReport(
             identity="hypergeometric-power-law",
-            grid=f"q in (2, 3, 4), rational exponents, coefficients below {precision}",
+            grid=f"{_grid_text(parts, pinned)}, coefficients below {precision}",
             points=points,
         )
 
@@ -836,10 +946,9 @@ def _build_registry() -> dict[str, RegistryEntry]:
             "subarray-convolution",
             "sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s) = C(pn+r, n-k)",
             ("p", "r", "n", "k", "s"),
-            "p in (2,3,4), r in (0,1,2), 1 <= s <= k <= n",
             subarray_convolution_lhs,
             subarray_convolution_rhs,
-            _convolution_points((2, 3, 4), (0, 1, 2)),
+            _convolution_grid((2, 3, 4), (0, 1, 2)),
             rhs_drop=("s",),
         )
     )
@@ -848,10 +957,9 @@ def _build_registry() -> dict[str, RegistryEntry]:
             "catalan-vandermonde",
             "sum_i x/(x+zi) C(x+zi, i) C(y+z(n-i), n-i) = C(x+y+zn, n)",
             ("z", "x", "y", "n"),
-            "z in (2,3,4), rational (x, y) grid",
             catalan_vandermonde_lhs,
             catalan_vandermonde_rhs,
-            _rational_pair_points((2, 3, 4), zname="z"),
+            _rational_pair_grid((2, 3, 4), zname="z"),
         )
     )
     entries.append(
@@ -859,10 +967,9 @@ def _build_registry() -> dict[str, RegistryEntry]:
             "catalan-column-sum",
             "sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1) = C(pn+r+1, n-k+1)",
             ("p", "r", "n", "k"),
-            "p in (2,3,4), r in (0,1,2), 1 <= k <= n",
             catalan_column_sum_lhs,
             catalan_column_sum_rhs,
-            _column_sum_points((2, 3, 4), (0, 1, 2)),
+            _column_sum_grid((2, 3, 4), (0, 1, 2)),
         )
     )
     entries.append(
@@ -871,10 +978,9 @@ def _build_registry() -> dict[str, RegistryEntry]:
             "central convolution over the subsampled Catalan triangle "
             "(valid from p = 1 on)",
             ("p", "r", "n", "k", "s"),
-            "p in (1,2,3,4), r in (0,1,2), 1 <= s <= k <= n",
             catalan_triangle_convolution_lhs,
             catalan_triangle_convolution_rhs,
-            _convolution_points((1, 2, 3, 4), (0, 1, 2)),
+            _convolution_grid((1, 2, 3, 4), (0, 1, 2)),
             rhs_drop=("s",),
         )
     )
@@ -883,10 +989,9 @@ def _build_registry() -> dict[str, RegistryEntry]:
             "ballot-triangle-convolution",
             "convolution over the subsampled ballot-variant triangle",
             ("p", "r", "n", "k", "s"),
-            "p in (2,3,4), r in (0,1,2), 1 <= s <= k <= n",
             ballot_triangle_convolution_lhs,
             ballot_triangle_convolution_rhs,
-            _convolution_points((2, 3, 4), (0, 1, 2)),
+            _convolution_grid((2, 3, 4), (0, 1, 2)),
             rhs_drop=("s",),
         )
     )
@@ -895,10 +1000,9 @@ def _build_registry() -> dict[str, RegistryEntry]:
             "ballot-vandermonde",
             "sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot(y, n-i) = ballot(x+y, n)",
             ("p", "x", "y", "n"),
-            "p in (2,3,4), rational (x, y) grid",
             ballot_vandermonde_lhs,
             ballot_vandermonde_rhs,
-            _rational_pair_points((2, 3, 4)),
+            _rational_pair_grid((2, 3, 4)),
         )
     )
     entries.append(
@@ -907,10 +1011,9 @@ def _build_registry() -> dict[str, RegistryEntry]:
             "sum_i x/(x+zi) C(x+zi, i) y/(y+z(n-i)) C(y+z(n-i), n-i) "
             "= (x+y)/(x+y+zn) C(x+y+zn, n)",
             ("z", "x", "y", "n"),
-            "z in (2,3,4), rational (x, y) grid",
             rothe_hagen_lhs,
             rothe_hagen_rhs,
-            _rational_pair_points((2, 3, 4), zname="z"),
+            _rational_pair_grid((2, 3, 4), zname="z"),
         )
     )
     entries.append(
@@ -918,10 +1021,9 @@ def _build_registry() -> dict[str, RegistryEntry]:
             "central-binomial-vandermonde",
             "sum_i central-power(x, i) * central-ballot(y, n-i) = central-ballot(x+y, n)",
             ("p", "x", "y", "n"),
-            "p in (2,3,4), rational (x, y) grid",
             central_vandermonde_lhs,
             central_vandermonde_rhs,
-            _rational_pair_points((2, 3, 4)),
+            _rational_pair_grid((2, 3, 4)),
         )
     )
     entries.append(_product_laws_entry())

@@ -3,12 +3,16 @@
 import json
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from riordan import identities
 from riordan.cli import main
 from riordan.hypergeom import h_for_binomial_A
+
+
+GOLDEN_CHECK_ALL = Path(__file__).parent.parent / "bench" / "expected" / "check_all_n50.jsonl"
 
 
 def run(capsys, *argv):
@@ -233,6 +237,61 @@ def test_check_all_small_grid_jsonl(capsys):
     assert all(r["verdict"] == "holds" for r in recs)
     for line, rec in zip(lines(out), recs):
         assert json.dumps(rec, sort_keys=True, separators=(",", ":")) == line
+
+
+def test_check_all_matches_golden_jsonl(capsys):
+    code, out, _ = run(capsys, "check", "--all", "--max-n", "50", "--format", "jsonl")
+    assert code == 0
+    assert out.encode() == GOLDEN_CHECK_ALL.read_bytes()
+
+
+def check_record(capsys, *argv):
+    code, out, _ = run(capsys, "check", *argv, "--format", "jsonl")
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        # k = 7 at every n >= 7 with s = 1..7, for 3 p x 3 r
+        (("subarray-convolution", "--k", "7"), {20: 882, 40: 2142}),
+        (("catalan-column-sum", "--k", "30"), {30: 9, 40: 99}),
+        # s = 2 with k = 2..n at every n >= 2
+        (("subarray-convolution", "--s", "2"), {20: 1710, 24: 2484}),
+        (("ballot-triangle-convolution", "--k", "4", "--s", "4"), {20: 153, 23: 180}),
+    ],
+)
+def test_check_pins_are_enumerated_at_every_n(capsys, argv, counts):
+    for max_n, points in counts.items():
+        rec = check_record(capsys, *argv, "--max-n", str(max_n))
+        assert rec["verdict"] == "holds"
+        assert rec["points"] == points
+
+
+@pytest.mark.parametrize(
+    "argv, grid",
+    [
+        (("rothe-hagen", "--z", "0", "--max-n", "6"), "z=0, rational (x, y) grid, n <= 6"),
+        (("rothe-hagen", "--x", "1/2", "--max-n", "6"),
+         "z in (2,3,4), x=1/2, y over the rational grid, n <= 6"),
+        (("catalan-vandermonde", "--x", "2", "--y", "3", "--z", "4", "--max-n", "5"),
+         "z=4, x=2, y=3, n <= 5"),
+        (("subarray-convolution", "--p", "3", "--k", "2", "--max-n", "5"),
+         "p=3, r in (0,1,2), k=2, 1 <= s <= k <= n, n <= 5"),
+        (("product-laws", "--p", "2", "--y", "3", "--max-n", "4"),
+         "p=2, y=3, x over the rational grid, coefficients below 5"),
+        (("hypergeometric-power-law", "--x", "1/3", "--max-n", "4"),
+         "q in (2, 3, 4), x=1/3, coefficients below 5"),
+    ],
+)
+def test_check_grid_text_names_the_pins(capsys, argv, grid):
+    assert check_record(capsys, *argv)["grid"] == grid
+
+
+def test_check_unpinned_grid_text(capsys):
+    rec = check_record(capsys, "subarray-convolution", "--max-n", "3")
+    assert rec["grid"] == "p in (2,3,4), r in (0,1,2), 1 <= s <= k <= n, n <= 3"
 
 
 def test_check_requires_target(capsys):

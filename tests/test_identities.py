@@ -325,6 +325,13 @@ def test_counterexample_payload():
     assert rep.points == 4  # stopped at the first (lexicographically smallest) failure
 
 
+def test_registry_n_pin_checks_that_n_only():
+    rep = check_registry("rothe-hagen", max_n=10, pinned={"n": 4})
+    assert rep.holds
+    assert rep.points == 3 * 5 * 5
+    assert rep.grid == "z in (2,3,4), rational (x, y) grid, n=4"
+
+
 def test_report_record_shape():
     rec = check_andrews("a1", 5).to_record()
     assert rec["id"] == "andrews-a1"
