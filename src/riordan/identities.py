@@ -12,6 +12,13 @@ Binomial convention: C(n, m) = 0 for m < 0 or m > n when n >= 0; for a
 rational upper argument the falling-factorial product is used.  Floors of
 negative arguments round toward minus infinity (Python's ``//``).
 
+Identities are data.  Each Andrews row maps n to (U, L1, L2) for one sum
+``andrews_sum`` = sum_j C(U, L1 - 5j) - C(U, L2 - 5j); for a1/a2,
+sum_k (-1)^k C(U, floor((n-1-5k)/2)) with U = n-1 or n splits by the
+parity of k into L1 = floor((n-1)/2) and L2 = floor((n-6)/2).  Each
+pointwise sum identity is one ``SumIdentity`` row (lhs, rhs, slot sets,
+k/s tail) run by one grid runner.
+
 Representation: the pointwise sums and the binomial-type terms run on
 plain integers.  A rational argument x enters as the pair
 (x.numerator, x.denominator), a term is an integer (numerator,
@@ -28,8 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
 from math import comb, factorial, gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .arrays import TheoremViolationError, pascal
 from .hypergeom import (
@@ -175,6 +183,8 @@ def binomial(a: Scalar, k: int) -> Fraction:
     return Fraction(num, den)
 
 
+# F_0 .. F_{len-1}; capped far above the 103 entries of ``check --all --max-n 50``
+_FIB_CACHE_MAX = 1024
 _fib_cache = [0, 1]
 
 
@@ -182,9 +192,15 @@ def fibonacci(n: int) -> int:
     """Exact F_n with F_0 = 0, F_1 = 1."""
     if n < 0:
         raise ValueError(f"fibonacci needs n >= 0, got {n}")
-    while len(_fib_cache) <= n:
+    while len(_fib_cache) <= min(n, _FIB_CACHE_MAX - 1):
         _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
-    return _fib_cache[n]
+    if n < len(_fib_cache):
+        return _fib_cache[n]
+    # past the cap: iterate on from the cached tail without storing
+    a, b = _fib_cache[-2], _fib_cache[-1]
+    for _ in range(n - len(_fib_cache) + 1):
+        a, b = b, a + b
+    return b
 
 
 def _catalan_power_term(z: int, x: Scalar, i: int) -> Fraction:
@@ -216,70 +232,27 @@ _central_power_term.cache_info = _central_power_ratio.cache_info
 # -- the Fibonacci / alternating binomial suite --------------------------
 
 
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
+def andrews_sum(upper: int, low1: int, low2: int) -> int:
+    """sum_j C(upper, low1 - 5j) - C(upper, low2 - 5j) over all integers j.
+
+    The window is the support of both columns (0 <= low - 5j <= upper)
+    widened by one guard term on each side.
+    """
+    lo = -((upper - min(low1, low2)) // 5) - 1
+    hi = max(low1, low2) // 5 + 1
+    return sum(icomb(upper, low1 - 5 * j) - icomb(upper, low2 - 5 * j) for j in range(lo, hi + 1))
 
 
-def _sum_a1(n: int) -> int:
-    # sum_k (-1)^k C(n-1, floor((n-1-5k)/2)), n >= 1
-    lo, hi = -(n // 5) - 1, (n - 1) // 5 + 1
-    return sum(_sign(k) * icomb(n - 1, (n - 1 - 5 * k) // 2) for k in range(lo, hi + 1))
-
-
-def _sum_a2(n: int) -> int:
-    lo, hi = -((n + 2) // 5) - 1, (n - 1) // 5 + 1
-    return sum(_sign(k) * icomb(n, (n - 1 - 5 * k) // 2) for k in range(lo, hi + 1))
-
-
-def _sum_a3(n: int) -> int:
-    lo, hi = -((n + 2) // 5) - 1, n // 5 + 1
-    return sum(
-        icomb(2 * n + 1, n - 5 * j) - icomb(2 * n + 1, n - 5 * j - 1)
-        for j in range(lo, hi + 1)
-    )
-
-
-def _sum_a121(n: int) -> int:
-    lo, hi = -((n + 3) // 5) - 1, n // 5 + 1
-    return sum(
-        icomb(2 * n + 2, n - 5 * j) - icomb(2 * n + 2, n - 5 * j - 1)
-        for j in range(lo, hi + 1)
-    )
-
-
-def _sum_a5(n: int) -> int:
-    lo, hi = -((n + 3) // 5) - 1, n // 5 + 1
-    return sum(
-        icomb(2 * n + 1, n - 5 * j) - icomb(2 * n + 1, n - 5 * j - 2)
-        for j in range(lo, hi + 1)
-    )
-
-
-def _sum_a6(n: int) -> int:
-    lo, hi = -((n + 2) // 5) - 1, n // 5 + 1
-    return sum(
-        icomb(2 * n, n - 5 * j) - icomb(2 * n, n - 5 * j - 2)
-        for j in range(lo, hi + 1)
-    )
-
-
-def _sum_a122(n: int) -> int:
-    lo, hi = -((n + 2) // 5) - 1, (n - 1) // 5 + 1
-    return sum(
-        icomb(2 * n, n - 5 * j - 1) - icomb(2 * n, n - 5 * j - 2)
-        for j in range(lo, hi + 1)
-    )
-
-
-# id -> (fibonacci index for parameter n, smallest valid n, summation)
-ANDREWS_VARIANTS: dict[str, tuple[Callable[[int], int], int, Callable[[int], int]]] = {
-    "a1": (lambda n: n, 1, _sum_a1),
-    "a2": (lambda n: n, 1, _sum_a2),
-    "a3": (lambda n: 2 * n + 1, 0, _sum_a3),
-    "a121": (lambda n: 2 * n + 2, 0, _sum_a121),
-    "a5": (lambda n: 2 * n + 2, 0, _sum_a5),
-    "a6": (lambda n: 2 * n + 1, 0, _sum_a6),
-    "a122": (lambda n: 2 * n, 0, _sum_a122),
+# id -> (Fibonacci index at n, smallest valid n, n -> (upper, low1, low2) of andrews_sum)
+AndrewsRow = tuple[Callable[[int], int], int, Callable[[int], tuple[int, int, int]]]
+ANDREWS_VARIANTS: dict[str, AndrewsRow] = {
+    "a1": (lambda n: n, 1, lambda n: (n - 1, (n - 1) // 2, (n - 6) // 2)),
+    "a2": (lambda n: n, 1, lambda n: (n, (n - 1) // 2, (n - 6) // 2)),
+    "a3": (lambda n: 2 * n + 1, 0, lambda n: (2 * n + 1, n, n - 1)),
+    "a121": (lambda n: 2 * n + 2, 0, lambda n: (2 * n + 2, n, n - 1)),
+    "a5": (lambda n: 2 * n + 2, 0, lambda n: (2 * n + 1, n, n - 2)),
+    "a6": (lambda n: 2 * n + 1, 0, lambda n: (2 * n, n, n - 2)),
+    "a122": (lambda n: 2 * n, 0, lambda n: (2 * n, n - 1, n - 2)),
 }
 
 
@@ -289,21 +262,16 @@ def check_andrews(identity: str, n_max: int) -> IdentityReport:
         raise RegistryError(f"unknown Andrews variant {identity!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    index, n_min, total = ANDREWS_VARIANTS[identity]
+    index, n_min, window = ANDREWS_VARIANTS[identity]
     points = 0
     cex = None
     for n in range(n_min, n_max + 1):
         points += 1
-        lhs, rhs = fibonacci(index(n)), total(n)
+        lhs, rhs = fibonacci(index(n)), andrews_sum(*window(n))
         if lhs != rhs:
             cex = Counterexample({"n": str(n)}, lhs=str(lhs), rhs=str(rhs))
             break
-    return IdentityReport(
-        identity=f"andrews-{identity}",
-        grid=f"{n_min} <= n <= {n_max}",
-        points=points,
-        counterexample=cex,
-    )
+    return IdentityReport(f"andrews-{identity}", f"{n_min} <= n <= {n_max}", points, cex)
 
 
 def _weight_series(signs: Iterable[int], precision: int) -> FormalPowerSeries:
@@ -334,6 +302,10 @@ def check_via_riordan(n_max: int) -> IdentityReport:
     even = base.extract_subarray(2, 0)
     odd = base.extract_subarray(2, 1)
 
+    def failed(grid: str, points: int, params: dict, lhs, rhs) -> IdentityReport:
+        cex = Counterexample(params, lhs=str(lhs), rhs=str(rhs))
+        return IdentityReport("fibonacci-riordan", f"{grid}, n <= {n_max}", points, cex)
+
     # the extracted first columns have their own closed forms
     checked = 0
     for label, arr in (("even", even), ("odd", odd)):
@@ -342,16 +314,8 @@ def check_via_riordan(n_max: int) -> IdentityReport:
             checked += 1
             got, want = arr.d.coeff(m), closed_form(m)
             if got != want:
-                return IdentityReport(
-                    identity="fibonacci-riordan",
-                    grid=f"first column of rows {label}, n <= {n_max}",
-                    points=checked,
-                    counterexample=Counterexample(
-                        {"rows": label, "column": "d", "n": str(m)},
-                        lhs=str(got),
-                        rhs=str(want),
-                    ),
-                )
+                params = {"rows": label, "column": "d", "n": str(m)}
+                return failed(f"first column of rows {label}", checked, params, got, want)
 
     checks = [
         ("even", even, _weight_series([0, 1, -1, -1, 1], n),
@@ -368,21 +332,9 @@ def check_via_riordan(n_max: int) -> IdentityReport:
             points += 1
             got = composed.coeff(m)
             if got != target.coeff(m) or got != fib_value(m):
-                return IdentityReport(
-                    identity="fibonacci-riordan",
-                    grid=f"rows {label}, n <= {n_max}",
-                    points=points,
-                    counterexample=Counterexample(
-                        {"rows": label, "n": str(m)},
-                        lhs=str(got),
-                        rhs=str(target.coeff(m)),
-                    ),
-                )
-    return IdentityReport(
-        identity="fibonacci-riordan",
-        grid=f"even and odd extractions, n <= {n_max}",
-        points=points,
-    )
+                return failed(f"rows {label}", points, {"rows": label, "n": str(m)},
+                              got, target.coeff(m))
+    return IdentityReport("fibonacci-riordan", f"even and odd extractions, n <= {n_max}", points)
 
 
 # -- generating functions of the convolution families -----------------------
@@ -447,13 +399,6 @@ def central_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
             f"central_ballot_gf routes disagree for p={p}, y={y}"
         )
     return direct
-
-
-def central_gfs(
-    p: int, x: Scalar, y: Scalar, precision: int
-) -> tuple[FormalPowerSeries, FormalPowerSeries]:
-    """The pair (central power series at x, central ballot series at y)."""
-    return central_power_gf(p, x, precision), central_ballot_gf(p, y, precision)
 
 
 def fuss_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
@@ -719,21 +664,11 @@ def _k_values(n: int, pinned: Mapping[str, Scalar], full_upto: int = 20) -> Iter
         yield from sorted({1, n // 2, n})
 
 
-def _n_values(max_n: int, pinned: Mapping[str, Scalar]):
-    return _pin_values(pinned, "n", range(0, max_n + 1))
-
-
 # A grid's text is a sequence of parts (slots, text, partial): ``text``
 # names the default set of ``slots``; a pinned slot is named by its value
 # instead, and ``partial`` (formatted with the slots left free) describes
 # what the rest of a part still ranges over.
 GridPart = tuple[tuple[str, ...], str, str]
-
-
-def _set_part(slot: str, values: tuple) -> GridPart:
-    return (slot,), f"{slot} in ({','.join(map(str, values))})", ""
-
-
 _RATIONAL_PAIR_PART: GridPart = (("x", "y"), "rational (x, y) grid", "{} over the rational grid")
 
 
@@ -752,286 +687,203 @@ def _grid_text(parts: Iterable[GridPart], pinned: Mapping[str, Scalar]) -> str:
     return ", ".join(part for part in out if part)
 
 
-def _sum_grid_text(parts: tuple[GridPart, ...]) -> Callable[[int, Mapping[str, Scalar]], str]:
-    return lambda max_n, pinned: _grid_text(parts + ((("n",), f"n <= {max_n}", ""),), pinned)
+# a grid axis: a slot and its default values; pins of the integer slots are cast to int
+Axis = tuple[str, Iterable]
+_INTEGER_SLOTS = ("p", "r", "z")
 
 
-def _sum_identity_runner(
+def _grid_points(axes: tuple[Axis, ...], pinned: Mapping[str, Scalar]) -> Iterator[dict]:
+    """Every point of the product of the axes, a pinned slot replacing its default set."""
+    pins = {slot: int(v) if slot in _INTEGER_SLOTS else v for slot, v in pinned.items()}
+    names = [slot for slot, _ in axes]
+    sets = [_pin_values(pins, slot, values) for slot, values in axes]
+    return (dict(zip(names, combo)) for combo in product(*sets))
+
+
+class Tail(NamedTuple):
+    """The slots a triangle identity enumerates per n after the rest of its grid."""
+
+    slots: tuple[str, ...]
+    values: Callable[[int, Mapping[str, Scalar]], Iterable[tuple]]
+    constraint: str  # grid text of the default range
+    lhs_only: tuple[str, ...]  # slots the lhs takes and the rhs does not
+
+
+_KS_TAIL = Tail(("k", "s"), _ks_pairs, "1 <= s <= k <= n", ("s",))
+_K_TAIL = Tail(("k",), lambda n, pinned: zip(_k_values(n, pinned)), "1 <= k <= n", ())
+_NO_TAIL = Tail((), lambda n, pinned: ((),), "", ())
+
+
+class SumIdentity(NamedTuple):
+    """A pointwise identity lhs == rhs, declared as data.
+
+    Its grid is the product of ``sets`` (the integer slots), x and y over
+    RATIONAL_GRID when they are slots, n in 0..max_n, then the tail at
+    each n.  A pinned p below ``p_min`` is refused before any compute.
+    """
+
+    id: str
+    slots: tuple[str, ...]
+    description: str
+    lhs: Callable[..., Fraction]
+    rhs: Callable[..., Fraction]
+    sets: tuple[Axis, ...]
+    tail: Tail
+    p_min: int | None
+
+
+def _sum_points(row: SumIdentity, max_n: int, pinned: Mapping[str, Scalar]) -> Iterator[dict]:
+    axes = row.sets + tuple((slot, RATIONAL_GRID) for slot in ("x", "y") if slot in row.slots)
+    for point in _grid_points(axes + (("n", range(max_n + 1)),), pinned):
+        for values in row.tail.values(point["n"], pinned):
+            yield {**point, **dict(zip(row.tail.slots, values))}
+
+
+def _check_sums(
+    row: SumIdentity, parts: list[GridPart], max_n: int, pinned: Mapping[str, Scalar]
+) -> IdentityReport:
+    if row.p_min is not None and pinned.get("p", row.p_min) < row.p_min:
+        raise RegistryError(f"identity {row.id!r} needs p >= {row.p_min}, got p={pinned['p']}")
+    points = 0
+    cex = None
+    for params in _sum_points(row, max_n, pinned):
+        points += 1
+        left = row.lhs(**params)
+        right = row.rhs(**{k: v for k, v in params.items() if k not in row.tail.lhs_only})
+        if left != right:
+            cex = Counterexample({k: str(v) for k, v in params.items()}, str(left), str(right))
+            break
+    grid = _grid_text([*parts, (("n",), f"n <= {max_n}", "")], pinned)
+    return IdentityReport(row.id, grid, points, cex)
+
+
+def _sum_entry(row: SumIdentity) -> RegistryEntry:
+    parts = [((s,), f"{s} in ({','.join(map(str, v))})", "") for s, v in row.sets]
+    if "x" in row.slots:
+        parts.append(_RATIONAL_PAIR_PART)
+    # k and s have no set of their own (the constraint names it): they show only when pinned
+    parts += [((slot,), "", "") for slot in row.tail.slots] + [((), row.tail.constraint, "")]
+    run = partial(_check_sums, row, parts)
+    return RegistryEntry(row.id, row.description, row.slots, _grid_text(parts, {}), run)
+
+
+_P_SET, _Z_SET = (("p", (2, 3, 4)),), (("z", (2, 3, 4)),)
+_PR_SETS = _P_SET + (("r", (0, 1, 2)),)
+SUM_IDENTITIES = (
+    SumIdentity(
+        "subarray-convolution", ("p", "r", "n", "k", "s"),
+        "sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s) = C(pn+r, n-k)",
+        subarray_convolution_lhs, subarray_convolution_rhs, _PR_SETS, _KS_TAIL, 1,
+    ),
+    SumIdentity(
+        "catalan-vandermonde", ("z", "x", "y", "n"),
+        "sum_i x/(x+zi) C(x+zi, i) C(y+z(n-i), n-i) = C(x+y+zn, n)",
+        catalan_vandermonde_lhs, catalan_vandermonde_rhs, _Z_SET, _NO_TAIL, None,
+    ),
+    SumIdentity(
+        "catalan-column-sum", ("p", "r", "n", "k"),
+        "sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1) = C(pn+r+1, n-k+1)",
+        catalan_column_sum_lhs, catalan_column_sum_rhs, _PR_SETS, _K_TAIL, None,
+    ),
+    SumIdentity(
+        "catalan-triangle-convolution", ("p", "r", "n", "k", "s"),
+        "central convolution over the subsampled Catalan triangle (valid from p = 1 on)",
+        catalan_triangle_convolution_lhs, catalan_triangle_convolution_rhs,
+        (("p", (1, 2, 3, 4)), ("r", (0, 1, 2))), _KS_TAIL, 1,
+    ),
+    SumIdentity(
+        "ballot-triangle-convolution", ("p", "r", "n", "k", "s"),
+        "convolution over the subsampled ballot-variant triangle",
+        ballot_triangle_convolution_lhs, ballot_triangle_convolution_rhs, _PR_SETS, _KS_TAIL, 1,
+    ),
+    SumIdentity(
+        "ballot-vandermonde", ("p", "x", "y", "n"),
+        "sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot(y, n-i) = ballot(x+y, n)",
+        ballot_vandermonde_lhs, ballot_vandermonde_rhs, _P_SET, _NO_TAIL, None,
+    ),
+    SumIdentity(
+        "rothe-hagen", ("z", "x", "y", "n"),
+        "sum_i x/(x+zi) C(x+zi, i) y/(y+z(n-i)) C(y+z(n-i), n-i) "
+        "= (x+y)/(x+y+zn) C(x+y+zn, n)",
+        rothe_hagen_lhs, rothe_hagen_rhs, _Z_SET, _NO_TAIL, None,
+    ),
+    SumIdentity(
+        "central-binomial-vandermonde", ("p", "x", "y", "n"),
+        "sum_i central-power(x, i) * central-ballot(y, n-i) = central-ballot(x+y, n)",
+        central_vandermonde_lhs, central_vandermonde_rhs, _P_SET, _NO_TAIL, None,
+    ),
+)
+
+
+def _sweep(
     identity: str,
-    lhs: Callable[..., Fraction],
-    rhs: Callable[..., Fraction],
-    point_iter: Callable[[int, Mapping[str, Scalar]], Iterator[dict]],
-    grid_text: Callable[[int, Mapping[str, Scalar]], str],
-) -> Callable[..., IdentityReport]:
-    def run(max_n: int = 20, pinned: Mapping[str, Scalar] | None = None) -> IdentityReport:
-        pinned = pinned or {}
-        points = 0
-        cex = None
-        for params in point_iter(max_n, pinned):
-            points += 1
-            left, right = lhs(**params), rhs(**params)
-            if left != right:
-                cex = Counterexample(
-                    {k: str(v) for k, v in params.items()},
-                    lhs=str(left),
-                    rhs=str(right),
-                )
-                break
-        return IdentityReport(
-            identity=identity,
-            grid=grid_text(max_n, pinned),
-            points=points,
-            counterexample=cex,
-        )
-
-    return run
-
-
-# A sum grid is (points, parts): the point generator and the text parts of
-# the slots it ranges over, ``n`` excepted.  k and s have no set of their
-# own (a slotless constraint part names their range), so they show only
-# when pinned.
-_K_PIN: GridPart = (("k",), "", "")
-_S_PIN: GridPart = (("s",), "", "")
-
-
-def _convolution_grid(ps, rs):
-    def points(max_n, pinned):
-        for p in _pin_values(pinned, "p", ps):
-            for r in _pin_values(pinned, "r", rs):
-                for n in _n_values(max_n, pinned):
-                    for k, s in _ks_pairs(n, pinned):
-                        yield {"p": int(p), "r": int(r), "n": n, "k": k, "s": s}
-
-    parts = (_set_part("p", ps), _set_part("r", rs), _K_PIN, _S_PIN, ((), "1 <= s <= k <= n", ""))
-    return points, parts
-
-
-def _column_sum_grid(ps, rs):
-    def points(max_n, pinned):
-        for p in _pin_values(pinned, "p", ps):
-            for r in _pin_values(pinned, "r", rs):
-                for n in _n_values(max_n, pinned):
-                    for k in _k_values(n, pinned):
-                        yield {"p": int(p), "r": int(r), "n": n, "k": k}
-
-    parts = (_set_part("p", ps), _set_part("r", rs), _K_PIN, ((), "1 <= k <= n", ""))
-    return points, parts
-
-
-def _rational_pair_grid(zs, zname="p"):
-    def points(max_n, pinned):
-        for z in _pin_values(pinned, zname, zs):
-            for x in _pin_values(pinned, "x", RATIONAL_GRID):
-                for y in _pin_values(pinned, "y", RATIONAL_GRID):
-                    for n in _n_values(max_n, pinned):
-                        yield {zname: int(z), "x": Fraction(x), "y": Fraction(y), "n": n}
-
-    return points, (_set_part(zname, zs), _RATIONAL_PAIR_PART)
-
-
-def _drop_lhs_only(params: dict, lhs_only: tuple[str, ...]) -> dict:
-    return {k: v for k, v in params.items() if k not in lhs_only}
-
-
-def _make_sum_entry(identity, description, slots, lhs, rhs, grid, rhs_drop=()):
-    rhs_eval = (lambda **kw: rhs(**_drop_lhs_only(kw, rhs_drop))) if rhs_drop else rhs
-    point_iter, parts = grid
-    return RegistryEntry(
-        id=identity,
-        description=description,
-        slots=slots,
-        default_grid=_grid_text(parts, {}),
-        run=_sum_identity_runner(identity, lhs, rhs_eval, point_iter, _sum_grid_text(parts)),
-    )
+    check: Callable[..., IdentityReport],
+    axes: tuple[Axis, ...],
+    cap: int,
+    parts: tuple[GridPart, ...],
+    max_n: int,
+    pinned: Mapping[str, Scalar],
+) -> IdentityReport:
+    """Add up the sub-reports of ``check`` over a grid; stop at the first failure."""
+    precision = min(max_n + 1, cap)
+    points = 0
+    for params in _grid_points(axes, pinned):
+        rep = check(*params.values(), precision)
+        points += rep.points
+        if not rep.holds:
+            return IdentityReport(identity, rep.grid, points, rep.counterexample)
+    grid = f"{_grid_text(parts, pinned)}, coefficients below {precision}"
+    return IdentityReport(identity, grid, points)
 
 
 def _andrews_entry(variant: str) -> RegistryEntry:
     index, n_min, _ = ANDREWS_VARIANTS[variant]
-    sample = index(3)
     return RegistryEntry(
-        id=f"andrews-{variant}",
-        description=(
-            "alternating binomial sum over a period-5 window equals "
-            f"a Fibonacci number (parameter n maps to F with index like {sample} at n=3)"
-        ),
-        slots=("n",),
-        default_grid=f"n from {n_min}",
-        run=lambda max_n=20, pinned=None: check_andrews(variant, max_n),
+        f"andrews-{variant}",
+        "alternating binomial sum over a period-5 window equals a Fibonacci number "
+        f"(parameter n maps to F with index like {index(3)} at n=3)",
+        ("n",), f"n from {n_min}",
+        lambda max_n, pinned: check_andrews(variant, max_n),
     )
 
 
-def _fibonacci_riordan_entry() -> RegistryEntry:
-    return RegistryEntry(
-        id="fibonacci-riordan",
-        description=(
+# the checkers are called through their module names, so that a rebound
+# name (a tracer, a test double) is the one that runs
+REGISTRY: dict[str, RegistryEntry] = {
+    entry.id: entry
+    for entry in (
+        *map(_andrews_entry, ANDREWS_VARIANTS),
+        RegistryEntry(
+            "fibonacci-riordan",
             "d(t) f(t h(t)) over the even/odd row extraction of the binomial "
-            "triangle equals the even/odd Fibonacci generating function"
+            "triangle equals the even/odd Fibonacci generating function",
+            ("n",), "coefficients 0..max_n, both extractions",
+            lambda max_n, pinned: check_via_riordan(max_n),
         ),
-        slots=("n",),
-        default_grid="coefficients 0..max_n, both extractions",
-        run=lambda max_n=20, pinned=None: check_via_riordan(max_n),
-    )
-
-
-def _product_laws_entry() -> RegistryEntry:
-    def run(max_n: int = 20, pinned: Mapping[str, Scalar] | None = None) -> IdentityReport:
-        pinned = pinned or {}
-        precision = min(max_n + 1, 25)
-        points = 0
-        for p in _pin_values(pinned, "p", (2, 3)):
-            for x in _pin_values(pinned, "x", RATIONAL_GRID):
-                for y in _pin_values(pinned, "y", RATIONAL_GRID):
-                    rep = check_product_laws(int(p), x, y, precision)
-                    points += rep.points
-                    if not rep.holds:
-                        return IdentityReport(
-                            identity="product-laws",
-                            grid=rep.grid,
-                            points=points,
-                            counterexample=rep.counterexample,
-                        )
-        parts = ((("p",), "p in (2, 3)", ""), _RATIONAL_PAIR_PART)
-        return IdentityReport(
-            identity="product-laws",
-            grid=f"{_grid_text(parts, pinned)}, coefficients below {precision}",
-            points=points,
-        )
-
-    return RegistryEntry(
-        id="product-laws",
-        description=(
+        *map(_sum_entry, SUM_IDENTITIES),
+        RegistryEntry(
+            "product-laws",
             "binomial-power and central product laws of the ballot series, "
-            "directly and through hypergeometric expansion"
+            "directly and through hypergeometric expansion",
+            ("p", "x", "y"), "p in (2, 3), (x, y) over the rational grid",
+            partial(
+                _sweep, "product-laws", lambda *args: check_product_laws(*args),
+                (("p", (2, 3)), ("x", RATIONAL_GRID), ("y", RATIONAL_GRID)), 25,
+                ((("p",), "p in (2, 3)", ""), _RATIONAL_PAIR_PART),
+            ),
         ),
-        slots=("p", "x", "y"),
-        default_grid="p in (2, 3), (x, y) over the rational grid",
-        run=run,
+        RegistryEntry(
+            "hypergeometric-power-law",
+            "rational powers of the base hypergeometric stream stay hypergeometric",
+            ("p", "x"), "q in (2, 3, 4), exponents (2, 3, 1/2, 5/2)",
+            partial(
+                _sweep, "hypergeometric-power-law", lambda *args: verify_power_identity(*args),
+                (("p", (2, 3, 4)), ("x", (2, 3, Fraction(1, 2), Fraction(5, 2)))), 30,
+                ((("p",), "q in (2, 3, 4)", ""), (("x",), "rational exponents", "")),
+            ),
+        ),
     )
-
-
-def _power_law_entry() -> RegistryEntry:
-    def run(max_n: int = 20, pinned: Mapping[str, Scalar] | None = None) -> IdentityReport:
-        pinned = pinned or {}
-        precision = min(max_n + 1, 30)
-        points = 0
-        for q in _pin_values(pinned, "p", (2, 3, 4)):
-            for r in _pin_values(pinned, "x", (2, 3, Fraction(1, 2), Fraction(5, 2))):
-                rep = verify_power_identity(int(q), r, precision)
-                points += rep.points
-                if not rep.holds:
-                    return rep
-        parts = ((("p",), "q in (2, 3, 4)", ""), (("x",), "rational exponents", ""))
-        return IdentityReport(
-            identity="hypergeometric-power-law",
-            grid=f"{_grid_text(parts, pinned)}, coefficients below {precision}",
-            points=points,
-        )
-
-    return RegistryEntry(
-        id="hypergeometric-power-law",
-        description="rational powers of the base hypergeometric stream stay hypergeometric",
-        slots=("p", "x"),
-        default_grid="q in (2, 3, 4), exponents (2, 3, 1/2, 5/2)",
-        run=run,
-    )
-
-
-def _build_registry() -> dict[str, RegistryEntry]:
-    entries: list[RegistryEntry] = []
-    entries.extend(_andrews_entry(v) for v in ANDREWS_VARIANTS)
-    entries.append(_fibonacci_riordan_entry())
-    entries.append(
-        _make_sum_entry(
-            "subarray-convolution",
-            "sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s) = C(pn+r, n-k)",
-            ("p", "r", "n", "k", "s"),
-            subarray_convolution_lhs,
-            subarray_convolution_rhs,
-            _convolution_grid((2, 3, 4), (0, 1, 2)),
-            rhs_drop=("s",),
-        )
-    )
-    entries.append(
-        _make_sum_entry(
-            "catalan-vandermonde",
-            "sum_i x/(x+zi) C(x+zi, i) C(y+z(n-i), n-i) = C(x+y+zn, n)",
-            ("z", "x", "y", "n"),
-            catalan_vandermonde_lhs,
-            catalan_vandermonde_rhs,
-            _rational_pair_grid((2, 3, 4), zname="z"),
-        )
-    )
-    entries.append(
-        _make_sum_entry(
-            "catalan-column-sum",
-            "sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1) = C(pn+r+1, n-k+1)",
-            ("p", "r", "n", "k"),
-            catalan_column_sum_lhs,
-            catalan_column_sum_rhs,
-            _column_sum_grid((2, 3, 4), (0, 1, 2)),
-        )
-    )
-    entries.append(
-        _make_sum_entry(
-            "catalan-triangle-convolution",
-            "central convolution over the subsampled Catalan triangle "
-            "(valid from p = 1 on)",
-            ("p", "r", "n", "k", "s"),
-            catalan_triangle_convolution_lhs,
-            catalan_triangle_convolution_rhs,
-            _convolution_grid((1, 2, 3, 4), (0, 1, 2)),
-            rhs_drop=("s",),
-        )
-    )
-    entries.append(
-        _make_sum_entry(
-            "ballot-triangle-convolution",
-            "convolution over the subsampled ballot-variant triangle",
-            ("p", "r", "n", "k", "s"),
-            ballot_triangle_convolution_lhs,
-            ballot_triangle_convolution_rhs,
-            _convolution_grid((2, 3, 4), (0, 1, 2)),
-            rhs_drop=("s",),
-        )
-    )
-    entries.append(
-        _make_sum_entry(
-            "ballot-vandermonde",
-            "sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot(y, n-i) = ballot(x+y, n)",
-            ("p", "x", "y", "n"),
-            ballot_vandermonde_lhs,
-            ballot_vandermonde_rhs,
-            _rational_pair_grid((2, 3, 4)),
-        )
-    )
-    entries.append(
-        _make_sum_entry(
-            "rothe-hagen",
-            "sum_i x/(x+zi) C(x+zi, i) y/(y+z(n-i)) C(y+z(n-i), n-i) "
-            "= (x+y)/(x+y+zn) C(x+y+zn, n)",
-            ("z", "x", "y", "n"),
-            rothe_hagen_lhs,
-            rothe_hagen_rhs,
-            _rational_pair_grid((2, 3, 4), zname="z"),
-        )
-    )
-    entries.append(
-        _make_sum_entry(
-            "central-binomial-vandermonde",
-            "sum_i central-power(x, i) * central-ballot(y, n-i) = central-ballot(x+y, n)",
-            ("p", "x", "y", "n"),
-            central_vandermonde_lhs,
-            central_vandermonde_rhs,
-            _rational_pair_grid((2, 3, 4)),
-        )
-    )
-    entries.append(_product_laws_entry())
-    entries.append(_power_law_entry())
-    return {e.id: e for e in entries}
-
-
-REGISTRY: dict[str, RegistryEntry] = _build_registry()
+}
 
 
 def registry_entries() -> list[RegistryEntry]:
@@ -1045,11 +897,10 @@ def check_registry(
     entry = REGISTRY.get(identity)
     if entry is None:
         raise RegistryError(f"unknown identity {identity!r}")
-    if pinned:
-        bad = set(pinned) - set(entry.slots)
-        if bad:
-            raise RegistryError(
-                f"identity {identity!r} has no slots {sorted(bad)}; "
-                f"available: {entry.slots}"
-            )
+    pinned = pinned or {}
+    bad = set(pinned) - set(entry.slots)
+    if bad:
+        raise RegistryError(
+            f"identity {identity!r} has no slots {sorted(bad)}; available: {entry.slots}"
+        )
     return entry.run(max_n=max_n, pinned=pinned)

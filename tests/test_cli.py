@@ -13,6 +13,7 @@ from riordan.hypergeom import h_for_binomial_A
 
 
 GOLDEN_CHECK_ALL = Path(__file__).parent.parent / "bench" / "expected" / "check_all_n50.jsonl"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(capsys, *argv):
@@ -243,6 +244,28 @@ def test_check_all_matches_golden_jsonl(capsys):
     code, out, _ = run(capsys, "check", "--all", "--max-n", "50", "--format", "jsonl")
     assert code == 0
     assert out.encode() == GOLDEN_CHECK_ALL.read_bytes()
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("csv", "csv"), ("jsonl", "jsonl")])
+def test_check_list_matches_golden(capsys, fmt, suffix):
+    code, out, _ = run(capsys, "check", "--list", "--format", fmt)
+    assert code == 0
+    assert out.encode() == (FIXTURES / f"check_list.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "identity",
+    ["subarray-convolution", "catalan-triangle-convolution", "ballot-triangle-convolution"],
+)
+def test_check_out_of_domain_pin_names_the_pin(capsys, monkeypatch, identity):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the pin was checked")
+
+    monkeypatch.setattr(identities, "icomb", no_compute)
+    code, out, err = run(capsys, "check", identity, "--p", "0")
+    assert code == 2
+    assert out == ""
+    assert err == f"riordan: identity {identity!r} needs p >= 1, got p=0\n"
 
 
 def check_record(capsys, *argv):

@@ -5,11 +5,18 @@ from math import comb
 
 import pytest
 
+from riordan import identities
 from riordan.hypergeom import binomial_series, expand
 from riordan.identities import (
+    _FIB_CACHE_MAX,
+    _NO_TAIL,
+    ANDREWS_VARIANTS,
     RATIONAL_GRID,
     RegistryError,
-    _sum_identity_runner,
+    SumIdentity,
+    _fib_cache,
+    _sum_entry,
+    andrews_sum,
     ballot_vandermonde_lhs,
     ballot_vandermonde_rhs,
     binomial,
@@ -19,7 +26,6 @@ from riordan.identities import (
     catalan_vandermonde_rhs,
     central_ballot_gf,
     central_ballot_spec,
-    central_gfs,
     central_power_gf,
     check_andrews,
     check_product_laws,
@@ -35,6 +41,7 @@ from riordan.identities import (
     subarray_convolution_lhs,
     subarray_convolution_rhs,
 )
+from riordan.reports import Counterexample, IdentityReport
 from riordan.series import FormalPowerSeries, lagrange_gf
 
 FPS = FormalPowerSeries
@@ -48,6 +55,16 @@ def test_fibonacci_values():
     assert fibonacci(1) == 1
     assert fibonacci(10) == 55
     assert [fibonacci(n) for n in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
+
+
+def test_fibonacci_past_the_cache_cap():
+    a, b = 0, 1
+    for _ in range(5000):
+        a, b = b, a + b
+    assert fibonacci(5000) == a
+    cap = _FIB_CACHE_MAX
+    assert fibonacci(cap + 2) == fibonacci(cap + 1) + fibonacci(cap)
+    assert len(_fib_cache) <= cap
 
 
 def test_icomb_convention():
@@ -77,17 +94,15 @@ def test_andrews_a1_values():
     rep = check_andrews("a1", 40)
     assert rep.holds
     # n = 5: both sides are 5 (terms at k = -1, 0, 1)
-    from riordan.identities import _sum_a1
-
-    assert _sum_a1(5) == 5 == fibonacci(5)
-    assert _sum_a1(1) == 1 == fibonacci(1)
+    window = ANDREWS_VARIANTS["a1"][2]
+    assert andrews_sum(*window(5)) == 5 == fibonacci(5)
+    assert andrews_sum(*window(1)) == 1 == fibonacci(1)
 
 
 def test_andrews_a122_marked_row():
     # n = 3: F_6 = 8 = 15 - 6 - 1 from the marked even-row triangle
-    from riordan.identities import _sum_a122
-
-    assert _sum_a122(3) == comb(6, 2) - comb(6, 1) - comb(6, 6) == 8 == fibonacci(6)
+    window = ANDREWS_VARIANTS["a122"][2]
+    assert andrews_sum(*window(3)) == comb(6, 2) - comb(6, 1) - comb(6, 6) == 8 == fibonacci(6)
 
 
 @pytest.mark.parametrize("variant", ["a1", "a2", "a3", "a121", "a5", "a6", "a122"])
@@ -177,12 +192,6 @@ def test_central_ballot_matches_hypergeometric_form():
     for p in (2, 3):
         for y in (0, 1, Fraction(1, 2), Fraction(3, 7)):
             assert expand(central_ballot_spec(p, y), 10) == central_ballot_gf(p, y, 10)
-
-
-def test_central_gfs_pair():
-    c, d = central_gfs(2, 1, Fraction(1, 2), 8)
-    assert c == central_power_gf(2, 1, 8)
-    assert d == central_ballot_gf(2, Fraction(1, 2), 8)
 
 
 # -- product laws ---------------------------------------------------------------
@@ -309,20 +318,37 @@ def test_registry_rejects_bad_pin():
 
 
 def test_counterexample_payload():
-    run = _sum_identity_runner(
-        "broken",
-        lambda n: Fraction(n),
-        lambda n: Fraction(n if n < 3 else n + 1),
-        lambda max_n, pinned: ({"n": n} for n in range(max_n + 1)),
-        lambda max_n, pinned: f"n <= {max_n}",
+    row = SumIdentity(
+        "broken", ("n",), "n = n, wrong from 3 on",
+        lambda n: Fraction(n), lambda n: Fraction(n if n < 3 else n + 1), (), _NO_TAIL, None,
     )
-    rep = run(max_n=10)
+    rep = _sum_entry(row).run(max_n=10, pinned={})
     assert not rep.holds
     assert rep.verdict == "counterexample"
     assert rep.counterexample.params == {"n": "3"}
     assert rep.counterexample.lhs == "3"
     assert rep.counterexample.rhs == "4"
     assert rep.points == 4  # stopped at the first (lexicographically smallest) failure
+
+
+def test_power_law_failure_counts_every_sub_check(monkeypatch):
+    # the 3rd (q, r) sub-check fails: the report still counts the 2 before it
+    calls = []
+    real = identities.verify_power_identity
+
+    def third_fails(q, r, precision):
+        calls.append((q, r))
+        rep = real(q, r, precision)
+        if len(calls) < 3:
+            return rep
+        return IdentityReport(rep.identity, rep.grid, rep.points, Counterexample({}, "0", "1"))
+
+    monkeypatch.setattr(identities, "verify_power_identity", third_fails)
+    rep = check_registry("hypergeometric-power-law", max_n=9)
+    assert not rep.holds
+    assert len(calls) == 3
+    assert rep.points == 30
+    assert rep.grid == "q=2, r=1/2, coefficients below 10"
 
 
 def test_registry_n_pin_checks_that_n_only():

@@ -4,10 +4,12 @@ The pointwise sums and binomial-type terms in ``riordan.identities`` run on
 integer (numerator, denominator) pairs over a running common denominator.
 The reference below is the plain per-term ``Fraction`` arithmetic of the
 original formulas; every kernel must agree with it exactly, and raise
-``PoleError`` exactly where the reference does.
+``PoleError`` exactly where the reference does.  The Andrews table is
+checked against the seven per-identity sums it replaced.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from hypothesis import given, settings
@@ -238,3 +240,58 @@ def test_term_caches_are_bounded():
     for cached in (I.binomial, I._catalan_power_term, I._central_power_term,
                    I._power_fixed_point):
         assert cached.cache_info().maxsize is not None
+
+
+# -- Andrews table against the per-identity sums --------------------------------
+
+
+def _sign(k):
+    return -1 if k % 2 else 1
+
+
+def ref_a1(n):
+    lo, hi = -(n // 5) - 1, (n - 1) // 5 + 1
+    return sum(_sign(k) * I.icomb(n - 1, (n - 1 - 5 * k) // 2) for k in range(lo, hi + 1))
+
+
+def ref_a2(n):
+    lo, hi = -((n + 2) // 5) - 1, (n - 1) // 5 + 1
+    return sum(_sign(k) * I.icomb(n, (n - 1 - 5 * k) // 2) for k in range(lo, hi + 1))
+
+
+def _ref_columns(upper, low1, low2, lo, hi):
+    return sum(I.icomb(upper, low1 - 5 * j) - I.icomb(upper, low2 - 5 * j)
+               for j in range(lo, hi + 1))
+
+
+def ref_a3(n):
+    return _ref_columns(2 * n + 1, n, n - 1, -((n + 2) // 5) - 1, n // 5 + 1)
+
+
+def ref_a121(n):
+    return _ref_columns(2 * n + 2, n, n - 1, -((n + 3) // 5) - 1, n // 5 + 1)
+
+
+def ref_a5(n):
+    return _ref_columns(2 * n + 1, n, n - 2, -((n + 3) // 5) - 1, n // 5 + 1)
+
+
+def ref_a6(n):
+    return _ref_columns(2 * n, n, n - 2, -((n + 2) // 5) - 1, n // 5 + 1)
+
+
+def ref_a122(n):
+    return _ref_columns(2 * n, n - 1, n - 2, -((n + 2) // 5) - 1, (n - 1) // 5 + 1)
+
+
+ANDREWS_REF = {"a1": ref_a1, "a2": ref_a2, "a3": ref_a3, "a121": ref_a121,
+               "a5": ref_a5, "a6": ref_a6, "a122": ref_a122}
+
+
+def test_andrews_table_matches_per_identity_sums(monkeypatch):
+    # both sides take the same binomials; caching them keeps n < 400 quick
+    monkeypatch.setattr(I, "icomb", lru_cache(maxsize=None)(I.icomb))
+    assert set(ANDREWS_REF) == set(I.ANDREWS_VARIANTS)
+    for variant, (_, n_min, window) in I.ANDREWS_VARIANTS.items():
+        for n in range(n_min, 400):
+            assert I.andrews_sum(*window(n)) == ANDREWS_REF[variant](n), (variant, n)
