@@ -11,18 +11,32 @@ where ``h = A(t h)``.  This module builds arrays from either pair,
 materializes finite triangles, recovers A-sequences from raw triangles,
 extracts the row-subsampled arrays (keep row pn+r, shift left by
 (p-1)n+r), and evaluates weighted row sums and the column convolution
-identity, always in exact rational arithmetic.
+identity.  Nothing is ever rounded.
+
+A :class:`Triangle` stores its entries as integer rows over one common
+positive denominator in lowest terms, the representation of
+:class:`~riordan.series.FormalPowerSeries`.  Materializing a triangle
+reads the cached columns' integer numerators and rescales them once to
+the lcm of their denominators, and :func:`a_sequence` solves and verifies
+the recurrence on those integers; :class:`fractions.Fraction` values are
+built only when entries are read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .reports import Counterexample, IdentityReport
 from .series import (
     FormalPowerSeries,
     PrecisionError,
+    _append_term,
+    _fraction,
+    _series,
     lagrange_solve,
 )
 
@@ -57,21 +71,38 @@ class TheoremViolationError(RiordanError):
     """Two provably-equal computation routes disagreed (test hook)."""
 
 
+def _triangle(rows, den: int) -> "Triangle":
+    """The triangle ``rows / den`` (``den > 0``), brought to canonical form."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(rows))
+        if g != 1:
+            rows = [[x // g for x in row] for row in rows]
+            den //= g
+    tri = object.__new__(Triangle)
+    tri._nums = tuple(map(tuple, rows))
+    tri._den = den
+    return tri
+
+
 class Triangle:
     """A finite lower-triangular array of exact rationals.
 
-    Row ``n`` has exactly ``n + 1`` entries.  Serializes as plain text
-    (one row per line, entries space-separated, integers bare and
-    non-integers as ``p/q``), CSV, or JSON-line records with all numbers
-    as decimal strings.
+    Row ``n`` has exactly ``n + 1`` entries.  The entries are stored as
+    integer rows over one common positive denominator in lowest terms
+    (``gcd(den, *all numerators) == 1``), so equal triangles have equal
+    ``(rows, den)``; :attr:`rows` and :meth:`entry` build
+    :class:`fractions.Fraction` values when read.  Floats are rejected.
+    Serializes as plain text (one row per line, entries space-separated,
+    integers bare and non-integers as ``p/q``), CSV, or JSON-line records
+    with all numbers as decimal strings.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, rows: Iterable[Sequence]):
         norm = []
         for n, row in enumerate(rows):
-            entries = tuple(Fraction(c) for c in row)
+            entries = [_fraction(c) for c in row]
             if len(entries) != n + 1:
                 raise RiordanError(
                     f"row {n} has {len(entries)} entries, expected {n + 1}"
@@ -79,44 +110,51 @@ class Triangle:
             norm.append(entries)
         if not norm:
             raise RiordanError("a triangle needs at least one row")
-        self._rows = tuple(norm)
+        # the lcm of reduced denominators shares no factor with every numerator
+        den = lcm(*(c.denominator for row in norm for c in row))
+        self._nums = tuple(
+            tuple(c.numerator * (den // c.denominator) for c in row) for row in norm
+        )
+        self._den = den
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        """The entries as fractions, built on each access."""
+        den = self._den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self._nums)
 
     @property
     def nrows(self) -> int:
-        return len(self._rows)
+        return len(self._nums)
 
     def entry(self, n: int, k: int) -> Fraction:
-        return self._rows[n][k]
+        return Fraction(self._nums[n][k], self._den)
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for row in self._rows for c in row)
+        return self._den == 1
 
     def __eq__(self, other):
         if not isinstance(other, Triangle):
             return NotImplemented
-        return self._rows == other._rows
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash((self._nums, self._den))
 
     def __repr__(self):
         return f"Triangle({self.nrows} rows)"
 
     def to_text(self) -> str:
-        return "\n".join(" ".join(str(c) for c in row) for row in self._rows) + "\n"
+        return "\n".join(" ".join(str(c) for c in row) for row in self.rows) + "\n"
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(c) for c in row) for row in self._rows) + "\n"
+        return "\n".join(",".join(str(c) for c in row) for row in self.rows) + "\n"
 
     def to_records(self) -> list[dict]:
         return [
             {"row": n, "entries": [str(c) for c in row]}
-            for n, row in enumerate(self._rows)
+            for n, row in enumerate(self.rows)
         ]
 
 
@@ -160,10 +198,6 @@ class RiordanArray:
         self._h = h.truncate(min(h.precision, n))
         self._th = self._h.shift_up().truncate(n)
         self._cols = {0: self._d}
-
-    @classmethod
-    def from_dh(cls, d: FormalPowerSeries, h: FormalPowerSeries) -> "RiordanArray":
-        return cls(d, h)
 
     @classmethod
     def from_dA(cls, d: FormalPowerSeries, A: FormalPowerSeries) -> "RiordanArray":
@@ -219,20 +253,44 @@ class RiordanArray:
             col = nxt
         return col
 
-    def entry(self, n: int, k: int) -> Fraction:
-        """Exact entry; zero above the diagonal, error past the precision."""
+    def _check_index(self, n: int, k: int) -> None:
         if n < 0 or k < 0:
             raise RiordanError(f"negative index ({n}, {k})")
         if n >= self.precision or k >= self.precision:
             raise PrecisionError(
                 f"entry ({n}, {k}) beyond array precision {self.precision}"
             )
+
+    def entry(self, n: int, k: int) -> Fraction:
+        """Exact entry; zero above the diagonal, error past the precision."""
+        self._check_index(n, k)
         if k > n:
             return _ZERO  # ord((t h)^k) >= k
         return self._column(k).coeff(n)
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         return tuple(self.entry(n, k) for k in range(n + 1))
+
+    def _band(self, tops: Sequence[int]) -> Triangle:
+        """The triangle whose row ``i`` is entries ``(n, n-i), ..., (n, n)``, ``n = tops[i]``.
+
+        Read straight from the cached columns' integer numerators, rescaled
+        once to the lcm of their denominators.
+        """
+        if not tops:
+            raise RiordanError("a triangle needs at least one row")
+        for i, n in enumerate(tops):
+            # k = n - i is the row's first and smallest column index, and k <= n
+            self._check_index(n, n - i)
+        lo = min(n - i for i, n in enumerate(tops))
+        cols = [self._column(k) for k in range(lo, max(tops) + 1)]
+        den = lcm(*(c._den for c in cols))
+        scaled = [(c._nums, den // c._den) for c in cols]
+        rows = [
+            [nums[n] * scale for nums, scale in scaled[n - i - lo:n + 1 - lo]]
+            for i, n in enumerate(tops)
+        ]
+        return _triangle(rows, den)
 
     def materialize(self, nrows: int, require_integral: bool = False) -> Triangle:
         """First ``nrows`` rows as a :class:`Triangle`."""
@@ -242,7 +300,7 @@ class RiordanArray:
             raise PrecisionError(
                 f"asked for {nrows} rows but precision is {self.precision}"
             )
-        tri = Triangle(self.row(n) for n in range(nrows))
+        tri = self._band(range(nrows))
         if require_integral and not tri.is_integral:
             raise RiordanError("triangle has non-integer entries")
         return tri
@@ -318,12 +376,8 @@ def subarray_triangle(array: RiordanArray, p: int, r: int, nrows: int) -> Triang
 
     Independent of :meth:`RiordanArray.extract_subarray`; used as its oracle.
     """
-    return Triangle(
-        [
-            [array.entry(p * n + r, (p - 1) * n + r + k) for k in range(n + 1)]
-            for n in range(nrows)
-        ]
-    )
+    # row n of the grid ends on the diagonal of array row pn + r
+    return array._band([p * n + r for n in range(nrows)])
 
 
 def a_sequence(triangle: Triangle, terms: int | None = None) -> ASequence:
@@ -332,8 +386,13 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> ASequence:
     Solves the triangular system given by positions ``(n+1, 1)`` for
     increasing ``n``, then verifies the recurrence on *every* in-range
     ``(n, k)`` pair.  ``nrows`` rows recover ``nrows - 1`` terms.
+
+    The recurrence is homogeneous, so it runs on the triangle's integer
+    rows ``R``.  The terms are integer numerators ``x_i`` over one running
+    common denominator ``E``, built as in the series division kernel, and
+    each check is the integer test ``E R[n+1][k+1] == sum_i x_i R[n][k+i]``.
     """
-    rows = triangle.rows
+    rows = triangle._nums
     available = triangle.nrows - 1
     if terms is None:
         terms = available
@@ -341,27 +400,27 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> ASequence:
         raise InsufficientDataError(
             f"{triangle.nrows} rows recover at most {available} terms, asked for {terms}"
         )
-    a: list[Fraction] = []
+    xs: list[int] = []
+    den = 1
     for n in range(available):
         pivot = rows[n][n]
         if not pivot:
             raise InsufficientDataError(
                 f"zero diagonal entry at row {n}: triangle is not a proper array"
             )
-        acc = rows[n + 1][1]
-        for i in range(n):
-            if a[i] and rows[n][i]:
-                acc -= a[i] * rows[n][i]
-        a.append(acc / pivot)
+        num = den * rows[n + 1][1] - sum(map(mul, xs, rows[n]))  # xs has n terms
+        den = _append_term(xs, den, num, den * pivot)
     for n in range(available):
+        row, lhs_row = rows[n], rows[n + 1]
         for k in range(n + 1):
-            rhs = sum((a[i] * rows[n][k + i] for i in range(n - k + 1)), _ZERO)
-            if rows[n + 1][k + 1] != rhs:
+            rhs = sum(map(mul, xs, row[k:]))
+            if den * lhs_row[k + 1] != rhs:
+                tri_den = triangle._den
                 raise NotRiordanError(
                     f"recurrence fails at (n={n + 1}, k={k + 1}): "
-                    f"{rows[n + 1][k + 1]} != {rhs}"
+                    f"{Fraction(lhs_row[k + 1], tri_den)} != {Fraction(rhs, den * tri_den)}"
                 )
-    return ASequence(FormalPowerSeries(a[:terms]))
+    return ASequence(_series(xs[:terms], den))
 
 
 # -- the three stock triangles ----------------------------------------

@@ -173,21 +173,6 @@ def power_coeff(q: int, s: int, j: int) -> Fraction:
     return Fraction(q * s, (q - 1) * j + s) * comb(q * j - 1, j - s)
 
 
-def power_series_coeff(q: int, s: int, n: int) -> Fraction:
-    """[t^n] h^s in the shifted form qs/((q-1)n+qs) C(q(n+s)-1, n).
-
-    Substituting j = n + s turns this into :func:`power_coeff`; both are
-    kept so tests can pin their agreement with the series oracle.
-    """
-    if q < 2:
-        raise HypergeomError(f"q must be >= 2, got {q}")
-    if s < 1:
-        raise HypergeomError(f"s must be >= 1, got {s}")
-    if n < 0:
-        return Fraction(0)
-    return Fraction(q * s, (q - 1) * n + q * s) * comb(q * (n + s) - 1, n)
-
-
 def verify_power_identity(q: int, r: Scalar, precision: int) -> IdentityReport:
     """Check (B_q)^r via two routes: rational power of the r=1 expansion
     against the direct expansion of the r-parameter spec."""

@@ -739,11 +739,16 @@ def _sum_points(row: SumIdentity, max_n: int, pinned: Mapping[str, Scalar]) -> I
             yield {**point, **dict(zip(row.tail.slots, values))}
 
 
+def _require_p(identity: str, p_min: int | None, pinned: Mapping[str, Scalar]) -> None:
+    """Refuse a pinned p below the identity's domain, before any compute."""
+    if p_min is not None and pinned.get("p", p_min) < p_min:
+        raise RegistryError(f"identity {identity!r} needs p >= {p_min}, got p={pinned['p']}")
+
+
 def _check_sums(
     row: SumIdentity, parts: list[GridPart], max_n: int, pinned: Mapping[str, Scalar]
 ) -> IdentityReport:
-    if row.p_min is not None and pinned.get("p", row.p_min) < row.p_min:
-        raise RegistryError(f"identity {row.id!r} needs p >= {row.p_min}, got p={pinned['p']}")
+    _require_p(row.id, row.p_min, pinned)
     points = 0
     cex = None
     for params in _sum_points(row, max_n, pinned):
@@ -783,7 +788,7 @@ SUM_IDENTITIES = (
     SumIdentity(
         "catalan-column-sum", ("p", "r", "n", "k"),
         "sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1) = C(pn+r+1, n-k+1)",
-        catalan_column_sum_lhs, catalan_column_sum_rhs, _PR_SETS, _K_TAIL, None,
+        catalan_column_sum_lhs, catalan_column_sum_rhs, _PR_SETS, _K_TAIL, 0,
     ),
     SumIdentity(
         "catalan-triangle-convolution", ("p", "r", "n", "k", "s"),
@@ -799,7 +804,7 @@ SUM_IDENTITIES = (
     SumIdentity(
         "ballot-vandermonde", ("p", "x", "y", "n"),
         "sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot(y, n-i) = ballot(x+y, n)",
-        ballot_vandermonde_lhs, ballot_vandermonde_rhs, _P_SET, _NO_TAIL, None,
+        ballot_vandermonde_lhs, ballot_vandermonde_rhs, _P_SET, _NO_TAIL, 0,
     ),
     SumIdentity(
         "rothe-hagen", ("z", "x", "y", "n"),
@@ -810,7 +815,7 @@ SUM_IDENTITIES = (
     SumIdentity(
         "central-binomial-vandermonde", ("p", "x", "y", "n"),
         "sum_i central-power(x, i) * central-ballot(y, n-i) = central-ballot(x+y, n)",
-        central_vandermonde_lhs, central_vandermonde_rhs, _P_SET, _NO_TAIL, None,
+        central_vandermonde_lhs, central_vandermonde_rhs, _P_SET, _NO_TAIL, 0,
     ),
 )
 
@@ -821,10 +826,12 @@ def _sweep(
     axes: tuple[Axis, ...],
     cap: int,
     parts: tuple[GridPart, ...],
+    p_min: int | None,
     max_n: int,
     pinned: Mapping[str, Scalar],
 ) -> IdentityReport:
     """Add up the sub-reports of ``check`` over a grid; stop at the first failure."""
+    _require_p(identity, p_min, pinned)
     precision = min(max_n + 1, cap)
     points = 0
     for params in _grid_points(axes, pinned):
@@ -869,7 +876,7 @@ REGISTRY: dict[str, RegistryEntry] = {
             partial(
                 _sweep, "product-laws", lambda *args: check_product_laws(*args),
                 (("p", (2, 3)), ("x", RATIONAL_GRID), ("y", RATIONAL_GRID)), 25,
-                ((("p",), "p in (2, 3)", ""), _RATIONAL_PAIR_PART),
+                ((("p",), "p in (2, 3)", ""), _RATIONAL_PAIR_PART), 2,
             ),
         ),
         RegistryEntry(
@@ -879,7 +886,7 @@ REGISTRY: dict[str, RegistryEntry] = {
             partial(
                 _sweep, "hypergeometric-power-law", lambda *args: verify_power_identity(*args),
                 (("p", (2, 3, 4)), ("x", (2, 3, Fraction(1, 2), Fraction(5, 2)))), 30,
-                ((("p",), "q in (2, 3, 4)", ""), (("x",), "rational exponents", "")),
+                ((("p",), "q in (2, 3, 4)", ""), (("x",), "rational exponents", "")), None,
             ),
         ),
     )

@@ -103,32 +103,40 @@ def _convolve(a, b, n: int) -> list[int]:
     return out
 
 
+def _append_term(xs: list[int], den: int, num: int, step: int) -> int:
+    """Append the term ``num/step`` to the numerators ``xs`` over ``den``.
+
+    ``xs`` is extended in place and the new common denominator returned.
+    The term is reduced once and the prefix rescaled only when the
+    denominator must grow, so no integer gets larger than in the canonical
+    form of the terms (a fraction-free recurrence would carry the product
+    of every step); canonical ``xs/den`` stays canonical.
+    """
+    g = gcd(num, step)
+    if step < 0:
+        g = -g
+    num //= g
+    step //= g
+    if den % step:
+        grow = step // gcd(den, step)
+        xs[:] = [x * grow for x in xs]
+        den *= grow
+    xs.append(num * (den // step))
+    return den
+
+
 def _solve(rhs, a: int, w, b: int, c, e: int) -> tuple[list[int], int]:
     """Solve ``x_i = (rhs_i/a - sum_{1<=j<=i} (w_j/b) x_{i-j}) * e / c_i``.
 
     The solution is built as integer numerators over one running common
-    denominator: each step reduces its new term once and rescales the
-    prefix only when the denominator must grow, so no integer gets larger
-    than in the canonical form of the prefix (a fraction-free recurrence
-    would carry ``c**i``).  The result is canonical.
+    denominator by :func:`_append_term`, and is canonical.
     """
     xs: list[int] = []
     den = 1
     w1 = w[1:]
     for i, r in enumerate(rhs):
         s = sum(map(mul, w1, reversed(xs)))  # w_1 x_{i-1} + ... + w_i x_0
-        num = (r * b * den - a * s) * e
-        step = a * b * den * c[i]
-        g = gcd(num, step)
-        if step < 0:
-            g = -g
-        num //= g
-        step //= g
-        if den % step:
-            grow = step // gcd(den, step)
-            xs = [x * grow for x in xs]
-            den *= grow
-        xs.append(num * (den // step))
+        den = _append_term(xs, den, (r * b * den - a * s) * e, a * b * den * c[i])
     return xs, den
 
 

@@ -13,6 +13,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from closed_forms import power_series_coeff
 
 from riordan.arrays import (
     RiordanArray,
@@ -29,7 +30,6 @@ from riordan.hypergeom import (
     h_for_binomial_A,
     h_spec,
     power_coeff,
-    power_series_coeff,
 )
 from riordan.identities import (
     ANDREWS_VARIANTS,

@@ -30,7 +30,7 @@ from riordan.arrays import (
     pascal,
     subarray_triangle,
 )
-from riordan.series import FormalPowerSeries, PrecisionError
+from riordan.series import FormalPowerSeries, PrecisionError, SeriesError
 
 FPS = FormalPowerSeries
 
@@ -62,7 +62,7 @@ def test_identity_matrix():
 
 
 def test_from_dh_central_binomial_array():
-    arr = RiordanArray.from_dh(central_binomial_gf(9), shifted_catalan(9))
+    arr = RiordanArray(central_binomial_gf(9), shifted_catalan(9))
     assert arr.entry(3, 1) == 15
     for n in range(9):
         for k in range(n + 1):
@@ -186,6 +186,13 @@ def test_materialize_too_many_rows():
 def test_triangle_shape_validated():
     with pytest.raises(RiordanError):
         Triangle([[1], [1, 1, 1]])
+
+
+def test_triangle_rejects_floats():
+    with pytest.raises(SeriesError, match="float coefficients are not exact"):
+        Triangle([[0.1]])
+    with pytest.raises(SeriesError, match="float coefficients are not exact"):
+        Triangle([[1], [1, 0.5]])
 
 
 def test_triangle_integrality():

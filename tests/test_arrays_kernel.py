@@ -1,0 +1,233 @@
+"""Differential tests: the integer array kernels against a Fraction reference.
+
+``Triangle`` stores integer rows over one common denominator, and
+``materialize``, ``subarray_triangle`` and ``a_sequence`` run on those
+integers.  The references below are the plain per-entry ``Fraction``
+versions: a triangle built entry by entry through ``RiordanArray.entry``,
+and the A-sequence solve and verify loops on ``Fraction`` rows.  Results,
+exception types and messages must agree exactly, and every triangle must
+be in canonical form (positive denominator sharing no factor with all
+numerators).
+"""
+
+from fractions import Fraction
+from itertools import chain
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riordan.arrays import (
+    ASequence,
+    InsufficientDataError,
+    NotRiordanError,
+    RiordanArray,
+    Triangle,
+    a_sequence,
+    subarray_triangle,
+)
+from riordan.series import FormalPowerSeries as FPS
+
+KERNEL = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+# -- Fraction reference ------------------------------------------------------
+
+
+def ref_a_sequence(triangle, terms=None):
+    rows = triangle.rows
+    available = triangle.nrows - 1
+    if terms is None:
+        terms = available
+    if terms < 1 or terms > available:
+        raise InsufficientDataError(
+            f"{triangle.nrows} rows recover at most {available} terms, asked for {terms}"
+        )
+    a = []
+    for n in range(available):
+        pivot = rows[n][n]
+        if not pivot:
+            raise InsufficientDataError(
+                f"zero diagonal entry at row {n}: triangle is not a proper array"
+            )
+        acc = rows[n + 1][1]
+        for i in range(n):
+            if a[i] and rows[n][i]:
+                acc -= a[i] * rows[n][i]
+        a.append(acc / pivot)
+    for n in range(available):
+        for k in range(n + 1):
+            rhs = sum((a[i] * rows[n][k + i] for i in range(n - k + 1)), Fraction(0))
+            if rows[n + 1][k + 1] != rhs:
+                raise NotRiordanError(
+                    f"recurrence fails at (n={n + 1}, k={k + 1}): "
+                    f"{rows[n + 1][k + 1]} != {rhs}"
+                )
+    return ASequence(FPS(a[:terms])).series
+
+
+def ref_materialize(array, nrows):
+    return Triangle(array.row(n) for n in range(nrows))
+
+
+def ref_subarray_triangle(array, p, r, nrows):
+    return Triangle(
+        [
+            [array.entry(p * n + r, (p - 1) * n + r + k) for k in range(n + 1)]
+            for n in range(nrows)
+        ]
+    )
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def recovered(triangle, terms=None):
+    return a_sequence(triangle, terms).series
+
+
+def assert_canonical(tri):
+    assert tri._den > 0
+    assert gcd(tri._den, *chain.from_iterable(tri._nums)) == 1
+
+
+# -- strategies ---------------------------------------------------------------
+
+integer = st.integers(-6, 6)
+rational = st.builds(
+    lambda n, d, k: Fraction(n * k, d * k),
+    st.integers(-6, 6), st.integers(1, 6), st.integers(1, 4),
+)
+unit = st.sampled_from([1, -1, 2, Fraction(3, 5), Fraction(-7, 4)])
+
+
+@st.composite
+def arrays(draw, rational_entries=True):
+    """A proper ``(d, A)`` array, known to ``rows`` orders, and ``rows``."""
+    coeff = st.one_of(integer, rational) if rational_entries else integer
+    lead = unit if rational_entries else st.sampled_from([1, -1, 2, -3])
+    rows = draw(st.integers(2, 9))
+    d = [draw(lead)] + draw(st.lists(coeff, max_size=rows - 1))
+    A = [draw(lead)] + draw(st.lists(coeff, max_size=rows - 1))
+    return RiordanArray.from_dA(FPS(d, precision=rows), FPS(A, precision=rows)), rows
+
+
+any_array = st.one_of(arrays(rational_entries=False), arrays())
+
+
+# -- a_sequence ----------------------------------------------------------------
+
+
+@KERNEL
+@given(any_array)
+def test_a_sequence_matches_reference(case):
+    array, rows = case
+    tri = array.materialize(rows)
+    got = recovered(tri)
+    assert got == ref_a_sequence(tri)
+
+
+@KERNEL
+@given(any_array, st.data())
+def test_a_sequence_recovers_the_building_A(case, data):
+    array, rows = case
+    A = data.draw(st.lists(st.one_of(integer, rational), min_size=rows, max_size=rows))
+    A[0] = A[0] or 1
+    built = RiordanArray.from_dA(array.d, FPS(A))
+    assert recovered(built.materialize(rows)) == FPS(A[: rows - 1])
+
+
+@KERNEL
+@given(any_array, st.data())
+def test_perturbed_entry_gives_the_same_outcome(case, data):
+    array, rows = case
+    entries = [list(row) for row in array.materialize(rows).rows]
+    n = data.draw(st.integers(1, rows - 1))
+    k = data.draw(st.integers(0, n))
+    entries[n][k] += data.draw(st.one_of(st.integers(1, 5), rational.filter(bool)))
+    tri = Triangle(entries)
+    got = outcome(recovered, tri)
+    assert got == outcome(ref_a_sequence, tri)
+    if k >= 2:
+        # the entry is the left side of the check at (n-1, k-1), whose right
+        # side uses only A-terms solved from rows the perturbation left alone
+        assert got[0] in (NotRiordanError, InsufficientDataError)
+
+
+@KERNEL
+@given(st.integers(1, 7), st.data())
+def test_zero_pivot_gives_the_same_outcome(nrows, data):
+    entry = st.one_of(integer, rational)
+    entries = [data.draw(st.lists(entry, min_size=n + 1, max_size=n + 1)) for n in range(nrows)]
+    zero_at = data.draw(st.integers(0, nrows - 1))
+    entries[zero_at][zero_at] = 0
+    tri = Triangle(entries)
+    got = outcome(recovered, tri)
+    assert got == outcome(ref_a_sequence, tri)
+    if zero_at < nrows - 1:
+        # the pivot of row zero_at is reached before any verification
+        assert got[0] is InsufficientDataError
+
+
+@KERNEL
+@given(any_array)
+def test_terms_bounds_match_reference(case):
+    array, rows = case
+    tri = array.materialize(rows)
+    for terms in (None, -1, 0, 1, rows - 2, rows - 1, rows, rows + 3):
+        assert outcome(recovered, tri, terms) == outcome(ref_a_sequence, tri, terms)
+
+
+def test_one_row_recovers_nothing():
+    tri = Triangle([[3]])
+    assert outcome(recovered, tri) == outcome(ref_a_sequence, tri)
+    with pytest.raises(InsufficientDataError, match="1 rows recover at most 0 terms"):
+        a_sequence(tri)
+
+
+# -- materialize / subarray_triangle ------------------------------------------
+
+
+@KERNEL
+@given(any_array)
+def test_materialize_matches_reference(case):
+    array, rows = case
+    tri = array.materialize(rows)
+    assert tri == ref_materialize(array, rows)
+    assert tri.rows == ref_materialize(array, rows).rows
+    assert_canonical(tri)
+    for nrows in range(1, rows + 1):
+        assert array.materialize(nrows) == ref_materialize(array, nrows)
+
+
+@KERNEL
+@given(any_array, st.integers(-1, 4), st.integers(-2, 3), st.integers(0, 5))
+def test_subarray_triangle_matches_reference(case, p, r, nrows):
+    array, _ = case
+    got = outcome(subarray_triangle, array, p, r, nrows)
+    assert got == outcome(ref_subarray_triangle, array, p, r, nrows)
+    if isinstance(got, Triangle):
+        assert_canonical(got)
+
+
+# -- the canonical form --------------------------------------------------------
+
+
+@KERNEL
+@given(any_array)
+def test_fraction_rows_give_the_materialized_triangle(case):
+    array, rows = case
+    tri = array.materialize(rows)
+    # the same entries with a shared factor spelled out in every fraction
+    spelled = [[Fraction(c.numerator * 6, c.denominator * 6) for c in row] for row in tri.rows]
+    rebuilt = Triangle(spelled)
+    assert rebuilt == tri
+    assert hash(rebuilt) == hash(tri)
+    assert (rebuilt._nums, rebuilt._den) == (tri._nums, tri._den)
+    assert rebuilt.is_integral == all(c.denominator == 1 for row in tri.rows for c in row)

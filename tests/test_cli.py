@@ -180,6 +180,18 @@ def test_aseq_improper_triangle(capsys):
     assert code == 2
 
 
+ARRAYS_CLI = [
+    json.loads(line) for line in (FIXTURES / "arrays_cli.jsonl").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("case", ARRAYS_CLI, ids=lambda case: " ".join(case["argv"]))
+def test_arrays_cli_matches_golden(capsys, case):
+    # stdout, stderr and exit code of triangle/extract/aseq, byte for byte
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
 # -- check -------------------------------------------------------------------
 
 
@@ -254,18 +266,28 @@ def test_check_list_matches_golden(capsys, fmt, suffix):
 
 
 @pytest.mark.parametrize(
-    "identity",
-    ["subarray-convolution", "catalan-triangle-convolution", "ballot-triangle-convolution"],
+    "identity, p, p_min",
+    [
+        pytest.param("subarray-convolution", 0, 1, id="subarray-convolution"),
+        pytest.param("catalan-triangle-convolution", 0, 1, id="catalan-triangle-convolution"),
+        pytest.param("ballot-triangle-convolution", 0, 1, id="ballot-triangle-convolution"),
+        pytest.param("catalan-column-sum", -1, 0, id="catalan-column-sum"),
+        pytest.param("ballot-vandermonde", -1, 0, id="ballot-vandermonde"),
+        pytest.param("central-binomial-vandermonde", -1, 0, id="central-binomial-vandermonde"),
+        pytest.param("product-laws", 1, 2, id="product-laws-p1"),
+        pytest.param("product-laws", -1, 2, id="product-laws-p-1"),
+    ],
 )
-def test_check_out_of_domain_pin_names_the_pin(capsys, monkeypatch, identity):
+def test_check_out_of_domain_pin_names_the_pin(capsys, monkeypatch, identity, p, p_min):
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the pin was checked")
 
     monkeypatch.setattr(identities, "icomb", no_compute)
-    code, out, err = run(capsys, "check", identity, "--p", "0")
+    monkeypatch.setattr(identities, "_grid_points", no_compute)
+    code, out, err = run(capsys, "check", identity, "--p", str(p))
     assert code == 2
     assert out == ""
-    assert err == f"riordan: identity {identity!r} needs p >= 1, got p=0\n"
+    assert err == f"riordan: identity {identity!r} needs p >= {p_min}, got p={p}\n"
 
 
 def check_record(capsys, *argv):

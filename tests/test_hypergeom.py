@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from closed_forms import power_series_coeff
 
 from riordan.arrays import RiordanArray, central_binomial_gf
 from riordan.hypergeom import (
@@ -16,7 +17,6 @@ from riordan.hypergeom import (
     h_spec,
     pochhammer,
     power_coeff,
-    power_series_coeff,
     power_spec,
     verify_power_identity,
 )
