@@ -16,18 +16,26 @@ Identities are data.  Each Andrews row maps n to (U, L1, L2) for one sum
 ``andrews_sum`` = sum_j C(U, L1 - 5j) - C(U, L2 - 5j); for a1/a2,
 sum_k (-1)^k C(U, floor((n-1-5k)/2)) with U = n-1 or n splits by the
 parity of k into L1 = floor((n-1)/2) and L2 = floor((n-6)/2).  Each
-pointwise sum identity is one ``SumIdentity`` row (lhs, rhs, slot sets,
-k/s tail) run by one grid runner.
+convolution sum identity is one ``SumIdentity`` row (two factor columns,
+rhs, slot sets, k/s tail) run by one grid runner.
 
-Representation: the pointwise sums and the binomial-type terms run on
-plain integers.  A rational argument x enters as the pair
-(x.numerator, x.denominator), a term is an integer (numerator,
-denominator) pair, e.g. C(a/b, k) = prod(a - i b) / (b^k k!), and each
-sum keeps one integer total over a running common denominator that grows
-(by a two-argument lcm) only when a term's denominator does not divide
-it.  One ``Fraction`` is built per evaluated point; the public term
-functions (``binomial`` and the ``_*_term`` helpers) are thin
-``Fraction`` wrappers over the cached integer kernels.
+Representation: each sum identity is a convolution, lhs(n) = sum_j
+a(j) b(n - j), i.e. coefficient n of the product of two generating
+functions -- the Riordan-array product the paper's proofs rest on.  The
+terms run on plain integers: a rational argument x enters as the pair
+(x.numerator, x.denominator), and a term is an integer (numerator,
+denominator) pair, e.g. C(a/b, k) = prod(a - i b) / (b^k k!).  For each
+value of the slots outside n and the k/s tail, the checker builds each
+factor column a or b once, as integer numerators over one common
+denominator; a point's lhs is then one integer dot product of the two
+columns, compared with the rhs (another integer pair) by
+cross-multiplication.  A ``Fraction`` is built only for a
+counterexample's text.  A term that raises (a pole, a negative upper
+index) is kept in its column and raised by the first point whose sum
+takes it, so errors surface where a term-by-term sum would meet them.
+The public term functions (``binomial``, the ``_*_term`` helpers) and
+the ``*_lhs``/``*_rhs`` functions are thin ``Fraction`` wrappers over
+the same integer kernels and columns.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .arrays import TheoremViolationError, pascal
@@ -66,6 +75,8 @@ class RegistryError(ValueError):
 # Each cache in this module is bounded above its working set in
 # ``check --all --max-n 50`` (binomial 4,717 entries, Catalan power terms
 # 2,397, central power terms 765, fixed points 3), so that run never evicts.
+# The factor columns read each term once per column built, so the term
+# caches see about 23k, 17k and 4k hits in that run.
 @lru_cache(maxsize=16)
 def _power_fixed_point(exponent: int, precision: int) -> FormalPowerSeries:
     # w = t (1 + w)^exponent; shared across the many (x, y) grid points
@@ -94,28 +105,53 @@ def _reduced(num: int, den: int) -> Ratio:
     return num // g, den // g
 
 
-def _sum_ratios(terms: Iterable[Ratio]) -> Fraction:
-    """Exact sum of (numerator, denominator) terms over one running denominator.
+class Column(NamedTuple):
+    """A factor column: terms start..len(nums)-1 as integer numerators over ``den``.
 
-    The denominator is raised to the lcm only when a term's denominator
-    does not divide it; a zero denominator raises ``ZeroDivisionError``.
+    Entries below ``start`` are zero and never evaluated.  A term that
+    raised holds 0, and its exception waits in ``faults`` for the first
+    sum that takes it.
     """
-    total, den = 0, 1
-    for num, d in terms:
-        if den % d:
-            common = lcm(den, d)
-            total *= common // den
-            den = common
-        total += num * (den // d)
-    return Fraction(total, den)
+
+    nums: list[int]
+    den: int
+    start: int
+    faults: dict[int, Exception]
 
 
-def _convolve_ratios(
-    left: Callable[[int], Ratio], right: Callable[[int], Ratio], n: int
-) -> Fraction:
-    """sum_{i=0..n} left(i) * right(n - i) for (numerator, denominator) terms."""
-    pairs = zip(map(left, range(n + 1)), map(right, range(n, -1, -1)))
-    return _sum_ratios((u * w, v * t) for (u, v), (w, t) in pairs)
+def _column(term: Callable[[int], Ratio], start: int, length: int) -> Column:
+    """Terms start..length-1 of ``term`` over their least common denominator."""
+    ratios, faults, den = {}, {}, 1
+    for j in range(start, length):
+        try:
+            num, d = term(j)
+            if den % d:  # a zero d raises here, as it did in a term-by-term sum
+                num, d = _reduced(num, d)
+                den = lcm(den, d)
+        except (ValueError, ZeroDivisionError) as exc:
+            faults[j] = exc
+        else:
+            ratios[j] = num, d
+    nums = [0] * length
+    for j, (num, d) in ratios.items():
+        nums[j] = num * (den // d)
+    return Column(nums, den, start, faults)
+
+
+def _dot(left: Column, right: Column, n: int) -> int:
+    """sum_{j = left.start..n} left(j) right(n - j), over ``left.den * right.den``.
+
+    If a term taken has a fault, the first one in order of j (the left
+    factor before the right) is raised instead, as a term-by-term sum
+    would have raised it.
+    """
+    s = left.start
+    if left.faults or right.faults:
+        for j in range(s, n + 1):
+            fault = left.faults.get(j) or right.faults.get(n - j)
+            if fault is not None:
+                raise fault
+    return sum(map(mul, left.nums[s : n + 1], right.nums[n - s :: -1]))
 
 
 @lru_cache(maxsize=8192)
@@ -486,128 +522,81 @@ def check_product_laws(p: int, x: Scalar, y: Scalar, precision: int) -> Identity
     )
 
 
-# -- pointwise summation identities -------------------------------------------
+# -- factor columns of the convolution identities -----------------------------
+# Each kernel is one term of a factor column or of an rhs, as an integer
+# (numerator, denominator) pair.  ``s`` is the start of the left column
+# and ``d = k - s`` the offset of the right one.
 
 
-def subarray_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
-    """sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s)."""
-    return _sum_ratios(
-        (
-            p * s * icomb(p * j - 1, j - s) * icomb(p * (n - j) + r, n - j - k + s),
-            (p - 1) * j + s,
-        )
-        for j in range(s, n + 1)
-    )
+def _subarray_left(p: int, s: int, j: int) -> Ratio:
+    # ps/((p-1)j+s) C(pj-1, j-s)
+    return p * s * icomb(p * j - 1, j - s), (p - 1) * j + s
 
 
-def subarray_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
-    return Fraction(icomb(p * n + r, n - k))
+def _shifted_pascal(p: int, r: int, d: int, m: int) -> Ratio:
+    # C(pm+r, m-d)
+    return icomb(p * m + r, m - d), 1
 
 
-def catalan_vandermonde_lhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    """sum_i x/(x+zi) C(x+zi, i) C(y+z(n-i), n-i)."""
-    c, e = _ratio(y)
-    return _convolve_ratios(
-        partial(_catalan_power_ratio, z, *_ratio(x)),
-        # y + zm = (c + zme)/e is in lowest terms
-        lambda m: _binomial_ratio(c + z * m * e, e, m),
-        n,
-    )
+def _column_sum_left(p: int, j: int) -> Ratio:
+    # 1/(pj+1) C(pj+1, j)
+    return icomb(p * j + 1, j), p * j + 1
 
 
-def catalan_vandermonde_rhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    return binomial(Fraction(x) + Fraction(y) + z * n, n)
+def _catalan_triangle_left(p: int, s: int, j: int) -> Ratio:
+    # 2ps/((2p-1)j+s) C(2pj-1, j-s)
+    return 2 * p * s * icomb(2 * p * j - 1, j - s), (2 * p - 1) * j + s
 
 
-def catalan_column_sum_lhs(p: int, r: int, n: int, k: int) -> Fraction:
-    """sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1)."""
-    return _sum_ratios(
-        (icomb(p * j + 1, j) * icomb(p * (n - j) + r, n - j - k + 1), p * j + 1)
-        for j in range(n + 1)
-    )
+def _catalan_triangle_right(p: int, r: int, d: int, m: int) -> Ratio:
+    # ((p-1)m+r+d+1)/(pm+r+1) C(2(pm+r+1), m-d)
+    return ((p - 1) * m + r + d + 1) * icomb(2 * (p * m + r + 1), m - d), p * m + r + 1
 
 
-def catalan_column_sum_rhs(p: int, r: int, n: int, k: int) -> Fraction:
-    return Fraction(icomb(p * n + r + 1, n - k + 1))
+def _ballot_triangle_left(p: int, s: int, j: int) -> Ratio:
+    # ps/((p+1)j-s) C((p+1)j-s, j-s)
+    return p * s * icomb((p + 1) * j - s, j - s), (p + 1) * j - s
 
 
-def catalan_triangle_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
-    """The convolution over the subsampled Catalan triangle entries."""
-    return _sum_ratios(
-        (
-            2 * p * s
-            * icomb(2 * p * j - 1, j - s)
-            * ((p - 1) * (n - j) + r + k - s + 1)
-            * icomb(2 * (p * (n - j) + r + 1), n - j - k + s),
-            ((2 * p - 1) * j + s) * (p * (n - j) + r + 1),
-        )
-        for j in range(s, n + 1)
-    )
+def _ballot_triangle_right(p: int, r: int, d: int, m: int) -> Ratio:
+    # ((p-1)m+r+d+1)/(pm+r+1) C((p+1)m+r-d, pm+r); the sum takes no term below m = d
+    if m < d:
+        return 0, 1
+    return ((p - 1) * m + d + r + 1) * icomb((p + 1) * m + r - d, p * m + r), p * m + r + 1
 
 
-def catalan_triangle_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
-    return Fraction((p - 1) * n + r + k + 1, p * n + r + 1) * icomb(
-        2 * (p * n + r + 1), n - k
-    )
+def _shifted_binomial_ratio(z: int, c: int, e: int, m: int) -> Ratio:
+    # C(y + zm, m) at y = c/e; (c + zme)/e is in lowest terms
+    return _binomial_ratio(c + z * m * e, e, m)
 
 
-def ballot_triangle_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
-    """The convolution over the subsampled ballot-variant triangle entries."""
-    return _sum_ratios(
-        (
-            p * s
-            * icomb((p + 1) * j - s, j - s)
-            * ((p - 1) * (n - j) + k - s + r + 1)
-            * icomb((p + 1) * (n - j) + r - k + s, p * (n - j) + r),
-            ((p + 1) * j - s) * (p * (n - j) + r + 1),
-        )
-        for j in range(s, n - k + s + 1)
-    )
+def _quotient(num: int, den: int) -> Ratio:
+    """(num, den), refusing a zero ``den`` as ``Fraction(num, 0)`` does.
+
+    An rhs with a zero denominator would pass a cross-multiplied
+    comparison against any lhs whenever its numerator is 0.
+    """
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return num, den
 
 
-def ballot_triangle_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
-    return Fraction((p - 1) * n + k + r + 1, p * n + r + 1) * icomb(
-        (p + 1) * n + r - k, p * n + r
-    )
+def _subarray_rhs(p: int, r: int, n: int, k: int) -> Ratio:
+    return icomb(p * n + r, n - k), 1
 
 
-def ballot_vandermonde_lhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    """sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot term at y, index n-i."""
-    return _convolve_ratios(
-        partial(_catalan_power_ratio, p + 1, *_ratio(x)),
-        partial(_ballot_ratio, p, *_ratio(y)),
-        n,
-    )
+def _column_sum_rhs(p: int, r: int, n: int, k: int) -> Ratio:
+    return icomb(p * n + r + 1, n - k + 1), 1
 
 
-def ballot_vandermonde_rhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    return _ballot_term(p, Fraction(x) + Fraction(y), n)
+def _catalan_triangle_rhs(p: int, r: int, n: int, k: int) -> Ratio:
+    num, den = _quotient((p - 1) * n + r + k + 1, p * n + r + 1)
+    return num * icomb(2 * (p * n + r + 1), n - k), den
 
 
-def rothe_hagen_lhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    """sum_i x/(x+zi) C(x+zi, i) y/(y+z(n-i)) C(y+z(n-i), n-i)."""
-    return _convolve_ratios(
-        partial(_catalan_power_ratio, z, *_ratio(x)),
-        partial(_catalan_power_ratio, z, *_ratio(y)),
-        n,
-    )
-
-
-def rothe_hagen_rhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    return _catalan_power_term(z, Fraction(x) + Fraction(y), n)
-
-
-def central_vandermonde_lhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    """sum_i central power term at x * central ballot term at y."""
-    return _convolve_ratios(
-        partial(_central_power_ratio, p, *_ratio(x)),
-        partial(_central_ballot_ratio, p, *_ratio(y)),
-        n,
-    )
-
-
-def central_vandermonde_rhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    return _central_ballot_term(p, Fraction(x) + Fraction(y), n)
+def _ballot_triangle_rhs(p: int, r: int, n: int, k: int) -> Ratio:
+    num, den = _quotient((p - 1) * n + k + r + 1, p * n + r + 1)
+    return num * icomb((p + 1) * n + r - k, p * n + r), den
 
 
 # -- registry ------------------------------------------------------------------
@@ -707,36 +696,40 @@ class Tail(NamedTuple):
     values: Callable[[int, Mapping[str, Scalar]], Iterable[tuple]]
     constraint: str  # grid text of the default range
     lhs_only: tuple[str, ...]  # slots the lhs takes and the rhs does not
+    shifts: Callable[..., tuple[int, int]]  # values -> (left column start, right offset)
 
 
-_KS_TAIL = Tail(("k", "s"), _ks_pairs, "1 <= s <= k <= n", ("s",))
-_K_TAIL = Tail(("k",), lambda n, pinned: zip(_k_values(n, pinned)), "1 <= k <= n", ())
-_NO_TAIL = Tail((), lambda n, pinned: ((),), "", ())
+_KS_TAIL = Tail(("k", "s"), _ks_pairs, "1 <= s <= k <= n", ("s",), lambda k, s: (s, k - s))
+_K_TAIL = Tail(
+    ("k",), lambda n, pinned: zip(_k_values(n, pinned)), "1 <= k <= n", (), lambda k: (0, k - 1)
+)
+_NO_TAIL = Tail((), lambda n, pinned: ((),), "", (), lambda: (0, 0))
+
+# a factor maps the slots outside n and the tail (in grid order) and a tail
+# shift to the term function of its column; an rhs maps those slots to a
+# function of n and the tail slots it takes
+Factor = Callable[..., Callable[[int], Ratio]]
 
 
 class SumIdentity(NamedTuple):
-    """A pointwise identity lhs == rhs, declared as data.
+    """A convolution identity sum_j left(j) right(n - j) == rhs, declared as data.
 
     Its grid is the product of ``sets`` (the integer slots), x and y over
     RATIONAL_GRID when they are slots, n in 0..max_n, then the tail at
-    each n.  A pinned p below ``p_min`` is refused before any compute.
+    each n.  The left column starts at the tail's first shift (no term
+    below it is taken), the right one takes the second as its offset.
+    A pinned p below ``p_min`` is refused before any compute.
     """
 
     id: str
     slots: tuple[str, ...]
     description: str
-    lhs: Callable[..., Fraction]
-    rhs: Callable[..., Fraction]
+    left: Factor
+    right: Factor
+    rhs: Callable[..., Callable[..., Ratio]]
     sets: tuple[Axis, ...]
     tail: Tail
     p_min: int | None
-
-
-def _sum_points(row: SumIdentity, max_n: int, pinned: Mapping[str, Scalar]) -> Iterator[dict]:
-    axes = row.sets + tuple((slot, RATIONAL_GRID) for slot in ("x", "y") if slot in row.slots)
-    for point in _grid_points(axes + (("n", range(max_n + 1)),), pinned):
-        for values in row.tail.values(point["n"], pinned):
-            yield {**point, **dict(zip(row.tail.slots, values))}
 
 
 def _require_p(identity: str, p_min: int | None, pinned: Mapping[str, Scalar]) -> None:
@@ -745,18 +738,68 @@ def _require_p(identity: str, p_min: int | None, pinned: Mapping[str, Scalar]) -
         raise RegistryError(f"identity {identity!r} needs p >= {p_min}, got p={pinned['p']}")
 
 
+def _check_outer(
+    row: SumIdentity, outer: dict, n_values: Iterable[int], length: int,
+    pinned: Mapping[str, Scalar],
+) -> tuple[int, Counterexample | None]:
+    """Check the points (n, tail) at one value ``outer`` of the other slots.
+
+    Returns the points checked and the first counterexample.  Each factor
+    column is built on first use, up to ``length``, and dropped on return.
+    """
+    args = tuple(outer.values())
+    rhs = row.rhs(*args)
+    tail = row.tail
+    rhs_values = [i for i, slot in enumerate(tail.slots) if slot not in tail.lhs_only]
+    lefts: dict[int, Column] = {}
+    rights: dict[int, Column] = {}
+    # tail values -> (left column, right column, the rhs's tail values)
+    operands: dict[tuple, tuple[Column, Column, list]] = {}
+
+    def column(cache: dict[int, Column], factor: Factor, shift: int, start: int) -> Column:
+        col = cache.get(shift)
+        if col is None:
+            col = cache[shift] = _column(factor(*args, shift), start, length)
+        return col
+
+    points = 0
+    for n in n_values:
+        for values in tail.values(n, pinned):
+            points += 1
+            ops = operands.get(values)
+            if ops is None:
+                start, offset = tail.shifts(*values)
+                ops = operands[values] = (
+                    column(lefts, row.left, start, start),
+                    column(rights, row.right, offset, 0),
+                    [values[i] for i in rhs_values],
+                )
+            left, right, rhs_tail = ops
+            num, den = _dot(left, right, n), left.den * right.den
+            rnum, rden = rhs(n, *rhs_tail)
+            if num * rden != rnum * den:
+                params = {**outer, "n": n, **dict(zip(tail.slots, values))}
+                cex = Counterexample(
+                    {k: str(v) for k, v in params.items()},
+                    str(Fraction(num, den)), str(Fraction(rnum, rden)),
+                )
+                return points, cex
+    return points, None
+
+
 def _check_sums(
     row: SumIdentity, parts: list[GridPart], max_n: int, pinned: Mapping[str, Scalar]
 ) -> IdentityReport:
     _require_p(row.id, row.p_min, pinned)
+    axes = row.sets + tuple((slot, RATIONAL_GRID) for slot in ("x", "y") if slot in row.slots)
+    n_values = _pin_values(pinned, "n", range(max_n + 1))
+    length = max(n_values, default=-1) + 1
     points = 0
     cex = None
-    for params in _sum_points(row, max_n, pinned):
-        points += 1
-        left = row.lhs(**params)
-        right = row.rhs(**{k: v for k, v in params.items() if k not in row.tail.lhs_only})
-        if left != right:
-            cex = Counterexample({k: str(v) for k, v in params.items()}, str(left), str(right))
+    for outer in _grid_points(axes, pinned):
+        checked, cex = _check_outer(row, outer, n_values, length, pinned)
+        points += checked
+        if cex is not None:
             break
     grid = _grid_text([*parts, (("n",), f"n <= {max_n}", "")], pinned)
     return IdentityReport(row.id, grid, points, cex)
@@ -778,46 +821,168 @@ SUM_IDENTITIES = (
     SumIdentity(
         "subarray-convolution", ("p", "r", "n", "k", "s"),
         "sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s) = C(pn+r, n-k)",
-        subarray_convolution_lhs, subarray_convolution_rhs, _PR_SETS, _KS_TAIL, 1,
+        lambda p, r, s: partial(_subarray_left, p, s),
+        lambda p, r, d: partial(_shifted_pascal, p, r, d),
+        lambda p, r: partial(_subarray_rhs, p, r),
+        _PR_SETS, _KS_TAIL, 1,
     ),
     SumIdentity(
         "catalan-vandermonde", ("z", "x", "y", "n"),
         "sum_i x/(x+zi) C(x+zi, i) C(y+z(n-i), n-i) = C(x+y+zn, n)",
-        catalan_vandermonde_lhs, catalan_vandermonde_rhs, _Z_SET, _NO_TAIL, None,
+        lambda z, x, y, _: partial(_catalan_power_ratio, z, *_ratio(x)),
+        lambda z, x, y, _: partial(_shifted_binomial_ratio, z, *_ratio(y)),
+        lambda z, x, y: partial(_shifted_binomial_ratio, z, *_ratio(x + y)),
+        _Z_SET, _NO_TAIL, None,
     ),
     SumIdentity(
         "catalan-column-sum", ("p", "r", "n", "k"),
         "sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1) = C(pn+r+1, n-k+1)",
-        catalan_column_sum_lhs, catalan_column_sum_rhs, _PR_SETS, _K_TAIL, 0,
+        lambda p, r, _: partial(_column_sum_left, p),
+        lambda p, r, d: partial(_shifted_pascal, p, r, d),
+        lambda p, r: partial(_column_sum_rhs, p, r),
+        _PR_SETS, _K_TAIL, 0,
     ),
     SumIdentity(
         "catalan-triangle-convolution", ("p", "r", "n", "k", "s"),
         "central convolution over the subsampled Catalan triangle (valid from p = 1 on)",
-        catalan_triangle_convolution_lhs, catalan_triangle_convolution_rhs,
+        lambda p, r, s: partial(_catalan_triangle_left, p, s),
+        lambda p, r, d: partial(_catalan_triangle_right, p, r, d),
+        lambda p, r: partial(_catalan_triangle_rhs, p, r),
         (("p", (1, 2, 3, 4)), ("r", (0, 1, 2))), _KS_TAIL, 1,
     ),
     SumIdentity(
         "ballot-triangle-convolution", ("p", "r", "n", "k", "s"),
         "convolution over the subsampled ballot-variant triangle",
-        ballot_triangle_convolution_lhs, ballot_triangle_convolution_rhs, _PR_SETS, _KS_TAIL, 1,
+        lambda p, r, s: partial(_ballot_triangle_left, p, s),
+        lambda p, r, d: partial(_ballot_triangle_right, p, r, d),
+        lambda p, r: partial(_ballot_triangle_rhs, p, r),
+        _PR_SETS, _KS_TAIL, 1,
     ),
     SumIdentity(
         "ballot-vandermonde", ("p", "x", "y", "n"),
         "sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot(y, n-i) = ballot(x+y, n)",
-        ballot_vandermonde_lhs, ballot_vandermonde_rhs, _P_SET, _NO_TAIL, 0,
+        lambda p, x, y, _: partial(_catalan_power_ratio, p + 1, *_ratio(x)),
+        lambda p, x, y, _: partial(_ballot_ratio, p, *_ratio(y)),
+        lambda p, x, y: partial(_ballot_ratio, p, *_ratio(x + y)),
+        _P_SET, _NO_TAIL, 0,
     ),
     SumIdentity(
         "rothe-hagen", ("z", "x", "y", "n"),
         "sum_i x/(x+zi) C(x+zi, i) y/(y+z(n-i)) C(y+z(n-i), n-i) "
         "= (x+y)/(x+y+zn) C(x+y+zn, n)",
-        rothe_hagen_lhs, rothe_hagen_rhs, _Z_SET, _NO_TAIL, None,
+        lambda z, x, y, _: partial(_catalan_power_ratio, z, *_ratio(x)),
+        lambda z, x, y, _: partial(_catalan_power_ratio, z, *_ratio(y)),
+        lambda z, x, y: partial(_catalan_power_ratio, z, *_ratio(x + y)),
+        _Z_SET, _NO_TAIL, None,
     ),
     SumIdentity(
         "central-binomial-vandermonde", ("p", "x", "y", "n"),
         "sum_i central-power(x, i) * central-ballot(y, n-i) = central-ballot(x+y, n)",
-        central_vandermonde_lhs, central_vandermonde_rhs, _P_SET, _NO_TAIL, 0,
+        lambda p, x, y, _: partial(_central_power_ratio, p, *_ratio(x)),
+        lambda p, x, y, _: partial(_central_ballot_ratio, p, *_ratio(y)),
+        lambda p, x, y: partial(_central_ballot_ratio, p, *_ratio(x + y)),
+        _P_SET, _NO_TAIL, 0,
     ),
 )
+_SUMS = {row.id: row for row in SUM_IDENTITIES}
+
+
+# -- the identities' two sides at one point --------------------------------------
+
+
+def _lhs(identity: str, outer: tuple, n: int, *tail: int) -> Fraction:
+    """One point's lhs: the dot product at n of the row's two factor columns."""
+    row = _SUMS[identity]
+    start, offset = row.tail.shifts(*tail)
+    left = _column(row.left(*outer, start), start, n + 1)
+    right = _column(row.right(*outer, offset), 0, n + 1)
+    return Fraction(_dot(left, right, n), left.den * right.den)
+
+
+def _ks_lhs(identity: str, p: int, r: int, n: int, k: int, s: int) -> Fraction:
+    # the sum takes j = s..n only inside the identity's domain
+    p_min = _SUMS[identity].p_min
+    if p < p_min or not 1 <= s <= k:
+        raise ValueError(
+            f"{identity} needs p >= {p_min} and 1 <= s <= k, got p={p}, k={k}, s={s}"
+        )
+    return _lhs(identity, (p, r), n, k, s)
+
+
+def _rhs(identity: str, outer: tuple, n: int, *tail: int) -> Fraction:
+    return Fraction(*_SUMS[identity].rhs(*outer)(n, *tail))
+
+
+def subarray_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
+    """sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s)."""
+    return _ks_lhs("subarray-convolution", p, r, n, k, s)
+
+
+def subarray_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
+    return _rhs("subarray-convolution", (p, r), n, k)
+
+
+def catalan_vandermonde_lhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
+    """sum_i x/(x+zi) C(x+zi, i) C(y+z(n-i), n-i)."""
+    return _lhs("catalan-vandermonde", (z, x, y), n)
+
+
+def catalan_vandermonde_rhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
+    return _rhs("catalan-vandermonde", (z, x, y), n)
+
+
+def catalan_column_sum_lhs(p: int, r: int, n: int, k: int) -> Fraction:
+    """sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1)."""
+    return _lhs("catalan-column-sum", (p, r), n, k)
+
+
+def catalan_column_sum_rhs(p: int, r: int, n: int, k: int) -> Fraction:
+    return _rhs("catalan-column-sum", (p, r), n, k)
+
+
+def catalan_triangle_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
+    """The convolution over the subsampled Catalan triangle entries."""
+    return _ks_lhs("catalan-triangle-convolution", p, r, n, k, s)
+
+
+def catalan_triangle_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
+    return _rhs("catalan-triangle-convolution", (p, r), n, k)
+
+
+def ballot_triangle_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
+    """The convolution over the subsampled ballot-variant triangle entries."""
+    return _ks_lhs("ballot-triangle-convolution", p, r, n, k, s)
+
+
+def ballot_triangle_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
+    return _rhs("ballot-triangle-convolution", (p, r), n, k)
+
+
+def ballot_vandermonde_lhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
+    """sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot term at y, index n-i."""
+    return _lhs("ballot-vandermonde", (p, x, y), n)
+
+
+def ballot_vandermonde_rhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
+    return _rhs("ballot-vandermonde", (p, x, y), n)
+
+
+def rothe_hagen_lhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
+    """sum_i x/(x+zi) C(x+zi, i) y/(y+z(n-i)) C(y+z(n-i), n-i)."""
+    return _lhs("rothe-hagen", (z, x, y), n)
+
+
+def rothe_hagen_rhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
+    return _rhs("rothe-hagen", (z, x, y), n)
+
+
+def central_vandermonde_lhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
+    """sum_i central power term at x * central ballot term at y."""
+    return _lhs("central-binomial-vandermonde", (p, x, y), n)
+
+
+def central_vandermonde_rhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
+    return _rhs("central-binomial-vandermonde", (p, x, y), n)
 
 
 def _sweep(
@@ -886,7 +1051,7 @@ REGISTRY: dict[str, RegistryEntry] = {
             partial(
                 _sweep, "hypergeometric-power-law", lambda *args: verify_power_identity(*args),
                 (("p", (2, 3, 4)), ("x", (2, 3, Fraction(1, 2), Fraction(5, 2)))), 30,
-                ((("p",), "q in (2, 3, 4)", ""), (("x",), "rational exponents", "")), None,
+                ((("p",), "q in (2, 3, 4)", ""), (("x",), "rational exponents", "")), 2,
             ),
         ),
     )

@@ -276,6 +276,7 @@ def test_check_list_matches_golden(capsys, fmt, suffix):
         pytest.param("central-binomial-vandermonde", -1, 0, id="central-binomial-vandermonde"),
         pytest.param("product-laws", 1, 2, id="product-laws-p1"),
         pytest.param("product-laws", -1, 2, id="product-laws-p-1"),
+        pytest.param("hypergeometric-power-law", 1, 2, id="hypergeometric-power-law-p1"),
     ],
 )
 def test_check_out_of_domain_pin_names_the_pin(capsys, monkeypatch, identity, p, p_min):
@@ -288,6 +289,28 @@ def test_check_out_of_domain_pin_names_the_pin(capsys, monkeypatch, identity, p,
     assert code == 2
     assert out == ""
     assert err == f"riordan: identity {identity!r} needs p >= {p_min}, got p={p}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the right factor has a pole at m = 1: raised at the first point with n = 1
+        (("ballot-vandermonde", "--y", "-3"), "pm + y + 1 vanishes at m = 1"),
+        (("central-binomial-vandermonde", "--y", "-3"), "pm + y + 1 vanishes at m = 1"),
+        # no factor has a pole, the rhs at x + y = -4 has one at n = 1
+        (("ballot-vandermonde", "--p", "3", "--x", "-5", "--y", "1"),
+         "pm + y + 1 vanishes at m = 1"),
+        # C(2m - 3, m - 1) at m = 1 is the first bad term in order of j, not C(-3, 0) at m = 0
+        (("catalan-column-sum", "--r", "-3"), "icomb needs a nonnegative upper index, got -1"),
+        # the right factor's denominator pm + r + 1 vanishes at m = 0
+        (("catalan-triangle-convolution", "--r", "-1"), "integer modulo by zero"),
+    ],
+)
+def test_check_faulty_pins_fail_as_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"riordan: {message}\n"
 
 
 def check_record(capsys, *argv):

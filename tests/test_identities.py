@@ -218,6 +218,13 @@ def test_subarray_convolution_examples():
         )
 
 
+@pytest.mark.parametrize("p, k, s", [(2, 2, 3), (2, 2, 0), (0, 2, 1)])
+def test_triangle_sums_refuse_points_outside_their_domain(p, k, s):
+    # the left column starts at s and the right one is offset by k - s >= 0
+    with pytest.raises(ValueError, match="needs p >= 1 and 1 <= s <= k"):
+        subarray_convolution_lhs(p, 0, 5, k, s)
+
+
 def test_catalan_column_sum_hand_checked():
     # p=2, r=0, k=1, n=2: terms 6 + 2 + 2 = 10 = C(5, 2)
     assert catalan_column_sum_lhs(2, 0, 2, 1) == 10 == catalan_column_sum_rhs(2, 0, 2, 1)
@@ -318,9 +325,11 @@ def test_registry_rejects_bad_pin():
 
 
 def test_counterexample_payload():
+    # lhs(n) = sum_j [j = 0] * n-j = n, against an rhs that is off by one from n = 3
     row = SumIdentity(
         "broken", ("n",), "n = n, wrong from 3 on",
-        lambda n: Fraction(n), lambda n: Fraction(n if n < 3 else n + 1), (), _NO_TAIL, None,
+        lambda _: lambda j: (int(j == 0), 1), lambda _: lambda m: (m, 1),
+        lambda: lambda n: (n if n < 3 else n + 1, 1), (), _NO_TAIL, None,
     )
     rep = _sum_entry(row).run(max_n=10, pinned={})
     assert not rep.holds

@@ -1,22 +1,26 @@
 """Differential tests: the integer identity kernels against a Fraction reference.
 
-The pointwise sums and binomial-type terms in ``riordan.identities`` run on
-integer (numerator, denominator) pairs over a running common denominator.
-The reference below is the plain per-term ``Fraction`` arithmetic of the
-original formulas; every kernel must agree with it exactly, and raise
-``PoleError`` exactly where the reference does.  The Andrews table is
-checked against the seven per-identity sums it replaced.
+The binomial-type terms in ``riordan.identities`` run on integer
+(numerator, denominator) pairs, and each convolution sum is a dot product
+of two factor columns kept over one common denominator.  The reference
+below is the plain per-term ``Fraction`` arithmetic of the original
+formulas; every kernel must agree with it exactly, and raise ``PoleError``
+exactly where the reference does.  The registry's grid runner is checked
+against a term-by-term runner on the same reference, and the Andrews table
+against the seven per-identity sums it replaced.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordan import identities as I
 from riordan.hypergeom import PoleError
+from riordan.reports import Counterexample
 
 KERNEL = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -164,22 +168,60 @@ def test_ballot_terms_and_poles(data, p, m):
     assert outcome(I._central_ballot_term, p, y, m) == outcome(ref_central_ballot, p, y, m)
 
 
-# -- pointwise sums -----------------------------------------------------------
+# -- factor columns and the convolution sums ---------------------------------
+
+
+terms = st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-60, 60).filter(bool)),
+                max_size=20)
 
 
 @KERNEL
-@given(st.lists(st.tuples(st.integers(-10**6, 10**6),
-                          st.integers(-60, 60).filter(bool)), max_size=20))
-def test_sum_ratios(terms):
-    assert I._sum_ratios(iter(terms)) == sum((Fraction(n, d) for n, d in terms), Fraction(0))
+@given(terms, st.integers(0, 3))
+def test_column_is_exact_over_one_denominator(ratios, start):
+    col = I._column(lambda j: ratios[j], start, len(ratios))
+    want = [Fraction(0)] * start + [Fraction(n, d) for n, d in ratios[start:]]
+    assert not col.faults
+    assert [Fraction(v, col.den) for v in col.nums] == want[:len(ratios)]
+    assert Fraction(sum(col.nums), col.den) == sum(want, Fraction(0))
 
 
-def test_sum_ratios_zero_denominator():
-    try:
-        I._sum_ratios(iter([(1, 2), (1, 0)]))
-    except ZeroDivisionError:
-        return
-    raise AssertionError("a zero denominator must raise ZeroDivisionError")
+@KERNEL
+@given(terms, terms, st.integers(0, 3), st.integers(0, 20))
+def test_dot_is_the_convolution_coefficient(left, right, start, n):
+    size = max(len(left), len(right), n + 1)
+    a = I._column(lambda j: left[j] if j < len(left) else (0, 1), start, size)
+    b = I._column(lambda m: right[m] if m < len(right) else (0, 1), 0, size)
+    ref = sum((Fraction(*left[j]) * Fraction(*right[n - j])
+               for j in range(start, n + 1) if j < len(left) and n - j < len(right)),
+              Fraction(0))
+    assert Fraction(I._dot(a, b, n), a.den * b.den) == ref
+
+
+def test_column_zero_denominator_faults_where_the_sum_takes_it():
+    col = I._column(lambda j: [(1, 2), (1, 0), (1, 3)][j], 0, 3)
+    assert set(col.faults) == {1}
+    unit = I._column(lambda j: (int(j == 0), 1), 0, 3)
+    assert Fraction(I._dot(unit, col, 0), unit.den * col.den) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        I._dot(unit, col, 1)
+
+
+def test_dot_raises_the_first_fault_it_takes():
+    def faulty(tag, bad):
+        def term(j):
+            if j in bad:
+                raise ValueError(f"{tag}{j}")
+            return 1, 1
+        return term
+
+    left, right = I._column(faulty("a", {2}), 0, 5), I._column(faulty("b", {2}), 0, 5)
+    assert I._dot(left, right, 1) == 2
+    with pytest.raises(ValueError, match="b2"):
+        I._dot(left, right, 3)  # j = 1 takes b(2) before j = 2 takes a(2)
+    with pytest.raises(ValueError, match="a2"):
+        I._dot(left, right, 4)  # j = 2 takes a(2) and b(2): the left factor first
+    late = I._column(faulty("a", {2}), 3, 5)  # starts past its fault
+    assert I._dot(late, right, 4) == 2
 
 
 @st.composite
@@ -234,6 +276,109 @@ def test_ballot_sums_and_poles(data, p, x, n):
     assert outcome(I.central_vandermonde_lhs, p, x, y, n) == outcome(
         ref_convolution,
         lambda i: ref_central_power(p, x, i), lambda m: ref_central_ballot(p, y, m), n)
+
+
+# -- the grid runner against a term-by-term runner ---------------------------------
+
+
+# each row's lhs from the point's slots, summed term by term in Fraction
+REF_LHS = {
+    "subarray-convolution": ref_subarray,
+    "catalan-vandermonde": lambda z, x, y, n: ref_convolution(
+        lambda i: ref_catalan_power(z, x, i), lambda m: ref_binomial(y + z * m, m), n),
+    "catalan-column-sum": ref_column_sum,
+    "catalan-triangle-convolution": ref_catalan_triangle,
+    "ballot-triangle-convolution": ref_ballot_triangle,
+    "ballot-vandermonde": lambda p, x, y, n: ref_convolution(
+        lambda i: ref_catalan_power(p + 1, x, i), lambda m: ref_ballot(p, y, m), n),
+    "rothe-hagen": lambda z, x, y, n: ref_convolution(
+        lambda i: ref_catalan_power(z, x, i), lambda m: ref_catalan_power(z, y, m), n),
+    "central-binomial-vandermonde": lambda p, x, y, n: ref_convolution(
+        lambda i: ref_central_power(p, x, i), lambda m: ref_central_ballot(p, y, m), n),
+}
+ROWS = {row.id: row for row in I.SUM_IDENTITIES}
+
+
+def pointwise_run(row, max_n, pinned):
+    """(points, counterexample) of a term-by-term check, point by point in grid order."""
+    axes = row.sets + tuple((slot, I.RATIONAL_GRID) for slot in ("x", "y") if slot in row.slots)
+    rhs_slots = [slot for slot in row.tail.slots if slot not in row.tail.lhs_only]
+    points = 0
+    for point in I._grid_points(axes + (("n", range(max_n + 1)),), pinned):
+        outer = [v for slot, v in point.items() if slot != "n"]
+        for values in row.tail.values(point["n"], pinned):
+            params = {**point, **dict(zip(row.tail.slots, values))}
+            points += 1
+            lhs = REF_LHS[row.id](**params)
+            rhs = Fraction(*row.rhs(*outer)(point["n"], *[params[s] for s in rhs_slots]))
+            if lhs != rhs:
+                return points, Counterexample({k: str(v) for k, v in params.items()},
+                                              str(lhs), str(rhs))
+    return points, None
+
+
+def registry_run(row, max_n, pinned):
+    rep = I._sum_entry(row).run(max_n=max_n, pinned=pinned)
+    return rep.points, rep.counterexample
+
+
+def wrong_at(row, bad_n):
+    """``row`` with its rhs off by one at every point with n = bad_n."""
+    def rhs(*outer):
+        right = row.rhs(*outer)
+
+        def at(n, *tail):
+            num, den = right(n, *tail)
+            return (num + den, den) if n == bad_n else (num, den)
+        return at
+    return row._replace(rhs=rhs)
+
+
+@st.composite
+def pins(draw, row, max_n):
+    # the integer set slots are always pinned (it keeps the reference quick),
+    # x, y, k and s only sometimes; y may sit on a pole of the ballot terms
+    p_min = row.p_min if row.p_min is not None else 1
+    p = draw(st.integers(max(p_min, 1), 4))
+    k = draw(st.integers(1, max(max_n, 1)))
+    pinned = {"p": p, "z": draw(st.integers(-3, 4)), "r": draw(st.integers(0, 3))}
+    for slot, values in (("x", rational), ("y", poles_too(st.just(p))),
+                         ("k", st.just(k)), ("s", st.integers(1, k))):
+        if draw(st.booleans()):
+            pinned[slot] = Fraction(draw(values)) if slot in "xy" else draw(values)
+    return {slot: v for slot, v in pinned.items() if slot in row.slots}
+
+
+PARITY = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+
+
+@pytest.mark.parametrize("identity", sorted(ROWS))
+@PARITY
+@given(data=st.data())
+def test_registry_runner_matches_term_by_term(identity, data):
+    row = ROWS[identity]
+    max_n = data.draw(st.integers(0, 12))
+    pinned = data.draw(pins(row, max_n))
+    bad_n = data.draw(st.one_of(st.none(), st.integers(0, max_n)))
+    if bad_n is not None:
+        row = wrong_at(row, bad_n)
+    assert outcome(registry_run, row, max_n, pinned) == outcome(
+        pointwise_run, row, max_n, pinned)
+
+
+@pytest.mark.parametrize("max_n", [20, 40])
+@pytest.mark.parametrize("identity, pinned", [
+    ("subarray-convolution", {"p": 2, "r": 1, "k": 7}),
+    ("catalan-triangle-convolution", {"p": 1, "r": 2, "s": 3}),
+    ("ballot-triangle-convolution", {"p": 3, "r": 0, "k": 4, "s": 4}),
+    ("catalan-column-sum", {"p": 4, "r": 2, "k": 15}),
+])
+def test_registry_runner_matches_term_by_term_with_k_s_pins(identity, pinned, max_n):
+    # a pinned k or s is enumerated at every n, past the corner sample above n = 20
+    row = ROWS[identity]
+    want = pointwise_run(row, max_n, pinned)
+    assert registry_run(row, max_n, pinned) == want
+    assert want[0] > 0 and want[1] is None
 
 
 def test_term_caches_are_bounded():
