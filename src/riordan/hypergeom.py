@@ -9,6 +9,16 @@ computed through the term ratio
 
     A_{n+1} / A_n = prod(a_i + n) / prod(c_j + n) * L / (n + 1).
 
+The expansion runs on plain integers.  With a_i = p_i/q_i, c_j = r_j/s_j
+and L = u/v, the ratio is the integer constant u prod(s_j) / (v prod(q_i))
+times prod(p_i + n q_i) / ((n + 1) prod(r_j + n s_j)), so each term is a
+running integer pair (N, D) multiplied by two integer polynomials in n
+and reduced by one gcd.  The terms are collected as numerators over one
+common denominator, and the series is built once at the end; a
+``Fraction`` is made only when a coefficient is read.  ``binomial_series``
+and ``pochhammer`` work the same way on the numerator and denominator of
+their rational argument.
+
 No symbolic simplification is attempted: the consumers only ever need
 coefficient streams.  Alongside the generic expansion live the closed
 forms tied to arrays whose A-sequence is (1 + t)^q: the h-series of such
@@ -20,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, prod
 from typing import Sequence, Union
 
 from .reports import Counterexample, IdentityReport
-from .series import FormalPowerSeries, SeriesError
+from .series import FormalPowerSeries, SeriesError, _append_term, _series
 
 Scalar = Union[int, Fraction]
 
@@ -71,30 +81,31 @@ def pochhammer(a: Scalar, n: int) -> Fraction:
     if n < 0:
         raise HypergeomError(f"pochhammer needs n >= 0, got {n}")
     a = _fraction(a)
-    out = _ONE
-    for i in range(n):
-        out *= a + i
-    return out
+    num, den = a.numerator, a.denominator
+    # (num/den)_n = prod(num + i den) / den^n
+    return Fraction(prod(num + i * den for i in range(n)), den**n)
 
 
 def expand(spec: HypergeometricSpec, precision: int) -> FormalPowerSeries:
     """Exact coefficient stream of the spec, constant term 1."""
     if precision < 1:
         raise SeriesError("precision must be positive")
-    coeffs = [_ONE]
-    a = _ONE
+    upper = [(a.numerator, a.denominator) for a in spec.upper]
+    lower = [(c.numerator, c.denominator) for c in spec.lower]
+    # the scale and every parameter's denominator, as one constant ratio
+    const_num = spec.scale.numerator * prod(d for _, d in lower)
+    const_den = spec.scale.denominator * prod(d for _, d in upper)
+    xs, den = [1], 1
+    num_n, den_n = 1, 1  # the current term N/D, in lowest terms
     for n in range(precision - 1):
-        num = spec.scale
-        for u in spec.upper:
-            num *= u + n
-        den = Fraction(n + 1)
-        for c in spec.lower:
-            den *= c + n
-        a = a * num / den
-        coeffs.append(a)
-    return FormalPowerSeries(coeffs)
-
-
+        num_n *= const_num * prod(a + n * b for a, b in upper)
+        # no factor vanishes: a lower parameter is never zero or a negative integer
+        den_n *= const_den * (n + 1) * prod(c + n * d for c, d in lower)
+        g = gcd(num_n, den_n)
+        num_n //= g
+        den_n //= g
+        den = _append_term(xs, den, num_n, den_n)
+    return _series(xs, den)
 def power_spec(q: int, r: Scalar) -> HypergeometricSpec:
     """The spec whose expansion is (B_q)^r.
 
@@ -148,15 +159,16 @@ def binomial_series(q: int, r: Scalar, precision: int) -> FormalPowerSeries:
     r = _fraction(r)
     if r == 0:
         return FormalPowerSeries.one(precision)
-    coeffs = [_ONE]
+    a, b = r.numerator, r.denominator
+    # r prod_{i<n} (qn + r - i) / n! = a prod_{i<n} (qnb + a - ib) / (b^n n!)
+    xs, den = [1], 1
     for n in range(1, precision):
-        if q * n + r == 0:
+        top = q * n * b + a
+        if top == 0:
             raise PoleError(f"qn + r vanishes at n = {n}")
-        prod = r
-        for i in range(1, n):
-            prod *= q * n + r - i
-        coeffs.append(prod / factorial(n))
-    return FormalPowerSeries(coeffs)
+        num = a * prod(top - i * b for i in range(1, n))
+        den = _append_term(xs, den, num, b**n * factorial(n))
+    return _series(xs, den)
 
 
 def power_coeff(q: int, s: int, j: int) -> Fraction:

@@ -36,6 +36,12 @@ takes it, so errors surface where a term-by-term sum would meet them.
 The public term functions (``binomial``, the ``_*_term`` helpers) and
 the ``*_lhs``/``*_rhs`` functions are thin ``Fraction`` wrappers over
 the same integer kernels and columns.
+
+The product laws compare whole series.  One run builds each factor
+series (a direct sum, a binomial series or a hypergeometric expansion)
+once per distinct (p, argument), and compares each ballot-family
+direct sum with its Lagrange substitution route once, when that factor
+is first built; the memo is dropped when the run ends.
 """
 
 from __future__ import annotations
@@ -377,28 +383,22 @@ def check_via_riordan(n_max: int) -> IdentityReport:
 
 
 def fuss_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
-    """sum ((p-1)n+y+1)/(pn+y+1) C((p+1)n+y, n) t^n, checked two ways.
+    """sum ((p-1)n+y+1)/(pn+y+1) C((p+1)n+y, n) t^n, by direct summation.
 
-    The direct summation must agree with the substitution route
+    ``check_product_laws`` compares it with the substitution route
     (1 - w)(1 + w)^(y+1) / (1 - p w) at w = t (1 + w)^(p+1).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     y = Fraction(y)
-    direct = FormalPowerSeries([_ballot_term(p, y, m) for m in range(precision)])
-    w = _power_fixed_point(p + 1, precision)
-    via = (1 - w) * (1 + w).pow_rational(y + 1) / (1 - p * w)
-    if direct != via:
-        raise TheoremViolationError(
-            f"fuss_ballot_gf routes disagree for p={p}, y={y}"
-        )
-    return direct
+    return FormalPowerSeries([_ballot_term(p, y, m) for m in range(precision)])
 
 
 def central_power_gf(p: int, x: Scalar, precision: int) -> FormalPowerSeries:
-    """sum 2x/((2p-1)n+2x) C(2pn+2x-1, n) t^n, checked two ways.
+    """sum 2x/((2p-1)n+2x) C(2pn+2x-1, n) t^n, by direct summation.
 
-    Direct summation against (1 + w)^(2x) at w = t (1 + w)^(2p).
+    ``check_product_laws`` compares it with (1 + w)^(2x) at
+    w = t (1 + w)^(2p).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -406,35 +406,38 @@ def central_power_gf(p: int, x: Scalar, precision: int) -> FormalPowerSeries:
     for n in range(1, precision):
         if (2 * p - 1) * n + 2 * x == 0:
             raise PoleError(f"(2p-1)n + 2x vanishes at n = {n}")
-    direct = FormalPowerSeries([_central_power_term(p, x, m) for m in range(precision)])
-    w = _power_fixed_point(2 * p, precision)
-    via = (1 + w).pow_rational(2 * x)
-    if direct != via:
-        raise TheoremViolationError(
-            f"central_power_gf routes disagree for p={p}, x={x}"
-        )
-    return direct
+    return FormalPowerSeries([_central_power_term(p, x, m) for m in range(precision)])
 
 
 def central_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
-    """sum ((p-1)n+y+1)/(pn+y+1) C(2(pn+y+1), n) t^n, checked two ways.
+    """sum ((p-1)n+y+1)/(pn+y+1) C(2(pn+y+1), n) t^n, by direct summation.
 
-    Direct summation against (1 - w)(1 + w)^(2y+2) / (1 + (1-2p) w) at
-    w = t (1 + w)^(2p).
+    ``check_product_laws`` compares it with (1 - w)(1 + w)^(2y+2) /
+    (1 + (1-2p) w) at w = t (1 + w)^(2p).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     y = Fraction(y)
-    direct = FormalPowerSeries(
-        [_central_ballot_term(p, y, m) for m in range(precision)]
-    )
+    return FormalPowerSeries([_central_ballot_term(p, y, m) for m in range(precision)])
+
+
+# the substitution route of each direct sum above, through the fixed point
+# w = t (1 + w)^e of the Lagrange solve
+
+
+def _fuss_ballot_route(p: int, y: Fraction, precision: int) -> FormalPowerSeries:
+    w = _power_fixed_point(p + 1, precision)
+    return (1 - w) * (1 + w).pow_rational(y + 1) / (1 - p * w)
+
+
+def _central_power_route(p: int, x: Fraction, precision: int) -> FormalPowerSeries:
     w = _power_fixed_point(2 * p, precision)
-    via = (1 - w) * (1 + w).pow_rational(2 * y + 2) / (1 + (1 - 2 * p) * w)
-    if direct != via:
-        raise TheoremViolationError(
-            f"central_ballot_gf routes disagree for p={p}, y={y}"
-        )
-    return direct
+    return (1 + w).pow_rational(2 * x)
+
+
+def _central_ballot_route(p: int, y: Fraction, precision: int) -> FormalPowerSeries:
+    w = _power_fixed_point(2 * p, precision)
+    return (1 - w) * (1 + w).pow_rational(2 * y + 2) / (1 + (1 - 2 * p) * w)
 
 
 def fuss_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
@@ -468,53 +471,89 @@ def central_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
     )
 
 
-def check_product_laws(p: int, x: Scalar, y: Scalar, precision: int) -> IdentityReport:
+def check_product_laws(
+    p: int, x: Scalar, y: Scalar, precision: int, factors: dict | None = None
+) -> IdentityReport:
     """Check the two product laws and their hypergeometric restatements.
 
     (i)  B_{p+1}^x * fuss_ballot(y) = fuss_ballot(x+y)
     (ii) central_power(x) * central_ballot(y) = central_ballot(x+y)
     plus the same two equalities with every factor produced by the
     generic hypergeometric expansion instead of the direct sums.
+
+    ``factors`` is the memo of one sweep: p -> factor series by kind,
+    argument and precision, so that each is built once.  It holds one p
+    at a time, since the sweep takes the p values in turn.  Each direct
+    sum is compared with its substitution route when it is built; two
+    routes that disagree raise ``TheoremViolationError``.
     """
     x, y = Fraction(x), Fraction(y)
     n = precision
+    factors = {} if factors is None else factors
+    if p not in factors:
+        factors.clear()
+    memo = factors.setdefault(p, {})
+
+    def factor(key: tuple, build: Callable[[], FormalPowerSeries]) -> FormalPowerSeries:
+        series = memo.get((*key, n))
+        if series is None:
+            series = memo[(*key, n)] = build()
+        return series
+
+    def routed(gf: Callable, slot: str, route: Callable, value: Fraction) -> FormalPowerSeries:
+        def build() -> FormalPowerSeries:
+            direct = gf(p, value, n)
+            if direct != route(p, value, n):
+                raise TheoremViolationError(
+                    f"{gf.__name__} routes disagree for p={p}, {slot}={value}"
+                )
+            return direct
+        return factor((gf.__name__, p, value), build)
+
+    def hyper(spec: Callable, a: int, value: Fraction) -> FormalPowerSeries:
+        return factor((spec.__name__, a, value), lambda: expand(spec(a, value), n))
+
+    # every factor (and route check) is built, in this order, before any comparison
     pairs = [
         (
             "binomial-ballot",
-            binomial_series(p + 1, x, n) * fuss_ballot_gf(p, y, n),
-            fuss_ballot_gf(p, x + y, n),
+            factor(("binomial", p + 1, x), lambda: binomial_series(p + 1, x, n))
+            * routed(fuss_ballot_gf, "y", _fuss_ballot_route, y),
+            routed(fuss_ballot_gf, "y", _fuss_ballot_route, x + y),
         ),
         (
             "central-ballot",
-            central_power_gf(p, x, n) * central_ballot_gf(p, y, n),
-            central_ballot_gf(p, x + y, n),
+            routed(central_power_gf, "x", _central_power_route, x)
+            * routed(central_ballot_gf, "y", _central_ballot_route, y),
+            routed(central_ballot_gf, "y", _central_ballot_route, x + y),
         ),
         (
             "binomial-ballot-hypergeometric",
-            expand(power_spec(p + 1, x), n) * expand(fuss_ballot_spec(p, y), n),
-            expand(fuss_ballot_spec(p, x + y), n),
+            hyper(power_spec, p + 1, x) * hyper(fuss_ballot_spec, p, y),
+            hyper(fuss_ballot_spec, p, x + y),
         ),
         (
             "central-ballot-hypergeometric",
-            expand(power_spec(2 * p, 2 * x), n) * expand(central_ballot_spec(p, y), n),
-            expand(central_ballot_spec(p, x + y), n),
+            hyper(power_spec, 2 * p, 2 * x) * hyper(central_ballot_spec, p, y),
+            hyper(central_ballot_spec, p, x + y),
         ),
     ]
     points = 0
     for label, lhs, rhs in pairs:
-        for m in range(n):
-            points += 1
-            if lhs.coeff(m) != rhs.coeff(m):
-                return IdentityReport(
-                    identity="product-laws",
-                    grid=f"p={p}, x={x}, y={y}, coefficients below {n}",
-                    points=points,
-                    counterexample=Counterexample(
-                        {"law": label, "p": str(p), "x": str(x), "y": str(y), "n": str(m)},
-                        lhs=str(lhs.coeff(m)),
-                        rhs=str(rhs.coeff(m)),
-                    ),
-                )
+        if lhs == rhs:
+            points += n
+            continue
+        m = next(m for m in range(n) if lhs.coeff(m) != rhs.coeff(m))
+        return IdentityReport(
+            identity="product-laws",
+            grid=f"p={p}, x={x}, y={y}, coefficients below {n}",
+            points=points + m + 1,
+            counterexample=Counterexample(
+                {"law": label, "p": str(p), "x": str(x), "y": str(y), "n": str(m)},
+                lhs=str(lhs.coeff(m)),
+                rhs=str(rhs.coeff(m)),
+            ),
+        )
     return IdentityReport(
         identity="product-laws",
         grid=f"p={p}, x={x}, y={y}, four laws, coefficients below {n}",
@@ -718,7 +757,8 @@ class SumIdentity(NamedTuple):
     RATIONAL_GRID when they are slots, n in 0..max_n, then the tail at
     each n.  The left column starts at the tail's first shift (no term
     below it is taken), the right one takes the second as its offset.
-    A pinned p below ``p_min`` is refused before any compute.
+    A pinned p below ``p_min`` or r below ``r_min`` is refused before any
+    compute.
     """
 
     id: str
@@ -730,22 +770,51 @@ class SumIdentity(NamedTuple):
     sets: tuple[Axis, ...]
     tail: Tail
     p_min: int | None
+    r_min: int | None = None
 
 
-def _require_p(identity: str, p_min: int | None, pinned: Mapping[str, Scalar]) -> None:
-    """Refuse a pinned p below the identity's domain, before any compute."""
-    if p_min is not None and pinned.get("p", p_min) < p_min:
-        raise RegistryError(f"identity {identity!r} needs p >= {p_min}, got p={pinned['p']}")
+def _require_min(
+    identity: str, slot: str, least: int | None, pinned: Mapping[str, Scalar]
+) -> None:
+    """Refuse a pinned ``slot`` below the identity's domain, before any compute."""
+    if least is not None and pinned.get(slot, least) < least:
+        raise RegistryError(
+            f"identity {identity!r} needs {slot} >= {least}, got {slot}={pinned[slot]}"
+        )
+
+
+# column shift -> the highest index that a point reads from that column
+Reach = dict[int, int]
+
+
+def _reach(
+    tail: Tail, n_values: Iterable[int], pinned: Mapping[str, Scalar]
+) -> tuple[Reach, Reach]:
+    """How far the points read each left column (by start) and right column (by offset).
+
+    A point at n reads the left column from its start to n, and the right
+    one from 0 to n - start.  The grid of (n, tail) is the same at every
+    value of the other slots, so this is computed once per run.
+    """
+    lefts: Reach = {}
+    rights: Reach = {}
+    for n in n_values:
+        for values in tail.values(n, pinned):
+            start, offset = tail.shifts(*values)
+            lefts[start] = max(lefts.get(start, n), n)
+            rights[offset] = max(rights.get(offset, n - start), n - start)
+    return lefts, rights
 
 
 def _check_outer(
-    row: SumIdentity, outer: dict, n_values: Iterable[int], length: int,
+    row: SumIdentity, outer: dict, n_values: Iterable[int], reach: tuple[Reach, Reach],
     pinned: Mapping[str, Scalar],
 ) -> tuple[int, Counterexample | None]:
     """Check the points (n, tail) at one value ``outer`` of the other slots.
 
     Returns the points checked and the first counterexample.  Each factor
-    column is built on first use, up to ``length``, and dropped on return.
+    column is built on first use, up to the highest index ``reach`` says
+    a point reads from it, and dropped on return.
     """
     args = tuple(outer.values())
     rhs = row.rhs(*args)
@@ -756,10 +825,12 @@ def _check_outer(
     # tail values -> (left column, right column, the rhs's tail values)
     operands: dict[tuple, tuple[Column, Column, list]] = {}
 
-    def column(cache: dict[int, Column], factor: Factor, shift: int, start: int) -> Column:
+    def column(
+        cache: dict[int, Column], factor: Factor, shift: int, start: int, last: Reach
+    ) -> Column:
         col = cache.get(shift)
         if col is None:
-            col = cache[shift] = _column(factor(*args, shift), start, length)
+            col = cache[shift] = _column(factor(*args, shift), start, last[shift] + 1)
         return col
 
     points = 0
@@ -770,8 +841,8 @@ def _check_outer(
             if ops is None:
                 start, offset = tail.shifts(*values)
                 ops = operands[values] = (
-                    column(lefts, row.left, start, start),
-                    column(rights, row.right, offset, 0),
+                    column(lefts, row.left, start, start, reach[0]),
+                    column(rights, row.right, offset, 0, reach[1]),
                     [values[i] for i in rhs_values],
                 )
             left, right, rhs_tail = ops
@@ -790,14 +861,15 @@ def _check_outer(
 def _check_sums(
     row: SumIdentity, parts: list[GridPart], max_n: int, pinned: Mapping[str, Scalar]
 ) -> IdentityReport:
-    _require_p(row.id, row.p_min, pinned)
+    _require_min(row.id, "p", row.p_min, pinned)
+    _require_min(row.id, "r", row.r_min, pinned)
     axes = row.sets + tuple((slot, RATIONAL_GRID) for slot in ("x", "y") if slot in row.slots)
     n_values = _pin_values(pinned, "n", range(max_n + 1))
-    length = max(n_values, default=-1) + 1
+    reach = _reach(row.tail, n_values, pinned)
     points = 0
     cex = None
     for outer in _grid_points(axes, pinned):
-        checked, cex = _check_outer(row, outer, n_values, length, pinned)
+        checked, cex = _check_outer(row, outer, n_values, reach, pinned)
         points += checked
         if cex is not None:
             break
@@ -824,7 +896,7 @@ SUM_IDENTITIES = (
         lambda p, r, s: partial(_subarray_left, p, s),
         lambda p, r, d: partial(_shifted_pascal, p, r, d),
         lambda p, r: partial(_subarray_rhs, p, r),
-        _PR_SETS, _KS_TAIL, 1,
+        _PR_SETS, _KS_TAIL, 1, 0,
     ),
     SumIdentity(
         "catalan-vandermonde", ("z", "x", "y", "n"),
@@ -840,7 +912,7 @@ SUM_IDENTITIES = (
         lambda p, r, _: partial(_column_sum_left, p),
         lambda p, r, d: partial(_shifted_pascal, p, r, d),
         lambda p, r: partial(_column_sum_rhs, p, r),
-        _PR_SETS, _K_TAIL, 0,
+        _PR_SETS, _K_TAIL, 0, 0,
     ),
     SumIdentity(
         "catalan-triangle-convolution", ("p", "r", "n", "k", "s"),
@@ -848,7 +920,7 @@ SUM_IDENTITIES = (
         lambda p, r, s: partial(_catalan_triangle_left, p, s),
         lambda p, r, d: partial(_catalan_triangle_right, p, r, d),
         lambda p, r: partial(_catalan_triangle_rhs, p, r),
-        (("p", (1, 2, 3, 4)), ("r", (0, 1, 2))), _KS_TAIL, 1,
+        (("p", (1, 2, 3, 4)), ("r", (0, 1, 2))), _KS_TAIL, 1, 0,
     ),
     SumIdentity(
         "ballot-triangle-convolution", ("p", "r", "n", "k", "s"),
@@ -856,7 +928,7 @@ SUM_IDENTITIES = (
         lambda p, r, s: partial(_ballot_triangle_left, p, s),
         lambda p, r, d: partial(_ballot_triangle_right, p, r, d),
         lambda p, r: partial(_ballot_triangle_rhs, p, r),
-        _PR_SETS, _KS_TAIL, 1,
+        _PR_SETS, _KS_TAIL, 1, 0,
     ),
     SumIdentity(
         "ballot-vandermonde", ("p", "x", "y", "n"),
@@ -995,12 +1067,17 @@ def _sweep(
     max_n: int,
     pinned: Mapping[str, Scalar],
 ) -> IdentityReport:
-    """Add up the sub-reports of ``check`` over a grid; stop at the first failure."""
-    _require_p(identity, p_min, pinned)
+    """Add up the sub-reports of ``check`` over a grid; stop at the first failure.
+
+    ``check`` takes the point's slots, the precision and ``factors``, a
+    memo that lives as long as this sweep.
+    """
+    _require_min(identity, "p", p_min, pinned)
     precision = min(max_n + 1, cap)
+    factors: dict = {}
     points = 0
     for params in _grid_points(axes, pinned):
-        rep = check(*params.values(), precision)
+        rep = check(*params.values(), precision, factors=factors)
         points += rep.points
         if not rep.holds:
             return IdentityReport(identity, rep.grid, points, rep.counterexample)
@@ -1039,7 +1116,8 @@ REGISTRY: dict[str, RegistryEntry] = {
             "directly and through hypergeometric expansion",
             ("p", "x", "y"), "p in (2, 3), (x, y) over the rational grid",
             partial(
-                _sweep, "product-laws", lambda *args: check_product_laws(*args),
+                _sweep, "product-laws",
+                lambda *args, factors: check_product_laws(*args, factors),
                 (("p", (2, 3)), ("x", RATIONAL_GRID), ("y", RATIONAL_GRID)), 25,
                 ((("p",), "p in (2, 3)", ""), _RATIONAL_PAIR_PART), 2,
             ),
@@ -1049,7 +1127,8 @@ REGISTRY: dict[str, RegistryEntry] = {
             "rational powers of the base hypergeometric stream stay hypergeometric",
             ("p", "x"), "q in (2, 3, 4), exponents (2, 3, 1/2, 5/2)",
             partial(
-                _sweep, "hypergeometric-power-law", lambda *args: verify_power_identity(*args),
+                _sweep, "hypergeometric-power-law",
+                lambda *args, factors: verify_power_identity(*args),
                 (("p", (2, 3, 4)), ("x", (2, 3, Fraction(1, 2), Fraction(5, 2)))), 30,
                 ((("p",), "q in (2, 3, 4)", ""), (("x",), "rational exponents", "")), 2,
             ),

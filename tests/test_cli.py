@@ -266,29 +266,37 @@ def test_check_list_matches_golden(capsys, fmt, suffix):
 
 
 @pytest.mark.parametrize(
-    "identity, p, p_min",
+    "identity, slot, value, least",
     [
-        pytest.param("subarray-convolution", 0, 1, id="subarray-convolution"),
-        pytest.param("catalan-triangle-convolution", 0, 1, id="catalan-triangle-convolution"),
-        pytest.param("ballot-triangle-convolution", 0, 1, id="ballot-triangle-convolution"),
-        pytest.param("catalan-column-sum", -1, 0, id="catalan-column-sum"),
-        pytest.param("ballot-vandermonde", -1, 0, id="ballot-vandermonde"),
-        pytest.param("central-binomial-vandermonde", -1, 0, id="central-binomial-vandermonde"),
-        pytest.param("product-laws", 1, 2, id="product-laws-p1"),
-        pytest.param("product-laws", -1, 2, id="product-laws-p-1"),
-        pytest.param("hypergeometric-power-law", 1, 2, id="hypergeometric-power-law-p1"),
+        pytest.param("subarray-convolution", "p", 0, 1, id="subarray-convolution"),
+        pytest.param("catalan-triangle-convolution", "p", 0, 1,
+                     id="catalan-triangle-convolution"),
+        pytest.param("ballot-triangle-convolution", "p", 0, 1, id="ballot-triangle-convolution"),
+        pytest.param("catalan-column-sum", "p", -1, 0, id="catalan-column-sum"),
+        pytest.param("ballot-vandermonde", "p", -1, 0, id="ballot-vandermonde"),
+        pytest.param("central-binomial-vandermonde", "p", -1, 0,
+                     id="central-binomial-vandermonde"),
+        pytest.param("product-laws", "p", 1, 2, id="product-laws-p1"),
+        pytest.param("product-laws", "p", -1, 2, id="product-laws-p-1"),
+        pytest.param("hypergeometric-power-law", "p", 1, 2, id="hypergeometric-power-law-p1"),
+        pytest.param("subarray-convolution", "r", -1, 0, id="subarray-convolution-r-1"),
+        pytest.param("catalan-triangle-convolution", "r", -1, 0,
+                     id="catalan-triangle-convolution-r-1"),
+        pytest.param("ballot-triangle-convolution", "r", -2, 0,
+                     id="ballot-triangle-convolution-r-2"),
+        pytest.param("catalan-column-sum", "r", -3, 0, id="catalan-column-sum-r-3"),
     ],
 )
-def test_check_out_of_domain_pin_names_the_pin(capsys, monkeypatch, identity, p, p_min):
+def test_check_out_of_domain_pin_names_the_pin(capsys, monkeypatch, identity, slot, value, least):
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the pin was checked")
 
     monkeypatch.setattr(identities, "icomb", no_compute)
     monkeypatch.setattr(identities, "_grid_points", no_compute)
-    code, out, err = run(capsys, "check", identity, "--p", str(p))
+    code, out, err = run(capsys, "check", identity, f"--{slot}", str(value))
     assert code == 2
     assert out == ""
-    assert err == f"riordan: identity {identity!r} needs p >= {p_min}, got p={p}\n"
+    assert err == f"riordan: identity {identity!r} needs {slot} >= {least}, got {slot}={value}\n"
 
 
 @pytest.mark.parametrize(
@@ -300,10 +308,6 @@ def test_check_out_of_domain_pin_names_the_pin(capsys, monkeypatch, identity, p,
         # no factor has a pole, the rhs at x + y = -4 has one at n = 1
         (("ballot-vandermonde", "--p", "3", "--x", "-5", "--y", "1"),
          "pm + y + 1 vanishes at m = 1"),
-        # C(2m - 3, m - 1) at m = 1 is the first bad term in order of j, not C(-3, 0) at m = 0
-        (("catalan-column-sum", "--r", "-3"), "icomb needs a nonnegative upper index, got -1"),
-        # the right factor's denominator pm + r + 1 vanishes at m = 0
-        (("catalan-triangle-convolution", "--r", "-1"), "integer modulo by zero"),
     ],
 )
 def test_check_faulty_pins_fail_as_a_usage_error(capsys, argv, message):
@@ -418,6 +422,18 @@ def test_hyper_bad_rational(capsys):
     assert code == 2
 
 
+HYPER_CLI = [
+    json.loads(line) for line in (FIXTURES / "hyper_cli.jsonl").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("case", HYPER_CLI, ids=lambda case: " ".join(case["argv"]))
+def test_hyper_cli_matches_golden(capsys, case):
+    # stdout, stderr and exit code of hyper, byte for byte
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
 def test_hyper_jsonl(capsys):
     code, out, _ = run(
         capsys, "hyper", "--upper", "1", "--terms", "4", "--format", "jsonl"
@@ -443,6 +459,19 @@ def test_check_disagreeing_routes_exit_1(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "product-laws", "--max-n", "3")
     assert code == 1
     assert "routes disagree" in err
+
+
+@pytest.mark.parametrize("term, gf", [
+    ("_central_power_term", "central_power_gf"),
+    ("_central_ballot_term", "central_ballot_gf"),
+])
+def test_check_disagreeing_central_routes_exit_1(capsys, monkeypatch, term, gf):
+    # a wrong direct summation makes the central series' two routes disagree
+    monkeypatch.setattr(identities, term, lambda p, x, m: Fraction(m + 1))
+    code, out, err = run(capsys, "check", "product-laws", "--max-n", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"riordan: counterexample: {gf} routes disagree for p=2, ")
 
 
 def test_check_via_riordan_closed_form_mismatch(capsys, monkeypatch):

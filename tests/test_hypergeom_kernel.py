@@ -1,0 +1,147 @@
+"""Differential tests: the integer hypergeometric kernels against a Fraction reference.
+
+``expand``, ``binomial_series`` and ``pochhammer`` run on plain integers
+over one running denominator.  The reference below is the plain
+per-coefficient ``Fraction`` loop of the term ratio and of the cancelled
+binomial product; every kernel must agree with it exactly, and raise the
+same exception, with the same message, where the reference does.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riordan.hypergeom import (
+    HypergeometricSpec,
+    HypergeomError,
+    PoleError,
+    binomial_series,
+    expand,
+    pochhammer,
+)
+from riordan.series import FormalPowerSeries, SeriesError
+
+KERNEL = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+# -- Fraction reference --------------------------------------------------------
+
+
+def ref_pochhammer(a, n):
+    if n < 0:
+        raise HypergeomError(f"pochhammer needs n >= 0, got {n}")
+    out = Fraction(1)
+    for i in range(n):
+        out *= Fraction(a) + i
+    return out
+
+
+def ref_expand(spec, precision):
+    if precision < 1:
+        raise SeriesError("precision must be positive")
+    coeffs = [Fraction(1)]
+    a = Fraction(1)
+    for n in range(precision - 1):
+        num = spec.scale
+        for u in spec.upper:
+            num *= u + n
+        den = Fraction(n + 1)
+        for c in spec.lower:
+            den *= c + n
+        a = a * num / den
+        coeffs.append(a)
+    return FormalPowerSeries(coeffs)
+
+
+def ref_binomial_series(q, r, precision):
+    if q < 1:
+        raise HypergeomError(f"q must be >= 1, got {q}")
+    if precision < 1:
+        raise SeriesError("precision must be positive")
+    r = Fraction(r)
+    if r == 0:
+        return FormalPowerSeries.one(precision)
+    coeffs = [Fraction(1)]
+    for n in range(1, precision):
+        if q * n + r == 0:
+            raise PoleError(f"qn + r vanishes at n = {n}")
+        prod = r
+        for i in range(1, n):
+            prod *= q * n + r - i
+        coeffs.append(prod / factorial(n))
+    return FormalPowerSeries(coeffs)
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# -- strategies ---------------------------------------------------------------
+
+
+rational = st.builds(Fraction, st.integers(-15, 15), st.integers(1, 12))
+# terminating upper parameters: zero and the negative integers
+terminating = st.builds(Fraction, st.integers(-6, 0))
+upper_param = st.one_of(rational, terminating)
+# a lower parameter is never zero or a negative integer (that is a pole)
+lower_param = rational.filter(lambda c: not (c.denominator == 1 and c <= 0))
+scale = st.one_of(rational, st.just(Fraction(0)), st.builds(Fraction, st.integers(-40, 40)))
+
+
+# -- the kernels ----------------------------------------------------------------
+
+
+@KERNEL
+@given(a=st.one_of(rational, terminating), n=st.integers(-2, 14))
+def test_pochhammer_matches_reference(a, n):
+    got = outcome(pochhammer, a, n)
+    assert got == outcome(ref_pochhammer, a, n)
+    if n >= 0:
+        assert type(got) is Fraction
+
+
+@KERNEL
+@given(
+    upper=st.lists(upper_param, max_size=4),
+    lower=st.lists(lower_param, max_size=4),
+    scale=scale,
+    precision=st.integers(0, 18),
+)
+def test_expand_matches_reference(upper, lower, scale, precision):
+    spec = HypergeometricSpec(upper, lower, scale)
+    got = outcome(expand, spec, precision)
+    want = outcome(ref_expand, spec, precision)
+    assert got == want
+    if isinstance(want, FormalPowerSeries):
+        assert got.precision == want.precision
+        assert got.coeffs == want.coeffs
+
+
+@KERNEL
+@given(
+    q=st.integers(0, 5),
+    r=st.one_of(rational, st.builds(Fraction, st.integers(-30, 30))),
+    precision=st.integers(0, 16),
+)
+def test_binomial_series_matches_reference(q, r, precision):
+    got = outcome(binomial_series, q, r, precision)
+    want = outcome(ref_binomial_series, q, r, precision)
+    assert got == want
+    if isinstance(want, FormalPowerSeries):
+        assert got.coeffs == want.coeffs
+
+
+@KERNEL
+@given(q=st.integers(1, 5), m=st.integers(1, 8), extra=st.integers(0, 4))
+def test_binomial_series_pole_matches_reference(q, m, extra):
+    # r = -qm makes qn + r vanish at n = m; it raises once the precision reaches m
+    r, precision = -q * m, m + extra
+    want = outcome(ref_binomial_series, q, r, precision)
+    assert outcome(binomial_series, q, r, precision) == want
+    assert want == (PoleError, f"qn + r vanishes at n = {m}") or precision <= m

@@ -381,6 +381,45 @@ def test_registry_runner_matches_term_by_term_with_k_s_pins(identity, pinned, ma
     assert want[0] > 0 and want[1] is None
 
 
+@pytest.mark.parametrize("identity, pinned, message", [
+    # C(2m - 3, m - 1) at m = 1 is the first bad term in order of j, not C(-3, 0) at m = 0
+    ("catalan-column-sum", {"r": -3}, "icomb needs a nonnegative upper index, got -1"),
+    # the right factor's denominator pm + r + 1 vanishes at m = 0
+    ("catalan-triangle-convolution", {"r": -1}, "integer modulo by zero"),
+])
+def test_column_faults_surface_where_the_sum_takes_them(identity, pinned, message):
+    # the registry refuses r < 0 by name; without that bound, a term that
+    # raises is raised by the first point whose sum takes it
+    row = ROWS[identity]._replace(r_min=None)
+    with pytest.raises((ValueError, ZeroDivisionError)) as caught:
+        registry_run(row, 20, pinned)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("identity", ["subarray-convolution", "catalan-column-sum"])
+def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
+    columns, highest = [], {}
+    column, dot = I._column, I._dot
+
+    def counting_column(term, start, length):
+        col = column(term, start, length)
+        columns.append(col)
+        return col
+
+    def counting_dot(left, right, n):
+        # the left column is read at start..n, the right one at 0..n - start
+        for col, last in ((left, n), (right, n - left.start)):
+            highest[id(col)] = max(highest.get(id(col), -1), last)
+        return dot(left, right, n)
+
+    monkeypatch.setattr(I, "_column", counting_column)
+    monkeypatch.setattr(I, "_dot", counting_dot)
+    assert I.check_registry(identity, max_n=50).holds
+    built = sum(len(col.nums) - col.start for col in columns)
+    read = sum(highest[id(col)] - col.start + 1 for col in columns)
+    assert built == read == {"subarray-convolution": 21888, "catalan-column-sum": 16524}[identity]
+
+
 def test_term_caches_are_bounded():
     for cached in (I.binomial, I._catalan_power_term, I._central_power_term,
                    I._power_fixed_point):
