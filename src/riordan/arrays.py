@@ -334,18 +334,8 @@ class RiordanArray:
         return RiordanArray(d_new, th_new.shift_down())
 
     def weighted_row_sum(self, f: FormalPowerSeries, n: int) -> Fraction:
-        """``sum_k f_k d[n][k]``, computed twice and cross-checked.
-
-        The direct finite sum must equal ``[t^n] d(t) f(t h(t))``; a
-        mismatch raises :class:`TheoremViolationError`.
-        """
-        direct = sum((f.coeff(k) * self.entry(n, k) for k in range(n + 1)), _ZERO)
-        via_gf = (self._d * f.compose(self._th)).coeff(n)
-        if direct != via_gf:
-            raise TheoremViolationError(
-                f"row-sum routes disagree at n={n}: {direct} vs {via_gf}"
-            )
-        return direct
+        """``sum_k f_k d[n][k]``, the finite sum; it equals ``[t^n] d(t) f(t h(t))``."""
+        return sum((f.coeff(k) * self.entry(n, k) for k in range(n + 1)), _ZERO)
 
     def convolution_identity(self, n: int, k: int, s: int) -> IdentityReport:
         """Check ``d[n][k] = sum_{j=s}^{n} d[n-j][k-s] [t^j](t h)^s`` exactly."""

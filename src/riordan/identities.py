@@ -33,9 +33,9 @@ cross-multiplication.  A ``Fraction`` is built only for a
 counterexample's text.  A term that raises (a pole, a negative upper
 index) is kept in its column and raised by the first point whose sum
 takes it, so errors surface where a term-by-term sum would meet them.
-The public term functions (``binomial``, the ``_*_term`` helpers) and
-the ``*_lhs``/``*_rhs`` functions are thin ``Fraction`` wrappers over
-the same integer kernels and columns.
+``sum_lhs`` and ``sum_rhs`` give one point's two sides of any row by id,
+and the ballot-family direct sums are one column of a row's kernel each;
+``binomial`` and the ``_*_term`` helpers are ``Fraction`` wrappers.
 
 The product laws compare whole series.  One run builds each factor
 series (a direct sum, a binomial series or a hypergeometric expansion)
@@ -64,7 +64,7 @@ from .hypergeom import (
     verify_power_identity,
 )
 from .reports import Counterexample, IdentityReport
-from .series import FormalPowerSeries, lagrange_solve
+from .series import FormalPowerSeries, _require_terms, _series, lagrange_solve
 
 Scalar = Union[int, Fraction]
 # an exact rational as an integer (numerator, denominator) pair
@@ -255,16 +255,6 @@ def _central_power_term(p: int, x: Scalar, i: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _ballot_term(p: int, y: Scalar, m: int) -> Fraction:
-    num, den = _ballot_ratio(p, *_ratio(y), m)
-    return Fraction(num, den)
-
-
-def _central_ballot_term(p: int, y: Scalar, m: int) -> Fraction:
-    num, den = _central_ballot_ratio(p, *_ratio(y), m)
-    return Fraction(num, den)
-
-
 # the wrappers keep no cache of their own; they report their kernel's
 binomial.cache_info = _binomial_ratio.cache_info
 _catalan_power_term.cache_info = _catalan_power_ratio.cache_info
@@ -302,8 +292,6 @@ def check_andrews(identity: str, n_max: int) -> IdentityReport:
     """Check one alternating-binomial Fibonacci identity for all n <= n_max."""
     if identity not in ANDREWS_VARIANTS:
         raise RegistryError(f"unknown Andrews variant {identity!r}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     index, n_min, window = ANDREWS_VARIANTS[identity]
     points = 0
     cex = None
@@ -382,6 +370,17 @@ def check_via_riordan(n_max: int) -> IdentityReport:
 # -- generating functions of the convolution families -----------------------
 
 
+def _direct_sum(
+    kernel: Callable[[int, int, int, int], Ratio], p: int, v: Scalar, precision: int
+) -> FormalPowerSeries:
+    """sum_{m < precision} kernel(p, v, m) t^m; the first term that raises, in order of m."""
+    _require_terms(precision)
+    col = _column(partial(kernel, p, *_ratio(v)), 0, precision)
+    if col.faults:
+        raise col.faults[min(col.faults)]
+    return _series(col.nums, col.den)
+
+
 def fuss_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
     """sum ((p-1)n+y+1)/(pn+y+1) C((p+1)n+y, n) t^n, by direct summation.
 
@@ -390,8 +389,7 @@ def fuss_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    y = Fraction(y)
-    return FormalPowerSeries([_ballot_term(p, y, m) for m in range(precision)])
+    return _direct_sum(_ballot_ratio, p, y, precision)
 
 
 def central_power_gf(p: int, x: Scalar, precision: int) -> FormalPowerSeries:
@@ -406,7 +404,7 @@ def central_power_gf(p: int, x: Scalar, precision: int) -> FormalPowerSeries:
     for n in range(1, precision):
         if (2 * p - 1) * n + 2 * x == 0:
             raise PoleError(f"(2p-1)n + 2x vanishes at n = {n}")
-    return FormalPowerSeries([_central_power_term(p, x, m) for m in range(precision)])
+    return _direct_sum(_central_power_ratio, p, x, precision)
 
 
 def central_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
@@ -417,8 +415,7 @@ def central_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    y = Fraction(y)
-    return FormalPowerSeries([_central_ballot_term(p, y, m) for m in range(precision)])
+    return _direct_sum(_central_ballot_ratio, p, y, precision)
 
 
 # the substitution route of each direct sum above, through the fixed point
@@ -666,30 +663,27 @@ def _pin_values(pinned: Mapping[str, Scalar], name: str, default):
     return default
 
 
-def _ks_pairs(
-    n: int, pinned: Mapping[str, Scalar], full_upto: int = 20
-) -> Iterator[tuple[int, int]]:
-    # all (k, s) with 1 <= s <= k <= n for small n, a corner sample beyond;
+# every k in 1..n (and s in 1..k) runs up to this n; above it only the
+# corners k in {1, n//2, n} and s in {1, (k+1)//2, k}
+_FULL_GRID_N = 20
+
+
+def _full_grid(n: int, pinned: Mapping[str, Scalar]) -> bool:
     # a pinned k or s is enumerated with every valid partner at every n
-    if n <= full_upto or "k" in pinned or "s" in pinned:
-        for k in _pin_values(pinned, "k", range(1, n + 1)):
-            if 1 <= k <= n:
-                for s in _pin_values(pinned, "s", range(1, k + 1)):
-                    if 1 <= s <= k:
-                        yield k, s
-    else:
-        for k in sorted({1, n // 2, n}):
-            for s in sorted({1, (k + 1) // 2, k}):
-                yield k, s
+    return n <= _FULL_GRID_N or "k" in pinned or "s" in pinned
 
 
-def _k_values(n: int, pinned: Mapping[str, Scalar], full_upto: int = 20) -> Iterator[int]:
-    if n <= full_upto or "k" in pinned:
-        for k in _pin_values(pinned, "k", range(1, n + 1)):
-            if 1 <= k <= n:
-                yield k
-    else:
-        yield from sorted({1, n // 2, n})
+def _k_values(n: int, pinned: Mapping[str, Scalar]) -> list[int]:
+    if _full_grid(n, pinned):
+        return [k for k in _pin_values(pinned, "k", range(1, n + 1)) if 1 <= k <= n]
+    return sorted({1, n // 2, n})
+
+
+def _ks_pairs(n: int, pinned: Mapping[str, Scalar]) -> Iterator[tuple[int, int]]:
+    full = _full_grid(n, pinned)
+    for k in _k_values(n, pinned):
+        ss = _pin_values(pinned, "s", range(1, k + 1)) if full else sorted({1, (k + 1) // 2, k})
+        yield from ((k, s) for s in ss if 1 <= s <= k)
 
 
 # A grid's text is a sequence of parts (slots, text, partial): ``text``
@@ -962,99 +956,46 @@ _SUMS = {row.id: row for row in SUM_IDENTITIES}
 # -- the identities' two sides at one point --------------------------------------
 
 
-def _lhs(identity: str, outer: tuple, n: int, *tail: int) -> Fraction:
-    """One point's lhs: the dot product at n of the row's two factor columns."""
-    row = _SUMS[identity]
+def _point(
+    identity: str, slots: Mapping[str, Scalar], lhs: bool
+) -> tuple[SumIdentity, tuple, tuple]:
+    """The row of ``identity`` and the point's outer and tail values (the rhs's, if not lhs)."""
+    row = _SUMS.get(identity)
+    if row is None:
+        raise RegistryError(f"unknown sum identity {identity!r}")
+    skip = () if lhs else row.tail.lhs_only
+    names = [slot for slot in row.slots if slot != "n" and slot not in skip]
+    if sorted(slots) != sorted(names):
+        raise RegistryError(
+            f"identity {identity!r} takes slots {names} besides n, got {sorted(slots)}"
+        )
+    outer = tuple(slots[slot] for slot in names if slot not in row.tail.slots)
+    tail = tuple(slots[slot] for slot in row.tail.slots if slot not in skip)
+    return row, outer, tail
+
+
+def sum_lhs(identity: str, n: int, **slots: Scalar) -> Fraction:
+    """One point's lhs: the dot product at n of the row's two factor columns.
+
+    A k/s row's sum takes j = s..n only inside its domain; it refuses a point outside.
+    """
+    row, outer, tail = _point(identity, slots, lhs=True)
+    if row.tail is _KS_TAIL:
+        p, (k, s) = slots["p"], tail
+        if p < row.p_min or not 1 <= s <= k:
+            raise ValueError(
+                f"{identity} needs p >= {row.p_min} and 1 <= s <= k, got p={p}, k={k}, s={s}"
+            )
     start, offset = row.tail.shifts(*tail)
     left = _column(row.left(*outer, start), start, n + 1)
     right = _column(row.right(*outer, offset), 0, n + 1)
     return Fraction(_dot(left, right, n), left.den * right.den)
 
 
-def _ks_lhs(identity: str, p: int, r: int, n: int, k: int, s: int) -> Fraction:
-    # the sum takes j = s..n only inside the identity's domain
-    p_min = _SUMS[identity].p_min
-    if p < p_min or not 1 <= s <= k:
-        raise ValueError(
-            f"{identity} needs p >= {p_min} and 1 <= s <= k, got p={p}, k={k}, s={s}"
-        )
-    return _lhs(identity, (p, r), n, k, s)
-
-
-def _rhs(identity: str, outer: tuple, n: int, *tail: int) -> Fraction:
-    return Fraction(*_SUMS[identity].rhs(*outer)(n, *tail))
-
-
-def subarray_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
-    """sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s)."""
-    return _ks_lhs("subarray-convolution", p, r, n, k, s)
-
-
-def subarray_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
-    return _rhs("subarray-convolution", (p, r), n, k)
-
-
-def catalan_vandermonde_lhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    """sum_i x/(x+zi) C(x+zi, i) C(y+z(n-i), n-i)."""
-    return _lhs("catalan-vandermonde", (z, x, y), n)
-
-
-def catalan_vandermonde_rhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    return _rhs("catalan-vandermonde", (z, x, y), n)
-
-
-def catalan_column_sum_lhs(p: int, r: int, n: int, k: int) -> Fraction:
-    """sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1)."""
-    return _lhs("catalan-column-sum", (p, r), n, k)
-
-
-def catalan_column_sum_rhs(p: int, r: int, n: int, k: int) -> Fraction:
-    return _rhs("catalan-column-sum", (p, r), n, k)
-
-
-def catalan_triangle_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
-    """The convolution over the subsampled Catalan triangle entries."""
-    return _ks_lhs("catalan-triangle-convolution", p, r, n, k, s)
-
-
-def catalan_triangle_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
-    return _rhs("catalan-triangle-convolution", (p, r), n, k)
-
-
-def ballot_triangle_convolution_lhs(p: int, r: int, n: int, k: int, s: int) -> Fraction:
-    """The convolution over the subsampled ballot-variant triangle entries."""
-    return _ks_lhs("ballot-triangle-convolution", p, r, n, k, s)
-
-
-def ballot_triangle_convolution_rhs(p: int, r: int, n: int, k: int) -> Fraction:
-    return _rhs("ballot-triangle-convolution", (p, r), n, k)
-
-
-def ballot_vandermonde_lhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    """sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot term at y, index n-i."""
-    return _lhs("ballot-vandermonde", (p, x, y), n)
-
-
-def ballot_vandermonde_rhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    return _rhs("ballot-vandermonde", (p, x, y), n)
-
-
-def rothe_hagen_lhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    """sum_i x/(x+zi) C(x+zi, i) y/(y+z(n-i)) C(y+z(n-i), n-i)."""
-    return _lhs("rothe-hagen", (z, x, y), n)
-
-
-def rothe_hagen_rhs(z: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    return _rhs("rothe-hagen", (z, x, y), n)
-
-
-def central_vandermonde_lhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    """sum_i central power term at x * central ballot term at y."""
-    return _lhs("central-binomial-vandermonde", (p, x, y), n)
-
-
-def central_vandermonde_rhs(p: int, x: Scalar, y: Scalar, n: int) -> Fraction:
-    return _rhs("central-binomial-vandermonde", (p, x, y), n)
+def sum_rhs(identity: str, n: int, **slots: Scalar) -> Fraction:
+    """One point's rhs, from the row's slots other than n and ``tail.lhs_only``."""
+    row, outer, tail = _point(identity, slots, lhs=False)
+    return Fraction(*row.rhs(*outer)(n, *tail))
 
 
 def _sweep(

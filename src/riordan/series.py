@@ -78,6 +78,12 @@ def _wrap(nums, den: int) -> "FormalPowerSeries":
     return s
 
 
+def _require_terms(count: int) -> None:
+    # a series without an explicit precision needs at least one coefficient
+    if count < 1:
+        raise SeriesError("empty coefficient list needs an explicit precision")
+
+
 def _series(nums, den: int) -> "FormalPowerSeries":
     """The series ``nums / den`` (``den != 0``), brought to canonical form."""
     if den < 0:
@@ -160,8 +166,8 @@ class FormalPowerSeries:
                 del cs[precision:]
             else:
                 cs.extend([_ZERO] * (precision - len(cs)))
-        elif not cs:
-            raise SeriesError("empty coefficient list needs an explicit precision")
+        else:
+            _require_terms(len(cs))
         # the lcm of reduced denominators shares no factor with every numerator
         den = lcm(*(c.denominator for c in cs))
         self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)

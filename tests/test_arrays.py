@@ -20,7 +20,6 @@ from riordan.arrays import (
     NotRiordanError,
     RiordanArray,
     RiordanError,
-    TheoremViolationError,
     Triangle,
     a_sequence,
     ballot_triangle,
@@ -355,16 +354,22 @@ def andrews_weight(n):
     return FPS([0, 1, -1, -1, 1], precision=n) / FPS([1, 0, 0, 0, 0, -1], precision=n)
 
 
+def via_gf(arr, f, n):
+    """[t^n] d(t) f(t h(t)), the generating-function route of a weighted row sum."""
+    return (arr.d * f.compose(arr.h.shift_up())).coeff(n)
+
+
 def test_weighted_row_sum_fibonacci():
     sub = pascal(13).extract_subarray(2, 0)
     f = andrews_weight(sub.precision)
-    assert sub.weighted_row_sum(f, 3) == 8 == fib(6)
-    assert sub.weighted_row_sum(f, 5) == 55 == fib(10)
+    assert sub.weighted_row_sum(f, 3) == 8 == fib(6) == via_gf(sub, f, 3)
+    assert sub.weighted_row_sum(f, 5) == 55 == fib(10) == via_gf(sub, f, 5)
 
 
 def test_weighted_row_sum_constant_weight():
     for arr in (pascal(6), ballot_triangle(6)):
-        assert arr.weighted_row_sum(FPS.one(6), 0) == arr.d.coeff(0)
+        f = FPS.one(6)
+        assert arr.weighted_row_sum(f, 0) == arr.d.coeff(0) == via_gf(arr, f, 0)
 
 
 def test_weighted_row_sum_random_weights():
@@ -374,7 +379,7 @@ def test_weighted_row_sum_random_weights():
         f = FPS([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(10)])
         for n in range(10):
             direct = sum(f.coeff(k) * arr.entry(n, k) for k in range(n + 1))
-            assert arr.weighted_row_sum(f, n) == direct
+            assert arr.weighted_row_sum(f, n) == direct == via_gf(arr, f, n)
 
 
 # -- convolution identity ----------------------------------------------------------

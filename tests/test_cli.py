@@ -1,7 +1,6 @@
 """CLI behaviour: rendering, exit codes, jsonl round trips."""
 
 import json
-from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -453,21 +452,39 @@ def test_check_zero_points_is_not_a_pass(capsys):
     assert "no points checked" in err
 
 
+@pytest.mark.parametrize("variant", ["a3", "a121", "a5", "a6", "a122"])
+def test_check_andrews_from_n_0_at_max_n_0(capsys, variant):
+    code, out, _ = run(capsys, "check", f"andrews-{variant}", "--max-n", "0")
+    assert code == 0
+    assert out == f"andrews-{variant}: holds (1 points, 0 <= n <= 0)\n"
+
+
+@pytest.mark.parametrize("variant", ["a1", "a2"])
+def test_check_andrews_from_n_1_at_max_n_0_is_not_a_pass(capsys, variant):
+    code, out, err = run(capsys, "check", f"andrews-{variant}", "--max-n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"riordan: andrews-{variant}: no points checked (1 <= n <= 0); "
+        "an empty grid is not a pass\n"
+    )
+
+
 def test_check_disagreeing_routes_exit_1(capsys, monkeypatch):
     # a wrong direct summation makes fuss_ballot_gf's two routes disagree
-    monkeypatch.setattr(identities, "_ballot_term", lambda p, y, m: Fraction(m + 1))
+    monkeypatch.setattr(identities, "_ballot_ratio", lambda p, a, b, m: (m + 1, 1))
     code, _, err = run(capsys, "check", "product-laws", "--max-n", "3")
     assert code == 1
     assert "routes disagree" in err
 
 
-@pytest.mark.parametrize("term, gf", [
-    ("_central_power_term", "central_power_gf"),
-    ("_central_ballot_term", "central_ballot_gf"),
+@pytest.mark.parametrize("kernel, gf", [
+    ("_central_power_ratio", "central_power_gf"),
+    ("_central_ballot_ratio", "central_ballot_gf"),
 ])
-def test_check_disagreeing_central_routes_exit_1(capsys, monkeypatch, term, gf):
+def test_check_disagreeing_central_routes_exit_1(capsys, monkeypatch, kernel, gf):
     # a wrong direct summation makes the central series' two routes disagree
-    monkeypatch.setattr(identities, term, lambda p, x, m: Fraction(m + 1))
+    monkeypatch.setattr(identities, kernel, lambda p, a, b, m: (m + 1, 1))
     code, out, err = run(capsys, "check", "product-laws", "--max-n", "3")
     assert code == 1
     assert out == ""

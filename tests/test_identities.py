@@ -1,5 +1,6 @@
 """Identity registry tests: Fibonacci suite, convolution sums, product laws."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -17,13 +18,7 @@ from riordan.identities import (
     _fib_cache,
     _sum_entry,
     andrews_sum,
-    ballot_vandermonde_lhs,
-    ballot_vandermonde_rhs,
     binomial,
-    catalan_column_sum_lhs,
-    catalan_column_sum_rhs,
-    catalan_vandermonde_lhs,
-    catalan_vandermonde_rhs,
     central_ballot_gf,
     central_ballot_spec,
     central_power_gf,
@@ -36,10 +31,8 @@ from riordan.identities import (
     fuss_ballot_spec,
     icomb,
     registry_entries,
-    rothe_hagen_lhs,
-    rothe_hagen_rhs,
-    subarray_convolution_lhs,
-    subarray_convolution_rhs,
+    sum_lhs,
+    sum_rhs,
 )
 from riordan.reports import Counterexample, IdentityReport
 from riordan.series import FormalPowerSeries, lagrange_gf
@@ -213,8 +206,8 @@ def test_product_laws_trivial_x():
 
 def test_subarray_convolution_examples():
     for p, r, n, k, s in ((2, 0, 5, 2, 1), (3, 1, 7, 4, 2), (4, 2, 6, 6, 3)):
-        assert subarray_convolution_lhs(p, r, n, k, s) == subarray_convolution_rhs(
-            p, r, n, k
+        assert sum_lhs("subarray-convolution", n, p=p, r=r, k=k, s=s) == sum_rhs(
+            "subarray-convolution", n, p=p, r=r, k=k
         )
 
 
@@ -222,31 +215,36 @@ def test_subarray_convolution_examples():
 def test_triangle_sums_refuse_points_outside_their_domain(p, k, s):
     # the left column starts at s and the right one is offset by k - s >= 0
     with pytest.raises(ValueError, match="needs p >= 1 and 1 <= s <= k"):
-        subarray_convolution_lhs(p, 0, 5, k, s)
+        sum_lhs("subarray-convolution", 5, p=p, r=0, k=k, s=s)
 
 
 def test_catalan_column_sum_hand_checked():
     # p=2, r=0, k=1, n=2: terms 6 + 2 + 2 = 10 = C(5, 2)
-    assert catalan_column_sum_lhs(2, 0, 2, 1) == 10 == catalan_column_sum_rhs(2, 0, 2, 1)
+    point = {"p": 2, "r": 0, "k": 1}
+    assert sum_lhs("catalan-column-sum", 2, **point) == 10
+    assert sum_rhs("catalan-column-sum", 2, **point) == 10
 
 
 def test_rothe_hagen_empty_convolution():
-    assert rothe_hagen_lhs(3, Fraction(1, 2), Fraction(3, 7), 0) == 1
-    assert rothe_hagen_rhs(3, Fraction(1, 2), Fraction(3, 7), 0) == 1
+    point = {"z": 3, "x": Fraction(1, 2), "y": Fraction(3, 7)}
+    assert sum_lhs("rothe-hagen", 0, **point) == 1
+    assert sum_rhs("rothe-hagen", 0, **point) == 1
 
 
 def test_rothe_hagen_rational_points():
     for x in RATIONAL_GRID:
         for y in (Fraction(1, 2), Fraction(3, 7)):
             for n in range(8):
-                assert rothe_hagen_lhs(2, x, y, n) == rothe_hagen_rhs(2, x, y, n)
+                point = {"z": 2, "x": x, "y": y}
+                assert sum_lhs("rothe-hagen", n, **point) == sum_rhs("rothe-hagen", n, **point)
 
 
 def test_ballot_vandermonde_rational_points():
     for x, y in ((2, 1), (Fraction(1, 2), Fraction(3, 7)), (Fraction(3, 2), Fraction(1, 2))):
         for n in range(8):
-            assert ballot_vandermonde_lhs(2, x, y, n) == ballot_vandermonde_rhs(
-                2, x, y, n
+            point = {"p": 2, "x": x, "y": y}
+            assert sum_lhs("ballot-vandermonde", n, **point) == sum_rhs(
+                "ballot-vandermonde", n, **point
             )
 
 
@@ -258,12 +256,34 @@ def test_subarray_convolution_matches_catalan_vandermonde():
             for n in range(1, 9):
                 for k in range(1, n + 1):
                     for s in range(1, k + 1):
-                        direct = subarray_convolution_lhs(p, r, n, k, s)
-                        x, y = p * s, p * k - p * s + r
-                        mapped = catalan_vandermonde_lhs(p, x, y, n - k)
+                        direct = sum_lhs("subarray-convolution", n, p=p, r=r, k=k, s=s)
+                        mapped_point = {"z": p, "x": p * s, "y": p * k - p * s + r}
+                        mapped = sum_lhs("catalan-vandermonde", n - k, **mapped_point)
                         assert direct == mapped
-                        assert mapped == catalan_vandermonde_rhs(p, x, y, n - k)
-                        assert direct == subarray_convolution_rhs(p, r, n, k)
+                        assert mapped == sum_rhs("catalan-vandermonde", n - k, **mapped_point)
+                        assert direct == sum_rhs("subarray-convolution", n, p=p, r=r, k=k)
+
+
+@pytest.mark.parametrize("identity, n, slots, message", [
+    ("product-laws", 3, {"p": 2, "x": 1, "y": 1}, "unknown sum identity 'product-laws'"),
+    ("no-such-identity", 3, {}, "unknown sum identity 'no-such-identity'"),
+    ("rothe-hagen", 3, {"z": 2, "x": 1}, "takes slots ['z', 'x', 'y'] besides n, got ['x', 'z']"),
+    ("rothe-hagen", 3, {"z": 2, "x": 1, "y": 1, "k": 1}, "got ['k', 'x', 'y', 'z']"),
+    ("catalan-column-sum", 3, {"p": 2, "r": 0, "s": 1}, "takes slots ['p', 'r', 'k']"),
+])
+def test_sum_sides_refuse_unknown_ids_and_slots(identity, n, slots, message):
+    for side in (sum_lhs, sum_rhs):
+        with pytest.raises(RegistryError, match=re.escape(message)):
+            side(identity, n, **slots)
+
+
+def test_sum_rhs_of_a_k_s_row_takes_no_s():
+    point = {"p": 2, "r": 0, "k": 2}
+    assert sum_rhs("subarray-convolution", 4, **point) == comb(8, 2)
+    with pytest.raises(RegistryError, match=re.escape("takes slots ['p', 'r', 'k'] besides n")):
+        sum_rhs("subarray-convolution", 4, **point, s=1)
+    with pytest.raises(RegistryError, match=re.escape("takes slots ['p', 'r', 'k', 's']")):
+        sum_lhs("subarray-convolution", 4, **point)
 
 
 # -- registry plumbing ----------------------------------------------------------

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from riordan import identities as I
 from riordan.hypergeom import PoleError
 from riordan.reports import Counterexample
+from riordan.series import FormalPowerSeries, SeriesError
 
 KERNEL = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -63,14 +64,14 @@ def ref_central_power(p, x, i):
 def ref_ballot(p, y, m):
     den = p * m + Fraction(y) + 1
     if den == 0:
-        raise PoleError("pole")
+        raise PoleError(f"pm + y + 1 vanishes at m = {m}")
     return ((p - 1) * m + y + 1) / den * ref_binomial((p + 1) * m + y, m)
 
 
 def ref_central_ballot(p, y, m):
     den = p * m + Fraction(y) + 1
     if den == 0:
-        raise PoleError("pole")
+        raise PoleError(f"pm + y + 1 vanishes at m = {m}")
     return ((p - 1) * m + y + 1) / den * ref_binomial(2 * den, m)
 
 
@@ -113,12 +114,12 @@ def ref_convolution(left, right, n):
     return sum((left(i) * right(n - i) for i in range(n + 1)), Fraction(0))
 
 
-def outcome(fn, *args):
-    """The value, or the marker of a pole, so both sides compare as one value."""
+def outcome(fn, *args, **kwargs):
+    """The value, or a pole's text, so both sides compare as one value."""
     try:
-        return fn(*args)
-    except PoleError:
-        return "pole"
+        return fn(*args, **kwargs)
+    except PoleError as exc:
+        return "pole", str(exc)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -162,10 +163,47 @@ def test_central_power_term(p, x, i):
 
 @KERNEL
 @given(st.data(), st.integers(0, 4), index)
-def test_ballot_terms_and_poles(data, p, m):
+def test_ballot_kernels_and_poles(data, p, m):
+    # the ratio kernels term by term, from p = 0 on, where the two ballot rows start
     y = Fraction(data.draw(poles_too(st.just(p))))
-    assert outcome(I._ballot_term, p, y, m) == outcome(ref_ballot, p, y, m)
-    assert outcome(I._central_ballot_term, p, y, m) == outcome(ref_central_ballot, p, y, m)
+    for kernel, ref in ((I._ballot_ratio, ref_ballot),
+                        (I._central_ballot_ratio, ref_central_ballot)):
+        got = outcome(lambda: Fraction(*kernel(p, *I._ratio(y), m)))
+        assert got == outcome(ref, p, y, m)
+
+
+def ref_direct_sum(ref, p, v, precision):
+    return FormalPowerSeries([ref(p, v, m) for m in range(precision)])
+
+
+@KERNEL
+@given(st.data(), st.integers(1, 4), scalar, st.integers(1, 13))
+def test_ballot_terms_and_poles(data, p, x, precision):
+    # the direct sums, term by term in Fraction; a pole raises at the first m it meets
+    y = Fraction(data.draw(poles_too(st.just(p))))
+    for gf, ref, v in ((I.fuss_ballot_gf, ref_ballot, y),
+                       (I.central_ballot_gf, ref_central_ballot, y),
+                       (I.central_power_gf, ref_central_power, Fraction(x))):
+        if gf is I.central_power_gf and any((2 * p - 1) * n + 2 * v == 0
+                                            for n in range(1, precision)):
+            continue  # refused by the pole loop, checked below
+        assert outcome(gf, p, v, precision) == outcome(ref_direct_sum, ref, p, v, precision)
+
+
+def test_direct_sums_refuse_poles_and_empty_series():
+    with pytest.raises(PoleError, match=r"^pm \+ y \+ 1 vanishes at m = 3$"):
+        I.fuss_ballot_gf(2, -7, 10)
+    with pytest.raises(PoleError, match=r"^pm \+ y \+ 1 vanishes at m = 3$"):
+        I.central_ballot_gf(2, -7, 10)
+    with pytest.raises(PoleError, match=r"^\(2p-1\)n \+ 2x vanishes at n = 2$"):
+        I.central_power_gf(2, -3, 10)
+    assert I.fuss_ballot_gf(2, -7, 3) == ref_direct_sum(ref_ballot, 2, -7, 3)
+    for gf in (I.fuss_ballot_gf, I.central_power_gf, I.central_ballot_gf):
+        assert gf(2, Fraction(1, 2), 1) == FormalPowerSeries([1], precision=1)
+        with pytest.raises(SeriesError, match="empty coefficient list"):
+            gf(2, Fraction(1, 2), 0)
+        with pytest.raises(ValueError, match="p must be >= 1, got 0"):
+            gf(0, 1, 5)
 
 
 # -- factor columns and the convolution sums ---------------------------------
@@ -239,10 +277,11 @@ def convolution_point(draw, p_min=2):
 def test_integer_sums(point):
     p, r, n, k, s = point
     if s >= 1:
-        assert I.subarray_convolution_lhs(p, r, n, k, s) == ref_subarray(p, r, n, k, s)
-        assert I.ballot_triangle_convolution_lhs(p, r, n, k, s) == ref_ballot_triangle(
+        point = {"p": p, "r": r, "k": k, "s": s}
+        assert I.sum_lhs("subarray-convolution", n, **point) == ref_subarray(p, r, n, k, s)
+        assert I.sum_lhs("ballot-triangle-convolution", n, **point) == ref_ballot_triangle(
             p, r, n, k, s)
-    assert I.catalan_column_sum_lhs(p, r, n, k) == ref_column_sum(p, r, n, k)
+    assert I.sum_lhs("catalan-column-sum", n, p=p, r=r, k=k) == ref_column_sum(p, r, n, k)
 
 
 @KERNEL
@@ -250,8 +289,9 @@ def test_integer_sums(point):
 def test_catalan_triangle_sum(point):
     p, r, n, k, s = point
     if s >= 1:
-        assert I.catalan_triangle_convolution_lhs(p, r, n, k, s) == ref_catalan_triangle(
-            p, r, n, k, s)
+        assert I.sum_lhs(
+            "catalan-triangle-convolution", n, p=p, r=r, k=k, s=s
+        ) == ref_catalan_triangle(p, r, n, k, s)
 
 
 @KERNEL
@@ -259,21 +299,21 @@ def test_catalan_triangle_sum(point):
 def test_catalan_power_sums(z, x, y, n):
     x, y = Fraction(x), Fraction(y)
     cat_x = lambda i: ref_catalan_power(z, x, i)  # noqa: E731
-    assert I.rothe_hagen_lhs(z, x, y, n) == ref_convolution(
+    assert I.sum_lhs("rothe-hagen", n, z=z, x=x, y=y) == ref_convolution(
         cat_x, lambda m: ref_catalan_power(z, y, m), n)
-    assert I.catalan_vandermonde_lhs(z, x, y, n) == ref_convolution(
+    assert I.sum_lhs("catalan-vandermonde", n, z=z, x=x, y=y) == ref_convolution(
         cat_x, lambda m: ref_binomial(y + z * m, m), n)
 
 
 @KERNEL
-@given(st.data(), st.integers(1, 4), scalar, index)
+@given(st.data(), st.integers(0, 4), scalar, index)
 def test_ballot_sums_and_poles(data, p, x, n):
     x = Fraction(x)
     y = Fraction(data.draw(poles_too(st.just(p))))
-    assert outcome(I.ballot_vandermonde_lhs, p, x, y, n) == outcome(
+    assert outcome(I.sum_lhs, "ballot-vandermonde", n, p=p, x=x, y=y) == outcome(
         ref_convolution,
         lambda i: ref_catalan_power(p + 1, x, i), lambda m: ref_ballot(p, y, m), n)
-    assert outcome(I.central_vandermonde_lhs, p, x, y, n) == outcome(
+    assert outcome(I.sum_lhs, "central-binomial-vandermonde", n, p=p, x=x, y=y) == outcome(
         ref_convolution,
         lambda i: ref_central_power(p, x, i), lambda m: ref_central_ballot(p, y, m), n)
 
