@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from .hypergeom import binomial_series
 from .reports import Counterexample, IdentityReport
 from .series import (
     FormalPowerSeries,
@@ -416,24 +417,14 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> ASequence:
 # -- the three stock triangles ----------------------------------------
 
 
-def _catalan_numbers(n: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for i in range(n - 1):
-        out.append(out[-1] * 2 * (2 * i + 1) / (i + 2))
-    return out
-
-
 def catalan_gf(precision: int) -> FormalPowerSeries:
-    """1, 1, 2, 5, 14, ...: the Catalan number generating function."""
-    return FormalPowerSeries(_catalan_numbers(precision))
+    """1, 1, 2, 5, 14, ...: the Catalan number generating function B_2."""
+    return binomial_series(2, 1, precision)
 
 
 def central_binomial_gf(precision: int) -> FormalPowerSeries:
     """1, 2, 6, 20, ...: central binomial coefficients, i.e. (1-4t)^(-1/2)."""
-    out = [Fraction(1)]
-    for n in range(precision - 1):
-        out.append(out[-1] * 2 * (2 * n + 1) / (n + 1))
-    return FormalPowerSeries(out)
+    return FormalPowerSeries([comb(2 * m, m) for m in range(precision)])
 
 
 def pascal(precision: int) -> RiordanArray:
@@ -445,9 +436,9 @@ def pascal(precision: int) -> RiordanArray:
 def catalan_triangle(precision: int) -> RiordanArray:
     """Shapiro's Catalan triangle: entries (k+1)/(n+1) C(2n+2, n-k).
 
-    First column (and h-series) is 1, 2, 5, 14, ...; A = (1 + t)^2.
+    First column (and h-series) is B_2^2 = 1, 2, 5, 14, ...; A = (1 + t)^2.
     """
-    shifted = FormalPowerSeries(_catalan_numbers(precision + 1)[1:])
+    shifted = binomial_series(2, 2, precision)
     return RiordanArray(shifted, shifted)
 
 

@@ -28,13 +28,11 @@ from .hypergeom import HypergeometricSpec, expand
 from .identities import REGISTRY, RegistryError, check_registry, registry_entries
 from .series import FormalPowerSeries
 
-# builtin name -> (array factory, A-sequence coefficient pattern)
-# the A pattern is (head, repeated tail): pascal 1,1,0,0..; the ballot
-# variant 1,1,1,...
+# builtin name -> (array factory, precision -> its A-sequence as a series)
 _BUILTINS = {
-    "pascal": (pascal, ([1, 1], 0)),
-    "catalan42": (catalan_triangle, ([1, 2, 1], 0)),
-    "ballot43": (ballot_triangle, ([1], 1)),
+    "pascal": (pascal, lambda n: 1 + FormalPowerSeries.t(n)),
+    "catalan42": (catalan_triangle, lambda n: (1 + FormalPowerSeries.t(n)) ** 2),
+    "ballot43": (ballot_triangle, lambda n: 1 / (1 - FormalPowerSeries.t(n))),
 }
 
 
@@ -59,15 +57,8 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [_parse_rational(tok.strip()) for tok in text.split(",")]
 
 
-def _builtin_a_coeffs(name: str, terms: int) -> list[Fraction]:
-    head, tail = _BUILTINS[name][1]
-    out = [Fraction(c) for c in head[:terms]]
-    out.extend([Fraction(tail)] * (terms - len(out)))
-    return out
-
-
-def _build_array(args, precision: int) -> tuple[RiordanArray, list[Fraction]]:
-    """Array plus its known A-sequence coefficients (for claim checks)."""
+def _build_array(args, precision: int) -> tuple[RiordanArray, FormalPowerSeries]:
+    """Array plus its known A-sequence (for claim checks), both at ``precision``."""
     explicit = args.d is not None or args.A is not None
     if args.name is not None and explicit:
         raise UsageError("give either a builtin name or --d/--A, not both")
@@ -76,8 +67,8 @@ def _build_array(args, precision: int) -> tuple[RiordanArray, list[Fraction]]:
             raise UsageError(
                 f"unknown triangle {args.name!r}; builtins: {', '.join(_BUILTINS)}"
             )
-        factory, _ = _BUILTINS[args.name]
-        return factory(precision), _builtin_a_coeffs(args.name, precision)
+        factory, a_series = _BUILTINS[args.name]
+        return factory(precision), a_series(precision)
     if args.d is None or args.A is None:
         raise UsageError("explicit triangles need both --d and --A coefficient lists")
     d_coeffs = _parse_rational_list(args.d)
@@ -86,8 +77,7 @@ def _build_array(args, precision: int) -> tuple[RiordanArray, list[Fraction]]:
         raise UsageError("--d and --A need at least one coefficient")
     d = FormalPowerSeries(d_coeffs, precision=precision)
     a = FormalPowerSeries(a_coeffs, precision=precision)
-    padded = a_coeffs[:precision] + [Fraction(0)] * (precision - len(a_coeffs))
-    return RiordanArray.from_dA(d, a), padded
+    return RiordanArray.from_dA(d, a), a
 
 
 def _triangle_text(tri: Triangle) -> str:
@@ -148,8 +138,7 @@ def _emit_report(report, fmt: str, out) -> None:
 def _cmd_triangle(args, out) -> int:
     if args.rows < 1:
         raise UsageError("--rows must be >= 1")
-    precision = max(args.rows, args.precision or 0)
-    array, _ = _build_array(args, precision)
+    array, _ = _build_array(args, args.rows)
     _emit_triangle(array.materialize(args.rows), args.format, out)
     return 0
 
@@ -162,15 +151,14 @@ def _cmd_extract(args, out) -> int:
     terms = args.terms if args.terms is not None else max(args.rows - 1, 1)
     need_rows = max(args.rows, (terms + 1) if args.aseq else 1)
     # auto-raise the base precision so the extraction never hits a shortfall
-    precision = max(args.p * need_rows + args.r + 1, args.precision or 0)
-    base, base_a = _build_array(args, precision)
+    base, base_a = _build_array(args, args.p * need_rows + args.r + 1)
     sub = base.extract_subarray(args.p, args.r)
     _emit_triangle(sub.materialize(args.rows), args.format, out)
     if not args.aseq:
         return 0
     recovered = a_sequence(sub.materialize(terms + 1), terms=terms)
     _emit_aseq(recovered.coeffs, args.format, out)
-    want = FormalPowerSeries(base_a, precision=terms) ** args.p
+    want = base_a.truncate(terms) ** args.p
     claim_ok = recovered.series == want
     if args.format == "jsonl":
         out.write(_canonical_json({"claim": "a-power", "holds": claim_ok}) + "\n")
@@ -182,8 +170,7 @@ def _cmd_extract(args, out) -> int:
 def _cmd_aseq(args, out) -> int:
     if args.terms < 1:
         raise UsageError("--terms must be >= 1")
-    precision = max(args.terms + 1, args.precision or 0)
-    array, _ = _build_array(args, precision)
+    array, _ = _build_array(args, args.terms + 1)
     seq = a_sequence(array.materialize(args.terms + 1), terms=args.terms)
     _emit_aseq(seq.coeffs, args.format, out)
     return 0
@@ -201,14 +188,10 @@ def _cmd_check(args, out) -> int:
                 )
         return 0
     pinned = {}
-    for slot in ("p", "r", "k", "s"):
+    for slot in ("p", "r", "k", "s", "x", "y", "z"):
         value = getattr(args, slot)
         if value is not None:
-            pinned[slot] = value
-    for slot in ("x", "y", "z"):
-        value = getattr(args, slot)
-        if value is not None:
-            pinned[slot] = _parse_rational(value) if slot != "z" else int(value)
+            pinned[slot] = _parse_rational(value) if slot in ("x", "y") else value
     ids: list[str]
     if args.all:
         if args.identity is not None:
@@ -253,12 +236,6 @@ def _add_common(sp) -> None:
         choices=("text", "csv", "jsonl"),
         default="text",
         help="output format (default: text)",
-    )
-    sp.add_argument(
-        "--precision",
-        type=int,
-        default=None,
-        help="working precision override (auto-raised when too small)",
     )
 
 
@@ -315,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--s", type=int, default=None, help="pin the s slot")
     p_check.add_argument("--x", default=None, help="pin the rational x slot")
     p_check.add_argument("--y", default=None, help="pin the rational y slot")
-    p_check.add_argument("--z", default=None, help="pin the integer z slot")
+    p_check.add_argument("--z", type=int, default=None, help="pin the integer z slot")
     _add_common(p_check)
 
     p_hyper = sub.add_parser("hyper", help="expand a hypergeometric series")

@@ -23,7 +23,11 @@ No symbolic simplification is attempted: the consumers only ever need
 coefficient streams.  Alongside the generic expansion live the closed
 forms tied to arrays whose A-sequence is (1 + t)^q: the h-series of such
 an array, the generalized binomial series B_q and its rational powers,
-and the coefficient formula for (t h)^s.
+and the coefficient formula for (t h)^s.  The last two are stated once,
+as the integer kernels ``_binomial_power_ratio`` ([t^n] B_q^r) and
+``_power_ratio`` ([t^j] (t h)^s); ``binomial_series``, ``power_coeff``,
+the identity registry's factor columns and the stock Catalan triangles
+all read them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from math import comb, factorial, gcd, prod
 from typing import Sequence, Union
 
 from .reports import Counterexample, IdentityReport
-from .series import FormalPowerSeries, SeriesError, _append_term, _series
+from .series import FormalPowerSeries, SeriesError, _append_term, _fraction, _series
 
 Scalar = Union[int, Fraction]
 
@@ -47,12 +51,6 @@ class HypergeomError(ValueError):
 
 class PoleError(HypergeomError):
     """A vanishing denominator: bad lower parameter or power-series pole."""
-
-
-def _fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise HypergeomError("float parameters are not exact; use Fraction or int")
-    return Fraction(value)
 
 
 def _is_nonpositive_integer(x: Fraction) -> bool:
@@ -106,6 +104,8 @@ def expand(spec: HypergeometricSpec, precision: int) -> FormalPowerSeries:
         den_n //= g
         den = _append_term(xs, den, num_n, den_n)
     return _series(xs, den)
+
+
 def power_spec(q: int, r: Scalar) -> HypergeometricSpec:
     """The spec whose expansion is (B_q)^r.
 
@@ -145,34 +145,51 @@ def h_for_binomial_A(q: int, precision: int) -> FormalPowerSeries:
     )
 
 
+def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:
+    """[t^n] B_q^r at r = a/b (b > 0): r/(qn + r) C(qn + r, n), as a reduced integer pair.
+
+    Evaluated through the cancelled product r prod_{1<=m<n} (qn + r - m) / n!
+    = a prod_{1<=m<n} (a + (qn - m) b) / (b^n n!), so rational r is legal
+    and no pole is checked: a vanishing qn + r is the caller's to refuse.
+    """
+    if n == 0:
+        return 1, 1
+    num = a
+    for m in range(1, n):
+        num *= a + (q * n - m) * b
+    den = b**n * factorial(n)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def binomial_series(q: int, r: Scalar, precision: int) -> FormalPowerSeries:
     """(B_q)^r with coefficient n equal to r/(qn+r) C(qn+r, n).
 
-    Evaluated through the cancelled product r * prod_{i=1}^{n-1}(qn+r-i) / n!
-    so rational r is legal; a vanishing qn + r below the precision is
-    still rejected as a pole of the stated form.
+    The coefficients come from ``_binomial_power_ratio``, so rational r is
+    legal; a vanishing qn + r below the precision is still rejected as a
+    pole of the stated form.
     """
     if q < 1:
         raise HypergeomError(f"q must be >= 1, got {q}")
     if precision < 1:
         raise SeriesError("precision must be positive")
     r = _fraction(r)
-    if r == 0:
-        return FormalPowerSeries.one(precision)
     a, b = r.numerator, r.denominator
-    # r prod_{i<n} (qn + r - i) / n! = a prod_{i<n} (qnb + a - ib) / (b^n n!)
     xs, den = [1], 1
     for n in range(1, precision):
-        top = q * n * b + a
-        if top == 0:
+        if q * n * b + a == 0:
             raise PoleError(f"qn + r vanishes at n = {n}")
-        num = a * prod(top - i * b for i in range(1, n))
-        den = _append_term(xs, den, num, b**n * factorial(n))
+        den = _append_term(xs, den, *_binomial_power_ratio(q, a, b, n))
     return _series(xs, den)
 
 
+def _power_ratio(q: int, s: int, j: int) -> tuple[int, int]:
+    """[t^j] (t h)^s for the A = (1+t)^q array and j >= s: qs/((q-1)j+s) C(qj-1, j-s)."""
+    return q * s * comb(q * j - 1, j - s), (q - 1) * j + s
+
+
 def power_coeff(q: int, s: int, j: int) -> Fraction:
-    """[t^j] (t h)^s for the A = (1+t)^q array: qs/((q-1)j+s) C(qj-1, j-s).
+    """[t^j] (t h)^s for the A = (1+t)^q array, from ``_power_ratio``.
 
     Returns 0 for j < s (the order constraint).
     """
@@ -182,7 +199,7 @@ def power_coeff(q: int, s: int, j: int) -> Fraction:
         raise HypergeomError(f"s must be >= 1, got {s}")
     if j < s:
         return Fraction(0)
-    return Fraction(q * s, (q - 1) * j + s) * comb(q * j - 1, j - s)
+    return Fraction(*_power_ratio(q, s, j))
 
 
 def verify_power_identity(q: int, r: Scalar, precision: int) -> IdentityReport:

@@ -34,8 +34,10 @@ counterexample's text.  A term that raises (a pole, a negative upper
 index) is kept in its column and raised by the first point whose sum
 takes it, so errors surface where a term-by-term sum would meet them.
 ``sum_lhs`` and ``sum_rhs`` give one point's two sides of any row by id,
-and the ballot-family direct sums are one column of a row's kernel each;
-``binomial`` and the ``_*_term`` helpers are ``Fraction`` wrappers.
+and the ballot-family direct sums are one column of a row's kernel each.
+The B_q^r and (t h)^s terms are hypergeom's integer kernels, B_q^r read
+through this module's caches; ``binomial`` and the ``_*_term`` helpers
+are ``Fraction`` wrappers.
 
 The product laws compare whole series.  One run builds each factor
 series (a direct sum, a binomial series or a hypergeometric expansion)
@@ -58,6 +60,8 @@ from .arrays import TheoremViolationError, pascal
 from .hypergeom import (
     HypergeometricSpec,
     PoleError,
+    _binomial_power_ratio,
+    _power_ratio,
     binomial_series,
     expand,
     power_spec,
@@ -82,7 +86,8 @@ class RegistryError(ValueError):
 # ``check --all --max-n 50`` (binomial 4,717 entries, Catalan power terms
 # 2,397, central power terms 765, fixed points 3), so that run never evicts.
 # The factor columns read each term once per column built, so the term
-# caches see about 23k, 17k and 4k hits in that run.
+# caches see about 23k, 17k and 4k hits in that run.  The two power-term
+# caches wrap hypergeom's uncached B_q^r kernel.
 @lru_cache(maxsize=16)
 def _power_fixed_point(exponent: int, precision: int) -> FormalPowerSeries:
     # w = t (1 + w)^exponent; shared across the many (x, y) grid points
@@ -173,30 +178,14 @@ def _binomial_ratio(a: int, b: int, k: int) -> Ratio:
     return _reduced(num, b**k * factorial(k))
 
 
-@lru_cache(maxsize=4096)
-def _catalan_power_ratio(z: int, a: int, b: int, i: int) -> Ratio:
-    # x/(x + zi) C(x + zi, i) at x = a/b, in the cancelled form
-    # x prod_{1<=m<i} (x + zi - m) / i!, valid for rational x; equals [t^i]
-    # of the x-th power of the generalized binomial series with step z
-    if i == 0:
-        return 1, 1
-    num = a
-    for m in range(1, i):
-        num *= a + (z * i - m) * b
-    return _reduced(num, b**i * factorial(i))
+# x/(x + zi) C(x + zi, i) at x = a/b: [t^i] of B_z^x
+_catalan_power_ratio = lru_cache(maxsize=4096)(_binomial_power_ratio)
 
 
 @lru_cache(maxsize=2048)
 def _central_power_ratio(p: int, a: int, b: int, i: int) -> Ratio:
-    # 2x/((2p-1)i + 2x) C(2pi + 2x - 1, i) at x = a/b, cancelled: the
-    # denominator is the last factor of the falling product, so the first
-    # i-1 factors remain
-    if i == 0:
-        return 1, 1
-    num = 2 * a
-    for m in range(i - 1):
-        num *= 2 * a + (2 * p * i - 1 - m) * b
-    return _reduced(num, b**i * factorial(i))
+    # 2x/((2p-1)i + 2x) C(2pi + 2x - 1, i) at x = a/b: [t^i] of B_{2p}^{2x}
+    return _binomial_power_ratio(2 * p, 2 * a, b, i)
 
 
 def _ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
@@ -564,11 +553,6 @@ def check_product_laws(
 # and ``d = k - s`` the offset of the right one.
 
 
-def _subarray_left(p: int, s: int, j: int) -> Ratio:
-    # ps/((p-1)j+s) C(pj-1, j-s)
-    return p * s * icomb(p * j - 1, j - s), (p - 1) * j + s
-
-
 def _shifted_pascal(p: int, r: int, d: int, m: int) -> Ratio:
     # C(pm+r, m-d)
     return icomb(p * m + r, m - d), 1
@@ -577,11 +561,6 @@ def _shifted_pascal(p: int, r: int, d: int, m: int) -> Ratio:
 def _column_sum_left(p: int, j: int) -> Ratio:
     # 1/(pj+1) C(pj+1, j)
     return icomb(p * j + 1, j), p * j + 1
-
-
-def _catalan_triangle_left(p: int, s: int, j: int) -> Ratio:
-    # 2ps/((2p-1)j+s) C(2pj-1, j-s)
-    return 2 * p * s * icomb(2 * p * j - 1, j - s), (2 * p - 1) * j + s
 
 
 def _catalan_triangle_right(p: int, r: int, d: int, m: int) -> Ratio:
@@ -709,16 +688,14 @@ def _grid_text(parts: Iterable[GridPart], pinned: Mapping[str, Scalar]) -> str:
     return ", ".join(part for part in out if part)
 
 
-# a grid axis: a slot and its default values; pins of the integer slots are cast to int
+# a grid axis: a slot and its default values
 Axis = tuple[str, Iterable]
-_INTEGER_SLOTS = ("p", "r", "z")
 
 
 def _grid_points(axes: tuple[Axis, ...], pinned: Mapping[str, Scalar]) -> Iterator[dict]:
     """Every point of the product of the axes, a pinned slot replacing its default set."""
-    pins = {slot: int(v) if slot in _INTEGER_SLOTS else v for slot, v in pinned.items()}
     names = [slot for slot, _ in axes]
-    sets = [_pin_values(pins, slot, values) for slot, values in axes]
+    sets = [_pin_values(pinned, slot, values) for slot, values in axes]
     return (dict(zip(names, combo)) for combo in product(*sets))
 
 
@@ -887,7 +864,7 @@ SUM_IDENTITIES = (
     SumIdentity(
         "subarray-convolution", ("p", "r", "n", "k", "s"),
         "sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s) = C(pn+r, n-k)",
-        lambda p, r, s: partial(_subarray_left, p, s),
+        lambda p, r, s: partial(_power_ratio, p, s),
         lambda p, r, d: partial(_shifted_pascal, p, r, d),
         lambda p, r: partial(_subarray_rhs, p, r),
         _PR_SETS, _KS_TAIL, 1, 0,
@@ -911,7 +888,7 @@ SUM_IDENTITIES = (
     SumIdentity(
         "catalan-triangle-convolution", ("p", "r", "n", "k", "s"),
         "central convolution over the subsampled Catalan triangle (valid from p = 1 on)",
-        lambda p, r, s: partial(_catalan_triangle_left, p, s),
+        lambda p, r, s: partial(_power_ratio, 2 * p, s),
         lambda p, r, d: partial(_catalan_triangle_right, p, r, d),
         lambda p, r: partial(_catalan_triangle_rhs, p, r),
         (("p", (1, 2, 3, 4)), ("r", (0, 1, 2))), _KS_TAIL, 1, 0,
@@ -1082,10 +1059,21 @@ def registry_entries() -> list[RegistryEntry]:
     return list(REGISTRY.values())
 
 
+def _exact_pin(identity: str, slot: str, value: Scalar) -> Scalar:
+    """A pin as the grid takes it: a float is refused, an integer slot's value made an int."""
+    if isinstance(value, float):
+        raise RegistryError(f"identity {identity!r} needs an exact {slot}, got {slot}={value}")
+    if slot not in ("n", "p", "r", "z", "k", "s"):
+        return value
+    if Fraction(value).denominator != 1:
+        raise RegistryError(f"identity {identity!r} needs an integer {slot}, got {slot}={value}")
+    return int(value)
+
+
 def check_registry(
     identity: str, max_n: int = 20, pinned: Mapping[str, Scalar] | None = None
 ) -> IdentityReport:
-    """Run one registry identity over its grid (optionally pinning slots)."""
+    """Run one registry identity over its grid (optionally pinning slots to exact values)."""
     entry = REGISTRY.get(identity)
     if entry is None:
         raise RegistryError(f"unknown identity {identity!r}")
@@ -1095,4 +1083,5 @@ def check_registry(
         raise RegistryError(
             f"identity {identity!r} has no slots {sorted(bad)}; available: {entry.slots}"
         )
+    pinned = {slot: _exact_pin(identity, slot, value) for slot, value in pinned.items()}
     return entry.run(max_n=max_n, pinned=pinned)

@@ -7,6 +7,7 @@ the definitional sub-array grid as independent oracles.
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -29,6 +30,7 @@ from riordan.arrays import (
     pascal,
     subarray_triangle,
 )
+from riordan.hypergeom import binomial_series, h_for_binomial_A
 from riordan.series import FormalPowerSeries, PrecisionError, SeriesError
 
 FPS = FormalPowerSeries
@@ -167,6 +169,24 @@ def test_ballot_triangle_closed_form():
     for n in range(9):
         for k in range(n + 1):
             assert arr.entry(n, k) == Fraction(k + 1, n + 1) * comb(2 * n - k, n)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_stock_series_match_binomial_closed_forms(n):
+    assert catalan_gf(n) == FPS([Fraction(comb(2 * m, m), m + 1) for m in range(n)])
+    assert central_binomial_gf(n) == FPS([comb(2 * m, m) for m in range(n)])
+    assert catalan_triangle(n).d == shifted_catalan(n)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [pascal, catalan_triangle, ballot_triangle, catalan_gf, central_binomial_gf,
+     partial(binomial_series, 2, 1), partial(h_for_binomial_A, 2)],
+)
+@pytest.mark.parametrize("precision", [0, -1])
+def test_stock_factories_refuse_precision_below_one(factory, precision):
+    with pytest.raises(SeriesError):
+        factory(precision)
 
 
 # -- materialize / Triangle ------------------------------------------------

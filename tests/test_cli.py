@@ -1,6 +1,7 @@
 """CLI behaviour: rendering, exit codes, jsonl round trips."""
 
 import json
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -264,6 +265,16 @@ def test_check_list_matches_golden(capsys, fmt, suffix):
     assert out.encode() == (FIXTURES / f"check_list.{suffix}").read_bytes()
 
 
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Make any compute in the identity layer fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before the pin was checked")
+
+    monkeypatch.setattr(identities, "icomb", fail)
+    monkeypatch.setattr(identities, "_grid_points", fail)
+
+
 @pytest.mark.parametrize(
     "identity, slot, value, least",
     [
@@ -286,16 +297,66 @@ def test_check_list_matches_golden(capsys, fmt, suffix):
         pytest.param("catalan-column-sum", "r", -3, 0, id="catalan-column-sum-r-3"),
     ],
 )
-def test_check_out_of_domain_pin_names_the_pin(capsys, monkeypatch, identity, slot, value, least):
-    def no_compute(*args, **kwargs):
-        raise AssertionError("computed before the pin was checked")
-
-    monkeypatch.setattr(identities, "icomb", no_compute)
-    monkeypatch.setattr(identities, "_grid_points", no_compute)
+def test_check_out_of_domain_pin_names_the_pin(capsys, no_compute, identity, slot, value, least):
     code, out, err = run(capsys, "check", identity, f"--{slot}", str(value))
     assert code == 2
     assert out == ""
     assert err == f"riordan: identity {identity!r} needs {slot} >= {least}, got {slot}={value}\n"
+
+
+@pytest.mark.parametrize(
+    "identity, slot, value, kind",
+    [
+        ("subarray-convolution", "p", Fraction(5, 2), "an integer"),
+        ("subarray-convolution", "r", Fraction(1, 2), "an integer"),
+        ("subarray-convolution", "k", Fraction(5, 2), "an integer"),
+        ("subarray-convolution", "s", Fraction(3, 2), "an integer"),
+        ("catalan-column-sum", "n", Fraction(7, 3), "an integer"),
+        ("catalan-vandermonde", "z", Fraction(7, 2), "an integer"),
+        ("catalan-vandermonde", "z", 2.0, "an exact"),
+        ("rothe-hagen", "x", 0.5, "an exact"),
+        ("product-laws", "y", 1.5, "an exact"),
+    ],
+)
+def test_check_refuses_inexact_pins_by_name(no_compute, identity, slot, value, kind):
+    message = f"identity {identity!r} needs {kind} {slot}, got {slot}={value}"
+    with pytest.raises(identities.RegistryError) as exc:
+        identities.check_registry(identity, 5, {slot: value})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "identity, pins",
+    [
+        ("catalan-vandermonde", {"z": 2}),
+        ("subarray-convolution", {"p": 3, "r": 1, "k": 2}),
+        ("ballot-vandermonde", {"p": 2, "x": Fraction(1, 2)}),
+    ],
+)
+def test_integral_fraction_pins_check_as_ints(identity, pins):
+    as_fractions = {slot: Fraction(v) for slot, v in pins.items()}
+    got = identities.check_registry(identity, 6, as_fractions)
+    assert got.to_record() == identities.check_registry(identity, 6, pins).to_record()
+    assert got.holds and got.points > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("triangle", "pascal", "--rows", "3", "--precision", "4"),
+        ("extract", "pascal", "--p", "2", "--precision", "4"),
+        ("aseq", "pascal", "--terms", "3", "--precision", "4"),
+        ("hyper", "--upper", "1", "--terms", "3", "--precision", "4"),
+        ("check", "andrews-a3", "--max-n", "3", "--precision", "4"),
+        # z is an integer slot, like p, r, k and s
+        ("check", "catalan-vandermonde", "--z", "7/2"),
+    ],
+)
+def test_cli_refuses_bad_arguments_as_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

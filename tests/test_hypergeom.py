@@ -20,7 +20,7 @@ from riordan.hypergeom import (
     power_spec,
     verify_power_identity,
 )
-from riordan.series import FormalPowerSeries
+from riordan.series import FormalPowerSeries, SeriesError
 
 FPS = FormalPowerSeries
 
@@ -84,7 +84,7 @@ def test_lower_parameter_pole_rejected_at_construction():
 
 
 def test_float_parameters_rejected():
-    with pytest.raises(HypergeomError):
+    with pytest.raises(SeriesError, match="float coefficients are not exact"):
         HypergeometricSpec([0.5], [2])
 
 
