@@ -1,41 +1,42 @@
 """A registry of exact combinatorial identities with brute-force checkers.
 
-Every identity is evaluated on finite parameter grids with both sides
-computed independently and exactly: alternating binomial sums against the
-Fibonacci recurrence, convolution sums against closed-form binomials, and
-product laws of generating functions coefficient by coefficient.  Infinite
-sums are reduced to finite windows derived from the support of the
-binomial coefficients (zero outside 0 <= lower <= upper) and widened by
-one term on each side as a guard.
-
-Binomial convention: C(n, m) = 0 for m < 0 or m > n when n >= 0; for a
-rational upper argument the falling-factorial product is used.  Floors of
-negative arguments round toward minus infinity (Python's ``//``).
+Every identity is evaluated exactly on finite parameter grids:
+alternating binomial sums against the Fibonacci recurrence, convolution
+sums against one closed-form term, and product laws of generating
+functions coefficient by coefficient.  Infinite sums are cut to the
+support of their binomials (zero outside 0 <= lower <= upper), widened
+by one guard term on each side.  C(n, m) = 0 for m < 0 or m > n when
+n >= 0; a rational upper argument takes the falling-factorial product.
+Floors of negative arguments round toward minus infinity (``//``).
 
 Identities are data.  Each Andrews row maps n to (U, L1, L2) for one sum
 ``andrews_sum`` = sum_j C(U, L1 - 5j) - C(U, L2 - 5j); for a1/a2,
 sum_k (-1)^k C(U, floor((n-1-5k)/2)) with U = n-1 or n splits by the
-parity of k into L1 = floor((n-1)/2) and L2 = floor((n-6)/2).  Each
-convolution sum identity is one ``SumIdentity`` row (two factor columns,
-rhs, slot sets, k/s tail) run by one grid runner.
+parity of k into L1 = floor((n-1)/2) and L2 = floor((n-6)/2).
 
-Representation: each sum identity is a convolution, lhs(n) = sum_j
-a(j) b(n - j), i.e. coefficient n of the product of two generating
-functions -- the Riordan-array product the paper's proofs rest on.  The
-terms run on plain integers: a rational argument x enters as the pair
+Each convolution identity is one ``SumIdentity`` row: two factors, the
+default sets of its integer slots, and a law.  The lhs, sum_j a(j)
+b(n - j), is coefficient n of the factors' product; the law is the
+Riordan-array fact that keeps the product in the right factor's family,
+so the rhs is the right factor read at a summed parameter: at offset k
+on a k/s row (column k is column k - s convolved with (t h)^s; the
+column sum reads (p, r + 1) at offset k - 1), and at y := x + y on a
+Vandermonde-type row (F_x * G_y = G_{x+y}).  A law also names the slots
+it adds, enumerates its points and writes its grid text.
+
+The terms run on plain integers: a rational x enters as the pair
 (x.numerator, x.denominator), and a term is an integer (numerator,
 denominator) pair, e.g. C(a/b, k) = prod(a - i b) / (b^k k!).  For each
-value of the slots outside n and the k/s tail, the checker builds each
-factor column a or b once, as integer numerators over one common
-denominator; a point's lhs is then one integer dot product of the two
-columns, compared with the rhs (another integer pair) by
-cross-multiplication.  A ``Fraction`` is built only for a
-counterexample's text.  A term that raises (a pole, a negative upper
-index) is kept in its column and raised by the first point whose sum
-takes it, so errors surface where a term-by-term sum would meet them.
-``sum_lhs`` and ``sum_rhs`` give one point's two sides of any row by id,
-and the ballot-family direct sums are one column of a row's kernel each.
-The B_q^r and (t h)^s terms are hypergeom's integer kernels, B_q^r read
+value of the slots outside n and the law's, the checker builds each
+factor column once, as integer numerators over one common denominator;
+a point's lhs is one integer dot product of the two columns, compared
+with the rhs term by cross-multiplication, and a ``Fraction`` is built
+only for a counterexample's text.  A term that raises (a pole, a
+negative upper index) is kept in its column and raised by the first
+point whose sum takes it, as a term-by-term sum would.  ``sum_lhs`` and
+``sum_rhs`` give one point's two sides of any row by id; the
+ballot-family direct sums are one column of a row's kernel each.  The
+B_q^r and (t h)^s terms are hypergeom's integer kernels, B_q^r read
 through this module's caches; ``binomial`` and the ``_*_term`` helpers
 are ``Fraction`` wrappers.
 
@@ -68,7 +69,7 @@ from .hypergeom import (
     verify_power_identity,
 )
 from .reports import Counterexample, IdentityReport
-from .series import FormalPowerSeries, _require_terms, _series, lagrange_solve
+from .series import FormalPowerSeries, _fraction, _require_terms, _series, lagrange_solve
 
 Scalar = Union[int, Fraction]
 # an exact rational as an integer (numerator, denominator) pair
@@ -107,7 +108,7 @@ def icomb(n: int, k: int) -> int:
 
 
 def _ratio(x: Scalar) -> Ratio:
-    x = Fraction(x)
+    x = _fraction(x)
     return x.numerator, x.denominator
 
 
@@ -210,8 +211,7 @@ def _central_ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
 
 def binomial(a: Scalar, k: int) -> Fraction:
     """Generalized binomial: falling-factorial product over k!; 0 for k < 0."""
-    num, den = _binomial_ratio(*_ratio(a), k)
-    return Fraction(num, den)
+    return Fraction(*_binomial_ratio(*_ratio(a), k))
 
 
 # F_0 .. F_{len-1}; capped far above the 103 entries of ``check --all --max-n 50``
@@ -235,13 +235,11 @@ def fibonacci(n: int) -> int:
 
 
 def _catalan_power_term(z: int, x: Scalar, i: int) -> Fraction:
-    num, den = _catalan_power_ratio(z, *_ratio(x), i)
-    return Fraction(num, den)
+    return Fraction(*_catalan_power_ratio(z, *_ratio(x), i))
 
 
 def _central_power_term(p: int, x: Scalar, i: int) -> Fraction:
-    num, den = _central_power_ratio(p, *_ratio(x), i)
-    return Fraction(num, den)
+    return Fraction(*_central_power_ratio(p, *_ratio(x), i))
 
 
 # the wrappers keep no cache of their own; they report their kernel's
@@ -277,20 +275,23 @@ ANDREWS_VARIANTS: dict[str, AndrewsRow] = {
 }
 
 
-def check_andrews(identity: str, n_max: int) -> IdentityReport:
-    """Check one alternating-binomial Fibonacci identity for all n <= n_max."""
+def check_andrews(identity: str, n_max: int, n: int | None = None) -> IdentityReport:
+    """Check one alternating-binomial Fibonacci identity for all n <= n_max, or at ``n`` only."""
     if identity not in ANDREWS_VARIANTS:
         raise RegistryError(f"unknown Andrews variant {identity!r}")
     index, n_min, window = ANDREWS_VARIANTS[identity]
+    pinned = {} if n is None else {"n": n}
+    _require_min(f"andrews-{identity}", "n", n_min, pinned)
     points = 0
     cex = None
-    for n in range(n_min, n_max + 1):
+    for n in _pin_values(pinned, "n", range(n_min, n_max + 1)):
         points += 1
         lhs, rhs = fibonacci(index(n)), andrews_sum(*window(n))
         if lhs != rhs:
             cex = Counterexample({"n": str(n)}, lhs=str(lhs), rhs=str(rhs))
             break
-    return IdentityReport(f"andrews-{identity}", f"{n_min} <= n <= {n_max}", points, cex)
+    grid = _grid_text([(("n",), f"{n_min} <= n <= {n_max}", "")], pinned)
+    return IdentityReport(f"andrews-{identity}", grid, points, cex)
 
 
 def _weight_series(signs: Iterable[int], precision: int) -> FormalPowerSeries:
@@ -307,7 +308,7 @@ _EXTRACTED_D: dict[str, Callable[[int], int]] = {
 }
 
 
-def check_via_riordan(n_max: int) -> IdentityReport:
+def check_via_riordan(n_max: int, n: int | None = None) -> IdentityReport:
     """Reproduce the generating-function proof of the Fibonacci identities.
 
     Extracts every other row of Pascal's triangle, forms d(t) f(t h(t))
@@ -315,21 +316,26 @@ def check_via_riordan(n_max: int) -> IdentityReport:
     it equals t/(1 - 3t + t^2), whose coefficients are F_{2n}.  The
     odd-row extraction with weights (1 - t - t^3 + t^4)/(1 - t^5) must
     likewise give (1 - t)/(1 - 3t + t^2), the F_{2n+1} generating function.
+    Given ``n``, it checks coefficient n only.
     """
-    n = n_max + 1
-    base = pascal(2 * n + 2)
+    pinned = {} if n is None else {"n": n}
+    _require_min("fibonacci-riordan", "n", 0, pinned)
+    terms = (n_max if n is None else n) + 1
+    coefficients = _pin_values(pinned, "n", range(terms))
+    n_grid = _grid_text([(("n",), f"n <= {n_max}", "")], pinned)
+    base = pascal(2 * terms + 2)
     even = base.extract_subarray(2, 0)
     odd = base.extract_subarray(2, 1)
 
     def failed(grid: str, points: int, params: dict, lhs, rhs) -> IdentityReport:
         cex = Counterexample(params, lhs=str(lhs), rhs=str(rhs))
-        return IdentityReport("fibonacci-riordan", f"{grid}, n <= {n_max}", points, cex)
+        return IdentityReport("fibonacci-riordan", f"{grid}, {n_grid}", points, cex)
 
     # the extracted first columns have their own closed forms
     checked = 0
     for label, arr in (("even", even), ("odd", odd)):
         closed_form = _EXTRACTED_D[label]
-        for m in range(n):
+        for m in coefficients:
             checked += 1
             got, want = arr.d.coeff(m), closed_form(m)
             if got != want:
@@ -337,23 +343,23 @@ def check_via_riordan(n_max: int) -> IdentityReport:
                 return failed(f"first column of rows {label}", checked, params, got, want)
 
     checks = [
-        ("even", even, _weight_series([0, 1, -1, -1, 1], n),
-         FormalPowerSeries([0, 1], precision=n), lambda m: fibonacci(2 * m)),
-        ("odd", odd, _weight_series([1, -1, 0, -1, 1], n),
-         FormalPowerSeries([1, -1], precision=n), lambda m: fibonacci(2 * m + 1)),
+        ("even", even, _weight_series([0, 1, -1, -1, 1], terms),
+         FormalPowerSeries([0, 1], precision=terms), lambda m: fibonacci(2 * m)),
+        ("odd", odd, _weight_series([1, -1, 0, -1, 1], terms),
+         FormalPowerSeries([1, -1], precision=terms), lambda m: fibonacci(2 * m + 1)),
     ]
-    fib_den = FormalPowerSeries([1, -3, 1], precision=n)
+    fib_den = FormalPowerSeries([1, -3, 1], precision=terms)
     points = 0
     for label, arr, weight, numerator, fib_value in checks:
         composed = arr.d * weight.compose(arr.h.shift_up())
         target = numerator / fib_den
-        for m in range(n):
+        for m in coefficients:
             points += 1
             got = composed.coeff(m)
             if got != target.coeff(m) or got != fib_value(m):
                 return failed(f"rows {label}", points, {"rows": label, "n": str(m)},
                               got, target.coeff(m))
-    return IdentityReport("fibonacci-riordan", f"even and odd extractions, n <= {n_max}", points)
+    return IdentityReport("fibonacci-riordan", f"even and odd extractions, {n_grid}", points)
 
 
 # -- generating functions of the convolution families -----------------------
@@ -389,7 +395,7 @@ def central_power_gf(p: int, x: Scalar, precision: int) -> FormalPowerSeries:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    x = Fraction(x)
+    x = _fraction(x)
     for n in range(1, precision):
         if (2 * p - 1) * n + 2 * x == 0:
             raise PoleError(f"(2p-1)n + 2x vanishes at n = {n}")
@@ -430,7 +436,7 @@ def fuss_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
     """The fuss-ballot series as a hypergeometric spec (needs p >= 2)."""
     if p < 2:
         raise ValueError(f"the hypergeometric form needs p >= 2, got {p}")
-    y = Fraction(y)
+    y = _fraction(y)
     return HypergeometricSpec(
         upper=[(y + i) / (p + 1) for i in range(1, p + 2)] + [(y + p) / (p - 1)],
         lower=[(y + i) / p for i in range(2, p + 2)] + [(y + 1) / (p - 1)],
@@ -447,7 +453,7 @@ def central_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
     """
     if p < 2:
         raise ValueError(f"the hypergeometric form needs p >= 2, got {p}")
-    y = Fraction(y)
+    y = _fraction(y)
     upper = [(2 * y + 2 + i) / Fraction(2 * p) for i in range(1, 2 * p + 1)]
     upper += [(y + p) / Fraction(p - 1), (y + 1) / Fraction(p)]
     lower = [(2 * y + 2 + i) / Fraction(2 * p - 1) for i in range(1, 2 * p)]
@@ -473,7 +479,7 @@ def check_product_laws(
     sum is compared with its substitution route when it is built; two
     routes that disagree raise ``TheoremViolationError``.
     """
-    x, y = Fraction(x), Fraction(y)
+    x, y = _fraction(x), _fraction(y)
     n = precision
     factors = {} if factors is None else factors
     if p not in factors:
@@ -548,19 +554,14 @@ def check_product_laws(
 
 
 # -- factor columns of the convolution identities -----------------------------
-# Each kernel is one term of a factor column or of an rhs, as an integer
-# (numerator, denominator) pair.  ``s`` is the start of the left column
-# and ``d = k - s`` the offset of the right one.
+# Each kernel is one term of a factor column, as an integer (numerator,
+# denominator) pair.  ``s`` is the start of the left column and
+# ``d = k - s`` the offset of the right one.
 
 
 def _shifted_pascal(p: int, r: int, d: int, m: int) -> Ratio:
     # C(pm+r, m-d)
     return icomb(p * m + r, m - d), 1
-
-
-def _column_sum_left(p: int, j: int) -> Ratio:
-    # 1/(pj+1) C(pj+1, j)
-    return icomb(p * j + 1, j), p * j + 1
 
 
 def _catalan_triangle_right(p: int, r: int, d: int, m: int) -> Ratio:
@@ -583,35 +584,6 @@ def _ballot_triangle_right(p: int, r: int, d: int, m: int) -> Ratio:
 def _shifted_binomial_ratio(z: int, c: int, e: int, m: int) -> Ratio:
     # C(y + zm, m) at y = c/e; (c + zme)/e is in lowest terms
     return _binomial_ratio(c + z * m * e, e, m)
-
-
-def _quotient(num: int, den: int) -> Ratio:
-    """(num, den), refusing a zero ``den`` as ``Fraction(num, 0)`` does.
-
-    An rhs with a zero denominator would pass a cross-multiplied
-    comparison against any lhs whenever its numerator is 0.
-    """
-    if den == 0:
-        raise ZeroDivisionError(f"Fraction({num}, 0)")
-    return num, den
-
-
-def _subarray_rhs(p: int, r: int, n: int, k: int) -> Ratio:
-    return icomb(p * n + r, n - k), 1
-
-
-def _column_sum_rhs(p: int, r: int, n: int, k: int) -> Ratio:
-    return icomb(p * n + r + 1, n - k + 1), 1
-
-
-def _catalan_triangle_rhs(p: int, r: int, n: int, k: int) -> Ratio:
-    num, den = _quotient((p - 1) * n + r + k + 1, p * n + r + 1)
-    return num * icomb(2 * (p * n + r + 1), n - k), den
-
-
-def _ballot_triangle_rhs(p: int, r: int, n: int, k: int) -> Ratio:
-    num, den = _quotient((p - 1) * n + k + r + 1, p * n + r + 1)
-    return num * icomb((p + 1) * n + r - k, p * n + r), den
 
 
 # -- registry ------------------------------------------------------------------
@@ -699,49 +671,63 @@ def _grid_points(axes: tuple[Axis, ...], pinned: Mapping[str, Scalar]) -> Iterat
     return (dict(zip(names, combo)) for combo in product(*sets))
 
 
-class Tail(NamedTuple):
-    """The slots a triangle identity enumerates per n after the rest of its grid."""
-
-    slots: tuple[str, ...]
-    values: Callable[[int, Mapping[str, Scalar]], Iterable[tuple]]
-    constraint: str  # grid text of the default range
-    lhs_only: tuple[str, ...]  # slots the lhs takes and the rhs does not
-    shifts: Callable[..., tuple[int, int]]  # values -> (left column start, right offset)
-
-
-_KS_TAIL = Tail(("k", "s"), _ks_pairs, "1 <= s <= k <= n", ("s",), lambda k, s: (s, k - s))
-_K_TAIL = Tail(
-    ("k",), lambda n, pinned: zip(_k_values(n, pinned)), "1 <= k <= n", (), lambda k: (0, k - 1)
-)
-_NO_TAIL = Tail((), lambda n, pinned: ((),), "", (), lambda: (0, 0))
-
-# a factor maps the slots outside n and the tail (in grid order) and a tail
-# shift to the term function of its column; an rhs maps those slots to a
-# function of n and the tail slots it takes
+# a factor maps the slots outside n and the law's (in grid order) and a
+# column shift to the term function of its column
 Factor = Callable[..., Callable[[int], Ratio]]
 
 
-class SumIdentity(NamedTuple):
-    """A convolution identity sum_j left(j) right(n - j) == rhs, declared as data.
+class Law(NamedTuple):
+    """The Riordan-array law of a convolution row: its extra slots, its points, its rhs."""
 
-    Its grid is the product of ``sets`` (the integer slots), x and y over
-    RATIONAL_GRID when they are slots, n in 0..max_n, then the tail at
-    each n.  The left column starts at the tail's first shift (no term
-    below it is taken), the right one takes the second as its offset.
-    A pinned p below ``p_min`` or r below ``r_min`` is refused before any
-    compute.
+    axes: tuple[Axis, ...]  # outer slots it adds after the row's sets
+    slots: tuple[str, ...]  # slots it enumerates at each n, through ``values``
+    values: Callable[[int, Mapping[str, Scalar]], Iterable[tuple]]
+    parts: tuple[GridPart, ...]  # its grid text; a k or s shows only when pinned
+    lhs_only: tuple[str, ...]  # slots the lhs takes and the rhs does not
+    shifts: Callable[..., tuple[int, int]]  # values -> (left column start, right offset)
+    # (right factor, outer slots, the rhs's values) -> the rhs as a term function of n
+    rhs: Callable[..., Callable[[int], Ratio]]
+
+
+# column k of the array is column k - s convolved with (t h)^s: the right factor at offset k
+_KS_LAW = Law(
+    (), ("k", "s"), _ks_pairs, ((("k",), "", ""), (("s",), "", ""), ((), "1 <= s <= k <= n", "")),
+    ("s",), lambda k, s: (s, k - s), lambda right, p, r, k: right(p, r, k),
+)
+# the column sum: the right factor at (p, r + 1) and offset k - 1
+_K_LAW = Law(
+    (), ("k",), lambda n, pinned: zip(_k_values(n, pinned)),
+    ((("k",), "", ""), ((), "1 <= k <= n", "")),
+    (), lambda k: (0, k - 1), lambda right, p, r, k: right(p, r + 1, k - 1),
+)
+# F_x * G_y = G_{x+y} over the rational grid: the right factor at y := x + y
+_VANDERMONDE_LAW = Law(
+    (("x", RATIONAL_GRID), ("y", RATIONAL_GRID)), (), lambda n, pinned: ((),),
+    (_RATIONAL_PAIR_PART,), (), lambda: (0, 0), lambda right, v, x, y: right(v, x, x + y, 0),
+)
+
+
+class SumIdentity(NamedTuple):
+    """A convolution identity sum_j left(j) right(n - j) == its law's rhs, declared as data.
+
+    Its grid is the product of ``sets`` (the integer slots) and the law's
+    axes, n in 0..max_n, then the law's slots at each n.  A pinned p below
+    ``p_min`` or r below ``r_min`` is refused before any compute.
     """
 
     id: str
-    slots: tuple[str, ...]
     description: str
     left: Factor
     right: Factor
-    rhs: Callable[..., Callable[..., Ratio]]
     sets: tuple[Axis, ...]
-    tail: Tail
+    law: Law
     p_min: int | None
     r_min: int | None = None
+
+
+def _slots(row: SumIdentity) -> tuple[str, ...]:
+    """A row's slots in grid order: its sets, its law's axes, n, then the law's slots."""
+    return (*(slot for slot, _ in row.sets + row.law.axes), "n", *row.law.slots)
 
 
 def _require_min(
@@ -758,20 +744,18 @@ def _require_min(
 Reach = dict[int, int]
 
 
-def _reach(
-    tail: Tail, n_values: Iterable[int], pinned: Mapping[str, Scalar]
-) -> tuple[Reach, Reach]:
+def _reach(law: Law, n_values: Iterable[int], pinned: Mapping[str, Scalar]) -> tuple[Reach, Reach]:
     """How far the points read each left column (by start) and right column (by offset).
 
     A point at n reads the left column from its start to n, and the right
-    one from 0 to n - start.  The grid of (n, tail) is the same at every
-    value of the other slots, so this is computed once per run.
+    one from 0 to n - start.  The grid of (n, law slots) is the same at
+    every value of the other slots, so this is computed once per run.
     """
     lefts: Reach = {}
     rights: Reach = {}
     for n in n_values:
-        for values in tail.values(n, pinned):
-            start, offset = tail.shifts(*values)
+        for values in law.values(n, pinned):
+            start, offset = law.shifts(*values)
             lefts[start] = max(lefts.get(start, n), n)
             rights[offset] = max(rights.get(offset, n - start), n - start)
     return lefts, rights
@@ -781,20 +765,19 @@ def _check_outer(
     row: SumIdentity, outer: dict, n_values: Iterable[int], reach: tuple[Reach, Reach],
     pinned: Mapping[str, Scalar],
 ) -> tuple[int, Counterexample | None]:
-    """Check the points (n, tail) at one value ``outer`` of the other slots.
+    """Check the points (n, law slots) at one value ``outer`` of the other slots.
 
     Returns the points checked and the first counterexample.  Each factor
     column is built on first use, up to the highest index ``reach`` says
     a point reads from it, and dropped on return.
     """
     args = tuple(outer.values())
-    rhs = row.rhs(*args)
-    tail = row.tail
-    rhs_values = [i for i, slot in enumerate(tail.slots) if slot not in tail.lhs_only]
+    law = row.law
+    rhs_values = [i for i, slot in enumerate(law.slots) if slot not in law.lhs_only]
     lefts: dict[int, Column] = {}
     rights: dict[int, Column] = {}
-    # tail values -> (left column, right column, the rhs's tail values)
-    operands: dict[tuple, tuple[Column, Column, list]] = {}
+    # law values -> (left column, right column, the rhs as a term function of n)
+    operands: dict[tuple, tuple[Column, Column, Callable[[int], Ratio]]] = {}
 
     def column(
         cache: dict[int, Column], factor: Factor, shift: int, start: int, last: Reach
@@ -806,21 +789,23 @@ def _check_outer(
 
     points = 0
     for n in n_values:
-        for values in tail.values(n, pinned):
+        for values in law.values(n, pinned):
             points += 1
             ops = operands.get(values)
             if ops is None:
-                start, offset = tail.shifts(*values)
+                start, offset = law.shifts(*values)
                 ops = operands[values] = (
                     column(lefts, row.left, start, start, reach[0]),
                     column(rights, row.right, offset, 0, reach[1]),
-                    [values[i] for i in rhs_values],
+                    law.rhs(row.right, *args, *(values[i] for i in rhs_values)),
                 )
-            left, right, rhs_tail = ops
+            left, right, rhs = ops
             num, den = _dot(left, right, n), left.den * right.den
-            rnum, rden = rhs(n, *rhs_tail)
+            rnum, rden = rhs(n)
+            if rden == 0:  # cross-multiplied, an rhs over 0 would pass any lhs at rnum 0
+                raise ZeroDivisionError(f"Fraction({rnum}, 0)")
             if num * rden != rnum * den:
-                params = {**outer, "n": n, **dict(zip(tail.slots, values))}
+                params = {**outer, "n": n, **dict(zip(law.slots, values))}
                 cex = Counterexample(
                     {k: str(v) for k, v in params.items()},
                     str(Fraction(num, den)), str(Fraction(rnum, rden)),
@@ -832,14 +817,13 @@ def _check_outer(
 def _check_sums(
     row: SumIdentity, parts: list[GridPart], max_n: int, pinned: Mapping[str, Scalar]
 ) -> IdentityReport:
-    _require_min(row.id, "p", row.p_min, pinned)
-    _require_min(row.id, "r", row.r_min, pinned)
-    axes = row.sets + tuple((slot, RATIONAL_GRID) for slot in ("x", "y") if slot in row.slots)
+    for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0)):
+        _require_min(row.id, slot, least, pinned)
     n_values = _pin_values(pinned, "n", range(max_n + 1))
-    reach = _reach(row.tail, n_values, pinned)
+    reach = _reach(row.law, n_values, pinned)
     points = 0
     cex = None
-    for outer in _grid_points(axes, pinned):
+    for outer in _grid_points(row.sets + row.law.axes, pinned):
         checked, cex = _check_outer(row, outer, n_values, reach, pinned)
         points += checked
         if cex is not None:
@@ -850,81 +834,70 @@ def _check_sums(
 
 def _sum_entry(row: SumIdentity) -> RegistryEntry:
     parts = [((s,), f"{s} in ({','.join(map(str, v))})", "") for s, v in row.sets]
-    if "x" in row.slots:
-        parts.append(_RATIONAL_PAIR_PART)
-    # k and s have no set of their own (the constraint names it): they show only when pinned
-    parts += [((slot,), "", "") for slot in row.tail.slots] + [((), row.tail.constraint, "")]
+    parts += row.law.parts
     run = partial(_check_sums, row, parts)
-    return RegistryEntry(row.id, row.description, row.slots, _grid_text(parts, {}), run)
+    return RegistryEntry(row.id, row.description, _slots(row), _grid_text(parts, {}), run)
 
 
 _P_SET, _Z_SET = (("p", (2, 3, 4)),), (("z", (2, 3, 4)),)
 _PR_SETS = _P_SET + (("r", (0, 1, 2)),)
 SUM_IDENTITIES = (
     SumIdentity(
-        "subarray-convolution", ("p", "r", "n", "k", "s"),
+        "subarray-convolution",
         "sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s) = C(pn+r, n-k)",
         lambda p, r, s: partial(_power_ratio, p, s),
         lambda p, r, d: partial(_shifted_pascal, p, r, d),
-        lambda p, r: partial(_subarray_rhs, p, r),
-        _PR_SETS, _KS_TAIL, 1, 0,
+        _PR_SETS, _KS_LAW, 1, 0,
     ),
     SumIdentity(
-        "catalan-vandermonde", ("z", "x", "y", "n"),
+        "catalan-vandermonde",
         "sum_i x/(x+zi) C(x+zi, i) C(y+z(n-i), n-i) = C(x+y+zn, n)",
         lambda z, x, y, _: partial(_catalan_power_ratio, z, *_ratio(x)),
         lambda z, x, y, _: partial(_shifted_binomial_ratio, z, *_ratio(y)),
-        lambda z, x, y: partial(_shifted_binomial_ratio, z, *_ratio(x + y)),
-        _Z_SET, _NO_TAIL, None,
+        _Z_SET, _VANDERMONDE_LAW, None,
     ),
     SumIdentity(
-        "catalan-column-sum", ("p", "r", "n", "k"),
+        "catalan-column-sum",
         "sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1) = C(pn+r+1, n-k+1)",
-        lambda p, r, _: partial(_column_sum_left, p),
+        lambda p, r, _: partial(_catalan_power_ratio, p, 1, 1),
         lambda p, r, d: partial(_shifted_pascal, p, r, d),
-        lambda p, r: partial(_column_sum_rhs, p, r),
-        _PR_SETS, _K_TAIL, 0, 0,
+        _PR_SETS, _K_LAW, 0, 0,
     ),
     SumIdentity(
-        "catalan-triangle-convolution", ("p", "r", "n", "k", "s"),
+        "catalan-triangle-convolution",
         "central convolution over the subsampled Catalan triangle (valid from p = 1 on)",
         lambda p, r, s: partial(_power_ratio, 2 * p, s),
         lambda p, r, d: partial(_catalan_triangle_right, p, r, d),
-        lambda p, r: partial(_catalan_triangle_rhs, p, r),
-        (("p", (1, 2, 3, 4)), ("r", (0, 1, 2))), _KS_TAIL, 1, 0,
+        (("p", (1, 2, 3, 4)), ("r", (0, 1, 2))), _KS_LAW, 1, 0,
     ),
     SumIdentity(
-        "ballot-triangle-convolution", ("p", "r", "n", "k", "s"),
+        "ballot-triangle-convolution",
         "convolution over the subsampled ballot-variant triangle",
         lambda p, r, s: partial(_ballot_triangle_left, p, s),
         lambda p, r, d: partial(_ballot_triangle_right, p, r, d),
-        lambda p, r: partial(_ballot_triangle_rhs, p, r),
-        _PR_SETS, _KS_TAIL, 1, 0,
+        _PR_SETS, _KS_LAW, 1, 0,
     ),
     SumIdentity(
-        "ballot-vandermonde", ("p", "x", "y", "n"),
+        "ballot-vandermonde",
         "sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot(y, n-i) = ballot(x+y, n)",
         lambda p, x, y, _: partial(_catalan_power_ratio, p + 1, *_ratio(x)),
         lambda p, x, y, _: partial(_ballot_ratio, p, *_ratio(y)),
-        lambda p, x, y: partial(_ballot_ratio, p, *_ratio(x + y)),
-        _P_SET, _NO_TAIL, 0,
+        _P_SET, _VANDERMONDE_LAW, 0,
     ),
     SumIdentity(
-        "rothe-hagen", ("z", "x", "y", "n"),
+        "rothe-hagen",
         "sum_i x/(x+zi) C(x+zi, i) y/(y+z(n-i)) C(y+z(n-i), n-i) "
         "= (x+y)/(x+y+zn) C(x+y+zn, n)",
         lambda z, x, y, _: partial(_catalan_power_ratio, z, *_ratio(x)),
         lambda z, x, y, _: partial(_catalan_power_ratio, z, *_ratio(y)),
-        lambda z, x, y: partial(_catalan_power_ratio, z, *_ratio(x + y)),
-        _Z_SET, _NO_TAIL, None,
+        _Z_SET, _VANDERMONDE_LAW, None,
     ),
     SumIdentity(
-        "central-binomial-vandermonde", ("p", "x", "y", "n"),
+        "central-binomial-vandermonde",
         "sum_i central-power(x, i) * central-ballot(y, n-i) = central-ballot(x+y, n)",
         lambda p, x, y, _: partial(_central_power_ratio, p, *_ratio(x)),
         lambda p, x, y, _: partial(_central_ballot_ratio, p, *_ratio(y)),
-        lambda p, x, y: partial(_central_ballot_ratio, p, *_ratio(x + y)),
-        _P_SET, _NO_TAIL, 0,
+        _P_SET, _VANDERMONDE_LAW, 0,
     ),
 )
 _SUMS = {row.id: row for row in SUM_IDENTITIES}
@@ -936,43 +909,45 @@ _SUMS = {row.id: row for row in SUM_IDENTITIES}
 def _point(
     identity: str, slots: Mapping[str, Scalar], lhs: bool
 ) -> tuple[SumIdentity, tuple, tuple]:
-    """The row of ``identity`` and the point's outer and tail values (the rhs's, if not lhs)."""
+    """The row of ``identity`` and the point's outer and law values (the rhs's, if not lhs)."""
     row = _SUMS.get(identity)
     if row is None:
         raise RegistryError(f"unknown sum identity {identity!r}")
-    skip = () if lhs else row.tail.lhs_only
-    names = [slot for slot in row.slots if slot != "n" and slot not in skip]
+    law = row.law
+    skip = () if lhs else law.lhs_only
+    names = [slot for slot in _slots(row) if slot != "n" and slot not in skip]
     if sorted(slots) != sorted(names):
         raise RegistryError(
             f"identity {identity!r} takes slots {names} besides n, got {sorted(slots)}"
         )
-    outer = tuple(slots[slot] for slot in names if slot not in row.tail.slots)
-    tail = tuple(slots[slot] for slot in row.tail.slots if slot not in skip)
-    return row, outer, tail
+    outer = tuple(slots[slot] for slot in names if slot not in law.slots)
+    values = tuple(slots[slot] for slot in law.slots if slot not in skip)
+    return row, outer, values
 
 
 def sum_lhs(identity: str, n: int, **slots: Scalar) -> Fraction:
     """One point's lhs: the dot product at n of the row's two factor columns.
 
-    A k/s row's sum takes j = s..n only inside its domain; it refuses a point outside.
+    It refuses p below ``p_min``, and a k/s point outside 1 <= s <= k.
     """
-    row, outer, tail = _point(identity, slots, lhs=True)
-    if row.tail is _KS_TAIL:
-        p, (k, s) = slots["p"], tail
+    row, outer, values = _point(identity, slots, lhs=True)
+    if row.law is _KS_LAW:
+        p, (k, s) = slots["p"], values
         if p < row.p_min or not 1 <= s <= k:
             raise ValueError(
                 f"{identity} needs p >= {row.p_min} and 1 <= s <= k, got p={p}, k={k}, s={s}"
             )
-    start, offset = row.tail.shifts(*tail)
+    _require_min(identity, "p", row.p_min, slots)
+    start, offset = row.law.shifts(*values)
     left = _column(row.left(*outer, start), start, n + 1)
     right = _column(row.right(*outer, offset), 0, n + 1)
     return Fraction(_dot(left, right, n), left.den * right.den)
 
 
 def sum_rhs(identity: str, n: int, **slots: Scalar) -> Fraction:
-    """One point's rhs, from the row's slots other than n and ``tail.lhs_only``."""
-    row, outer, tail = _point(identity, slots, lhs=False)
-    return Fraction(*row.rhs(*outer)(n, *tail))
+    """One point's rhs, the right factor at the law's summed parameter; no ``lhs_only`` slot."""
+    row, outer, values = _point(identity, slots, lhs=False)
+    return Fraction(*row.law.rhs(row.right, *outer, *values)(n))
 
 
 def _sweep(
@@ -1010,7 +985,7 @@ def _andrews_entry(variant: str) -> RegistryEntry:
         "alternating binomial sum over a period-5 window equals a Fibonacci number "
         f"(parameter n maps to F with index like {index(3)} at n=3)",
         ("n",), f"n from {n_min}",
-        lambda max_n, pinned: check_andrews(variant, max_n),
+        lambda max_n, pinned: check_andrews(variant, max_n, pinned.get("n")),
     )
 
 
@@ -1025,7 +1000,7 @@ REGISTRY: dict[str, RegistryEntry] = {
             "d(t) f(t h(t)) over the even/odd row extraction of the binomial "
             "triangle equals the even/odd Fibonacci generating function",
             ("n",), "coefficients 0..max_n, both extractions",
-            lambda max_n, pinned: check_via_riordan(max_n),
+            lambda max_n, pinned: check_via_riordan(max_n, pinned.get("n")),
         ),
         *map(_sum_entry, SUM_IDENTITIES),
         RegistryEntry(

@@ -12,7 +12,7 @@ from riordan.cli import main
 from riordan.hypergeom import h_for_binomial_A
 
 
-GOLDEN_CHECK_ALL = Path(__file__).parent.parent / "bench" / "expected" / "check_all_n50.jsonl"
+EXPECTED = Path(__file__).parent.parent / "bench" / "expected"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -255,7 +255,13 @@ def test_check_all_small_grid_jsonl(capsys):
 def test_check_all_matches_golden_jsonl(capsys):
     code, out, _ = run(capsys, "check", "--all", "--max-n", "50", "--format", "jsonl")
     assert code == 0
-    assert out.encode() == GOLDEN_CHECK_ALL.read_bytes()
+    assert out.encode() == (EXPECTED / "check_all_n50.jsonl").read_bytes()
+
+
+def test_check_all_at_max_n_4_matches_golden_jsonl(capsys):
+    code, out, _ = run(capsys, "check", "--all", "--max-n", "4", "--format", "jsonl")
+    assert code == 0
+    assert out.encode() == (EXPECTED / "check_all_n4.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("csv", "csv"), ("jsonl", "jsonl")])

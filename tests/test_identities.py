@@ -10,7 +10,7 @@ from riordan import identities
 from riordan.hypergeom import binomial_series, expand
 from riordan.identities import (
     _FIB_CACHE_MAX,
-    _NO_TAIL,
+    _VANDERMONDE_LAW,
     ANDREWS_VARIANTS,
     RATIONAL_GRID,
     RegistryError,
@@ -35,7 +35,7 @@ from riordan.identities import (
     sum_rhs,
 )
 from riordan.reports import Counterexample, IdentityReport
-from riordan.series import FormalPowerSeries, lagrange_gf
+from riordan.series import FormalPowerSeries, SeriesError, lagrange_gf
 
 FPS = FormalPowerSeries
 
@@ -218,6 +218,33 @@ def test_triangle_sums_refuse_points_outside_their_domain(p, k, s):
         sum_lhs("subarray-convolution", 5, p=p, r=0, k=k, s=s)
 
 
+@pytest.mark.parametrize("identity, slots, p_min", [
+    ("catalan-column-sum", {"r": 0, "k": 1}, 0),
+    ("ballot-vandermonde", {"x": 1, "y": 1}, 0),
+    ("central-binomial-vandermonde", {"x": 1, "y": 1}, 0),
+])
+def test_sums_refuse_p_below_their_domain(identity, slots, p_min):
+    message = f"identity {identity!r} needs p >= {p_min}, got p={p_min - 1}"
+    with pytest.raises(RegistryError, match=re.escape(message)):
+        sum_lhs(identity, 3, p=p_min - 1, **slots)
+    assert sum_lhs(identity, 3, p=p_min, **slots) == sum_rhs(identity, 3, p=p_min, **slots)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: central_power_gf(2, 0.1, 3),
+    lambda: binomial(0.1, 2),
+    lambda: fuss_ballot_gf(2, 0.5, 4),
+    lambda: sum_lhs("rothe-hagen", 3, z=2, x=0.5, y=1),
+    lambda: fuss_ballot_spec(2, 0.5),
+    lambda: central_ballot_spec(2, 0.5),
+    lambda: check_product_laws(2, 0.5, 1, 4),
+])
+def test_value_functions_refuse_floats(call):
+    message = "float coefficients are not exact; use Fraction or int"
+    with pytest.raises(SeriesError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_catalan_column_sum_hand_checked():
     # p=2, r=0, k=1, n=2: terms 6 + 2 + 2 = 10 = C(5, 2)
     point = {"p": 2, "r": 0, "k": 1}
@@ -345,11 +372,13 @@ def test_registry_rejects_bad_pin():
 
 
 def test_counterexample_payload():
-    # lhs(n) = sum_j [j = 0] * n-j = n, against an rhs that is off by one from n = 3
+    # lhs(n) = sum_j [j = 0] * n-j = n, against a law whose rhs is off by one from n = 3
+    law = _VANDERMONDE_LAW._replace(
+        axes=(), parts=(), rhs=lambda right: lambda n: (n if n < 3 else n + 1, 1)
+    )
     row = SumIdentity(
-        "broken", ("n",), "n = n, wrong from 3 on",
-        lambda _: lambda j: (int(j == 0), 1), lambda _: lambda m: (m, 1),
-        lambda: lambda n: (n if n < 3 else n + 1, 1), (), _NO_TAIL, None,
+        "broken", "n = n, wrong from 3 on",
+        lambda _: lambda j: (int(j == 0), 1), lambda _: lambda m: (m, 1), (), law, None,
     )
     rep = _sum_entry(row).run(max_n=10, pinned={})
     assert not rep.holds
@@ -385,6 +414,50 @@ def test_registry_n_pin_checks_that_n_only():
     assert rep.holds
     assert rep.points == 3 * 5 * 5
     assert rep.grid == "z in (2,3,4), rational (x, y) grid, n=4"
+
+
+@pytest.mark.parametrize("variant", sorted(ANDREWS_VARIANTS))
+def test_andrews_n_pin_checks_that_n_only(monkeypatch, variant):
+    windows = []
+    real = identities.andrews_sum
+    monkeypatch.setattr(identities, "andrews_sum", lambda *w: windows.append(w) or real(*w))
+    rep = check_registry(f"andrews-{variant}", 5, {"n": 7})
+    assert (rep.holds, rep.points, rep.grid) == (True, 1, "n=7")
+    assert windows == [ANDREWS_VARIANTS[variant][2](7)]
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in registry_entries() if "n" in e.slots], ids=lambda e: e.id)
+def test_an_n_pin_below_the_first_n_is_refused_by_name(entry):
+    least = {f"andrews-{v}": row[1] for v, row in ANDREWS_VARIANTS.items()}.get(entry.id, 0)
+    message = f"identity {entry.id!r} needs n >= {least}, got n={least - 1}"
+    with pytest.raises(RegistryError, match=re.escape(message)):
+        check_registry(entry.id, 5, {"n": least - 1})
+
+
+def test_fibonacci_riordan_n_pin_checks_coefficient_n_of_both_extractions(monkeypatch):
+    wrong = dict(identities._EXTRACTED_D, even=lambda m: comb(2 * m, m) + (m == 3))
+    rep = check_registry("fibonacci-riordan", 5, {"n": 7})
+    assert (rep.holds, rep.points, rep.grid) == (True, 2, "even and odd extractions, n=7")
+    monkeypatch.setattr(identities, "_EXTRACTED_D", wrong)
+    assert check_registry("fibonacci-riordan", 5, {"n": 2}).holds
+    rep = check_registry("fibonacci-riordan", 5, {"n": 3})
+    assert rep.grid == "first column of rows even, n=3"
+    assert rep.counterexample.params == {"rows": "even", "column": "d", "n": "3"}
+
+
+# a value inside every identity's domain for each slot
+PIN_VALUES = {"n": 3, "p": 2, "r": 1, "z": 2, "k": 2, "s": 1,
+              "x": Fraction(1, 2), "y": Fraction(3, 2)}
+
+
+@pytest.mark.parametrize("entry", registry_entries(), ids=lambda e: e.id)
+def test_every_listed_slot_pin_is_named_in_the_grid(entry):
+    for slot in entry.slots:
+        value = PIN_VALUES[slot]
+        rep = check_registry(entry.id, 4, {slot: value})
+        assert rep.holds and rep.points > 0, (slot, rep.to_record())
+        assert f"{slot}={value}" in rep.grid.split(", "), (slot, rep.grid)
 
 
 def test_report_record_shape():

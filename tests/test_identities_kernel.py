@@ -336,21 +336,49 @@ REF_LHS = {
     "central-binomial-vandermonde": lambda p, x, y, n: ref_convolution(
         lambda i: ref_central_power(p, x, i), lambda m: ref_central_ballot(p, y, m), n),
 }
+# each row's rhs as its closed form, from the point's slots other than the law's lhs_only
+REF_RHS = {
+    "subarray-convolution": lambda p, r, n, k: Fraction(ref_icomb(p * n + r, n - k)),
+    "catalan-vandermonde": lambda z, x, y, n: ref_binomial(x + y + z * n, n),
+    "catalan-column-sum": lambda p, r, n, k: Fraction(ref_icomb(p * n + r + 1, n - k + 1)),
+    "catalan-triangle-convolution": lambda p, r, n, k: (
+        Fraction((p - 1) * n + r + k + 1, p * n + r + 1) * ref_icomb(2 * (p * n + r + 1), n - k)),
+    "ballot-triangle-convolution": lambda p, r, n, k: (
+        Fraction((p - 1) * n + k + r + 1, p * n + r + 1)
+        * ref_icomb((p + 1) * n + r - k, p * n + r)),
+    "ballot-vandermonde": lambda p, x, y, n: ref_ballot(p, x + y, n),
+    "rothe-hagen": lambda z, x, y, n: ref_catalan_power(z, x + y, n),
+    "central-binomial-vandermonde": lambda p, x, y, n: ref_central_ballot(p, x + y, n),
+}
 ROWS = {row.id: row for row in I.SUM_IDENTITIES}
 
 
-def pointwise_run(row, max_n, pinned):
-    """(points, counterexample) of a term-by-term check, point by point in grid order."""
-    axes = row.sets + tuple((slot, I.RATIONAL_GRID) for slot in ("x", "y") if slot in row.slots)
-    rhs_slots = [slot for slot in row.tail.slots if slot not in row.tail.lhs_only]
+@pytest.mark.parametrize("identity", sorted(ROWS))
+def test_sum_rhs_is_the_closed_form(identity):
+    # the right factor at the law's summed parameter, over the default grid up to n = 8
+    law = ROWS[identity].law
+    for point in I._grid_points(ROWS[identity].sets + law.axes + (("n", range(9)),), {}):
+        for values in law.values(point["n"], {}):
+            params = {**point, **dict(zip(law.slots, values))}
+            rhs = {slot: v for slot, v in params.items() if slot not in law.lhs_only}
+            assert outcome(I.sum_rhs, identity, **rhs) == outcome(REF_RHS[identity], **rhs)
+
+
+def pointwise_run(row, max_n, pinned, bad_n=None):
+    """(points, counterexample) of a term-by-term check, point by point in grid order.
+
+    The rhs is off by one at every point with n = ``bad_n``, as in ``wrong_at``.
+    """
+    law = row.law
     points = 0
-    for point in I._grid_points(axes + (("n", range(max_n + 1)),), pinned):
-        outer = [v for slot, v in point.items() if slot != "n"]
-        for values in row.tail.values(point["n"], pinned):
-            params = {**point, **dict(zip(row.tail.slots, values))}
+    for point in I._grid_points(row.sets + law.axes + (("n", range(max_n + 1)),), pinned):
+        for values in law.values(point["n"], pinned):
+            params = {**point, **dict(zip(law.slots, values))}
             points += 1
             lhs = REF_LHS[row.id](**params)
-            rhs = Fraction(*row.rhs(*outer)(point["n"], *[params[s] for s in rhs_slots]))
+            rhs = REF_RHS[row.id](**{s: v for s, v in params.items() if s not in law.lhs_only})
+            if point["n"] == bad_n:
+                rhs += 1
             if lhs != rhs:
                 return points, Counterexample({k: str(v) for k, v in params.items()},
                                               str(lhs), str(rhs))
@@ -363,15 +391,15 @@ def registry_run(row, max_n, pinned):
 
 
 def wrong_at(row, bad_n):
-    """``row`` with its rhs off by one at every point with n = bad_n."""
-    def rhs(*outer):
-        right = row.rhs(*outer)
+    """``row`` with its law's rhs off by one at every point with n = bad_n."""
+    def rhs(*args):
+        term = row.law.rhs(*args)
 
-        def at(n, *tail):
-            num, den = right(n, *tail)
+        def at(n):
+            num, den = term(n)
             return (num + den, den) if n == bad_n else (num, den)
         return at
-    return row._replace(rhs=rhs)
+    return row._replace(law=row.law._replace(rhs=rhs))
 
 
 @st.composite
@@ -386,7 +414,7 @@ def pins(draw, row, max_n):
                          ("k", st.just(k)), ("s", st.integers(1, k))):
         if draw(st.booleans()):
             pinned[slot] = Fraction(draw(values)) if slot in "xy" else draw(values)
-    return {slot: v for slot, v in pinned.items() if slot in row.slots}
+    return {slot: v for slot, v in pinned.items() if slot in I._slots(row)}
 
 
 PARITY = settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -400,10 +428,9 @@ def test_registry_runner_matches_term_by_term(identity, data):
     max_n = data.draw(st.integers(0, 12))
     pinned = data.draw(pins(row, max_n))
     bad_n = data.draw(st.one_of(st.none(), st.integers(0, max_n)))
-    if bad_n is not None:
-        row = wrong_at(row, bad_n)
-    assert outcome(registry_run, row, max_n, pinned) == outcome(
-        pointwise_run, row, max_n, pinned)
+    wrong = row if bad_n is None else wrong_at(row, bad_n)
+    assert outcome(registry_run, wrong, max_n, pinned) == outcome(
+        pointwise_run, row, max_n, pinned, bad_n)
 
 
 @pytest.mark.parametrize("max_n", [20, 40])
@@ -434,6 +461,18 @@ def test_column_faults_surface_where_the_sum_takes_them(identity, pinned, messag
     with pytest.raises((ValueError, ZeroDivisionError)) as caught:
         registry_run(row, 20, pinned)
     assert str(caught.value) == message
+
+
+def test_an_rhs_over_zero_is_refused_as_fraction_refuses_it():
+    # cross-multiplied, an rhs of 0/0 would pass against any lhs
+    law = I._VANDERMONDE_LAW._replace(axes=(), parts=(), rhs=lambda right: lambda n: (0, 0))
+    row = I.SumIdentity("zero", "", lambda _: lambda j: (1, 1), lambda _: lambda m: (1, 1),
+                        (), law, None)
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(0, 0\)$"):
+        registry_run(row, 3, {})
+    # the right factor's denominator pn + r + 1 vanishes at p = 1, r = -2, n = 1
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(0, 0\)$"):
+        I.sum_rhs("catalan-triangle-convolution", 1, p=1, r=-2, k=1)
 
 
 @pytest.mark.parametrize("identity", ["subarray-convolution", "catalan-column-sum"])
