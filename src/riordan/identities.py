@@ -925,19 +925,30 @@ def _point(
     return row, outer, values
 
 
+def _require_domain(row: SumIdentity, n: int, slots: Mapping[str, Scalar]) -> None:
+    """Refuse one point outside the row's domain by the slot at fault, before any compute.
+
+    That is p below ``p_min``, r below ``r_min``, n below 0, and a k/s
+    point outside 1 <= s <= k (an rhs takes no s).
+    """
+    if row.law is _KS_LAW and "s" in slots:
+        p, k, s = slots["p"], slots["k"], slots["s"]
+        if p < row.p_min or not 1 <= s <= k:
+            raise ValueError(
+                f"{row.id} needs p >= {row.p_min} and 1 <= s <= k, got p={p}, k={k}, s={s}"
+            )
+    point = {**slots, "n": n}
+    for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0)):
+        _require_min(row.id, slot, least, point)
+
+
 def sum_lhs(identity: str, n: int, **slots: Scalar) -> Fraction:
     """One point's lhs: the dot product at n of the row's two factor columns.
 
-    It refuses p below ``p_min``, and a k/s point outside 1 <= s <= k.
+    A point outside the row's domain is refused (see :func:`_require_domain`).
     """
     row, outer, values = _point(identity, slots, lhs=True)
-    if row.law is _KS_LAW:
-        p, (k, s) = slots["p"], values
-        if p < row.p_min or not 1 <= s <= k:
-            raise ValueError(
-                f"{identity} needs p >= {row.p_min} and 1 <= s <= k, got p={p}, k={k}, s={s}"
-            )
-    _require_min(identity, "p", row.p_min, slots)
+    _require_domain(row, n, slots)
     start, offset = row.law.shifts(*values)
     left = _column(row.left(*outer, start), start, n + 1)
     right = _column(row.right(*outer, offset), 0, n + 1)
@@ -945,8 +956,12 @@ def sum_lhs(identity: str, n: int, **slots: Scalar) -> Fraction:
 
 
 def sum_rhs(identity: str, n: int, **slots: Scalar) -> Fraction:
-    """One point's rhs, the right factor at the law's summed parameter; no ``lhs_only`` slot."""
+    """One point's rhs, the right factor at the law's summed parameter; no ``lhs_only`` slot.
+
+    A point outside the row's domain is refused, as by :func:`sum_lhs`.
+    """
     row, outer, values = _point(identity, slots, lhs=False)
+    _require_domain(row, n, slots)
     return Fraction(*row.law.rhs(row.right, *outer, *values)(n))
 
 

@@ -429,9 +429,11 @@ class FormalPowerSeries:
     def revert(self) -> "FormalPowerSeries":
         """Compositional inverse: ``self.compose(result) = t``.
 
-        Requires order exactly 1.  Newton iteration with doubling working
-        precision; the independent Lagrange coefficient formula
-        (:func:`lagrange_coeffs`) serves as the test oracle.
+        Requires order exactly 1.  Newton iteration on ``self(w) = t`` with
+        doubling working precision; each step reads ``self(w)`` and
+        ``self'(w)`` from one table of the powers of ``w``.  The independent
+        Lagrange coefficient formula (:func:`lagrange_coeffs`) serves as the
+        test oracle.
         """
         n = len(self._nums)
         if self.order != 1:
@@ -440,16 +442,13 @@ class FormalPowerSeries:
         prec = 2
         while prec < n:
             prec = min(2 * prec, n)
-            g = self.truncate(prec)
             # Zero-padding the current guess is safe: the Newton step below
             # repairs every coefficient up to twice the previously correct order.
             w = w._padded(prec - len(w._nums))
-            err = g.compose(w) - FormalPowerSeries.t(prec)
-            den = g.derivative().compose(w)  # precision prec - 1, den(0) != 0
-            inv = FormalPowerSeries.one(prec - 1) / den
-            # err has order >= 2, so the top coefficient of err * inv never
-            # touches the fabricated top coefficient of the padded inverse.
-            w = w - err * inv._padded(1)
+            g, dg = _compose_with_derivative(self, w)
+            # g - t has order >= 2, so the quotient never reads the top
+            # coefficient of dg, which reads self's coefficient prec (0 once prec = n).
+            w = w - (g - FormalPowerSeries.t(prec)) / dg
         return w
 
     # -- serialization -----------------------------------------------
@@ -461,6 +460,44 @@ class FormalPowerSeries:
     @classmethod
     def from_record(cls, record: dict) -> "FormalPowerSeries":
         return cls([Fraction(c) for c in record["coeffs"]], precision=record["prec"])
+
+
+# -- composition from a table of powers ------------------------------
+
+
+def _compose_with_derivative(
+    g: FormalPowerSeries, w: FormalPowerSeries
+) -> tuple[FormalPowerSeries, FormalPowerSeries]:
+    """``g(w)`` and ``g'(w)`` at ``w``'s precision ``n``; ``w(0) = 0``, ``g`` known mod ``t^n``.
+
+    Both are read from one table ``w^0 .. w^(L-1)``, with ``L`` the length
+    of ``g`` without its trailing zeros, and at most ``n`` (``w^i`` vanishes
+    mod ``t^n`` from ``i = n`` on).  ``g'(w)`` reads ``g`` up to index ``n``;
+    a coefficient past ``g``'s precision counts as 0.
+    """
+    n = len(w._nums)
+    coeffs = g._nums[:n + 1]
+    length = len(coeffs)
+    while length > 1 and not coeffs[length - 1]:
+        length -= 1
+    size = min(length, n)
+    powers = [FormalPowerSeries.one(n), w][:size]
+    while len(powers) < size:
+        powers.append(powers[-1] * w)
+    value = _linear_combination(coeffs[:length], g._den, powers)
+    slopes = [i * c for i, c in enumerate(coeffs[1:length], 1)]
+    return value, _linear_combination(slopes, g._den, powers)
+
+
+def _linear_combination(coeffs, den: int, powers) -> FormalPowerSeries:
+    """``sum coeffs[i]/den * powers[i]`` up to the shorter list; the powers share a precision."""
+    terms = [(c, s) for c, s in zip(coeffs, powers) if c]
+    common = lcm(*(s._den for _, s in terms))
+    out = [0] * len(powers[0]._nums)
+    for c, s in terms:
+        scale = c * (common // s._den)
+        out = [x + scale * y for x, y in zip(out, s._nums)]
+    return _series(out, common * den)
 
 
 # -- Lagrange inversion ----------------------------------------------
@@ -481,7 +518,10 @@ def _check_phi(phi: FormalPowerSeries, n: int) -> FormalPowerSeries:
 def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     """The unique series ``w`` with ``w = t * phi(w)``, ``phi(0) != 0``.
 
-    Computed as the compositional inverse of ``t / phi(t)``.
+    Computed by Newton iteration on ``F(w) = w - t phi(w)``, with
+    ``F'(w) = 1 - t phi'(w)`` and doubling working precision; each step
+    reads ``phi(w)`` and ``phi'(w)`` from one table of the powers of ``w``,
+    so a short phi costs a short table.
     """
     if precision < 1:
         raise SeriesError("precision must be positive")
@@ -490,8 +530,19 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     if precision == 1:
         return FormalPowerSeries.zero(1)
     p = _check_phi(phi, precision)
-    g = FormalPowerSeries.t(precision) / p
-    return g.revert()
+    w = _series([0, p._nums[0]], p._den)  # phi(0) t, correct mod t^2
+    prec = 2
+    while prec < precision:
+        prec = min(2 * prec, precision)
+        # Zero-padding the current guess is safe: the Newton step below
+        # repairs every coefficient up to twice the previously correct order.
+        w = w._padded(prec - len(w._nums))
+        # t phi(w) and t phi'(w) mod t^prec read w mod t^(prec-1) only
+        value, slope = _compose_with_derivative(p, w.truncate(prec - 1))
+        # F(w) has order >= 1, so the quotient never reads the top
+        # coefficient of F'(w), the only one to read p's last coefficient.
+        w = w - (w - value.shift_up()) / (1 - slope.shift_up())
+    return w
 
 
 def lagrange_coeffs(phi: FormalPowerSeries, k: int, precision: int) -> FormalPowerSeries:

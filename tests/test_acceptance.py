@@ -188,7 +188,7 @@ def test_criterion_09_series_core_properties():
         a = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         b = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         assert f.pow_rational(a) * f.pow_rational(b) == f.pow_rational(a + b)
-    _pass(9, "Lagrange formula vs Newton reversion (5 random phi, k <= 5, N = 40), round trips, power additivity")
+    _pass(9, "Lagrange formula vs Newton solve (5 random phi, k <= 5, N = 40), round trips, power additivity")
 
 
 def test_criterion_10_cli_one_shot(capsys):

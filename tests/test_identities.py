@@ -230,6 +230,22 @@ def test_sums_refuse_p_below_their_domain(identity, slots, p_min):
     assert sum_lhs(identity, 3, p=p_min, **slots) == sum_rhs(identity, 3, p=p_min, **slots)
 
 
+@pytest.mark.parametrize("identity, n, slots, message", [
+    ("catalan-column-sum", 3, {"p": -1, "r": 0, "k": 1}, "needs p >= 0, got p=-1"),
+    ("ballot-triangle-convolution", -1, {"p": 3, "r": -2, "k": 5}, "needs r >= 0, got r=-2"),
+    ("catalan-triangle-convolution", 1, {"p": 1, "r": -2, "k": 1}, "needs r >= 0, got r=-2"),
+    ("subarray-convolution", -1, {"p": 2, "r": 0, "k": 1}, "needs n >= 0, got n=-1"),
+])
+def test_both_sides_refuse_points_outside_the_domain(identity, n, slots, message):
+    # the rhs refuses what the lhs refuses, naming the slot at fault
+    message = re.escape(f"identity {identity!r} {message}")
+    with pytest.raises(RegistryError, match=message):
+        sum_rhs(identity, n, **slots)
+    lhs_slots = {**slots, "s": 1} if identity != "catalan-column-sum" else slots
+    with pytest.raises(RegistryError, match=message):
+        sum_lhs(identity, n, **lhs_slots)
+
+
 @pytest.mark.parametrize("call", [
     lambda: central_power_gf(2, 0.1, 3),
     lambda: binomial(0.1, 2),

@@ -463,16 +463,19 @@ def test_column_faults_surface_where_the_sum_takes_them(identity, pinned, messag
     assert str(caught.value) == message
 
 
-def test_an_rhs_over_zero_is_refused_as_fraction_refuses_it():
+def test_an_rhs_over_zero_is_refused_as_fraction_refuses_it(monkeypatch):
     # cross-multiplied, an rhs of 0/0 would pass against any lhs
     law = I._VANDERMONDE_LAW._replace(axes=(), parts=(), rhs=lambda right: lambda n: (0, 0))
     row = I.SumIdentity("zero", "", lambda _: lambda j: (1, 1), lambda _: lambda m: (1, 1),
                         (), law, None)
     with pytest.raises(ZeroDivisionError, match=r"^Fraction\(0, 0\)$"):
         registry_run(row, 3, {})
-    # the right factor's denominator pn + r + 1 vanishes at p = 1, r = -2, n = 1
+    # the right factor's denominator pn + r + 1 vanishes at p = 1, r = -2, n = 1,
+    # past the r >= 0 that sum_rhs refuses by name
+    identity = "catalan-triangle-convolution"
+    monkeypatch.setitem(I._SUMS, identity, ROWS[identity]._replace(r_min=None))
     with pytest.raises(ZeroDivisionError, match=r"^Fraction\(0, 0\)$"):
-        I.sum_rhs("catalan-triangle-convolution", 1, p=1, r=-2, k=1)
+        I.sum_rhs(identity, 1, p=1, r=-2, k=1)
 
 
 @pytest.mark.parametrize("identity", ["subarray-convolution", "catalan-column-sum"])

@@ -2,7 +2,7 @@
 
 Expected values come from independent oracles: closed-form binomials via
 math.comb, the Fibonacci recurrence, brute-force polynomial expansion, and
-the direct Lagrange coefficient formula cross-checking Newton reversion.
+the direct Lagrange coefficient formula cross-checking the Newton solvers.
 """
 
 import random

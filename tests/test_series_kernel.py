@@ -13,10 +13,13 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordan import series
 from riordan.series import FormalPowerSeries as FPS
-from riordan.series import lagrange_coeffs, lagrange_solve
+from riordan.series import _compose_with_derivative, lagrange_coeffs, lagrange_solve
 
 KERNEL = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+# for the tests whose Fraction reference composes at precision up to 40
+HEAVY = settings(KERNEL, max_examples=30)
 
 
 # -- Fraction reference ------------------------------------------------------
@@ -26,8 +29,9 @@ def ref_mul(a, b):
     n = min(len(a), len(b))
     out = [Fraction(0)] * n
     for i in range(n):
-        for j in range(n - i):
-            out[i + j] += a[i] * b[j]
+        if a[i]:
+            for j in range(n - i):
+                out[i + j] += a[i] * b[j]
     return out
 
 
@@ -54,6 +58,34 @@ def ref_compose(f, g):
         acc = ref_mul(acc, g[:n])
         acc[0] += c
     return acc
+
+
+def ref_derivative(f):
+    return [i * f[i] for i in range(1, len(f))]
+
+
+def ref_revert(g):
+    # Newton on g(w) = t with two Horner compositions per step: a route that
+    # shares no table of powers with the kernel under test
+    n = len(g)
+    w = [Fraction(0), 1 / Fraction(g[1])][:n]
+    prec = 2
+    while prec < n:
+        prec = min(2 * prec, n)
+        w = w + [Fraction(0)] * (prec - len(w))
+        err = ref_compose(g[:prec], w)
+        err[1] -= 1
+        inv = ref_div([1] + [0] * (prec - 2), ref_compose(ref_derivative(g[:prec]), w))
+        step = ref_mul(err, inv + [0])  # err has order 2: inv's top never matters
+        w = [x - y for x, y in zip(w, step)]
+    return w
+
+
+def ref_lagrange_solve(phi, n):
+    # w = t phi(w) as the inverse of t / phi(t), with phi known mod t^n
+    if n == 1:
+        return [Fraction(0)]
+    return ref_revert(ref_div([0, 1] + [0] * (n - 2), phi[:n]))
 
 
 def ref_pow_rational(f, r):
@@ -192,6 +224,86 @@ def test_lagrange_coeffs_against_solve(phi, phi0, k):
         want[m] = Fraction(k, m) * ref_pow(phi, m)[m - k]
     assert canonical(got) == want
     assert got == lagrange_solve(FPS(phi), n) ** k
+
+
+# -- the table of powers of w against Horner composition ----------------------
+
+
+precision = st.integers(1, 40)
+# a series of order exactly 1 (so, precision 2 at least) for reversion
+dense_order_one = st.integers(2, 40).flatmap(
+    lambda n: coeff_lists(min_size=n, max_size=n, order_one=True)
+)
+
+
+@st.composite
+def phi_and_precision(draw):
+    """phi with phi(0) of either sign, up to trailing zeros, and the precision to solve at.
+
+    phi is known mod t^n, or only mod t^(n-1), where ``_check_phi`` pads it.
+    """
+    n = draw(precision)
+    phi = draw(coeff_lists(max_size=n))
+    phi[0] = draw(unit) * draw(st.sampled_from([1, -1]))
+    phi += [0] * draw(st.integers(0, 3))
+    known = draw(st.sampled_from([n, max(n - 1, 1)]))
+    return phi, n, known
+
+
+@st.composite
+def g_and_w(draw):
+    """g known mod t^n or mod t^(n+1), with trailing zeros or not, and w(0) = 0 at precision n."""
+    n = draw(precision)
+    known = n + draw(st.integers(0, 1))
+    length = draw(st.one_of(st.just(known), st.integers(1, known)))
+    g = draw(st.lists(coefficient, min_size=length, max_size=length)) + [0] * (known - length)
+    w = [0] + draw(st.lists(coefficient, min_size=n - 1, max_size=n - 1))
+    return g, w
+
+
+@HEAVY
+@given(g_and_w())
+def test_compose_with_derivative_is_horner(case):
+    g, w = case
+    n = len(w)
+    value, slope = _compose_with_derivative(FPS(g), FPS(w))
+    assert canonical(value) == ref_compose(g, w)
+    # g'(w) reads g up to index n; a coefficient past g's precision counts as 0
+    assert canonical(slope) == ref_compose(ref_derivative(g + [0]), w)
+    assert value.precision == slope.precision == n
+
+
+@HEAVY
+@given(phi_and_precision())
+def test_lagrange_solve_matches_reverting_t_over_phi(case):
+    phi, n, known = case
+    got = lagrange_solve(FPS(phi, precision=known), n)
+    padded = (phi + [0] * n)[:n]
+    assert canonical(got) == ref_lagrange_solve(padded, n)
+    if known < n:
+        # the padded coefficient phi_(n-1) cannot reach w mod t^n
+        padded[n - 1] += 5
+        assert lagrange_solve(FPS(padded), n) == got
+
+
+@KERNEL
+@given(dense_order_one)
+def test_revert_matches_newton_by_horner(g):
+    assert canonical(FPS(g).revert()) == ref_revert(g)
+
+
+def test_lagrange_solve_calls_neither_revert_nor_lagrange_coeffs(monkeypatch):
+    # lagrange_solve and lagrange_coeffs are two routes to one series, and
+    # criterion 9 compares them only while neither calls the other
+    phi = FPS([Fraction(3, 2), -1, Fraction(2, 7), 0, 5, 0, 0, 0, 0, 0, 0, 0])
+    want = lagrange_coeffs(phi, 1, 12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lagrange_solve took another route")
+
+    monkeypatch.setattr(series.FormalPowerSeries, "revert", refuse)
+    monkeypatch.setattr(series, "lagrange_coeffs", refuse)
+    assert lagrange_solve(phi, 12) == want
 
 
 # -- canonical form and precision rules ----------------------------------------
