@@ -25,9 +25,10 @@ forms tied to arrays whose A-sequence is (1 + t)^q: the h-series of such
 an array, the generalized binomial series B_q and its rational powers,
 and the coefficient formula for (t h)^s.  The last two are stated once,
 as the integer kernels ``_binomial_power_ratio`` ([t^n] B_q^r) and
-``_power_ratio`` ([t^j] (t h)^s); ``binomial_series``, ``power_coeff``,
-the identity registry's factor columns and the stock Catalan triangles
-all read them.
+``_power_ratio`` ([t^j] (t h)^s).  ``binomial_series``, the stock Catalan
+triangles and the identity registry's factor columns read the first
+(the registry's (t h)^s columns are t^s B_q^{qs}), ``power_coeff`` the
+second.
 """
 
 from __future__ import annotations

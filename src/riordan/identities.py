@@ -14,31 +14,33 @@ Identities are data.  Each Andrews row maps n to (U, L1, L2) for one sum
 sum_k (-1)^k C(U, floor((n-1-5k)/2)) with U = n-1 or n splits by the
 parity of k into L1 = floor((n-1)/2) and L2 = floor((n-6)/2).
 
-Each convolution identity is one ``SumIdentity`` row: two factors, the
-default sets of its integer slots, and a law.  The lhs, sum_j a(j)
-b(n - j), is coefficient n of the factors' product; the law is the
-Riordan-array fact that keeps the product in the right factor's family,
-so the rhs is the right factor read at a summed parameter: at offset k
-on a k/s row (column k is column k - s convolved with (t h)^s; the
-column sum reads (p, r + 1) at offset k - 1), and at y := x + y on a
-Vandermonde-type row (F_x * G_y = G_{x+y}).  A law also names the slots
-it adds, enumerates its points and writes its grid text.
+Each convolution identity is one ``SumIdentity`` row: a factor pair,
+the default sets of its integer slots, and a law.  All eight rows state
+one Riordan-array fact, the B-family product law F_x * G_y = G_{x+y}:
+the lhs sum_i F_x(i) G_y(m - i) is coefficient m of the product, and
+the rhs is the right factor at x + y.  Four factor pairs serve them.  A
+law names the slots it adds, enumerates its points, writes its grid
+text and maps each point to (x, y, m): a Vandermonde-type row reads its
+own x, y and n.  A k/s row is its Vandermonde sibling at integer points,
+since column k of the subsampled array is F_{ps} * G_{p(k-s)+r}, read
+at n - k; the column sum is F_1 * G_{p(k-1)+r}, read at n - k + 1.
 
 The terms run on plain integers: a rational x enters as the pair
 (x.numerator, x.denominator), and a term is an integer (numerator,
-denominator) pair, e.g. C(a/b, k) = prod(a - i b) / (b^k k!).  For each
-value of the slots outside n and the law's, the checker builds each
-factor column once, as integer numerators over one common denominator;
-a point's lhs is one integer dot product of the two columns, compared
-with the rhs term by cross-multiplication, and a ``Fraction`` is built
-only for a counterexample's text.  A term that raises (a pole, a
-negative upper index) is kept in its column and raised by the first
-point whose sum takes it, as a term-by-term sum would.  ``sum_lhs`` and
-``sum_rhs`` give one point's two sides of any row by id; the
-ballot-family direct sums are one column of a row's kernel each.  The
-B_q^r and (t h)^s terms are hypergeom's integer kernels, B_q^r read
-through this module's caches; ``binomial`` and the ``_*_term`` helpers
-are ``Fraction`` wrappers.
+denominator) pair, e.g. C(a/b, k) = prod(a - i b) / (b^k k!).  One run
+of a row keeps a memo of its factor columns, keyed by (factor, first
+set slot, argument), each as integer numerators over one common
+denominator and built as far as the row's points read it; the longest
+column built is kept, and the memo is dropped when the row ends.  A
+point's lhs is one integer dot product of two columns, compared with
+the rhs term by cross-multiplication, and a ``Fraction`` is built only
+for a counterexample's text.  A term that raises (a pole) is kept in
+its column and raised by the first point whose sum takes it, as a
+term-by-term sum would.  ``sum_lhs`` and ``sum_rhs`` give one point's
+two sides of any row by id; the ballot-family direct sums are one
+column of a factor each.  The B_q^r terms are hypergeom's integer
+kernel; ``binomial`` and the ``_*_term`` helpers are cached
+``Fraction`` wrappers.
 
 The product laws compare whole series.  One run builds each factor
 series (a direct sum, a binomial series or a hypergeometric expansion)
@@ -62,7 +64,6 @@ from .hypergeom import (
     HypergeometricSpec,
     PoleError,
     _binomial_power_ratio,
-    _power_ratio,
     binomial_series,
     expand,
     power_spec,
@@ -83,12 +84,6 @@ class RegistryError(ValueError):
     """Unknown identity id or unsupported parameter pin."""
 
 
-# Each cache in this module is bounded above its working set in
-# ``check --all --max-n 50`` (binomial 4,717 entries, Catalan power terms
-# 2,397, central power terms 765, fixed points 3), so that run never evicts.
-# The factor columns read each term once per column built, so the term
-# caches see about 23k, 17k and 4k hits in that run.  The two power-term
-# caches wrap hypergeom's uncached B_q^r kernel.
 @lru_cache(maxsize=16)
 def _power_fixed_point(exponent: int, precision: int) -> FormalPowerSeries:
     # w = t (1 + w)^exponent; shared across the many (x, y) grid points
@@ -118,23 +113,21 @@ def _reduced(num: int, den: int) -> Ratio:
 
 
 class Column(NamedTuple):
-    """A factor column: terms start..len(nums)-1 as integer numerators over ``den``.
+    """A factor column: its terms as integer numerators over ``den``.
 
-    Entries below ``start`` are zero and never evaluated.  A term that
-    raised holds 0, and its exception waits in ``faults`` for the first
-    sum that takes it.
+    A term that raised holds 0, and its exception waits in ``faults`` for
+    the first sum that takes it.
     """
 
     nums: list[int]
     den: int
-    start: int
     faults: dict[int, Exception]
 
 
-def _column(term: Callable[[int], Ratio], start: int, length: int) -> Column:
-    """Terms start..length-1 of ``term`` over their least common denominator."""
+def _column(term: Callable[[int], Ratio], length: int) -> Column:
+    """Terms 0..length-1 of ``term`` over their least common denominator."""
     ratios, faults, den = {}, {}, 1
-    for j in range(start, length):
+    for j in range(length):
         try:
             num, d = term(j)
             if den % d:  # a zero d raises here, as it did in a term-by-term sum
@@ -147,26 +140,32 @@ def _column(term: Callable[[int], Ratio], start: int, length: int) -> Column:
     nums = [0] * length
     for j, (num, d) in ratios.items():
         nums[j] = num * (den // d)
-    return Column(nums, den, start, faults)
+    return Column(nums, den, faults)
 
 
-def _dot(left: Column, right: Column, n: int) -> int:
-    """sum_{j = left.start..n} left(j) right(n - j), over ``left.den * right.den``.
+def _dot(left: Column, right: Column, m: int) -> int:
+    """sum_{i = 0..m} left(i) right(m - i), over ``left.den * right.den``; 0 for m < 0.
 
-    If a term taken has a fault, the first one in order of j (the left
+    If a term taken has a fault, the first one in order of i (the left
     factor before the right) is raised instead, as a term-by-term sum
     would have raised it.
     """
-    s = left.start
     if left.faults or right.faults:
-        for j in range(s, n + 1):
-            fault = left.faults.get(j) or right.faults.get(n - j)
+        for i in range(m + 1):
+            fault = left.faults.get(i) or right.faults.get(m - i)
             if fault is not None:
                 raise fault
-    return sum(map(mul, left.nums[s : n + 1], right.nums[n - s :: -1]))
+    # at m < 0 the sum is empty: a negative index must not wrap round a column
+    return sum(map(mul, left.nums[: m + 1], right.nums[m::-1])) if m >= 0 else 0
 
 
-@lru_cache(maxsize=8192)
+def _entry(col: Column, m: int) -> Ratio:
+    """Term m of a column, or the fault it holds; 0 for m < 0, where no index wraps."""
+    if m in col.faults:
+        raise col.faults[m]
+    return (col.nums[m] if m >= 0 else 0), col.den
+
+
 def _binomial_ratio(a: int, b: int, k: int) -> Ratio:
     # C(a/b, k) for b > 0: prod_{i<k} (a - i b) / (b^k k!); 0 for k < 0
     if k < 0:
@@ -179,11 +178,11 @@ def _binomial_ratio(a: int, b: int, k: int) -> Ratio:
     return _reduced(num, b**k * factorial(k))
 
 
-# x/(x + zi) C(x + zi, i) at x = a/b: [t^i] of B_z^x
-_catalan_power_ratio = lru_cache(maxsize=4096)(_binomial_power_ratio)
+def _shifted_binomial_ratio(z: int, c: int, e: int, m: int) -> Ratio:
+    # C(y + zm, m) at y = c/e; (c + zme)/e is in lowest terms
+    return _binomial_ratio(c + z * m * e, e, m)
 
 
-@lru_cache(maxsize=2048)
 def _central_power_ratio(p: int, a: int, b: int, i: int) -> Ratio:
     # 2x/((2p-1)i + 2x) C(2pi + 2x - 1, i) at x = a/b: [t^i] of B_{2p}^{2x}
     return _binomial_power_ratio(2 * p, 2 * a, b, i)
@@ -209,6 +208,8 @@ def _central_ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
     return ((p - 1) * m * b + a + b) * num, den * cden
 
 
+# a float equal to a cached Fraction must still be refused, so the caches are typed
+@lru_cache(maxsize=8192, typed=True)
 def binomial(a: Scalar, k: int) -> Fraction:
     """Generalized binomial: falling-factorial product over k!; 0 for k < 0."""
     return Fraction(*_binomial_ratio(*_ratio(a), k))
@@ -234,18 +235,15 @@ def fibonacci(n: int) -> int:
     return b
 
 
+@lru_cache(maxsize=4096, typed=True)
 def _catalan_power_term(z: int, x: Scalar, i: int) -> Fraction:
-    return Fraction(*_catalan_power_ratio(z, *_ratio(x), i))
+    # x/(x + zi) C(x + zi, i): [t^i] of B_z^x
+    return Fraction(*_binomial_power_ratio(z, *_ratio(x), i))
 
 
+@lru_cache(maxsize=2048, typed=True)
 def _central_power_term(p: int, x: Scalar, i: int) -> Fraction:
     return Fraction(*_central_power_ratio(p, *_ratio(x), i))
-
-
-# the wrappers keep no cache of their own; they report their kernel's
-binomial.cache_info = _binomial_ratio.cache_info
-_catalan_power_term.cache_info = _catalan_power_ratio.cache_info
-_central_power_term.cache_info = _central_power_ratio.cache_info
 
 
 # -- the Fibonacci / alternating binomial suite --------------------------
@@ -370,7 +368,7 @@ def _direct_sum(
 ) -> FormalPowerSeries:
     """sum_{m < precision} kernel(p, v, m) t^m; the first term that raises, in order of m."""
     _require_terms(precision)
-    col = _column(partial(kernel, p, *_ratio(v)), 0, precision)
+    col = _column(partial(kernel, p, *_ratio(v)), precision)
     if col.faults:
         raise col.faults[min(col.faults)]
     return _series(col.nums, col.den)
@@ -553,37 +551,26 @@ def check_product_laws(
     )
 
 
-# -- factor columns of the convolution identities -----------------------------
-# Each kernel is one term of a factor column, as an integer (numerator,
-# denominator) pair.  ``s`` is the start of the left column and
-# ``d = k - s`` the offset of the right one.
+# -- the factor pairs of the convolution identities ---------------------------
+# A factor maps its row's first set slot and an argument to the term function
+# of its column; each pair (F, G) obeys F_x * G_y = G_{x+y}.
+Factor = Callable[..., Callable[[int], Ratio]]
 
 
-def _shifted_pascal(p: int, r: int, d: int, m: int) -> Ratio:
-    # C(pm+r, m-d)
-    return icomb(p * m + r, m - d), 1
+def _factor(kernel: Callable[..., Ratio]) -> Factor:
+    # (z, v) -> the term function m -> kernel(z, a, b, m) at v = a/b
+    return lambda z, v: partial(kernel, z, *_ratio(v))
 
 
-def _catalan_triangle_right(p: int, r: int, d: int, m: int) -> Ratio:
-    # ((p-1)m+r+d+1)/(pm+r+1) C(2(pm+r+1), m-d)
-    return ((p - 1) * m + r + d + 1) * icomb(2 * (p * m + r + 1), m - d), p * m + r + 1
-
-
-def _ballot_triangle_left(p: int, s: int, j: int) -> Ratio:
-    # ps/((p+1)j-s) C((p+1)j-s, j-s)
-    return p * s * icomb((p + 1) * j - s, j - s), (p + 1) * j - s
-
-
-def _ballot_triangle_right(p: int, r: int, d: int, m: int) -> Ratio:
-    # ((p-1)m+r+d+1)/(pm+r+1) C((p+1)m+r-d, pm+r); the sum takes no term below m = d
-    if m < d:
-        return 0, 1
-    return ((p - 1) * m + d + r + 1) * icomb((p + 1) * m + r - d, p * m + r), p * m + r + 1
-
-
-def _shifted_binomial_ratio(z: int, c: int, e: int, m: int) -> Ratio:
-    # C(y + zm, m) at y = c/e; (c + zme)/e is in lowest terms
-    return _binomial_ratio(c + z * m * e, e, m)
+_catalan_power = _factor(_binomial_power_ratio)  # B_z^x
+# B_z^x and C(y + zm, m); at z = p and x = ps, F_x is the subsampled (t h)^s over t^s
+_CATALAN_BINOMIAL = (_catalan_power, _factor(_shifted_binomial_ratio))
+# B_z^x and B_z^y: one factor, so the two sides share their columns
+_ROTHE_HAGEN = (_catalan_power, _catalan_power)
+# B_{p+1}^x and the ballot series at y
+_BALLOT = (lambda p, x: _catalan_power(p + 1, x), _factor(_ballot_ratio))
+# B_{2p}^{2x} and the central ballot series at y
+_CENTRAL = (_factor(_central_power_ratio), _factor(_central_ballot_ratio))
 
 
 # -- registry ------------------------------------------------------------------
@@ -671,48 +658,44 @@ def _grid_points(axes: tuple[Axis, ...], pinned: Mapping[str, Scalar]) -> Iterat
     return (dict(zip(names, combo)) for combo in product(*sets))
 
 
-# a factor maps the slots outside n and the law's (in grid order) and a
-# column shift to the term function of its column
-Factor = Callable[..., Callable[[int], Ratio]]
-
-
 class Law(NamedTuple):
-    """The Riordan-array law of a convolution row: its extra slots, its points, its rhs."""
+    """How a convolution row reads F_x * G_y = G_{x+y}: its extra slots, its points, their map."""
 
     axes: tuple[Axis, ...]  # outer slots it adds after the row's sets
     slots: tuple[str, ...]  # slots it enumerates at each n, through ``values``
     values: Callable[[int, Mapping[str, Scalar]], Iterable[tuple]]
     parts: tuple[GridPart, ...]  # its grid text; a k or s shows only when pinned
     lhs_only: tuple[str, ...]  # slots the lhs takes and the rhs does not
-    shifts: Callable[..., tuple[int, int]]  # values -> (left column start, right offset)
-    # (right factor, outer slots, the rhs's values) -> the rhs as a term function of n
-    rhs: Callable[..., Callable[[int], Ratio]]
+    # (outer slots, n, law values) -> (x, y, m): the point reads (F_x * G_y)(m)
+    # against G_{x+y}(m); x + y and n - m do not depend on an ``lhs_only`` slot
+    point: Callable[..., tuple[Scalar, Scalar, int]]
 
 
-# column k of the array is column k - s convolved with (t h)^s: the right factor at offset k
+# column k of the subsampled array: F_{ps} * G_{p(k-s)+r} = G_{pk+r}, read at n - k
 _KS_LAW = Law(
     (), ("k", "s"), _ks_pairs, ((("k",), "", ""), (("s",), "", ""), ((), "1 <= s <= k <= n", "")),
-    ("s",), lambda k, s: (s, k - s), lambda right, p, r, k: right(p, r, k),
+    ("s",), lambda p, r, n, k, s: (p * s, p * (k - s) + r, n - k),
 )
-# the column sum: the right factor at (p, r + 1) and offset k - 1
+# the column sum: F_1 * G_{p(k-1)+r} = G_{p(k-1)+r+1}, read at n - k + 1
 _K_LAW = Law(
     (), ("k",), lambda n, pinned: zip(_k_values(n, pinned)),
     ((("k",), "", ""), ((), "1 <= k <= n", "")),
-    (), lambda k: (0, k - 1), lambda right, p, r, k: right(p, r + 1, k - 1),
+    (), lambda p, r, n, k: (1, p * (k - 1) + r, n - k + 1),
 )
-# F_x * G_y = G_{x+y} over the rational grid: the right factor at y := x + y
+# over the rational grid, at the point's own x, y and n
 _VANDERMONDE_LAW = Law(
     (("x", RATIONAL_GRID), ("y", RATIONAL_GRID)), (), lambda n, pinned: ((),),
-    (_RATIONAL_PAIR_PART,), (), lambda: (0, 0), lambda right, v, x, y: right(v, x, x + y, 0),
+    (_RATIONAL_PAIR_PART,), (), lambda v, x, y, n: (x, y, n),
 )
 
 
 class SumIdentity(NamedTuple):
-    """A convolution identity sum_j left(j) right(n - j) == its law's rhs, declared as data.
+    """A convolution identity sum_i F_x(i) G_y(m - i) == G_{x+y}(m), declared as data.
 
     Its grid is the product of ``sets`` (the integer slots) and the law's
-    axes, n in 0..max_n, then the law's slots at each n.  A pinned p below
-    ``p_min`` or r below ``r_min`` is refused before any compute.
+    axes, n in 0..max_n, then the law's slots at each n.  The factors take
+    the first set slot.  A pinned p below ``p_min`` or r below ``r_min`` is
+    refused before any compute.
     """
 
     id: str
@@ -740,51 +723,27 @@ def _require_min(
         )
 
 
-# column shift -> the highest index that a point reads from that column
-Reach = dict[int, int]
-
-
-def _reach(law: Law, n_values: Iterable[int], pinned: Mapping[str, Scalar]) -> tuple[Reach, Reach]:
-    """How far the points read each left column (by start) and right column (by offset).
-
-    A point at n reads the left column from its start to n, and the right
-    one from 0 to n - start.  The grid of (n, law slots) is the same at
-    every value of the other slots, so this is computed once per run.
-    """
-    lefts: Reach = {}
-    rights: Reach = {}
-    for n in n_values:
-        for values in law.values(n, pinned):
-            start, offset = law.shifts(*values)
-            lefts[start] = max(lefts.get(start, n), n)
-            rights[offset] = max(rights.get(offset, n - start), n - start)
-    return lefts, rights
-
-
 def _check_outer(
-    row: SumIdentity, outer: dict, n_values: Iterable[int], reach: tuple[Reach, Reach],
-    pinned: Mapping[str, Scalar],
+    row: SumIdentity, outer: dict, n_values: Iterable[int], last: Mapping[tuple, int],
+    columns: dict[tuple, Column], pinned: Mapping[str, Scalar],
 ) -> tuple[int, Counterexample | None]:
     """Check the points (n, law slots) at one value ``outer`` of the other slots.
 
-    Returns the points checked and the first counterexample.  Each factor
-    column is built on first use, up to the highest index ``reach`` says
-    a point reads from it, and dropped on return.
+    Returns the points checked and the first counterexample.  A point
+    reads F_x, G_y and, for its rhs, G_{x+y} from the run's ``columns``,
+    each built as far as the last n that takes its law values reads it.
     """
     args = tuple(outer.values())
+    first = args[:1]
     law = row.law
-    rhs_values = [i for i, slot in enumerate(law.slots) if slot not in law.lhs_only]
-    lefts: dict[int, Column] = {}
-    rights: dict[int, Column] = {}
-    # law values -> (left column, right column, the rhs as a term function of n)
-    operands: dict[tuple, tuple[Column, Column, Callable[[int], Ratio]]] = {}
+    # law values -> (n - m, left column, right column, rhs column)
+    operands: dict[tuple, tuple[int, Column, Column, Column]] = {}
 
-    def column(
-        cache: dict[int, Column], factor: Factor, shift: int, start: int, last: Reach
-    ) -> Column:
-        col = cache.get(shift)
-        if col is None:
-            col = cache[shift] = _column(factor(*args, shift), start, last[shift] + 1)
+    def column(factor: Factor, argument: Scalar, length: int) -> Column:
+        key = (factor, *first, argument)
+        col = columns.get(key)
+        if col is None or len(col.nums) < length:
+            col = columns[key] = _column(factor(*first, argument), length)
         return col
 
     points = 0
@@ -793,17 +752,16 @@ def _check_outer(
             points += 1
             ops = operands.get(values)
             if ops is None:
-                start, offset = law.shifts(*values)
+                x, y, m = law.point(*args, n, *values)
+                length = m + last[values] - n + 1
                 ops = operands[values] = (
-                    column(lefts, row.left, start, start, reach[0]),
-                    column(rights, row.right, offset, 0, reach[1]),
-                    law.rhs(row.right, *args, *(values[i] for i in rhs_values)),
+                    n - m, column(row.left, x, length), column(row.right, y, length),
+                    column(row.right, x + y, length),
                 )
-            left, right, rhs = ops
-            num, den = _dot(left, right, n), left.den * right.den
-            rnum, rden = rhs(n)
-            if rden == 0:  # cross-multiplied, an rhs over 0 would pass any lhs at rnum 0
-                raise ZeroDivisionError(f"Fraction({rnum}, 0)")
+            shift, left, right, rhs = ops
+            m = n - shift
+            num, den = _dot(left, right, m), left.den * right.den
+            rnum, rden = _entry(rhs, m)
             if num * rden != rnum * den:
                 params = {**outer, "n": n, **dict(zip(law.slots, values))}
                 cex = Counterexample(
@@ -820,11 +778,12 @@ def _check_sums(
     for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0)):
         _require_min(row.id, slot, least, pinned)
     n_values = _pin_values(pinned, "n", range(max_n + 1))
-    reach = _reach(row.law, n_values, pinned)
+    last = {values: n for n in n_values for values in row.law.values(n, pinned)}
+    columns = {}  # (factor, first set slot, argument) -> the longest column built
     points = 0
     cex = None
     for outer in _grid_points(row.sets + row.law.axes, pinned):
-        checked, cex = _check_outer(row, outer, n_values, reach, pinned)
+        checked, cex = _check_outer(row, outer, n_values, last, columns, pinned)
         points += checked
         if cex is not None:
             break
@@ -845,59 +804,43 @@ SUM_IDENTITIES = (
     SumIdentity(
         "subarray-convolution",
         "sum_j ps/((p-1)j+s) C(pj-1, j-s) C(p(n-j)+r, n-j-k+s) = C(pn+r, n-k)",
-        lambda p, r, s: partial(_power_ratio, p, s),
-        lambda p, r, d: partial(_shifted_pascal, p, r, d),
-        _PR_SETS, _KS_LAW, 1, 0,
+        *_CATALAN_BINOMIAL, _PR_SETS, _KS_LAW, 1, 0,
     ),
     SumIdentity(
         "catalan-vandermonde",
         "sum_i x/(x+zi) C(x+zi, i) C(y+z(n-i), n-i) = C(x+y+zn, n)",
-        lambda z, x, y, _: partial(_catalan_power_ratio, z, *_ratio(x)),
-        lambda z, x, y, _: partial(_shifted_binomial_ratio, z, *_ratio(y)),
-        _Z_SET, _VANDERMONDE_LAW, None,
+        *_CATALAN_BINOMIAL, _Z_SET, _VANDERMONDE_LAW, None,
     ),
     SumIdentity(
         "catalan-column-sum",
         "sum_j 1/(pj+1) C(pj+1, j) C(p(n-j)+r, n-j-k+1) = C(pn+r+1, n-k+1)",
-        lambda p, r, _: partial(_catalan_power_ratio, p, 1, 1),
-        lambda p, r, d: partial(_shifted_pascal, p, r, d),
-        _PR_SETS, _K_LAW, 0, 0,
+        *_CATALAN_BINOMIAL, _PR_SETS, _K_LAW, 0, 0,
     ),
     SumIdentity(
         "catalan-triangle-convolution",
         "central convolution over the subsampled Catalan triangle (valid from p = 1 on)",
-        lambda p, r, s: partial(_power_ratio, 2 * p, s),
-        lambda p, r, d: partial(_catalan_triangle_right, p, r, d),
-        (("p", (1, 2, 3, 4)), ("r", (0, 1, 2))), _KS_LAW, 1, 0,
+        *_CENTRAL, (("p", (1, 2, 3, 4)), ("r", (0, 1, 2))), _KS_LAW, 1, 0,
     ),
     SumIdentity(
         "ballot-triangle-convolution",
         "convolution over the subsampled ballot-variant triangle",
-        lambda p, r, s: partial(_ballot_triangle_left, p, s),
-        lambda p, r, d: partial(_ballot_triangle_right, p, r, d),
-        _PR_SETS, _KS_LAW, 1, 0,
+        *_BALLOT, _PR_SETS, _KS_LAW, 1, 0,
     ),
     SumIdentity(
         "ballot-vandermonde",
         "sum_i x/((p+1)i+x) C((p+1)i+x, i) * ballot(y, n-i) = ballot(x+y, n)",
-        lambda p, x, y, _: partial(_catalan_power_ratio, p + 1, *_ratio(x)),
-        lambda p, x, y, _: partial(_ballot_ratio, p, *_ratio(y)),
-        _P_SET, _VANDERMONDE_LAW, 0,
+        *_BALLOT, _P_SET, _VANDERMONDE_LAW, 0,
     ),
     SumIdentity(
         "rothe-hagen",
         "sum_i x/(x+zi) C(x+zi, i) y/(y+z(n-i)) C(y+z(n-i), n-i) "
         "= (x+y)/(x+y+zn) C(x+y+zn, n)",
-        lambda z, x, y, _: partial(_catalan_power_ratio, z, *_ratio(x)),
-        lambda z, x, y, _: partial(_catalan_power_ratio, z, *_ratio(y)),
-        _Z_SET, _VANDERMONDE_LAW, None,
+        *_ROTHE_HAGEN, _Z_SET, _VANDERMONDE_LAW, None,
     ),
     SumIdentity(
         "central-binomial-vandermonde",
         "sum_i central-power(x, i) * central-ballot(y, n-i) = central-ballot(x+y, n)",
-        lambda p, x, y, _: partial(_central_power_ratio, p, *_ratio(x)),
-        lambda p, x, y, _: partial(_central_ballot_ratio, p, *_ratio(y)),
-        _P_SET, _VANDERMONDE_LAW, 0,
+        *_CENTRAL, _P_SET, _VANDERMONDE_LAW, 0,
     ),
 )
 _SUMS = {row.id: row for row in SUM_IDENTITIES}
@@ -907,9 +850,15 @@ _SUMS = {row.id: row for row in SUM_IDENTITIES}
 
 
 def _point(
-    identity: str, slots: Mapping[str, Scalar], lhs: bool
-) -> tuple[SumIdentity, tuple, tuple]:
-    """The row of ``identity`` and the point's outer and law values (the rhs's, if not lhs)."""
+    identity: str, n: int, slots: Mapping[str, Scalar], lhs: bool
+) -> tuple[SumIdentity, tuple, tuple[Scalar, Scalar, int]]:
+    """The row of ``identity``, the point's first set slot, and its (x, y, m).
+
+    A point outside the row's domain is refused by the slot at fault, before
+    any compute: p below ``p_min``, r below ``r_min``, n below 0, k below
+    1, and a k/s point outside 1 <= s <= k.  An rhs takes no ``lhs_only``
+    slot; x + y and m do not depend on one, so it is read at 0.
+    """
     row = _SUMS.get(identity)
     if row is None:
         raise RegistryError(f"unknown sum identity {identity!r}")
@@ -920,49 +869,39 @@ def _point(
         raise RegistryError(
             f"identity {identity!r} takes slots {names} besides n, got {sorted(slots)}"
         )
-    outer = tuple(slots[slot] for slot in names if slot not in law.slots)
-    values = tuple(slots[slot] for slot in law.slots if slot not in skip)
-    return row, outer, values
-
-
-def _require_domain(row: SumIdentity, n: int, slots: Mapping[str, Scalar]) -> None:
-    """Refuse one point outside the row's domain by the slot at fault, before any compute.
-
-    That is p below ``p_min``, r below ``r_min``, n below 0, and a k/s
-    point outside 1 <= s <= k (an rhs takes no s).
-    """
-    if row.law is _KS_LAW and "s" in slots:
+    if law is _KS_LAW and "s" in slots:
         p, k, s = slots["p"], slots["k"], slots["s"]
         if p < row.p_min or not 1 <= s <= k:
             raise ValueError(
                 f"{row.id} needs p >= {row.p_min} and 1 <= s <= k, got p={p}, k={k}, s={s}"
             )
     point = {**slots, "n": n}
-    for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0)):
+    for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0), ("k", 1)):
         _require_min(row.id, slot, least, point)
+    outer = tuple(slots[slot] for slot in names if slot not in law.slots)
+    values = tuple(slots.get(slot, 0) for slot in law.slots)
+    return row, outer[:1], law.point(*outer, n, *values)
 
 
 def sum_lhs(identity: str, n: int, **slots: Scalar) -> Fraction:
-    """One point's lhs: the dot product at n of the row's two factor columns.
+    """One point's lhs: (F_x * G_y)(m), the dot product of the row's two factor columns.
 
-    A point outside the row's domain is refused (see :func:`_require_domain`).
+    A point outside the row's domain is refused (see :func:`_point`); at
+    m < 0 (a k/s point with k > n) the sum is empty.
     """
-    row, outer, values = _point(identity, slots, lhs=True)
-    _require_domain(row, n, slots)
-    start, offset = row.law.shifts(*values)
-    left = _column(row.left(*outer, start), start, n + 1)
-    right = _column(row.right(*outer, offset), 0, n + 1)
-    return Fraction(_dot(left, right, n), left.den * right.den)
+    row, first, (x, y, m) = _point(identity, n, slots, lhs=True)
+    left = _column(row.left(*first, x), m + 1)
+    right = _column(row.right(*first, y), m + 1)
+    return Fraction(_dot(left, right, m), left.den * right.den)
 
 
 def sum_rhs(identity: str, n: int, **slots: Scalar) -> Fraction:
-    """One point's rhs, the right factor at the law's summed parameter; no ``lhs_only`` slot.
+    """One point's rhs, G_{x+y}(m); no ``lhs_only`` slot, and 0 at m < 0.
 
     A point outside the row's domain is refused, as by :func:`sum_lhs`.
     """
-    row, outer, values = _point(identity, slots, lhs=False)
-    _require_domain(row, n, slots)
-    return Fraction(*row.law.rhs(row.right, *outer, *values)(n))
+    row, first, (x, y, m) = _point(identity, n, slots, lhs=False)
+    return Fraction(*_entry(_column(row.right(*first, x + y), m + 1), m))
 
 
 def _sweep(

@@ -584,9 +584,11 @@ def lagrange_gf(
         raise SeriesError("phi(0) must be nonzero")
     if precision == 1:
         return FormalPowerSeries.constant(F.coeff(0), 1)
-    if F.precision < precision:
-        raise PrecisionError(f"F known mod t^{F.precision}, need t^{precision}")
-    p = _check_phi(phi, precision)
+    # coefficient n - 1 reads phi's coefficient n - 1, so phi is not padded here
+    for name, series in (("F", F), ("phi", phi)):
+        if series.precision < precision:
+            raise PrecisionError(f"{name} known mod t^{series.precision}, need t^{precision}")
+    p = phi.truncate(precision)
     f = F.truncate(precision)
     w = lagrange_solve(p, precision)
     den = 1 - p.derivative().compose(w).shift_up()

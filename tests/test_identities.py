@@ -235,6 +235,8 @@ def test_sums_refuse_p_below_their_domain(identity, slots, p_min):
     ("ballot-triangle-convolution", -1, {"p": 3, "r": -2, "k": 5}, "needs r >= 0, got r=-2"),
     ("catalan-triangle-convolution", 1, {"p": 1, "r": -2, "k": 1}, "needs r >= 0, got r=-2"),
     ("subarray-convolution", -1, {"p": 2, "r": 0, "k": 1}, "needs n >= 0, got n=-1"),
+    # read as F_1 * G_{p(k-1)+r} at n - k + 1, k = 0 would sum one term past j = n
+    ("catalan-column-sum", 3, {"p": 2, "r": 0, "k": 0}, "needs k >= 1, got k=0"),
 ])
 def test_both_sides_refuse_points_outside_the_domain(identity, n, slots, message):
     # the rhs refuses what the lhs refuses, naming the slot at fault
@@ -388,13 +390,13 @@ def test_registry_rejects_bad_pin():
 
 
 def test_counterexample_payload():
-    # lhs(n) = sum_j [j = 0] * n-j = n, against a law whose rhs is off by one from n = 3
-    law = _VANDERMONDE_LAW._replace(
-        axes=(), parts=(), rhs=lambda right: lambda n: (n if n < 3 else n + 1, 1)
-    )
+    # lhs(n) = (F_1 * G_0)(n) = sum_j [j = 0] * (n - j) = n, against a factor pair that
+    # breaks the law from n = 3 on: G_1(n) = n + 1 there
+    law = _VANDERMONDE_LAW._replace(axes=(), parts=(), point=lambda n: (1, 0, n))
     row = SumIdentity(
         "broken", "n = n, wrong from 3 on",
-        lambda _: lambda j: (int(j == 0), 1), lambda _: lambda m: (m, 1), (), law, None,
+        lambda x: lambda j: (int(j == 0), 1), lambda y: lambda m: (m + y * (m >= 3), 1),
+        (), law, None,
     )
     rep = _sum_entry(row).run(max_n=10, pinned={})
     assert not rep.holds

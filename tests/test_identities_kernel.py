@@ -10,9 +10,15 @@ against a term-by-term runner on the same reference, and the Andrews table
 against the seven per-identity sums it replaced.
 """
 
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +178,19 @@ def test_ballot_kernels_and_poles(data, p, m):
         assert got == outcome(ref, p, y, m)
 
 
+@pytest.mark.parametrize("wrapper, args", [
+    (I.binomial, (Fraction(1, 2), 2)),
+    (I._catalan_power_term, (2, Fraction(1, 2), 2)),
+    (I._central_power_term, (2, Fraction(1, 2), 2)),
+])
+def test_cached_wrappers_refuse_a_float_equal_to_a_cached_fraction(wrapper, args):
+    # 0.5 == Fraction(1, 2), and the two hash alike
+    wrapper(*args)
+    floated = tuple(float(a) if isinstance(a, Fraction) else a for a in args)
+    with pytest.raises(SeriesError, match="float coefficients are not exact"):
+        wrapper(*floated)
+
+
 def ref_direct_sum(ref, p, v, precision):
     return FormalPowerSeries([ref(p, v, m) for m in range(precision)])
 
@@ -214,31 +233,33 @@ terms = st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-60, 60).filt
 
 
 @KERNEL
-@given(terms, st.integers(0, 3))
-def test_column_is_exact_over_one_denominator(ratios, start):
-    col = I._column(lambda j: ratios[j], start, len(ratios))
-    want = [Fraction(0)] * start + [Fraction(n, d) for n, d in ratios[start:]]
+@given(terms)
+def test_column_is_exact_over_one_denominator(ratios):
+    col = I._column(lambda j: ratios[j], len(ratios))
+    want = [Fraction(n, d) for n, d in ratios]
     assert not col.faults
-    assert [Fraction(v, col.den) for v in col.nums] == want[:len(ratios)]
+    assert [Fraction(v, col.den) for v in col.nums] == want
     assert Fraction(sum(col.nums), col.den) == sum(want, Fraction(0))
 
 
 @KERNEL
-@given(terms, terms, st.integers(0, 3), st.integers(0, 20))
-def test_dot_is_the_convolution_coefficient(left, right, start, n):
+@given(terms, terms, st.integers(-3, 20))
+def test_dot_is_the_convolution_coefficient(left, right, n):
+    # at n < 0 the sum is empty: no negative index may wrap round the columns
     size = max(len(left), len(right), n + 1)
-    a = I._column(lambda j: left[j] if j < len(left) else (0, 1), start, size)
-    b = I._column(lambda m: right[m] if m < len(right) else (0, 1), 0, size)
+    a = I._column(lambda j: left[j] if j < len(left) else (0, 1), size)
+    b = I._column(lambda m: right[m] if m < len(right) else (0, 1), size)
     ref = sum((Fraction(*left[j]) * Fraction(*right[n - j])
-               for j in range(start, n + 1) if j < len(left) and n - j < len(right)),
+               for j in range(n + 1) if j < len(left) and n - j < len(right)),
               Fraction(0))
     assert Fraction(I._dot(a, b, n), a.den * b.den) == ref
+    assert Fraction(*I._entry(b, n)) == (Fraction(*right[n]) if 0 <= n < len(right) else 0)
 
 
 def test_column_zero_denominator_faults_where_the_sum_takes_it():
-    col = I._column(lambda j: [(1, 2), (1, 0), (1, 3)][j], 0, 3)
+    col = I._column(lambda j: [(1, 2), (1, 0), (1, 3)][j], 3)
     assert set(col.faults) == {1}
-    unit = I._column(lambda j: (int(j == 0), 1), 0, 3)
+    unit = I._column(lambda j: (int(j == 0), 1), 3)
     assert Fraction(I._dot(unit, col, 0), unit.den * col.den) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         I._dot(unit, col, 1)
@@ -252,14 +273,14 @@ def test_dot_raises_the_first_fault_it_takes():
             return 1, 1
         return term
 
-    left, right = I._column(faulty("a", {2}), 0, 5), I._column(faulty("b", {2}), 0, 5)
+    left, right = I._column(faulty("a", {2}), 5), I._column(faulty("b", {2}), 5)
     assert I._dot(left, right, 1) == 2
     with pytest.raises(ValueError, match="b2"):
         I._dot(left, right, 3)  # j = 1 takes b(2) before j = 2 takes a(2)
     with pytest.raises(ValueError, match="a2"):
         I._dot(left, right, 4)  # j = 2 takes a(2) and b(2): the left factor first
-    late = I._column(faulty("a", {2}), 3, 5)  # starts past its fault
-    assert I._dot(late, right, 4) == 2
+    with pytest.raises(ValueError, match="b2"):
+        I._entry(right, 2)
 
 
 @st.composite
@@ -281,7 +302,7 @@ def test_integer_sums(point):
         assert I.sum_lhs("subarray-convolution", n, **point) == ref_subarray(p, r, n, k, s)
         assert I.sum_lhs("ballot-triangle-convolution", n, **point) == ref_ballot_triangle(
             p, r, n, k, s)
-    assert I.sum_lhs("catalan-column-sum", n, p=p, r=r, k=k) == ref_column_sum(p, r, n, k)
+        assert I.sum_lhs("catalan-column-sum", n, p=p, r=r, k=k) == ref_column_sum(p, r, n, k)
 
 
 @KERNEL
@@ -353,15 +374,38 @@ REF_RHS = {
 ROWS = {row.id: row for row in I.SUM_IDENTITIES}
 
 
+def past_n(law, n):
+    """Law values with k in n+1..n+2, past every k the grid reaches (s in 1..k)."""
+    if "s" in law.slots:
+        return [(k, s) for k in (n + 1, n + 2) for s in range(1, k + 1)]
+    return [(k,) for k in (n + 1, n + 2)] if "k" in law.slots else []
+
+
+def default_points(row, past_from):
+    """The default grid's points up to n = 8, and those with k > n from n = ``past_from``."""
+    law = row.law
+    for point in I._grid_points(row.sets + law.axes + (("n", range(9)),), {}):
+        n = point["n"]
+        for values in (*law.values(n, {}), *(past_n(law, n) if n >= past_from else ())):
+            yield {**point, **dict(zip(law.slots, values))}
+
+
 @pytest.mark.parametrize("identity", sorted(ROWS))
 def test_sum_rhs_is_the_closed_form(identity):
-    # the right factor at the law's summed parameter, over the default grid up to n = 8
+    # the right factor at the law's summed parameter; k > n reads index n - k < 0, which
+    # must give 0, not wrap.  From n = 1 only: at n = 0 the ballot-triangle reference
+    # takes a binomial with the negative upper index (p+1)n + r - k
     law = ROWS[identity].law
-    for point in I._grid_points(ROWS[identity].sets + law.axes + (("n", range(9)),), {}):
-        for values in law.values(point["n"], {}):
-            params = {**point, **dict(zip(law.slots, values))}
-            rhs = {slot: v for slot, v in params.items() if slot not in law.lhs_only}
-            assert outcome(I.sum_rhs, identity, **rhs) == outcome(REF_RHS[identity], **rhs)
+    for params in default_points(ROWS[identity], past_from=1):
+        rhs = {slot: v for slot, v in params.items() if slot not in law.lhs_only}
+        assert outcome(I.sum_rhs, identity, **rhs) == outcome(REF_RHS[identity], **rhs)
+
+
+@pytest.mark.parametrize("identity", sorted(ROWS))
+def test_sum_lhs_is_the_term_by_term_sum(identity):
+    # the twin of the rhs test: the same points, k > n from n = 0
+    for params in default_points(ROWS[identity], past_from=0):
+        assert outcome(I.sum_lhs, identity, **params) == outcome(REF_LHS[identity], **params)
 
 
 def pointwise_run(row, max_n, pinned, bad_n=None):
@@ -390,16 +434,23 @@ def registry_run(row, max_n, pinned):
     return rep.points, rep.counterexample
 
 
+@contextmanager
 def wrong_at(row, bad_n):
-    """``row`` with its law's rhs off by one at every point with n = bad_n."""
-    def rhs(*args):
-        term = row.law.rhs(*args)
+    """``row``, with the rhs the runner reads off by one at every point with n = bad_n."""
+    at = {}
 
-        def at(n):
-            num, den = term(n)
-            return (num + den, den) if n == bad_n else (num, den)
-        return at
-    return row._replace(law=row.law._replace(rhs=rhs))
+    def values(n, pinned):
+        at["n"] = n
+        return row.law.values(n, pinned)
+
+    entry = I._entry
+
+    def wrong_entry(col, m):
+        num, den = entry(col, m)
+        return (num + den, den) if at["n"] == bad_n else (num, den)
+
+    with mock.patch.object(I, "_entry", wrong_entry):
+        yield row._replace(law=row.law._replace(values=values))
 
 
 @st.composite
@@ -428,9 +479,9 @@ def test_registry_runner_matches_term_by_term(identity, data):
     max_n = data.draw(st.integers(0, 12))
     pinned = data.draw(pins(row, max_n))
     bad_n = data.draw(st.one_of(st.none(), st.integers(0, max_n)))
-    wrong = row if bad_n is None else wrong_at(row, bad_n)
-    assert outcome(registry_run, wrong, max_n, pinned) == outcome(
-        pointwise_run, row, max_n, pinned, bad_n)
+    with wrong_at(row, bad_n) as wrong:
+        assert outcome(registry_run, wrong, max_n, pinned) == outcome(
+            pointwise_run, row, max_n, pinned, bad_n)
 
 
 @pytest.mark.parametrize("max_n", [20, 40])
@@ -448,64 +499,110 @@ def test_registry_runner_matches_term_by_term_with_k_s_pins(identity, pinned, ma
     assert want[0] > 0 and want[1] is None
 
 
-@pytest.mark.parametrize("identity, pinned, message", [
-    # C(2m - 3, m - 1) at m = 1 is the first bad term in order of j, not C(-3, 0) at m = 0
-    ("catalan-column-sum", {"r": -3}, "icomb needs a nonnegative upper index, got -1"),
-    # the right factor's denominator pm + r + 1 vanishes at m = 0
-    ("catalan-triangle-convolution", {"r": -1}, "integer modulo by zero"),
-])
-def test_column_faults_surface_where_the_sum_takes_them(identity, pinned, message):
-    # the registry refuses r < 0 by name; without that bound, a term that
-    # raises is raised by the first point whose sum takes it
-    row = ROWS[identity]._replace(r_min=None)
-    with pytest.raises((ValueError, ZeroDivisionError)) as caught:
-        registry_run(row, 20, pinned)
-    assert str(caught.value) == message
+@pytest.mark.parametrize("identity", ["ballot-vandermonde", "central-binomial-vandermonde"])
+def test_column_faults_surface_where_the_sum_takes_them(monkeypatch, identity):
+    # G_y's denominator pm + y + 1 vanishes at m = 3 for p = 2, y = -7.  The column is
+    # built to m = 20 before n = 0 is checked, yet holds the fault until n = 3, the
+    # first point whose sum takes it; the sums at n = 0..2 of the first x are taken
+    taken = []
+    dot = I._dot
+
+    def recording_dot(left, right, m):
+        taken.append(m)
+        return dot(left, right, m)
+
+    monkeypatch.setattr(I, "_dot", recording_dot)
+    with pytest.raises(PoleError, match=r"^pm \+ y \+ 1 vanishes at m = 3$"):
+        registry_run(ROWS[identity], 20, {"p": 2, "y": -7})
+    assert taken == [0, 1, 2, 3]
 
 
-def test_an_rhs_over_zero_is_refused_as_fraction_refuses_it(monkeypatch):
-    # cross-multiplied, an rhs of 0/0 would pass against any lhs
-    law = I._VANDERMONDE_LAW._replace(axes=(), parts=(), rhs=lambda right: lambda n: (0, 0))
-    row = I.SumIdentity("zero", "", lambda _: lambda j: (1, 1), lambda _: lambda m: (1, 1),
-                        (), law, None)
-    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(0, 0\)$"):
+def test_an_rhs_over_zero_is_refused_as_fraction_refuses_it():
+    # cross-multiplied, an rhs of 0/0 would pass against any lhs: here G_0 = 1 and
+    # G_1 = 0/0, so the lhs F_1 * G_0 is well defined and the rhs G_1 is not
+    law = I._VANDERMONDE_LAW._replace(axes=(), parts=(), point=lambda n: (1, 0, n))
+    row = I.SumIdentity("zero", "", lambda x: lambda j: (1, 1),
+                        lambda y: lambda m: (1 - y, 1 - y), (), law, None)
+    with pytest.raises(ZeroDivisionError):
         registry_run(row, 3, {})
-    # the right factor's denominator pn + r + 1 vanishes at p = 1, r = -2, n = 1,
-    # past the r >= 0 that sum_rhs refuses by name
-    identity = "catalan-triangle-convolution"
-    monkeypatch.setitem(I._SUMS, identity, ROWS[identity]._replace(r_min=None))
-    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(0, 0\)$"):
-        I.sum_rhs(identity, 1, p=1, r=-2, k=1)
+    # G_{x+y}'s denominator pn + x + y + 1 vanishes at p = 2, x + y = -7, n = 3,
+    # while the lhs's G_0 has no pole
+    point = {"p": 2, "x": -7, "y": 0}
+    message = r"^pm \+ y \+ 1 vanishes at m = 3$"
+    for identity in ("ballot-vandermonde", "central-binomial-vandermonde"):
+        assert outcome(I.sum_lhs, identity, 3, **point) == outcome(REF_LHS[identity], n=3, **point)
+        with pytest.raises(PoleError, match=message):
+            I.sum_rhs(identity, 3, **point)
+        with pytest.raises(PoleError, match=message):
+            registry_run(ROWS[identity], 20, point)
+
+
+# (entries built, columns built) in one run at max_n = 50
+COLUMN_BUILDS = {"subarray-convolution": (11031, 805), "catalan-column-sum": (5790, 483)}
 
 
 @pytest.mark.parametrize("identity", ["subarray-convolution", "catalan-column-sum"])
 def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
-    columns, highest = [], {}
-    column, dot = I._column, I._dot
+    # the run's memo rebuilds a column only to read it further, and its longest
+    # build is read to the end: the points that asked for it reach it by their last n
+    builds, highest, keys, alive = {}, {}, {}, []
+    column, dot, entry = I._column, I._dot, I._entry
 
-    def counting_column(term, start, length):
-        col = column(term, start, length)
-        columns.append(col)
+    def counting_column(term, length):
+        col = column(term, length)
+        alive.append(col)  # no id is reused while the run goes on
+        keys[id(col)] = key = term.func, term.args
+        builds.setdefault(key, []).append(length)
         return col
 
-    def counting_dot(left, right, n):
-        # the left column is read at start..n, the right one at 0..n - start
-        for col, last in ((left, n), (right, n - left.start)):
-            highest[id(col)] = max(highest.get(id(col), -1), last)
-        return dot(left, right, n)
+    def read(col, m):
+        key = keys[id(col)]
+        highest[key] = max(highest.get(key, -1), m)
 
-    monkeypatch.setattr(I, "_column", counting_column)
-    monkeypatch.setattr(I, "_dot", counting_dot)
+    def counting_dot(left, right, m):
+        read(left, m)
+        read(right, m)
+        return dot(left, right, m)
+
+    def counting_entry(col, m):
+        read(col, m)
+        return entry(col, m)
+
+    for name, fn in (("_column", counting_column), ("_dot", counting_dot),
+                     ("_entry", counting_entry)):
+        monkeypatch.setattr(I, name, fn)
     assert I.check_registry(identity, max_n=50).holds
-    built = sum(len(col.nums) - col.start for col in columns)
-    read = sum(highest[id(col)] - col.start + 1 for col in columns)
-    assert built == read == {"subarray-convolution": 21888, "catalan-column-sum": 16524}[identity]
+    for key, lengths in builds.items():
+        assert lengths == sorted(set(lengths)), key
+        assert lengths[-1] == highest[key] + 1, key
+    assert (sum(map(sum, builds.values())), len(alive)) == COLUMN_BUILDS[identity]
 
 
 def test_term_caches_are_bounded():
     for cached in (I.binomial, I._catalan_power_term, I._central_power_term,
                    I._power_fixed_point):
         assert cached.cache_info().maxsize is not None
+
+
+def test_check_all_leaves_no_heap_behind():
+    # run in a fresh interpreter, so that nothing an earlier test cached counts
+    script = (
+        "import contextlib, gc, io, tracemalloc\n"
+        "tracemalloc.start()\n"
+        "from riordan import cli\n"
+        "gc.collect()\n"
+        "base = tracemalloc.get_traced_memory()[0]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['check', '--all', '--max-n', '50']) == 0\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0] - base)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 2**19  # 0.5 MiB
 
 
 # -- Andrews table against the per-identity sums --------------------------------

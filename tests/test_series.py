@@ -369,6 +369,14 @@ def test_lagrange_gf_trivial_phi():
     assert lagrange_gf(FPS.one(6), FPS.one(6), 6) == FPS.one(6)
 
 
+def test_lagrange_gf_refuses_phi_known_below_its_precision():
+    # coefficient 2 is [t^2] phi^2, which reads phi's coefficient 2: 1 + t + 5t^2,
+    # equal to 1 + t as far as that is known, gives [1, 1, 11]
+    assert list(lagrange_gf(FPS.one(3), FPS([1, 1, 5]), 3).coeffs) == [1, 1, 11]
+    with pytest.raises(PrecisionError, match=r"^phi known mod t\^2, need t\^3$"):
+        lagrange_gf(FPS.one(3), FPS([1, 1]), 3)
+
+
 def test_lagrange_gf_weighted_binomials():
     # F = 1 - t, phi = (1+t)^(p+1): coefficient n is
     # C((p+1)n, n) - C((p+1)n, n-1), by direct expansion
