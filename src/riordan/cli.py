@@ -25,7 +25,7 @@ from .arrays import (
     pascal,
 )
 from .hypergeom import HypergeometricSpec, expand
-from .identities import REGISTRY, RegistryError, check_registry, registry_entries
+from .identities import REGISTRY, check_registry, registry_entries
 from .series import FormalPowerSeries
 
 # builtin name -> (array factory, precision -> its A-sequence as a series)
@@ -132,6 +132,19 @@ def _emit_report(report, fmt: str, out) -> None:
             out.write(f"  counterexample at {params}: lhs={cex.lhs} rhs={cex.rhs}\n")
 
 
+# -- failures ----------------------------------------------------------
+
+_FAILURES = (ValueError, ZeroDivisionError)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and message of a failure that ends a command."""
+    if isinstance(exc, TheoremViolationError):
+        # two routes that must agree did not: a counterexample, not a usage error
+        return 1, f"counterexample: {exc}"
+    return 2, str(exc)
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -203,16 +216,30 @@ def _cmd_check(args, out) -> int:
         ids = [args.identity]
     else:
         raise UsageError("need an identity id, --all, or --list")
-    all_hold = True
+    # the worst exit code seen: an error (2) beats a counterexample (1) beats a pass
+    worst = 0
     for identity in ids:
-        report = check_registry(identity, max_n=args.max_n, pinned=pinned or None)
-        if not report.points:
-            raise UsageError(
-                f"{identity}: no points checked ({report.grid}); an empty grid is not a pass"
-            )
-        _emit_report(report, args.format, out)
-        all_hold = all_hold and report.holds
-    return 0 if all_hold else 1
+        try:
+            report = check_registry(identity, max_n=args.max_n, pinned=pinned or None)
+        except _FAILURES as exc:
+            if not args.all:
+                raise
+            # one identity that raises does not end a run of the whole registry
+            code, message = _failure(exc)
+            print(f"riordan: {identity}: {message}", file=sys.stderr)
+        else:
+            if report.points:
+                _emit_report(report, args.format, out)
+                code = 0 if report.holds else 1
+            else:
+                print(
+                    f"riordan: {identity}: no points checked ({report.grid}); "
+                    "an empty grid is not a pass",
+                    file=sys.stderr,
+                )
+                code = 2
+        worst = max(worst, code)
+    return worst
 
 
 def _cmd_hyper(args, out) -> int:
@@ -319,16 +346,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, sys.stdout)
-    except RegistryError as exc:
-        print(f"riordan: {exc}", file=sys.stderr)
-        return 2
-    except TheoremViolationError as exc:
-        # two routes that must agree did not: a counterexample, not a usage error
-        print(f"riordan: counterexample: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"riordan: {exc}", file=sys.stderr)
-        return 2
+    except _FAILURES as exc:
+        code, message = _failure(exc)
+        print(f"riordan: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

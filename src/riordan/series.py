@@ -20,7 +20,7 @@ across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Union
 
@@ -389,19 +389,16 @@ class FormalPowerSeries:
     # -- composition, powers, reversion ------------------------------
 
     def compose(self, inner: "FormalPowerSeries") -> "FormalPowerSeries":
-        """``self(inner(t))`` by Horner's rule; requires ``inner(0) = 0``."""
+        """``self(inner(t))``, by baby steps and giant steps; requires ``inner(0) = 0``.
+
+        The route is :func:`_compose_all`, the one composition kernel.
+        """
         if not isinstance(inner, FormalPowerSeries):
             raise SeriesError("compose needs a series argument")
         if inner._nums[0]:
             raise CompositionOrderError("inner series must have order >= 1")
         n = min(len(self._nums), len(inner._nums))
-        g = inner.truncate(n)
-        acc = FormalPowerSeries.zero(n)
-        for c in reversed(self.coeffs[:n]):
-            acc = acc * g
-            if c:
-                acc = acc + c
-        return acc
+        return _compose_all([(self._nums, self._den)], inner.truncate(n))[0]
 
     def _log(self) -> "FormalPowerSeries":
         # log f = integral(f'/f), valid for f(0) = 1
@@ -431,7 +428,9 @@ class FormalPowerSeries:
 
         Requires order exactly 1.  Newton iteration on ``self(w) = t`` with
         doubling working precision; each step reads ``self(w)`` and
-        ``self'(w)`` from one table of the powers of ``w``.  The independent
+        ``self'(w)`` from one baby-step/giant-step composition
+        (:func:`_compose_all`), which shares one table of the powers of
+        ``w`` between them.  The independent
         Lagrange coefficient formula (:func:`lagrange_coeffs`) serves as the
         test oracle.
         """
@@ -462,7 +461,46 @@ class FormalPowerSeries:
         return cls([Fraction(c) for c in record["coeffs"]], precision=record["prec"])
 
 
-# -- composition from a table of powers ------------------------------
+# -- composition by baby steps and giant steps ------------------------
+
+
+def _compose_all(series, w: FormalPowerSeries) -> list[FormalPowerSeries]:
+    """Each ``nums/den`` of ``series`` composed with ``w``, at ``w``'s precision ``n``.
+
+    ``w(0) = 0``; a coefficient past an input's length counts as 0, and one
+    at or past ``n`` cannot reach the result (``w^i`` vanishes mod ``t^n``
+    from ``i = n`` on).  Brent and Kung's baby-step/giant-step scheme:
+    with ``L`` the longest input without its trailing zeros and
+    ``m = isqrt(L - 1) + 1``, every input is split into blocks of ``m``
+    coefficients, each block is one linear combination of the baby table
+    ``w^0 .. w^(m-1)``, and the blocks are joined by Horner's rule in the
+    giant step ``W = w^m``.  A length-``L`` input costs about ``m + L/m``
+    products instead of ``L``, and all inputs share the table and ``W``.
+    """
+    n = len(w._nums)
+    trimmed = []
+    for nums, den in series:
+        nums = nums[:n]
+        length = len(nums)
+        while length and not nums[length - 1]:
+            length -= 1
+        trimmed.append((nums[:length], den))
+    longest = max(len(nums) for nums, _ in trimmed)
+    m = isqrt(max(longest - 1, 0)) + 1
+    powers = [FormalPowerSeries.one(n), w][:m]
+    while len(powers) < m:
+        powers.append(powers[-1] * w)
+    giant = powers[-1] * w if longest > m else None
+    out = []
+    for nums, den in trimmed:
+        blocks = [nums[i:i + m] for i in range(0, len(nums), m)] or [()]
+        acc = _linear_combination(blocks.pop(), den, powers)
+        for block in reversed(blocks):
+            acc = acc * giant
+            if any(block):
+                acc = acc + _linear_combination(block, den, powers)
+        out.append(acc)
+    return out
 
 
 def _compose_with_derivative(
@@ -470,23 +508,14 @@ def _compose_with_derivative(
 ) -> tuple[FormalPowerSeries, FormalPowerSeries]:
     """``g(w)`` and ``g'(w)`` at ``w``'s precision ``n``; ``w(0) = 0``, ``g`` known mod ``t^n``.
 
-    Both are read from one table ``w^0 .. w^(L-1)``, with ``L`` the length
-    of ``g`` without its trailing zeros, and at most ``n`` (``w^i`` vanishes
-    mod ``t^n`` from ``i = n`` on).  ``g'(w)`` reads ``g`` up to index ``n``;
-    a coefficient past ``g``'s precision counts as 0.
+    Both come from one :func:`_compose_all` call, so they share its table
+    of powers of ``w``.  ``g'(w)`` reads ``g`` up to index ``n``; a
+    coefficient past ``g``'s precision counts as 0.
     """
     n = len(w._nums)
-    coeffs = g._nums[:n + 1]
-    length = len(coeffs)
-    while length > 1 and not coeffs[length - 1]:
-        length -= 1
-    size = min(length, n)
-    powers = [FormalPowerSeries.one(n), w][:size]
-    while len(powers) < size:
-        powers.append(powers[-1] * w)
-    value = _linear_combination(coeffs[:length], g._den, powers)
-    slopes = [i * c for i, c in enumerate(coeffs[1:length], 1)]
-    return value, _linear_combination(slopes, g._den, powers)
+    slopes = [i * c for i, c in enumerate(g._nums[1:n + 1], 1)]
+    value, slope = _compose_all([(g._nums, g._den), (slopes, g._den)], w)
+    return value, slope
 
 
 def _linear_combination(coeffs, den: int, powers) -> FormalPowerSeries:
@@ -520,8 +549,8 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
 
     Computed by Newton iteration on ``F(w) = w - t phi(w)``, with
     ``F'(w) = 1 - t phi'(w)`` and doubling working precision; each step
-    reads ``phi(w)`` and ``phi'(w)`` from one table of the powers of ``w``,
-    so a short phi costs a short table.
+    reads ``phi(w)`` and ``phi'(w)`` from one baby-step/giant-step
+    composition (:func:`_compose_all`), so a short phi costs a short table.
     """
     if precision < 1:
         raise SeriesError("precision must be positive")
@@ -576,7 +605,8 @@ def lagrange_gf(
 ) -> FormalPowerSeries:
     """The series whose coefficient ``n`` is ``[t^n] F(t) phi(t)**n``.
 
-    Evaluated as ``F(w) / (1 - t phi'(w))`` at ``w = t phi(w)``.
+    Evaluated as ``F(w) / (1 - t phi'(w))`` at ``w = t phi(w)``, with
+    ``F(w)`` and ``phi'(w)`` from one :func:`_compose_all` call.
     """
     if precision < 1:
         raise SeriesError("precision must be positive")
@@ -591,7 +621,10 @@ def lagrange_gf(
     p = phi.truncate(precision)
     f = F.truncate(precision)
     w = lagrange_solve(p, precision)
-    den = 1 - p.derivative().compose(w).shift_up()
+    # phi' is known mod t^(n-1) only, so phi'(w) is read below its top coefficient
+    dp = p.derivative()
+    value, slope = _compose_all([(f._nums, f._den), (dp._nums, dp._den)], w)
+    den = 1 - slope.truncate(precision - 1).shift_up()
     if not den.coeff(0):
         raise SingularInversionError("1 - t phi'(w) has zero constant term")
-    return f.compose(w) / den
+    return value / den

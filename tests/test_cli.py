@@ -1,6 +1,7 @@
 """CLI behaviour: rendering, exit codes, jsonl round trips."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from riordan import identities
+from riordan.arrays import TheoremViolationError
 from riordan.cli import main
 from riordan.hypergeom import h_for_binomial_A
 
@@ -262,6 +264,72 @@ def test_check_all_at_max_n_4_matches_golden_jsonl(capsys):
     code, out, _ = run(capsys, "check", "--all", "--max-n", "4", "--format", "jsonl")
     assert code == 0
     assert out.encode() == (EXPECTED / "check_all_n4.jsonl").read_bytes()
+
+
+def raising_entry(monkeypatch, identity, exc):
+    entry = identities.REGISTRY[identity]
+
+    def run_entry(max_n, pinned):
+        raise exc
+
+    monkeypatch.setitem(identities.REGISTRY, identity, replace(entry, run=run_entry))
+
+
+@pytest.mark.parametrize(
+    "failures, code",
+    [
+        ({"rothe-hagen": ValueError("boom")}, 2),
+        ({"rothe-hagen": ZeroDivisionError("pole")}, 2),
+        ({"rothe-hagen": TheoremViolationError("routes disagree")}, 1),
+        # an error beats a counterexample, whichever comes first
+        ({"andrews-a1": TheoremViolationError("routes disagree"),
+          "product-laws": ValueError("boom")}, 2),
+        ({"andrews-a1": ValueError("boom"),
+          "product-laws": TheoremViolationError("routes disagree")}, 2),
+    ],
+)
+def test_check_all_goes_on_past_an_identity_that_raises(capsys, monkeypatch, failures, code):
+    for identity, exc in failures.items():
+        raising_entry(monkeypatch, identity, exc)
+    got, out, err = run(capsys, "check", "--all", "--max-n", "4", "--format", "jsonl")
+    assert got == code
+    golden = lines((EXPECTED / "check_all_n4.jsonl").read_text())
+    assert lines(out) == [line for line in golden if json.loads(line)["id"] not in failures]
+    assert len(lines(out)) == 18 - len(failures)
+    assert lines(err) == [
+        f"riordan: {identity}: "
+        + ("counterexample: " if isinstance(exc, TheoremViolationError) else "")
+        + str(exc)
+        for identity, exc in failures.items()
+    ]
+
+
+def test_check_all_counterexample_then_raise_exits_2(capsys, monkeypatch):
+    # a counterexample record (1) from fibonacci-riordan, then an identity that raises (2)
+    wrong = dict(identities._EXTRACTED_D, odd=lambda m: comb(2 * m + 1, m + 1) + (m == 3))
+    monkeypatch.setattr(identities, "_EXTRACTED_D", wrong)
+    raising_entry(monkeypatch, "hypergeometric-power-law", ValueError("boom"))
+    code, out, err = run(capsys, "check", "--all", "--max-n", "4", "--format", "jsonl")
+    assert code == 2
+    verdicts = {rec["id"]: rec["verdict"] for rec in map(json.loads, lines(out))}
+    assert len(verdicts) == 17
+    assert verdicts.pop("fibonacci-riordan") == "counterexample"
+    assert set(verdicts.values()) == {"holds"}
+    assert err == "riordan: hypergeometric-power-law: boom\n"
+
+
+def test_check_all_reports_each_empty_grid_and_goes_on(capsys):
+    code, out, err = run(capsys, "check", "--all", "--max-n", "0")
+    assert code == 2
+    assert lines(err)[0] == (
+        "riordan: andrews-a1: no points checked (1 <= n <= 0); an empty grid is not a pass"
+    )
+    empty = [line.split(": ")[1] for line in lines(err)]
+    assert all(line.endswith("; an empty grid is not a pass") for line in lines(err))
+    held = [line.split(": ")[0] for line in lines(out)]
+    assert all(": holds (" in line for line in lines(out))
+    assert sorted(empty + held) == sorted(identities.REGISTRY)
+    assert "andrews-a3" in held and "subarray-convolution" in empty
 
 
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("csv", "csv"), ("jsonl", "jsonl")])

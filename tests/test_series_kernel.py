@@ -8,9 +8,9 @@ no factor with all numerators).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd, isqrt, sqrt
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riordan import series
@@ -290,6 +290,72 @@ def test_lagrange_solve_matches_reverting_t_over_phi(case):
 @given(dense_order_one)
 def test_revert_matches_newton_by_horner(g):
     assert canonical(FPS(g).revert()) == ref_revert(g)
+
+
+# -- baby steps and giant steps at the block edges ------------------------------
+
+
+@st.composite
+def block_edges(draw):
+    """An outer series of length m^2 - 1, m^2 or m^2 + 1 and an inner one of order >= 1.
+
+    The outer series has up to two all-zero blocks of the kernel's block size
+    isqrt(L - 1) + 1 and up to three trailing zeros; the inner one's precision
+    is 1, 2, or the outer length with or without those zeros.
+    """
+    m = draw(st.integers(1, 6))
+    length = max(m * m + draw(st.sampled_from([-1, 0, 1])), 1)
+    f = draw(st.lists(coefficient, min_size=length, max_size=length))
+    size = isqrt(length - 1) + 1
+    for j in draw(st.sets(st.integers(0, (length - 1) // size), max_size=2)):
+        f[j * size:(j + 1) * size] = [0] * len(f[j * size:(j + 1) * size])
+    f += [0] * draw(st.integers(0, 3))
+    n = draw(st.sampled_from([1, 2, length, len(f)]))
+    order = draw(st.integers(1, 3))
+    w = ([0] * order + draw(st.lists(coefficient, min_size=n, max_size=n)))[:n]
+    return f, w
+
+
+@HEAVY
+@given(block_edges())
+@example(([5], [0]))
+@example(([5, 0, 0], [0, 0, 3]))
+def test_compose_at_block_edges(case):
+    f, w = case
+    assert canonical(FPS(f).compose(FPS(w))) == ref_compose(f, w)
+
+
+@HEAVY
+@given(block_edges(), st.integers(0, 1))
+@example(([5], [0]), 0)  # a constant g at precision 1: the slope list is empty
+@example(([5, 0, 0], [0, 0, 3]), 1)
+def test_compose_with_derivative_at_block_edges(case, extra):
+    f, w = case
+    n = len(w)
+    g = (f + [0] * (n + 1))[:n + extra]  # g known mod t^n or mod t^(n+1)
+    value, slope = _compose_with_derivative(FPS(g), FPS(w))
+    assert canonical(value) == ref_compose(g, w)
+    assert canonical(slope) == ref_compose(ref_derivative(g + [0]), w)
+
+
+def test_dense_compose_takes_baby_and_giant_steps(monkeypatch):
+    # Horner's rule would make 100 products; baby steps and giant steps at most
+    # 2 ceil(sqrt(100)) + 1
+    calls = []
+    convolve = series._convolve
+
+    def counted(a, b, n):
+        calls.append(n)
+        return convolve(a, b, n)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    f = FPS(range(1, 101))
+    w = FPS([0, *range(1, 100)])
+    got = f.compose(w)
+    assert 0 < len(calls) <= 2 * ceil(sqrt(100)) + 1
+    assert got.precision == 100
+    # the low coefficients against the Fraction reference at a precision it reaches fast
+    assert canonical(got.truncate(12)) == ref_compose(list(range(1, 13)), [0, *range(1, 12)])
 
 
 def test_lagrange_solve_calls_neither_revert_nor_lagrange_coeffs(monkeypatch):
