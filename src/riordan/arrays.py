@@ -20,6 +20,13 @@ reads the cached columns' integer numerators and rescales them once to
 the lcm of their denominators, and :func:`a_sequence` solves and verifies
 the recurrence on those integers; :class:`fractions.Fraction` values are
 built only when entries are read.
+
+Extraction builds no column: the kept entries lie on Lagrange diagonals
+``[t^n] F(t) phi(t)^n`` with ``phi = h^(p-1)``, so the new first column
+and ``t h`` come from one
+:func:`~riordan.series._lagrange_diagonal` call at the new, smaller
+precision.  :func:`subarray_triangle` reads the same grid from the
+columns and stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .series import (
     PrecisionError,
     _append_term,
     _fraction,
+    _lagrange_diagonal,
     _series,
     lagrange_solve,
 )
@@ -309,10 +317,15 @@ class RiordanArray:
     def extract_subarray(self, p: int, r: int) -> "RiordanArray":
         """Keep rows ``pn + r`` and columns from ``(p-1)n + r`` on.
 
-        The result is again a Riordan array; its new first column and
-        h-series are read off from columns 0 and 1 of the extracted grid.
-        The A-sequence of the result equals ``A**p`` (checked by tests and
-        by the CLI, not re-derived here).
+        The result is again a Riordan array.  Entry ``(pn + r, (p-1)n + r + k)``
+        is ``[t^n] t^k d h^(r+k) (h^(p-1))^n``, so the new first column is the
+        Lagrange diagonal of ``F = d h^r`` and the new ``t h`` is that of
+        ``F = t d h^(r+1)`` divided by it, both with ``phi = h^(p-1)`` and read by
+        one :func:`~riordan.series._lagrange_diagonal` call at the new
+        precision; no column of this array is built.  The A-sequence of the
+        result equals ``A**p`` (checked by tests and by the CLI, not
+        re-derived here), and :func:`subarray_triangle`, which reads the
+        grid from the columns, is its oracle.
         """
         if p < 2:
             raise RiordanError(f"p must be >= 2, got {p}")
@@ -325,14 +338,11 @@ class RiordanArray:
             raise PrecisionError(
                 f"precision {self.precision} too small to extract (p={p}, r={r})"
             )
-        d_new = FormalPowerSeries(
-            [self.entry(p * n + r, (p - 1) * n + r) for n in range(m)]
-        )
-        col1 = FormalPowerSeries(
-            [self.entry(p * n + r, (p - 1) * n + r + 1) for n in range(m)]
-        )
-        th_new = col1 / d_new
-        return RiordanArray(d_new, th_new.shift_down())
+        # rows pn + r < precision read d and h mod t^m only
+        h = self._h.truncate(m)
+        f = self._d.truncate(m) * h**r
+        d_new, col1 = _lagrange_diagonal([f, (f * h).shift_up().truncate(m)], h**(p - 1))
+        return RiordanArray(d_new, (col1 / d_new).shift_down())
 
     def weighted_row_sum(self, f: FormalPowerSeries, n: int) -> Fraction:
         """``sum_k f_k d[n][k]``, the finite sum; it equals ``[t^n] d(t) f(t h(t))``."""

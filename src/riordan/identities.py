@@ -321,6 +321,9 @@ def check_via_riordan(n_max: int, n: int | None = None) -> IdentityReport:
     terms = (n_max if n is None else n) + 1
     coefficients = _pin_values(pinned, "n", range(terms))
     n_grid = _grid_text([(("n",), f"n <= {n_max}", "")], pinned)
+    if not coefficients:
+        # no series is built for an empty grid
+        return IdentityReport("fibonacci-riordan", f"even and odd extractions, {n_grid}", 0)
     base = pascal(2 * terms + 2)
     even = base.extract_subarray(2, 0)
     odd = base.extract_subarray(2, 1)
@@ -921,6 +924,10 @@ def _sweep(
     """
     _require_min(identity, "p", p_min, pinned)
     precision = min(max_n + 1, cap)
+    grid = f"{_grid_text(parts, pinned)}, coefficients below {precision}"
+    if precision < 1:
+        # no coefficient to check: an empty grid, not a series of precision 0
+        return IdentityReport(identity, grid, 0)
     factors: dict = {}
     points = 0
     for params in _grid_points(axes, pinned):
@@ -928,7 +935,6 @@ def _sweep(
         points += rep.points
         if not rep.holds:
             return IdentityReport(identity, rep.grid, points, rep.counterexample)
-    grid = f"{_grid_text(parts, pinned)}, coefficients below {precision}"
     return IdentityReport(identity, grid, points)
 
 

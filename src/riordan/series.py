@@ -487,10 +487,7 @@ def _compose_all(series, w: FormalPowerSeries) -> list[FormalPowerSeries]:
         trimmed.append((nums[:length], den))
     longest = max(len(nums) for nums, _ in trimmed)
     m = isqrt(max(longest - 1, 0)) + 1
-    powers = [FormalPowerSeries.one(n), w][:m]
-    while len(powers) < m:
-        powers.append(powers[-1] * w)
-    giant = powers[-1] * w if longest > m else None
+    powers, giant = _baby_and_giant_steps(w, m, longest > m)
     out = []
     for nums, den in trimmed:
         blocks = [nums[i:i + m] for i in range(0, len(nums), m)] or [()]
@@ -501,6 +498,14 @@ def _compose_all(series, w: FormalPowerSeries) -> list[FormalPowerSeries]:
                 acc = acc + _linear_combination(block, den, powers)
         out.append(acc)
     return out
+
+
+def _baby_and_giant_steps(w: FormalPowerSeries, m: int, giant: bool):
+    """The baby table ``w^0 .. w^(m-1)`` and, if ``giant``, the giant step ``w^m`` (else None)."""
+    powers = [FormalPowerSeries.one(len(w._nums)), w][:m]
+    while len(powers) < m:
+        powers.append(powers[-1] * w)
+    return powers, powers[-1] * w if giant else None
 
 
 def _compose_with_derivative(
@@ -574,11 +579,46 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     return w
 
 
+def _lagrange_diagonal(fs, phi: FormalPowerSeries) -> list[FormalPowerSeries]:
+    """For each ``F`` of ``fs``, the series of ``[t^j] F(t) phi(t)^j``, ``j < n``.
+
+    ``n`` is ``phi``'s precision, and each ``F`` is known mod ``t^n``.
+    Baby steps and giant steps (Brent and Kung, J. ACM 25, 1978): with
+    ``m = isqrt(n - 1) + 1``, the baby table ``phi^0 .. phi^(m-1)`` is
+    built once and ``G_q = F phi^(qm)`` is walked by one product with the
+    giant step ``phi^m`` per block.  Coefficient ``j = qm + r`` is then
+    ``[t^j] G_q phi^r``, one integer dot product of ``G_q[:j+1]`` with the
+    reversed ``phi^r[:j+1]``.  A length-``n`` diagonal costs about
+    ``2 sqrt(n)`` products and ``n`` dot products instead of ``n`` products.
+    """
+    n = len(phi._nums)
+    m = isqrt(n - 1) + 1
+    powers, giant = _baby_and_giant_steps(phi, m, n > m)
+    # with rev = phi^r reversed, rev[n - 1 - j + i] = phi^r[j - i]
+    reversed_powers = [(s._nums[::-1], s._den) for s in powers]
+    out = []
+    for f in fs:
+        g = f.truncate(n)
+        nums, dens = [], []
+        for j in range(n):
+            q, r = divmod(j, m)
+            if q and not r:
+                g = g * giant
+            rev, den = reversed_powers[r]
+            nums.append(sum(map(mul, g._nums, rev[n - 1 - j:])))
+            dens.append(g._den * den)
+        common = lcm(*dens)
+        out.append(_series([x * (common // d) for x, d in zip(nums, dens)], common))
+    return out
+
+
 def lagrange_coeffs(phi: FormalPowerSeries, k: int, precision: int) -> FormalPowerSeries:
     """``w**k`` for ``w = t phi(w)`` straight from the coefficient formula.
 
-    Coefficient ``n`` is ``(k/n) [t^(n-k)] phi(t)**n``.  Deliberately
-    independent of :func:`lagrange_solve`, so the two can cross-check.
+    Coefficient ``n`` is ``(k/n) [t^(n-k)] phi(t)**n = (k/n) [t^n] t^k phi(t)**n``,
+    read off the Lagrange diagonal of ``F = t^k`` (:func:`_lagrange_diagonal`).
+    Deliberately independent of :func:`lagrange_solve` and of composition,
+    so the two routes can cross-check.
     """
     if k < 1:
         raise SeriesError("k must be >= 1")
@@ -589,15 +629,12 @@ def lagrange_coeffs(phi: FormalPowerSeries, k: int, precision: int) -> FormalPow
             raise SeriesError("phi(0) must be nonzero")
         return FormalPowerSeries.zero(1)
     p = _check_phi(phi, precision)
-    nums, dens = [0] * precision, [1] * precision
-    power = FormalPowerSeries.one(precision)
-    for n in range(1, precision):
-        power = power * p
-        if n >= k:
-            nums[n] = k * power._nums[n - k]
-            dens[n] = n * power._den
-    den = lcm(*dens)
-    return _series([x * (den // d) for x, d in zip(nums, dens)], den)
+    t_k = FormalPowerSeries.one(precision).shift_up(k).truncate(precision)
+    (diagonal,) = _lagrange_diagonal([t_k], p)
+    # coefficient 0 is [t^0] t^k = 0; put coefficient n's k/n over lcm(1..n)
+    scale = lcm(*range(1, precision))
+    nums = [0] + [k * x * (scale // n) for n, x in enumerate(diagonal._nums[1:], 1)]
+    return _series(nums, scale * diagonal._den)
 
 
 def lagrange_gf(
@@ -606,7 +643,9 @@ def lagrange_gf(
     """The series whose coefficient ``n`` is ``[t^n] F(t) phi(t)**n``.
 
     Evaluated as ``F(w) / (1 - t phi'(w))`` at ``w = t phi(w)``, with
-    ``F(w)`` and ``phi'(w)`` from one :func:`_compose_all` call.
+    ``F(w)`` and ``phi'(w)`` from one :func:`_compose_all` call.  The
+    diagonal kernel :func:`_lagrange_diagonal` reads the same series
+    coefficient by coefficient; the two routes share no step.
     """
     if precision < 1:
         raise SeriesError("precision must be positive")

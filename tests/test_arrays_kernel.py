@@ -12,12 +12,13 @@ numerators).
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import ceil, gcd, sqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordan import series
 from riordan.arrays import (
     ASequence,
     InsufficientDataError,
@@ -25,6 +26,7 @@ from riordan.arrays import (
     RiordanArray,
     Triangle,
     a_sequence,
+    pascal,
     subarray_triangle,
 )
 from riordan.series import FormalPowerSeries as FPS
@@ -214,6 +216,70 @@ def test_subarray_triangle_matches_reference(case, p, r, nrows):
     assert got == outcome(ref_subarray_triangle, array, p, r, nrows)
     if isinstance(got, Triangle):
         assert_canonical(got)
+
+
+# -- extract_subarray against its oracle ----------------------------------------
+
+
+@st.composite
+def extractions(draw):
+    """A proper rational ``(d, h)`` array with ``h`` one order short, p in 2..5 and r in 0..4.
+
+    The array has at least ``p + r + 1`` rows, so that at least two rows are extracted.
+    """
+    p = draw(st.integers(2, 5))
+    r = draw(st.integers(0, 4))
+    rows = draw(st.integers(p + r + 1, p + r + 14))
+    coeff = st.one_of(integer, rational)
+    d = [draw(unit)] + draw(st.lists(coeff, min_size=rows - 1, max_size=rows - 1))
+    h = [draw(unit)] + draw(st.lists(coeff, min_size=rows - 2, max_size=rows - 2))
+    return RiordanArray(FPS(d), FPS(h)), p, r
+
+
+@KERNEL
+@given(extractions())
+def test_extract_subarray_matches_the_extracted_grid(case):
+    base, p, r = case
+    sub = base.extract_subarray(p, r)
+    m = (base.precision - 1 - r) // p + 1
+    assert sub.precision == m
+    tri = sub.materialize(m)
+    assert tri == subarray_triangle(base, p, r, m)
+    assert_canonical(tri)
+
+
+def test_extraction_takes_baby_and_giant_steps(monkeypatch):
+    # entry by entry, the extraction built 101 full-length columns of pascal(202)
+    calls = []
+    convolve = series._convolve
+
+    def counted(a, b, n):
+        calls.append(n)
+        return convolve(a, b, n)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    sub = pascal(202).extract_subarray(2, 0)
+    assert 0 < len(calls) <= 3 * ceil(sqrt(101)) + 4
+    assert sub.precision == 101
+    assert sub.materialize(8) == subarray_triangle(pascal(17), 2, 0, 8)
+
+
+def test_extraction_builds_no_column(monkeypatch):
+    # subarray_triangle reads the grid from the column cache, and is the
+    # oracle only while extract_subarray stays off it
+    rational = RiordanArray(FPS([2, Fraction(-1, 3), 0, 5, 1, 1, 0, 7]),
+                            FPS([Fraction(3, 5), 1, 0, -2, 4, 0, 1]))
+    cases = [(pascal(21), 3, 1), (pascal(14), 2, 0), (rational, 2, 3)]
+    want = [subarray_triangle(base, p, r, (base.precision - 1 - r) // p + 1)
+            for base, p, r in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract_subarray built a column")
+
+    monkeypatch.setattr(RiordanArray, "_column", refuse)
+    subs = [base.extract_subarray(p, r) for base, p, r in cases]
+    monkeypatch.undo()
+    assert [sub.materialize(tri.nrows) for sub, tri in zip(subs, want)] == want
 
 
 # -- the canonical form --------------------------------------------------------

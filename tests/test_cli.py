@@ -1,6 +1,7 @@
 """CLI behaviour: rendering, exit codes, jsonl round trips."""
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -330,6 +331,32 @@ def test_check_all_reports_each_empty_grid_and_goes_on(capsys):
     assert all(": holds (" in line for line in lines(out))
     assert sorted(empty + held) == sorted(identities.REGISTRY)
     assert "andrews-a3" in held and "subarray-convolution" in empty
+
+
+def test_check_all_on_a_negative_bound_reports_every_grid_empty(capsys):
+    code, out, err = run(capsys, "check", "--all", "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert [line.split(": ")[1] for line in lines(err)] == list(identities.REGISTRY)
+    for line in lines(err):
+        assert re.fullmatch(
+            r"riordan: [a-z0-9-]+: no points checked \(.+\); an empty grid is not a pass", line
+        )
+
+
+@pytest.mark.parametrize("max_n", ["-1", "-3"])
+def test_fibonacci_riordan_builds_nothing_for_an_empty_grid(capsys, monkeypatch, max_n):
+    def fail(*args, **kwargs):
+        raise AssertionError("built an array for an empty grid")
+
+    monkeypatch.setattr(identities, "pascal", fail)
+    code, out, err = run(capsys, "check", "fibonacci-riordan", "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"riordan: fibonacci-riordan: no points checked (even and odd extractions, "
+        f"n <= {max_n}); an empty grid is not a pass\n"
+    )
 
 
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("csv", "csv"), ("jsonl", "jsonl")])

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from riordan import series
 from riordan.series import FormalPowerSeries as FPS
-from riordan.series import _compose_with_derivative, lagrange_coeffs, lagrange_solve
+from riordan.series import (
+    _compose_with_derivative,
+    _lagrange_diagonal,
+    lagrange_coeffs,
+    lagrange_gf,
+    lagrange_solve,
+)
 
 KERNEL = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 # for the tests whose Fraction reference composes at precision up to 40
@@ -370,6 +376,114 @@ def test_lagrange_solve_calls_neither_revert_nor_lagrange_coeffs(monkeypatch):
     monkeypatch.setattr(series.FormalPowerSeries, "revert", refuse)
     monkeypatch.setattr(series, "lagrange_coeffs", refuse)
     assert lagrange_solve(phi, 12) == want
+
+
+# -- the Lagrange diagonal by baby steps and giant steps -------------------------
+
+
+def ref_lagrange_coeffs(phi, k, n):
+    # coefficient j is (k/j) [t^(j-k)] phi^j, from a chain of plain products
+    out = [Fraction(0)] * n
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for j in range(1, n):
+        power = ref_mul(power, phi)
+        if j >= k:
+            out[j] = Fraction(k, j) * power[j - k]
+    return out
+
+
+@st.composite
+def lagrange_edges(draw):
+    """phi at a precision n of m^2 - 1, m^2 or m^2 + 1 (n <= 37), and k from 1 to n + 1.
+
+    phi has up to three inner zeros and up to three trailing zeros, and is
+    known mod t^n or only mod t^(n-1), where ``_check_phi`` pads it.
+    """
+    m = draw(st.integers(1, 6))
+    n = max(m * m + draw(st.sampled_from([-1, 0, 1])), 1)
+    phi = draw(st.lists(coefficient, min_size=n, max_size=n))
+    phi[0] = draw(unit) * draw(st.sampled_from([1, -1]))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=3)) - {0}:
+        phi[i] = 0
+    trailing = draw(st.integers(0, min(3, n - 1)))
+    phi[n - trailing:] = [0] * trailing
+    known = draw(st.sampled_from([n, max(n - 1, 1)]))
+    k = draw(st.integers(1, n + 1))
+    return phi[:known], n, k
+
+
+@HEAVY
+@given(lagrange_edges())
+@example(([2], 1, 1))
+@example(([1, 0, 0, 0], 5, 5))  # padded phi, k = n
+def test_lagrange_coeffs_at_block_edges(case):
+    phi, n, k = case
+    padded = (phi + [0] * n)[:n]
+    got = lagrange_coeffs(FPS(phi), k, n)
+    assert canonical(got) == ref_lagrange_coeffs(padded, k, n)
+    if len(phi) < n:
+        # the padded coefficient phi_(n-1) cannot reach coefficient n - 1
+        padded[n - 1] += 5
+        assert lagrange_coeffs(FPS(padded), k, n) == got
+
+
+@st.composite
+def diagonal_cases(draw):
+    """phi with phi(0) != 0 at precision n, and one to three F known mod t^n or further."""
+    n = draw(precision)
+    phi = draw(st.lists(coefficient, min_size=n, max_size=n))
+    phi[0] = draw(unit)
+    fs = draw(st.lists(
+        st.integers(n, n + 2).flatmap(lambda size: st.lists(coefficient, min_size=size,
+                                                             max_size=size)),
+        min_size=1, max_size=3,
+    ))
+    return fs, phi
+
+
+@HEAVY
+@given(diagonal_cases())
+def test_lagrange_diagonal_matches_newton(case):
+    # lagrange_gf reads the same diagonal as F(w) / (1 - t phi'(w)) at w = t phi(w)
+    fs, phi = case
+    n = len(phi)
+    got = _lagrange_diagonal([FPS(f) for f in fs], FPS(phi))
+    assert [canonical(s) for s in got] == [
+        list(lagrange_gf(FPS(f), FPS(phi), n).coeffs) for f in fs
+    ]
+
+
+def test_dense_lagrange_coeffs_takes_baby_and_giant_steps(monkeypatch):
+    # a chain of powers would make 99 products; baby steps and giant steps at
+    # most 2 ceil(sqrt(100)) + 2
+    calls = []
+    convolve = series._convolve
+
+    def counted(a, b, n):
+        calls.append(n)
+        return convolve(a, b, n)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    phi = FPS([3, *range(1, 100)])
+    got = lagrange_coeffs(phi, 2, 100)
+    assert 0 < len(calls) <= 2 * ceil(sqrt(100)) + 2
+    assert got.precision == 100
+    assert canonical(got.truncate(12)) == ref_lagrange_coeffs([3, *range(1, 12)], 2, 12)
+
+
+def test_lagrange_coeffs_calls_no_composition(monkeypatch):
+    # lagrange_coeffs is the oracle of lagrange_solve and revert, so it takes
+    # neither them nor the composition kernel they share
+    phi = FPS([Fraction(3, 2), -1, Fraction(2, 7), 0, 5, 0, 0, 0, 0, 0, 0, 0])
+    want = [lagrange_coeffs(phi, k, 12) for k in (1, 3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lagrange_coeffs took another route")
+
+    monkeypatch.setattr(series, "lagrange_solve", refuse)
+    monkeypatch.setattr(series, "_compose_all", refuse)
+    monkeypatch.setattr(series.FormalPowerSeries, "revert", refuse)
+    assert [lagrange_coeffs(phi, k, 12) for k in (1, 3)] == want
 
 
 # -- canonical form and precision rules ----------------------------------------
