@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -257,6 +258,18 @@ def _cmd_hyper(args, out) -> int:
 # -- parser ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a token such as ``-1/2``, ``-.5`` or ``-1/2,1`` is always a value.
+
+    argparse alone reads ``--x -1/2`` as ``--x`` with no argument.  Subparsers share the class.
+    """
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _add_common(sp) -> None:
     sp.add_argument(
         "--format",
@@ -277,7 +290,7 @@ def _add_triangle_spec(sp) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riordan",
         description="Exact Riordan array and combinatorial identity toolkit.",
     )

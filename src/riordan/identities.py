@@ -414,23 +414,14 @@ def central_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
     return _direct_sum(_central_ballot_ratio, p, y, precision)
 
 
-# the substitution route of each direct sum above, through the fixed point
-# w = t (1 + w)^e of the Lagrange solve
+def _substitution(e: int, a: Fraction, ballot: bool, precision: int) -> FormalPowerSeries:
+    """The substitution route of the direct sums above, at w = t (1 + w)^e.
 
-
-def _fuss_ballot_route(p: int, y: Fraction, precision: int) -> FormalPowerSeries:
-    w = _power_fixed_point(p + 1, precision)
-    return (1 - w) * (1 + w).pow_rational(y + 1) / (1 - p * w)
-
-
-def _central_power_route(p: int, x: Fraction, precision: int) -> FormalPowerSeries:
-    w = _power_fixed_point(2 * p, precision)
-    return (1 + w).pow_rational(2 * x)
-
-
-def _central_ballot_route(p: int, y: Fraction, precision: int) -> FormalPowerSeries:
-    w = _power_fixed_point(2 * p, precision)
-    return (1 - w) * (1 + w).pow_rational(2 * y + 2) / (1 + (1 - 2 * p) * w)
+    (1 + w)^a, or for a ballot series (1 - w)(1 + w)^a / (1 - (e - 1) w).
+    """
+    w = _power_fixed_point(e, precision)
+    power = (1 + w).pow_rational(a)
+    return (1 - w) * power / (1 - (e - 1) * w) if ballot else power
 
 
 def fuss_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
@@ -493,10 +484,11 @@ def check_product_laws(
             series = memo[(*key, n)] = build()
         return series
 
-    def routed(gf: Callable, slot: str, route: Callable, value: Fraction) -> FormalPowerSeries:
+    def routed(gf: Callable, slot: str, value: Fraction, route: tuple) -> FormalPowerSeries:
+        # route is the (e, a, ballot) of the direct sum's _substitution
         def build() -> FormalPowerSeries:
             direct = gf(p, value, n)
-            if direct != route(p, value, n):
+            if direct != _substitution(*route, n):
                 raise TheoremViolationError(
                     f"{gf.__name__} routes disagree for p={p}, {slot}={value}"
                 )
@@ -511,14 +503,14 @@ def check_product_laws(
         (
             "binomial-ballot",
             factor(("binomial", p + 1, x), lambda: binomial_series(p + 1, x, n))
-            * routed(fuss_ballot_gf, "y", _fuss_ballot_route, y),
-            routed(fuss_ballot_gf, "y", _fuss_ballot_route, x + y),
+            * routed(fuss_ballot_gf, "y", y, (p + 1, y + 1, True)),
+            routed(fuss_ballot_gf, "y", x + y, (p + 1, x + y + 1, True)),
         ),
         (
             "central-ballot",
-            routed(central_power_gf, "x", _central_power_route, x)
-            * routed(central_ballot_gf, "y", _central_ballot_route, y),
-            routed(central_ballot_gf, "y", _central_ballot_route, x + y),
+            routed(central_power_gf, "x", x, (2 * p, 2 * x, False))
+            * routed(central_ballot_gf, "y", y, (2 * p, 2 * y + 2, True)),
+            routed(central_ballot_gf, "y", x + y, (2 * p, 2 * (x + y) + 2, True)),
         ),
         (
             "binomial-ballot-hypergeometric",

@@ -246,6 +246,8 @@ class FormalPowerSeries:
 
     def truncate(self, precision: int) -> "FormalPowerSeries":
         """Forget coefficients from ``precision`` on (never invents any)."""
+        if precision < 1:
+            raise SeriesError(f"precision must be positive, got {precision}")
         if precision > len(self._nums):
             raise PrecisionError(
                 f"cannot extend precision {len(self._nums)} to {precision}"
@@ -426,29 +428,16 @@ class FormalPowerSeries:
     def revert(self) -> "FormalPowerSeries":
         """Compositional inverse: ``self.compose(result) = t``.
 
-        Requires order exactly 1.  Newton iteration on ``self(w) = t`` with
-        doubling working precision; each step reads ``self(w)`` and
-        ``self'(w)`` from one baby-step/giant-step composition
-        (:func:`_compose_all`), which shares one table of the powers of
-        ``w`` between them.  The independent
-        Lagrange coefficient formula (:func:`lagrange_coeffs`) serves as the
-        test oracle.
+        Requires order exactly 1.  With ``self = t h``, the inverse ``w``
+        solves ``w h(w) = t``, that is ``w = t phi(w)`` with ``phi = 1/h``,
+        so it is :func:`lagrange_solve` of ``1/h``; the one padded
+        coefficient of ``phi`` cannot reach ``w`` mod ``t^precision``.  The
+        independent Lagrange coefficient formula (:func:`lagrange_coeffs`)
+        serves as the test oracle.
         """
-        n = len(self._nums)
         if self.order != 1:
             raise ReversionOrderError("reversion needs a series of order exactly 1")
-        w = FormalPowerSeries([_ZERO, _ONE / self.coeff(1)], precision=min(2, n))
-        prec = 2
-        while prec < n:
-            prec = min(2 * prec, n)
-            # Zero-padding the current guess is safe: the Newton step below
-            # repairs every coefficient up to twice the previously correct order.
-            w = w._padded(prec - len(w._nums))
-            g, dg = _compose_with_derivative(self, w)
-            # g - t has order >= 2, so the quotient never reads the top
-            # coefficient of dg, which reads self's coefficient prec (0 once prec = n).
-            w = w - (g - FormalPowerSeries.t(prec)) / dg
-        return w
+        return lagrange_solve(1 / self.shift_down(), len(self._nums))
 
     # -- serialization -----------------------------------------------
 
@@ -513,8 +502,9 @@ def _compose_with_derivative(
 ) -> tuple[FormalPowerSeries, FormalPowerSeries]:
     """``g(w)`` and ``g'(w)`` at ``w``'s precision ``n``; ``w(0) = 0``, ``g`` known mod ``t^n``.
 
-    Both come from one :func:`_compose_all` call, so they share its table
-    of powers of ``w``.  ``g'(w)`` reads ``g`` up to index ``n``; a
+    The evaluation of each Newton step of :func:`lagrange_solve`.  Both
+    come from one :func:`_compose_all` call, so they share its table of
+    powers of ``w``.  ``g'(w)`` reads ``g`` up to index ``n``; a
     coefficient past ``g``'s precision counts as 0.
     """
     n = len(w._nums)
@@ -538,6 +528,9 @@ def _linear_combination(coeffs, den: int, powers) -> FormalPowerSeries:
 
 
 def _check_phi(phi: FormalPowerSeries, n: int) -> FormalPowerSeries:
+    """``phi`` mod ``t^n``, for a Lagrange solve at precision ``n >= 1`` with ``phi(0) != 0``."""
+    if n < 1:
+        raise SeriesError("precision must be positive")
     if not phi.coeff(0):
         raise SeriesError("phi(0) must be nonzero")
     if phi.precision >= n:
@@ -556,15 +549,11 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     ``F'(w) = 1 - t phi'(w)`` and doubling working precision; each step
     reads ``phi(w)`` and ``phi'(w)`` from one baby-step/giant-step
     composition (:func:`_compose_all`), so a short phi costs a short table.
+    This is the one Newton iteration of the package: :meth:`revert`,
+    ``RiordanArray.from_dA`` and :func:`lagrange_gf` all solve through it.
     """
-    if precision < 1:
-        raise SeriesError("precision must be positive")
-    if not phi.coeff(0):
-        raise SeriesError("phi(0) must be nonzero")
-    if precision == 1:
-        return FormalPowerSeries.zero(1)
     p = _check_phi(phi, precision)
-    w = _series([0, p._nums[0]], p._den)  # phi(0) t, correct mod t^2
+    w = _series([0, p._nums[0]][:precision], p._den)  # phi(0) t, correct mod t^2
     prec = 2
     while prec < precision:
         prec = min(2 * prec, precision)
@@ -622,12 +611,6 @@ def lagrange_coeffs(phi: FormalPowerSeries, k: int, precision: int) -> FormalPow
     """
     if k < 1:
         raise SeriesError("k must be >= 1")
-    if precision < 1:
-        raise SeriesError("precision must be positive")
-    if precision == 1:
-        if not phi.coeff(0):
-            raise SeriesError("phi(0) must be nonzero")
-        return FormalPowerSeries.zero(1)
     p = _check_phi(phi, precision)
     t_k = FormalPowerSeries.one(precision).shift_up(k).truncate(precision)
     (diagonal,) = _lagrange_diagonal([t_k], p)

@@ -461,6 +461,34 @@ def test_cli_refuses_bad_arguments_as_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (("check", "rothe-hagen", "--max-n", "3"), "--x", "-1/2"),
+        (("check", "rothe-hagen", "--max-n", "3"), "--y", "-1/2"),
+        (("hyper", "--terms", "4"), "--upper", "-1/2"),
+        (("hyper", "--upper", "1", "--terms", "4"), "--lower", "-1/2"),
+        (("hyper", "--upper", "1", "--terms", "4"), "--scale", "-1/2"),
+        (("triangle", "--A", "1,1", "--rows", "4"), "--d", "-1/2,1"),
+        (("triangle", "--d", "1", "--rows", "4"), "--A", "-1/2,1"),
+        (("extract", "--A", "1,1", "--p", "2", "--rows", "3"), "--d", "-1/2,1"),
+    ],
+)
+def test_negative_fraction_is_a_value_as_a_separate_token(capsys, argv, option, value):
+    # argparse reads -3 as a value but -1/2 as an option; both must be values
+    separate = run(capsys, *argv, option, value)
+    joined = run(capsys, *argv, f"{option}={value}")
+    assert separate[:2] == joined[:2]
+    assert separate[0] == 0 and separate[1]
+
+
+def test_option_after_a_value_option_is_still_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "rothe-hagen", "--x", "--y", "1"])
+    assert exc.value.code == 2
+    assert "argument --x: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         # the right factor has a pole at m = 1: raised at the first point with n = 1

@@ -190,6 +190,16 @@ def test_central_ballot_matches_hypergeometric_form():
 # -- product laws ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("v", [0, 1, Fraction(1, 2), Fraction(-3, 7)])
+def test_direct_sums_equal_their_substitution(p, v):
+    # the (e, a, ballot) of each direct sum at w = t (1 + w)^e
+    n = 9
+    assert fuss_ballot_gf(p, v, n) == identities._substitution(p + 1, v + 1, True, n)
+    assert central_power_gf(p, v, n) == identities._substitution(2 * p, 2 * v, False, n)
+    assert central_ballot_gf(p, v, n) == identities._substitution(2 * p, 2 * v + 2, True, n)
+
+
 def test_product_laws_hold():
     assert check_product_laws(2, 1, 0, 25).holds
     assert check_product_laws(2, Fraction(3, 2), Fraction(1, 2), 20).holds

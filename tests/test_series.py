@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from riordan import series
 from riordan.series import (
     CompositionOrderError,
     FormalPowerSeries,
@@ -289,6 +290,36 @@ def test_revert_requires_order_one():
         FPS.one(5).revert()
 
 
+def test_revert_solves_through_lagrange_solve(monkeypatch):
+    # revert(t h) solves w = t / h(w): one call of the package's one Newton solver
+    calls = []
+    solve = series.lagrange_solve
+
+    def counted(phi, precision):
+        calls.append(precision)
+        return solve(phi, precision)
+
+    monkeypatch.setattr(series, "lagrange_solve", counted)
+    g = FPS([0, 2, Fraction(-1, 3), 0, 5], precision=9)
+    assert g.compose(g.revert()) == FPS.t(9)
+    assert calls == [9]
+
+
+@pytest.mark.parametrize("g", [FPS([0, 0, 1], precision=5), FPS.one(5), FPS.zero(4)])
+def test_revert_refuses_order_other_than_one_before_any_solve(monkeypatch, g):
+    def refuse(*args, **kwargs):
+        raise AssertionError("revert solved before checking the order")
+
+    monkeypatch.setattr(series, "lagrange_solve", refuse)
+    with pytest.raises(ReversionOrderError, match="order exactly 1"):
+        g.revert()
+
+
+def test_revert_at_precision_one_has_no_linear_coefficient():
+    with pytest.raises(PrecisionError):
+        FPS([0]).revert()
+
+
 # -- Lagrange inversion ----------------------------------------------------
 
 
@@ -299,6 +330,29 @@ def test_lagrange_solve_catalan():
 
 def test_lagrange_solve_trivial_phi():
     assert lagrange_solve(FPS.one(6), 6) == FPS.t(6)
+
+
+@pytest.mark.parametrize("phi", [FPS([3]), FPS([Fraction(-2, 7), 5, 1])])
+def test_lagrange_solve_and_coeffs_at_precision_one(phi):
+    assert lagrange_solve(phi, 1) == FPS.zero(1)
+    assert lagrange_coeffs(phi, 2, 1) == FPS.zero(1)
+
+
+@pytest.mark.parametrize("precision", [1, 2, 6])
+def test_lagrange_solve_and_coeffs_refuse_phi_zero_at_origin(precision):
+    phi = FPS([0, 1], precision=precision)
+    with pytest.raises(SeriesError, match=r"^phi\(0\) must be nonzero$"):
+        lagrange_solve(phi, precision)
+    with pytest.raises(SeriesError, match=r"^phi\(0\) must be nonzero$"):
+        lagrange_coeffs(phi, 1, precision)
+
+
+@pytest.mark.parametrize("precision", [0, -1])
+def test_lagrange_solve_and_coeffs_refuse_nonpositive_precision(precision):
+    with pytest.raises(SeriesError, match="^precision must be positive$"):
+        lagrange_solve(FPS.one(3), precision)
+    with pytest.raises(SeriesError, match="^precision must be positive$"):
+        lagrange_coeffs(FPS.one(3), 1, precision)
 
 
 def quadratic_h_oracle(n):
@@ -421,3 +475,9 @@ def test_shift_up_down():
 def test_truncate_cannot_extend():
     with pytest.raises(PrecisionError):
         FPS([1, 2]).truncate(5)
+
+
+@pytest.mark.parametrize("k", [0, -1, -3])
+def test_truncate_refuses_nonpositive_precision(k):
+    with pytest.raises(SeriesError, match=f"^precision must be positive, got {k}$"):
+        FPS([1, 2, 3]).truncate(k)
