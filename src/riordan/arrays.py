@@ -15,18 +15,28 @@ identity.  Nothing is ever rounded.
 
 A :class:`Triangle` stores its entries as integer rows over one common
 positive denominator in lowest terms, the representation of
-:class:`~riordan.series.FormalPowerSeries`.  Materializing a triangle
-reads the cached columns' integer numerators and rescales them once to
-the lcm of their denominators, and :func:`a_sequence` solves and verifies
-the recurrence on those integers; :class:`fractions.Fraction` values are
-built only when entries are read.
+:class:`~riordan.series.FormalPowerSeries`.  An array keeps its
+A-sequence when it is known exactly: ``from_dA`` keeps its argument and
+the three stock triangles keep theirs.  Such an array materializes its
+rows by the recurrence itself: row ``n+1`` is ``d[n+1]`` followed by row
+``n`` correlated with A, on integer rows, so an entry costs one product
+per nonzero term of A.  ``from_dA`` solves ``h`` (a Newton solve) only
+when ``h``, an entry or a column is first read; the rows never need it.
+Any other array materializes from its cached columns, column ``k`` being
+column ``k-1`` times ``t h``, whose integer numerators are rescaled once
+to the lcm of their denominators; that column route is the row route's
+oracle in the tests.  :func:`a_sequence` solves the recurrence and
+verifies it with the same row correlation; :class:`fractions.Fraction`
+values are built only when entries are read.
 
 Extraction builds no column: the kept entries lie on Lagrange diagonals
 ``[t^n] F(t) phi(t)^n`` with ``phi = h^(p-1)``, so the new first column
 and ``t h`` come from one
 :func:`~riordan.series._lagrange_diagonal` call at the new, smaller
-precision.  :func:`subarray_triangle` reads the same grid from the
-columns and stays the independent oracle.
+precision.  The extracted array keeps no A-sequence.
+:func:`subarray_triangle` reads the same grid from the columns, never
+from the rows, and stays the independent oracle of both the extraction
+and the A-sequence ``A^p`` recovered from it.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .hypergeom import binomial_series
@@ -78,6 +88,32 @@ class InsufficientDataError(RiordanError):
 
 class TheoremViolationError(RiordanError):
     """Two provably-equal computation routes disagreed (test hook)."""
+
+
+def _correlate(row: Sequence[int], a: Sequence[int]) -> list[int]:
+    """``sum_j a[j] row[k+j]`` for every ``k`` of ``row``, over the integers.
+
+    This is one step of the A-sequence recurrence: row ``n`` of a triangle
+    correlated with A gives entries ``1..n+1`` of row ``n+1``.  ``a`` has no
+    trailing zeros, so an entry costs at most ``len(a)`` products, taken one
+    term of ``a`` at a time across the whole row.
+    """
+    c = a[0]
+    out = list(row) if c == 1 else [c * x for x in row]
+    for j in range(1, min(len(a), len(row))):
+        c = a[j]
+        if c:
+            tail = row[j:]
+            out[:len(tail)] = map(add, out, tail if c == 1 else [c * x for x in tail])
+    return out
+
+
+def _stripped(nums: Sequence[int]) -> Sequence[int]:
+    """``nums`` without its trailing zeros."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    return nums[:end]
 
 
 def _triangle(rows, den: int) -> "Triangle":
@@ -130,6 +166,8 @@ class Triangle:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as fractions, built on each access."""
         den = self._den
+        if den == 1:
+            return tuple(tuple(map(Fraction, row)) for row in self._nums)
         return tuple(tuple(Fraction(x, den) for x in row) for row in self._nums)
 
     @property
@@ -137,7 +175,8 @@ class Triangle:
         return len(self._nums)
 
     def entry(self, n: int, k: int) -> Fraction:
-        return Fraction(self._nums[n][k], self._den)
+        x = self._nums[n][k]
+        return Fraction(x) if self._den == 1 else Fraction(x, self._den)
 
     @property
     def is_integral(self) -> bool:
@@ -154,17 +193,21 @@ class Triangle:
     def __repr__(self):
         return f"Triangle({self.nrows} rows)"
 
+    def cells(self) -> list[list[str]]:
+        """The entries as strings, each the ``str`` of its fraction."""
+        den = self._den
+        if den == 1:
+            return [list(map(str, row)) for row in self._nums]
+        return [[str(Fraction(x, den)) for x in row] for row in self._nums]
+
     def to_text(self) -> str:
-        return "\n".join(" ".join(str(c) for c in row) for row in self.rows) + "\n"
+        return "\n".join(map(" ".join, self.cells())) + "\n"
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(c) for c in row) for row in self.rows) + "\n"
+        return "\n".join(map(",".join, self.cells())) + "\n"
 
     def to_records(self) -> list[dict]:
-        return [
-            {"row": n, "entries": [str(c) for c in row]}
-            for n, row in enumerate(self.rows)
-        ]
+        return [{"row": n, "entries": row} for n, row in enumerate(self.cells())]
 
 
 class ASequence:
@@ -196,7 +239,8 @@ class RiordanArray:
     The usable precision is ``min(d.precision, h.precision + 1)``: entry
     ``(n, k)`` only needs ``t h`` through order ``n``, and multiplying by
     ``t`` extends knowledge of ``h`` by one order.  Columns are cached as
-    they are first touched; instances are otherwise immutable.
+    they are first touched, and an array built from its A-sequence solves
+    ``h`` once, when it is first needed; instances are otherwise immutable.
     """
 
     def __init__(self, d: FormalPowerSeries, h: FormalPowerSeries):
@@ -207,21 +251,39 @@ class RiordanArray:
         self._h = h.truncate(min(h.precision, n))
         self._th = self._h.shift_up().truncate(n)
         self._cols = {0: self._d}
+        self._A = None
 
     @classmethod
     def from_dA(cls, d: FormalPowerSeries, A: FormalPowerSeries) -> "RiordanArray":
         """Build the proper array with first column ``d`` and A-sequence ``A``.
 
         ``h`` is the unique solution of ``h = A(t h)``, i.e. ``t h`` solves
-        ``w = t A(w)``.
+        ``w = t A(w)``.  That solve waits until ``h``, an entry or a column
+        is first read: :meth:`materialize` builds the rows from ``A`` alone.
         """
         if not A.coeff(0):
             raise ImproperAError("A(0) must be nonzero")
         if not d.coeff(0):
             raise InvalidDError("d(0) must be nonzero")
         n = min(d.precision, A.precision)
-        th = lagrange_solve(A, n + 1)
-        return cls(d.truncate(n), th.shift_down())
+        array = object.__new__(cls)
+        array._d = d.truncate(n)
+        array._h = array._th = None
+        array._cols = {0: array._d}
+        array._A = A.truncate(n)
+        return array
+
+    def _with_A(self, A: FormalPowerSeries) -> "RiordanArray":
+        """This array, told its A-sequence ``A`` (known mod t^precision at least)."""
+        self._A = A.truncate(self.precision)
+        return self
+
+    def _solve_h(self) -> None:
+        # t h solves w = t A(w); rows below the precision read A mod t^(precision-1)
+        n = self.precision
+        th = lagrange_solve(self._A, n + 1)
+        self._th = th.truncate(n)
+        self._h = th.shift_down()
 
     @property
     def d(self) -> FormalPowerSeries:
@@ -229,7 +291,23 @@ class RiordanArray:
 
     @property
     def h(self) -> FormalPowerSeries:
+        if self._h is None:
+            self._solve_h()
         return self._h
+
+    def _t_h(self) -> FormalPowerSeries:
+        """``t h`` mod ``t^precision``."""
+        if self._th is None:
+            self._solve_h()
+        return self._th
+
+    @property
+    def A(self) -> FormalPowerSeries | None:
+        """The A-sequence mod ``t^precision`` when the array keeps it, else None.
+
+        ``from_dA`` and the three stock triangles keep it.
+        """
+        return self._A
 
     @property
     def precision(self) -> int:
@@ -237,7 +315,8 @@ class RiordanArray:
 
     @property
     def proper(self) -> bool:
-        return bool(self._h.coeff(0))
+        # h(0) = A(0) != 0 whenever A is known
+        return self._A is not None or bool(self._h.coeff(0))
 
     def __repr__(self):
         return f"RiordanArray(precision={self.precision}, proper={self.proper})"
@@ -253,11 +332,12 @@ class RiordanArray:
         while j not in cols:
             j -= 1
         col = cols[j]
+        th = self._t_h()
         while j < k:
             j += 1
             nxt = cols.get(j)
             if nxt is None:
-                nxt = col * self._th
+                nxt = col * th
                 cols[j] = nxt
             col = nxt
         return col
@@ -284,7 +364,8 @@ class RiordanArray:
         """The triangle whose row ``i`` is entries ``(n, n-i), ..., (n, n)``, ``n = tops[i]``.
 
         Read straight from the cached columns' integer numerators, rescaled
-        once to the lcm of their denominators.
+        once to the lcm of their denominators.  ``_band(range(nrows))`` is
+        the column route of :meth:`materialize`, and the oracle of its rows.
         """
         if not tops:
             raise RiordanError("a triangle needs at least one row")
@@ -301,15 +382,52 @@ class RiordanArray:
         ]
         return _triangle(rows, den)
 
+    def _rows(self, nrows: int) -> Triangle:
+        """The first ``nrows`` rows by the A-sequence recurrence.
+
+        Row ``n`` is kept as integers over its own denominator, reduced
+        from row 1 on; row ``n+1`` is ``d[n+1]`` followed by row ``n``
+        correlated with A's numerators, over ``A.den`` times row ``n``'s
+        denominator.  The rows are rescaled once to the lcm of their
+        denominators, and :func:`_triangle` makes the result canonical.
+        """
+        dn, dd = self._d._nums, self._d._den
+        a, ad = _stripped(self._A._nums), self._A._den
+        row, den = [dn[0]], dd
+        rows, dens = [row], [den]
+        for n in range(1, nrows):
+            step = ad * den
+            den = lcm(step, dd)
+            scale = den // step
+            row = _correlate(row, a)
+            if scale != 1:
+                row = [x * scale for x in row]
+            row.insert(0, dn[n] * (den // dd))
+            if den != 1:
+                g = gcd(den, *row)
+                if g != 1:
+                    row = [x // g for x in row]
+                    den //= g
+            rows.append(row)
+            dens.append(den)
+        den = lcm(*dens)
+        if den != 1:
+            rows = [r if e == den else [x * (den // e) for x in r] for r, e in zip(rows, dens)]
+        return _triangle(rows, den)
+
     def materialize(self, nrows: int, require_integral: bool = False) -> Triangle:
-        """First ``nrows`` rows as a :class:`Triangle`."""
+        """First ``nrows`` rows as a :class:`Triangle`.
+
+        Built by the A-sequence recurrence when the array keeps its A, and
+        from the columns otherwise; both give the same canonical triangle.
+        """
         if nrows < 1:
             raise RiordanError("nrows must be positive")
         if nrows > self.precision:
             raise PrecisionError(
                 f"asked for {nrows} rows but precision is {self.precision}"
             )
-        tri = self._band(range(nrows))
+        tri = self._band(range(nrows)) if self._A is None else self._rows(nrows)
         if require_integral and not tri.is_integral:
             raise RiordanError("triangle has non-integer entries")
         return tri
@@ -339,7 +457,7 @@ class RiordanArray:
                 f"precision {self.precision} too small to extract (p={p}, r={r})"
             )
         # rows pn + r < precision read d and h mod t^m only
-        h = self._h.truncate(m)
+        h = self.h.truncate(m)
         f = self._d.truncate(m) * h**r
         d_new, col1 = _lagrange_diagonal([f, (f * h).shift_up().truncate(m)], h**(p - 1))
         return RiordanArray(d_new, (col1 / d_new).shift_down())
@@ -353,7 +471,7 @@ class RiordanArray:
         if not (1 <= s <= k <= n):
             raise RiordanError(f"need 1 <= s <= k <= n, got n={n}, k={k}, s={s}")
         lhs = self.entry(n, k)
-        ths = self._th**s
+        ths = self._t_h() ** s
         rhs = sum(
             (self.entry(n - j, k - s) * ths.coeff(j) for j in range(s, n + 1)), _ZERO
         )
@@ -391,7 +509,9 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> ASequence:
     The recurrence is homogeneous, so it runs on the triangle's integer
     rows ``R``.  The terms are integer numerators ``x_i`` over one running
     common denominator ``E``, built as in the series division kernel, and
-    each check is the integer test ``E R[n+1][k+1] == sum_i x_i R[n][k+i]``.
+    each check is the integer test ``E R[n+1][k+1] == sum_i x_i R[n][k+i]``,
+    row ``n`` correlated with the ``x_i`` at once.  Zero terms add nothing,
+    so the trailing ones are dropped before the checks.
     """
     rows = triangle._nums
     available = triangle.nrows - 1
@@ -411,16 +531,17 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> ASequence:
             )
         num = den * rows[n + 1][1] - sum(map(mul, xs, rows[n]))  # xs has n terms
         den = _append_term(xs, den, num, den * pivot)
+    weights = _stripped(xs) or [0]
     for n in range(available):
-        row, lhs_row = rows[n], rows[n + 1]
-        for k in range(n + 1):
-            rhs = sum(map(mul, xs, row[k:]))
-            if den * lhs_row[k + 1] != rhs:
-                tri_den = triangle._den
-                raise NotRiordanError(
-                    f"recurrence fails at (n={n + 1}, k={k + 1}): "
-                    f"{Fraction(lhs_row[k + 1], tri_den)} != {Fraction(rhs, den * tri_den)}"
-                )
+        lhs = [den * x for x in rows[n + 1][1:]]
+        rhs = _correlate(rows[n], weights)
+        if lhs != rhs:
+            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            scale = den * triangle._den
+            raise NotRiordanError(
+                f"recurrence fails at (n={n + 1}, k={k + 1}): "
+                f"{Fraction(lhs[k], scale)} != {Fraction(rhs[k], scale)}"
+            )
     return ASequence(_series(xs[:terms], den))
 
 
@@ -440,7 +561,7 @@ def central_binomial_gf(precision: int) -> FormalPowerSeries:
 def pascal(precision: int) -> RiordanArray:
     """Pascal's triangle: d = h = 1/(1-t), A = 1 + t."""
     g = FormalPowerSeries([1] * precision)
-    return RiordanArray(g, g)
+    return RiordanArray(g, g)._with_A(FormalPowerSeries([1, 1], precision=precision))
 
 
 def catalan_triangle(precision: int) -> RiordanArray:
@@ -449,7 +570,8 @@ def catalan_triangle(precision: int) -> RiordanArray:
     First column (and h-series) is B_2^2 = 1, 2, 5, 14, ...; A = (1 + t)^2.
     """
     shifted = binomial_series(2, 2, precision)
-    return RiordanArray(shifted, shifted)
+    A = FormalPowerSeries([1, 2, 1], precision=precision)
+    return RiordanArray(shifted, shifted)._with_A(A)
 
 
 def ballot_triangle(precision: int) -> RiordanArray:
@@ -458,4 +580,4 @@ def ballot_triangle(precision: int) -> RiordanArray:
     d = h = the Catalan generating function; A = 1/(1-t).
     """
     c = catalan_gf(precision)
-    return RiordanArray(c, c)
+    return RiordanArray(c, c)._with_A(FormalPowerSeries([1] * precision))

@@ -29,12 +29,8 @@ from .hypergeom import HypergeometricSpec, expand
 from .identities import REGISTRY, check_registry, registry_entries
 from .series import FormalPowerSeries
 
-# builtin name -> (array factory, precision -> its A-sequence as a series)
-_BUILTINS = {
-    "pascal": (pascal, lambda n: 1 + FormalPowerSeries.t(n)),
-    "catalan42": (catalan_triangle, lambda n: (1 + FormalPowerSeries.t(n)) ** 2),
-    "ballot43": (ballot_triangle, lambda n: 1 / (1 - FormalPowerSeries.t(n))),
-}
+# builtin name -> array factory; each builtin array keeps its A-sequence
+_BUILTINS = {"pascal": pascal, "catalan42": catalan_triangle, "ballot43": ballot_triangle}
 
 
 class UsageError(ValueError):
@@ -58,8 +54,8 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [_parse_rational(tok.strip()) for tok in text.split(",")]
 
 
-def _build_array(args, precision: int) -> tuple[RiordanArray, FormalPowerSeries]:
-    """Array plus its known A-sequence (for claim checks), both at ``precision``."""
+def _build_array(args, precision: int) -> RiordanArray:
+    """The named or ``--d``/``--A`` array at ``precision``; it keeps its A-sequence."""
     explicit = args.d is not None or args.A is not None
     if args.name is not None and explicit:
         raise UsageError("give either a builtin name or --d/--A, not both")
@@ -68,8 +64,7 @@ def _build_array(args, precision: int) -> tuple[RiordanArray, FormalPowerSeries]
             raise UsageError(
                 f"unknown triangle {args.name!r}; builtins: {', '.join(_BUILTINS)}"
             )
-        factory, a_series = _BUILTINS[args.name]
-        return factory(precision), a_series(precision)
+        return _BUILTINS[args.name](precision)
     if args.d is None or args.A is None:
         raise UsageError("explicit triangles need both --d and --A coefficient lists")
     d_coeffs = _parse_rational_list(args.d)
@@ -78,18 +73,16 @@ def _build_array(args, precision: int) -> tuple[RiordanArray, FormalPowerSeries]
         raise UsageError("--d and --A need at least one coefficient")
     d = FormalPowerSeries(d_coeffs, precision=precision)
     a = FormalPowerSeries(a_coeffs, precision=precision)
-    return RiordanArray.from_dA(d, a), a
+    return RiordanArray.from_dA(d, a)
 
 
 def _triangle_text(tri: Triangle) -> str:
-    rows = [[str(c) for c in row] for row in tri.rows]
-    widths = {}
+    rows = tri.cells()
+    widths: list[int] = []  # the widest cell of each column so far
     for row in rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths.get(k, 0), len(cell))
-    lines = [
-        " ".join(cell.rjust(widths[k]) for k, cell in enumerate(row)) for row in rows
-    ]
+        lens = list(map(len, row))
+        widths = [*map(max, widths, lens), *lens[len(widths):]]
+    lines = [" ".join(map(str.rjust, row, widths)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -152,7 +145,7 @@ def _failure(exc: Exception) -> tuple[int, str]:
 def _cmd_triangle(args, out) -> int:
     if args.rows < 1:
         raise UsageError("--rows must be >= 1")
-    array, _ = _build_array(args, args.rows)
+    array = _build_array(args, args.rows)
     _emit_triangle(array.materialize(args.rows), args.format, out)
     return 0
 
@@ -162,17 +155,19 @@ def _cmd_extract(args, out) -> int:
         raise UsageError("--rows must be >= 1")
     if args.p < 2 or args.r < 0:
         raise UsageError("need p >= 2 and r >= 0")
+    if args.aseq and args.terms is not None and args.terms < 1:
+        raise UsageError("--terms must be >= 1")
     terms = args.terms if args.terms is not None else max(args.rows - 1, 1)
     need_rows = max(args.rows, (terms + 1) if args.aseq else 1)
     # auto-raise the base precision so the extraction never hits a shortfall
-    base, base_a = _build_array(args, args.p * need_rows + args.r + 1)
+    base = _build_array(args, args.p * need_rows + args.r + 1)
     sub = base.extract_subarray(args.p, args.r)
     _emit_triangle(sub.materialize(args.rows), args.format, out)
     if not args.aseq:
         return 0
     recovered = a_sequence(sub.materialize(terms + 1), terms=terms)
     _emit_aseq(recovered.coeffs, args.format, out)
-    want = base_a.truncate(terms) ** args.p
+    want = base.A.truncate(terms) ** args.p
     claim_ok = recovered.series == want
     if args.format == "jsonl":
         out.write(_canonical_json({"claim": "a-power", "holds": claim_ok}) + "\n")
@@ -184,7 +179,7 @@ def _cmd_extract(args, out) -> int:
 def _cmd_aseq(args, out) -> int:
     if args.terms < 1:
         raise UsageError("--terms must be >= 1")
-    array, _ = _build_array(args, args.terms + 1)
+    array = _build_array(args, args.terms + 1)
     seq = a_sequence(array.materialize(args.terms + 1), terms=args.terms)
     _emit_aseq(seq.coeffs, args.format, out)
     return 0

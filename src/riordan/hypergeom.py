@@ -25,10 +25,10 @@ forms tied to arrays whose A-sequence is (1 + t)^q: the h-series of such
 an array, the generalized binomial series B_q and its rational powers,
 and the coefficient formula for (t h)^s.  The last two are stated once,
 as the integer kernels ``_binomial_power_ratio`` ([t^n] B_q^r) and
-``_power_ratio`` ([t^j] (t h)^s).  ``binomial_series``, the stock Catalan
-triangles and the identity registry's factor columns read the first
-(the registry's (t h)^s columns are t^s B_q^{qs}), ``power_coeff`` the
-second.
+``_power_ratio`` ([t^j] (t h)^s).  ``binomial_series``, the h-series
+(B_q^q), the stock Catalan triangles and the identity registry's factor
+columns read the first (the registry's (t h)^s columns are
+t^s B_q^{qs}), ``power_coeff`` the second.
 """
 
 from __future__ import annotations
@@ -132,18 +132,13 @@ def h_spec(q: int) -> HypergeometricSpec:
 def h_for_binomial_A(q: int, precision: int) -> FormalPowerSeries:
     """The h-series of a proper array whose A-sequence is (1 + t)^q.
 
-    Coefficient of t^(n-1) is C(qn, n) / ((q-1)n + 1); starts 1, q, ...
+    It is B_q^q: coefficient of t^(n-1) is C(qn, n) / ((q-1)n + 1); starts 1, q, ...
     """
     if q < 2:
         raise HypergeomError(f"q must be >= 2, got {q}")
     if precision < 1:
         raise SeriesError("precision must be positive")
-    return FormalPowerSeries(
-        [
-            Fraction(comb(q * (m + 1), m + 1), (q - 1) * (m + 1) + 1)
-            for m in range(precision)
-        ]
-    )
+    return binomial_series(q, q, precision)
 
 
 def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:

@@ -7,7 +7,8 @@ versions: a triangle built entry by entry through ``RiordanArray.entry``,
 and the A-sequence solve and verify loops on ``Fraction`` rows.  Results,
 exception types and messages must agree exactly, and every triangle must
 be in canonical form (positive denominator sharing no factor with all
-numerators).
+numerators).  An array that keeps its A-sequence materializes by the
+recurrence; the column route (``_band``) is that route's oracle.
 """
 
 from fractions import Fraction
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordan import arrays as arrays_module
 from riordan import series
 from riordan.arrays import (
     ASequence,
@@ -26,10 +28,13 @@ from riordan.arrays import (
     RiordanArray,
     Triangle,
     a_sequence,
+    ballot_triangle,
+    catalan_triangle,
     pascal,
     subarray_triangle,
 )
 from riordan.series import FormalPowerSeries as FPS
+from riordan.series import PrecisionError
 
 KERNEL = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -216,6 +221,83 @@ def test_subarray_triangle_matches_reference(case, p, r, nrows):
     assert got == outcome(ref_subarray_triangle, array, p, r, nrows)
     if isinstance(got, Triangle):
         assert_canonical(got)
+
+
+# -- the A-sequence rows against the columns ---------------------------------------
+
+
+@st.composite
+def dA_pairs(draw):
+    """Rational ``d`` and ``A`` known to at least ``rows`` orders, and ``rows``.
+
+    A's nonzero terms may stop well short of its precision (trailing zeros),
+    and either series may be known exactly to ``rows`` or a little further.
+    """
+    rows = draw(st.integers(1, 10))
+    coeff = st.one_of(integer, rational)
+    d = [draw(unit)] + draw(st.lists(coeff, max_size=rows + 1))
+    A = [draw(unit)] + draw(st.lists(coeff, max_size=rows + 1))
+    d_prec = rows + draw(st.integers(0, 2))
+    A_prec = rows + draw(st.integers(0, 2))
+    return FPS(d, precision=d_prec), FPS(A, precision=A_prec), rows
+
+
+@KERNEL
+@given(dA_pairs())
+def test_rows_by_A_match_the_columns(case):
+    d, A, rows = case
+    array = RiordanArray.from_dA(d, A)
+    for nrows in range(1, rows + 1):
+        tri = array.materialize(nrows)
+        assert tri == array._band(range(nrows))
+        assert_canonical(tri)
+    # the same (d, h) with no A known takes the column route
+    assert RiordanArray(array.d, array.h).materialize(rows) == tri
+
+
+@KERNEL
+@given(dA_pairs(), st.integers(1, 3))
+def test_too_short_A_gives_the_column_routes_precision_error(case, short):
+    d, A, rows = case
+    A = A.truncate(max(1, rows - short))
+    array = RiordanArray.from_dA(d, A)
+    got = outcome(array.materialize, rows)
+    if A.precision < rows:
+        assert got == (PrecisionError,
+                       f"asked for {rows} rows but precision is {A.precision}")
+    assert got == outcome(RiordanArray(array.d, array.h).materialize, rows)
+
+
+@pytest.mark.parametrize("factory", [pascal, catalan_triangle, ballot_triangle])
+def test_stock_triangles_rows_match_their_columns(factory):
+    array = factory(60)
+    assert array.A is not None
+    assert array.materialize(60) == array._band(range(60))
+    assert array.materialize(23) == factory(23)._band(range(23))
+
+
+def test_from_dA_solves_h_only_when_it_is_read(monkeypatch):
+    calls = []
+    solve = arrays_module.lagrange_solve
+
+    def counted(phi, precision):
+        calls.append(precision)
+        return solve(phi, precision)
+
+    monkeypatch.setattr(arrays_module, "lagrange_solve", counted)
+    d = FPS([1, Fraction(1, 2), -3, 2, 0, 1], precision=12)
+    A = FPS([2, 1, Fraction(-1, 3)], precision=12)
+    array = RiordanArray.from_dA(d, A)
+    tri = array.materialize(12)
+    assert (array.precision, array.proper, array.A) == (12, True, A)
+    assert repr(array) == "RiordanArray(precision=12, proper=True)"
+    assert calls == []
+    h = array.h
+    assert calls == [13]
+    assert array.h is h
+    assert array._band(range(12)) == tri
+    assert array.entry(11, 4) == tri.entry(11, 4)
+    assert calls == [13]
 
 
 # -- extract_subarray against its oracle ----------------------------------------

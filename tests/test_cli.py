@@ -162,6 +162,14 @@ def test_extract_requires_valid_p(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("terms", ["0", "-1"])
+def test_extract_aseq_refuses_terms_below_one(capsys, terms):
+    code, out, err = run(
+        capsys, "extract", "pascal", "--p", "2", "--aseq", "--rows", "2", "--terms", terms
+    )
+    assert (code, out, err) == (2, "", "riordan: --terms must be >= 1\n")
+
+
 # -- aseq ------------------------------------------------------------------
 
 

@@ -103,6 +103,21 @@ def test_h_for_binomial_A_q3():
         )
 
 
+def test_h_for_binomial_A_is_binomial_series_q_q():
+    # h = B_q^q, with coefficient n-1 equal to C(qn, n) / ((q-1)n + 1)
+    for q in range(2, 7):
+        h = h_for_binomial_A(q, 30)
+        assert h == binomial_series(q, q, 30)
+        assert h == FPS([Fraction(comb(q * n, n), (q - 1) * n + 1) for n in range(1, 31)])
+
+
+def test_h_for_binomial_A_keeps_its_argument_checks():
+    with pytest.raises(HypergeomError, match=r"^q must be >= 2, got 1$"):
+        h_for_binomial_A(1, 5)
+    with pytest.raises(SeriesError, match=r"^precision must be positive$"):
+        h_for_binomial_A(2, 0)
+
+
 def test_h_leading_coefficient_is_one():
     for q in range(2, 8):
         assert h_for_binomial_A(q, 3).coeff(0) == 1
