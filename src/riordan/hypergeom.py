@@ -13,8 +13,8 @@ The expansion runs on plain integers.  With a_i = p_i/q_i, c_j = r_j/s_j
 and L = u/v, the ratio is the integer constant u prod(s_j) / (v prod(q_i))
 times prod(p_i + n q_i) / ((n + 1) prod(r_j + n s_j)), so each term is a
 running integer pair (N, D) multiplied by two integer polynomials in n
-and reduced by one gcd.  The terms are collected as numerators over one
-common denominator, and the series is built once at the end; a
+and reduced by one gcd.  The terms are collected over one common
+denominator by ``series._collect``, and the series is built once; a
 ``Fraction`` is made only when a coefficient is read.  ``binomial_series``
 and ``pochhammer`` work the same way on the numerator and denominator of
 their rational argument.
@@ -23,23 +23,21 @@ No symbolic simplification is attempted: the consumers only ever need
 coefficient streams.  Alongside the generic expansion live the closed
 forms tied to arrays whose A-sequence is (1 + t)^q: the h-series of such
 an array, the generalized binomial series B_q and its rational powers,
-and the coefficient formula for (t h)^s.  The last two are stated once,
-as the integer kernels ``_binomial_power_ratio`` ([t^n] B_q^r) and
-``_power_ratio`` ([t^j] (t h)^s).  ``binomial_series``, the h-series
-(B_q^q), the stock Catalan triangles and the identity registry's factor
-columns read the first (the registry's (t h)^s columns are
-t^s B_q^{qs}), ``power_coeff`` the second.
+and the coefficient formula for (t h)^s = t^s B_q^{qs}.  They are stated
+once, as the integer kernel ``_binomial_power_ratio`` ([t^n] B_q^r):
+``binomial_series``, the h-series (B_q^q), the stock Catalan triangles,
+``power_coeff`` and the identity registry's factor columns all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import factorial, prod
 from typing import Sequence, Union
 
 from .reports import Counterexample, IdentityReport
-from .series import FormalPowerSeries, SeriesError, _append_term, _fraction, _series
+from .series import FormalPowerSeries, SeriesError, _collect, _fraction, _reduced, _wrap
 
 Scalar = Union[int, Fraction]
 
@@ -94,17 +92,13 @@ def expand(spec: HypergeometricSpec, precision: int) -> FormalPowerSeries:
     # the scale and every parameter's denominator, as one constant ratio
     const_num = spec.scale.numerator * prod(d for _, d in lower)
     const_den = spec.scale.denominator * prod(d for _, d in upper)
-    xs, den = [1], 1
-    num_n, den_n = 1, 1  # the current term N/D, in lowest terms
+    terms = [(1, 1)]  # each term N/D in lowest terms
     for n in range(precision - 1):
-        num_n *= const_num * prod(a + n * b for a, b in upper)
+        num, den = terms[-1]
         # no factor vanishes: a lower parameter is never zero or a negative integer
-        den_n *= const_den * (n + 1) * prod(c + n * d for c, d in lower)
-        g = gcd(num_n, den_n)
-        num_n //= g
-        den_n //= g
-        den = _append_term(xs, den, num_n, den_n)
-    return _series(xs, den)
+        terms.append(_reduced(num * const_num * prod(a + n * b for a, b in upper),
+                              den * const_den * (n + 1) * prod(c + n * d for c, d in lower)))
+    return _wrap(*_collect(terms))
 
 
 def power_spec(q: int, r: Scalar) -> HypergeometricSpec:
@@ -153,9 +147,7 @@ def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:
     num = a
     for m in range(1, n):
         num *= a + (q * n - m) * b
-    den = b**n * factorial(n)
-    g = gcd(num, den)
-    return num // g, den // g
+    return _reduced(num, b**n * factorial(n))
 
 
 def binomial_series(q: int, r: Scalar, precision: int) -> FormalPowerSeries:
@@ -171,21 +163,14 @@ def binomial_series(q: int, r: Scalar, precision: int) -> FormalPowerSeries:
         raise SeriesError("precision must be positive")
     r = _fraction(r)
     a, b = r.numerator, r.denominator
-    xs, den = [1], 1
     for n in range(1, precision):
         if q * n * b + a == 0:
             raise PoleError(f"qn + r vanishes at n = {n}")
-        den = _append_term(xs, den, *_binomial_power_ratio(q, a, b, n))
-    return _series(xs, den)
-
-
-def _power_ratio(q: int, s: int, j: int) -> tuple[int, int]:
-    """[t^j] (t h)^s for the A = (1+t)^q array and j >= s: qs/((q-1)j+s) C(qj-1, j-s)."""
-    return q * s * comb(q * j - 1, j - s), (q - 1) * j + s
+    return _wrap(*_collect(_binomial_power_ratio(q, a, b, n) for n in range(precision)))
 
 
 def power_coeff(q: int, s: int, j: int) -> Fraction:
-    """[t^j] (t h)^s for the A = (1+t)^q array, from ``_power_ratio``.
+    """[t^j] (t h)^s = [t^(j-s)] B_q^{qs} for the A = (1+t)^q array: qs/((q-1)j+s) C(qj-1, j-s).
 
     Returns 0 for j < s (the order constraint).
     """
@@ -195,7 +180,7 @@ def power_coeff(q: int, s: int, j: int) -> Fraction:
         raise HypergeomError(f"s must be >= 1, got {s}")
     if j < s:
         return Fraction(0)
-    return Fraction(*_power_ratio(q, s, j))
+    return Fraction(*_binomial_power_ratio(q, q * s, 1, j - s))
 
 
 def verify_power_identity(q: int, r: Scalar, precision: int) -> IdentityReport:

@@ -39,8 +39,9 @@ its column and raised by the first point whose sum takes it, as a
 term-by-term sum would.  ``sum_lhs`` and ``sum_rhs`` give one point's
 two sides of any row by id; the ballot-family direct sums are one
 column of a factor each.  The B_q^r terms are hypergeom's integer
-kernel; ``binomial`` and the ``_*_term`` helpers are cached
-``Fraction`` wrappers.
+kernel.  ``binomial`` and the ``_*_term`` helpers are cached ``Fraction``
+wrappers that nothing in ``src/`` calls: the benchmark's tracer reads
+their caches (``bench/layertrace.py``, ``CACHES``).
 
 The product laws compare whole series.  One run builds each factor
 series (a direct sum, a binomial series or a hypergeometric expansion)
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -70,7 +71,9 @@ from .hypergeom import (
     verify_power_identity,
 )
 from .reports import Counterexample, IdentityReport
-from .series import FormalPowerSeries, _fraction, _require_terms, _series, lagrange_solve
+from .series import (
+    FormalPowerSeries, _collect, _fraction, _reduced, _require_terms, _series, lagrange_solve,
+)
 
 Scalar = Union[int, Fraction]
 # an exact rational as an integer (numerator, denominator) pair
@@ -107,11 +110,6 @@ def _ratio(x: Scalar) -> Ratio:
     return x.numerator, x.denominator
 
 
-def _reduced(num: int, den: int) -> Ratio:
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 class Column(NamedTuple):
     """A factor column: its terms as integer numerators over ``den``.
 
@@ -126,21 +124,17 @@ class Column(NamedTuple):
 
 def _column(term: Callable[[int], Ratio], length: int) -> Column:
     """Terms 0..length-1 of ``term`` over their least common denominator."""
-    ratios, faults, den = {}, {}, 1
+    ratios, faults = [], {}
     for j in range(length):
         try:
             num, d = term(j)
-            if den % d:  # a zero d raises here, as it did in a term-by-term sum
-                num, d = _reduced(num, d)
-                den = lcm(den, d)
+            if not d:  # a fault of this term, as in a term-by-term sum
+                raise ZeroDivisionError("integer modulo by zero")
         except (ValueError, ZeroDivisionError) as exc:
             faults[j] = exc
-        else:
-            ratios[j] = num, d
-    nums = [0] * length
-    for j, (num, d) in ratios.items():
-        nums[j] = num * (den // d)
-    return Column(nums, den, faults)
+            num, d = 0, 1
+        ratios.append((num, d))
+    return Column(*_collect(ratios), faults)
 
 
 def _dot(left: Column, right: Column, m: int) -> int:
@@ -188,24 +182,26 @@ def _central_power_ratio(p: int, a: int, b: int, i: int) -> Ratio:
     return _binomial_power_ratio(2 * p, 2 * a, b, i)
 
 
-def _ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
-    # ((p-1)m + y + 1)/(pm + y + 1) C((p+1)m + y, m) at y = a/b; the b of
-    # the first quotient cancels, and ((p+1)m b + a)/b is in lowest terms
+def _ballot_weight(p: int, a: int, b: int, m: int) -> Ratio:
+    # the ballot weight ((p-1)m + y + 1)/(pm + y + 1) at y = a/b, whose b's cancel
     den = p * m * b + a + b
     if den == 0:
         raise PoleError(f"pm + y + 1 vanishes at m = {m}")
-    num, cden = _binomial_ratio((p + 1) * m * b + a, b, m)
-    return ((p - 1) * m * b + a + b) * num, den * cden
+    return (p - 1) * m * b + a + b, den
+
+
+def _ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
+    # the weight times C((p+1)m + y, m); ((p+1)m b + a)/b is in lowest terms
+    wnum, wden = _ballot_weight(p, a, b, m)
+    num, den = _binomial_ratio((p + 1) * m * b + a, b, m)
+    return wnum * num, wden * den
 
 
 def _central_ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
-    # ((p-1)m + y + 1)/(pm + y + 1) C(2(pm + y + 1), m) at y = a/b
-    den = p * m * b + a + b
-    if den == 0:
-        raise PoleError(f"pm + y + 1 vanishes at m = {m}")
-    upper, lower = _reduced(2 * den, b)
-    num, cden = _binomial_ratio(upper, lower, m)
-    return ((p - 1) * m * b + a + b) * num, den * cden
+    # the weight times C(2(pm + y + 1), m)
+    wnum, wden = _ballot_weight(p, a, b, m)
+    num, den = _binomial_ratio(*_reduced(2 * wden, b), m)
+    return wnum * num, wden * den
 
 
 # a float equal to a cached Fraction must still be refused, so the caches are typed

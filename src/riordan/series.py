@@ -13,6 +13,10 @@ precision is an error rather than a silent zero, and binary operations
 truncate to the smaller operand precision, so knowledge never grows by
 accident.
 
+The package puts exact terms over one denominator here alone, by one
+pair reduction (:func:`_reduced`): in one batch for streams
+(:func:`_collect`), term by term for recurrences (:func:`_append_term`).
+
 Everything here is immutable and pure; values can be shared freely
 across threads.
 """
@@ -109,20 +113,40 @@ def _convolve(a, b, n: int) -> list[int]:
     return out
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """``num/den`` (``den != 0``) in lowest terms, with a positive denominator."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _collect(terms) -> tuple[list[int], int]:
+    """Canonical numerators over one denominator of a stream of terms ``(num, den != 0)``.
+
+    A term is reduced only when the running denominator must grow, and
+    each is rescaled once, at the end, to the lcm.
+    """
+    pairs, den = [], 1
+    for num, d in terms:
+        if den % d:
+            num, d = _reduced(num, d)
+            den = lcm(den, d)
+        pairs.append((num, d))
+    return [num * (den // d) for num, d in pairs], den
+
+
 def _append_term(xs: list[int], den: int, num: int, step: int) -> int:
     """Append the term ``num/step`` to the numerators ``xs`` over ``den``.
 
-    ``xs`` is extended in place and the new common denominator returned.
-    The term is reduced once and the prefix rescaled only when the
-    denominator must grow, so no integer gets larger than in the canonical
-    form of the terms (a fraction-free recurrence would carry the product
-    of every step); canonical ``xs/den`` stays canonical.
+    For a recurrence, whose next term reads the ones before it: ``xs`` is
+    extended in place and the new common denominator returned.  The
+    term is reduced once and the prefix rescaled only when the
+    denominator must grow, so no integer gets larger than in the
+    canonical form of the terms (a fraction-free recurrence would carry
+    the product of every step); canonical ``xs/den`` stays canonical.
     """
-    g = gcd(num, step)
-    if step < 0:
-        g = -g
-    num //= g
-    step //= g
+    num, step = _reduced(num, step)
     if den % step:
         grow = step // gcd(den, step)
         xs[:] = [x * grow for x in xs]
@@ -223,10 +247,6 @@ class FormalPowerSeries:
             if x:
                 return i
         return len(self._nums)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.order == len(self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalPowerSeries):
@@ -588,16 +608,14 @@ def _lagrange_diagonal(fs, phi: FormalPowerSeries) -> list[FormalPowerSeries]:
     out = []
     for f in fs:
         g = f.truncate(n)
-        nums, dens = [], []
+        terms = []
         for j in range(n):
             q, r = divmod(j, m)
             if q and not r:
                 g = g * giant
             rev, den = reversed_powers[r]
-            nums.append(sum(map(mul, g._nums, rev[n - 1 - j:])))
-            dens.append(g._den * den)
-        common = lcm(*dens)
-        out.append(_series([x * (common // d) for x, d in zip(nums, dens)], common))
+            terms.append((sum(map(mul, g._nums, rev[n - 1 - j:])), g._den * den))
+        out.append(_wrap(*_collect(terms)))
     return out
 
 

@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from riordan import identities as I
 from riordan.hypergeom import PoleError
 from riordan.reports import Counterexample
-from riordan.series import FormalPowerSeries, SeriesError
+from riordan.series import FormalPowerSeries, SeriesError, _collect
 
 KERNEL = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -240,6 +240,10 @@ def test_column_is_exact_over_one_denominator(ratios):
     assert not col.faults
     assert [Fraction(v, col.den) for v in col.nums] == want
     assert Fraction(sum(col.nums), col.den) == sum(want, Fraction(0))
+    # the series layer's batch collection, which the column runs on, is canonical
+    nums, den = _collect(ratios)
+    assert (nums, den) == (col.nums, col.den)
+    assert den > 0 and gcd(den, *nums) == 1
 
 
 @KERNEL

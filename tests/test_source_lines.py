@@ -1,10 +1,20 @@
 """Source layout rules that no linter in the toolchain enforces."""
 
+import ast
 from pathlib import Path
 
 import pytest
+from test_bench_names import LAYERTRACE
+
+import riordan
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "riordan").glob("*.py"))
+
+# public names that only the tests call
+TESTED_ONLY = {
+    "from_record", "sum_lhs", "sum_rhs", "to_text", "weighted_row_sum",
+    "convolution_identity", "central_binomial_gf", "h_spec", "power_coeff",
+}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -13,3 +23,34 @@ def test_no_source_line_exceeds_100_columns(path):
         n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100
     ]
     assert long == [], f"{path.name}: lines over 100 columns: {long}"
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and the non-dunder methods of those classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and not item.name.startswith("__"):
+                    yield item.name
+
+
+def test_every_definition_has_a_use():
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    used = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name for alias in node.names)
+    traced = {
+        node.value for node in ast.walk(ast.parse(LAYERTRACE.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    exempt = set(riordan.__all__) | traced | TESTED_ONLY
+    unused = sorted({name for tree in trees for name in _definitions(tree)} - used - exempt)
+    assert unused == [], f"defined in src/riordan but used nowhere there: {unused}"
