@@ -130,8 +130,6 @@ def h_for_binomial_A(q: int, precision: int) -> FormalPowerSeries:
     """
     if q < 2:
         raise HypergeomError(f"q must be >= 2, got {q}")
-    if precision < 1:
-        raise SeriesError("precision must be positive")
     return binomial_series(q, q, precision)
 
 
@@ -190,6 +188,7 @@ def verify_power_identity(q: int, r: Scalar, precision: int) -> IdentityReport:
     lhs = base.pow_rational(_fraction(r))
     rhs = expand(power_spec(q, r), precision)
     cex = None
+    points = precision
     for n in range(precision):
         if lhs.coeff(n) != rhs.coeff(n):
             cex = Counterexample(
@@ -197,10 +196,11 @@ def verify_power_identity(q: int, r: Scalar, precision: int) -> IdentityReport:
                 lhs=str(lhs.coeff(n)),
                 rhs=str(rhs.coeff(n)),
             )
+            points = n + 1  # the check stops at the first coefficient that differs
             break
     return IdentityReport(
         identity="hypergeometric-power-law",
         grid=f"q={q}, r={r}, coefficients below {precision}",
-        points=precision,
+        points=points,
         counterexample=cex,
     )

@@ -5,10 +5,10 @@ precision: ``f`` is known modulo ``t**f.precision`` and nothing beyond.
 Coefficients are exact rationals, stored as integer numerators over one
 common positive denominator in lowest terms.  Every kernel runs on those
 integers: products and sums reduce by one gcd per operation, and the
-division and exp recurrences by one per output coefficient, instead of
-one per coefficient operation.  :meth:`FormalPowerSeries.coeff` and
-:attr:`FormalPowerSeries.coeffs` return :class:`fractions.Fraction`.  No
-operation ever rounds.  Requesting a coefficient at or past the
+division and rational-power recurrences by one per output coefficient,
+instead of one per coefficient operation.  :meth:`FormalPowerSeries.coeff`
+and :attr:`FormalPowerSeries.coeffs` return :class:`fractions.Fraction`.
+No operation ever rounds.  Requesting a coefficient at or past the
 precision is an error rather than a silent zero, and binary operations
 truncate to the smaller operand precision, so knowledge never grows by
 accident.
@@ -155,18 +155,19 @@ def _append_term(xs: list[int], den: int, num: int, step: int) -> int:
     return den
 
 
-def _solve(rhs, a: int, w, b: int, c, e: int) -> tuple[list[int], int]:
-    """Solve ``x_i = (rhs_i/a - sum_{1<=j<=i} (w_j/b) x_{i-j}) * e / c_i``.
+def _solve(f, a: int, g, b: int) -> tuple[list[int], int]:
+    """The quotient ``(f/a) / (g/b)`` of integer sequences, ``g_0 != 0``, to ``f``'s length.
 
-    The solution is built as integer numerators over one running common
-    denominator by :func:`_append_term`, and is canonical.
+    ``x_i = (b f_i/a - sum_{1<=j<=i} g_j x_{i-j}) / g_0``, built as integer
+    numerators over one running common denominator by
+    :func:`_append_term`, and canonical.
     """
     xs: list[int] = []
     den = 1
-    w1 = w[1:]
-    for i, r in enumerate(rhs):
-        s = sum(map(mul, w1, reversed(xs)))  # w_1 x_{i-1} + ... + w_i x_0
-        den = _append_term(xs, den, (r * b * den - a * s) * e, a * b * den * c[i])
+    g1, g0 = g[1:], g[0]
+    for fi in f:
+        s = sum(map(mul, g1, reversed(xs)))  # g_1 x_{i-1} + ... + g_i x_0
+        den = _append_term(xs, den, fi * b * den - a * s, a * den * g0)
     return xs, den
 
 
@@ -362,8 +363,7 @@ class FormalPowerSeries:
         g = other._nums
         if not g[0]:
             raise NonInvertibleError("divisor has zero constant term")
-        b = other._den
-        return _wrap(*_solve(self._nums[:n], self._den, g, b, [g[0]] * n, b))
+        return _wrap(*_solve(self._nums[:n], self._den, g, other._den))
 
     def __rtruediv__(self, other):
         other = self._coerce(other, len(self._nums))
@@ -398,16 +398,6 @@ class FormalPowerSeries:
             raise PrecisionError("derivative needs precision >= 2")
         return _series([i * x for i, x in enumerate(self._nums[1:], 1)], self._den)
 
-    def integral(self, constant: Scalar = 0) -> "FormalPowerSeries":
-        """Termwise antiderivative; precision grows by one."""
-        c = _fraction(constant)
-        # coefficient i + 1 is nums[i] / (den (i + 1)); put all over den * lcm(1..n)
-        scale = lcm(*range(1, len(self._nums) + 1))
-        den = self._den * scale
-        out = [c.numerator * den]
-        out.extend(x * (scale // i) * c.denominator for i, x in enumerate(self._nums, 1))
-        return _series(out, den * c.denominator)
-
     # -- composition, powers, reversion ------------------------------
 
     def compose(self, inner: "FormalPowerSeries") -> "FormalPowerSeries":
@@ -422,28 +412,31 @@ class FormalPowerSeries:
         n = min(len(self._nums), len(inner._nums))
         return _compose_all([(self._nums, self._den)], inner.truncate(n))[0]
 
-    def _log(self) -> "FormalPowerSeries":
-        # log f = integral(f'/f), valid for f(0) = 1
-        if len(self._nums) == 1:
-            return FormalPowerSeries.zero(1)
-        return (self.derivative() / self).integral()
-
-    @staticmethod
-    def _exp(g: "FormalPowerSeries") -> "FormalPowerSeries":
-        # exp g for g(0) = 0, via e' = e g' termwise: m e_m = sum k g_k e_{m-k}
-        n = len(g._nums)
-        rhs = [1] + [0] * (n - 1)
-        w = [-k * x for k, x in enumerate(g._nums)]
-        return _wrap(*_solve(rhs, 1, w, g._den, [1, *range(1, n)], 1))
-
     def pow_rational(self, r: Scalar) -> "FormalPowerSeries":
-        """``f**r`` for rational ``r`` via exp(r log f); needs ``f(0) = 1``."""
+        """``f**r`` for rational ``r``; needs ``f(0) = 1``.
+
+        ``g = f**r`` solves ``f g' = r f' g``, which is J. C. P. Miller's
+        recurrence ``m g_m = sum_{1<=k<=m} ((r+1)k - m) f_k g_{m-k}``
+        (Knuth, TAOCP vol. 2, 4.7).  With ``r = a/b``, each ``g_m`` is two
+        integer dot products of ``f``'s numerators, and of ``k f_k``, with
+        ``g``'s, appended over ``g``'s running denominator by
+        :func:`_append_term`.
+        """
         r = _fraction(r)
-        if self._nums[0] != self._den:
+        fs, d = self._nums, self._den
+        if fs[0] != d:
             raise NormalizationError(
                 "rational powers need constant term exactly 1; factor out constants first"
             )
-        return self._exp(self._log() * r)
+        a, b = r.numerator, r.denominator
+        f1 = fs[1:]
+        kf1 = [k * x for k, x in enumerate(f1, 1)]
+        gs, den = [1], 1
+        for m in range(1, len(fs)):
+            s = sum(map(mul, f1, reversed(gs)))  # f_1 g_{m-1} + ... + f_m g_0
+            ks = sum(map(mul, kf1, reversed(gs)))  # the same with f_k weighted by k
+            den = _append_term(gs, den, (a + b) * ks - b * m * s, b * d * den * m)
+        return _wrap(gs, den)
 
     def revert(self) -> "FormalPowerSeries":
         """Compositional inverse: ``self.compose(result) = t``.

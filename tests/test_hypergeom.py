@@ -231,6 +231,19 @@ def test_verify_power_identity_rational():
     assert verify_power_identity(4, Fraction(5, 2), 20).holds
 
 
+def test_verify_power_identity_counts_up_to_the_first_difference(monkeypatch):
+    real = FPS.pow_rational
+
+    def wrong_at_3(self, r):
+        return real(self, r) + FPS([0, 0, 0, 1], precision=self.precision)
+
+    monkeypatch.setattr(FPS, "pow_rational", wrong_at_3)
+    rep = verify_power_identity(2, 3, 30)
+    assert not rep.holds
+    assert rep.counterexample.params == {"q": "2", "r": "3", "n": "3"}
+    assert rep.points == 4
+
+
 def test_power_spec_requires_q_at_least_two():
     with pytest.raises(HypergeomError):
         power_spec(1, 1)
