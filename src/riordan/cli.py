@@ -256,8 +256,12 @@ def _cmd_hyper(args, out) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse, but a token such as ``-1/2``, ``-.5`` or ``-1/2,1`` is always a value.
 
-    argparse alone reads ``--x -1/2`` as ``--x`` with no argument.  Subparsers share the class.
+    argparse alone reads ``--x -1/2`` as ``--x`` with no argument.  No option may be
+    abbreviated: ``--n 5`` would silently set ``--n-max``.  Subparsers share the class.
     """
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def _parse_optional(self, arg_string):
         if re.match(r"-\.?\d", arg_string):

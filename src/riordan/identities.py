@@ -30,12 +30,12 @@ The terms run on plain integers: a rational x enters as the pair
 denominator) pair, e.g. C(a/b, k) = prod(a - i b) / (b^k k!).  One run
 of a row keeps a memo of its factor columns, keyed by (factor, first
 set slot, argument), each as integer numerators over one common
-denominator and built as far as the row's points read it; the longest
-column built is kept, and the memo is dropped when the row ends.  A
-point's lhs is one integer dot product of two columns, compared with
-the rhs term by cross-multiplication, and a ``Fraction`` is built only
-for a counterexample's text.  A term that raises (a pole) is kept in
-its column and raised by the first point whose sum takes it, as a
+denominator.  A column is made once and grows in place as the points
+read past its end; the memo is dropped when the row ends.  A point's
+lhs is one integer dot product of two columns, compared with the rhs
+term by cross-multiplication, and a ``Fraction`` is built only for a
+counterexample's text.  A term that raises (a pole) is kept in its
+column and raised by the first point whose sum takes it, as a
 term-by-term sum would.  ``sum_lhs`` and ``sum_rhs`` give one point's
 two sides of any row by id; the ballot-family direct sums are one
 column of a factor each.  The B_q^r terms are hypergeom's integer
@@ -52,7 +52,7 @@ is first built; the memo is dropped when the run ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -72,7 +72,7 @@ from .hypergeom import (
 )
 from .reports import Counterexample, IdentityReport
 from .series import (
-    FormalPowerSeries, _collect, _fraction, _reduced, _require_terms, _series, lagrange_solve,
+    FormalPowerSeries, _append_term, _fraction, _reduced, _require_terms, _series, lagrange_solve,
 )
 
 Scalar = Union[int, Fraction]
@@ -110,31 +110,31 @@ def _ratio(x: Scalar) -> Ratio:
     return x.numerator, x.denominator
 
 
-class Column(NamedTuple):
-    """A factor column: its terms as integer numerators over ``den``.
+@dataclass
+class Column:
+    """A factor column: the terms of ``term`` read so far, as integer numerators over ``den``.
 
     A term that raised holds 0, and its exception waits in ``faults`` for
     the first sum that takes it.
     """
 
-    nums: list[int]
-    den: int
-    faults: dict[int, Exception]
+    term: Callable[[int], Ratio]
+    nums: list[int] = field(default_factory=list)
+    den: int = 1
+    faults: dict[int, Exception] = field(default_factory=dict)
 
-
-def _column(term: Callable[[int], Ratio], length: int) -> Column:
-    """Terms 0..length-1 of ``term`` over their least common denominator."""
-    ratios, faults = [], {}
-    for j in range(length):
-        try:
-            num, d = term(j)
-            if not d:  # a fault of this term, as in a term-by-term sum
-                raise ZeroDivisionError("integer modulo by zero")
-        except (ValueError, ZeroDivisionError) as exc:
-            faults[j] = exc
-            num, d = 0, 1
-        ratios.append((num, d))
-    return Column(*_collect(ratios), faults)
+    def reach(self, length: int) -> Column:
+        """Append terms ``len(nums)..length-1``, keeping ``nums/den`` canonical."""
+        for j in range(len(self.nums), length):
+            try:
+                num, d = self.term(j)
+                if not d:  # a fault of this term, as in a term-by-term sum
+                    raise ZeroDivisionError("integer modulo by zero")
+            except (ValueError, ZeroDivisionError) as exc:
+                self.faults[j] = exc
+                num, d = 0, 1
+            self.den = _append_term(self.nums, self.den, num, d)
+        return self
 
 
 def _dot(left: Column, right: Column, m: int) -> int:
@@ -367,7 +367,7 @@ def _direct_sum(
 ) -> FormalPowerSeries:
     """sum_{m < precision} kernel(p, v, m) t^m; the first term that raises, in order of m."""
     _require_terms(precision)
-    col = _column(partial(kernel, p, *_ratio(v)), precision)
+    col = Column(partial(kernel, p, *_ratio(v))).reach(precision)
     if col.faults:
         raise col.faults[min(col.faults)]
     return _series(col.nums, col.den)
@@ -715,14 +715,14 @@ def _require_min(
 
 
 def _check_outer(
-    row: SumIdentity, outer: dict, n_values: Iterable[int], last: Mapping[tuple, int],
-    columns: dict[tuple, Column], pinned: Mapping[str, Scalar],
+    row: SumIdentity, outer: dict, n_values: Iterable[int], columns: dict[tuple, Column],
+    pinned: Mapping[str, Scalar],
 ) -> tuple[int, Counterexample | None]:
     """Check the points (n, law slots) at one value ``outer`` of the other slots.
 
     Returns the points checked and the first counterexample.  A point
     reads F_x, G_y and, for its rhs, G_{x+y} from the run's ``columns``,
-    each built as far as the last n that takes its law values reads it.
+    each grown as far as the point reads it.
     """
     args = tuple(outer.values())
     first = args[:1]
@@ -730,12 +730,11 @@ def _check_outer(
     # law values -> (n - m, left column, right column, rhs column)
     operands: dict[tuple, tuple[int, Column, Column, Column]] = {}
 
-    def column(factor: Factor, argument: Scalar, length: int) -> Column:
+    def column(factor: Factor, argument: Scalar) -> Column:
         key = (factor, *first, argument)
-        col = columns.get(key)
-        if col is None or len(col.nums) < length:
-            col = columns[key] = _column(factor(*first, argument), length)
-        return col
+        if key not in columns:
+            columns[key] = Column(factor(*first, argument))
+        return columns[key]
 
     points = 0
     for n in n_values:
@@ -744,13 +743,14 @@ def _check_outer(
             ops = operands.get(values)
             if ops is None:
                 x, y, m = law.point(*args, n, *values)
-                length = m + last[values] - n + 1
                 ops = operands[values] = (
-                    n - m, column(row.left, x, length), column(row.right, y, length),
-                    column(row.right, x + y, length),
+                    n - m, column(row.left, x), column(row.right, y), column(row.right, x + y),
                 )
             shift, left, right, rhs = ops
             m = n - shift
+            for col in ops[1:]:
+                if len(col.nums) <= m:  # tested here, not in reach: most points read no further
+                    col.reach(m + 1)
             num, den = _dot(left, right, m), left.den * right.den
             rnum, rden = _entry(rhs, m)
             if num * rden != rnum * den:
@@ -769,12 +769,11 @@ def _check_sums(
     for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0)):
         _require_min(row.id, slot, least, pinned)
     n_values = _pin_values(pinned, "n", range(max_n + 1))
-    last = {values: n for n in n_values for values in row.law.values(n, pinned)}
-    columns = {}  # (factor, first set slot, argument) -> the longest column built
+    columns = {}  # (factor, first set slot, argument) -> its column, grown as it is read
     points = 0
     cex = None
     for outer in _grid_points(row.sets + row.law.axes, pinned):
-        checked, cex = _check_outer(row, outer, n_values, last, columns, pinned)
+        checked, cex = _check_outer(row, outer, n_values, columns, pinned)
         points += checked
         if cex is not None:
             break
@@ -881,8 +880,8 @@ def sum_lhs(identity: str, n: int, **slots: Scalar) -> Fraction:
     m < 0 (a k/s point with k > n) the sum is empty.
     """
     row, first, (x, y, m) = _point(identity, n, slots, lhs=True)
-    left = _column(row.left(*first, x), m + 1)
-    right = _column(row.right(*first, y), m + 1)
+    left = Column(row.left(*first, x)).reach(m + 1)
+    right = Column(row.right(*first, y)).reach(m + 1)
     return Fraction(_dot(left, right, m), left.den * right.den)
 
 
@@ -892,7 +891,7 @@ def sum_rhs(identity: str, n: int, **slots: Scalar) -> Fraction:
     A point outside the row's domain is refused, as by :func:`sum_lhs`.
     """
     row, first, (x, y, m) = _point(identity, n, slots, lhs=False)
-    return Fraction(*_entry(_column(row.right(*first, x + y), m + 1), m))
+    return Fraction(*_entry(Column(row.right(*first, x + y)).reach(m + 1), m))
 
 
 def _sweep(

@@ -15,7 +15,8 @@ accident.
 
 The package puts exact terms over one denominator here alone, by one
 pair reduction (:func:`_reduced`): in one batch for streams
-(:func:`_collect`), term by term for recurrences (:func:`_append_term`).
+(:func:`_collect`), term by term for recurrences and growing columns
+(:func:`_append_term`).
 
 Everything here is immutable and pure; values can be shared freely
 across threads.
@@ -139,8 +140,9 @@ def _collect(terms) -> tuple[list[int], int]:
 def _append_term(xs: list[int], den: int, num: int, step: int) -> int:
     """Append the term ``num/step`` to the numerators ``xs`` over ``den``.
 
-    For a recurrence, whose next term reads the ones before it: ``xs`` is
-    extended in place and the new common denominator returned.  The
+    For a recurrence, whose next term reads the ones before it, or a
+    column grown as it is read: ``xs`` is extended in place and the new
+    common denominator returned.  The
     term is reduced once and the prefix rescaled only when the
     denominator must grow, so no integer gets larger than in the
     canonical form of the terms (a fraction-free recurrence would carry

@@ -496,6 +496,21 @@ def test_option_after_a_value_option_is_still_refused(capsys):
     assert "argument --x: expected one argument" in capsys.readouterr().err
 
 
+def test_abbreviated_options_are_refused(capsys):
+    # check has no n slot: with abbreviations, --n 5 would be read as --n-max 5
+    for argv in (("check", "andrews-a1", "--n", "5"), ("check", "andrews-a1", "--max", "5"),
+                 ("triangle", "pascal", "--row", "3"), ("hyper", "--up", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    holds = (0, "andrews-a1: holds (5 points, 1 <= n <= 5)\n", "")
+    for option in ("--max-n", "--n-max"):
+        assert run(capsys, "check", "andrews-a1", option, "5") == holds
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

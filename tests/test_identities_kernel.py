@@ -233,17 +233,46 @@ terms = st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-60, 60).filt
 
 
 @KERNEL
-@given(terms)
-def test_column_is_exact_over_one_denominator(ratios):
-    col = I._column(lambda j: ratios[j], len(ratios))
+@given(terms, st.data())
+def test_column_is_exact_over_one_denominator(ratios, data):
+    col = I.Column(lambda j: ratios[j]).reach(len(ratios))
     want = [Fraction(n, d) for n, d in ratios]
     assert not col.faults
     assert [Fraction(v, col.den) for v in col.nums] == want
     assert Fraction(sum(col.nums), col.den) == sum(want, Fraction(0))
-    # the series layer's batch collection, which the column runs on, is canonical
+    # the series layer's batch collection is canonical, and so is the column
     nums, den = _collect(ratios)
     assert (nums, den) == (col.nums, col.den)
     assert den > 0 and gcd(den, *nums) == 1
+    # grown in two steps, the column is its batch build over the longer prefix
+    a, b = data.draw(st.integers(0, len(ratios))), data.draw(st.integers(0, len(ratios)))
+    grown = I.Column(lambda j: ratios[j]).reach(a)
+    assert (grown.nums, grown.den) == _collect(ratios[:a])
+    assert grown.reach(b) is grown
+    assert (grown.nums, grown.den) == _collect(ratios[:max(a, b)])
+
+
+@KERNEL
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-3, 3)), max_size=20), st.data())
+def test_column_grown_in_two_steps_keeps_its_faults_where_a_batch_build_does(ratios, data):
+    # a zero denominator faults, and so does a term that raises
+    def term(j):
+        num, d = ratios[j]
+        if num == 9:
+            raise ValueError(f"pole at {j}")
+        return num, d
+
+    batch = I.Column(term).reach(len(ratios))
+    bad = {j for j, (num, d) in enumerate(ratios) if num == 9 or not d}
+    assert set(batch.faults) == bad
+    a = data.draw(st.integers(0, len(ratios)))
+    grown = I.Column(term).reach(a)
+    assert set(grown.faults) == bad & set(range(a))
+    grown.reach(len(ratios))
+    assert (grown.nums, grown.den) == (batch.nums, batch.den)
+    assert {j: (type(e), str(e)) for j, e in grown.faults.items()} == {
+        j: (type(e), str(e)) for j, e in batch.faults.items()
+    }
 
 
 @KERNEL
@@ -251,8 +280,8 @@ def test_column_is_exact_over_one_denominator(ratios):
 def test_dot_is_the_convolution_coefficient(left, right, n):
     # at n < 0 the sum is empty: no negative index may wrap round the columns
     size = max(len(left), len(right), n + 1)
-    a = I._column(lambda j: left[j] if j < len(left) else (0, 1), size)
-    b = I._column(lambda m: right[m] if m < len(right) else (0, 1), size)
+    a = I.Column(lambda j: left[j] if j < len(left) else (0, 1)).reach(size)
+    b = I.Column(lambda m: right[m] if m < len(right) else (0, 1)).reach(size)
     ref = sum((Fraction(*left[j]) * Fraction(*right[n - j])
                for j in range(n + 1) if j < len(left) and n - j < len(right)),
               Fraction(0))
@@ -261,9 +290,9 @@ def test_dot_is_the_convolution_coefficient(left, right, n):
 
 
 def test_column_zero_denominator_faults_where_the_sum_takes_it():
-    col = I._column(lambda j: [(1, 2), (1, 0), (1, 3)][j], 3)
+    col = I.Column(lambda j: [(1, 2), (1, 0), (1, 3)][j]).reach(3)
     assert set(col.faults) == {1}
-    unit = I._column(lambda j: (int(j == 0), 1), 3)
+    unit = I.Column(lambda j: (int(j == 0), 1)).reach(3)
     assert Fraction(I._dot(unit, col, 0), unit.den * col.den) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         I._dot(unit, col, 1)
@@ -277,7 +306,7 @@ def test_dot_raises_the_first_fault_it_takes():
             return 1, 1
         return term
 
-    left, right = I._column(faulty("a", {2}), 5), I._column(faulty("b", {2}), 5)
+    left, right = I.Column(faulty("a", {2})).reach(5), I.Column(faulty("b", {2})).reach(5)
     assert I._dot(left, right, 1) == 2
     with pytest.raises(ValueError, match="b2"):
         I._dot(left, right, 3)  # j = 1 takes b(2) before j = 2 takes a(2)
@@ -505,9 +534,9 @@ def test_registry_runner_matches_term_by_term_with_k_s_pins(identity, pinned, ma
 
 @pytest.mark.parametrize("identity", ["ballot-vandermonde", "central-binomial-vandermonde"])
 def test_column_faults_surface_where_the_sum_takes_them(monkeypatch, identity):
-    # G_y's denominator pm + y + 1 vanishes at m = 3 for p = 2, y = -7.  The column is
-    # built to m = 20 before n = 0 is checked, yet holds the fault until n = 3, the
-    # first point whose sum takes it; the sums at n = 0..2 of the first x are taken
+    # G_y's denominator pm + y + 1 vanishes at m = 3 for p = 2, y = -7.  The column
+    # holds the fault from the point that grows it to m = 3 on, and n = 3 is the first
+    # point whose sum takes it; the sums at n = 0..2 of the first x are taken
     taken = []
     dot = I._dot
 
@@ -541,22 +570,38 @@ def test_an_rhs_over_zero_is_refused_as_fraction_refuses_it():
             registry_run(ROWS[identity], 20, point)
 
 
-# (entries built, columns built) in one run at max_n = 50
-COLUMN_BUILDS = {"subarray-convolution": (11031, 805), "catalan-column-sum": (5790, 483)}
+# (terms evaluated, columns made) in one run at max_n = 50
+COLUMN_BUILDS = {
+    "subarray-convolution": (6770, 559),
+    "catalan-vandermonde": (2907, 57),
+    "catalan-column-sum": (5388, 456),
+    "catalan-triangle-convolution": (8103, 662),
+    "ballot-triangle-convolution": (6770, 559),
+    "ballot-vandermonde": (2907, 57),
+    "rothe-hagen": (2142, 42),
+    "central-binomial-vandermonde": (2907, 57),
+}
 
 
-@pytest.mark.parametrize("identity", ["subarray-convolution", "catalan-column-sum"])
+@pytest.mark.parametrize("identity", list(ROWS))
 def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
-    # the run's memo rebuilds a column only to read it further, and its longest
-    # build is read to the end: the points that asked for it reach it by their last n
-    builds, highest, keys, alive = {}, {}, {}, []
-    column, dot, entry = I._column, I._dot, I._entry
+    # the run makes one column per (factor, first set slot, argument), evaluates
+    # each of its terms once, in order, and grows it no further than it is read
+    evaluated, highest, keys, alive = {}, {}, {}, []
+    column, dot, entry = I.Column, I._dot, I._entry
 
-    def counting_column(term, length):
-        col = column(term, length)
+    def counting_column(term):
+        key = term.func, term.args
+        assert key not in evaluated, key
+        evaluated[key] = seen = []
+
+        def counting_term(j):
+            seen.append(j)
+            return term(j)
+
+        col = column(counting_term)
         alive.append(col)  # no id is reused while the run goes on
-        keys[id(col)] = key = term.func, term.args
-        builds.setdefault(key, []).append(length)
+        keys[id(col)] = key
         return col
 
     def read(col, m):
@@ -572,14 +617,15 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
         read(col, m)
         return entry(col, m)
 
-    for name, fn in (("_column", counting_column), ("_dot", counting_dot),
+    for name, fn in (("Column", counting_column), ("_dot", counting_dot),
                      ("_entry", counting_entry)):
         monkeypatch.setattr(I, name, fn)
     assert I.check_registry(identity, max_n=50).holds
-    for key, lengths in builds.items():
-        assert lengths == sorted(set(lengths)), key
-        assert lengths[-1] == highest[key] + 1, key
-    assert (sum(map(sum, builds.values())), len(alive)) == COLUMN_BUILDS[identity]
+    for col in alive:
+        key = keys[id(col)]
+        assert evaluated[key] == list(range(len(col.nums))), key
+        assert len(col.nums) == highest[key] + 1, key
+    assert (sum(map(len, evaluated.values())), len(alive)) == COLUMN_BUILDS[identity]
 
 
 def test_term_caches_are_bounded():
