@@ -249,7 +249,6 @@ class RiordanArray:
         n = min(d.precision, h.precision + 1)
         self._d = d.truncate(n)
         self._h = h.truncate(min(h.precision, n))
-        self._th = self._h.shift_up().truncate(n)
         self._cols = {0: self._d}
         self._A = None
 
@@ -268,7 +267,7 @@ class RiordanArray:
         n = min(d.precision, A.precision)
         array = object.__new__(cls)
         array._d = d.truncate(n)
-        array._h = array._th = None
+        array._h = None
         array._cols = {0: array._d}
         array._A = A.truncate(n)
         return array
@@ -278,13 +277,6 @@ class RiordanArray:
         self._A = A.truncate(self.precision)
         return self
 
-    def _solve_h(self) -> None:
-        # t h solves w = t A(w); rows below the precision read A mod t^(precision-1)
-        n = self.precision
-        th = lagrange_solve(self._A, n + 1)
-        self._th = th.truncate(n)
-        self._h = th.shift_down()
-
     @property
     def d(self) -> FormalPowerSeries:
         return self._d
@@ -292,14 +284,13 @@ class RiordanArray:
     @property
     def h(self) -> FormalPowerSeries:
         if self._h is None:
-            self._solve_h()
+            # t h solves w = t A(w); rows below the precision read A mod t^(precision-1)
+            self._h = lagrange_solve(self._A, self.precision + 1).shift_down()
         return self._h
 
     def _t_h(self) -> FormalPowerSeries:
-        """``t h`` mod ``t^precision``."""
-        if self._th is None:
-            self._solve_h()
-        return self._th
+        """``t h`` mod ``t^precision``, formed from ``h`` at each call."""
+        return self.h.shift_up().truncate(self.precision)
 
     @property
     def A(self) -> FormalPowerSeries | None:
@@ -548,11 +539,6 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> ASequence:
 # -- the three stock triangles ----------------------------------------
 
 
-def catalan_gf(precision: int) -> FormalPowerSeries:
-    """1, 1, 2, 5, 14, ...: the Catalan number generating function B_2."""
-    return binomial_series(2, 1, precision)
-
-
 def central_binomial_gf(precision: int) -> FormalPowerSeries:
     """1, 2, 6, 20, ...: central binomial coefficients, i.e. (1-4t)^(-1/2)."""
     return FormalPowerSeries([comb(2 * m, m) for m in range(precision)])
@@ -577,7 +563,7 @@ def catalan_triangle(precision: int) -> RiordanArray:
 def ballot_triangle(precision: int) -> RiordanArray:
     """The ballot-style variant: entries (k+1)/(n+1) C(2n-k, n).
 
-    d = h = the Catalan generating function; A = 1/(1-t).
+    d = h = the Catalan generating function B_2 = 1, 1, 2, 5, 14, ...; A = 1/(1-t).
     """
-    c = catalan_gf(precision)
+    c = binomial_series(2, 1, precision)
     return RiordanArray(c, c)._with_A(FormalPowerSeries([1] * precision))

@@ -118,11 +118,6 @@ def power_spec(q: int, r: Scalar) -> HypergeometricSpec:
     )
 
 
-def h_spec(q: int) -> HypergeometricSpec:
-    """The spec of the h-series of an array with A = (1+t)^q (h = B_q^q)."""
-    return power_spec(q, q)
-
-
 def h_for_binomial_A(q: int, precision: int) -> FormalPowerSeries:
     """The h-series of a proper array whose A-sequence is (1 + t)^q.
 

@@ -512,22 +512,6 @@ def _baby_and_giant_steps(w: FormalPowerSeries, m: int, giant: bool):
     return powers, powers[-1] * w if giant else None
 
 
-def _compose_with_derivative(
-    g: FormalPowerSeries, w: FormalPowerSeries
-) -> tuple[FormalPowerSeries, FormalPowerSeries]:
-    """``g(w)`` and ``g'(w)`` at ``w``'s precision ``n``; ``w(0) = 0``, ``g`` known mod ``t^n``.
-
-    The evaluation of each Newton step of :func:`lagrange_solve`.  Both
-    come from one :func:`_compose_all` call, so they share its table of
-    powers of ``w``.  ``g'(w)`` reads ``g`` up to index ``n``; a
-    coefficient past ``g``'s precision counts as 0.
-    """
-    n = len(w._nums)
-    slopes = [i * c for i, c in enumerate(g._nums[1:n + 1], 1)]
-    value, slope = _compose_all([(g._nums, g._den), (slopes, g._den)], w)
-    return value, slope
-
-
 def _linear_combination(coeffs, den: int, powers) -> FormalPowerSeries:
     """``sum coeffs[i]/den * powers[i]`` up to the shorter list; the powers share a precision."""
     terms = [(c, s) for c, s in zip(coeffs, powers) if c]
@@ -564,10 +548,13 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     ``F'(w) = 1 - t phi'(w)`` and doubling working precision; each step
     reads ``phi(w)`` and ``phi'(w)`` from one baby-step/giant-step
     composition (:func:`_compose_all`), so a short phi costs a short table.
+    ``phi'`` is formed once per solve; the composition trims both to the
+    step's precision.
     This is the one Newton iteration of the package: :meth:`revert`,
     ``RiordanArray.from_dA`` and :func:`lagrange_gf` all solve through it.
     """
     p = _check_phi(phi, precision)
+    slopes = [i * c for i, c in enumerate(p._nums[1:], 1)]  # phi' over p's denominator
     w = _series([0, p._nums[0]][:precision], p._den)  # phi(0) t, correct mod t^2
     prec = 2
     while prec < precision:
@@ -576,7 +563,7 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
         # repairs every coefficient up to twice the previously correct order.
         w = w._padded(prec - len(w._nums))
         # t phi(w) and t phi'(w) mod t^prec read w mod t^(prec-1) only
-        value, slope = _compose_with_derivative(p, w.truncate(prec - 1))
+        value, slope = _compose_all([(p._nums, p._den), (slopes, p._den)], w.truncate(prec - 1))
         # F(w) has order >= 1, so the quotient never reads the top
         # coefficient of F'(w), the only one to read p's last coefficient.
         w = w - (w - value.shift_up()) / (1 - slope.shift_up())

@@ -28,8 +28,8 @@ from riordan.hypergeom import (
     binomial_series,
     expand,
     h_for_binomial_A,
-    h_spec,
     power_coeff,
+    power_spec,
 )
 from riordan.identities import (
     ANDREWS_VARIANTS,
@@ -98,7 +98,7 @@ def test_criterion_04_h_closed_forms_agree():
     n = 50
     for q in range(2, 7):
         closed = h_for_binomial_A(q, n)
-        hyper = expand(h_spec(q), n)
+        hyper = expand(power_spec(q, q), n)
         solved = RiordanArray.from_dA(FPS.one(n), (1 + FPS.t(n)) ** q).h.truncate(n)
         powered = binomial_series(q, 1, n).pow_rational(q)
         assert closed == hyper == solved == powered, q

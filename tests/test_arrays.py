@@ -24,7 +24,6 @@ from riordan.arrays import (
     Triangle,
     a_sequence,
     ballot_triangle,
-    catalan_gf,
     catalan_triangle,
     central_binomial_gf,
     pascal,
@@ -87,7 +86,7 @@ def test_from_dA_identity():
 
 
 def test_from_dA_ballot_variant():
-    arr = RiordanArray.from_dA(catalan_gf(8), FPS([1] * 8))
+    arr = RiordanArray.from_dA(binomial_series(2, 1, 8), FPS([1] * 8))
     assert arr.row(4) == (14, 14, 9, 4, 1)
     assert arr.d == ballot_triangle(8).d
     assert arr.h.truncate(7) == ballot_triangle(8).h.truncate(7)
@@ -173,14 +172,14 @@ def test_ballot_triangle_closed_form():
 
 @pytest.mark.parametrize("n", range(1, 31))
 def test_stock_series_match_binomial_closed_forms(n):
-    assert catalan_gf(n) == FPS([Fraction(comb(2 * m, m), m + 1) for m in range(n)])
+    assert ballot_triangle(n).d == FPS([Fraction(comb(2 * m, m), m + 1) for m in range(n)])
     assert central_binomial_gf(n) == FPS([comb(2 * m, m) for m in range(n)])
     assert catalan_triangle(n).d == shifted_catalan(n)
 
 
 @pytest.mark.parametrize(
     "factory",
-    [pascal, catalan_triangle, ballot_triangle, catalan_gf, central_binomial_gf,
+    [pascal, catalan_triangle, ballot_triangle, central_binomial_gf,
      partial(binomial_series, 2, 1), partial(h_for_binomial_A, 2)],
 )
 @pytest.mark.parametrize("precision", [0, -1])

@@ -13,6 +13,7 @@ from riordan import identities
 from riordan.arrays import TheoremViolationError
 from riordan.cli import main
 from riordan.hypergeom import h_for_binomial_A
+from riordan.series import FormalPowerSeries
 
 
 EXPECTED = Path(__file__).parent.parent / "bench" / "expected"
@@ -204,6 +205,18 @@ def test_arrays_cli_matches_golden(capsys, case):
 
 
 # -- check -------------------------------------------------------------------
+
+
+CHECK_CLI = [
+    json.loads(line) for line in (FIXTURES / "check_cli.jsonl").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("case", CHECK_CLI, ids=lambda case: " ".join(case["argv"]))
+def test_check_cli_matches_golden(capsys, case):
+    # stdout, stderr and exit code of check, pole runs and central-factor pins among them
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_check_andrews_holds(capsys):
@@ -692,7 +705,7 @@ def test_check_disagreeing_routes_exit_1(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("kernel, gf", [
-    ("_central_power_ratio", "central_power_gf"),
+    ("_binomial_power_ratio", "central_power_gf"),
     ("_central_ballot_ratio", "central_ballot_gf"),
 ])
 def test_check_disagreeing_central_routes_exit_1(capsys, monkeypatch, kernel, gf):
@@ -702,6 +715,86 @@ def test_check_disagreeing_central_routes_exit_1(capsys, monkeypatch, kernel, gf
     assert code == 1
     assert out == ""
     assert err.startswith(f"riordan: counterexample: {gf} routes disagree for p=2, ")
+
+
+def fibonacci_off_at_6(monkeypatch):
+    # F_6 one too large, every other F_n unchanged
+    fibonacci = identities.fibonacci
+    monkeypatch.setattr(identities, "fibonacci", lambda n: fibonacci(n) + (n == 6))
+
+
+def off_at_3(series):
+    # the series with coefficient 3 one too large
+    return series + FormalPowerSeries([0, 0, 0, 1], precision=series.precision)
+
+
+def test_check_andrews_prints_its_counterexample(capsys, monkeypatch):
+    # a121 reads F_(2n+2) against the window sum: F_6 = 8 at n = 2
+    fibonacci_off_at_6(monkeypatch)
+    assert run(capsys, "check", "andrews-a121", "--max-n", "5") == (
+        1,
+        "andrews-a121: counterexample (3 points, 0 <= n <= 5)\n"
+        "  counterexample at n=2: lhs=9 rhs=8\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize("weight_off, rhs", [(False, 9), (True, 8)])
+def test_check_via_riordan_prints_the_side_that_differs(capsys, monkeypatch, weight_off, rhs):
+    # even rows give F_6 at n = 3.  With only F_6 wrong, the series meets its
+    # generating-function target and F_6 is the side that differs; with the
+    # weight wrong too, the target differs first.  The weight's t^3 adds
+    # d[3][3] = 1 of the even extraction to the series.
+    fibonacci_off_at_6(monkeypatch)
+    if weight_off:
+        weight = identities._weight_series
+        monkeypatch.setattr(identities, "_weight_series", lambda *a: off_at_3(weight(*a)))
+    lhs = 9 if weight_off else 8
+    assert run(capsys, "check", "fibonacci-riordan", "--max-n", "5") == (
+        1,
+        "fibonacci-riordan: counterexample (4 points, rows even, n <= 5)\n"
+        f"  counterexample at rows=even, n=3: lhs={lhs} rhs={rhs}\n",
+        "",
+    )
+
+
+def test_check_product_laws_reports_the_first_law_that_fails(capsys, monkeypatch):
+    # B_3^(1/2) one too large at t^3: the first law fails at n = 3, after 4 points,
+    # by fuss_ballot(1)'s constant term 1
+    binomial_series = identities.binomial_series
+    monkeypatch.setattr(identities, "binomial_series", lambda *a: off_at_3(binomial_series(*a)))
+    rhs = identities.fuss_ballot_gf(2, Fraction(3, 2), 6).coeff(3)
+    argv = ("check", "product-laws", "--p", "2", "--x", "1/2", "--y", "1", "--max-n", "5")
+    assert run(capsys, *argv) == (
+        1,
+        "product-laws: counterexample (4 points, p=2, x=1/2, y=1, coefficients below 6)\n"
+        f"  counterexample at law=binomial-ballot, p=2, x=1/2, y=1, n=3: lhs={rhs + 1} rhs={rhs}\n",
+        "",
+    )
+
+
+def test_check_product_laws_counts_the_laws_before_the_one_that_fails(capsys, monkeypatch):
+    # the expansion of B_3^x read at x + 1: the third law fails at n = 1,
+    # after the first two laws' 6 coefficients each, as fuss_ballot(x + 1 + y)
+    power_spec = identities.power_spec
+    monkeypatch.setattr(identities, "power_spec", lambda q, r: power_spec(q, r + 1))
+    lhs, rhs = (identities.fuss_ballot_gf(2, Fraction(y, 2), 6).coeff(1) for y in (5, 3))
+    argv = ("check", "product-laws", "--p", "2", "--x", "1/2", "--y", "1", "--max-n", "5")
+    assert run(capsys, *argv) == (
+        1,
+        "product-laws: counterexample (14 points, p=2, x=1/2, y=1, coefficients below 6)\n"
+        "  counterexample at law=binomial-ballot-hypergeometric, p=2, x=1/2, y=1, n=1: "
+        f"lhs={lhs} rhs={rhs}\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("andrews-a1", "--all"), "give an identity id or --all, not both"),
+    (("--all", "--p", "2"), "parameter pins only combine with a single identity id"),
+])
+def test_check_all_refuses_an_id_or_a_pin(capsys, argv, message):
+    assert run(capsys, "check", *argv) == (2, "", f"riordan: {message}\n")
 
 
 def test_check_via_riordan_closed_form_mismatch(capsys, monkeypatch):

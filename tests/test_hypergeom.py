@@ -14,7 +14,6 @@ from riordan.hypergeom import (
     binomial_series,
     expand,
     h_for_binomial_A,
-    h_spec,
     pochhammer,
     power_coeff,
     power_spec,
@@ -125,7 +124,7 @@ def test_h_leading_coefficient_is_one():
 
 def test_h_spec_expansion_matches_closed_form():
     for q in range(2, 7):
-        assert expand(h_spec(q), 15) == h_for_binomial_A(q, 15)
+        assert expand(power_spec(q, q), 15) == h_for_binomial_A(q, 15)
 
 
 def test_h_matches_a_sequence_construction():

@@ -13,7 +13,7 @@ SOURCES = sorted((Path(__file__).parent.parent / "src" / "riordan").glob("*.py")
 # public names that only the tests call
 TESTED_ONLY = {
     "from_record", "sum_lhs", "sum_rhs", "to_text", "weighted_row_sum",
-    "convolution_identity", "central_binomial_gf", "h_spec", "power_coeff", "row", "zero",
+    "convolution_identity", "central_binomial_gf", "power_coeff", "row", "zero",
 }
 
 
