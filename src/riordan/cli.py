@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: triangle, extract, aseq, check, hyper.  Output formats are
-text (aligned columns), csv, and jsonl (canonical JSON, one record per
-line, all numbers as decimal strings so arbitrary precision survives the
-round trip).  Exit codes: 0 success / identity holds, 1 counterexample
-found (including two computation routes that disagree), 2 usage or spec
-error (including a check that covers no points).
+text (aligned columns), csv (all but check), and jsonl (canonical JSON,
+one record per line, all numbers as decimal strings so arbitrary
+precision survives the round trip).  Exit codes: 0 success / identity
+holds, 1 counterexample found (including two computation routes that
+disagree), 2 usage or spec error (including a check that covers no
+points).
 """
 
 from __future__ import annotations
@@ -269,10 +270,10 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _add_common(sp) -> None:
+def _add_common(sp, formats=("text", "csv", "jsonl")) -> None:
     sp.add_argument(
         "--format",
-        choices=("text", "csv", "jsonl"),
+        choices=formats,
         default="text",
         help="output format (default: text)",
     )
@@ -332,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--x", default=None, help="pin the rational x slot")
     p_check.add_argument("--y", default=None, help="pin the rational y slot")
     p_check.add_argument("--z", type=int, default=None, help="pin the integer z slot")
-    _add_common(p_check)
+    # a report or a registry entry has no table shape, so check has no csv
+    _add_common(p_check, ("text", "jsonl"))
 
     p_hyper = sub.add_parser("hyper", help="expand a hypergeometric series")
     p_hyper.add_argument("--upper", default="", help="upper parameters, e.g. 1/2,1")

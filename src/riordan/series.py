@@ -32,7 +32,6 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SeriesError(ValueError):
@@ -204,20 +203,23 @@ class FormalPowerSeries:
 
     @classmethod
     def zero(cls, precision: int) -> "FormalPowerSeries":
-        return cls([], precision=precision)
+        return cls.constant(0, precision)
 
     @classmethod
     def one(cls, precision: int) -> "FormalPowerSeries":
-        return cls([_ONE], precision=precision)
+        return cls.constant(1, precision)
 
     @classmethod
     def t(cls, precision: int) -> "FormalPowerSeries":
         """The series ``t`` (requires precision >= 2 to be visible)."""
-        return cls([_ZERO, _ONE], precision=precision)
+        return cls.one(precision).shift_up().truncate(precision)
 
     @classmethod
     def constant(cls, value: Scalar, precision: int) -> "FormalPowerSeries":
-        return cls([_fraction(value)], precision=precision)
+        if precision < 1:
+            raise SeriesError(f"precision must be positive, got {precision}")
+        c = value if isinstance(value, (int, Fraction)) else _fraction(value)
+        return _series([c.numerator] + [0] * (precision - 1), c.denominator)
 
     # -- basic queries -----------------------------------------------
 
@@ -382,15 +384,15 @@ class FormalPowerSeries:
             if not self._nums[0]:
                 raise NonInvertibleError("negative power of a series with f(0) = 0")
             return (FormalPowerSeries.one(n) / self) ** (-k)
-        result = FormalPowerSeries.one(n)
+        result = None  # 1, until the first factor
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return FormalPowerSeries.one(n) if result is None else result
 
     # -- calculus helpers --------------------------------------------
 
@@ -480,6 +482,8 @@ def _compose_all(series, w: FormalPowerSeries) -> list[FormalPowerSeries]:
     ``w^0 .. w^(m-1)``, and the blocks are joined by Horner's rule in the
     giant step ``W = w^m``.  A length-``L`` input costs about ``m + L/m``
     products instead of ``L``, and all inputs share the table and ``W``.
+    Block ``b`` reaches the result times ``W^b``, of order ``b m`` or more,
+    so Horner level ``b`` is formed mod ``t^(n - b m)`` only.
     """
     n = len(w._nums)
     trimmed = []
@@ -495,11 +499,14 @@ def _compose_all(series, w: FormalPowerSeries) -> list[FormalPowerSeries]:
     out = []
     for nums, den in trimmed:
         blocks = [nums[i:i + m] for i in range(0, len(nums), m)] or [()]
-        acc = _linear_combination(blocks.pop(), den, powers)
-        for block in reversed(blocks):
-            acc = acc * giant
-            if any(block):
-                acc = acc + _linear_combination(block, den, powers)
+        top = len(blocks) - 1
+        acc = _linear_combination(blocks[top], den, powers, n - top * m)
+        for b in range(top - 1, -1, -1):
+            # W has order >= m, so the m zeros padded onto acc (known mod
+            # t^(n - (b+1) m)) cannot reach the product mod t^(n - b m)
+            acc = acc._padded(m) * giant
+            if any(blocks[b]):
+                acc = acc + _linear_combination(blocks[b], den, powers, n - b * m)
         out.append(acc)
     return out
 
@@ -512,11 +519,14 @@ def _baby_and_giant_steps(w: FormalPowerSeries, m: int, giant: bool):
     return powers, powers[-1] * w if giant else None
 
 
-def _linear_combination(coeffs, den: int, powers) -> FormalPowerSeries:
-    """``sum coeffs[i]/den * powers[i]`` up to the shorter list; the powers share a precision."""
+def _linear_combination(coeffs, den: int, powers, length: int) -> FormalPowerSeries:
+    """``sum coeffs[i]/den * powers[i]`` mod ``t^length``, up to the shorter list.
+
+    The powers are known at least mod ``t^length``.
+    """
     terms = [(c, s) for c, s in zip(coeffs, powers) if c]
     common = lcm(*(s._den for _, s in terms))
-    out = [0] * len(powers[0]._nums)
+    out = [0] * length
     for c, s in terms:
         scale = c * (common // s._den)
         out = [x + scale * y for x, y in zip(out, s._nums)]
@@ -545,28 +555,37 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     """The unique series ``w`` with ``w = t * phi(w)``, ``phi(0) != 0``.
 
     Computed by Newton iteration on ``F(w) = w - t phi(w)``, with
-    ``F'(w) = 1 - t phi'(w)`` and doubling working precision; each step
-    reads ``phi(w)`` and ``phi'(w)`` from one baby-step/giant-step
-    composition (:func:`_compose_all`), so a short phi costs a short table.
-    ``phi'`` is formed once per solve; the composition trims both to the
-    step's precision.
+    ``F'(w) = 1 - t phi'(w)`` and doubling working precision.  A step
+    from ``known`` to ``prec`` correct coefficients has ``F(w)`` of order
+    ``known`` or more, so it needs ``F'(w)`` only mod ``t^h``,
+    ``h = prec - known``: it composes ``phi`` at ``w`` mod ``t^(prec-1)``
+    and, when ``h > 1``, ``phi'`` at ``w`` mod ``t^(h-1)`` on its own
+    small table, both by :func:`_compose_all`.  ``phi'`` is formed once
+    per solve; the composition trims it to the step's precision.
     This is the one Newton iteration of the package: :meth:`revert`,
     ``RiordanArray.from_dA`` and :func:`lagrange_gf` all solve through it.
     """
     p = _check_phi(phi, precision)
     slopes = [i * c for i, c in enumerate(p._nums[1:], 1)]  # phi' over p's denominator
     w = _series([0, p._nums[0]][:precision], p._den)  # phi(0) t, correct mod t^2
-    prec = 2
-    while prec < precision:
-        prec = min(2 * prec, precision)
+    known = 2
+    while known < precision:
+        prec = min(2 * known, precision)
+        h = prec - known
         # Zero-padding the current guess is safe: the Newton step below
         # repairs every coefficient up to twice the previously correct order.
-        w = w._padded(prec - len(w._nums))
-        # t phi(w) and t phi'(w) mod t^prec read w mod t^(prec-1) only
-        value, slope = _compose_all([(p._nums, p._den), (slopes, p._den)], w.truncate(prec - 1))
-        # F(w) has order >= 1, so the quotient never reads the top
-        # coefficient of F'(w), the only one to read p's last coefficient.
-        w = w - (w - value.shift_up()) / (1 - slope.shift_up())
+        w = w._padded(h)
+        # t phi(w) mod t^prec reads w and p mod t^(prec-1) only; neither
+        # composition reads p's last coefficient, which _check_phi may pad
+        (value,) = _compose_all([(p._nums, p._den)], w.truncate(prec - 1))
+        # F(w) = t^known R, and the correction is t^known R / F'(w) mod t^prec
+        r = (w - value.shift_up()).shift_down(known)
+        if h > 1:
+            # t phi'(w) mod t^h reads w mod t^(h-1), which is correct
+            (slope,) = _compose_all([(slopes, p._den)], w.truncate(h - 1))
+            r = r / (1 - slope.shift_up())
+        w = w - r.shift_up(known)
+        known = prec
     return w
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from riordan import identities
+from riordan import cli, identities
 from riordan.arrays import TheoremViolationError
 from riordan.cli import main
 from riordan.hypergeom import h_for_binomial_A
@@ -380,11 +380,29 @@ def test_fibonacci_riordan_builds_nothing_for_an_empty_grid(capsys, monkeypatch,
     )
 
 
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("csv", "csv"), ("jsonl", "jsonl")])
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("jsonl", "jsonl")])
 def test_check_list_matches_golden(capsys, fmt, suffix):
     code, out, _ = run(capsys, "check", "--list", "--format", fmt)
     assert code == 0
     assert out.encode() == (FIXTURES / f"check_list.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv", [("check", "--list"), ("check", "andrews-a1", "--max-n", "4"), ("check", "--all")]
+)
+def test_check_refuses_csv_before_any_compute(capsys, monkeypatch, argv):
+    # a report has no table shape: csv would print the text layout under another name
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before --format was checked")
+
+    monkeypatch.setattr(cli, "registry_entries", fail)
+    monkeypatch.setattr(cli, "check_registry", fail)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'csv'" in captured.err
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ no factor with all numerators).
 from fractions import Fraction
 from math import ceil, gcd, isqrt, sqrt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -141,6 +142,20 @@ def canonical(s):
     return list(s.coeffs)
 
 
+@pytest.fixture
+def convolutions(monkeypatch):
+    """The length of each integer product the series kernels form, in order."""
+    calls = []
+    convolve = series._convolve
+
+    def counted(a, b, n):
+        calls.append(n)
+        return convolve(a, b, n)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    return calls
+
+
 # -- kernels against the reference -----------------------------------------
 
 
@@ -183,6 +198,15 @@ def test_pow(a, k):
     else:
         want = ref_pow(a, k)
     assert canonical(FPS(a) ** k) == want
+
+
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (5, 3)])
+def test_pow_starts_from_the_first_factor(convolutions, k, products):
+    # square-and-multiply with no product by 1: f**5 is f * (f^2)^2
+    f = [2, Fraction(1, 3), -1, 4]
+    got = FPS(f) ** k
+    assert len(convolutions) == products
+    assert canonical(got) == ref_pow(f, k)
 
 
 @KERNEL
@@ -272,8 +296,8 @@ def g_and_w(draw):
     return g, w
 
 
-def compose_with_derivative(g, w):
-    """g(w) and g'(w) from one composition, as each Newton step of lagrange_solve reads them.
+def compose_on_one_table(g, w):
+    """g(w) and g'(w) from one _compose_all call: two inputs of two lengths share one table.
 
     g' keeps every coefficient of g past the first; the composition trims it
     to w's precision.
@@ -284,10 +308,10 @@ def compose_with_derivative(g, w):
 
 @HEAVY
 @given(g_and_w())
-def test_compose_with_derivative_is_horner(case):
+def test_two_inputs_on_one_table_match_horner(case):
     g, w = case
     n = len(w)
-    value, slope = compose_with_derivative(FPS(g), FPS(w))
+    value, slope = compose_on_one_table(FPS(g), FPS(w))
     assert canonical(value) == ref_compose(g, w)
     # g'(w) reads g up to index n; a coefficient past g's precision counts as 0
     assert canonical(slope) == ref_compose(ref_derivative(g + [0]), w)
@@ -305,6 +329,35 @@ def test_lagrange_solve_matches_reverting_t_over_phi(case):
         # the padded coefficient phi_(n-1) cannot reach w mod t^n
         padded[n - 1] += 5
         assert lagrange_solve(FPS(padded), n) == got
+
+
+PHI = [Fraction(3, 2), -1, Fraction(2, 7), 0, 5, Fraction(-4, 9), 1, 0, Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 17, 33])
+@pytest.mark.parametrize("missing", [0, 1])
+def test_lagrange_solve_when_the_last_step_gains_one_coefficient(n, missing):
+    # precision 2 doubles to n - 1, and the last step goes from n - 1 to n:
+    # its F'(w) is 1 mod t, so it composes phi alone and takes no slope.
+    # phi is known mod t^(n - missing)
+    phi = [PHI[i % len(PHI)] + i for i in range(n - missing)]
+    got = lagrange_solve(FPS(phi), n)
+    assert canonical(got) == ref_lagrange_solve(phi + [0], n)
+
+
+def test_lagrange_solve_composes_each_step_to_the_order_it_reaches(monkeypatch):
+    # each step from known to prec composes phi at w mod t^(prec - 1) and, when
+    # h = prec - known > 1, phi' at w mod t^(h - 1): one input per table
+    calls = []
+    compose_all = series._compose_all
+
+    def recorded(inputs, w):
+        calls.append((len(inputs), w.precision))
+        return compose_all(inputs, w)
+
+    monkeypatch.setattr(series, "_compose_all", recorded)
+    lagrange_solve(FPS(PHI * 4), 33)
+    assert calls == [(1, 3), (1, 1), (1, 7), (1, 3), (1, 15), (1, 7), (1, 31), (1, 15), (1, 32)]
 
 
 @KERNEL
@@ -350,30 +403,37 @@ def test_compose_at_block_edges(case):
 @given(block_edges(), st.integers(0, 1))
 @example(([5], [0]), 0)  # a constant g at precision 1: the slope list is empty
 @example(([5, 0, 0], [0, 0, 3]), 1)
-def test_compose_with_derivative_at_block_edges(case, extra):
+def test_two_inputs_on_one_table_at_block_edges(case, extra):
     f, w = case
     n = len(w)
     g = (f + [0] * (n + 1))[:n + extra]  # g known mod t^n or mod t^(n+1)
-    value, slope = compose_with_derivative(FPS(g), FPS(w))
+    value, slope = compose_on_one_table(FPS(g), FPS(w))
     assert canonical(value) == ref_compose(g, w)
     assert canonical(slope) == ref_compose(ref_derivative(g + [0]), w)
 
 
-def test_dense_compose_takes_baby_and_giant_steps(monkeypatch):
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("order", [1, 2])
+def test_compose_with_a_top_block_of_one_coefficient(m, order):
+    # length m (m - 1) + 1 splits into blocks of m whose last holds one
+    # coefficient, and its Horner level is formed mod t^1
+    n = m * (m - 1) + 1
+    assert isqrt(n - 1) + 1 == m and (n - 1) % m == 0
+    f = [Fraction(i * i - 7, i % 4 + 1) for i in range(n)]
+    w = ([0] * order + [Fraction(2 - i, 3) for i in range(1, n)])[:n]
+    assert canonical(FPS(f).compose(FPS(w))) == ref_compose(f, w)
+
+
+def test_dense_compose_takes_baby_and_giant_steps(convolutions):
     # Horner's rule would make 100 products; baby steps and giant steps at most
     # 2 ceil(sqrt(100)) + 1
-    calls = []
-    convolve = series._convolve
-
-    def counted(a, b, n):
-        calls.append(n)
-        return convolve(a, b, n)
-
-    monkeypatch.setattr(series, "_convolve", counted)
     f = FPS(range(1, 101))
     w = FPS([0, *range(1, 100)])
     got = f.compose(w)
-    assert 0 < len(calls) <= 2 * ceil(sqrt(100)) + 1
+    assert 0 < len(convolutions) <= 2 * ceil(sqrt(100)) + 1
+    # with m = 10, Horner level b reaches the result times W^b, of order 10 b,
+    # so its giant product is formed mod t^(100 - 10 b) only
+    assert convolutions[-9:] == [100 - 10 * b for b in range(8, -1, -1)]
     assert got.precision == 100
     # the low coefficients against the Fraction reference at a precision it reaches fast
     assert canonical(got.truncate(12)) == ref_compose(list(range(1, 13)), [0, *range(1, 12)])
@@ -468,20 +528,12 @@ def test_lagrange_diagonal_matches_newton(case):
     ]
 
 
-def test_dense_lagrange_coeffs_takes_baby_and_giant_steps(monkeypatch):
+def test_dense_lagrange_coeffs_takes_baby_and_giant_steps(convolutions):
     # a chain of powers would make 99 products; baby steps and giant steps at
     # most 2 ceil(sqrt(100)) + 2
-    calls = []
-    convolve = series._convolve
-
-    def counted(a, b, n):
-        calls.append(n)
-        return convolve(a, b, n)
-
-    monkeypatch.setattr(series, "_convolve", counted)
     phi = FPS([3, *range(1, 100)])
     got = lagrange_coeffs(phi, 2, 100)
-    assert 0 < len(calls) <= 2 * ceil(sqrt(100)) + 2
+    assert 0 < len(convolutions) <= 2 * ceil(sqrt(100)) + 2
     assert got.precision == 100
     assert canonical(got.truncate(12)) == ref_lagrange_coeffs([3, *range(1, 12)], 2, 12)
 
