@@ -8,10 +8,9 @@ of their A-sequence, the unique weights with
     d[n+1][k+1] = a0 d[n][k] + a1 d[n][k+1] + a2 d[n][k+2] + ...
 
 where ``h = A(t h)``.  This module builds arrays from either pair,
-materializes finite triangles, recovers A-sequences from raw triangles,
-extracts the row-subsampled arrays (keep row pn+r, shift left by
-(p-1)n+r), and evaluates weighted row sums and the column convolution
-identity.  Nothing is ever rounded.
+materializes finite triangles, recovers A-sequences from raw triangles
+and extracts the row-subsampled arrays (keep row pn+r, shift left by
+(p-1)n+r).  Nothing is ever rounded.
 
 A :class:`Triangle` stores its entries as integer rows over one common
 positive denominator in lowest terms, the representation of
@@ -48,7 +47,6 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .hypergeom import binomial_series
-from .reports import Counterexample, IdentityReport
 from .series import (
     FormalPowerSeries,
     PrecisionError,
@@ -288,10 +286,6 @@ class RiordanArray:
             self._h = lagrange_solve(self._A, self.precision + 1).shift_down()
         return self._h
 
-    def _t_h(self) -> FormalPowerSeries:
-        """``t h`` mod ``t^precision``, formed from ``h`` at each call."""
-        return self.h.shift_up().truncate(self.precision)
-
     @property
     def A(self) -> FormalPowerSeries | None:
         """The A-sequence mod ``t^precision`` when the array keeps it, else None.
@@ -323,7 +317,7 @@ class RiordanArray:
         while j not in cols:
             j -= 1
         col = cols[j]
-        th = self._t_h()
+        th = self.h.shift_up().truncate(self.precision)
         while j < k:
             j += 1
             nxt = cols.get(j)
@@ -452,33 +446,6 @@ class RiordanArray:
         f = self._d.truncate(m) * h**r
         d_new, col1 = _lagrange_diagonal([f, (f * h).shift_up().truncate(m)], h**(p - 1))
         return RiordanArray(d_new, (col1 / d_new).shift_down())
-
-    def weighted_row_sum(self, f: FormalPowerSeries, n: int) -> Fraction:
-        """``sum_k f_k d[n][k]``, the finite sum; it equals ``[t^n] d(t) f(t h(t))``."""
-        return sum((f.coeff(k) * self.entry(n, k) for k in range(n + 1)), _ZERO)
-
-    def convolution_identity(self, n: int, k: int, s: int) -> IdentityReport:
-        """Check ``d[n][k] = sum_{j=s}^{n} d[n-j][k-s] [t^j](t h)^s`` exactly."""
-        if not (1 <= s <= k <= n):
-            raise RiordanError(f"need 1 <= s <= k <= n, got n={n}, k={k}, s={s}")
-        lhs = self.entry(n, k)
-        ths = self._t_h() ** s
-        rhs = sum(
-            (self.entry(n - j, k - s) * ths.coeff(j) for j in range(s, n + 1)), _ZERO
-        )
-        cex = None
-        if lhs != rhs:
-            cex = Counterexample(
-                params={"n": str(n), "k": str(k), "s": str(s)},
-                lhs=str(lhs),
-                rhs=str(rhs),
-            )
-        return IdentityReport(
-            identity="riordan-convolution",
-            grid=f"n={n}, k={k}, s={s}",
-            points=1,
-            counterexample=cex,
-        )
 
 
 def subarray_triangle(array: RiordanArray, p: int, r: int, nrows: int) -> Triangle:

@@ -31,17 +31,14 @@ once, as the integer kernel ``_binomial_power_ratio`` ([t^n] B_q^r):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .reports import Counterexample, IdentityReport
 from .series import FormalPowerSeries, SeriesError, _collect, _fraction, _reduced, _wrap
 
 Scalar = Union[int, Fraction]
-
-_ONE = Fraction(1)
 
 
 class HypergeomError(ValueError):
@@ -56,21 +53,22 @@ def _is_nonpositive_integer(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
 
 
-@dataclass(frozen=True)
-class HypergeometricSpec:
+class HypergeometricSpec(NamedTuple("HypergeometricSpec", [
+    ("upper", tuple[Fraction, ...]), ("lower", tuple[Fraction, ...]), ("scale", Fraction),
+])):
     """Parameter lists plus argument scale; validated at construction."""
 
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    scale: Fraction = _ONE
+    __slots__ = ()
 
-    def __init__(self, upper: Sequence[Scalar], lower: Sequence[Scalar], scale: Scalar = 1):
-        object.__setattr__(self, "upper", tuple(_fraction(a) for a in upper))
-        object.__setattr__(self, "lower", tuple(_fraction(c) for c in lower))
-        object.__setattr__(self, "scale", _fraction(scale))
-        for c in self.lower:
+    def __new__(cls, upper: Sequence[Scalar], lower: Sequence[Scalar], scale: Scalar = 1):
+        spec = super().__new__(
+            cls, tuple(_fraction(a) for a in upper), tuple(_fraction(c) for c in lower),
+            _fraction(scale),
+        )
+        for c in spec.lower:
             if _is_nonpositive_integer(c):
                 raise PoleError(f"lower parameter {c} is zero or a negative integer")
+        return spec
 
 
 def pochhammer(a: Scalar, n: int) -> Fraction:

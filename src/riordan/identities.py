@@ -52,7 +52,6 @@ is first built; the memo is dropped when the run ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -110,7 +109,6 @@ def _ratio(x: Scalar) -> Ratio:
     return x.numerator, x.denominator
 
 
-@dataclass
 class Column:
     """A factor column: the terms of ``term`` read so far, as integer numerators over ``den``.
 
@@ -118,10 +116,13 @@ class Column:
     the first sum that takes it.
     """
 
-    term: Callable[[int], Ratio]
-    nums: list[int] = field(default_factory=list)
-    den: int = 1
-    faults: dict[int, Exception] = field(default_factory=dict)
+    __slots__ = ("term", "nums", "den", "faults")
+
+    def __init__(self, term: Callable[[int], Ratio]):
+        self.term = term
+        self.nums: list[int] = []
+        self.den = 1
+        self.faults: dict[int, Exception] = {}
 
     def reach(self, length: int) -> Column:
         """Append terms ``len(nums)..length-1``, keeping ``nums/den`` canonical."""
@@ -564,8 +565,7 @@ _CENTRAL = (lambda p, x: _catalan_power(2 * p, 2 * x), _factor(_central_ballot_r
 # -- registry ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     """One runnable identity: id, formula sketch, parameter slots, runner."""
 
     id: str

@@ -1,13 +1,15 @@
-"""Verdict records for exact identity checks."""
+"""Verdict records for exact identity checks.
+
+``Counterexample`` and ``IdentityReport`` are ``typing.NamedTuple``s:
+read-only, equal by value, and built without ``dataclasses``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """A failing parameter point with both sides rendered exactly."""
 
     params: Mapping[str, str]
@@ -18,8 +20,7 @@ class Counterexample:
         return {"params": dict(self.params), "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of checking one identity over a parameter grid.
 
     Values inside the counterexample are exact decimal/fraction strings,

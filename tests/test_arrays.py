@@ -5,7 +5,6 @@ triangle, the ballot variant); cross-checks use closed-form binomials and
 the definitional sub-array grid as independent oracles.
 """
 
-import random
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -356,90 +355,6 @@ def test_extract_parameter_validation():
         pascal(10).extract_subarray(1, 0)
     with pytest.raises(RiordanError):
         pascal(10).extract_subarray(2, -1)
-
-
-# -- weighted row sums -----------------------------------------------------------
-
-
-def fib(n):
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
-def andrews_weight(n):
-    """(t - t^2 - t^3 + t^4) / (1 - t^5) to precision n."""
-    return FPS([0, 1, -1, -1, 1], precision=n) / FPS([1, 0, 0, 0, 0, -1], precision=n)
-
-
-def via_gf(arr, f, n):
-    """[t^n] d(t) f(t h(t)), the generating-function route of a weighted row sum."""
-    return (arr.d * f.compose(arr.h.shift_up())).coeff(n)
-
-
-def test_weighted_row_sum_fibonacci():
-    sub = pascal(13).extract_subarray(2, 0)
-    f = andrews_weight(sub.precision)
-    assert sub.weighted_row_sum(f, 3) == 8 == fib(6) == via_gf(sub, f, 3)
-    assert sub.weighted_row_sum(f, 5) == 55 == fib(10) == via_gf(sub, f, 5)
-
-
-def test_weighted_row_sum_constant_weight():
-    for arr in (pascal(6), ballot_triangle(6)):
-        f = FPS.one(6)
-        assert arr.weighted_row_sum(f, 0) == arr.d.coeff(0) == via_gf(arr, f, 0)
-
-
-def test_weighted_row_sum_random_weights():
-    rng = random.Random(37)
-    arr = catalan_triangle(10)
-    for _ in range(5):
-        f = FPS([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(10)])
-        for n in range(10):
-            direct = sum(f.coeff(k) * arr.entry(n, k) for k in range(n + 1))
-            assert arr.weighted_row_sum(f, n) == direct == via_gf(arr, f, n)
-
-
-# -- convolution identity ----------------------------------------------------------
-
-
-def test_convolution_pascal_s1():
-    p = pascal(12)
-    rep = p.convolution_identity(5, 2, 1)
-    assert rep.holds
-    # the s = 1 case reads sum_j C(n-j, k-1) = C(n, k)
-    assert sum(comb(5 - j, 1) for j in range(1, 6)) == comb(5, 2) == 10
-
-
-def test_convolution_pascal_general_s():
-    p = pascal(14)
-    for n in range(1, 14):
-        for k in range(1, n + 1):
-            for s in range(1, k + 1):
-                assert p.convolution_identity(n, k, s).holds
-                closed = sum(
-                    comb(n - j, k - s) * comb(j - 1, s - 1) for j in range(s, n + 1)
-                )
-                assert closed == comb(n, k)
-
-
-def test_convolution_trivial_point():
-    rep = pascal(5).convolution_identity(1, 1, 1)
-    assert rep.holds and rep.points == 1
-
-
-def test_convolution_other_arrays():
-    for arr in (catalan_triangle(12), ballot_triangle(12)):
-        for n, k, s in ((6, 3, 2), (9, 5, 1), (11, 11, 4)):
-            assert arr.convolution_identity(n, k, s).holds
-
-
-def test_convolution_validates_parameters():
-    with pytest.raises(RiordanError):
-        pascal(8).convolution_identity(3, 2, 0)
-    with pytest.raises(RiordanError):
-        pascal(8).convolution_identity(2, 3, 1)
 
 
 # -- recurrence invariant ------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import json
 import re
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -294,7 +293,7 @@ def raising_entry(monkeypatch, identity, exc):
     def run_entry(max_n, pinned):
         raise exc
 
-    monkeypatch.setitem(identities.REGISTRY, identity, replace(entry, run=run_entry))
+    monkeypatch.setitem(identities.REGISTRY, identity, entry._replace(run=run_entry))
 
 
 @pytest.mark.parametrize(

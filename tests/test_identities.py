@@ -1,5 +1,6 @@
-"""Identity registry tests: Fibonacci suite, convolution sums, product laws."""
+"""Identity registry tests: Fibonacci suite, convolution sums, product laws, array cross-checks."""
 
+import random
 import re
 from fractions import Fraction
 from math import comb
@@ -7,6 +8,7 @@ from math import comb
 import pytest
 
 from riordan import identities
+from riordan.arrays import RiordanError, ballot_triangle, catalan_triangle, pascal
 from riordan.hypergeom import binomial_series, expand
 from riordan.identities import (
     _FIB_CACHE_MAX,
@@ -339,6 +341,108 @@ def test_sum_rhs_of_a_k_s_row_takes_no_s():
         sum_rhs("subarray-convolution", 4, **point, s=1)
     with pytest.raises(RegistryError, match=re.escape("takes slots ['p', 'r', 'k', 's']")):
         sum_lhs("subarray-convolution", 4, **point)
+
+
+# -- weighted row sums and the column convolution of an array --------------------
+# Both read a Riordan array's entries at one point.  The k/s rows above check
+# the column convolution of the extracted arrays as registry sums; these
+# helpers check it, and the weighted row sum, on any array.
+
+
+def weighted_row_sum(arr, f, n):
+    """``sum_k f_k d[n][k]``, the finite sum; it equals ``[t^n] d(t) f(t h(t))``."""
+    return sum((f.coeff(k) * arr.entry(n, k) for k in range(n + 1)), Fraction(0))
+
+
+def fib(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def andrews_weight(n):
+    """(t - t^2 - t^3 + t^4) / (1 - t^5) to precision n."""
+    return FPS([0, 1, -1, -1, 1], precision=n) / FPS([1, 0, 0, 0, 0, -1], precision=n)
+
+
+def via_gf(arr, f, n):
+    """[t^n] d(t) f(t h(t)), the generating-function route of a weighted row sum."""
+    return (arr.d * f.compose(arr.h.shift_up())).coeff(n)
+
+
+def test_weighted_row_sum_fibonacci():
+    sub = pascal(13).extract_subarray(2, 0)
+    f = andrews_weight(sub.precision)
+    assert weighted_row_sum(sub, f, 3) == 8 == fib(6) == via_gf(sub, f, 3)
+    assert weighted_row_sum(sub, f, 5) == 55 == fib(10) == via_gf(sub, f, 5)
+
+
+def test_weighted_row_sum_constant_weight():
+    for arr in (pascal(6), ballot_triangle(6)):
+        f = FPS.one(6)
+        assert weighted_row_sum(arr, f, 0) == arr.d.coeff(0) == via_gf(arr, f, 0)
+
+
+def test_weighted_row_sum_random_weights():
+    rng = random.Random(37)
+    arr = catalan_triangle(10)
+    for _ in range(5):
+        f = FPS([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(10)])
+        for n in range(10):
+            direct = sum(f.coeff(k) * arr.entry(n, k) for k in range(n + 1))
+            assert weighted_row_sum(arr, f, n) == direct == via_gf(arr, f, n)
+
+
+def convolution_identity(arr, n, k, s):
+    """Check ``d[n][k] = sum_{j=s}^{n} d[n-j][k-s] [t^j](t h)^s`` exactly at one point."""
+    if not (1 <= s <= k <= n):
+        raise RiordanError(f"need 1 <= s <= k <= n, got n={n}, k={k}, s={s}")
+    lhs = arr.entry(n, k)
+    ths = arr.h.shift_up().truncate(arr.precision) ** s
+    rhs = sum((arr.entry(n - j, k - s) * ths.coeff(j) for j in range(s, n + 1)), Fraction(0))
+    cex = None
+    if lhs != rhs:
+        cex = Counterexample({"n": str(n), "k": str(k), "s": str(s)}, str(lhs), str(rhs))
+    return IdentityReport("riordan-convolution", f"n={n}, k={k}, s={s}", 1, cex)
+
+
+def test_convolution_pascal_s1():
+    p = pascal(12)
+    rep = convolution_identity(p, 5, 2, 1)
+    assert rep.holds
+    # the s = 1 case reads sum_j C(n-j, k-1) = C(n, k)
+    assert sum(comb(5 - j, 1) for j in range(1, 6)) == comb(5, 2) == 10
+
+
+def test_convolution_pascal_general_s():
+    p = pascal(14)
+    for n in range(1, 14):
+        for k in range(1, n + 1):
+            for s in range(1, k + 1):
+                assert convolution_identity(p, n, k, s).holds
+                closed = sum(
+                    comb(n - j, k - s) * comb(j - 1, s - 1) for j in range(s, n + 1)
+                )
+                assert closed == comb(n, k)
+
+
+def test_convolution_trivial_point():
+    rep = convolution_identity(pascal(5), 1, 1, 1)
+    assert rep.holds and rep.points == 1
+
+
+def test_convolution_other_arrays():
+    for arr in (catalan_triangle(12), ballot_triangle(12)):
+        for n, k, s in ((6, 3, 2), (9, 5, 1), (11, 11, 4)):
+            assert convolution_identity(arr, n, k, s).holds
+
+
+def test_convolution_validates_parameters():
+    with pytest.raises(RiordanError):
+        convolution_identity(pascal(8), 3, 2, 0)
+    with pytest.raises(RiordanError):
+        convolution_identity(pascal(8), 2, 3, 1)
 
 
 # -- registry plumbing ----------------------------------------------------------

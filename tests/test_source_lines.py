@@ -1,6 +1,9 @@
 """Source layout rules that no linter in the toolchain enforces."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,12 +11,13 @@ from test_bench_names import LAYERTRACE
 
 import riordan
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "riordan").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "riordan").glob("*.py"))
 
 # public names that only the tests call
 TESTED_ONLY = {
-    "from_record", "sum_lhs", "sum_rhs", "to_text", "weighted_row_sum",
-    "convolution_identity", "central_binomial_gf", "power_coeff", "row", "zero",
+    "from_record", "sum_lhs", "sum_rhs", "to_text", "central_binomial_gf", "power_coeff",
+    "row", "zero",
 }
 
 
@@ -62,3 +66,23 @@ def test_every_definition_has_a_use():
         if name not in reached and (is_method or name not in named) and name not in exempt
     })
     assert unused == [], f"defined in src/riordan but used nowhere there: {unused}"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # in a fresh interpreter, so that only what this import adds counts, and
+    # not what site or an earlier test has already loaded
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import riordan.cli\n"
+        "print(riordan.cli.__file__)\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         check=True, capture_output=True, text=True).stdout
+    origin, loaded = out.splitlines()
+    assert Path(origin).resolve().is_relative_to(SRC)
+    loaded = set(loaded.split())
+    assert {"riordan.cli", "riordan.reports", "riordan.identities"} <= loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
