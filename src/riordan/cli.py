@@ -6,13 +6,14 @@ one record per line, all numbers as decimal strings so arbitrary
 precision survives the round trip).  Exit codes: 0 success / identity
 holds, 1 counterexample found (including two computation routes that
 disagree), 2 usage or spec error (including a check that covers no
-points).
+points), 141 (128 + SIGPIPE) the reader closed the output pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -359,7 +360,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        code = _COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()  # here, so a closed pipe is seen before the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (``| head``): no traceback, and what is still
+        # buffered goes to devnull, so the flush at exit raises nothing either
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except _FAILURES as exc:
         code, message = _failure(exc)
         print(f"riordan: {message}", file=sys.stderr)

@@ -27,12 +27,14 @@ and the coefficient formula for (t h)^s = t^s B_q^{qs}.  They are stated
 once, as the integer kernel ``_binomial_power_ratio`` ([t^n] B_q^r):
 ``binomial_series``, the h-series (B_q^q), the stock Catalan triangles,
 ``power_coeff`` and the identity registry's factor columns all read it.
+An integer r >= 1 (with q >= 1) takes ``math.comb``; any other r takes
+one ``math.prod`` over the n - 1 falling factors of its cancelled form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import NamedTuple, Sequence, Union
 
 from .reports import Counterexample, IdentityReport
@@ -129,15 +131,19 @@ def h_for_binomial_A(q: int, precision: int) -> FormalPowerSeries:
 def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:
     """[t^n] B_q^r at r = a/b (b > 0): r/(qn + r) C(qn + r, n), as a reduced integer pair.
 
-    Evaluated through the cancelled product r prod_{1<=m<n} (qn + r - m) / n!
-    = a prod_{1<=m<n} (a + (qn - m) b) / (b^n n!), so rational r is legal
-    and no pole is checked: a vanishing qn + r is the caller's to refuse.
+    At an integer r >= 1 with q >= 1, qn + r is positive and the term is
+    the integer r C(qn + r, n) / (qn + r), by ``math.comb``.  Any other r
+    takes the cancelled product r prod_{1<=m<n} (qn + r - m) / n!
+    = a prod_{1<=m<n} (a + (qn - m) b) / (b^n n!), formed by one
+    ``math.prod``, so rational r is legal and no pole is checked: a
+    vanishing qn + r is the caller's to refuse (the product has a finite
+    value there, which is why the ``comb`` route is kept to q, r >= 1).
     """
     if n == 0:
         return 1, 1
-    num = a
-    for m in range(1, n):
-        num *= a + (q * n - m) * b
+    if b == 1 and a >= 1 and q >= 1:
+        return a * comb(q * n + a, n) // (q * n + a), 1
+    num = a * prod(range(a + (q * n - 1) * b, a + (q * n - n) * b, -b))
     return _reduced(num, b**n * factorial(n))
 
 

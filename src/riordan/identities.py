@@ -55,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -151,7 +151,8 @@ def _dot(left: Column, right: Column, m: int) -> int:
             if fault is not None:
                 raise fault
     # at m < 0 the sum is empty: a negative index must not wrap round a column
-    return sum(map(mul, left.nums[: m + 1], right.nums[m::-1])) if m >= 0 else 0
+    # the map stops with the m + 1 reversed right terms, so no left prefix is copied
+    return sum(map(mul, left.nums, right.nums[m::-1])) if m >= 0 else 0
 
 
 def _entry(col: Column, m: int) -> Ratio:
@@ -167,10 +168,7 @@ def _binomial_ratio(a: int, b: int, k: int) -> Ratio:
         return 0, 1
     if b == 1 and a >= 0:
         return comb(a, k), 1
-    num = 1
-    for i in range(k):
-        num *= a - i * b
-    return _reduced(num, b**k * factorial(k))
+    return _reduced(prod(range(a, a - k * b, -b)), b**k * factorial(k))
 
 
 def _shifted_binomial_ratio(z: int, c: int, e: int, m: int) -> Ratio:
@@ -745,9 +743,13 @@ def _check_outer(
                 )
             shift, left, right, rhs = ops
             m = n - shift
-            for col in ops[1:]:
-                if len(col.nums) <= m:  # tested here, not in reach: most points read no further
-                    col.reach(m + 1)
+            # tested here, not in reach: most points read no further
+            if len(left.nums) <= m:
+                left.reach(m + 1)
+            if len(right.nums) <= m:
+                right.reach(m + 1)
+            if len(rhs.nums) <= m:
+                rhs.reach(m + 1)
             num, den = _dot(left, right, m), left.den * right.den
             rnum, rden = _entry(rhs, m)
             if num * rden != rnum * den:

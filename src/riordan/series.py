@@ -146,7 +146,12 @@ def _append_term(xs: list[int], den: int, num: int, step: int) -> int:
     denominator must grow, so no integer gets larger than in the
     canonical form of the terms (a fraction-free recurrence would carry
     the product of every step); canonical ``xs/den`` stays canonical.
+    An integer term (``step == 1``) is already reduced and needs no
+    rescaling, so it is appended as ``num * den`` with no gcd.
     """
+    if step == 1:
+        xs.append(num * den)
+        return den
     num, step = _reduced(num, step)
     if den % step:
         grow = step // gcd(den, step)

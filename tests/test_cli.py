@@ -1,7 +1,12 @@
 """CLI behaviour: rendering, exit codes, jsonl round trips."""
 
+import hashlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -16,6 +21,7 @@ from riordan.series import FormalPowerSeries
 
 
 EXPECTED = Path(__file__).parent.parent / "bench" / "expected"
+SRC = Path(__file__).parent.parent / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -285,6 +291,15 @@ def test_check_all_at_max_n_4_matches_golden_jsonl(capsys):
     code, out, _ = run(capsys, "check", "--all", "--max-n", "4", "--format", "jsonl")
     assert code == 0
     assert out.encode() == (EXPECTED / "check_all_n4.jsonl").read_bytes()
+
+
+def test_check_all_at_max_n_100_keeps_its_bytes(capsys):
+    # too large for a fixture file: the sha256 of the output pins its bytes
+    code, out, _ = run(capsys, "check", "--all", "--max-n", "100", "--format", "jsonl")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "723e8d7b3ea14387b4bd27ecaa71f64cad0cab9af4afa093887ea9535daa416c"
+    )
 
 
 def raising_entry(monkeypatch, identity, exc):
@@ -616,6 +631,68 @@ def test_check_requires_target(capsys):
 def test_check_pin_on_wrong_identity(capsys):
     code, _, err = run(capsys, "check", "andrews-a1", "--x", "2")
     assert code == 2
+
+
+# -- a closed output pipe ---------------------------------------------------------
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: ``write`` raises, or only ``flush`` (buffered)."""
+
+    def __init__(self, raising: str):
+        super().__init__()
+        self.raising = raising
+
+    def write(self, text):
+        if self.raising == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.raising == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("raising", ["write", "flush"])
+def test_closed_stdout_exits_141_without_a_traceback(capsys, monkeypatch, raising):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(raising))
+    assert main(["check", "andrews-a1", "--max-n", "4"]) == 141
+    assert capsys.readouterr().err == ""
+    # the rest of the output, and the flush at exit, go to devnull
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+
+
+def cli_process(argv, unbuffered: bool) -> subprocess.Popen:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "riordan.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def ended(proc: subprocess.Popen) -> tuple[int, bytes]:
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_reader_closing_after_one_line_ends_the_cli_quietly(unbuffered):
+    # 2 MB of rows: more than a pipe holds, so rows are still written after the close
+    proc = cli_process(["triangle", "pascal", "--rows", "300", "--format", "jsonl"], unbuffered)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert json.loads(first) == {"entries": ["1"], "row": 0}
+    assert ended(proc) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_check_all_into_a_closed_pipe_exits_141_not_1(unbuffered):
+    # the reader is gone before the first report: exit 1 would claim a counterexample
+    proc = cli_process(["check", "--all", "--max-n", "50", "--format", "jsonl"], unbuffered)
+    proc.stdout.close()
+    assert ended(proc) == (141, b"")
 
 
 # -- hyper ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ same exception, with the same message, where the reference does.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +17,7 @@ from riordan.hypergeom import (
     HypergeometricSpec,
     HypergeomError,
     PoleError,
+    _binomial_power_ratio,
     binomial_series,
     expand,
     pochhammer,
@@ -72,6 +73,16 @@ def ref_binomial_series(q, r, precision):
             prod *= q * n + r - i
         coeffs.append(prod / factorial(n))
     return FormalPowerSeries(coeffs)
+
+
+def ref_power_term(q, r, n):
+    # [t^n] B_q^r as the cancelled product r prod_{1<=m<n} (qn + r - m) / n!, finite at qn + r = 0
+    if n == 0:
+        return Fraction(1)
+    prod = r
+    for m in range(1, n):
+        prod *= q * n + r - m
+    return prod / factorial(n)
 
 
 def outcome(fn, *args):
@@ -145,3 +156,56 @@ def test_binomial_series_pole_matches_reference(q, m, extra):
     want = outcome(ref_binomial_series, q, r, precision)
     assert outcome(binomial_series, q, r, precision) == want
     assert want == (PoleError, f"qn + r vanishes at n = {m}") or precision <= m
+
+
+# -- the two routes of [t^n] B_q^r ----------------------------------------------
+
+
+def power_term(q, r, n):
+    num, den = _binomial_power_ratio(q, r.numerator, r.denominator, n)
+    assert den > 0
+    return Fraction(num, den), (num, den)
+
+
+@KERNEL
+@given(q=st.integers(1, 6), a=st.integers(1, 12), n=st.integers(0, 80))
+def test_power_term_by_comb_matches_reference(q, a, n):
+    # integer r = a >= 1 and q >= 1: the math.comb route, an integer term
+    value, pair = power_term(q, Fraction(a), n)
+    assert value == ref_power_term(q, Fraction(a), n)
+    assert value == Fraction(a, q * n + a) * comb(q * n + a, n)
+    assert pair == (value.numerator, 1)
+
+
+@KERNEL
+@given(
+    q=st.integers(-4, 6),
+    r=st.one_of(
+        rational.filter(lambda r: r.denominator > 1),  # b > 1
+        st.builds(Fraction, st.integers(-30, 0)),  # a <= 0
+    ),
+    n=st.integers(0, 40),
+)
+def test_power_term_by_product_matches_reference(q, r, n):
+    value, pair = power_term(q, r, n)
+    assert value == ref_power_term(q, r, n)
+    assert pair == (value.numerator, value.denominator)
+
+
+@KERNEL
+@given(q=st.integers(-4, 0), a=st.integers(1, 12), n=st.integers(0, 40))
+def test_power_term_at_q_below_one_takes_the_product(q, a, n):
+    # qn + a can vanish here (q = -1, n = a), where the product stays finite and comb cannot
+    value, pair = power_term(q, Fraction(a), n)
+    assert value == ref_power_term(q, Fraction(a), n)
+    assert pair == (value.numerator, value.denominator)
+
+
+@KERNEL
+@given(q=st.integers(-4, 6).filter(bool), n=st.integers(1, 30))
+def test_power_term_where_qn_plus_r_vanishes(q, n):
+    # r = -qn: a <= 0 at q >= 1 and a >= 1 at q <= -1, both on the product route
+    r = Fraction(-q * n)
+    value, pair = power_term(q, r, n)
+    assert value == ref_power_term(q, r, n)
+    assert pair == (value.numerator, value.denominator)

@@ -289,6 +289,17 @@ def test_dot_is_the_convolution_coefficient(left, right, n):
     assert Fraction(*I._entry(b, n)) == (Fraction(*right[n]) if 0 <= n < len(right) else 0)
 
 
+@KERNEL
+@given(terms, terms, st.integers(0, 20), st.integers(0, 6), st.integers(0, 6))
+def test_dot_reads_only_its_terms_of_columns_reached_further(left, right, n, more_l, more_r):
+    # either column may hold terms past m + 1; the dot takes terms 0..m of each alone
+    a = I.Column(lambda j: left[j] if j < len(left) else (j + 2, 3)).reach(n + 1 + more_l)
+    b = I.Column(lambda m: right[m] if m < len(right) else (5, m + 1)).reach(n + 1 + more_r)
+    ref = sum((Fraction(*a.term(j)) * Fraction(*b.term(n - j)) for j in range(n + 1)),
+              Fraction(0))
+    assert Fraction(I._dot(a, b, n), a.den * b.den) == ref
+
+
 def test_column_zero_denominator_faults_where_the_sum_takes_it():
     col = I.Column(lambda j: [(1, 2), (1, 0), (1, 3)][j]).reach(3)
     assert set(col.faults) == {1}

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from riordan import series
 from riordan.series import FormalPowerSeries as FPS
 from riordan.series import (
+    _append_term,
     _compose_all,
     _lagrange_diagonal,
     lagrange_coeffs,
@@ -551,6 +552,24 @@ def test_lagrange_coeffs_calls_no_composition(monkeypatch):
     monkeypatch.setattr(series, "_compose_all", refuse)
     monkeypatch.setattr(series.FormalPowerSeries, "revert", refuse)
     assert [lagrange_coeffs(phi, k, 12) for k in (1, 3)] == want
+
+
+# -- terms appended one at a time ----------------------------------------------
+
+
+@KERNEL
+@given(
+    st.lists(st.integers(-10**12, 10**12), max_size=8),
+    st.integers(1, 10**12),
+    st.integers(-10**30, 10**30),
+)
+def test_integer_term_appends_as_the_reduced_route_does(xs, den, num):
+    # a step of 1 skips the gcd; a step of -1 is the same term and takes the reduced route
+    fast, slow = list(xs), list(xs)
+    got = _append_term(fast, den, num, 1)
+    assert (fast, got) == (slow, _append_term(slow, den, -num, -1))
+    assert got == den
+    assert [Fraction(x, got) for x in fast] == [Fraction(x, den) for x in xs] + [num]
 
 
 # -- canonical form and precision rules ----------------------------------------
