@@ -1,7 +1,6 @@
 """Exact truncated power series, Riordan arrays, and identity checking."""
 
 from .arrays import (
-    ASequence,
     RiordanArray,
     Triangle,
     a_sequence,
@@ -29,7 +28,6 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASequence",
     "Counterexample",
     "FormalPowerSeries",
     "HypergeometricSpec",

@@ -8,9 +8,9 @@ of their A-sequence, the unique weights with
     d[n+1][k+1] = a0 d[n][k] + a1 d[n][k+1] + a2 d[n][k+2] + ...
 
 where ``h = A(t h)``.  This module builds arrays from either pair,
-materializes finite triangles, recovers A-sequences from raw triangles
-and extracts the row-subsampled arrays (keep row pn+r, shift left by
-(p-1)n+r).  Nothing is ever rounded.
+materializes finite triangles, recovers A-sequences (as series) from raw
+triangles and extracts the row-subsampled arrays (keep row pn+r, shift
+left by (p-1)n+r).  Nothing is ever rounded.
 
 A :class:`Triangle` stores its entries as integer rows over one common
 positive denominator in lowest terms, the representation of
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -134,10 +134,9 @@ class Triangle:
     integer rows over one common positive denominator in lowest terms
     (``gcd(den, *all numerators) == 1``), so equal triangles have equal
     ``(rows, den)``; :attr:`rows` and :meth:`entry` build
-    :class:`fractions.Fraction` values when read.  Floats are rejected.
-    Serializes as plain text (one row per line, entries space-separated,
-    integers bare and non-integers as ``p/q``), CSV, or JSON-line records
-    with all numbers as decimal strings.
+    :class:`fractions.Fraction` values when read, and :meth:`cells` their
+    strings (integers bare, non-integers as ``p/q``), from which the CLI
+    writes each output layout one row at a time.  Floats are rejected.
     """
 
     __slots__ = ("_nums", "_den")
@@ -176,10 +175,6 @@ class Triangle:
         x = self._nums[n][k]
         return Fraction(x) if self._den == 1 else Fraction(x, self._den)
 
-    @property
-    def is_integral(self) -> bool:
-        return self._den == 1
-
     def __eq__(self, other):
         if not isinstance(other, Triangle):
             return NotImplemented
@@ -197,38 +192,6 @@ class Triangle:
         if den == 1:
             return [list(map(str, row)) for row in self._nums]
         return [[str(Fraction(x, den)) for x in row] for row in self._nums]
-
-    def to_text(self) -> str:
-        return "\n".join(map(" ".join, self.cells())) + "\n"
-
-    def to_csv(self) -> str:
-        return "\n".join(map(",".join, self.cells())) + "\n"
-
-    def to_records(self) -> list[dict]:
-        return [{"row": n, "entries": row} for n, row in enumerate(self.cells())]
-
-
-class ASequence:
-    """The recurrence weights of a proper array, as a series A with A(0) != 0."""
-
-    __slots__ = ("series",)
-
-    def __init__(self, series: FormalPowerSeries):
-        if not series.coeff(0):
-            raise ImproperAError("A(0) must be nonzero")
-        self.series = series
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self.series.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, ASequence):
-            return NotImplemented
-        return self.series == other.series
-
-    def __repr__(self):
-        return f"ASequence({list(self.series.coeffs)})"
 
 
 class RiordanArray:
@@ -342,9 +305,6 @@ class RiordanArray:
             return _ZERO  # ord((t h)^k) >= k
         return self._column(k).coeff(n)
 
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        return tuple(self.entry(n, k) for k in range(n + 1))
-
     def _band(self, tops: Sequence[int]) -> Triangle:
         """The triangle whose row ``i`` is entries ``(n, n-i), ..., (n, n)``, ``n = tops[i]``.
 
@@ -400,7 +360,7 @@ class RiordanArray:
             rows = [r if e == den else [x * (den // e) for x in r] for r, e in zip(rows, dens)]
         return _triangle(rows, den)
 
-    def materialize(self, nrows: int, require_integral: bool = False) -> Triangle:
+    def materialize(self, nrows: int) -> Triangle:
         """First ``nrows`` rows as a :class:`Triangle`.
 
         Built by the A-sequence recurrence when the array keeps its A, and
@@ -412,10 +372,7 @@ class RiordanArray:
             raise PrecisionError(
                 f"asked for {nrows} rows but precision is {self.precision}"
             )
-        tri = self._band(range(nrows)) if self._A is None else self._rows(nrows)
-        if require_integral and not tri.is_integral:
-            raise RiordanError("triangle has non-integer entries")
-        return tri
+        return self._band(range(nrows)) if self._A is None else self._rows(nrows)
 
     def extract_subarray(self, p: int, r: int) -> "RiordanArray":
         """Keep rows ``pn + r`` and columns from ``(p-1)n + r`` on.
@@ -457,12 +414,14 @@ def subarray_triangle(array: RiordanArray, p: int, r: int, nrows: int) -> Triang
     return array._band([p * n + r for n in range(nrows)])
 
 
-def a_sequence(triangle: Triangle, terms: int | None = None) -> ASequence:
+def a_sequence(triangle: Triangle, terms: int | None = None) -> FormalPowerSeries:
     """Recover the A-sequence of a triangle from the defining recurrence.
 
     Solves the triangular system given by positions ``(n+1, 1)`` for
     increasing ``n``, then verifies the recurrence on *every* in-range
-    ``(n, k)`` pair.  ``nrows`` rows recover ``nrows - 1`` terms.
+    ``(n, k)`` pair.  ``nrows`` rows recover ``nrows - 1`` terms, returned
+    as the series A mod ``t^terms``; A(0) = 0 is refused, as no proper
+    array has it.
 
     The recurrence is homogeneous, so it runs on the triangle's integer
     rows ``R``.  The terms are integer numerators ``x_i`` over one running
@@ -500,15 +459,12 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> ASequence:
                 f"recurrence fails at (n={n + 1}, k={k + 1}): "
                 f"{Fraction(lhs[k], scale)} != {Fraction(rhs[k], scale)}"
             )
-    return ASequence(_series(xs[:terms], den))
+    if not xs[0]:
+        raise ImproperAError("A(0) must be nonzero")
+    return _series(xs[:terms], den)
 
 
 # -- the three stock triangles ----------------------------------------
-
-
-def central_binomial_gf(precision: int) -> FormalPowerSeries:
-    """1, 2, 6, 20, ...: central binomial coefficients, i.e. (1-4t)^(-1/2)."""
-    return FormalPowerSeries([comb(2 * m, m) for m in range(precision)])
 
 
 def pascal(precision: int) -> RiordanArray:

@@ -78,24 +78,22 @@ def _build_array(args, precision: int) -> RiordanArray:
     return RiordanArray.from_dA(d, a)
 
 
-def _triangle_text(tri: Triangle) -> str:
-    rows = tri.cells()
-    widths: list[int] = []  # the widest cell of each column so far
-    for row in rows:
-        lens = list(map(len, row))
-        widths = [*map(max, widths, lens), *lens[len(widths):]]
-    lines = [" ".join(map(str.rjust, row, widths)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _emit_triangle(tri: Triangle, fmt: str, out) -> None:
-    if fmt == "text":
-        out.write(_triangle_text(tri))
+    """Write ``tri`` one row per ``write``; text right-aligns each column to its widest cell."""
+    rows = tri.cells()
+    if fmt == "jsonl":
+        for n, row in enumerate(rows):
+            out.write(_canonical_json({"row": n, "entries": row}) + "\n")
     elif fmt == "csv":
-        out.write(tri.to_csv())
+        for row in rows:
+            out.write(",".join(row) + "\n")
     else:
-        for rec in tri.to_records():
-            out.write(_canonical_json(rec) + "\n")
+        # column k first appears in row k, and the last row has every column
+        widths = list(map(len, rows[-1]))
+        for row in rows[:-1]:
+            widths[:len(row)] = map(max, widths, map(len, row))
+        for row in rows:
+            out.write(" ".join(map(str.rjust, row, widths)) + "\n")
 
 
 def _emit_series(series: FormalPowerSeries, fmt: str, out) -> None:
@@ -157,8 +155,11 @@ def _cmd_extract(args, out) -> int:
         raise UsageError("--rows must be >= 1")
     if args.p < 2 or args.r < 0:
         raise UsageError("need p >= 2 and r >= 0")
-    if args.aseq and args.terms is not None and args.terms < 1:
-        raise UsageError("--terms must be >= 1")
+    if args.terms is not None:
+        if not args.aseq:
+            raise UsageError("--terms is read only with --aseq")
+        if args.terms < 1:
+            raise UsageError("--terms must be >= 1")
     terms = args.terms if args.terms is not None else max(args.rows - 1, 1)
     need_rows = max(args.rows, (terms + 1) if args.aseq else 1)
     # auto-raise the base precision so the extraction never hits a shortfall
@@ -169,8 +170,7 @@ def _cmd_extract(args, out) -> int:
         return 0
     recovered = a_sequence(sub.materialize(terms + 1), terms=terms)
     _emit_aseq(recovered.coeffs, args.format, out)
-    want = base.A.truncate(terms) ** args.p
-    claim_ok = recovered.series == want
+    claim_ok = recovered == base.A.truncate(terms) ** args.p
     if args.format == "jsonl":
         out.write(_canonical_json({"claim": "a-power", "holds": claim_ok}) + "\n")
     else:
@@ -187,8 +187,18 @@ def _cmd_aseq(args, out) -> int:
     return 0
 
 
+_PINS = ("p", "r", "k", "s", "x", "y", "z")
+
+
 def _cmd_check(args, out) -> int:
     if args.list:
+        ignored = [f"--{slot}" for slot in _PINS if getattr(args, slot) is not None]
+        if args.all:
+            ignored.insert(0, "--all")
+        if args.identity is not None:
+            ignored.insert(0, f"identity {args.identity!r}")
+        if ignored:
+            raise UsageError(f"--list stands alone; drop {', '.join(ignored)}")
         for entry in registry_entries():
             if args.format == "jsonl":
                 out.write(_canonical_json(entry.to_record()) + "\n")
@@ -199,7 +209,7 @@ def _cmd_check(args, out) -> int:
                 )
         return 0
     pinned = {}
-    for slot in ("p", "r", "k", "s", "x", "y", "z"):
+    for slot in _PINS:
         value = getattr(args, slot)
         if value is not None:
             pinned[slot] = _parse_rational(value) if slot in ("x", "y") else value

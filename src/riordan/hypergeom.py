@@ -72,6 +72,10 @@ class HypergeometricSpec(NamedTuple("HypergeometricSpec", [
                 raise PoleError(f"lower parameter {c} is zero or a negative integer")
         return spec
 
+    def _replace(self, **changes) -> "HypergeometricSpec":
+        """This spec with ``changes``, converted and validated as a new spec is."""
+        return HypergeometricSpec(**{**self._asdict(), **changes})
+
 
 def pochhammer(a: Scalar, n: int) -> Fraction:
     """Rising factorial a (a+1) ... (a+n-1), with (a)_0 = 1."""

@@ -207,10 +207,6 @@ class FormalPowerSeries:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, precision: int) -> "FormalPowerSeries":
-        return cls.constant(0, precision)
-
-    @classmethod
     def one(cls, precision: int) -> "FormalPowerSeries":
         return cls.constant(1, precision)
 
@@ -464,12 +460,8 @@ class FormalPowerSeries:
     # -- serialization -----------------------------------------------
 
     def to_record(self) -> dict:
-        """JSON-ready record; fractions as decimal strings, round-trips exactly."""
+        """JSON-ready record: the precision, and each coefficient as its exact ``p/q`` string."""
         return {"prec": len(self._nums), "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "FormalPowerSeries":
-        return cls([Fraction(c) for c in record["coeffs"]], precision=record["prec"])
 
 
 # -- composition by baby steps and giant steps ------------------------

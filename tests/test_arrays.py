@@ -12,7 +12,6 @@ from math import comb
 import pytest
 
 from riordan.arrays import (
-    ASequence,
     ImproperAError,
     ImproperArrayError,
     InsufficientDataError,
@@ -24,7 +23,6 @@ from riordan.arrays import (
     a_sequence,
     ballot_triangle,
     catalan_triangle,
-    central_binomial_gf,
     pascal,
     subarray_triangle,
 )
@@ -61,7 +59,7 @@ def test_identity_matrix():
 
 
 def test_from_dh_central_binomial_array():
-    arr = RiordanArray(central_binomial_gf(9), shifted_catalan(9))
+    arr = RiordanArray(FPS([comb(2 * m, m) for m in range(9)]), shifted_catalan(9))
     assert arr.entry(3, 1) == 15
     for n in range(9):
         for k in range(n + 1):
@@ -74,7 +72,7 @@ def test_invalid_d_rejected():
 
 
 def test_from_dA_h_series():
-    arr = RiordanArray.from_dA(central_binomial_gf(8), (1 + FPS.t(8)) ** 2)
+    arr = RiordanArray.from_dA(FPS([comb(2 * m, m) for m in range(8)]), (1 + FPS.t(8)) ** 2)
     assert list(arr.h.coeffs[:5]) == [1, 2, 5, 14, 42]
     assert arr.h == shifted_catalan(arr.h.precision)
 
@@ -86,7 +84,7 @@ def test_from_dA_identity():
 
 def test_from_dA_ballot_variant():
     arr = RiordanArray.from_dA(binomial_series(2, 1, 8), FPS([1] * 8))
-    assert arr.row(4) == (14, 14, 9, 4, 1)
+    assert tuple(arr.entry(4, k) for k in range(5)) == (14, 14, 9, 4, 1)
     assert arr.d == ballot_triangle(8).d
     assert arr.h.truncate(7) == ballot_triangle(8).h.truncate(7)
 
@@ -172,13 +170,12 @@ def test_ballot_triangle_closed_form():
 @pytest.mark.parametrize("n", range(1, 31))
 def test_stock_series_match_binomial_closed_forms(n):
     assert ballot_triangle(n).d == FPS([Fraction(comb(2 * m, m), m + 1) for m in range(n)])
-    assert central_binomial_gf(n) == FPS([comb(2 * m, m) for m in range(n)])
     assert catalan_triangle(n).d == shifted_catalan(n)
 
 
 @pytest.mark.parametrize(
     "factory",
-    [pascal, catalan_triangle, ballot_triangle, central_binomial_gf,
+    [pascal, catalan_triangle, ballot_triangle,
      partial(binomial_series, 2, 1), partial(h_for_binomial_A, 2)],
 )
 @pytest.mark.parametrize("precision", [0, -1])
@@ -212,24 +209,9 @@ def test_triangle_rejects_floats():
         Triangle([[1], [1, 0.5]])
 
 
-def test_triangle_integrality():
-    assert pascal(5).materialize(5).is_integral
-    half = Triangle([[Fraction(1, 2)]])
-    assert not half.is_integral
-    with pytest.raises(RiordanError):
-        RiordanArray(FPS([Fraction(1, 2), 1], precision=4), FPS.one(4)).materialize(
-            2, require_integral=True
-        )
-
-
-def test_triangle_text_and_csv():
+def test_triangle_cells():
     tri = Triangle([[1], [Fraction(1, 2), 3]])
-    assert tri.to_text() == "1\n1/2 3\n"
-    assert tri.to_csv() == "1\n1/2,3\n"
-    assert tri.to_records() == [
-        {"row": 0, "entries": ["1"]},
-        {"row": 1, "entries": ["1/2", "3"]},
-    ]
+    assert tri.cells() == [["1"], ["1/2", "3"]]
 
 
 # -- A-sequence recovery ------------------------------------------------------
@@ -299,7 +281,7 @@ def test_extract_pascal_even_rows():
 
 def test_extract_pascal_p3_r1():
     sub = pascal(20).extract_subarray(3, 1)
-    assert [list(sub.row(n)) for n in range(3)] == [[1], [4, 1], [21, 7, 1]]
+    assert [[sub.entry(n, k) for k in range(n + 1)] for n in range(3)] == [[1], [4, 1], [21, 7, 1]]
     for n in range(sub.precision):
         for k in range(n + 1):
             assert sub.entry(n, k) == comb(3 * n + 1, 2 * n + k + 1)
@@ -309,8 +291,8 @@ def test_extract_pascal_p3_r1_row5():
     # row 5 from the closed form C(16, 11 + k); also forced by the recurrence
     # with weights (1 + t)^3 from row 4
     sub = pascal(17).extract_subarray(3, 1)
-    assert list(sub.row(5)) == [4368, 1820, 560, 120, 16, 1]
-    r4 = sub.row(4)
+    assert [sub.entry(5, k) for k in range(6)] == [4368, 1820, 560, 120, 16, 1]
+    r4 = [sub.entry(4, k) for k in range(5)]
     assert sub.entry(5, 1) == r4[0] + 3 * r4[1] + 3 * r4[2] + r4[3]
     assert sub.entry(5, 1) == 715 + 858 + 234 + 13 == 1820
 
@@ -336,7 +318,7 @@ def test_extract_a_sequence_is_a_power():
                 nrows = min(sub.precision, 9)
                 seq = a_sequence(sub.materialize(nrows))
                 want = (base_a**p).truncate(len(seq.coeffs))
-                assert seq.series == want
+                assert seq == want
 
 
 def test_extract_requires_proper():
@@ -368,6 +350,7 @@ def test_recovered_recurrence_holds_on_full_grid():
     a_sequence(pascal(21).extract_subarray(2, 1).materialize(9))
 
 
-def test_asequence_type_validates():
-    with pytest.raises(ImproperAError):
-        ASequence(FPS([0, 1], precision=3))
+def test_a_sequence_refuses_a_zero_A0():
+    # two rows pass the recurrence check with A(0) = 0, which no proper array has
+    with pytest.raises(ImproperAError, match="A\\(0\\) must be nonzero"):
+        a_sequence(Triangle([[1], [1, 0]]))

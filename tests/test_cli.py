@@ -10,11 +10,12 @@ import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from riordan import cli, identities
-from riordan.arrays import TheoremViolationError
+from riordan.arrays import TheoremViolationError, Triangle
 from riordan.cli import main
 from riordan.hypergeom import h_for_binomial_A
 from riordan.series import FormalPowerSeries
@@ -71,6 +72,26 @@ def test_triangle_text_alignment(capsys):
     _, out, _ = run(capsys, "triangle", "pascal", "--rows", "5")
     assert lines(out)[4] == "1 4 6 4 1"
     assert lines(out)[0] == "1"
+
+
+EMITTED = {
+    # text right-aligns each column to its widest cell
+    "text": ["  1\n", "1/2    3\n", " 10 -2/3 1\n"],
+    "csv": ["1\n", "1/2,3\n", "10,-2/3,1\n"],
+    "jsonl": [
+        '{"entries":["1"],"row":0}\n',
+        '{"entries":["1/2","3"],"row":1}\n',
+        '{"entries":["10","-2/3","1"],"row":2}\n',
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", EMITTED)
+def test_emit_triangle_writes_one_row_per_write(fmt):
+    writes = []
+    tri = Triangle([[1], [Fraction(1, 2), 3], [10, Fraction(-2, 3), 1]])
+    cli._emit_triangle(tri, fmt, SimpleNamespace(write=writes.append))
+    assert writes == EMITTED[fmt]
 
 
 def test_triangle_explicit_dA(capsys):
@@ -174,6 +195,20 @@ def test_extract_aseq_refuses_terms_below_one(capsys, terms):
         capsys, "extract", "pascal", "--p", "2", "--aseq", "--rows", "2", "--terms", terms
     )
     assert (code, out, err) == (2, "", "riordan: --terms must be >= 1\n")
+
+
+@pytest.mark.parametrize("spec", [("pascal",), ("--d", "1,2", "--A", "1,1")], ids=["name", "dA"])
+@pytest.mark.parametrize("terms", ["0", "3"])
+def test_extract_refuses_terms_without_aseq_before_any_compute(capsys, monkeypatch, spec, terms):
+    # --terms counts A-sequence terms: without --aseq it would be ignored
+    def fail(*args, **kwargs):
+        raise AssertionError("built an array before the options were checked")
+
+    for name in cli._BUILTINS:
+        monkeypatch.setitem(cli._BUILTINS, name, fail)
+    monkeypatch.setattr(cli.RiordanArray, "from_dA", fail)
+    code, out, err = run(capsys, "extract", *spec, "--p", "2", "--terms", terms)
+    assert (code, out, err) == (2, "", "riordan: --terms is read only with --aseq\n")
 
 
 # -- aseq ------------------------------------------------------------------
@@ -417,6 +452,25 @@ def test_check_refuses_csv_before_any_compute(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --format: invalid choice: 'csv'" in captured.err
+
+
+@pytest.mark.parametrize("argv, dropped", [
+    (("andrews-a1",), "identity 'andrews-a1'"),
+    (("--all",), "--all"),
+    (("--p", "3", "andrews-a1"), "identity 'andrews-a1', --p"),
+    (("--x", "1/2", "--z", "0", "--all"), "--all, --x, --z"),
+])
+def test_check_list_refuses_what_it_would_ignore_before_any_compute(
+    capsys, monkeypatch, argv, dropped
+):
+    # --list prints the whole registry, so an id, --all or a pin would be ignored
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before the options were checked")
+
+    monkeypatch.setattr(cli, "registry_entries", fail)
+    monkeypatch.setattr(cli, "check_registry", fail)
+    code, out, err = run(capsys, "check", "--list", *argv)
+    assert (code, out, err) == (2, "", f"riordan: --list stands alone; drop {dropped}\n")
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 from closed_forms import power_series_coeff
 
-from riordan.arrays import RiordanArray, central_binomial_gf
+from riordan.arrays import RiordanArray
 from riordan.hypergeom import (
     HypergeometricSpec,
     HypergeomError,

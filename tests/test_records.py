@@ -83,6 +83,24 @@ def test_hypergeometric_spec_refuses_floats(upper, lower, scale):
         HypergeometricSpec(upper, lower, scale)
 
 
+@pytest.mark.parametrize("changes, error, message", [
+    ({"lower": (0,)}, PoleError, "lower parameter 0 is zero or a negative integer"),
+    ({"lower": (2, -1)}, PoleError, "lower parameter -1 is zero or a negative integer"),
+    ({"upper": (0.5,)}, SeriesError, "float coefficients are not exact"),
+    ({"scale": 0.5}, SeriesError, "float coefficients are not exact"),
+])
+def test_hypergeometric_spec_replace_validates(changes, error, message):
+    with pytest.raises(error, match=message):
+        HypergeometricSpec([1], [2])._replace(**changes)
+
+
+def test_hypergeometric_spec_replace_converts():
+    spec = HypergeometricSpec([1], [2])._replace(upper=[Fraction(1, 2), 3], scale=4)
+    assert spec == HypergeometricSpec([Fraction(1, 2), 3], [2], 4)
+    assert type(spec) is HypergeometricSpec
+    assert all(type(v) is Fraction for v in (*spec.upper, *spec.lower, spec.scale))
+
+
 @pytest.mark.parametrize("record, field", [
     (Counterexample({"n": "3"}, "8", "9"), "lhs"),
     (IdentityReport("demo", "n <= 3", 4), "points"),

@@ -586,7 +586,7 @@ def test_canonical_form_equality_and_hash():
     assert hash(f) == hash(FPS([2, 4]))
     g = FPS([1, 2, 3]) / -6
     assert g._den == 6 and g._nums == (-1, -2, -3)
-    assert FPS.zero(4)._den == 1
+    assert FPS.constant(0, 4)._den == 1
     assert (FPS([Fraction(1, 2), 1]) - FPS([Fraction(1, 2), 0]))._den == 1
 
 
