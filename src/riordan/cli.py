@@ -96,22 +96,14 @@ def _emit_triangle(tri: Triangle, fmt: str, out) -> None:
             out.write(" ".join(map(str.rjust, row, widths)) + "\n")
 
 
-def _emit_series(series: FormalPowerSeries, fmt: str, out) -> None:
-    if fmt == "text":
-        out.write(" ".join(str(c) for c in series.coeffs) + "\n")
-    elif fmt == "csv":
-        out.write(",".join(str(c) for c in series.coeffs) + "\n")
-    else:
-        out.write(_canonical_json(series.to_record()) + "\n")
-
-
-def _emit_aseq(coeffs, fmt: str, out) -> None:
+def _emit_coeffs(texts: list[str], record: dict, fmt: str, out, prefix: str = "") -> None:
+    """One line of coefficients: ``record`` in jsonl, else ``texts`` (after ``prefix`` in text)."""
     if fmt == "jsonl":
-        out.write(_canonical_json({"aseq": [str(c) for c in coeffs]}) + "\n")
+        out.write(_canonical_json(record) + "\n")
     elif fmt == "csv":
-        out.write(",".join(str(c) for c in coeffs) + "\n")
+        out.write(",".join(texts) + "\n")
     else:
-        out.write("A = " + " ".join(str(c) for c in coeffs) + "\n")
+        out.write(prefix + " ".join(texts) + "\n")
 
 
 def _emit_report(report, fmt: str, out) -> None:
@@ -169,7 +161,8 @@ def _cmd_extract(args, out) -> int:
     if not args.aseq:
         return 0
     recovered = a_sequence(sub.materialize(terms + 1), terms=terms)
-    _emit_aseq(recovered.coeffs, args.format, out)
+    texts = [str(c) for c in recovered.coeffs]
+    _emit_coeffs(texts, {"aseq": texts}, args.format, out, "A = ")
     claim_ok = recovered == base.A.truncate(terms) ** args.p
     if args.format == "jsonl":
         out.write(_canonical_json({"claim": "a-power", "holds": claim_ok}) + "\n")
@@ -183,7 +176,8 @@ def _cmd_aseq(args, out) -> int:
         raise UsageError("--terms must be >= 1")
     array = _build_array(args, args.terms + 1)
     seq = a_sequence(array.materialize(args.terms + 1), terms=args.terms)
-    _emit_aseq(seq.coeffs, args.format, out)
+    texts = [str(c) for c in seq.coeffs]
+    _emit_coeffs(texts, {"aseq": texts}, args.format, out, "A = ")
     return 0
 
 
@@ -193,6 +187,8 @@ _PINS = ("p", "r", "k", "s", "x", "y", "z")
 def _cmd_check(args, out) -> int:
     if args.list:
         ignored = [f"--{slot}" for slot in _PINS if getattr(args, slot) is not None]
+        if args.max_n is not None:
+            ignored.insert(0, "--max-n")
         if args.all:
             ignored.insert(0, "--all")
         if args.identity is not None:
@@ -224,11 +220,12 @@ def _cmd_check(args, out) -> int:
         ids = [args.identity]
     else:
         raise UsageError("need an identity id, --all, or --list")
+    max_n = 20 if args.max_n is None else args.max_n
     # the worst exit code seen: an error (2) beats a counterexample (1) beats a pass
     worst = 0
     for identity in ids:
         try:
-            report = check_registry(identity, max_n=args.max_n, pinned=pinned or None)
+            report = check_registry(identity, max_n=max_n, pinned=pinned or None)
         except _FAILURES as exc:
             if not args.all:
                 raise
@@ -258,7 +255,8 @@ def _cmd_hyper(args, out) -> int:
         lower=_parse_rational_list(args.lower),
         scale=_parse_rational(args.scale),
     )
-    _emit_series(expand(spec, args.terms), args.format, out)
+    record = expand(spec, args.terms).to_record()
+    _emit_coeffs(record["coeffs"], record, args.format, out)
     return 0
 
 
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--all", action="store_true", help="run the whole registry")
     p_check.add_argument("--list", action="store_true", help="list registry entries")
     p_check.add_argument(
-        "--max-n", "--n-max", dest="max_n", type=int, default=20, help="grid bound"
+        "--max-n", "--n-max", dest="max_n", type=int, help="grid bound (default: 20)"
     )
     p_check.add_argument("--p", type=int, default=None, help="pin the p slot")
     p_check.add_argument("--r", type=int, default=None, help="pin the r slot")

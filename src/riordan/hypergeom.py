@@ -72,9 +72,11 @@ class HypergeometricSpec(NamedTuple("HypergeometricSpec", [
                 raise PoleError(f"lower parameter {c} is zero or a negative integer")
         return spec
 
-    def _replace(self, **changes) -> "HypergeometricSpec":
-        """This spec with ``changes``, converted and validated as a new spec is."""
-        return HypergeometricSpec(**{**self._asdict(), **changes})
+    @classmethod
+    def _make(cls, iterable) -> "HypergeometricSpec":
+        """Fields ``(upper, lower, scale)`` as a new spec; ``_replace`` builds through this too."""
+        # the base refuses a wrong number of fields with TypeError
+        return cls(*super()._make(iterable))
 
 
 def pochhammer(a: Scalar, n: int) -> Fraction:

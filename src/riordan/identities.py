@@ -37,17 +37,17 @@ term by cross-multiplication, and a ``Fraction`` is built only for a
 counterexample's text.  A term that raises (a pole) is kept in its
 column and raised by the first point whose sum takes it, as a
 term-by-term sum would.  ``sum_lhs`` and ``sum_rhs`` give one point's
-two sides of any row by id; the ballot-family direct sums are one
-column of a factor each.  The B_q^r terms are hypergeom's integer
+two sides of any row by id.  The B_q^r terms are hypergeom's integer
 kernel.  ``binomial`` and the ``_*_term`` helpers are cached ``Fraction``
 wrappers that nothing in ``src/`` calls: the benchmark's tracer reads
 their caches (``bench/layertrace.py``, ``CACHES``).
 
 The product laws compare whole series.  One run builds each factor
 series (a direct sum, a binomial series or a hypergeometric expansion)
-once per distinct (p, argument), and compares each ballot-family
-direct sum with its Lagrange substitution route once, when that factor
-is first built; the memo is dropped when the run ends.
+once per distinct (kind, p or exponent, argument), in one flat memo, and
+compares each ballot-family direct sum with its Lagrange substitution
+route once, when that factor is first built; the memo is dropped when
+the run ends.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ from .hypergeom import (
 )
 from .reports import Counterexample, IdentityReport
 from .series import (
-    FormalPowerSeries, _append_term, _fraction, _reduced, _require_terms, _series, lagrange_solve,
+    FormalPowerSeries, _append_term, _collect, _fraction, _reduced, _require_terms, _wrap,
+    lagrange_solve,
 )
 
 Scalar = Union[int, Fraction]
@@ -305,7 +306,10 @@ def check_via_riordan(n_max: int, n: int | None = None) -> IdentityReport:
     it equals t/(1 - 3t + t^2), whose coefficients are F_{2n}.  The
     odd-row extraction with weights (1 - t - t^3 + t^4)/(1 - t^5) must
     likewise give (1 - t)/(1 - 3t + t^2), the F_{2n+1} generating function.
-    Given ``n``, it checks coefficient n only.
+    A point is (rows, n): coefficient n of the extraction's first column
+    against its closed form, then coefficient n of the series against the
+    target and F_{2n} or F_{2n+1}.  Given ``n``, it checks coefficient n
+    only.
     """
     pinned = {} if n is None else {"n": n}
     _require_min("fibonacci-riordan", "n", 0, pinned)
@@ -316,42 +320,34 @@ def check_via_riordan(n_max: int, n: int | None = None) -> IdentityReport:
         # no series is built for an empty grid
         return IdentityReport("fibonacci-riordan", f"even and odd extractions, {n_grid}", 0)
     base = pascal(2 * terms + 2)
-    even = base.extract_subarray(2, 0)
-    odd = base.extract_subarray(2, 1)
-
-    def failed(grid: str, points: int, params: dict, lhs, rhs) -> IdentityReport:
-        cex = Counterexample(params, lhs=str(lhs), rhs=str(rhs))
-        return IdentityReport("fibonacci-riordan", f"{grid}, {n_grid}", points, cex)
-
-    # the extracted first columns have their own closed forms
-    checked = 0
-    for label, arr in (("even", even), ("odd", odd)):
+    fib_den = FormalPowerSeries([1, -3, 1], precision=terms)
+    # (rows, row offset, period-5 weights, target numerator, Fibonacci number at n)
+    extractions = (
+        ("even", 0, [0, 1, -1, -1, 1], [0, 1], lambda m: fibonacci(2 * m)),
+        ("odd", 1, [1, -1, 0, -1, 1], [1, -1], lambda m: fibonacci(2 * m + 1)),
+    )
+    points = 0
+    for label, r, signs, numerator, fib_value in extractions:
+        arr = base.extract_subarray(2, r)
+        composed = arr.d * _weight_series(signs, terms).compose(arr.h.shift_up())
+        target = FormalPowerSeries(numerator, precision=terms) / fib_den
         closed_form = _EXTRACTED_D[label]
         for m in coefficients:
-            checked += 1
+            points += 1
+            # the extracted first column has its own closed form
             got, want = arr.d.coeff(m), closed_form(m)
             if got != want:
-                params = {"rows": label, "column": "d", "n": str(m)}
-                return failed(f"first column of rows {label}", checked, params, got, want)
-
-    checks = [
-        ("even", even, _weight_series([0, 1, -1, -1, 1], terms),
-         FormalPowerSeries([0, 1], precision=terms), lambda m: fibonacci(2 * m)),
-        ("odd", odd, _weight_series([1, -1, 0, -1, 1], terms),
-         FormalPowerSeries([1, -1], precision=terms), lambda m: fibonacci(2 * m + 1)),
-    ]
-    fib_den = FormalPowerSeries([1, -3, 1], precision=terms)
-    points = 0
-    for label, arr, weight, numerator, fib_value in checks:
-        composed = arr.d * weight.compose(arr.h.shift_up())
-        target = numerator / fib_den
-        for m in coefficients:
-            points += 1
-            got, want = composed.coeff(m), target.coeff(m)
-            if got == want:  # then the Fibonacci number is the side that may differ
-                want = fib_value(m)
+                params, grid = {"rows": label, "column": "d", "n": str(m)}, "first column of rows"
+            else:
+                got, want = composed.coeff(m), target.coeff(m)
+                if got == want:  # then the Fibonacci number is the side that may differ
+                    want = fib_value(m)
+                params, grid = {"rows": label, "n": str(m)}, "rows"
             if got != want:
-                return failed(f"rows {label}", points, {"rows": label, "n": str(m)}, got, want)
+                cex = Counterexample(params, lhs=str(got), rhs=str(want))
+                return IdentityReport(
+                    "fibonacci-riordan", f"{grid} {label}, {n_grid}", points, cex
+                )
     return IdentityReport("fibonacci-riordan", f"even and odd extractions, {n_grid}", points)
 
 
@@ -363,10 +359,8 @@ def _direct_sum(
 ) -> FormalPowerSeries:
     """sum_{m < precision} kernel(p, v, m) t^m; the first term that raises, in order of m."""
     _require_terms(precision)
-    col = Column(partial(kernel, p, *_ratio(v))).reach(precision)
-    if col.faults:
-        raise col.faults[min(col.faults)]
-    return _series(col.nums, col.den)
+    a, b = _ratio(v)
+    return _wrap(*_collect(kernel(p, a, b, m) for m in range(precision)))
 
 
 def fuss_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
@@ -457,23 +451,20 @@ def check_product_laws(
     plus the same two equalities with every factor produced by the
     generic hypergeometric expansion instead of the direct sums.
 
-    ``factors`` is the memo of one sweep: p -> factor series by kind,
-    argument and precision, so that each is built once.  It holds one p
-    at a time, since the sweep takes the p values in turn.  Each direct
-    sum is compared with its substitution route when it is built; two
-    routes that disagree raise ``TheoremViolationError``.
+    ``factors`` is the memo of one sweep: the factor series by kind, p or
+    exponent, argument and precision, so that each is built once, and a
+    key met again at another p is the same series.  Each direct sum is
+    compared with its substitution route when it is built; two routes
+    that disagree raise ``TheoremViolationError``.
     """
     x, y = _fraction(x), _fraction(y)
     n = precision
     factors = {} if factors is None else factors
-    if p not in factors:
-        factors.clear()
-    memo = factors.setdefault(p, {})
 
     def factor(key: tuple, build: Callable[[], FormalPowerSeries]) -> FormalPowerSeries:
-        series = memo.get((*key, n))
+        series = factors.get((*key, n))
         if series is None:
-            series = memo[(*key, n)] = build()
+            series = factors[(*key, n)] = build()
         return series
 
     def routed(gf: Callable, slot: str, value: Fraction, route: tuple) -> FormalPowerSeries:
@@ -905,8 +896,8 @@ def _sweep(
 ) -> IdentityReport:
     """Add up the sub-reports of ``check`` over a grid; stop at the first failure.
 
-    ``check`` takes the point's slots, the precision and ``factors``, a
-    memo that lives as long as this sweep.
+    ``check`` takes the point's slots, the precision and ``factors``, one
+    flat memo that lives as long as this sweep, across every p.
     """
     _require_min(identity, "p", p_min, pinned)
     precision = min(max_n + 1, cap)

@@ -58,10 +58,6 @@ class ReversionOrderError(SeriesError):
     """Reversion of a series whose order is not exactly 1."""
 
 
-class SingularInversionError(SeriesError):
-    """Denominator of the Lagrange generating-function form is not invertible."""
-
-
 def _fraction(value) -> Fraction:
     if isinstance(value, float):
         raise SeriesError("float coefficients are not exact; use Fraction or int")
@@ -305,14 +301,6 @@ class FormalPowerSeries:
 
     # -- ring operations ---------------------------------------------
 
-    @staticmethod
-    def _coerce(value, precision: int):
-        if isinstance(value, FormalPowerSeries):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return FormalPowerSeries.constant(value, precision)
-        return None
-
     def _combine(self, other, sign: int):
         # self + sign * other, over the lcm of the two denominators
         if isinstance(other, (int, Fraction)):
@@ -340,10 +328,10 @@ class FormalPowerSeries:
         return self._combine(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other, len(self._nums))
-        if other is None:
+        # a series on the left answers by its own __sub__, so other is a scalar or foreign
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other - self
+        return -self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -371,10 +359,9 @@ class FormalPowerSeries:
         return _wrap(*_solve(self._nums[:n], self._den, g, other._den))
 
     def __rtruediv__(self, other):
-        other = self._coerce(other, len(self._nums))
-        if other is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other / self
+        return FormalPowerSeries.constant(other, len(self._nums)) / self
 
     def __pow__(self, k: int):
         """Integer power by square-and-multiply; ``f**0`` is 1."""
@@ -642,7 +629,8 @@ def lagrange_gf(
     """The series whose coefficient ``n`` is ``[t^n] F(t) phi(t)**n``.
 
     Evaluated as ``F(w) / (1 - t phi'(w))`` at ``w = t phi(w)``, with
-    ``F(w)`` and ``phi'(w)`` from one :func:`_compose_all` call.  The
+    ``F(w)`` and ``phi'(w)`` from one :func:`_compose_all` call; the
+    divisor has constant term 1, so it is always invertible.  The
     diagonal kernel :func:`_lagrange_diagonal` reads the same series
     coefficient by coefficient; the two routes share no step.
     """
@@ -662,7 +650,4 @@ def lagrange_gf(
     # phi' is known mod t^(n-1) only, so phi'(w) is read below its top coefficient
     dp = p.derivative()
     value, slope = _compose_all([(f._nums, f._den), (dp._nums, dp._den)], w)
-    den = 1 - slope.truncate(precision - 1).shift_up()
-    if not den.coeff(0):
-        raise SingularInversionError("1 - t phi'(w) has zero constant term")
-    return value / den
+    return value / (1 - slope.truncate(precision - 1).shift_up())

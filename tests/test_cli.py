@@ -337,6 +337,34 @@ def test_check_all_at_max_n_100_keeps_its_bytes(capsys):
     )
 
 
+# outputs too large for fixture files: the sha256 of each pins its bytes
+LARGER_OUTPUTS = {
+    "triangle pascal --rows 300":
+        "8e35abd1903a43e535d4f65b364ac5f0221626db157a3e8b0dde29d002c78e42",
+    "triangle ballot43 --rows 80 --format csv":
+        "753106efa416298fbaddf38dfdd2a2844751830f0ef61ca860f3e3974d925f93",
+    "triangle --d 1/2,1,-3/4,2 --A 2/3,1,1/5 --rows 25 --format jsonl":
+        "7c8a78e43bf95ea67e5ab4bc7f899f945bc24a7296ae95d228baec5884e86305",
+    "extract catalan42 --p 3 --r 1 --rows 12 --aseq --format jsonl":
+        "7db9ef8c8dfa54fb799008e5d9a749a20d06a14dca87cd1878d34e5378f971a3",
+    "aseq ballot43 --terms 9 --format jsonl":
+        "66c04cf29ce9499010ea9e1ce8e9e21e379dfc32f811fff9164154b483d0b821",
+    "hyper --upper 1/2,1/3,5/7 --lower 2/7,3/11 --scale 3/5 --terms 200 --format csv":
+        "59d39fedb6c4769ecc7c4010c7f826211a71634e7deddfcd5a4801aeac7a5d33",
+    "check product-laws --max-n 30 --format jsonl":
+        "017b828f3a9d65764fc4c4ce10b72d8c61fa7a97219b8084099f8f4a7fef9347",
+    "check fibonacci-riordan --max-n 60":
+        "3ecb5a8e05ec74df987e22f87601c69fcf1efc17a26a29fc08049835493088f0",
+}
+
+
+@pytest.mark.parametrize("command", LARGER_OUTPUTS)
+def test_larger_outputs_keep_their_bytes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGER_OUTPUTS[command]
+
+
 def raising_entry(monkeypatch, identity, exc):
     entry = identities.REGISTRY[identity]
 
@@ -459,6 +487,9 @@ def test_check_refuses_csv_before_any_compute(capsys, monkeypatch, argv):
     (("--all",), "--all"),
     (("--p", "3", "andrews-a1"), "identity 'andrews-a1', --p"),
     (("--x", "1/2", "--z", "0", "--all"), "--all, --x, --z"),
+    (("--max-n", "5"), "--max-n"),
+    (("--n-max", "20"), "--max-n"),
+    (("--p", "3", "--max-n", "5", "andrews-a1"), "identity 'andrews-a1', --max-n, --p"),
 ])
 def test_check_list_refuses_what_it_would_ignore_before_any_compute(
     capsys, monkeypatch, argv, dropped
@@ -960,3 +991,18 @@ def test_check_via_riordan_closed_form_mismatch(capsys, monkeypatch):
         "rhs": "36",
     }
     assert rec["points"] == 6 + 4
+
+
+def test_check_via_riordan_checks_each_point_in_order(capsys, monkeypatch):
+    # a point (rows, n) checks the first column, then the series: with the odd
+    # first column wrong at n = 1 and F_6 wrong at (even, 3), the even point
+    # is met first, after 4 points
+    fibonacci_off_at_6(monkeypatch)
+    wrong = dict(identities._EXTRACTED_D, odd=lambda m: comb(2 * m + 1, m + 1) + (m == 1))
+    monkeypatch.setattr(identities, "_EXTRACTED_D", wrong)
+    assert run(capsys, "check", "fibonacci-riordan", "--max-n", "5") == (
+        1,
+        "fibonacci-riordan: counterexample (4 points, rows even, n <= 5)\n"
+        "  counterexample at rows=even, n=3: lhs=8 rhs=9\n",
+        "",
+    )

@@ -94,8 +94,23 @@ def test_hypergeometric_spec_replace_validates(changes, error, message):
         HypergeometricSpec([1], [2])._replace(**changes)
 
 
-def test_hypergeometric_spec_replace_converts():
-    spec = HypergeometricSpec([1], [2])._replace(upper=[Fraction(1, 2), 3], scale=4)
+@pytest.mark.parametrize("fields, error, message", [
+    ([(0.5,), (), 1], SeriesError, "float coefficients are not exact"),
+    ([(1,), (0,), 1], PoleError, "lower parameter 0 is zero or a negative integer"),
+    ([(1,), ()], TypeError, "Expected 3 arguments, got 2"),
+    ([(1,), (2,), 1, 4], TypeError, "Expected 3 arguments, got 4"),
+])
+def test_hypergeometric_spec_make_validates(fields, error, message):
+    with pytest.raises(error, match=message):
+        HypergeometricSpec._make(fields)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HypergeometricSpec([1], [2])._replace(upper=[Fraction(1, 2), 3], scale=4),
+    lambda: HypergeometricSpec._make(([Fraction(1, 2), 3], [2], 4)),
+], ids=["_replace", "_make"])
+def test_hypergeometric_spec_replace_and_make_convert(build):
+    spec = build()
     assert spec == HypergeometricSpec([Fraction(1, 2), 3], [2], 4)
     assert type(spec) is HypergeometricSpec
     assert all(type(v) is Fraction for v in (*spec.upper, *spec.lower, spec.scale))

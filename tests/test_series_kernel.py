@@ -184,6 +184,24 @@ def test_scalar_ops(a, c):
 
 
 @KERNEL
+@given(integral_or_rational_lists(), coefficient, unit)
+def test_scalar_on_the_left_is_its_constant_series(a, c, a0):
+    # series equality compares the canonical (nums, den)
+    f, g = FPS(a), FPS([a0] + a[1:])
+    assert c - f == FPS.constant(c, f.precision) - f
+    assert c / g == FPS.constant(c, g.precision) / g
+
+
+@pytest.mark.parametrize("other", [0.5, "a", None, [1]])
+def test_foreign_scalar_on_the_left_is_refused(other):
+    f = FPS([1, 2, 3])
+    with pytest.raises(TypeError):
+        other - f
+    with pytest.raises(TypeError):
+        other / f
+
+
+@KERNEL
 @given(integral_or_rational_lists(), coeff_lists(), unit)
 def test_div(a, b, b0):
     b[0] = b0
