@@ -84,10 +84,6 @@ class InsufficientDataError(RiordanError):
     """Triangle too small (or degenerate) to recover the requested A-terms."""
 
 
-class TheoremViolationError(RiordanError):
-    """Two provably-equal computation routes disagreed (test hook)."""
-
-
 def _correlate(row: Sequence[int], a: Sequence[int]) -> list[int]:
     """``sum_j a[j] row[k+j]`` for every ``k`` of ``row``, over the integers.
 

@@ -4,9 +4,12 @@ Subcommands: triangle, extract, aseq, check, hyper.  Output formats are
 text (aligned columns), csv (all but check), and jsonl (canonical JSON,
 one record per line, all numbers as decimal strings so arbitrary
 precision survives the round trip).  Exit codes: 0 success / identity
-holds, 1 counterexample found (including two computation routes that
-disagree), 2 usage or spec error (including a check that covers no
-points), 141 (128 + SIGPIPE) the reader closed the output pipe.
+holds, 1 counterexample found (a report on stdout; two computation
+routes that disagree are one too), 2 every other failure that ends a
+command, as ``riordan: <message>`` on stderr (usage and spec errors, a
+check that covers no points), 141 (128 + SIGPIPE) the reader closed the
+output pipe.  Integers print in full, past CPython's default limit on
+the digits of an integer string.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from fractions import Fraction
 
 from .arrays import (
     RiordanArray,
-    TheoremViolationError,
     Triangle,
     a_sequence,
     ballot_triangle,
@@ -118,17 +120,8 @@ def _emit_report(report, fmt: str, out) -> None:
             out.write(f"  counterexample at {params}: lhs={cex.lhs} rhs={cex.rhs}\n")
 
 
-# -- failures ----------------------------------------------------------
-
+# the failures that end a command with exit 2
 _FAILURES = (ValueError, ZeroDivisionError)
-
-
-def _failure(exc: Exception) -> tuple[int, str]:
-    """The exit code and message of a failure that ends a command."""
-    if isinstance(exc, TheoremViolationError):
-        # two routes that must agree did not: a counterexample, not a usage error
-        return 1, f"counterexample: {exc}"
-    return 2, str(exc)
 
 
 # -- subcommands -------------------------------------------------------
@@ -230,8 +223,8 @@ def _cmd_check(args, out) -> int:
             if not args.all:
                 raise
             # one identity that raises does not end a run of the whole registry
-            code, message = _failure(exc)
-            print(f"riordan: {identity}: {message}", file=sys.stderr)
+            print(f"riordan: {identity}: {exc}", file=sys.stderr)
+            code = 2
         else:
             if report.points:
                 _emit_report(report, args.format, out)
@@ -367,6 +360,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact coefficients may pass CPython's limit on the digits of an integer
+    # string (3.10.7+; 0 is no limit): lifted for this run only, so that a
+    # caller in the same process keeps its own limit
+    old_limit = getattr(sys, "get_int_max_str_digits", int)()
+    if old_limit:
+        sys.set_int_max_str_digits(0)
     try:
         code = _COMMANDS[args.command](args, sys.stdout)
         sys.stdout.flush()  # here, so a closed pipe is seen before the exit flush
@@ -377,9 +376,11 @@ def main(argv=None) -> int:
         sys.stdout = open(os.devnull, "w")
         return 141
     except _FAILURES as exc:
-        code, message = _failure(exc)
-        print(f"riordan: {message}", file=sys.stderr)
-        return code
+        print(f"riordan: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if old_limit:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import NamedTuple, Sequence, Union
 
-from .reports import Counterexample, IdentityReport
+from .reports import IdentityReport, series_verdict
 from .series import FormalPowerSeries, SeriesError, _collect, _fraction, _reduced, _wrap
 
 Scalar = Union[int, Fraction]
@@ -189,23 +189,9 @@ def power_coeff(q: int, s: int, j: int) -> Fraction:
 def verify_power_identity(q: int, r: Scalar, precision: int) -> IdentityReport:
     """Check (B_q)^r via two routes: rational power of the r=1 expansion
     against the direct expansion of the r-parameter spec."""
-    base = expand(power_spec(q, 1), precision)
-    lhs = base.pow_rational(_fraction(r))
+    lhs = expand(power_spec(q, 1), precision).pow_rational(_fraction(r))
     rhs = expand(power_spec(q, r), precision)
-    cex = None
-    points = precision
-    for n in range(precision):
-        if lhs.coeff(n) != rhs.coeff(n):
-            cex = Counterexample(
-                params={"q": str(q), "r": str(r), "n": str(n)},
-                lhs=str(lhs.coeff(n)),
-                rhs=str(rhs.coeff(n)),
-            )
-            points = n + 1  # the check stops at the first coefficient that differs
-            break
-    return IdentityReport(
-        identity="hypergeometric-power-law",
-        grid=f"q={q}, r={r}, coefficients below {precision}",
-        points=points,
-        counterexample=cex,
+    return series_verdict(
+        "hypergeometric-power-law", f"q={q}, r={r}, coefficients below {precision}",
+        [({"q": str(q), "r": str(r)}, lhs, rhs)],
     )

@@ -47,7 +47,11 @@ series (a direct sum, a binomial series or a hypergeometric expansion)
 once per distinct (kind, p or exponent, argument), in one flat memo, and
 compares each ballot-family direct sum with its Lagrange substitution
 route once, when that factor is first built; the memo is dropped when
-the run ends.
+the run ends.  Every series comparison, hypergeometric-power-law's two
+routes included, is a verdict of ``reports.series_verdict``: a law that
+holds counts its coefficients as points, a route check counts none, and
+the first coefficient that differs is the counterexample, routes that
+disagree included.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from math import comb, factorial, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .arrays import TheoremViolationError, pascal
+from .arrays import pascal
 from .hypergeom import (
     HypergeometricSpec,
     PoleError,
@@ -69,7 +73,7 @@ from .hypergeom import (
     power_spec,
     verify_power_identity,
 )
-from .reports import Counterexample, IdentityReport
+from .reports import Counterexample, IdentityReport, series_verdict
 from .series import (
     FormalPowerSeries, _append_term, _collect, _fraction, _reduced, _require_terms, _wrap,
     lagrange_solve,
@@ -454,11 +458,13 @@ def check_product_laws(
     ``factors`` is the memo of one sweep: the factor series by kind, p or
     exponent, argument and precision, so that each is built once, and a
     key met again at another p is the same series.  Each direct sum is
-    compared with its substitution route when it is built; two routes
-    that disagree raise ``TheoremViolationError``.
+    compared with its substitution route when it is built; that check
+    counts no points while it holds, and routes that disagree give the
+    counterexample, named by ``routes``, p and the slot.
     """
     x, y = _fraction(x), _fraction(y)
     n = precision
+    grid = f"p={p}, x={x}, y={y}, coefficients below {n}"
     factors = {} if factors is None else factors
 
     def factor(key: tuple, build: Callable[[], FormalPowerSeries]) -> FormalPowerSeries:
@@ -467,34 +473,35 @@ def check_product_laws(
             series = factors[(*key, n)] = build()
         return series
 
-    def routed(gf: Callable, slot: str, value: Fraction, route: tuple) -> FormalPowerSeries:
-        # route is the (e, a, ballot) of the direct sum's _substitution
-        def build() -> FormalPowerSeries:
-            direct = gf(p, value, n)
-            if direct != _substitution(*route, n):
-                raise TheoremViolationError(
-                    f"{gf.__name__} routes disagree for p={p}, {slot}={value}"
-                )
-            return direct
-        return factor((gf.__name__, p, value), build)
-
     def hyper(spec: Callable, a: int, value: Fraction) -> FormalPowerSeries:
         return factor((spec.__name__, a, value), lambda: expand(spec(a, value), n))
 
-    # every factor (and route check) is built, in this order, before any comparison
-    pairs = [
-        (
-            "binomial-ballot",
-            factor(("binomial", p + 1, x), lambda: binomial_series(p + 1, x, n))
-            * routed(fuss_ballot_gf, "y", y, (p + 1, y + 1, True)),
-            routed(fuss_ballot_gf, "y", x + y, (p + 1, x + y + 1, True)),
-        ),
-        (
-            "central-ballot",
-            routed(central_power_gf, "x", x, (2 * p, 2 * x, False))
-            * routed(central_ballot_gf, "y", y, (2 * p, 2 * y + 2, True)),
-            routed(central_ballot_gf, "y", x + y, (2 * p, 2 * (x + y) + 2, True)),
-        ),
+    # every factor (and route check) is built, in this order, before any law is compared
+    binomial = factor(("binomial", p + 1, x), lambda: binomial_series(p + 1, x, n))
+    direct = []
+    # (direct sum, slot, argument, the (e, a, ballot) of its _substitution)
+    for gf, slot, value, route in (
+        (fuss_ballot_gf, "y", y, (p + 1, y + 1, True)),
+        (fuss_ballot_gf, "y", x + y, (p + 1, x + y + 1, True)),
+        (central_power_gf, "x", x, (2 * p, 2 * x, False)),
+        (central_ballot_gf, "y", y, (2 * p, 2 * y + 2, True)),
+        (central_ballot_gf, "y", x + y, (2 * p, 2 * (x + y) + 2, True)),
+    ):
+        key = (gf.__name__, p, value, n)
+        series = factors.get(key)
+        if series is None:
+            series = gf(p, value, n)
+            substituted = _substitution(*route, n)
+            if series != substituted:
+                routes = {"routes": f"{gf.__name__} direct/substitution",
+                          "p": str(p), slot: str(value)}
+                return series_verdict("product-laws", grid, [(routes, series, substituted)])
+            factors[key] = series
+        direct.append(series)
+    fuss_y, fuss_xy, power_x, central_y, central_xy = direct
+    laws = [
+        ("binomial-ballot", binomial * fuss_y, fuss_xy),
+        ("central-ballot", power_x * central_y, central_xy),
         (
             "binomial-ballot-hypergeometric",
             hyper(power_spec, p + 1, x) * hyper(fuss_ballot_spec, p, y),
@@ -506,27 +513,10 @@ def check_product_laws(
             hyper(central_ballot_spec, p, x + y),
         ),
     ]
-    points = 0
-    for label, lhs, rhs in pairs:
-        if lhs == rhs:
-            points += n
-            continue
-        m = next(m for m in range(n) if lhs.coeff(m) != rhs.coeff(m))
-        return IdentityReport(
-            identity="product-laws",
-            grid=f"p={p}, x={x}, y={y}, coefficients below {n}",
-            points=points + m + 1,
-            counterexample=Counterexample(
-                {"law": label, "p": str(p), "x": str(x), "y": str(y), "n": str(m)},
-                lhs=str(lhs.coeff(m)),
-                rhs=str(rhs.coeff(m)),
-            ),
-        )
-    return IdentityReport(
-        identity="product-laws",
-        grid=f"p={p}, x={x}, y={y}, four laws, coefficients below {n}",
-        points=points,
-    )
+    return series_verdict("product-laws", grid, (
+        ({"law": label, "p": str(p), "x": str(x), "y": str(y)}, lhs, rhs)
+        for label, lhs, rhs in laws
+    ))
 
 
 # -- the factor pairs of the convolution identities ---------------------------

@@ -2,11 +2,12 @@
 
 ``Counterexample`` and ``IdentityReport`` are ``typing.NamedTuple``s:
 read-only, equal by value, and built without ``dataclasses``.
+``series_verdict`` is the one route from compared series to a report.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 
 class Counterexample(NamedTuple):
@@ -50,3 +51,22 @@ class IdentityReport(NamedTuple):
                 None if self.counterexample is None else self.counterexample.to_record()
             ),
         }
+
+
+def series_verdict(identity: str, grid: str, comparisons: Iterable[tuple]) -> IdentityReport:
+    """The report of ``(params, lhs, rhs)`` series comparisons, in order.
+
+    ``lhs`` and ``rhs`` are series of one precision n.  A comparison that
+    holds counts its n coefficients as points.  The first that does not
+    ends the report: it adds the m + 1 coefficients up to the first one
+    that differs, m, and the counterexample is ``params`` with ``n=m``.
+    """
+    points = 0
+    for params, lhs, rhs in comparisons:
+        if lhs == rhs:
+            points += lhs.precision
+            continue
+        m = next(m for m in range(lhs.precision) if lhs.coeff(m) != rhs.coeff(m))
+        cex = Counterexample({**params, "n": str(m)}, str(lhs.coeff(m)), str(rhs.coeff(m)))
+        return IdentityReport(identity, grid, points + m + 1, cex)
+    return IdentityReport(identity, grid, points)

@@ -21,8 +21,11 @@ def load_layertrace():
 
 
 def test_traced_names_resolve():
+    # each name in the module that ``install`` reads it from
     trace = load_layertrace()
-    for name in (*trace.CACHES, *trace.IDENTITY_FNS, *trace.HYPERGEOM_FNS):
-        assert any(callable(getattr(mod, name, None)) for mod in (identities, hypergeom)), name
+    for mod, names in ((hypergeom, trace.HYPERGEOM_FNS),
+                       (identities, (*trace.IDENTITY_FNS, *trace.CACHES))):
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{mod.__name__}.{name}"
     for name in trace.CACHES:
         assert getattr(identities, name).cache_info().currsize >= 0, name

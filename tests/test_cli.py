@@ -15,9 +15,10 @@ from types import SimpleNamespace
 import pytest
 
 from riordan import cli, identities
-from riordan.arrays import TheoremViolationError, Triangle
+from riordan.arrays import Triangle
 from riordan.cli import main
 from riordan.hypergeom import h_for_binomial_A
+from riordan.reports import Counterexample, IdentityReport
 from riordan.series import FormalPowerSeries
 
 
@@ -365,13 +366,22 @@ def test_larger_outputs_keep_their_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == LARGER_OUTPUTS[command]
 
 
-def raising_entry(monkeypatch, identity, exc):
+def stub_entry(monkeypatch, identity, outcome):
+    """Make ``identity``'s registry run raise ``outcome``, or return it if it is a report."""
     entry = identities.REGISTRY[identity]
 
     def run_entry(max_n, pinned):
-        raise exc
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     monkeypatch.setitem(identities.REGISTRY, identity, entry._replace(run=run_entry))
+
+
+def route_failure(identity):
+    # the shape of a report whose two routes disagree, on a stub grid
+    return IdentityReport(identity, "stub grid", 3, Counterexample(
+        {"routes": "direct/substitution", "n": "2"}, lhs="1", rhs="2"))
 
 
 @pytest.mark.parametrize(
@@ -379,27 +389,28 @@ def raising_entry(monkeypatch, identity, exc):
     [
         ({"rothe-hagen": ValueError("boom")}, 2),
         ({"rothe-hagen": ZeroDivisionError("pole")}, 2),
-        ({"rothe-hagen": TheoremViolationError("routes disagree")}, 1),
+        ({"rothe-hagen": route_failure("rothe-hagen")}, 1),
         # an error beats a counterexample, whichever comes first
-        ({"andrews-a1": TheoremViolationError("routes disagree"),
+        ({"andrews-a1": route_failure("andrews-a1"),
           "product-laws": ValueError("boom")}, 2),
         ({"andrews-a1": ValueError("boom"),
-          "product-laws": TheoremViolationError("routes disagree")}, 2),
+          "product-laws": route_failure("product-laws")}, 2),
     ],
 )
 def test_check_all_goes_on_past_an_identity_that_raises(capsys, monkeypatch, failures, code):
-    for identity, exc in failures.items():
-        raising_entry(monkeypatch, identity, exc)
+    for identity, outcome in failures.items():
+        stub_entry(monkeypatch, identity, outcome)
     got, out, err = run(capsys, "check", "--all", "--max-n", "4", "--format", "jsonl")
     assert got == code
-    golden = lines((EXPECTED / "check_all_n4.jsonl").read_text())
-    assert lines(out) == [line for line in golden if json.loads(line)["id"] not in failures]
-    assert len(lines(out)) == 18 - len(failures)
+    golden = map(json.loads, lines((EXPECTED / "check_all_n4.jsonl").read_text()))
+    assert [json.loads(line) for line in lines(out)] == [
+        failures[rec["id"]].to_record() if rec["id"] in failures else rec
+        for rec in golden
+        if not isinstance(failures.get(rec["id"]), Exception)
+    ]
     assert lines(err) == [
-        f"riordan: {identity}: "
-        + ("counterexample: " if isinstance(exc, TheoremViolationError) else "")
-        + str(exc)
-        for identity, exc in failures.items()
+        f"riordan: {identity}: {outcome}"
+        for identity, outcome in failures.items() if isinstance(outcome, Exception)
     ]
 
 
@@ -407,7 +418,7 @@ def test_check_all_counterexample_then_raise_exits_2(capsys, monkeypatch):
     # a counterexample record (1) from fibonacci-riordan, then an identity that raises (2)
     wrong = dict(identities._EXTRACTED_D, odd=lambda m: comb(2 * m + 1, m + 1) + (m == 3))
     monkeypatch.setattr(identities, "_EXTRACTED_D", wrong)
-    raising_entry(monkeypatch, "hypergeometric-power-law", ValueError("boom"))
+    stub_entry(monkeypatch, "hypergeometric-power-law", ValueError("boom"))
     code, out, err = run(capsys, "check", "--all", "--max-n", "4", "--format", "jsonl")
     assert code == 2
     verdicts = {rec["id"]: rec["verdict"] for rec in map(json.loads, lines(out))}
@@ -847,6 +858,24 @@ def test_hyper_jsonl(capsys):
     assert rec == {"prec": 4, "coeffs": ["1", "1", "1", "1"]}
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_cli_writes_integers_past_the_digit_limit_and_restores_it(capsys):
+    # coefficient 2 is 10^4300, 4301 digits: one past CPython's default limit
+    # on integer strings, which a run lifts for itself only
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        scale = "1" + "0" * 2150
+        big = ("hyper", "--upper", "1", "--scale", scale, "--terms", "3", "--format", "csv")
+        assert run(capsys, *big) == (0, f"1,{scale},1{'0' * 4300}\n", "")
+        assert sys.get_int_max_str_digits() == 4300
+        # a command that fails restores it too
+        assert run(capsys, "hyper", "--upper", "1", "--lower", "0")[0] == 2
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # -- honest verdicts ------------------------------------------------------------
 
 
@@ -875,25 +904,63 @@ def test_check_andrews_from_n_1_at_max_n_0_is_not_a_pass(capsys, variant):
     )
 
 
+def wrong_kernel(p, a, b, m):
+    # a direct-sum term kernel whose term 1 is 2, against the true one of the substitution route
+    return m + 1, 1
+
+
+def assert_route_failure_report(capsys, gf, slot, rhs, p=2, points=2):
+    """``gf``'s two routes disagree at p and the grid's first (x, y) = (1/2, 1/2), at n = 1,
+    where the substitution route has the true term ``rhs``.
+
+    The report counts the sweep's points before that one plus m + 1 = 2, in both formats.
+    """
+    cex = {"routes": f"{gf} direct/substitution", "p": str(p), slot: "1/2", "n": "1"}
+    grid = f"p={p}, x=1/2, y=1/2, coefficients below 4"
+    assert run(capsys, "check", "product-laws", "--max-n", "3") == (
+        1,
+        f"product-laws: counterexample ({points} points, {grid})\n"
+        f"  counterexample at {', '.join(f'{k}={v}' for k, v in cex.items())}: lhs=2 rhs={rhs}\n",
+        "",
+    )
+    code, out, err = run(capsys, "check", "product-laws", "--max-n", "3", "--format", "jsonl")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "id": "product-laws", "grid": grid, "points": points, "verdict": "counterexample",
+        "counterexample": {"params": cex, "lhs": "2", "rhs": str(rhs)},
+    }
+
+
 def test_check_disagreeing_routes_exit_1(capsys, monkeypatch):
     # a wrong direct summation makes fuss_ballot_gf's two routes disagree
-    monkeypatch.setattr(identities, "_ballot_ratio", lambda p, a, b, m: (m + 1, 1))
-    code, _, err = run(capsys, "check", "product-laws", "--max-n", "3")
-    assert code == 1
-    assert "routes disagree" in err
+    monkeypatch.setattr(identities, "_ballot_ratio", wrong_kernel)
+    # term 1 at p = 2, y = 1/2: (p + y)/(p + y + 1) C(p + 1 + y, 1) = 5/7 * 7/2
+    assert_route_failure_report(capsys, "fuss_ballot_gf", "y", "5/2")
 
 
-@pytest.mark.parametrize("kernel, gf", [
-    ("_binomial_power_ratio", "central_power_gf"),
-    ("_central_ballot_ratio", "central_ballot_gf"),
+@pytest.mark.parametrize("kernel, gf, slot, rhs", [
+    # term 1 at p = 2, x = 1/2: 2x/(2p - 1 + 2x) C(2p + 2x - 1, 1) = 1/4 * 4
+    pytest.param("_binomial_power_ratio", "central_power_gf", "x", "1",
+                 id="_binomial_power_ratio-central_power_gf"),
+    # term 1 at p = 2, y = 1/2: (p + y)/(p + y + 1) C(2(p + y + 1), 1) = 5/7 * 7
+    pytest.param("_central_ballot_ratio", "central_ballot_gf", "y", "5",
+                 id="_central_ballot_ratio-central_ballot_gf"),
 ])
-def test_check_disagreeing_central_routes_exit_1(capsys, monkeypatch, kernel, gf):
+def test_check_disagreeing_central_routes_exit_1(capsys, monkeypatch, kernel, gf, slot, rhs):
     # a wrong direct summation makes the central series' two routes disagree
-    monkeypatch.setattr(identities, kernel, lambda p, a, b, m: (m + 1, 1))
-    code, out, err = run(capsys, "check", "product-laws", "--max-n", "3")
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"riordan: counterexample: {gf} routes disagree for p=2, ")
+    monkeypatch.setattr(identities, kernel, wrong_kernel)
+    assert_route_failure_report(capsys, gf, slot, rhs)
+
+
+def test_check_disagreeing_routes_count_the_points_before_them(capsys, monkeypatch):
+    # fuss_ballot_gf is wrong at p = 3 only: p = 2 holds on its 25 (x, y) points,
+    # 4 laws of 4 coefficients each, then the first p = 3 point fails
+    real = identities._ballot_ratio
+    monkeypatch.setattr(
+        identities, "_ballot_ratio", lambda p, *args: (wrong_kernel if p == 3 else real)(p, *args)
+    )
+    # term 1 at p = 3, y = 1/2: (p + y)/(p + y + 1) C(p + 1 + y, 1) = 7/9 * 9/2
+    assert_route_failure_report(capsys, "fuss_ballot_gf", "y", "7/2", p=3, points=25 * 16 + 2)
 
 
 def fibonacci_off_at_6(monkeypatch):

@@ -1,5 +1,6 @@
 """Identity registry tests: Fibonacci suite, convolution sums, product laws, array cross-checks."""
 
+import functools
 import random
 import re
 from fractions import Fraction
@@ -211,6 +212,23 @@ def test_product_laws_hold():
 def test_product_laws_trivial_x():
     rep = check_product_laws(2, 0, 1, 15)
     assert rep.holds
+
+
+def test_product_laws_build_and_route_check_each_direct_sum_once_per_sweep(monkeypatch):
+    built, checked = [], []
+    for name in ("fuss_ballot_gf", "central_power_gf", "central_ballot_gf"):
+        real = getattr(identities, name)
+
+        @functools.wraps(real)  # the memo keys on the direct sum's name
+        def record(p, v, n, real=real):
+            built.append((real.__name__, p, v))
+            return real(p, v, n)
+        monkeypatch.setattr(identities, name, record)
+    substitution = identities._substitution
+    monkeypatch.setattr(identities, "_substitution", lambda *a: checked.append(a) or substitution(*a))
+    assert check_registry("product-laws", max_n=3).holds
+    # the y grid and every x + y, at each p, for the two ballot series; x for the power
+    assert len(built) == len(set(built)) == len(checked) > 2 * 5
 
 
 # -- summation identities ----------------------------------------------------------

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riordan.hypergeom import HypergeometricSpec, PoleError
 from riordan.identities import RegistryEntry
-from riordan.reports import Counterexample, IdentityReport
-from riordan.series import SeriesError
+from riordan.reports import Counterexample, IdentityReport, series_verdict
+from riordan.series import FormalPowerSeries, SeriesError
 
 
 def _run():
@@ -129,3 +131,51 @@ def test_record_fields_are_read_only(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 1)
     assert getattr(record, field) == before
+
+
+# -- series_verdict against a plain Fraction loop --------------------------------
+
+
+def ref_series_verdict(comparisons):
+    """(points, counterexample) of coefficient lists, one coefficient at a time."""
+    points = 0
+    for params, lhs, rhs in comparisons:
+        for m, (a, b) in enumerate(zip(lhs, rhs)):
+            points += 1
+            if a != b:
+                return points, Counterexample({**params, "n": str(m)}, str(a), str(b))
+    return points, None
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def comparisons(draw):
+    """Equal coefficient lists of one precision, one comparison perturbed at up to
+    two coefficients (or none), with params of varying keys and order."""
+    n = draw(st.integers(1, 7))
+    count = draw(st.integers(1, 4))
+    out = []
+    for i in range(count):
+        coeffs = draw(st.lists(fractions, min_size=n, max_size=n))
+        keys = draw(st.permutations(["law", "p", "x"]))[:draw(st.integers(0, 3))]
+        out.append(({key: f"{key}{i}" for key in keys}, coeffs, list(coeffs)))
+    bad = draw(st.integers(0, count))
+    if bad < count:
+        for m in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2)):
+            out[bad][2][m] += draw(fractions.filter(bool))
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(comparisons())
+def test_series_verdict_matches_a_fraction_loop(cases):
+    points, cex = ref_series_verdict(cases)
+    rep = series_verdict("demo", "a grid", [
+        (params, FormalPowerSeries(lhs), FormalPowerSeries(rhs)) for params, lhs, rhs in cases
+    ])
+    assert rep == IdentityReport("demo", "a grid", points, cex)
+    if cex is not None:
+        failed = next(params for params, lhs, rhs in cases if lhs != rhs)
+        assert list(rep.counterexample.params) == [*failed, "n"]
