@@ -378,10 +378,13 @@ class RiordanArray:
         Lagrange diagonal of ``F = d h^r`` and the new ``t h`` is that of
         ``F = t d h^(r+1)`` divided by it, both with ``phi = h^(p-1)`` and read by
         one :func:`~riordan.series._lagrange_diagonal` call at the new
-        precision; no column of this array is built.  The A-sequence of the
-        result equals ``A**p`` (checked by tests and by the CLI, not
-        re-derived here), and :func:`subarray_triangle`, which reads the
-        grid from the columns, is its oracle.
+        precision; no column of this array is built.  The baby table of
+        ``phi`` is cached by value, so extractions at one ``p`` and an
+        equal new precision (``r = 0`` and ``r = 1`` on an even precision)
+        build it once.  The A-sequence of the result equals ``A**p``
+        (checked by tests and by the CLI, not re-derived here), and
+        :func:`subarray_triangle`, which reads the grid from the columns,
+        is its oracle.
         """
         if p < 2:
             raise RiordanError(f"p must be >= 2, got {p}")

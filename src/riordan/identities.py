@@ -455,12 +455,13 @@ def check_product_laws(
     plus the same two equalities with every factor produced by the
     generic hypergeometric expansion instead of the direct sums.
 
-    ``factors`` is the memo of one sweep: the factor series by kind, p or
-    exponent, argument and precision, so that each is built once, and a
-    key met again at another p is the same series.  Each direct sum is
-    compared with its substitution route when it is built; that check
-    counts no points while it holds, and routes that disagree give the
-    counterexample, named by ``routes``, p and the slot.
+    ``factors`` is the memo of one sweep: the factor series by the
+    function that builds it (never by its name), p or exponent, argument
+    and precision, so that each is built once, and a key met again at
+    another p is the same series.  Each direct sum is compared with its
+    substitution route when it is built; that check counts no points
+    while it holds, and routes that disagree give the counterexample,
+    named by ``routes``, p and the slot.
     """
     x, y = _fraction(x), _fraction(y)
     n = precision
@@ -474,10 +475,10 @@ def check_product_laws(
         return series
 
     def hyper(spec: Callable, a: int, value: Fraction) -> FormalPowerSeries:
-        return factor((spec.__name__, a, value), lambda: expand(spec(a, value), n))
+        return factor((spec, a, value), lambda: expand(spec(a, value), n))
 
     # every factor (and route check) is built, in this order, before any law is compared
-    binomial = factor(("binomial", p + 1, x), lambda: binomial_series(p + 1, x, n))
+    binomial = factor((binomial_series, p + 1, x), lambda: binomial_series(p + 1, x, n))
     direct = []
     # (direct sum, slot, argument, the (e, a, ballot) of its _substitution)
     for gf, slot, value, route in (
@@ -487,7 +488,7 @@ def check_product_laws(
         (central_ballot_gf, "y", y, (2 * p, 2 * y + 2, True)),
         (central_ballot_gf, "y", x + y, (2 * p, 2 * (x + y) + 2, True)),
     ):
-        key = (gf.__name__, p, value, n)
+        key = (gf, p, value, n)
         series = factors.get(key)
         if series is None:
             series = gf(p, value, n)

@@ -18,13 +18,21 @@ pair reduction (:func:`_reduced`): in one batch for streams
 (:func:`_collect`), term by term for recurrences and growing columns
 (:func:`_append_term`).
 
+The Lagrange diagonals ``[t^n] F(t) phi(t)^n`` read the powers of
+``phi`` off one shared table: :func:`_power_table` holds the baby powers
+and the giant step, :func:`_giant_powers` the powers ``phi^(qm)``, both
+in small bounded caches keyed on the value of ``phi``.
+:func:`lagrange_coeffs` reads every ``w^k`` off both, and the
+extractions at one ``p`` share the first.
+
 Everything here is immutable and pure; values can be shared freely
-across threads.
+across threads, and the two caches hold only immutable values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Union
@@ -573,23 +581,51 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     return w
 
 
-def _lagrange_diagonal(fs, phi: FormalPowerSeries) -> list[FormalPowerSeries]:
-    """For each ``F`` of ``fs``, the series of ``[t^j] F(t) phi(t)^j``, ``j < n``.
+@lru_cache(maxsize=8)
+def _power_table(phi: FormalPowerSeries):
+    """``m = isqrt(n - 1) + 1``, the reversed baby table ``phi^0 .. phi^(m-1)`` and ``phi^m``.
 
-    ``n`` is ``phi``'s precision, and each ``F`` is known mod ``t^n``.
-    Baby steps and giant steps (Brent and Kung, J. ACM 25, 1978): with
-    ``m = isqrt(n - 1) + 1``, the baby table ``phi^0 .. phi^(m-1)`` is
-    built once and ``G_q = F phi^(qm)`` is walked by one product with the
-    giant step ``phi^m`` per block.  Coefficient ``j = qm + r`` is then
-    ``[t^j] G_q phi^r``, one integer dot product of ``G_q[:j+1]`` with the
-    reversed ``phi^r[:j+1]``.  A length-``n`` diagonal costs about
-    ``2 sqrt(n)`` products and ``n`` dot products instead of ``n`` products.
+    ``n`` is ``phi``'s precision.  Each baby power is kept as its
+    numerators reversed, with its denominator: with ``rev = phi^r``
+    reversed, ``rev[n - 1 - j + i] = phi^r[j - i]``, so coefficient ``j``
+    of a product with ``phi^r`` is one dot product against a tail of
+    ``rev``.  The giant step ``phi^m`` is None when ``m >= n``.  Cached
+    by value: equal series, at equal precision, share one table.
     """
     n = len(phi._nums)
     m = isqrt(n - 1) + 1
     powers, giant = _baby_and_giant_steps(phi, m, n > m)
-    # with rev = phi^r reversed, rev[n - 1 - j + i] = phi^r[j - i]
-    reversed_powers = [(s._nums[::-1], s._den) for s in powers]
+    return m, tuple((s._nums[::-1], s._den) for s in powers), giant
+
+
+@lru_cache(maxsize=8)
+def _giant_powers(phi: FormalPowerSeries) -> tuple[FormalPowerSeries, ...]:
+    """``phi^(qm)`` for ``q = 0 .. (n-1)//m``, walked by the giant step of :func:`_power_table`."""
+    n = len(phi._nums)
+    m, _, giant = _power_table(phi)
+    top = (n - 1) // m
+    powers = [FormalPowerSeries.one(n), giant][:top + 1]
+    while len(powers) <= top:
+        powers.append(powers[-1] * giant)
+    return tuple(powers)
+
+
+def _lagrange_diagonal(fs, phi: FormalPowerSeries) -> list[FormalPowerSeries]:
+    """For each ``F`` of ``fs``, the series of ``[t^j] F(t) phi(t)^j``, ``j < n``.
+
+    ``n`` is ``phi``'s precision, and each ``F`` is known mod ``t^n``.
+    Baby steps and giant steps (Brent and Kung, J. ACM 25, 1978): the
+    baby table ``phi^0 .. phi^(m-1)`` and the giant step ``phi^m`` come
+    from :func:`_power_table`, shared with every other diagonal of an
+    equal ``phi``, and ``G_q = F phi^(qm)`` is walked by one product with
+    the giant step per block.  Coefficient ``j = qm + r`` is then
+    ``[t^j] G_q phi^r``, one integer dot product of ``G_q[:j+1]`` with the
+    reversed ``phi^r[:j+1]``.  A length-``n`` diagonal costs about
+    ``sqrt(n)`` products and ``n`` dot products once the table is built,
+    instead of ``n`` products.
+    """
+    n = len(phi._nums)
+    m, reversed_powers, giant = _power_table(phi)
     out = []
     for f in fs:
         g = f.truncate(n)
@@ -607,20 +643,27 @@ def _lagrange_diagonal(fs, phi: FormalPowerSeries) -> list[FormalPowerSeries]:
 def lagrange_coeffs(phi: FormalPowerSeries, k: int, precision: int) -> FormalPowerSeries:
     """``w**k`` for ``w = t phi(w)`` straight from the coefficient formula.
 
-    Coefficient ``n`` is ``(k/n) [t^(n-k)] phi(t)**n = (k/n) [t^n] t^k phi(t)**n``,
-    read off the Lagrange diagonal of ``F = t^k`` (:func:`_lagrange_diagonal`).
-    Deliberately independent of :func:`lagrange_solve` and of composition,
-    so the two routes can cross-check.
+    Coefficient ``j >= k`` is ``(k/j) [t^(j-k)] phi(t)**j``.  With
+    ``j = qm + r``, ``[t^(j-k)] phi^j`` is one integer dot product of
+    ``phi^(qm)`` (:func:`_giant_powers`) with the reversed ``phi^r``
+    (:func:`_power_table`), so every ``k`` at one ``phi`` reads the same
+    two cached tables, and a call with a warm table costs only its dot
+    products.  Deliberately independent of :func:`lagrange_solve` and of
+    composition, so the two routes can cross-check.
     """
     if k < 1:
         raise SeriesError("k must be >= 1")
     p = _check_phi(phi, precision)
-    t_k = FormalPowerSeries.one(precision).shift_up(k).truncate(precision)
-    (diagonal,) = _lagrange_diagonal([t_k], p)
-    # coefficient 0 is [t^0] t^k = 0; put coefficient n's k/n over lcm(1..n)
-    scale = lcm(*range(1, precision))
-    nums = [0] + [k * x * (scale // n) for n, x in enumerate(diagonal._nums[1:], 1)]
-    return _series(nums, scale * diagonal._den)
+    m, reversed_powers, _ = _power_table(p)
+    giants = _giant_powers(p)
+    terms = [(0, 1)] * min(k, precision)
+    for j in range(k, precision):
+        q, r = divmod(j, m)
+        rev, den = reversed_powers[r]
+        g = giants[q]
+        dot = sum(map(mul, g._nums, rev[precision - 1 - (j - k):]))
+        terms.append((k * dot, j * g._den * den))
+    return _wrap(*_collect(terms))
 
 
 def lagrange_gf(

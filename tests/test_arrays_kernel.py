@@ -348,6 +348,23 @@ def test_extraction_takes_baby_and_giant_steps(monkeypatch):
     assert sub.materialize(8) == subarray_triangle(pascal(17), 2, 0, 8)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_extractions_at_one_p_agree_with_a_warm_or_a_cleared_table(p):
+    # extractions at one p and an equal new precision share the table of phi = h^(p-1)
+    rational = RiordanArray(FPS([2, Fraction(-1, 3), 0, 5, 1, 1, 0, 7, 1, -1, 2, 0, 3]),
+                            FPS([Fraction(3, 5), 1, 0, -2, 4, 0, 1, 1, 0, 0, 2, 1, 1]))
+    for base in (pascal(27), rational):
+        cleared = []
+        for r in (0, 1, 2):
+            series._power_table.cache_clear()
+            series._giant_powers.cache_clear()
+            sub = base.extract_subarray(p, r)
+            assert sub.materialize(sub.precision) == subarray_triangle(base, p, r, sub.precision)
+            cleared.append((sub.d, sub.h))
+        warm = [base.extract_subarray(p, r) for r in (0, 1, 2, 1, 0)]
+        assert [(sub.d, sub.h) for sub in warm] == cleared + cleared[1::-1]
+
+
 def test_extraction_builds_no_column(monkeypatch):
     # subarray_triangle reads the grid from the column cache, and is the
     # oracle only while extract_subarray stays off it

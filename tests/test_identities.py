@@ -1,6 +1,5 @@
 """Identity registry tests: Fibonacci suite, convolution sums, product laws, array cross-checks."""
 
-import functools
 import random
 import re
 from fractions import Fraction
@@ -219,7 +218,6 @@ def test_product_laws_build_and_route_check_each_direct_sum_once_per_sweep(monke
     for name in ("fuss_ballot_gf", "central_power_gf", "central_ballot_gf"):
         real = getattr(identities, name)
 
-        @functools.wraps(real)  # the memo keys on the direct sum's name
         def record(p, v, n, real=real):
             built.append((real.__name__, p, v))
             return real(p, v, n)
@@ -229,6 +227,16 @@ def test_product_laws_build_and_route_check_each_direct_sum_once_per_sweep(monke
     assert check_registry("product-laws", max_n=3).holds
     # the y grid and every x + y, at each p, for the two ballot series; x for the power
     assert len(built) == len(set(built)) == len(checked) > 2 * 5
+
+
+def test_product_laws_memo_keys_on_the_direct_sum_not_its_name(monkeypatch):
+    # three rebound direct sums that all share the name "<lambda>" must keep
+    # three memo entries, or central_ballot_gf would read fuss_ballot_gf's series
+    for name in ("fuss_ballot_gf", "central_power_gf", "central_ballot_gf"):
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda p, v, n, real=real: real(p, v, n))
+    report = check_registry("product-laws", max_n=3)
+    assert report.holds, report.counterexample
 
 
 # -- summation identities ----------------------------------------------------------

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riordan import identities as I
+from riordan import series
 from riordan.hypergeom import PoleError
 from riordan.reports import Counterexample
 from riordan.series import FormalPowerSeries, SeriesError, _collect
@@ -641,7 +642,7 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
 
 def test_term_caches_are_bounded():
     for cached in (I.binomial, I._catalan_power_term, I._central_power_term,
-                   I._power_fixed_point):
+                   I._power_fixed_point, series._power_table, series._giant_powers):
         assert cached.cache_info().maxsize is not None
 
 

@@ -145,7 +145,12 @@ def canonical(s):
 
 @pytest.fixture
 def convolutions(monkeypatch):
-    """The length of each integer product the series kernels form, in order."""
+    """The length of each integer product the series kernels form, in order.
+
+    The cached power tables start empty, so a table is counted when it is built.
+    """
+    series._power_table.cache_clear()
+    series._giant_powers.cache_clear()
     calls = []
     convolve = series._convolve
 
@@ -570,6 +575,65 @@ def test_lagrange_coeffs_calls_no_composition(monkeypatch):
     monkeypatch.setattr(series, "_compose_all", refuse)
     monkeypatch.setattr(series.FormalPowerSeries, "revert", refuse)
     assert [lagrange_coeffs(phi, k, 12) for k in (1, 3)] == want
+
+
+def ref_powers(phi, n):
+    """``phi^0 .. phi^(n-1)`` mod ``t^n`` by a chain of plain products, ``phi`` padded to ``n``."""
+    phi = (list(phi) + [0] * n)[:n]
+    out = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
+    for _ in range(1, n):
+        out.append(ref_mul(out[-1], phi))
+    return out
+
+
+@st.composite
+def power_table_streams(draw):
+    """Lagrange calls on a stream of phis that share, collide in and evict the power tables.
+
+    Each base phi (integer or rational, precision 1 to 17) comes with the
+    same phi with another last coefficient, the same phi known one order
+    less (padded by ``_check_phi``), and one order more (truncated by
+    ``_check_phi``, or read at the higher precision).  Every call is
+    made twice, the second pass in another order, so with enough bases a
+    table is evicted before it is read again.
+    """
+    variants = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 17))
+        phi = draw(st.lists(coefficient if draw(st.booleans()) else integer,
+                            min_size=n, max_size=n))
+        phi[0] = draw(unit)
+        other_last = phi[:-1] + [phi[-1] + draw(st.sampled_from([1, -2, Fraction(1, 3)]))]
+        longer = phi + [draw(integer)]
+        variants += [(phi, n), (phi[:-1] or phi, n), (longer, n), (longer, n + 1)]
+        if n > 1:
+            variants.append((other_last, n))
+    calls = [(phi, n, draw(st.integers(1, n + 2))) for phi, n in variants]
+    f = draw(st.lists(coefficient, min_size=18, max_size=18))
+    return calls + draw(st.permutations(calls)), f
+
+
+@HEAVY
+@given(power_table_streams())
+@example(([([2, 1], 2, 1), ([2, 1, 5], 2, 1), ([2, 1, 6], 3, 2)] * 2, [1] * 18))
+def test_lagrange_coeffs_and_diagonals_read_the_table_of_their_own_phi(case):
+    # every call builds its phi afresh, so equal phis are distinct objects
+    calls, f = case
+    series._power_table.cache_clear()
+    series._giant_powers.cache_clear()
+    chains = {}
+    for phi, n, k in calls:
+        key = (tuple(phi), n)
+        if key not in chains:
+            chains[key] = ref_powers(phi, n)
+        powers = chains[key]
+        want = [Fraction(k, j) * powers[j][j - k] if j >= k else 0 for j in range(n)]
+        assert canonical(lagrange_coeffs(FPS(phi), k, n)) == want, (phi, n, k)
+        # the diagonal reads every coefficient of the table, the last one too
+        (diagonal,) = _lagrange_diagonal([FPS(f[:n])], FPS(phi, n))
+        assert canonical(diagonal) == [
+            sum(f[i] * powers[j][j - i] for i in range(j + 1)) for j in range(n)
+        ], (phi, n)
 
 
 # -- terms appended one at a time ----------------------------------------------
