@@ -15,33 +15,47 @@ left by (p-1)n+r).  Nothing is ever rounded.
 A :class:`Triangle` stores its entries as integer rows over one common
 positive denominator in lowest terms, the representation of
 :class:`~riordan.series.FormalPowerSeries`.  An array keeps its
-A-sequence when it is known exactly: ``from_dA`` keeps its argument and
-the three stock triangles keep theirs.  Such an array materializes its
-rows by the recurrence itself: row ``n+1`` is ``d[n+1]`` followed by row
-``n`` correlated with A, on integer rows, so an entry costs one product
-per nonzero term of A.  ``from_dA`` solves ``h`` (a Newton solve) only
-when ``h``, an entry or a column is first read; the rows never need it.
-Any other array materializes from its cached columns, column ``k`` being
-column ``k-1`` times ``t h``, whose integer numerators are rescaled once
-to the lcm of their denominators; that column route is the row route's
-oracle in the tests.  :func:`a_sequence` solves the recurrence and
-verifies it with the same row correlation; :class:`fractions.Fraction`
-values are built only when entries are read.
+A-sequence when it is known exactly, as an integer pair ``A = P/Q`` with
+``Q(0) = 1``: ``from_dA`` keeps ``(A, 1)``, ``pascal`` and
+``catalan_triangle`` keep ``(1 + t, 1)`` and ``((1 + t)^2, 1)``, and
+``ballot_triangle`` keeps ``(1, 1 - t)``.  One row generator builds the
+rows of such an array by the recurrence multiplied through by ``Q``,
 
-Extraction builds no column: the kept entries lie on Lagrange diagonals
-``[t^n] F(t) phi(t)^n`` with ``phi = h^(p-1)``, so the new first column
-and ``t h`` come from one
+    sum_i Q_i d[n+1][k+1+i] = sum_j P_j d[n][k+j],
+
+on integer rows: row ``n+1`` is ``d[n+1]`` followed by row ``n``
+correlated with ``P``, filled right to left through ``Q`` (a suffix
+running sum for ``Q = 1 - t``), so an entry costs one product per
+nonzero term of ``P`` and of ``Q``.  ``from_dA`` solves ``h`` (a Newton
+solve) only when ``h``, an entry or a column is first read; the rows
+never need it.  Any other array materializes from its cached columns,
+column ``k`` being column ``k-1`` times ``t h``, whose integer numerators
+are rescaled once to the lcm of their denominators; that column route is
+the row route's oracle in the tests.  :func:`a_sequence` solves the
+recurrence and verifies it with the same row correlation;
+:class:`fractions.Fraction` values are built only when entries are read.
+
+Extraction reads the new first column and ``t h`` by one of two
+routes.  The rows route walks the row generator once, one row at a time,
+and reads them off rows ``pn + r``; it needs ``A = P/Q``.  The diagonal
+route reads the kept entries as Lagrange diagonals
+``[t^n] F(t) phi(t)^n`` with ``phi = h^(p-1)``, by one
 :func:`~riordan.series._lagrange_diagonal` call at the new, smaller
-precision.  The extracted array keeps no A-sequence.
+precision.  An array known only by ``(d, h)`` takes the diagonal; one
+that keeps a short ``P`` and ``Q`` takes the rows, and a dense A the
+diagonal, by an estimate of their costs.  When the base keeps ``A`` the
+result keeps ``A^p = P^p/Q^p`` (Merlini, Rogers, Sprugnoli & Verri,
+Canad. J. Math. 49, 1997) on either route, so its own rows run the
+recurrence too; otherwise it keeps no A-sequence.
 :func:`subarray_triangle` reads the same grid from the columns, never
-from the rows, and stays the independent oracle of both the extraction
-and the A-sequence ``A^p`` recovered from it.
+from the rows, and stays the independent oracle of both routes and of
+the rows built from ``A^p``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, islice
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -51,9 +65,11 @@ from .series import (
     FormalPowerSeries,
     PrecisionError,
     _append_term,
+    _collect,
     _fraction,
     _lagrange_diagonal,
     _series,
+    _wrap,
     lagrange_solve,
 )
 
@@ -88,9 +104,11 @@ def _correlate(row: Sequence[int], a: Sequence[int]) -> list[int]:
     """``sum_j a[j] row[k+j]`` for every ``k`` of ``row``, over the integers.
 
     This is one step of the A-sequence recurrence: row ``n`` of a triangle
-    correlated with A gives entries ``1..n+1`` of row ``n+1``.  ``a`` has no
-    trailing zeros, so an entry costs at most ``len(a)`` products, taken one
-    term of ``a`` at a time across the whole row.
+    correlated with ``P`` gives the right side ``sum_j P_j d[n][k+j]`` for
+    entries ``1..n+1`` of row ``n+1``, and those entries themselves when
+    ``Q = 1``.  ``a`` has no trailing zeros, so an entry costs at most
+    ``len(a)`` products, taken one term of ``a`` at a time across the
+    whole row.
     """
     c = a[0]
     out = list(row) if c == 1 else [c * x for x in row]
@@ -207,7 +225,7 @@ class RiordanArray:
         self._d = d.truncate(n)
         self._h = h.truncate(min(h.precision, n))
         self._cols = {0: self._d}
-        self._A = None
+        self._P = None
 
     @classmethod
     def from_dA(cls, d: FormalPowerSeries, A: FormalPowerSeries) -> "RiordanArray":
@@ -226,12 +244,16 @@ class RiordanArray:
         array._d = d.truncate(n)
         array._h = None
         array._cols = {0: array._d}
-        array._A = A.truncate(n)
-        return array
+        return array._with_A(A)
 
-    def _with_A(self, A: FormalPowerSeries) -> "RiordanArray":
-        """This array, told its A-sequence ``A`` (known mod t^precision at least)."""
-        self._A = A.truncate(self.precision)
+    def _with_A(self, P: FormalPowerSeries, Q: Sequence[int] = (1,)) -> "RiordanArray":
+        """This array, told its A-sequence ``A = P/Q``.
+
+        ``P`` is known mod t^precision at least, and ``Q`` is an integer
+        polynomial with ``Q(0) = 1``.
+        """
+        self._P = P.truncate(self.precision)
+        self._Q = tuple(_stripped(Q))
         return self
 
     @property
@@ -242,16 +264,20 @@ class RiordanArray:
     def h(self) -> FormalPowerSeries:
         if self._h is None:
             # t h solves w = t A(w); rows below the precision read A mod t^(precision-1)
-            self._h = lagrange_solve(self._A, self.precision + 1).shift_down()
+            self._h = lagrange_solve(self.A, self.precision + 1).shift_down()
         return self._h
 
     @property
     def A(self) -> FormalPowerSeries | None:
         """The A-sequence mod ``t^precision`` when the array keeps it, else None.
 
-        ``from_dA`` and the three stock triangles keep it.
+        ``from_dA``, the three stock triangles and the arrays extracted
+        from an array that keeps it keep it, as ``P/Q``; this is that
+        quotient, formed on each read.
         """
-        return self._A
+        if self._P is None or self._Q == (1,):
+            return self._P
+        return self._P / FormalPowerSeries(self._Q, precision=self.precision)
 
     @property
     def precision(self) -> int:
@@ -260,7 +286,7 @@ class RiordanArray:
     @property
     def proper(self) -> bool:
         # h(0) = A(0) != 0 whenever A is known
-        return self._A is not None or bool(self._h.coeff(0))
+        return self._P is not None or bool(self._h.coeff(0))
 
     def __repr__(self):
         return f"RiordanArray(precision={self.precision}, proper={self.proper})"
@@ -323,24 +349,34 @@ class RiordanArray:
         ]
         return _triangle(rows, den)
 
-    def _rows(self, nrows: int) -> Triangle:
-        """The first ``nrows`` rows by the A-sequence recurrence.
+    def _row_stream(self):
+        """Rows ``0 .. precision-1`` by the recurrence on ``A = P/Q``, one at a time.
 
-        Row ``n`` is kept as integers over its own denominator, reduced
-        from row 1 on; row ``n+1`` is ``d[n+1]`` followed by row ``n``
-        correlated with A's numerators, over ``A.den`` times row ``n``'s
-        denominator.  The rows are rescaled once to the lcm of their
-        denominators, and :func:`_triangle` makes the result canonical.
+        Each row is yielded as integers over its own denominator, reduced
+        from row 1 on.  Row ``n+1`` is ``d[n+1]`` followed by row ``n``
+        correlated with P's numerators and filled right to left through
+        ``sum_i Q_i x[k+i] = c[k]``, over ``P.den`` times row ``n``'s
+        denominator; ``Q(0) = 1`` keeps the fill on the integers, and
+        ``Q = 1 - t`` makes it a suffix running sum.
         """
         dn, dd = self._d._nums, self._d._den
-        a, ad = _stripped(self._A._nums), self._A._den
+        a, ad = _stripped(self._P._nums), self._P._den
+        q = [-c for c in self._Q[1:]]
         row, den = [dn[0]], dd
-        rows, dens = [row], [den]
-        for n in range(1, nrows):
+        yield row, den
+        for n in range(1, len(dn)):
             step = ad * den
             den = lcm(step, dd)
             scale = den // step
             row = _correlate(row, a)
+            if q == [1]:
+                # Q = 1 - t, the ballot triangle's, is a suffix sum in C: its
+                # 800 rows take 0.12 s this way and 0.31 s by the loop below,
+                # on a 2-core host
+                row = list(accumulate(reversed(row)))[::-1]
+            elif q:
+                for k in range(len(row) - 2, -1, -1):
+                    row[k] += sum(map(mul, q, row[k + 1:k + 1 + len(q)]))
             if scale != 1:
                 row = [x * scale for x in row]
             row.insert(0, dn[n] * (den // dd))
@@ -349,8 +385,14 @@ class RiordanArray:
                 if g != 1:
                     row = [x // g for x in row]
                     den //= g
-            rows.append(row)
-            dens.append(den)
+            yield row, den
+
+    def _rows(self, nrows: int) -> Triangle:
+        """The first ``nrows`` rows of :meth:`_row_stream` as a canonical :class:`Triangle`.
+
+        The rows are rescaled once to the lcm of their denominators.
+        """
+        rows, dens = zip(*islice(self._row_stream(), nrows))
         den = lcm(*dens)
         if den != 1:
             rows = [r if e == den else [x * (den // e) for x in r] for r, e in zip(rows, dens)]
@@ -359,8 +401,10 @@ class RiordanArray:
     def materialize(self, nrows: int) -> Triangle:
         """First ``nrows`` rows as a :class:`Triangle`.
 
-        Built by the A-sequence recurrence when the array keeps its A, and
-        from the columns otherwise; both give the same canonical triangle.
+        Built by the recurrence on ``A = P/Q`` when the array keeps its
+        A-sequence (an extracted array keeps ``A^p`` when its base kept
+        ``A``), and from the columns otherwise; both give the same
+        canonical triangle.
         """
         if nrows < 1:
             raise RiordanError("nrows must be positive")
@@ -368,23 +412,33 @@ class RiordanArray:
             raise PrecisionError(
                 f"asked for {nrows} rows but precision is {self.precision}"
             )
-        return self._band(range(nrows)) if self._A is None else self._rows(nrows)
+        return self._band(range(nrows)) if self._P is None else self._rows(nrows)
 
     def extract_subarray(self, p: int, r: int) -> "RiordanArray":
         """Keep rows ``pn + r`` and columns from ``(p-1)n + r`` on.
 
-        The result is again a Riordan array.  Entry ``(pn + r, (p-1)n + r + k)``
-        is ``[t^n] t^k d h^(r+k) (h^(p-1))^n``, so the new first column is the
+        The result is again a Riordan array, of precision
+        ``m = (precision - 1 - r) // p + 1``; its first column is the kept
+        entries ``(pn + r, (p-1)n + r)``, its ``t h`` those one column to
+        the right, and its ``h`` the second divided by the first.  They are
+        read by one of two routes.  The rows route walks the row generator
+        once, holding one row at a time and building no column, and reads
+        rows ``pn + r``; it needs the A-sequence ``A = P/Q``.  The diagonal
+        route reads entry ``(pn + r, (p-1)n + r + k)`` as
+        ``[t^n] t^k d h^(r+k) (h^(p-1))^n``: the new first column is the
         Lagrange diagonal of ``F = d h^r`` and the new ``t h`` is that of
-        ``F = t d h^(r+1)`` divided by it, both with ``phi = h^(p-1)`` and read by
-        one :func:`~riordan.series._lagrange_diagonal` call at the new
-        precision; no column of this array is built.  The baby table of
-        ``phi`` is cached by value, so extractions at one ``p`` and an
-        equal new precision (``r = 0`` and ``r = 1`` on an even precision)
-        build it once.  The A-sequence of the result equals ``A**p``
-        (checked by tests and by the CLI, not re-derived here), and
-        :func:`subarray_triangle`, which reads the grid from the columns,
-        is its oracle.
+        ``F = t d h^(r+1)``, both with ``phi = h^(p-1)`` and read by one
+        :func:`~riordan.series._lagrange_diagonal` call at the new
+        precision; the baby table of ``phi`` is cached by value, so such
+        extractions at one ``p`` and an equal new precision (``r = 0``
+        and ``r = 1`` on an even precision) build it once.  An array known
+        by ``(d, h)`` alone takes the diagonal, and one that keeps
+        ``A = P/Q`` takes whichever is estimated cheaper: a short ``P``
+        and ``Q`` take the rows, a dense A (a long ``--A`` list) the
+        diagonal.  When this array keeps ``A = P/Q`` the result keeps
+        ``A^p = P^p/Q^p`` mod ``t^m`` on either route, so that its rows
+        also run the recurrence.  :func:`subarray_triangle`, which reads
+        the grid from the columns, is the oracle.
         """
         if p < 2:
             raise RiordanError(f"p must be >= 2, got {p}")
@@ -397,17 +451,50 @@ class RiordanArray:
             raise PrecisionError(
                 f"precision {self.precision} too small to extract (p={p}, r={r})"
             )
+        if self._P is None:
+            d_new, col1 = self._diagonal_route(p, r, m)
+            return RiordanArray(d_new, (col1 / d_new).shift_down())
+        # The row walk makes about (p m)^2 / 2 entries at |P| + |Q| - 1
+        # products each; the diagonal makes about 3 isqrt(m) products of
+        # length m, after a Newton solve of h at the base precision on a
+        # from_dA array.  Timed on the stock triangles and on short and dense
+        # from_dA arrays at p = 2..5 and m = 30..200, the rows were the
+        # cheaper, or within 1.8 times, while p (|P| + |Q|) <= m, and a dense A
+        # (|P| about p m) was up to 2.6 times cheaper on the diagonal.
+        short = p * (len(_stripped(self._P._nums)) + len(self._Q)) <= m
+        route = self._rows_route if short else self._diagonal_route
+        d_new, col1 = route(p, r, m)
+        Q = FormalPowerSeries(self._Q, precision=m) ** p
+        return RiordanArray(d_new, (col1 / d_new).shift_down())._with_A(
+            self._P.truncate(m) ** p, Q._nums)
+
+    def _diagonal_route(self, p: int, r: int, m: int):
+        """The extracted first column and ``t h`` as two Lagrange diagonals."""
         # rows pn + r < precision read d and h mod t^m only
         h = self.h.truncate(m)
         f = self._d.truncate(m) * h**r
-        d_new, col1 = _lagrange_diagonal([f, (f * h).shift_up().truncate(m)], h**(p - 1))
-        return RiordanArray(d_new, (col1 / d_new).shift_down())
+        return _lagrange_diagonal([f, (f * h).shift_up().truncate(m)], h**(p - 1))
+
+    def _rows_route(self, p: int, r: int, m: int):
+        """The extracted first column and ``t h`` off rows ``pn + r`` of one row walk."""
+        rows = self._row_stream()
+        firsts, seconds = [], []
+        for n in range(m):
+            # skip to row pn + r: r rows before the first, p - 1 between the others
+            row, den = next(islice(rows, p - 1 if n else r, None))
+            k = (p - 1) * n + r
+            firsts.append((row[k], den))
+            seconds.append((row[k + 1] if n else 0, den))  # (r, r + 1) is above the diagonal
+        return _wrap(*_collect(firsts)), _wrap(*_collect(seconds))
 
 
 def subarray_triangle(array: RiordanArray, p: int, r: int, nrows: int) -> Triangle:
     """The extracted grid straight from the definition ``d[pn+r][(p-1)n+r+k]``.
 
-    Independent of :meth:`RiordanArray.extract_subarray`; used as its oracle.
+    Read from the cached columns of ``array``, never from its rows, so it
+    is independent of both routes of :meth:`RiordanArray.extract_subarray`
+    and of the rows the extracted array builds from ``A^p``; used as the
+    oracle of all three.
     """
     # row n of the grid ends on the diagonal of array row pn + r
     return array._band([p * n + r for n in range(nrows)])
@@ -485,7 +572,8 @@ def catalan_triangle(precision: int) -> RiordanArray:
 def ballot_triangle(precision: int) -> RiordanArray:
     """The ballot-style variant: entries (k+1)/(n+1) C(2n-k, n).
 
-    d = h = the Catalan generating function B_2 = 1, 1, 2, 5, 14, ...; A = 1/(1-t).
+    d = h = the Catalan generating function B_2 = 1, 1, 2, 5, 14, ...; A = 1/(1-t),
+    kept as P = 1 over Q = 1 - t.
     """
     c = binomial_series(2, 1, precision)
-    return RiordanArray(c, c)._with_A(FormalPowerSeries([1] * precision))
+    return RiordanArray(c, c)._with_A(FormalPowerSeries.one(precision), (1, -1))

@@ -156,7 +156,12 @@ def _cmd_extract(args, out) -> int:
     recovered = a_sequence(sub.materialize(terms + 1), terms=terms)
     texts = [str(c) for c in recovered.coeffs]
     _emit_coeffs(texts, {"aseq": texts}, args.format, out, "A = ")
-    claim_ok = recovered == base.A.truncate(terms) ** args.p
+    # The printed rows and A come from the A-sequence the sub-array keeps, and
+    # its h from the entries the extraction read; the claim holds when the
+    # printed A is A^p and the read h solves h = (A^p)(t h).
+    a_p = base.A.truncate(terms) ** args.p
+    h = sub.h.truncate(terms)
+    claim_ok = recovered == a_p and a_p.compose(h.shift_up().truncate(terms)) == h
     if args.format == "jsonl":
         out.write(_canonical_json({"claim": "a-power", "holds": claim_ok}) + "\n")
     else:
@@ -311,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument(
         "--aseq",
         action="store_true",
-        help="also recover the A-sequence and check it equals A^p",
+        help="also recover the A-sequence, and check that it is A^p and that "
+        "the extracted h solves h = (A^p)(t h)",
     )
     p_ext.add_argument("--terms", type=int, default=None, help="A-sequence terms")
     _add_common(p_ext)

@@ -22,8 +22,10 @@ The Lagrange diagonals ``[t^n] F(t) phi(t)^n`` read the powers of
 ``phi`` off one shared table: :func:`_power_table` holds the baby powers
 and the giant step, :func:`_giant_powers` the powers ``phi^(qm)``, both
 in small bounded caches keyed on the value of ``phi``.
-:func:`lagrange_coeffs` reads every ``w^k`` off both, and the
-extractions at one ``p`` share the first.
+:func:`lagrange_coeffs` reads every ``w^k`` off both.  Extractions at one
+``p`` share the first when they take the diagonal route, as every array
+known by ``(d, h)`` alone does; an array that keeps a short A-sequence
+extracts from its own rows instead, with no diagonal.
 
 Everything here is immutable and pure; values can be shared freely
 across threads, and the two caches hold only immutable values.

@@ -7,13 +7,17 @@ versions: a triangle built entry by entry through ``RiordanArray.entry``,
 and the A-sequence solve and verify loops on ``Fraction`` rows.  Results,
 exception types and messages must agree exactly, and every triangle must
 be in canonical form (positive denominator sharing no factor with all
-numerators).  An array that keeps its A-sequence materializes by the
-recurrence; the column route (``_band``) is that route's oracle.
+numerators).  An array that keeps its A-sequence ``P/Q`` materializes by
+the recurrence; the column route (``_band``) is that route's oracle.  On
+such an array ``extract_subarray`` reads the base's rows (or, for a dense
+A, a Lagrange diagonal) and keeps ``A^p``; the Lagrange-diagonal route on
+the same ``(d, h)`` with no A, and ``subarray_triangle`` (the base's
+columns), are its oracles.
 """
 
 from fractions import Fraction
 from itertools import chain
-from math import ceil, gcd, sqrt
+from math import ceil, comb, gcd, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -278,6 +282,47 @@ def test_stock_triangles_rows_match_their_columns(factory):
     assert array.materialize(23) == factory(23)._band(range(23))
 
 
+@st.composite
+def dPQ_arrays(draw):
+    """An array ``(d, h)`` told its A-sequence ``P/Q``, and its precision ``rows``.
+
+    ``d`` and ``P`` are both integer or both rational; ``Q`` is 1,
+    ``(1 - t)^j`` or a random integer polynomial with ``Q(0) = 1``, set
+    through ``_with_A`` as the stock triangles set theirs.  ``h`` solves
+    ``h = (P/Q)(t h)`` by Newton, on its own route.
+    """
+    rows = draw(st.integers(1, 12))
+    coeff = draw(st.sampled_from([integer, st.one_of(integer, rational)]))
+    lead = unit if coeff is not integer else st.sampled_from([1, -1, 2, -3])
+    d = [draw(lead)] + draw(st.lists(coeff, max_size=rows - 1))
+    P = [draw(lead)] + draw(st.lists(coeff, max_size=rows - 1))
+    Q = draw(st.one_of(
+        st.just([1]),
+        st.integers(1, 4).map(lambda j: [(-1) ** i * comb(j, i) for i in range(j + 1)]),
+        st.lists(st.integers(-3, 3), max_size=5).map(lambda tail: [1] + tail),
+    ))
+    d, P = FPS(d, precision=rows), FPS(P, precision=rows)
+    h = series.lagrange_solve(P / FPS(Q, precision=rows), rows + 1).shift_down()
+    return RiordanArray(d, h)._with_A(P, Q), rows
+
+
+@KERNEL
+@given(dPQ_arrays())
+def test_row_generator_matches_the_columns(case):
+    array, rows = case
+    for nrows in range(1, rows + 1):
+        tri = array.materialize(nrows)
+        assert tri == array._band(range(nrows))
+        assert_canonical(tri)
+    streamed = list(array._row_stream())
+    assert len(streamed) == rows
+    for n, (row, den) in enumerate(streamed):
+        assert [Fraction(x, den) for x in row] == list(tri.rows[n])
+        if n:
+            # each row leaves the generator in lowest terms
+            assert den > 0 and gcd(den, *row) == 1
+
+
 def test_from_dA_solves_h_only_when_it_is_read(monkeypatch):
     calls = []
     solve = arrays_module.lagrange_solve
@@ -332,8 +377,64 @@ def test_extract_subarray_matches_the_extracted_grid(case):
     assert_canonical(tri)
 
 
-def test_extraction_takes_baby_and_giant_steps(monkeypatch):
-    # entry by entry, the extraction built 101 full-length columns of pascal(202)
+@st.composite
+def A_keeping_bases(draw, kind):
+    """An array that keeps its A-sequence, of 30 to 40 rows, p in 2..5 and r in 0..4.
+
+    The base is an integer or rational ``from_dA`` array, a stock
+    triangle, or a sub-array already extracted from one of those.
+    """
+    p = draw(st.integers(2, 5))
+    r = draw(st.integers(0, 4))
+    rows = draw(st.integers(30, 40))
+    if kind == "extracted":
+        p0, r0 = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+        precision = p0 * (rows - 1) + r0 + 1  # extracts exactly `rows` rows
+    else:
+        precision = rows
+    if kind in ("stock", "extracted"):
+        base = draw(st.sampled_from([pascal, catalan_triangle, ballot_triangle]))(precision)
+    else:
+        coeff = integer if kind in ("integer", "dense") else st.one_of(integer, rational)
+        lead = st.sampled_from([1, -1, 2]) if kind in ("integer", "dense") else unit
+        d = [draw(lead)] + draw(st.lists(coeff, max_size=5))
+        # a dense A has no zero term below the precision
+        tail = (st.lists(st.sampled_from([1, -1, 2, -3]), min_size=precision - 1,
+                         max_size=precision - 1) if kind == "dense"
+                else st.lists(coeff, max_size=5))
+        A = [draw(lead)] + draw(tail)
+        base = RiordanArray.from_dA(FPS(d, precision=precision), FPS(A, precision=precision))
+    if kind == "extracted":
+        base = base.extract_subarray(p0, r0)
+    return base, p, r
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "dense", "stock", "extracted"])
+@settings(KERNEL, max_examples=30)
+@given(data=st.data())
+def test_extraction_by_rows_matches_the_diagonal_and_keeps_A_to_the_p(kind, data):
+    base, p, r = data.draw(A_keeping_bases(kind))
+    assert base.A is not None
+    sub = base.extract_subarray(p, r)
+    m = (base.precision - 1 - r) // p + 1
+    # the same (d, h) with A dropped takes the Lagrange-diagonal route
+    diagonal = RiordanArray(base.d, base.h).extract_subarray(p, r)
+    assert diagonal.A is None
+    assert (sub.d._nums, sub.d._den) == (diagonal.d._nums, diagonal.d._den)
+    assert (sub.h._nums, sub.h._den) == (diagonal.h._nums, diagonal.h._den)
+    # the rows route, whichever route the cost estimate picked above
+    d_rows, col1_rows = base._rows_route(p, r, m)
+    d_diag, col1_diag = base._diagonal_route(p, r, m)
+    assert (d_rows._nums, d_rows._den) == (d_diag._nums, d_diag._den)
+    assert (col1_rows._nums, col1_rows._den) == (col1_diag._nums, col1_diag._den)
+    assert sub.A == (base.A ** p).truncate(m)
+    tri = sub.materialize(m)
+    assert tri == subarray_triangle(base, p, r, m)
+    assert_canonical(tri)
+
+
+def counted_products(monkeypatch):
+    """The lengths of the series products made from here on."""
     calls = []
     convolve = series._convolve
 
@@ -342,10 +443,56 @@ def test_extraction_takes_baby_and_giant_steps(monkeypatch):
         return convolve(a, b, n)
 
     monkeypatch.setattr(series, "_convolve", counted)
-    sub = pascal(202).extract_subarray(2, 0)
+    return calls
+
+
+def test_extraction_takes_baby_and_giant_steps(monkeypatch):
+    # entry by entry, the extraction built 101 full-length columns of pascal(202)
+    base = pascal(202)
+    plain = RiordanArray(base.d, base.h)  # no A: the Lagrange-diagonal route
+    calls = counted_products(monkeypatch)
+    sub = plain.extract_subarray(2, 0)
     assert 0 < len(calls) <= 3 * ceil(sqrt(101)) + 4
     assert sub.precision == 101
+    assert sub.A is None
     assert sub.materialize(8) == subarray_triangle(pascal(17), 2, 0, 8)
+
+
+def no_diagonal(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Lagrange diagonal was built")
+
+    monkeypatch.setattr(arrays_module, "_lagrange_diagonal", refuse)
+
+
+def test_extraction_on_an_A_keeping_base_reads_its_rows(monkeypatch):
+    # pascal(202) keeps A = 1 + t: one walk of its rows, no column and no diagonal
+    no_diagonal(monkeypatch)
+    calls = counted_products(monkeypatch)
+    base = pascal(202)
+    sub = base.extract_subarray(2, 0)
+    assert list(base._cols) == [0]
+    assert len(calls) <= 2  # only A^2 = P^2/Q^2, one product each
+    assert sub.precision == 101
+    assert sub.A == FPS([1, 2, 1], precision=101)
+    assert sub.materialize(8) == subarray_triangle(pascal(17), 2, 0, 8)
+
+
+def test_extraction_on_a_dense_A_takes_the_diagonal(monkeypatch):
+    # A = 1/(1-t) given term by term: a row walk would cost n products an entry
+    base = RiordanArray.from_dA(FPS.one(201), FPS([1] * 201))
+    diagonals = []
+    diagonal = arrays_module._lagrange_diagonal
+    monkeypatch.setattr(arrays_module, "_lagrange_diagonal",
+                        lambda fs, phi: diagonals.append(len(fs)) or diagonal(fs, phi))
+    sub = base.extract_subarray(2, 0)
+    assert diagonals == [2]
+    assert sub.A == (base.A ** 2).truncate(101)
+    assert sub.materialize(12) == subarray_triangle(base, 2, 0, 12)
+    # the same A kept as P/Q = 1/(1-t), as the ballot triangle keeps it, takes the rows
+    no_diagonal(monkeypatch)
+    short = RiordanArray.from_dA(FPS.one(201), FPS.one(201))._with_A(FPS.one(201), (1, -1))
+    assert short.extract_subarray(2, 0).materialize(12) == sub.materialize(12)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -353,7 +500,8 @@ def test_extractions_at_one_p_agree_with_a_warm_or_a_cleared_table(p):
     # extractions at one p and an equal new precision share the table of phi = h^(p-1)
     rational = RiordanArray(FPS([2, Fraction(-1, 3), 0, 5, 1, 1, 0, 7, 1, -1, 2, 0, 3]),
                             FPS([Fraction(3, 5), 1, 0, -2, 4, 0, 1, 1, 0, 0, 2, 1, 1]))
-    for base in (pascal(27), rational):
+    # the table is shared on the diagonal route only: pascal(27) without its A
+    for base in (RiordanArray(pascal(27).d, pascal(27).h), rational):
         cleared = []
         for r in (0, 1, 2):
             series._power_table.cache_clear()

@@ -185,6 +185,49 @@ def test_extract_aseq_catalan_base(capsys):
     assert "A = 1 4 6 4 1" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_extract_aseq_claim_is_judged_on_the_extracted_h(capsys, monkeypatch, fmt):
+    # The sub-array's rows run on A^p, so the A recovered from them is A^p
+    # whatever the extraction read.  The claim must fail when the h read
+    # from the base rows does not solve h = (A^p)(t h), although the rows,
+    # and the printed A, stay right.
+    extract = cli.RiordanArray.extract_subarray
+
+    def wrong_h(self, p, r):
+        sub = extract(self, p, r)
+        bump = FormalPowerSeries([0, 0, 1], precision=sub.h.precision)
+        return cli.RiordanArray(sub.d, sub.h + bump)._with_A(sub._P, sub._Q)
+
+    monkeypatch.setattr(cli.RiordanArray, "extract_subarray", wrong_h)
+    code, out, _ = run(capsys, "extract", "pascal", "--p", "2", "--rows", "4",
+                       "--aseq", "--format", fmt)
+    assert code == 1
+    if fmt == "jsonl":
+        assert lines(out)[-2:] == ['{"aseq":["1","2","1"]}', '{"claim":"a-power","holds":false}']
+    else:
+        assert lines(out)[-2:] == ["A = 1 2 1", "claim A_new = A^2: FAILED"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_extract_aseq_claim_fails_on_rows_from_a_wrong_power(capsys, monkeypatch, fmt):
+    # An extraction that reads the right h but keeps A^(p+1): its rows, and
+    # the A printed from them, are wrong, and the claim must say so.
+    extract = cli.RiordanArray.extract_subarray
+
+    def wrong_power(self, p, r):
+        sub = extract(self, p, r)
+        return cli.RiordanArray(sub.d, sub.h)._with_A(sub._P * self.A.truncate(sub.precision))
+
+    monkeypatch.setattr(cli.RiordanArray, "extract_subarray", wrong_power)
+    code, out, _ = run(capsys, "extract", "pascal", "--p", "2", "--rows", "4",
+                       "--aseq", "--format", fmt)
+    assert code == 1
+    if fmt == "jsonl":
+        assert lines(out)[-2:] == ['{"aseq":["1","3","3"]}', '{"claim":"a-power","holds":false}']
+    else:
+        assert lines(out)[-2:] == ["A = 1 3 3", "claim A_new = A^2: FAILED"]
+
+
 def test_extract_requires_valid_p(capsys):
     code, _, err = run(capsys, "extract", "pascal", "--p", "1", "--rows", "3")
     assert code == 2
