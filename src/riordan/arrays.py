@@ -15,20 +15,20 @@ left by (p-1)n+r).  Nothing is ever rounded.
 A :class:`Triangle` stores its entries as integer rows over one common
 positive denominator in lowest terms, the representation of
 :class:`~riordan.series.FormalPowerSeries`.  An array keeps its
-A-sequence when it is known exactly, as an integer pair ``A = P/Q`` with
-``Q(0) = 1``: ``from_dA`` keeps ``(A, 1)``, ``pascal`` and
-``catalan_triangle`` keep ``(1 + t, 1)`` and ``((1 + t)^2, 1)``, and
-``ballot_triangle`` keeps ``(1, 1 - t)``.  One row generator builds the
-rows of such an array by the recurrence multiplied through by ``Q``,
+A-sequence when it is known exactly, as a series ``P`` and a count
+``j`` with ``A = P/(1 - t)^j``: ``from_dA`` keeps ``(A, 0)``, ``pascal``
+and ``catalan_triangle`` keep ``(1 + t, 0)`` and ``((1 + t)^2, 0)``, and
+``ballot_triangle`` keeps ``(1, 1)``.  One row generator builds the rows
+of such an array by the recurrence multiplied through by ``(1 - t)^j``,
 
-    sum_i Q_i d[n+1][k+1+i] = sum_j P_j d[n][k+j],
+    sum_i (-1)^i C(j, i) d[n+1][k+1+i] = sum_l P_l d[n][k+l],
 
 on integer rows: row ``n+1`` is ``d[n+1]`` followed by row ``n``
-correlated with ``P``, filled right to left through ``Q`` (a suffix
-running sum for ``Q = 1 - t``), so an entry costs one product per
-nonzero term of ``P`` and of ``Q``.  ``from_dA`` solves ``h`` (a Newton
-solve) only when ``h``, an entry or a column is first read; the rows
-never need it.  Any other array materializes from its cached columns,
+correlated with ``P`` and then summed ``j`` times from the right (each
+a suffix running sum), so an entry costs one product per nonzero term of
+``P`` and ``j`` additions.  ``from_dA`` solves ``h`` (a Newton solve)
+only when ``h``, an entry or a column is first read; the rows never
+need it.  Any other array materializes from its cached columns,
 column ``k`` being column ``k-1`` times ``t h``, whose integer numerators
 are rescaled once to the lcm of their denominators; that column route is
 the row route's oracle in the tests.  :func:`a_sequence` solves the
@@ -36,17 +36,17 @@ recurrence and verifies it with the same row correlation;
 :class:`fractions.Fraction` values are built only when entries are read.
 
 Extraction reads the new first column and ``t h`` by one of two
-routes.  The rows route walks the row generator once, one row at a time,
-and reads them off rows ``pn + r``; it needs ``A = P/Q``.  The diagonal
-route reads the kept entries as Lagrange diagonals
+routes.  The rows route walks the row generator once, one row at a
+time, and reads them off rows ``pn + r``; it needs ``A = P/(1 - t)^j``.
+The diagonal route reads the kept entries as Lagrange diagonals
 ``[t^n] F(t) phi(t)^n`` with ``phi = h^(p-1)``, by one
 :func:`~riordan.series._lagrange_diagonal` call at the new, smaller
 precision.  An array known only by ``(d, h)`` takes the diagonal; one
-that keeps a short ``P`` and ``Q`` takes the rows, and a dense A the
-diagonal, by an estimate of their costs.  When the base keeps ``A`` the
-result keeps ``A^p = P^p/Q^p`` (Merlini, Rogers, Sprugnoli & Verri,
-Canad. J. Math. 49, 1997) on either route, so its own rows run the
-recurrence too; otherwise it keeps no A-sequence.
+that keeps a short ``P`` and a small ``j`` takes the rows, and a dense
+``P`` the diagonal, by an estimate of their costs.  When the base keeps
+``A`` the result keeps ``A^p = P^p/(1 - t)^(jp)`` (Merlini, Rogers,
+Sprugnoli & Verri, Canad. J. Math. 49, 1997) on either route, so its
+own rows run the recurrence too; otherwise it keeps no A-sequence.
 :func:`subarray_triangle` reads the same grid from the columns, never
 from the rows, and stays the independent oracle of both routes and of
 the rows built from ``A^p``.
@@ -104,9 +104,9 @@ def _correlate(row: Sequence[int], a: Sequence[int]) -> list[int]:
     """``sum_j a[j] row[k+j]`` for every ``k`` of ``row``, over the integers.
 
     This is one step of the A-sequence recurrence: row ``n`` of a triangle
-    correlated with ``P`` gives the right side ``sum_j P_j d[n][k+j]`` for
+    correlated with ``P`` gives the right side ``sum_l P_l d[n][k+l]`` for
     entries ``1..n+1`` of row ``n+1``, and those entries themselves when
-    ``Q = 1``.  ``a`` has no trailing zeros, so an entry costs at most
+    ``A = P``.  ``a`` has no trailing zeros, so an entry costs at most
     ``len(a)`` products, taken one term of ``a`` at a time across the
     whole row.
     """
@@ -246,14 +246,13 @@ class RiordanArray:
         array._cols = {0: array._d}
         return array._with_A(A)
 
-    def _with_A(self, P: FormalPowerSeries, Q: Sequence[int] = (1,)) -> "RiordanArray":
-        """This array, told its A-sequence ``A = P/Q``.
+    def _with_A(self, P: FormalPowerSeries, j: int = 0) -> "RiordanArray":
+        """This array, told its A-sequence ``A = P/(1 - t)^j``.
 
-        ``P`` is known mod t^precision at least, and ``Q`` is an integer
-        polynomial with ``Q(0) = 1``.
+        ``P`` is known mod t^precision at least, and ``j >= 0``.
         """
         self._P = P.truncate(self.precision)
-        self._Q = tuple(_stripped(Q))
+        self._j = j
         return self
 
     @property
@@ -272,12 +271,17 @@ class RiordanArray:
         """The A-sequence mod ``t^precision`` when the array keeps it, else None.
 
         ``from_dA``, the three stock triangles and the arrays extracted
-        from an array that keeps it keep it, as ``P/Q``; this is that
-        quotient, formed on each read.
+        from an array that keeps it keep it, as ``P/(1 - t)^j``; this is
+        that quotient, formed on each read as ``j`` prefix sums of ``P``'s
+        numerators.  A prefix sum is unimodular, so the result stays in
+        lowest terms over ``P``'s denominator.
         """
-        if self._P is None or self._Q == (1,):
-            return self._P
-        return self._P / FormalPowerSeries(self._Q, precision=self.precision)
+        if self._P is None:
+            return None
+        nums = self._P._nums
+        for _ in range(self._j):
+            nums = accumulate(nums)
+        return _wrap(nums, self._P._den)
 
     @property
     def precision(self) -> int:
@@ -350,18 +354,16 @@ class RiordanArray:
         return _triangle(rows, den)
 
     def _row_stream(self):
-        """Rows ``0 .. precision-1`` by the recurrence on ``A = P/Q``, one at a time.
+        """Rows ``0 .. precision-1`` by the recurrence on ``A = P/(1 - t)^j``, one at a time.
 
         Each row is yielded as integers over its own denominator, reduced
         from row 1 on.  Row ``n+1`` is ``d[n+1]`` followed by row ``n``
-        correlated with P's numerators and filled right to left through
-        ``sum_i Q_i x[k+i] = c[k]``, over ``P.den`` times row ``n``'s
-        denominator; ``Q(0) = 1`` keeps the fill on the integers, and
-        ``Q = 1 - t`` makes it a suffix running sum.
+        correlated with P's numerators and then summed ``j`` times from
+        the right (``x[k] - x[k+1] = c[k]`` is a suffix running sum), over
+        ``P.den`` times row ``n``'s denominator.
         """
         dn, dd = self._d._nums, self._d._den
         a, ad = _stripped(self._P._nums), self._P._den
-        q = [-c for c in self._Q[1:]]
         row, den = [dn[0]], dd
         yield row, den
         for n in range(1, len(dn)):
@@ -369,14 +371,8 @@ class RiordanArray:
             den = lcm(step, dd)
             scale = den // step
             row = _correlate(row, a)
-            if q == [1]:
-                # Q = 1 - t, the ballot triangle's, is a suffix sum in C: its
-                # 800 rows take 0.12 s this way and 0.31 s by the loop below,
-                # on a 2-core host
+            for _ in range(self._j):
                 row = list(accumulate(reversed(row)))[::-1]
-            elif q:
-                for k in range(len(row) - 2, -1, -1):
-                    row[k] += sum(map(mul, q, row[k + 1:k + 1 + len(q)]))
             if scale != 1:
                 row = [x * scale for x in row]
             row.insert(0, dn[n] * (den // dd))
@@ -401,7 +397,7 @@ class RiordanArray:
     def materialize(self, nrows: int) -> Triangle:
         """First ``nrows`` rows as a :class:`Triangle`.
 
-        Built by the recurrence on ``A = P/Q`` when the array keeps its
+        Built by the recurrence on ``A = P/(1 - t)^j`` when the array keeps its
         A-sequence (an extracted array keeps ``A^p`` when its base kept
         ``A``), and from the columns otherwise; both give the same
         canonical triangle.
@@ -423,7 +419,7 @@ class RiordanArray:
         the right, and its ``h`` the second divided by the first.  They are
         read by one of two routes.  The rows route walks the row generator
         once, holding one row at a time and building no column, and reads
-        rows ``pn + r``; it needs the A-sequence ``A = P/Q``.  The diagonal
+        rows ``pn + r``; it needs the A-sequence ``A = P/(1 - t)^j``.  The diagonal
         route reads entry ``(pn + r, (p-1)n + r + k)`` as
         ``[t^n] t^k d h^(r+k) (h^(p-1))^n``: the new first column is the
         Lagrange diagonal of ``F = d h^r`` and the new ``t h`` is that of
@@ -433,12 +429,13 @@ class RiordanArray:
         extractions at one ``p`` and an equal new precision (``r = 0``
         and ``r = 1`` on an even precision) build it once.  An array known
         by ``(d, h)`` alone takes the diagonal, and one that keeps
-        ``A = P/Q`` takes whichever is estimated cheaper: a short ``P``
-        and ``Q`` take the rows, a dense A (a long ``--A`` list) the
-        diagonal.  When this array keeps ``A = P/Q`` the result keeps
-        ``A^p = P^p/Q^p`` mod ``t^m`` on either route, so that its rows
-        also run the recurrence.  :func:`subarray_triangle`, which reads
-        the grid from the columns, is the oracle.
+        ``A = P/(1 - t)^j`` takes whichever is estimated cheaper: a short
+        ``P`` and a small ``j`` take the rows, a dense ``P`` (a long
+        ``--A`` list) the diagonal.  When this array keeps ``A`` the
+        result keeps ``A^p = P^p/(1 - t)^(jp)``, ``P^p`` mod ``t^m``, on
+        either route, so that its rows also run the recurrence.
+        :func:`subarray_triangle`, which reads the grid from the columns,
+        is the oracle.
         """
         if p < 2:
             raise RiordanError(f"p must be >= 2, got {p}")
@@ -454,19 +451,19 @@ class RiordanArray:
         if self._P is None:
             d_new, col1 = self._diagonal_route(p, r, m)
             return RiordanArray(d_new, (col1 / d_new).shift_down())
-        # The row walk makes about (p m)^2 / 2 entries at |P| + |Q| - 1
-        # products each; the diagonal makes about 3 isqrt(m) products of
+        # The row walk makes about (p m)^2 / 2 entries at |P| products and
+        # j additions each; the diagonal makes about 3 isqrt(m) products of
         # length m, after a Newton solve of h at the base precision on a
-        # from_dA array.  Timed on the stock triangles and on short and dense
-        # from_dA arrays at p = 2..5 and m = 30..200, the rows were the
-        # cheaper, or within 1.8 times, while p (|P| + |Q|) <= m, and a dense A
-        # (|P| about p m) was up to 2.6 times cheaper on the diagonal.
-        short = p * (len(_stripped(self._P._nums)) + len(self._Q)) <= m
+        # from_dA array.  Timed on the stock triangles and on short and
+        # dense from_dA arrays at p = 2..5 and m = 30..200, the rows were
+        # the cheaper, or within 1.8 times, while p (|P| + j + 1) <= m, and
+        # a dense A (|P| about p m) was up to 2.6 times cheaper on the
+        # diagonal.
+        short = p * (len(_stripped(self._P._nums)) + self._j + 1) <= m
         route = self._rows_route if short else self._diagonal_route
         d_new, col1 = route(p, r, m)
-        Q = FormalPowerSeries(self._Q, precision=m) ** p
         return RiordanArray(d_new, (col1 / d_new).shift_down())._with_A(
-            self._P.truncate(m) ** p, Q._nums)
+            self._P.truncate(m) ** p, self._j * p)
 
     def _diagonal_route(self, p: int, r: int, m: int):
         """The extracted first column and ``t h`` as two Lagrange diagonals."""
@@ -573,7 +570,7 @@ def ballot_triangle(precision: int) -> RiordanArray:
     """The ballot-style variant: entries (k+1)/(n+1) C(2n-k, n).
 
     d = h = the Catalan generating function B_2 = 1, 1, 2, 5, 14, ...; A = 1/(1-t),
-    kept as P = 1 over Q = 1 - t.
+    kept as P = 1 and j = 1.
     """
     c = binomial_series(2, 1, precision)
-    return RiordanArray(c, c)._with_A(FormalPowerSeries.one(precision), (1, -1))
+    return RiordanArray(c, c)._with_A(FormalPowerSeries.one(precision), 1)

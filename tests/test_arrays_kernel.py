@@ -7,12 +7,13 @@ versions: a triangle built entry by entry through ``RiordanArray.entry``,
 and the A-sequence solve and verify loops on ``Fraction`` rows.  Results,
 exception types and messages must agree exactly, and every triangle must
 be in canonical form (positive denominator sharing no factor with all
-numerators).  An array that keeps its A-sequence ``P/Q`` materializes by
-the recurrence; the column route (``_band``) is that route's oracle.  On
-such an array ``extract_subarray`` reads the base's rows (or, for a dense
-A, a Lagrange diagonal) and keeps ``A^p``; the Lagrange-diagonal route on
-the same ``(d, h)`` with no A, and ``subarray_triangle`` (the base's
-columns), are its oracles.
+numerators).  An array that keeps its A-sequence ``P/(1 - t)^j``
+materializes by the recurrence; the column route (``_band``) is that
+route's oracle, and series division that of ``A``.  On such an array
+``extract_subarray`` reads the base's rows (or, for a dense A, a Lagrange
+diagonal) and keeps ``A^p``; the Lagrange-diagonal route on the same
+``(d, h)`` with no A, and ``subarray_triangle`` (the base's columns), are
+its oracles.
 """
 
 from fractions import Fraction
@@ -282,28 +283,28 @@ def test_stock_triangles_rows_match_their_columns(factory):
     assert array.materialize(23) == factory(23)._band(range(23))
 
 
+def one_minus_t_power(j, precision):
+    """The series ``(1 - t)^j`` mod ``t^precision``."""
+    return FPS([(-1) ** i * comb(j, i) for i in range(j + 1)], precision=precision)
+
+
 @st.composite
 def dPQ_arrays(draw):
-    """An array ``(d, h)`` told its A-sequence ``P/Q``, and its precision ``rows``.
+    """An array ``(d, h)`` told its A-sequence ``P/(1 - t)^j``, and its precision ``rows``.
 
-    ``d`` and ``P`` are both integer or both rational; ``Q`` is 1,
-    ``(1 - t)^j`` or a random integer polynomial with ``Q(0) = 1``, set
-    through ``_with_A`` as the stock triangles set theirs.  ``h`` solves
-    ``h = (P/Q)(t h)`` by Newton, on its own route.
+    ``d`` and ``P`` are both integer or both rational, and ``j`` is 0..4,
+    set through ``_with_A`` as the stock triangles set theirs.  ``h``
+    solves ``h = (P/(1 - t)^j)(t h)`` by Newton, on its own route.
     """
     rows = draw(st.integers(1, 12))
     coeff = draw(st.sampled_from([integer, st.one_of(integer, rational)]))
     lead = unit if coeff is not integer else st.sampled_from([1, -1, 2, -3])
     d = [draw(lead)] + draw(st.lists(coeff, max_size=rows - 1))
     P = [draw(lead)] + draw(st.lists(coeff, max_size=rows - 1))
-    Q = draw(st.one_of(
-        st.just([1]),
-        st.integers(1, 4).map(lambda j: [(-1) ** i * comb(j, i) for i in range(j + 1)]),
-        st.lists(st.integers(-3, 3), max_size=5).map(lambda tail: [1] + tail),
-    ))
+    j = draw(st.integers(0, 4))
     d, P = FPS(d, precision=rows), FPS(P, precision=rows)
-    h = series.lagrange_solve(P / FPS(Q, precision=rows), rows + 1).shift_down()
-    return RiordanArray(d, h)._with_A(P, Q), rows
+    h = series.lagrange_solve(P / one_minus_t_power(j, rows), rows + 1).shift_down()
+    return RiordanArray(d, h)._with_A(P, j), rows
 
 
 @KERNEL
@@ -321,6 +322,10 @@ def test_row_generator_matches_the_columns(case):
         if n:
             # each row leaves the generator in lowest terms
             assert den > 0 and gcd(den, *row) == 1
+    # A is P/(1 - t)^j by j prefix sums; series division is its oracle
+    A = array.A
+    assert A == array._P / one_minus_t_power(array._j, rows)
+    assert gcd(A._den, *A._nums) == 1
 
 
 def test_from_dA_solves_h_only_when_it_is_read(monkeypatch):
@@ -472,7 +477,7 @@ def test_extraction_on_an_A_keeping_base_reads_its_rows(monkeypatch):
     base = pascal(202)
     sub = base.extract_subarray(2, 0)
     assert list(base._cols) == [0]
-    assert len(calls) <= 2  # only A^2 = P^2/Q^2, one product each
+    assert len(calls) <= 1  # only A^2 = P^2, one product
     assert sub.precision == 101
     assert sub.A == FPS([1, 2, 1], precision=101)
     assert sub.materialize(8) == subarray_triangle(pascal(17), 2, 0, 8)
@@ -489,9 +494,9 @@ def test_extraction_on_a_dense_A_takes_the_diagonal(monkeypatch):
     assert diagonals == [2]
     assert sub.A == (base.A ** 2).truncate(101)
     assert sub.materialize(12) == subarray_triangle(base, 2, 0, 12)
-    # the same A kept as P/Q = 1/(1-t), as the ballot triangle keeps it, takes the rows
+    # the same A kept as P/(1-t)^j = 1/(1-t), as the ballot triangle keeps it, takes the rows
     no_diagonal(monkeypatch)
-    short = RiordanArray.from_dA(FPS.one(201), FPS.one(201))._with_A(FPS.one(201), (1, -1))
+    short = RiordanArray.from_dA(FPS.one(201), FPS.one(201))._with_A(FPS.one(201), 1)
     assert short.extract_subarray(2, 0).materialize(12) == sub.materialize(12)
 
 

@@ -196,7 +196,7 @@ def test_extract_aseq_claim_is_judged_on_the_extracted_h(capsys, monkeypatch, fm
     def wrong_h(self, p, r):
         sub = extract(self, p, r)
         bump = FormalPowerSeries([0, 0, 1], precision=sub.h.precision)
-        return cli.RiordanArray(sub.d, sub.h + bump)._with_A(sub._P, sub._Q)
+        return cli.RiordanArray(sub.d, sub.h + bump)._with_A(sub._P, sub._j)
 
     monkeypatch.setattr(cli.RiordanArray, "extract_subarray", wrong_h)
     code, out, _ = run(capsys, "extract", "pascal", "--p", "2", "--rows", "4",

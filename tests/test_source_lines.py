@@ -80,6 +80,22 @@ def test_every_definition_has_a_use():
     assert unused == [], f"defined in src/riordan but used nowhere there: {unused}"
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_has_a_use(path):
+    # __init__.py imports to re-export; a __future__ import changes the compiler
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - named) == [], f"{path.name}: imported but never used"
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # in a fresh interpreter, so that only what this import adds counts, and
     # not what site or an earlier test has already loaded
