@@ -31,12 +31,20 @@ denominator) pair, e.g. C(a/b, k) = prod(a - i b) / (b^k k!).  One run
 of a row keeps a memo of its factor columns, keyed by (factor, first
 set slot, argument), each as integer numerators over one common
 denominator.  A column is made once and grows in place as the points
-read past its end; the memo is dropped when the row ends.  A point's
-lhs is one integer dot product of two columns, compared with the rhs
-term by cross-multiplication, and a ``Fraction`` is built only for a
-counterexample's text.  A term that raises (a pole) is kept in its
-column and raised by the first point whose sum takes it, as a
-term-by-term sum would.  ``sum_lhs`` and ``sum_rhs`` give one point's
+read past its end; the memo is dropped when the row ends.
+
+A run plans its points once: it walks the law's values over n, since
+they depend on n and the pins only, and groups the points by their law
+values, keeping each point's index in (n, law values) order.  Then, at
+each value of the other slots, a group resolves its (x, y, n - m) and
+its three columns once, reaches each to the group's top m, and checks
+its points in one loop: a point's lhs is one integer dot product of two
+columns, compared with the rhs term by cross-multiplication, and a
+``Fraction`` is built only for a counterexample's text.  A group stops
+at its first failure, and the failure with the smallest index is the
+run's, as in a point-by-point loop.  A term that raises (a pole) is
+kept in its column and raised by the first point whose sum takes it, as
+a term-by-term sum would.  ``sum_lhs`` and ``sum_rhs`` give one point's
 two sides of any row by id.  The B_q^r terms are hypergeom's integer
 kernel.  ``binomial`` and the ``_*_term`` helpers are cached ``Fraction``
 wrappers that nothing in ``src/`` calls: the benchmark's tracer reads
@@ -627,7 +635,14 @@ def _grid_points(axes: tuple[Axis, ...], pinned: Mapping[str, Scalar]) -> Iterat
 
 
 class Law(NamedTuple):
-    """How a convolution row reads F_x * G_y = G_{x+y}: its extra slots, its points, their map."""
+    """How a convolution row reads F_x * G_y = G_{x+y}: its extra slots, its points, their map.
+
+    ``values(n, pinned)`` depends on n and the pins only, so one run
+    enumerates it once per n, for every outer value.  The x, y and n - m
+    that ``point`` gives depend on the outer slots and the law values
+    only, so the points of one law value share their three columns; m is
+    never negative.
+    """
 
     axes: tuple[Axis, ...]  # outer slots it adds after the row's sets
     slots: tuple[str, ...]  # slots it enumerates at each n, through ``values``
@@ -691,21 +706,82 @@ def _require_min(
         )
 
 
-def _check_outer(
-    row: SumIdentity, outer: dict, n_values: Iterable[int], columns: dict[tuple, Column],
-    pinned: Mapping[str, Scalar],
-) -> tuple[int, Counterexample | None]:
-    """Check the points (n, law slots) at one value ``outer`` of the other slots.
+# a group's first failing point: its position in the group's n list, and the
+# exception its sums take or, for a mismatch, its two sides
+Failure = tuple[int, Union[Exception, tuple[Fraction, Fraction]]]
 
-    Returns the points checked and the first counterexample.  A point
-    reads F_x, G_y and, for its rhs, G_{x+y} from the run's ``columns``,
-    each grown as far as the point reads it.
+
+def _first_failure(
+    left: Column, right: Column, rhs: Column, shift: int, ns: list[int]
+) -> Failure | None:
+    """The first failing point of one operand group, or None if all hold.
+
+    The group's points read (F_x * G_y)(m) against G_{x+y}(m) at
+    m = n - shift, for n in ``ns`` in increasing order.  Each column is
+    reached once to the group's top m.  A point fails on a mismatch, or
+    where its sums take a fault: the exception raised is the one a
+    term-by-term sum raises (the left factor before the right, then the
+    rhs).
+    """
+    top = ns[-1] - shift
+    for col in (left, right, rhs):
+        if len(col.nums) <= top:
+            col.reach(top + 1)
+    stop = len(ns)
+    if left.faults or right.faults or rhs.faults:
+        # every m from a factor's first fault on takes it; the rhs faults one m each
+        taken = min((top + 1, *left.faults, *right.faults))
+        stop = next((j for j in range(stop)
+                     if ns[j] - shift >= taken or ns[j] - shift in rhs.faults), stop)
+    L, R, H = left.nums, right.nums, rhs.nums
+    den, rden = left.den * right.den, rhs.den
+    for j in range(stop):
+        m = ns[j] - shift
+        # the map stops with the m + 1 reversed right terms, so no left prefix is copied
+        if sum(map(mul, L, R[m::-1])) * rden != H[m] * den:
+            return j, (Fraction(_dot(left, right, m), den), Fraction(H[m], rden))
+    if stop < len(ns):
+        m = ns[stop] - shift
+        try:  # the fault that the point's sums take first
+            _dot(left, right, m)
+            _entry(rhs, m)
+        except (ValueError, ZeroDivisionError) as exc:
+            return stop, exc
+    return None
+
+
+# law values -> (the n at which they occur, the index of each of those points in the
+# (n, law values) order of one outer value); groups keep their order of first occurrence
+Plan = dict[tuple, tuple[list[int], list[int]]]
+
+
+def _plan(law: Law, n_values: Iterable[int], pinned: Mapping[str, Scalar]) -> tuple[int, Plan]:
+    """The points at one outer value, grouped by their law values; and how many there are."""
+    groups: Plan = {}
+    index = 0
+    for n in n_values:
+        for values in law.values(n, pinned):
+            ns, at = groups.setdefault(values, ([], []))
+            ns.append(n)
+            at.append(index)
+            index += 1
+    return index, groups
+
+
+def _check_outer(
+    row: SumIdentity, outer: dict, plan: tuple[int, Plan], columns: dict[tuple, Column]
+) -> tuple[int, Counterexample | None]:
+    """Check the planned points (n, law slots) at one value ``outer`` of the other slots.
+
+    Returns the points checked and the first counterexample, or raises the
+    fault of the first point that takes one, in the plan's point order.
+    Each group reads F_x, G_y and, for its rhs, G_{x+y} from the run's
+    ``columns``, grown as far as the group reads them.
     """
     args = tuple(outer.values())
     first = args[:1]
     law = row.law
-    # law values -> (n - m, left column, right column, rhs column)
-    operands: dict[tuple, tuple[int, Column, Column, Column]] = {}
+    total, groups = plan
 
     def column(factor: Factor, argument: Scalar) -> Column:
         key = (factor, *first, argument)
@@ -713,35 +789,22 @@ def _check_outer(
             columns[key] = Column(factor(*first, argument))
         return columns[key]
 
-    points = 0
-    for n in n_values:
-        for values in law.values(n, pinned):
-            points += 1
-            ops = operands.get(values)
-            if ops is None:
-                x, y, m = law.point(*args, n, *values)
-                ops = operands[values] = (
-                    n - m, column(row.left, x), column(row.right, y), column(row.right, x + y),
-                )
-            shift, left, right, rhs = ops
-            m = n - shift
-            # tested here, not in reach: most points read no further
-            if len(left.nums) <= m:
-                left.reach(m + 1)
-            if len(right.nums) <= m:
-                right.reach(m + 1)
-            if len(rhs.nums) <= m:
-                rhs.reach(m + 1)
-            num, den = _dot(left, right, m), left.den * right.den
-            rnum, rden = _entry(rhs, m)
-            if num * rden != rnum * den:
-                params = {**outer, "n": n, **dict(zip(law.slots, values))}
-                cex = Counterexample(
-                    {k: str(v) for k, v in params.items()},
-                    str(Fraction(num, den)), str(Fraction(rnum, rden)),
-                )
-                return points, cex
-    return points, None
+    earliest = None  # (point index, n, law values, what fails)
+    for values, (ns, at) in groups.items():
+        x, y, m = law.point(*args, ns[0], *values)
+        failure = _first_failure(column(row.left, x), column(row.right, y),
+                                 column(row.right, x + y), ns[0] - m, ns)
+        if failure is not None:
+            j, what = failure
+            if earliest is None or at[j] < earliest[0]:
+                earliest = at[j], ns[j], values, what
+    if earliest is None:
+        return total, None
+    index, n, values, what = earliest
+    if isinstance(what, Exception):
+        raise what
+    params = {**outer, "n": n, **dict(zip(law.slots, values))}
+    return index + 1, Counterexample({k: str(v) for k, v in params.items()}, *map(str, what))
 
 
 def _check_sums(
@@ -749,12 +812,12 @@ def _check_sums(
 ) -> IdentityReport:
     for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0)):
         _require_min(row.id, slot, least, pinned)
-    n_values = _pin_values(pinned, "n", range(max_n + 1))
+    plan = _plan(row.law, _pin_values(pinned, "n", range(max_n + 1)), pinned)
     columns = {}  # (factor, first set slot, argument) -> its column, grown as it is read
     points = 0
     cex = None
     for outer in _grid_points(row.sets + row.law.axes, pinned):
-        checked, cex = _check_outer(row, outer, n_values, columns, pinned)
+        checked, cex = _check_outer(row, outer, plan, columns)
         points += checked
         if cex is not None:
             break

@@ -536,6 +536,21 @@ def test_check_refuses_csv_before_any_compute(capsys, monkeypatch, argv):
     assert "argument --format: invalid choice: 'csv'" in captured.err
 
 
+def test_python_m_riordan_is_the_cli():
+    # the package runs as a module, with the riordan entry point's output and exit codes
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def riordan(*argv):
+        done = subprocess.run([sys.executable, "-m", "riordan", *argv], env=env,
+                              capture_output=True, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    assert riordan("check", "--list") == (0, (FIXTURES / "check_list.txt").read_bytes(), b"")
+    assert riordan("check", "--list", "--max-n", "5") == (
+        2, b"", b"riordan: --list stands alone; drop --max-n\n")
+
+
 @pytest.mark.parametrize("argv, dropped", [
     (("andrews-a1",), "identity 'andrews-a1'"),
     (("--all",), "--all"),

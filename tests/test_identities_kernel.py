@@ -453,10 +453,11 @@ def test_sum_lhs_is_the_term_by_term_sum(identity):
         assert outcome(I.sum_lhs, identity, **params) == outcome(REF_LHS[identity], **params)
 
 
-def pointwise_run(row, max_n, pinned, bad_n=None):
+def pointwise_run(row, max_n, pinned, bad=None):
     """(points, counterexample) of a term-by-term check, point by point in grid order.
 
-    The rhs is off by one at every point with n = ``bad_n``, as in ``wrong_at``.
+    Where ``bad(n, law values)`` gives an offset, the rhs is off by it, and
+    where it gives an exception, the rhs raises it, as in ``wrong_at``.
     """
     law = row.law
     points = 0
@@ -466,8 +467,11 @@ def pointwise_run(row, max_n, pinned, bad_n=None):
             points += 1
             lhs = REF_LHS[row.id](**params)
             rhs = REF_RHS[row.id](**{s: v for s, v in params.items() if s not in law.lhs_only})
-            if point["n"] == bad_n:
-                rhs += 1
+            hit = bad and bad(point["n"], values)
+            if isinstance(hit, Exception):
+                raise hit
+            if hit:
+                rhs += hit
             if lhs != rhs:
                 return points, Counterexample({k: str(v) for k, v in params.items()},
                                               str(lhs), str(rhs))
@@ -479,23 +483,43 @@ def registry_run(row, max_n, pinned):
     return rep.points, rep.counterexample
 
 
+def off_at(bad_n):
+    """A ``bad`` with the rhs off by one at every point with n = ``bad_n``."""
+    return lambda n, values: 1 if n == bad_n else None
+
+
 @contextmanager
-def wrong_at(row, bad_n):
-    """``row``, with the rhs the runner reads off by one at every point with n = bad_n."""
+def wrong_at(row, bad):
+    """``row``, with the rhs the runner reads changed where ``bad(n, law values)`` says.
+
+    Each operand group's rhs column goes to ``_first_failure`` as a copy,
+    its term at m = n - shift off by the offset ``bad`` gives, or holding
+    the exception it gives as a fault.  The group's law values are those
+    of the runner's last ``law.point`` call, made for that group.
+    """
+    law = row.law
     at = {}
 
-    def values(n, pinned):
-        at["n"] = n
-        return row.law.values(n, pinned)
+    def point(*args):
+        at["values"] = args[len(args) - len(law.slots):]
+        return law.point(*args)
 
-    entry = I._entry
+    first_failure = I._first_failure
 
-    def wrong_entry(col, m):
-        num, den = entry(col, m)
-        return (num + den, den) if at["n"] == bad_n else (num, den)
+    def wrong_first_failure(left, right, rhs, shift, ns):
+        rhs.reach(ns[-1] - shift + 1)
+        wrong = I.Column(rhs.term)
+        wrong.nums, wrong.den, wrong.faults = list(rhs.nums), rhs.den, dict(rhs.faults)
+        for n in ns:
+            hit = bad(n, at["values"])
+            if isinstance(hit, Exception):
+                wrong.faults[n - shift] = hit
+            elif hit:
+                wrong.nums[n - shift] += hit * wrong.den
+        return first_failure(left, right, wrong, shift, ns)
 
-    with mock.patch.object(I, "_entry", wrong_entry):
-        yield row._replace(law=row.law._replace(values=values))
+    with mock.patch.object(I, "_first_failure", wrong_first_failure):
+        yield row._replace(law=law._replace(point=point))
 
 
 @st.composite
@@ -524,9 +548,9 @@ def test_registry_runner_matches_term_by_term(identity, data):
     max_n = data.draw(st.integers(0, 12))
     pinned = data.draw(pins(row, max_n))
     bad_n = data.draw(st.one_of(st.none(), st.integers(0, max_n)))
-    with wrong_at(row, bad_n) as wrong:
+    with wrong_at(row, off_at(bad_n)) as wrong:
         assert outcome(registry_run, wrong, max_n, pinned) == outcome(
-            pointwise_run, row, max_n, pinned, bad_n)
+            pointwise_run, row, max_n, pinned, off_at(bad_n))
 
 
 @pytest.mark.parametrize("max_n", [20, 40])
@@ -544,22 +568,73 @@ def test_registry_runner_matches_term_by_term_with_k_s_pins(identity, pinned, ma
     assert want[0] > 0 and want[1] is None
 
 
+def test_a_run_enumerates_the_law_values_once_per_n():
+    # law.values depends on n and the pins only, so the plan reads it once per n,
+    # not once per n and outer value (p, r)
+    row = ROWS["subarray-convolution"]
+    calls = []
+
+    def values(n, pinned):
+        calls.append(n)
+        return row.law.values(n, pinned)
+
+    rep = I._sum_entry(row._replace(law=row.law._replace(values=values))).run(max_n=50, pinned={})
+    assert calls == list(range(51))
+    assert rep == I.check_registry("subarray-convolution", max_n=50) and rep.holds
+
+
+def bad_points(points):
+    """A ``bad`` that changes the rhs at the given (n, law values) only."""
+    return lambda n, values: points.get((n, values))
+
+
+KS_PINS, VANDERMONDE_PINS = {"p": 2, "r": 0}, {"p": 2, "x": Fraction(1, 2), "y": 1}
+# (row, pins, {(n, law values): rhs offset or fault}, the verdict: (points, n of the
+# counterexample) or the fault's text).  At p = 2, r = 0 the k/s points run (n, (k, s)) =
+# (1, (1, 1)), (2, (1, 1)), (2, (2, 1)), (2, (2, 2)), (3, (1, 1)), ...: the group of
+# (2, 2) is made after that of (1, 1), and its point at n = 2 comes before n = 3 of (1, 1)
+EARLIEST = [
+    ("subarray-convolution", KS_PINS, {(3, (1, 1)): 1, (2, (2, 2)): 1}, (4, "2")),
+    ("subarray-convolution", KS_PINS, {(3, (1, 1)): "fault", (2, (2, 2)): 1}, (4, "2")),
+    ("subarray-convolution", KS_PINS, {(3, (1, 1)): 1, (2, (2, 2)): "fault"}, "n = 2"),
+    ("ballot-vandermonde", VANDERMONDE_PINS, {(3, ()): "fault", (2, ()): 1}, (3, "2")),
+    ("ballot-vandermonde", VANDERMONDE_PINS, {(3, ()): 1, (2, ()): "fault"}, "n = 2"),
+]
+
+
+@pytest.mark.parametrize("identity, pinned, points, verdict", EARLIEST)
+def test_the_earliest_failing_point_wins_across_groups(identity, pinned, points, verdict):
+    # each group stops at its own first failure; the run reports the one that comes
+    # first in point order, whatever group holds it and whether it is a fault
+    row = ROWS[identity]
+    points = {at: PoleError(f"injected at n = {at[0]}") if hit == "fault" else hit
+              for at, hit in points.items()}
+    with wrong_at(row, bad_points(points)) as wrong:
+        got = outcome(registry_run, wrong, 4, pinned)
+    assert got == outcome(pointwise_run, row, 4, pinned, bad_points(points))
+    if isinstance(verdict, str):
+        assert got == ("pole", f"injected at {verdict}")
+    else:
+        assert (got[0], got[1].params["n"]) == verdict
+
+
 @pytest.mark.parametrize("identity", ["ballot-vandermonde", "central-binomial-vandermonde"])
 def test_column_faults_surface_where_the_sum_takes_them(monkeypatch, identity):
-    # G_y's denominator pm + y + 1 vanishes at m = 3 for p = 2, y = -7.  The column
-    # holds the fault from the point that grows it to m = 3 on, and n = 3 is the first
-    # point whose sum takes it; the sums at n = 0..2 of the first x are taken
-    taken = []
-    dot = I._dot
+    # G_y's denominator pm + y + 1 vanishes at m = 3 for p = 2, y = -7.  The first x's
+    # group reaches its columns to m = 20, so they hold the fault from there on; the
+    # points n = 0..2 hold, and n = 3 is the first point whose sum takes it
+    failures = []
+    first_failure = I._first_failure
 
-    def recording_dot(left, right, m):
-        taken.append(m)
-        return dot(left, right, m)
+    def recording_first_failure(left, right, rhs, shift, ns):
+        failure = first_failure(left, right, rhs, shift, ns)
+        failures.append((ns, failure))
+        return failure
 
-    monkeypatch.setattr(I, "_dot", recording_dot)
-    with pytest.raises(PoleError, match=r"^pm \+ y \+ 1 vanishes at m = 3$"):
+    monkeypatch.setattr(I, "_first_failure", recording_first_failure)
+    with pytest.raises(PoleError, match=r"^pm \+ y \+ 1 vanishes at m = 3$") as raised:
         registry_run(ROWS[identity], 20, {"p": 2, "y": -7})
-    assert taken == [0, 1, 2, 3]
+    assert failures == [(list(range(21)), (3, raised.value))]
 
 
 def test_an_rhs_over_zero_is_refused_as_fraction_refuses_it():
@@ -598,9 +673,9 @@ COLUMN_BUILDS = {
 @pytest.mark.parametrize("identity", list(ROWS))
 def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
     # the run makes one column per (factor, first set slot, argument), evaluates
-    # each of its terms once, in order, and grows it no further than it is read
+    # each of its terms once, in order, and grows it no further than a group reads it
     evaluated, highest, keys, alive = {}, {}, {}, []
-    column, dot, entry = I.Column, I._dot, I._entry
+    column, first_failure = I.Column, I._first_failure
 
     def counting_column(term):
         key = term.func, term.args
@@ -620,17 +695,12 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
         key = keys[id(col)]
         highest[key] = max(highest.get(key, -1), m)
 
-    def counting_dot(left, right, m):
-        read(left, m)
-        read(right, m)
-        return dot(left, right, m)
+    def counting_first_failure(left, right, rhs, shift, ns):
+        for col in (left, right, rhs):
+            read(col, ns[-1] - shift)
+        return first_failure(left, right, rhs, shift, ns)
 
-    def counting_entry(col, m):
-        read(col, m)
-        return entry(col, m)
-
-    for name, fn in (("Column", counting_column), ("_dot", counting_dot),
-                     ("_entry", counting_entry)):
+    for name, fn in (("Column", counting_column), ("_first_failure", counting_first_failure)):
         monkeypatch.setattr(I, name, fn)
     assert I.check_registry(identity, max_n=50).holds
     for col in alive:
