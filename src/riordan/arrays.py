@@ -14,12 +14,14 @@ left by (p-1)n+r).  Nothing is ever rounded.
 
 A :class:`Triangle` stores its entries as integer rows over one common
 positive denominator in lowest terms, the representation of
-:class:`~riordan.series.FormalPowerSeries`.  An array keeps its
-A-sequence when it is known exactly, as a series ``P`` and a count
-``j`` with ``A = P/(1 - t)^j``: ``from_dA`` keeps ``(A, 0)``, ``pascal``
-and ``catalan_triangle`` keep ``(1 + t, 0)`` and ``((1 + t)^2, 0)``, and
-``ballot_triangle`` keeps ``(1, 1)``.  One row generator builds the rows
-of such an array by the recurrence multiplied through by ``(1 - t)^j``,
+:class:`~riordan.series.FormalPowerSeries`, reached by that module's
+:func:`~riordan.series._collect` and :func:`~riordan.series._lowest`.
+An array keeps its A-sequence when it is known exactly, as a series
+``P`` and a count ``j`` with ``A = P/(1 - t)^j``: ``from_dA`` keeps
+``(A, 0)``, ``pascal`` and ``catalan_triangle`` keep ``(1 + t, 0)`` and
+``((1 + t)^2, 0)``, and ``ballot_triangle`` keeps ``(1, 1)``.  One row
+generator builds the rows of such an array by the recurrence multiplied
+through by ``(1 - t)^j``,
 
     sum_i (-1)^i C(j, i) d[n+1][k+1+i] = sum_l P_l d[n][k+l],
 
@@ -55,8 +57,8 @@ the rows built from ``A^p``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, islice
-from math import gcd, lcm
+from itertools import accumulate, islice
+from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -68,7 +70,9 @@ from .series import (
     _collect,
     _fraction,
     _lagrange_diagonal,
+    _lowest,
     _series,
+    _stripped,
     _wrap,
     lagrange_solve,
 )
@@ -120,21 +124,9 @@ def _correlate(row: Sequence[int], a: Sequence[int]) -> list[int]:
     return out
 
 
-def _stripped(nums: Sequence[int]) -> Sequence[int]:
-    """``nums`` without its trailing zeros."""
-    end = len(nums)
-    while end and not nums[end - 1]:
-        end -= 1
-    return nums[:end]
-
-
 def _triangle(rows, den: int) -> "Triangle":
-    """The triangle ``rows / den`` (``den > 0``), brought to canonical form."""
-    if den != 1:
-        g = gcd(den, *chain.from_iterable(rows))
-        if g != 1:
-            rows = [[x // g for x in row] for row in rows]
-            den //= g
+    """The triangle ``rows / den`` (``den > 0``), brought to lowest terms by :func:`_lowest`."""
+    rows, den = _lowest(rows, den)
     tri = object.__new__(Triangle)
     tri._nums = tuple(map(tuple, rows))
     tri._den = den
@@ -166,12 +158,9 @@ class Triangle:
             norm.append(entries)
         if not norm:
             raise RiordanError("a triangle needs at least one row")
-        # the lcm of reduced denominators shares no factor with every numerator
-        den = lcm(*(c.denominator for row in norm for c in row))
-        self._nums = tuple(
-            tuple(c.numerator * (den // c.denominator) for c in row) for row in norm
-        )
-        self._den = den
+        nums, self._den = _collect((c.numerator, c.denominator) for row in norm for c in row)
+        flat = iter(nums)
+        self._nums = tuple(tuple(islice(flat, n + 1)) for n in range(len(norm)))
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -186,8 +175,12 @@ class Triangle:
         return len(self._nums)
 
     def entry(self, n: int, k: int) -> Fraction:
-        x = self._nums[n][k]
-        return Fraction(x) if self._den == 1 else Fraction(x, self._den)
+        """Exact entry; zero above the diagonal, error past the last row."""
+        if n < 0 or k < 0:
+            raise RiordanError(f"negative index ({n}, {k})")
+        if n >= len(self._nums):
+            raise RiordanError(f"row {n} is past the last row, {len(self._nums) - 1}")
+        return Fraction(self._nums[n][k], self._den) if k <= n else _ZERO
 
     def __eq__(self, other):
         if not isinstance(other, Triangle):
@@ -356,11 +349,12 @@ class RiordanArray:
     def _row_stream(self):
         """Rows ``0 .. precision-1`` by the recurrence on ``A = P/(1 - t)^j``, one at a time.
 
-        Each row is yielded as integers over its own denominator, reduced
-        from row 1 on.  Row ``n+1`` is ``d[n+1]`` followed by row ``n``
-        correlated with P's numerators and then summed ``j`` times from
-        the right (``x[k] - x[k+1] = c[k]`` is a suffix running sum), over
-        ``P.den`` times row ``n``'s denominator.
+        Each row is yielded as integers over its own denominator, brought
+        to lowest terms by :func:`~riordan.series._lowest` from row 1 on.
+        Row ``n+1`` is ``d[n+1]`` followed by row ``n`` correlated with P's
+        numerators and then summed ``j`` times from the right
+        (``x[k] - x[k+1] = c[k]`` is a suffix running sum), over ``P.den``
+        times row ``n``'s denominator.
         """
         dn, dd = self._d._nums, self._d._den
         a, ad = _stripped(self._P._nums), self._P._den
@@ -376,11 +370,7 @@ class RiordanArray:
             if scale != 1:
                 row = [x * scale for x in row]
             row.insert(0, dn[n] * (den // dd))
-            if den != 1:
-                g = gcd(den, *row)
-                if g != 1:
-                    row = [x // g for x in row]
-                    den //= g
+            (row,), den = _lowest([row], den)
             yield row, den
 
     def _rows(self, nrows: int) -> Triangle:
@@ -448,22 +438,18 @@ class RiordanArray:
             raise PrecisionError(
                 f"precision {self.precision} too small to extract (p={p}, r={r})"
             )
-        if self._P is None:
-            d_new, col1 = self._diagonal_route(p, r, m)
-            return RiordanArray(d_new, (col1 / d_new).shift_down())
-        # The row walk makes about (p m)^2 / 2 entries at |P| products and
-        # j additions each; the diagonal makes about 3 isqrt(m) products of
-        # length m, after a Newton solve of h at the base precision on a
-        # from_dA array.  Timed on the stock triangles and on short and
-        # dense from_dA arrays at p = 2..5 and m = 30..200, the rows were
-        # the cheaper, or within 1.8 times, while p (|P| + j + 1) <= m, and
-        # a dense A (|P| about p m) was up to 2.6 times cheaper on the
-        # diagonal.
-        short = p * (len(_stripped(self._P._nums)) + self._j + 1) <= m
-        route = self._rows_route if short else self._diagonal_route
-        d_new, col1 = route(p, r, m)
-        return RiordanArray(d_new, (col1 / d_new).shift_down())._with_A(
-            self._P.truncate(m) ** p, self._j * p)
+        # An array known by (d, h) alone has no rows to walk.  The row walk
+        # makes about (p m)^2 / 2 entries at |P| products and j additions
+        # each; the diagonal makes about 3 isqrt(m) products of length m,
+        # after a Newton solve of h at the base precision on a from_dA
+        # array.  Timed on the stock triangles and on short and dense
+        # from_dA arrays at p = 2..5 and m = 30..200, the rows were the
+        # cheaper, or within 1.8 times, while p (|P| + j + 1) <= m, and a
+        # dense A (|P| about p m) was up to 2.6 times cheaper on the diagonal.
+        short = self._P is not None and p * (len(_stripped(self._P._nums)) + self._j + 1) <= m
+        d_new, col1 = (self._rows_route if short else self._diagonal_route)(p, r, m)
+        sub = RiordanArray(d_new, (col1 / d_new).shift_down())
+        return sub if self._P is None else sub._with_A(self._P.truncate(m) ** p, self._j * p)
 
     def _diagonal_route(self, p: int, r: int, m: int):
         """The extracted first column and ``t h`` as two Lagrange diagonals."""

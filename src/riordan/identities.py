@@ -53,13 +53,13 @@ their caches (``bench/layertrace.py``, ``CACHES``).
 The product laws compare whole series.  One run builds each factor
 series (a direct sum, a binomial series or a hypergeometric expansion)
 once per distinct (kind, p or exponent, argument), in one flat memo, and
-compares each ballot-family direct sum with its Lagrange substitution
-route once, when that factor is first built; the memo is dropped when
-the run ends.  Every series comparison, hypergeometric-power-law's two
-routes included, is a verdict of ``reports.series_verdict``: a law that
-holds counts its coefficients as points, a route check counts none, and
-the first coefficient that differs is the counterexample, routes that
-disagree included.
+each ballot-family direct sum's Lagrange substitution route once, keyed
+by its sum; the two are compared each time the sum is read.  The memo
+is dropped when the run ends.  Every series comparison,
+hypergeometric-power-law's two routes included, is a verdict of
+``reports.series_verdict``: a law that holds counts its coefficients as
+points, a route check counts none, and the first coefficient that
+differs is the counterexample, routes that disagree included.
 """
 
 from __future__ import annotations
@@ -466,8 +466,9 @@ def check_product_laws(
     ``factors`` is the memo of one sweep: the factor series by the
     function that builds it (never by its name), p or exponent, argument
     and precision, so that each is built once, and a key met again at
-    another p is the same series.  Each direct sum is compared with its
-    substitution route when it is built; that check counts no points
+    another p is the same series.  Each direct sum's substitution route
+    is built once too, keyed by ``_substitution`` and the sum's key, and
+    compared with the sum on every read.  That check counts no points
     while it holds, and routes that disagree give the counterexample,
     named by ``routes``, p and the slot.
     """
@@ -477,10 +478,12 @@ def check_product_laws(
     factors = {} if factors is None else factors
 
     def factor(key: tuple, build: Callable[[], FormalPowerSeries]) -> FormalPowerSeries:
-        series = factors.get((*key, n))
-        if series is None:
-            series = factors[(*key, n)] = build()
-        return series
+        key += (n,)
+        try:  # one lookup on a hit: a key holds a Fraction, whose hash is not cheap
+            return factors[key]
+        except KeyError:
+            series = factors[key] = build()
+            return series
 
     def hyper(spec: Callable, a: int, value: Fraction) -> FormalPowerSeries:
         return factor((spec, a, value), lambda: expand(spec(a, value), n))
@@ -496,16 +499,12 @@ def check_product_laws(
         (central_ballot_gf, "y", y, (2 * p, 2 * y + 2, True)),
         (central_ballot_gf, "y", x + y, (2 * p, 2 * (x + y) + 2, True)),
     ):
-        key = (gf, p, value, n)
-        series = factors.get(key)
-        if series is None:
-            series = gf(p, value, n)
-            substituted = _substitution(*route, n)
-            if series != substituted:
-                routes = {"routes": f"{gf.__name__} direct/substitution",
-                          "p": str(p), slot: str(value)}
-                return series_verdict("product-laws", grid, [(routes, series, substituted)])
-            factors[key] = series
+        series = factor((gf, p, value), lambda: gf(p, value, n))
+        substituted = factor((_substitution, gf, p, value), lambda: _substitution(*route, n))
+        if series != substituted:
+            routes = {"routes": f"{gf.__name__} direct/substitution",
+                      "p": str(p), slot: str(value)}
+            return series_verdict("product-laws", grid, [(routes, series, substituted)])
         direct.append(series)
     fuss_y, fuss_xy, power_x, central_y, central_xy = direct
     laws = [
@@ -738,8 +737,9 @@ def _first_failure(
     for j in range(stop):
         m = ns[j] - shift
         # the map stops with the m + 1 reversed right terms, so no left prefix is copied
-        if sum(map(mul, L, R[m::-1])) * rden != H[m] * den:
-            return j, (Fraction(_dot(left, right, m), den), Fraction(H[m], rden))
+        lhs = sum(map(mul, L, R[m::-1]))
+        if lhs * rden != H[m] * den:
+            return j, (Fraction(lhs, den), Fraction(H[m], rden))
     if stop < len(ns):
         m = ns[stop] - shift
         try:  # the fault that the point's sums take first

@@ -14,9 +14,11 @@ truncate to the smaller operand precision, so knowledge never grows by
 accident.
 
 The package puts exact terms over one denominator here alone, by one
-pair reduction (:func:`_reduced`): in one batch for streams
-(:func:`_collect`), term by term for recurrences and growing columns
-(:func:`_append_term`).
+pair reduction (:func:`_reduced`): in one batch for streams and for the
+constructors' fractions (:func:`_collect`), term by term for recurrences
+and growing columns (:func:`_append_term`).  Integer rows over one
+denominator reach lowest terms by one gcd (:func:`_lowest`), and
+:func:`_stripped` drops trailing zeros.
 
 The Lagrange diagonals ``[t^n] F(t) phi(t)^n`` read the powers of
 ``phi`` off one shared table: :func:`_power_table` holds the baby powers
@@ -35,9 +37,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -127,6 +130,23 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
+def _lowest(rows, den: int) -> tuple[list, int]:
+    """Integer ``rows`` over ``den > 0`` in lowest terms: one gcd over ``den`` and every entry."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(rows))
+        if g != 1:
+            return [[x // g for x in row] for row in rows], den // g
+    return rows, den
+
+
+def _stripped(nums: Sequence[int]) -> Sequence[int]:
+    """``nums`` without its trailing zeros."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    return nums[:end]
+
+
 def _collect(terms) -> tuple[list[int], int]:
     """Canonical numerators over one denominator of a stream of terms ``(num, den != 0)``.
 
@@ -205,10 +225,8 @@ class FormalPowerSeries:
                 cs.extend([_ZERO] * (precision - len(cs)))
         else:
             _require_terms(len(cs))
-        # the lcm of reduced denominators shares no factor with every numerator
-        den = lcm(*(c.denominator for c in cs))
-        self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)
-        self._den = den
+        nums, self._den = _collect((c.numerator, c.denominator) for c in cs)
+        self._nums = tuple(nums)
 
     # -- constructors ------------------------------------------------
 
@@ -480,13 +498,7 @@ def _compose_all(series, w: FormalPowerSeries) -> list[FormalPowerSeries]:
     so Horner level ``b`` is formed mod ``t^(n - b m)`` only.
     """
     n = len(w._nums)
-    trimmed = []
-    for nums, den in series:
-        nums = nums[:n]
-        length = len(nums)
-        while length and not nums[length - 1]:
-            length -= 1
-        trimmed.append((nums[:length], den))
+    trimmed = [(_stripped(nums[:n]), den) for nums, den in series]
     longest = max(len(nums) for nums, _ in trimmed)
     m = isqrt(max(longest - 1, 0)) + 1
     powers, giant = _baby_and_giant_steps(w, m, longest > m)

@@ -5,6 +5,7 @@ triangle, the ballot variant); cross-checks use closed-form binomials and
 the definitional sub-array grid as independent oracles.
 """
 
+import re
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -212,6 +213,29 @@ def test_triangle_rejects_floats():
 def test_triangle_cells():
     tri = Triangle([[1], [Fraction(1, 2), 3]])
     assert tri.cells() == [["1"], ["1/2", "3"]]
+
+
+def test_triangle_entry_reads_as_the_array_does():
+    arr = pascal(5)
+    tri = arr.materialize(5)
+    assert tri.entry(3, 1) == arr.entry(3, 1) == 3
+    assert tri.entry(2, 3) == arr.entry(2, 3) == 0  # above the diagonal
+    assert tri.entry(4, 4) == 1
+    assert repr(tri) == "Triangle(5 rows)"
+    assert (tri == 3) is False
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tri: tri.entry(3, -1), "negative index (3, -1)"),
+    (lambda tri: tri.entry(-1, 0), "negative index (-1, 0)"),
+    (lambda tri: tri.entry(5, 0), "row 5 is past the last row, 4"),
+    (lambda tri: pascal(4).materialize(0), "nrows must be positive"),
+], ids=["negative-k", "negative-n", "past-last-row", "materialize-0"])
+def test_triangle_reads_refuse_bad_indices(call, message):
+    # no index wraps round a row, or round the rows
+    with pytest.raises(RiordanError, match=f"^{re.escape(message)}$") as info:
+        call(pascal(5).materialize(5))
+    assert info.type is RiordanError
 
 
 # -- A-sequence recovery ------------------------------------------------------

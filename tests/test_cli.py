@@ -1101,6 +1101,18 @@ def test_check_all_refuses_an_id_or_a_pin(capsys, argv, message):
     assert run(capsys, "check", *argv) == (2, "", f"riordan: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("triangle", "pascal", "--rows", "0"), "--rows must be >= 1"),
+    (("extract", "pascal", "--p", "2", "--rows", "0"), "--rows must be >= 1"),
+    (("triangle", "--d", "1", "--rows", "3"),
+     "explicit triangles need both --d and --A coefficient lists"),
+    (("triangle", "--d", "", "--A", "1", "--rows", "3"),
+     "--d and --A need at least one coefficient"),
+])
+def test_triangle_and_extract_refuse_no_rows_and_a_missing_list(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"riordan: {message}\n")
+
+
 def test_check_via_riordan_closed_form_mismatch(capsys, monkeypatch):
     wrong = dict(identities._EXTRACTED_D, odd=lambda m: comb(2 * m + 1, m + 1) + (m == 3))
     monkeypatch.setattr(identities, "_EXTRACTED_D", wrong)

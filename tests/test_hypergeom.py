@@ -194,6 +194,16 @@ def test_power_coeff_examples():
             assert power_coeff(q, s, s - 1) == 0
 
 
+@pytest.mark.parametrize("q, s, message", [
+    (1, 1, "q must be >= 2, got 1"),
+    (2, 0, "s must be >= 1, got 0"),
+])
+def test_power_coeff_refuses_q_below_two_and_s_below_one(q, s, message):
+    with pytest.raises(HypergeomError, match=f"^{message}$") as info:
+        power_coeff(q, s, 2)
+    assert info.type is HypergeomError
+
+
 def test_power_coeff_matches_series_oracle():
     for q in (2, 3):
         th = h_for_binomial_A(q, 14).shift_up()

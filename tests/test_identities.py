@@ -301,6 +301,17 @@ def test_value_functions_refuse_floats(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fibonacci(-1), "fibonacci needs n >= 0, got -1"),
+    (lambda: fuss_ballot_spec(1, 1), "the hypergeometric form needs p >= 2, got 1"),
+    (lambda: central_ballot_spec(1, 1), "the hypergeometric form needs p >= 2, got 1"),
+], ids=["fibonacci", "fuss-ballot-spec", "central-ballot-spec"])
+def test_value_functions_refuse_arguments_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError
+
+
 def test_catalan_column_sum_hand_checked():
     # p=2, r=0, k=1, n=2: terms 6 + 2 + 2 = 10 = C(5, 2)
     point = {"p": 2, "r": 0, "k": 1}

@@ -6,6 +6,7 @@ the direct Lagrange coefficient formula cross-checking the Newton solvers.
 """
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -482,3 +483,38 @@ def test_truncate_cannot_extend():
 def test_truncate_refuses_nonpositive_precision(k):
     with pytest.raises(SeriesError, match=f"^precision must be positive, got {k}$"):
         FPS([1, 2, 3]).truncate(k)
+
+
+F3 = FPS([1, 2, 3])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FPS.constant(1, 0), SeriesError, "precision must be positive, got 0"),
+    (lambda: F3.coeff(-1), SeriesError, "negative index -1"),
+    (lambda: F3.shift_up(-1), SeriesError, "shift_up needs k >= 0"),
+    (lambda: F3.shift_down(-1), SeriesError, "shift_down needs k >= 0"),
+    # a foreign operand gets NotImplemented, so Python raises its own TypeError
+    (lambda: F3 + "a", TypeError, "unsupported operand type(s) for +: "
+                                  "'FormalPowerSeries' and 'str'"),
+    (lambda: F3 * "a", TypeError, "can't multiply sequence by non-int of type "
+                                  "'FormalPowerSeries'"),
+    (lambda: F3 / "a", TypeError, "unsupported operand type(s) for /: "
+                                  "'FormalPowerSeries' and 'str'"),
+    (lambda: F3 ** 0.5, TypeError, "unsupported operand type(s) for ** or pow(): "
+                                   "'FormalPowerSeries' and 'float'"),
+    (lambda: F3 / 0, NonInvertibleError, "division by zero scalar"),
+    (lambda: FPS([1]).derivative(), PrecisionError, "derivative needs precision >= 2"),
+    (lambda: F3.compose(3), SeriesError, "compose needs a series argument"),
+    # _check_phi pads one coefficient at most
+    (lambda: lagrange_solve(FPS([1, 1]), 4), PrecisionError,
+     "phi known mod t^2, need at least t^3"),
+    (lambda: lagrange_coeffs(FPS([1, 1]), 0, 3), SeriesError, "k must be >= 1"),
+    (lambda: lagrange_gf(F3, F3, 0), SeriesError, "precision must be positive"),
+    (lambda: lagrange_gf(F3, FPS([0, 1, 1]), 3), SeriesError, "phi(0) must be nonzero"),
+], ids=["constant", "coeff", "shift_up", "shift_down", "add", "mul", "div", "pow",
+        "div-zero", "derivative", "compose", "solve-short-phi", "coeffs-k", "gf-precision",
+        "gf-phi0"])
+def test_guards_refuse_bad_arguments_and_operands(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is error

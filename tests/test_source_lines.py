@@ -96,6 +96,17 @@ def test_every_import_has_a_use(path):
     assert sorted(imported - named) == [], f"{path.name}: imported but never used"
 
 
+def test_only_series_imports_gcd():
+    # series.py alone brings exact integer vectors to lowest terms
+    importers = sorted(
+        path.name for path in SOURCES if path.name != "series.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        and any(alias.name == "gcd" for alias in node.names)
+    )
+    assert importers == [], f"import gcd from math outside series.py: {importers}"
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # in a fresh interpreter, so that only what this import adds counts, and
     # not what site or an earlier test has already loaded
