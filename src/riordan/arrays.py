@@ -41,11 +41,11 @@ Extraction reads the new first column and ``t h`` by one of two
 routes.  The rows route walks the row generator once, one row at a
 time, and reads them off rows ``pn + r``; it needs ``A = P/(1 - t)^j``.
 The diagonal route reads the kept entries as Lagrange diagonals
-``[t^n] F(t) phi(t)^n`` with ``phi = h^(p-1)``, by one
-:func:`~riordan.series._lagrange_diagonal` call at the new, smaller
-precision.  An array known only by ``(d, h)`` takes the diagonal; one
-that keeps a short ``P`` and a small ``j`` takes the rows, and a dense
-``P`` the diagonal, by an estimate of their costs.  When the base keeps
+``[t^n] F(t) phi(t)^n`` with ``phi = h^(p-1)``, by
+:func:`~riordan.series.lagrange_gf` at the new, smaller precision.  An
+array known only by ``(d, h)`` takes the diagonal; one that keeps a
+short ``P`` and a small ``j`` takes the rows, and a dense ``P`` the
+diagonal, by an estimate of their costs.  When the base keeps
 ``A`` the result keeps ``A^p = P^p/(1 - t)^(jp)`` (Merlini, Rogers,
 Sprugnoli & Verri, Canad. J. Math. 49, 1997) on either route, so its
 own rows run the recurrence too; otherwise it keeps no A-sequence.
@@ -69,11 +69,11 @@ from .series import (
     _append_term,
     _collect,
     _fraction,
-    _lagrange_diagonal,
     _lowest,
     _series,
     _stripped,
     _wrap,
+    lagrange_gf,
     lagrange_solve,
 )
 
@@ -409,21 +409,21 @@ class RiordanArray:
         the right, and its ``h`` the second divided by the first.  They are
         read by one of two routes.  The rows route walks the row generator
         once, holding one row at a time and building no column, and reads
-        rows ``pn + r``; it needs the A-sequence ``A = P/(1 - t)^j``.  The diagonal
-        route reads entry ``(pn + r, (p-1)n + r + k)`` as
+        rows ``pn + r``; it needs the A-sequence ``A = P/(1 - t)^j``.  The
+        diagonal route reads entry ``(pn + r, (p-1)n + r + k)`` as
         ``[t^n] t^k d h^(r+k) (h^(p-1))^n``: the new first column is the
         Lagrange diagonal of ``F = d h^r`` and the new ``t h`` is that of
-        ``F = t d h^(r+1)``, both with ``phi = h^(p-1)`` and read by one
-        :func:`~riordan.series._lagrange_diagonal` call at the new
-        precision; the baby table of ``phi`` is cached by value, so such
-        extractions at one ``p`` and an equal new precision (``r = 0``
-        and ``r = 1`` on an even precision) build it once.  An array known
-        by ``(d, h)`` alone takes the diagonal, and one that keeps
-        ``A = P/(1 - t)^j`` takes whichever is estimated cheaper: a short
-        ``P`` and a small ``j`` take the rows, a dense ``P`` (a long
-        ``--A`` list) the diagonal.  When this array keeps ``A`` the
-        result keeps ``A^p = P^p/(1 - t)^(jp)``, ``P^p`` mod ``t^m``, on
-        either route, so that its rows also run the recurrence.
+        ``F = t d h^(r+1)``, both with ``phi = h^(p-1)``, each read by
+        :func:`~riordan.series.lagrange_gf` at the new precision.  The
+        table of ``phi`` is cached by value, so the second diagonal, and
+        extractions at one ``p`` and an equal new precision (``r = 0`` and
+        ``r = 1`` on an even precision), reuse the first one's table.  An
+        array known by ``(d, h)`` alone takes the diagonal, and one that
+        keeps ``A = P/(1 - t)^j`` takes whichever is estimated cheaper: a
+        short ``P`` and a small ``j`` take the rows, a dense ``P`` (a long
+        ``--A`` list) the diagonal.  When this array keeps ``A`` the result
+        keeps ``A^p = P^p/(1 - t)^(jp)``, ``P^p`` mod ``t^m``, on either
+        route, so that its rows also run the recurrence.
         :func:`subarray_triangle`, which reads the grid from the columns,
         is the oracle.
         """
@@ -456,7 +456,8 @@ class RiordanArray:
         # rows pn + r < precision read d and h mod t^m only
         h = self.h.truncate(m)
         f = self._d.truncate(m) * h**r
-        return _lagrange_diagonal([f, (f * h).shift_up().truncate(m)], h**(p - 1))
+        phi = h**(p - 1)
+        return lagrange_gf(f, phi, m), lagrange_gf((f * h).shift_up().truncate(m), phi, m)
 
     def _rows_route(self, p: int, r: int, m: int):
         """The extracted first column and ``t h`` off rows ``pn + r`` of one row walk."""

@@ -20,14 +20,15 @@ and growing columns (:func:`_append_term`).  Integer rows over one
 denominator reach lowest terms by one gcd (:func:`_lowest`), and
 :func:`_stripped` drops trailing zeros.
 
-The Lagrange diagonals ``[t^n] F(t) phi(t)^n`` read the powers of
-``phi`` off one shared table: :func:`_power_table` holds the baby powers
-and the giant step, :func:`_giant_powers` the powers ``phi^(qm)``, both
-in small bounded caches keyed on the value of ``phi``.
-:func:`lagrange_coeffs` reads every ``w^k`` off both.  Extractions at one
-``p`` share the first when they take the diagonal route, as every array
-known by ``(d, h)`` alone does; an array that keeps a short A-sequence
-extracts from its own rows instead, with no diagonal.
+One kernel, :func:`lagrange_gf`, reads the Lagrange diagonals
+``[t^n] F(t) phi(t)^n`` off one shared table of the powers of ``phi``:
+:func:`_power_table` holds the baby powers and the giant step,
+:func:`_giant_powers` the powers ``phi^(qm)``, both in small bounded
+caches keyed on the value of ``phi``.  :func:`lagrange_coeffs` reads
+every ``w^k`` off both.  Extractions at one ``p`` share the first when
+they take the diagonal route, as every array known by ``(d, h)`` alone
+does; an array that keeps a short A-sequence extracts from its own rows
+instead, with no diagonal.
 
 Everything here is immutable and pure; values can be shared freely
 across threads, and the two caches hold only immutable values.
@@ -423,14 +424,14 @@ class FormalPowerSeries:
     def compose(self, inner: "FormalPowerSeries") -> "FormalPowerSeries":
         """``self(inner(t))``, by baby steps and giant steps; requires ``inner(0) = 0``.
 
-        The route is :func:`_compose_all`, the one composition kernel.
+        The route is :func:`_compose`, the one composition kernel.
         """
         if not isinstance(inner, FormalPowerSeries):
             raise SeriesError("compose needs a series argument")
         if inner._nums[0]:
             raise CompositionOrderError("inner series must have order >= 1")
         n = min(len(self._nums), len(inner._nums))
-        return _compose_all([(self._nums, self._den)], inner.truncate(n))[0]
+        return _compose(self._nums, self._den, inner.truncate(n))
 
     def pow_rational(self, r: Scalar) -> "FormalPowerSeries":
         """``f**r`` for rational ``r``; needs ``f(0) = 1``.
@@ -482,39 +483,35 @@ class FormalPowerSeries:
 # -- composition by baby steps and giant steps ------------------------
 
 
-def _compose_all(series, w: FormalPowerSeries) -> list[FormalPowerSeries]:
-    """Each ``nums/den`` of ``series`` composed with ``w``, at ``w``'s precision ``n``.
+def _compose(nums, den: int, w: FormalPowerSeries) -> FormalPowerSeries:
+    """``nums/den`` composed with ``w``, at ``w``'s precision ``n``.
 
-    ``w(0) = 0``; a coefficient past an input's length counts as 0, and one
+    ``w(0) = 0``; a coefficient past the input's length counts as 0, and one
     at or past ``n`` cannot reach the result (``w^i`` vanishes mod ``t^n``
     from ``i = n`` on).  Brent and Kung's baby-step/giant-step scheme:
-    with ``L`` the longest input without its trailing zeros and
-    ``m = isqrt(L - 1) + 1``, every input is split into blocks of ``m``
+    with ``L`` the input's length without its trailing zeros and
+    ``m = isqrt(L - 1) + 1``, the input is split into blocks of ``m``
     coefficients, each block is one linear combination of the baby table
     ``w^0 .. w^(m-1)``, and the blocks are joined by Horner's rule in the
     giant step ``W = w^m``.  A length-``L`` input costs about ``m + L/m``
-    products instead of ``L``, and all inputs share the table and ``W``.
-    Block ``b`` reaches the result times ``W^b``, of order ``b m`` or more,
-    so Horner level ``b`` is formed mod ``t^(n - b m)`` only.
+    products instead of ``L``.  Block ``b`` reaches the result times
+    ``W^b``, of order ``b m`` or more, so Horner level ``b`` is formed mod
+    ``t^(n - b m)`` only.
     """
     n = len(w._nums)
-    trimmed = [(_stripped(nums[:n]), den) for nums, den in series]
-    longest = max(len(nums) for nums, _ in trimmed)
-    m = isqrt(max(longest - 1, 0)) + 1
-    powers, giant = _baby_and_giant_steps(w, m, longest > m)
-    out = []
-    for nums, den in trimmed:
-        blocks = [nums[i:i + m] for i in range(0, len(nums), m)] or [()]
-        top = len(blocks) - 1
-        acc = _linear_combination(blocks[top], den, powers, n - top * m)
-        for b in range(top - 1, -1, -1):
-            # W has order >= m, so the m zeros padded onto acc (known mod
-            # t^(n - (b+1) m)) cannot reach the product mod t^(n - b m)
-            acc = acc._padded(m) * giant
-            if any(blocks[b]):
-                acc = acc + _linear_combination(blocks[b], den, powers, n - b * m)
-        out.append(acc)
-    return out
+    nums = _stripped(nums[:n])
+    m = isqrt(max(len(nums) - 1, 0)) + 1
+    powers, giant = _baby_and_giant_steps(w, m, len(nums) > m)
+    blocks = [nums[i:i + m] for i in range(0, len(nums), m)] or [()]
+    top = len(blocks) - 1
+    acc = _linear_combination(blocks[top], den, powers, n - top * m)
+    for b in range(top - 1, -1, -1):
+        # W has order >= m, so the m zeros padded onto acc (known mod
+        # t^(n - (b+1) m)) cannot reach the product mod t^(n - b m)
+        acc = acc._padded(m) * giant
+        if any(blocks[b]):
+            acc = acc + _linear_combination(blocks[b], den, powers, n - b * m)
+    return acc
 
 
 def _baby_and_giant_steps(w: FormalPowerSeries, m: int, giant: bool):
@@ -566,13 +563,14 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     ``known`` or more, so it needs ``F'(w)`` only mod ``t^h``,
     ``h = prec - known``: it composes ``phi`` at ``w`` mod ``t^(prec-1)``
     and, when ``h > 1``, ``phi'`` at ``w`` mod ``t^(h-1)`` on its own
-    small table, both by :func:`_compose_all`.  ``phi'`` is formed once
-    per solve; the composition trims it to the step's precision.
-    This is the one Newton iteration of the package: :meth:`revert`,
-    ``RiordanArray.from_dA`` and :func:`lagrange_gf` all solve through it.
+    small table, both by :func:`_compose`.  ``phi'`` is formed once per
+    solve, and only from precision 4, the first with a step of ``h > 1``;
+    the composition trims it to the step's precision.  This is the one
+    Newton iteration of the package: :meth:`revert`,
+    ``RiordanArray.from_dA`` and the identity checkers solve through it.
     """
     p = _check_phi(phi, precision)
-    slopes = [i * c for i, c in enumerate(p._nums[1:], 1)]  # phi' over p's denominator
+    dphi = p.derivative() if precision >= 4 else None  # read only when h > 1
     w = _series([0, p._nums[0]][:precision], p._den)  # phi(0) t, correct mod t^2
     known = 2
     while known < precision:
@@ -583,13 +581,12 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
         w = w._padded(h)
         # t phi(w) mod t^prec reads w and p mod t^(prec-1) only; neither
         # composition reads p's last coefficient, which _check_phi may pad
-        (value,) = _compose_all([(p._nums, p._den)], w.truncate(prec - 1))
+        value = _compose(p._nums, p._den, w.truncate(prec - 1))
         # F(w) = t^known R, and the correction is t^known R / F'(w) mod t^prec
         r = (w - value.shift_up()).shift_down(known)
         if h > 1:
             # t phi'(w) mod t^h reads w mod t^(h-1), which is correct
-            (slope,) = _compose_all([(slopes, p._den)], w.truncate(h - 1))
-            r = r / (1 - slope.shift_up())
+            r = r / (1 - _compose(dphi._nums, dphi._den, w.truncate(h - 1)).shift_up())
         w = w - r.shift_up(known)
         known = prec
     return w
@@ -604,7 +601,8 @@ def _power_table(phi: FormalPowerSeries):
     reversed, ``rev[n - 1 - j + i] = phi^r[j - i]``, so coefficient ``j``
     of a product with ``phi^r`` is one dot product against a tail of
     ``rev``.  The giant step ``phi^m`` is None when ``m >= n``.  Cached
-    by value: equal series, at equal precision, share one table.
+    by value: equal series, at equal precision, share one table, which
+    :func:`lagrange_gf` and :func:`lagrange_coeffs` both read.
     """
     n = len(phi._nums)
     m = isqrt(n - 1) + 1
@@ -622,36 +620,6 @@ def _giant_powers(phi: FormalPowerSeries) -> tuple[FormalPowerSeries, ...]:
     while len(powers) <= top:
         powers.append(powers[-1] * giant)
     return tuple(powers)
-
-
-def _lagrange_diagonal(fs, phi: FormalPowerSeries) -> list[FormalPowerSeries]:
-    """For each ``F`` of ``fs``, the series of ``[t^j] F(t) phi(t)^j``, ``j < n``.
-
-    ``n`` is ``phi``'s precision, and each ``F`` is known mod ``t^n``.
-    Baby steps and giant steps (Brent and Kung, J. ACM 25, 1978): the
-    baby table ``phi^0 .. phi^(m-1)`` and the giant step ``phi^m`` come
-    from :func:`_power_table`, shared with every other diagonal of an
-    equal ``phi``, and ``G_q = F phi^(qm)`` is walked by one product with
-    the giant step per block.  Coefficient ``j = qm + r`` is then
-    ``[t^j] G_q phi^r``, one integer dot product of ``G_q[:j+1]`` with the
-    reversed ``phi^r[:j+1]``.  A length-``n`` diagonal costs about
-    ``sqrt(n)`` products and ``n`` dot products once the table is built,
-    instead of ``n`` products.
-    """
-    n = len(phi._nums)
-    m, reversed_powers, giant = _power_table(phi)
-    out = []
-    for f in fs:
-        g = f.truncate(n)
-        terms = []
-        for j in range(n):
-            q, r = divmod(j, m)
-            if q and not r:
-                g = g * giant
-            rev, den = reversed_powers[r]
-            terms.append((sum(map(mul, g._nums, rev[n - 1 - j:])), g._den * den))
-        out.append(_wrap(*_collect(terms)))
-    return out
 
 
 def lagrange_coeffs(phi: FormalPowerSeries, k: int, precision: int) -> FormalPowerSeries:
@@ -683,28 +651,33 @@ def lagrange_coeffs(phi: FormalPowerSeries, k: int, precision: int) -> FormalPow
 def lagrange_gf(
     F: FormalPowerSeries, phi: FormalPowerSeries, precision: int
 ) -> FormalPowerSeries:
-    """The series whose coefficient ``n`` is ``[t^n] F(t) phi(t)**n``.
+    """The Lagrange diagonal: the series whose coefficient ``n`` is ``[t^n] F(t) phi(t)**n``.
 
-    Evaluated as ``F(w) / (1 - t phi'(w))`` at ``w = t phi(w)``, with
-    ``F(w)`` and ``phi'(w)`` from one :func:`_compose_all` call; the
-    divisor has constant term 1, so it is always invertible.  The
-    diagonal kernel :func:`_lagrange_diagonal` reads the same series
-    coefficient by coefficient; the two routes share no step.
+    Baby steps and giant steps (Brent and Kung, J. ACM 25, 1978): the
+    baby table ``phi^0 .. phi^(m-1)`` and the giant step ``phi^m`` come
+    from :func:`_power_table`, shared with every other call at an equal
+    ``phi``, and ``G_q = F phi^(qm)`` is walked by one product with the
+    giant step per block.  Coefficient ``j = qm + r`` is then
+    ``[t^j] G_q phi^r``, one integer dot product of ``G_q[:j+1]`` with
+    the reversed ``phi^r[:j+1]``.  A length-``n`` diagonal costs about
+    ``sqrt(n)`` products and ``n`` dot products once the table is built,
+    instead of ``n`` products.
     """
     if precision < 1:
         raise SeriesError("precision must be positive")
     if not phi.coeff(0):
         raise SeriesError("phi(0) must be nonzero")
-    if precision == 1:
-        return FormalPowerSeries.constant(F.coeff(0), 1)
     # coefficient n - 1 reads phi's coefficient n - 1, so phi is not padded here
     for name, series in (("F", F), ("phi", phi)):
         if series.precision < precision:
             raise PrecisionError(f"{name} known mod t^{series.precision}, need t^{precision}")
-    p = phi.truncate(precision)
-    f = F.truncate(precision)
-    w = lagrange_solve(p, precision)
-    # phi' is known mod t^(n-1) only, so phi'(w) is read below its top coefficient
-    dp = p.derivative()
-    value, slope = _compose_all([(f._nums, f._den), (dp._nums, dp._den)], w)
-    return value / (1 - slope.truncate(precision - 1).shift_up())
+    m, reversed_powers, giant = _power_table(phi.truncate(precision))
+    g = F.truncate(precision)
+    terms = []
+    for j in range(precision):
+        q, r = divmod(j, m)
+        if q and not r:
+            g = g * giant
+        rev, den = reversed_powers[r]
+        terms.append((sum(map(mul, g._nums, rev[precision - 1 - j:])), g._den * den))
+    return _wrap(*_collect(terms))

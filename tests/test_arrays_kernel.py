@@ -467,7 +467,7 @@ def no_diagonal(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Lagrange diagonal was built")
 
-    monkeypatch.setattr(arrays_module, "_lagrange_diagonal", refuse)
+    monkeypatch.setattr(arrays_module, "lagrange_gf", refuse)
 
 
 def test_extraction_on_an_A_keeping_base_reads_its_rows(monkeypatch):
@@ -487,11 +487,11 @@ def test_extraction_on_a_dense_A_takes_the_diagonal(monkeypatch):
     # A = 1/(1-t) given term by term: a row walk would cost n products an entry
     base = RiordanArray.from_dA(FPS.one(201), FPS([1] * 201))
     diagonals = []
-    diagonal = arrays_module._lagrange_diagonal
-    monkeypatch.setattr(arrays_module, "_lagrange_diagonal",
-                        lambda fs, phi: diagonals.append(len(fs)) or diagonal(fs, phi))
+    diagonal = arrays_module.lagrange_gf
+    monkeypatch.setattr(arrays_module, "lagrange_gf",
+                        lambda F, phi, n: diagonals.append(n) or diagonal(F, phi, n))
     sub = base.extract_subarray(2, 0)
-    assert diagonals == [2]
+    assert diagonals == [101, 101]  # the new first column and t h
     assert sub.A == (base.A ** 2).truncate(101)
     assert sub.materialize(12) == subarray_triangle(base, 2, 0, 12)
     # the same A kept as P/(1-t)^j = 1/(1-t), as the ballot triangle keeps it, takes the rows

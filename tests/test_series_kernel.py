@@ -18,8 +18,7 @@ from riordan import series
 from riordan.series import FormalPowerSeries as FPS
 from riordan.series import (
     _append_term,
-    _compose_all,
-    _lagrange_diagonal,
+    _compose,
     lagrange_coeffs,
     lagrange_gf,
     lagrange_solve,
@@ -285,7 +284,7 @@ def test_lagrange_coeffs_against_solve(phi, phi0, k):
     assert got == lagrange_solve(FPS(phi), n) ** k
 
 
-# -- the table of powers of w against Horner composition ----------------------
+# -- the Newton solve and reversion against Horner composition ----------------
 
 
 precision = st.integers(1, 40)
@@ -307,39 +306,6 @@ def phi_and_precision(draw):
     phi += [0] * draw(st.integers(0, 3))
     known = draw(st.sampled_from([n, max(n - 1, 1)]))
     return phi, n, known
-
-
-@st.composite
-def g_and_w(draw):
-    """g known mod t^n or mod t^(n+1), with trailing zeros or not, and w(0) = 0 at precision n."""
-    n = draw(precision)
-    known = n + draw(st.integers(0, 1))
-    length = draw(st.one_of(st.just(known), st.integers(1, known)))
-    g = draw(st.lists(coefficient, min_size=length, max_size=length)) + [0] * (known - length)
-    w = [0] + draw(st.lists(coefficient, min_size=n - 1, max_size=n - 1))
-    return g, w
-
-
-def compose_on_one_table(g, w):
-    """g(w) and g'(w) from one _compose_all call: two inputs of two lengths share one table.
-
-    g' keeps every coefficient of g past the first; the composition trims it
-    to w's precision.
-    """
-    slopes = [i * c for i, c in enumerate(g._nums[1:], 1)]
-    return _compose_all([(g._nums, g._den), (slopes, g._den)], w)
-
-
-@HEAVY
-@given(g_and_w())
-def test_two_inputs_on_one_table_match_horner(case):
-    g, w = case
-    n = len(w)
-    value, slope = compose_on_one_table(FPS(g), FPS(w))
-    assert canonical(value) == ref_compose(g, w)
-    # g'(w) reads g up to index n; a coefficient past g's precision counts as 0
-    assert canonical(slope) == ref_compose(ref_derivative(g + [0]), w)
-    assert value.precision == slope.precision == n
 
 
 @HEAVY
@@ -371,17 +337,17 @@ def test_lagrange_solve_when_the_last_step_gains_one_coefficient(n, missing):
 
 def test_lagrange_solve_composes_each_step_to_the_order_it_reaches(monkeypatch):
     # each step from known to prec composes phi at w mod t^(prec - 1) and, when
-    # h = prec - known > 1, phi' at w mod t^(h - 1): one input per table
+    # h = prec - known > 1, phi' at w mod t^(h - 1), each on its own table
     calls = []
-    compose_all = series._compose_all
+    compose = series._compose
 
-    def recorded(inputs, w):
-        calls.append((len(inputs), w.precision))
-        return compose_all(inputs, w)
+    def recorded(nums, den, w):
+        calls.append(w.precision)
+        return compose(nums, den, w)
 
-    monkeypatch.setattr(series, "_compose_all", recorded)
+    monkeypatch.setattr(series, "_compose", recorded)
     lagrange_solve(FPS(PHI * 4), 33)
-    assert calls == [(1, 3), (1, 1), (1, 7), (1, 3), (1, 15), (1, 7), (1, 31), (1, 15), (1, 32)]
+    assert calls == [3, 1, 7, 3, 15, 7, 31, 15, 32]
 
 
 @KERNEL
@@ -425,15 +391,19 @@ def test_compose_at_block_edges(case):
 
 @HEAVY
 @given(block_edges(), st.integers(0, 1))
-@example(([5], [0]), 0)  # a constant g at precision 1: the slope list is empty
+@example(([5], [0]), 0)
+@example(([5], [0]), 1)
 @example(([5, 0, 0], [0, 0, 3]), 1)
-def test_two_inputs_on_one_table_at_block_edges(case, extra):
+def test_compose_kernel_reads_an_input_longer_than_w_at_block_edges(case, extra):
+    # lagrange_solve composes phi, known mod t^n, at w known mod t^(n-1): the
+    # kernel trims an input one coefficient longer than w to w's precision
     f, w = case
     n = len(w)
     g = (f + [0] * (n + 1))[:n + extra]  # g known mod t^n or mod t^(n+1)
-    value, slope = compose_on_one_table(FPS(g), FPS(w))
-    assert canonical(value) == ref_compose(g, w)
-    assert canonical(slope) == ref_compose(ref_derivative(g + [0]), w)
+    outer = FPS(g)
+    got = _compose(outer._nums, outer._den, FPS(w))
+    assert canonical(got) == ref_compose(g, w)
+    assert got.precision == n
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -542,14 +512,17 @@ def diagonal_cases(draw):
 
 @HEAVY
 @given(diagonal_cases())
-def test_lagrange_diagonal_matches_newton(case):
-    # lagrange_gf reads the same diagonal as F(w) / (1 - t phi'(w)) at w = t phi(w)
+@example(([[5], [Fraction(-2, 3), 4, 1]], [Fraction(3, 5)]))  # precision 1, F longer
+def test_lagrange_gf_matches_the_fraction_reference(case):
+    # coefficient j is [t^j] F phi^j, the convolution of F with a chain of plain products
     fs, phi = case
     n = len(phi)
-    got = _lagrange_diagonal([FPS(f) for f in fs], FPS(phi))
-    assert [canonical(s) for s in got] == [
-        list(lagrange_gf(FPS(f), FPS(phi), n).coeffs) for f in fs
-    ]
+    powers = ref_powers(phi, n)
+    for f in fs:
+        got = lagrange_gf(FPS(f), FPS(phi), n)
+        assert canonical(got) == [
+            sum(f[i] * powers[j][j - i] for i in range(j + 1)) for j in range(n)
+        ], (f, phi)
 
 
 def test_dense_lagrange_coeffs_takes_baby_and_giant_steps(convolutions):
@@ -562,19 +535,26 @@ def test_dense_lagrange_coeffs_takes_baby_and_giant_steps(convolutions):
     assert canonical(got.truncate(12)) == ref_lagrange_coeffs([3, *range(1, 12)], 2, 12)
 
 
-def test_lagrange_coeffs_calls_no_composition(monkeypatch):
+@pytest.mark.parametrize("kernel", [
+    lambda phi: [lagrange_coeffs(phi, k, 12) for k in (1, 3)],
+    lambda phi: lagrange_gf(FPS([1, -2, Fraction(1, 3), 0, 4] * 3), phi, 12),
+], ids=["lagrange_coeffs", "lagrange_gf"])
+def test_lagrange_coeffs_calls_no_composition(monkeypatch, kernel):
     # lagrange_coeffs is the oracle of lagrange_solve and revert, so it takes
-    # neither them nor the composition kernel they share
+    # neither them nor the composition kernel they share; lagrange_gf, the
+    # Lagrange-diagonal kernel, reads the power table alone as well
     phi = FPS([Fraction(3, 2), -1, Fraction(2, 7), 0, 5, 0, 0, 0, 0, 0, 0, 0])
-    want = [lagrange_coeffs(phi, k, 12) for k in (1, 3)]
+    want = kernel(phi)
+    series._power_table.cache_clear()
+    series._giant_powers.cache_clear()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("lagrange_coeffs took another route")
+        raise AssertionError("a Lagrange kernel took another route")
 
     monkeypatch.setattr(series, "lagrange_solve", refuse)
-    monkeypatch.setattr(series, "_compose_all", refuse)
+    monkeypatch.setattr(series, "_compose", refuse)
     monkeypatch.setattr(series.FormalPowerSeries, "revert", refuse)
-    assert [lagrange_coeffs(phi, k, 12) for k in (1, 3)] == want
+    assert kernel(phi) == want
 
 
 def ref_powers(phi, n):
@@ -630,7 +610,7 @@ def test_lagrange_coeffs_and_diagonals_read_the_table_of_their_own_phi(case):
         want = [Fraction(k, j) * powers[j][j - k] if j >= k else 0 for j in range(n)]
         assert canonical(lagrange_coeffs(FPS(phi), k, n)) == want, (phi, n, k)
         # the diagonal reads every coefficient of the table, the last one too
-        (diagonal,) = _lagrange_diagonal([FPS(f[:n])], FPS(phi, n))
+        diagonal = lagrange_gf(FPS(f[:n]), FPS(phi, n), n)
         assert canonical(diagonal) == [
             sum(f[i] * powers[j][j - i] for i in range(j + 1)) for j in range(n)
         ], (phi, n)
