@@ -34,7 +34,8 @@ need it.  Any other array materializes from its cached columns,
 column ``k`` being column ``k-1`` times ``t h``, whose integer numerators
 are rescaled once to the lcm of their denominators; that column route is
 the row route's oracle in the tests.  :func:`a_sequence` solves the
-recurrence and verifies it with the same row correlation;
+recurrence and verifies it by rebuilding the triangle with the same row
+generator, from ``A`` compacted to ``P/(1 - t)^j``;
 :class:`fractions.Fraction` values are built only when entries are read.
 
 Extraction reads the new first column and ``t h`` by one of two
@@ -59,7 +60,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .hypergeom import binomial_series
@@ -453,8 +454,10 @@ class RiordanArray:
 
     def _diagonal_route(self, p: int, r: int, m: int):
         """The extracted first column and ``t h`` as two Lagrange diagonals."""
-        # rows pn + r < precision read d and h mod t^m only
-        h = self.h.truncate(m)
+        # rows pn + r < precision read d and h mod t^m only; a from_dA base
+        # that has not solved h solves it to that order, and keeps nothing
+        h = (self._h if self._h is not None
+             else lagrange_solve(self.A, m + 1).shift_down()).truncate(m)
         f = self._d.truncate(m) * h**r
         phi = h**(p - 1)
         return lagrange_gf(f, phi, m), lagrange_gf((f * h).shift_up().truncate(m), phi, m)
@@ -494,11 +497,16 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> FormalPowerSerie
     array has it.
 
     The recurrence is homogeneous, so it runs on the triangle's integer
-    rows ``R``.  The terms are integer numerators ``x_i`` over one running
-    common denominator ``E``, built as in the series division kernel, and
-    each check is the integer test ``E R[n+1][k+1] == sum_i x_i R[n][k+i]``,
-    row ``n`` correlated with the ``x_i`` at once.  Zero terms add nothing,
-    so the trailing ones are dropped before the checks.
+    rows: the ``N = nrows - 1`` terms are numerators ``x_i`` over one
+    running common denominator, as in the series division kernel.  The
+    check hands ``A`` to the row generator in its own form ``P/(1 - t)^j``,
+    ``P = x (1 - t)^j`` mod ``t^N`` (each factor one difference), at the
+    ``j`` of least cost ``|P| + j`` an entry (no ``j`` past the best cost
+    so far can beat it: the ballot triangle's ``x = 1, 1, 1, ...`` gives
+    ``(1, 1)``), rebuilds the triangle from its first column and compares.
+    Row ``n + 1`` reads ``A`` mod ``t^(n+1)`` only, and ``n + 1 <= N``, so
+    up to the first entry that differs the rebuilt rows are the given
+    ones, and that entry is the first to fail the recurrence.
     """
     rows = triangle._nums
     available = triangle.nrows - 1
@@ -518,19 +526,27 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> FormalPowerSerie
             )
         num = den * rows[n + 1][1] - sum(map(mul, xs, rows[n]))  # xs has n terms
         den = _append_term(xs, den, num, den * pivot)
-    weights = _stripped(xs) or [0]
-    for n in range(available):
-        lhs = [den * x for x in rows[n + 1][1:]]
-        rhs = _correlate(rows[n], weights)
-        if lhs != rhs:
-            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-            scale = den * triangle._den
-            raise NotRiordanError(
-                f"recurrence fails at (n={n + 1}, k={k + 1}): "
-                f"{Fraction(lhs[k], scale)} != {Fraction(rhs[k], scale)}"
-            )
-    if not xs[0]:
-        raise ImproperAError("A(0) must be nonzero")
+    best = (len(_stripped(xs)), 0, xs)  # cost |P| + j, j, P
+    diff = xs
+    for j in range(1, available):
+        if j >= best[0]:
+            break
+        diff = list(map(sub, diff, [0, *diff]))  # times 1 - t, mod t^N
+        best = min(best, (len(_stripped(diff)) + j, j, diff))
+    _, j, P = best
+    # row N reads P mod t^N only: the padded term is never read.  d(0) is
+    # row 0's pivot, and from_dA refuses P(0) = x_0 = 0 as A(0) = 0; that
+    # x_0 comes only from two rows, whose one check cannot fail
+    A = _wrap([*P, 0], den)
+    d = _series([row[0] for row in rows], triangle._den)
+    rebuilt = RiordanArray.from_dA(d, A)._with_A(A, j)._rows(triangle.nrows)
+    if rebuilt != triangle:
+        given, built = triangle.rows, rebuilt.rows
+        n = next(n for n, (x, y) in enumerate(zip(given, built)) if x != y)
+        k = next(k for k, (x, y) in enumerate(zip(given[n], built[n])) if x != y)
+        raise NotRiordanError(
+            f"recurrence fails at (n={n}, k={k}): {given[n][k]} != {built[n][k]}"
+        )
     return _series(xs[:terms], den)
 
 

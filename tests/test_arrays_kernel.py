@@ -135,16 +135,43 @@ def arrays(draw, rational_entries=True):
 any_array = st.one_of(arrays(rational_entries=False), arrays())
 
 
+def one_minus_t_power(j, precision):
+    """The series ``(1 - t)^j`` mod ``t^precision``."""
+    return FPS([(-1) ** i * comb(j, i) for i in range(j + 1)], precision=precision)
+
+
+@st.composite
+def dPQ_arrays(draw):
+    """An array ``(d, h)`` told its A-sequence ``P/(1 - t)^j``, and its precision ``rows``.
+
+    ``d`` and ``P`` are both integer or both rational, and ``j`` is 0..4,
+    set through ``_with_A`` as the stock triangles set theirs.  ``h``
+    solves ``h = (P/(1 - t)^j)(t h)`` by Newton, on its own route.
+    """
+    rows = draw(st.integers(1, 12))
+    coeff = draw(st.sampled_from([integer, st.one_of(integer, rational)]))
+    lead = unit if coeff is not integer else st.sampled_from([1, -1, 2, -3])
+    d = [draw(lead)] + draw(st.lists(coeff, max_size=rows - 1))
+    P = [draw(lead)] + draw(st.lists(coeff, max_size=rows - 1))
+    j = draw(st.integers(0, 4))
+    d, P = FPS(d, precision=rows), FPS(P, precision=rows)
+    h = series.lagrange_solve(P / one_minus_t_power(j, rows), rows + 1).shift_down()
+    return RiordanArray(d, h)._with_A(P, j), rows
+
+
+# an A-sequence drawn dense, or kept as P/(1 - t)^j
+any_A_form = st.one_of(any_array, dPQ_arrays())
+
+
 # -- a_sequence ----------------------------------------------------------------
 
 
 @KERNEL
-@given(any_array)
+@given(any_A_form)
 def test_a_sequence_matches_reference(case):
     array, rows = case
     tri = array.materialize(rows)
-    got = recovered(tri)
-    assert got == ref_a_sequence(tri)
+    assert outcome(recovered, tri) == outcome(ref_a_sequence, tri)
 
 
 @KERNEL
@@ -158,7 +185,7 @@ def test_a_sequence_recovers_the_building_A(case, data):
 
 
 @KERNEL
-@given(any_array, st.data())
+@given(any_A_form.filter(lambda case: case[1] >= 2), st.data())
 def test_perturbed_entry_gives_the_same_outcome(case, data):
     array, rows = case
     entries = [list(row) for row in array.materialize(rows).rows]
@@ -203,6 +230,23 @@ def test_one_row_recovers_nothing():
     assert outcome(recovered, tri) == outcome(ref_a_sequence, tri)
     with pytest.raises(InsufficientDataError, match="1 rows recover at most 0 terms"):
         a_sequence(tri)
+
+
+def test_a_sequence_checks_through_the_compacted_A(monkeypatch):
+    # the ballot triangle's A = 1, 1, 1, ... rebuilds from (1, 1), and its
+    # extraction at p = 3, A^3 = C(n + 2, 2), from (1, 3): no check
+    # correlates a row with the dense terms
+    base = ballot_triangle(121)
+    sub = base.extract_subarray(3, 0)
+    assert sub.precision == 41
+    triangles = [base.materialize(121), sub.materialize(41)]
+    lengths = []
+    correlate = arrays_module._correlate
+    monkeypatch.setattr(arrays_module, "_correlate",
+                        lambda row, a: lengths.append(len(a)) or correlate(row, a))
+    got = [a_sequence(tri) for tri in triangles]
+    assert got == [FPS([1] * 120), FPS([comb(n + 2, 2) for n in range(40)])]
+    assert len(lengths) == 120 + 40 and set(lengths) == {1}
 
 
 # -- materialize / subarray_triangle ------------------------------------------
@@ -283,30 +327,6 @@ def test_stock_triangles_rows_match_their_columns(factory):
     assert array.materialize(23) == factory(23)._band(range(23))
 
 
-def one_minus_t_power(j, precision):
-    """The series ``(1 - t)^j`` mod ``t^precision``."""
-    return FPS([(-1) ** i * comb(j, i) for i in range(j + 1)], precision=precision)
-
-
-@st.composite
-def dPQ_arrays(draw):
-    """An array ``(d, h)`` told its A-sequence ``P/(1 - t)^j``, and its precision ``rows``.
-
-    ``d`` and ``P`` are both integer or both rational, and ``j`` is 0..4,
-    set through ``_with_A`` as the stock triangles set theirs.  ``h``
-    solves ``h = (P/(1 - t)^j)(t h)`` by Newton, on its own route.
-    """
-    rows = draw(st.integers(1, 12))
-    coeff = draw(st.sampled_from([integer, st.one_of(integer, rational)]))
-    lead = unit if coeff is not integer else st.sampled_from([1, -1, 2, -3])
-    d = [draw(lead)] + draw(st.lists(coeff, max_size=rows - 1))
-    P = [draw(lead)] + draw(st.lists(coeff, max_size=rows - 1))
-    j = draw(st.integers(0, 4))
-    d, P = FPS(d, precision=rows), FPS(P, precision=rows)
-    h = series.lagrange_solve(P / one_minus_t_power(j, rows), rows + 1).shift_down()
-    return RiordanArray(d, h)._with_A(P, j), rows
-
-
 @KERNEL
 @given(dPQ_arrays())
 def test_row_generator_matches_the_columns(case):
@@ -328,7 +348,8 @@ def test_row_generator_matches_the_columns(case):
     assert gcd(A._den, *A._nums) == 1
 
 
-def test_from_dA_solves_h_only_when_it_is_read(monkeypatch):
+def counted_solves(monkeypatch):
+    """The precisions of the Newton solves of ``h`` made from here on."""
     calls = []
     solve = arrays_module.lagrange_solve
 
@@ -337,6 +358,11 @@ def test_from_dA_solves_h_only_when_it_is_read(monkeypatch):
         return solve(phi, precision)
 
     monkeypatch.setattr(arrays_module, "lagrange_solve", counted)
+    return calls
+
+
+def test_from_dA_solves_h_only_when_it_is_read(monkeypatch):
+    calls = counted_solves(monkeypatch)
     d = FPS([1, Fraction(1, 2), -3, 2, 0, 1], precision=12)
     A = FPS([2, 1, Fraction(-1, 3)], precision=12)
     array = RiordanArray.from_dA(d, A)
@@ -350,6 +376,17 @@ def test_from_dA_solves_h_only_when_it_is_read(monkeypatch):
     assert array._band(range(12)) == tri
     assert array.entry(11, 4) == tri.entry(11, 4)
     assert calls == [13]
+
+
+def test_extraction_from_a_dense_from_dA_base_solves_h_to_the_new_precision(monkeypatch):
+    # the diagonal reads h mod t^m only; the base's own h stays unsolved
+    calls = counted_solves(monkeypatch)
+    base = RiordanArray.from_dA(FPS.one(61), FPS([1] * 61))
+    sub = base.extract_subarray(3, 0)
+    assert sub.precision == 21
+    assert calls == [22]
+    assert base._h is None
+    assert sub.materialize(21) == subarray_triangle(base, 3, 0, 21)
 
 
 # -- extract_subarray against its oracle ----------------------------------------
