@@ -202,11 +202,8 @@ def _cmd_check(args, out) -> int:
                     f"  slots: {', '.join(entry.slots)}; default grid: {entry.default_grid}\n"
                 )
         return 0
-    pinned = {}
-    for slot in _PINS:
-        value = getattr(args, slot)
-        if value is not None:
-            pinned[slot] = _parse_rational(value) if slot in ("x", "y") else value
+    pinned = {slot: _parse_rational(getattr(args, slot))
+              for slot in _PINS if getattr(args, slot) is not None}
     ids: list[str]
     if args.all:
         if args.identity is not None:
@@ -334,13 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--max-n", "--n-max", dest="max_n", type=int, help="grid bound (default: 20)"
     )
-    p_check.add_argument("--p", type=int, default=None, help="pin the p slot")
-    p_check.add_argument("--r", type=int, default=None, help="pin the r slot")
-    p_check.add_argument("--k", type=int, default=None, help="pin the k slot")
-    p_check.add_argument("--s", type=int, default=None, help="pin the s slot")
+    p_check.add_argument("--p", default=None, help="pin the p slot")
+    p_check.add_argument("--r", default=None, help="pin the r slot")
+    p_check.add_argument("--k", default=None, help="pin the k slot")
+    p_check.add_argument("--s", default=None, help="pin the s slot")
     p_check.add_argument("--x", default=None, help="pin the rational x slot")
     p_check.add_argument("--y", default=None, help="pin the rational y slot")
-    p_check.add_argument("--z", type=int, default=None, help="pin the integer z slot")
+    p_check.add_argument("--z", default=None, help="pin the integer z slot")
     # a report or a registry entry has no table shape, so check has no csv
     _add_common(p_check, ("text", "jsonl"))
 

@@ -27,8 +27,9 @@ and the coefficient formula for (t h)^s = t^s B_q^{qs}.  They are stated
 once, as the integer kernel ``_binomial_power_ratio`` ([t^n] B_q^r):
 ``binomial_series``, the h-series (B_q^q), the stock Catalan triangles,
 ``power_coeff`` and the identity registry's factor columns all read it.
-An integer r >= 1 (with q >= 1) takes ``math.comb``; any other r takes
-one ``math.prod`` over the n - 1 falling factors of its cancelled form.
+It reads its cancelled form r/n C(qn + r - 1, n - 1) off the one
+generalized binomial, ``_binomial_ratio``.  Neither kernel reduces: each
+hands back a raw integer pair, which its collector reduces once.
 """
 
 from __future__ import annotations
@@ -134,23 +135,35 @@ def h_for_binomial_A(q: int, precision: int) -> FormalPowerSeries:
     return binomial_series(q, q, precision)
 
 
-def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:
-    """[t^n] B_q^r at r = a/b (b > 0): r/(qn + r) C(qn + r, n), as a reduced integer pair.
+def _binomial_ratio(a: int, b: int, k: int) -> tuple[int, int]:
+    """C(a/b, k) for b > 0, as a raw integer pair: prod_{i<k} (a - i b) / (b^k k!); 0 for k < 0.
 
-    At an integer r >= 1 with q >= 1, qn + r is positive and the term is
-    the integer r C(qn + r, n) / (qn + r), by ``math.comb``.  Any other r
-    takes the cancelled product r prod_{1<=m<n} (qn + r - m) / n!
-    = a prod_{1<=m<n} (a + (qn - m) b) / (b^n n!), formed by one
-    ``math.prod``, so rational r is legal and no pole is checked: a
-    vanishing qn + r is the caller's to refuse (the product has a finite
-    value there, which is why the ``comb`` route is kept to q, r >= 1).
+    The one place that chooses ``math.comb``: at a nonnegative integer
+    a/b.  Any other a/b takes one ``math.prod`` over the k falling
+    factors, left for the caller's collector to reduce.
+    """
+    if k < 0:
+        return 0, 1
+    if a >= 0 and not a % b:
+        return comb(a // b, k), 1
+    return prod(range(a, a - k * b, -b)), b**k * factorial(k)
+
+
+def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:
+    """[t^n] B_q^r at r = a/b (b > 0): r/n C(qn + r - 1, n - 1), as a raw integer pair.
+
+    This is r/(qn + r) C(qn + r, n) with its qn + r cancelled, read off
+    ``_binomial_ratio``, so rational r is legal and the form has no pole:
+    a vanishing qn + r is the caller's to refuse.  At an integer r the
+    term is an integer (B_q^r has integer coefficients), and is returned
+    over 1.
     """
     if n == 0:
         return 1, 1
-    if b == 1 and a >= 1 and q >= 1:
-        return a * comb(q * n + a, n) // (q * n + a), 1
-    num = a * prod(range(a + (q * n - 1) * b, a + (q * n - n) * b, -b))
-    return _reduced(num, b**n * factorial(n))
+    num, den = _binomial_ratio(a + (q * n - 1) * b, b, n - 1)
+    if b == 1:
+        return a * num // (n * den), 1
+    return a * num, b * n * den
 
 
 def binomial_series(q: int, r: Scalar, precision: int) -> FormalPowerSeries:

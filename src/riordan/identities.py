@@ -26,8 +26,10 @@ since column k of the subsampled array is F_{ps} * G_{p(k-s)+r}, read
 at n - k; the column sum is F_1 * G_{p(k-1)+r}, read at n - k + 1.
 
 The terms run on plain integers: a rational x enters as the pair
-(x.numerator, x.denominator), and a term is an integer (numerator,
-denominator) pair, e.g. C(a/b, k) = prod(a - i b) / (b^k k!).  One run
+(x.numerator, x.denominator), and a term is a raw integer (numerator,
+denominator) pair that the column it joins reduces.  Every term reads
+hypergeom's kernels: C(a/b, k) = prod(a - i b) / (b^k k!) is
+``_binomial_ratio``, and B_q^r is ``_binomial_power_ratio``.  One run
 of a row keeps a memo of its factor columns, keyed by (factor, first
 set slot, argument), each as integer numerators over one common
 denominator.  A column is made once and grows in place as the points
@@ -45,10 +47,10 @@ at its first failure, and the failure with the smallest index is the
 run's, as in a point-by-point loop.  A term that raises (a pole) is
 kept in its column and raised by the first point whose sum takes it, as
 a term-by-term sum would.  ``sum_lhs`` and ``sum_rhs`` give one point's
-two sides of any row by id.  The B_q^r terms are hypergeom's integer
-kernel.  ``binomial`` and the ``_*_term`` helpers are cached ``Fraction``
-wrappers that nothing in ``src/`` calls: the benchmark's tracer reads
-their caches (``bench/layertrace.py``, ``CACHES``).
+two sides of any row by id.  ``binomial`` and the ``_*_term`` helpers
+are cached ``Fraction`` wrappers that nothing in ``src/`` calls: the
+benchmark's tracer reads their caches (``bench/layertrace.py``,
+``CACHES``).
 
 The product laws compare whole series.  One run builds each factor
 series (a direct sum, a binomial series or a hypergeometric expansion)
@@ -67,7 +69,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import comb, factorial, prod
+from math import comb
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -76,6 +78,7 @@ from .hypergeom import (
     HypergeometricSpec,
     PoleError,
     _binomial_power_ratio,
+    _binomial_ratio,
     binomial_series,
     expand,
     power_spec,
@@ -83,7 +86,7 @@ from .hypergeom import (
 )
 from .reports import Counterexample, IdentityReport, series_verdict
 from .series import (
-    FormalPowerSeries, _append_term, _collect, _fraction, _reduced, _require_terms, _wrap,
+    FormalPowerSeries, _append_term, _collect, _fraction, _require_terms, _wrap,
     lagrange_solve,
 )
 
@@ -175,17 +178,8 @@ def _entry(col: Column, m: int) -> Ratio:
     return (col.nums[m] if m >= 0 else 0), col.den
 
 
-def _binomial_ratio(a: int, b: int, k: int) -> Ratio:
-    # C(a/b, k) for b > 0: prod_{i<k} (a - i b) / (b^k k!); 0 for k < 0
-    if k < 0:
-        return 0, 1
-    if b == 1 and a >= 0:
-        return comb(a, k), 1
-    return _reduced(prod(range(a, a - k * b, -b)), b**k * factorial(k))
-
-
 def _shifted_binomial_ratio(z: int, c: int, e: int, m: int) -> Ratio:
-    # C(y + zm, m) at y = c/e; (c + zme)/e is in lowest terms
+    # C(y + zm, m) at y = c/e
     return _binomial_ratio(c + z * m * e, e, m)
 
 
@@ -198,7 +192,7 @@ def _ballot_weight(p: int, a: int, b: int, m: int) -> Ratio:
 
 
 def _ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
-    # the weight times C((p+1)m + y, m); ((p+1)m b + a)/b is in lowest terms
+    # the weight times C((p+1)m + y, m)
     wnum, wden = _ballot_weight(p, a, b, m)
     num, den = _binomial_ratio((p + 1) * m * b + a, b, m)
     return wnum * num, wden * den
@@ -207,7 +201,7 @@ def _ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
 def _central_ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
     # the weight times C(2(pm + y + 1), m)
     wnum, wden = _ballot_weight(p, a, b, m)
-    num, den = _binomial_ratio(*_reduced(2 * wden, b), m)
+    num, den = _binomial_ratio(2 * wden, b, m)
     return wnum * num, wden * den
 
 
@@ -1025,15 +1019,22 @@ def registry_entries() -> list[RegistryEntry]:
     return list(REGISTRY.values())
 
 
-def _exact_pin(identity: str, slot: str, value: Scalar) -> Scalar:
-    """A pin as the grid takes it: a float is refused, an integer slot's value made an int."""
-    if isinstance(value, float):
-        raise RegistryError(f"identity {identity!r} needs an exact {slot}, got {slot}={value}")
-    if slot not in ("n", "p", "r", "z", "k", "s"):
-        return value
-    if Fraction(value).denominator != 1:
-        raise RegistryError(f"identity {identity!r} needs an integer {slot}, got {slot}={value}")
-    return int(value)
+def _exact_pin(identity: str, slot: str, value: Union[Scalar, str]) -> Scalar:
+    """A pin as the grid takes it: a ``Fraction``, or an int in an integer slot.
+
+    Any value that ``Fraction`` reads exactly is taken (an int, a
+    ``Fraction``, a string such as ``"1/2"``); a float, a value it does not
+    read, and a fraction in an integer slot are refused by name.
+    """
+    integer = slot in ("n", "p", "r", "z", "k", "s")
+    try:
+        exact = _fraction(value)  # which refuses a float
+    except (TypeError, ValueError, ZeroDivisionError):
+        exact = None
+    if exact is None or integer and exact.denominator != 1:
+        kind = "an exact" if exact is None else "an integer"
+        raise RegistryError(f"identity {identity!r} needs {kind} {slot}, got {slot}={value}")
+    return int(exact) if integer else exact
 
 
 def check_registry(

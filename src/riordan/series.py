@@ -13,12 +13,15 @@ precision is an error rather than a silent zero, and binary operations
 truncate to the smaller operand precision, so knowledge never grows by
 accident.
 
-The package puts exact terms over one denominator here alone, by one
-pair reduction (:func:`_reduced`): in one batch for streams and for the
-constructors' fractions (:func:`_collect`), term by term for recurrences
-and growing columns (:func:`_append_term`).  Integer rows over one
-denominator reach lowest terms by one gcd (:func:`_lowest`), and
-:func:`_stripped` drops trailing zeros.
+The package puts exact terms over one denominator here alone, and
+reduces each term once.  A batch (a stream of terms, or a constructor's
+fractions) goes over the lcm of its denominators and reaches lowest
+terms by one gcd at the end (:func:`_collect`); no term in it is
+reduced on its own.  A recurrence, whose next term reads the ones
+before it, and a growing column reduce term by term (:func:`_reduced`):
+:func:`_append_term`, and the running term of ``hypergeom.expand``.
+Integer rows over one denominator reach lowest terms by one gcd
+(:func:`_lowest`), and :func:`_stripped` drops trailing zeros.
 
 One kernel, :func:`lagrange_gf`, reads the Lagrange diagonals
 ``[t^n] F(t) phi(t)^n`` off one shared table of the powers of ``phi``:
@@ -149,18 +152,16 @@ def _stripped(nums: Sequence[int]) -> Sequence[int]:
 
 
 def _collect(terms) -> tuple[list[int], int]:
-    """Canonical numerators over one denominator of a stream of terms ``(num, den != 0)``.
+    """Canonical numerators over one denominator of a batch of terms ``(num, den != 0)``.
 
-    A term is reduced only when the running denominator must grow, and
-    each is rescaled once, at the end, to the lcm.
+    No term is reduced on its own: the batch goes over the lcm of its
+    denominators, and one gcd over it and every numerator (:func:`_lowest`)
+    brings the whole to lowest terms.
     """
-    pairs, den = [], 1
-    for num, d in terms:
-        if den % d:
-            num, d = _reduced(num, d)
-            den = lcm(den, d)
-        pairs.append((num, d))
-    return [num * (den // d) for num, d in pairs], den
+    pairs = list(terms)
+    den = lcm(*(d for _, d in pairs))
+    (nums,), den = _lowest([[num * (den // d) for num, d in pairs]], den)
+    return nums, den
 
 
 def _append_term(xs: list[int], den: int, num: int, step: int) -> int:

@@ -624,6 +624,12 @@ def test_check_out_of_domain_pin_names_the_pin(capsys, no_compute, identity, slo
         ("catalan-vandermonde", "z", 2.0, "an exact"),
         ("rothe-hagen", "x", 0.5, "an exact"),
         ("product-laws", "y", 1.5, "an exact"),
+        # a value that Fraction does not read
+        ("rothe-hagen", "x", "abc", "an exact"),
+        ("rothe-hagen", "y", "1/0", "an exact"),
+        ("catalan-vandermonde", "z", None, "an exact"),
+        # a string is read as a rational
+        ("subarray-convolution", "p", "5/2", "an integer"),
     ],
 )
 def test_check_refuses_inexact_pins_by_name(no_compute, identity, slot, value, kind):
@@ -639,13 +645,33 @@ def test_check_refuses_inexact_pins_by_name(no_compute, identity, slot, value, k
         ("catalan-vandermonde", {"z": 2}),
         ("subarray-convolution", {"p": 3, "r": 1, "k": 2}),
         ("ballot-vandermonde", {"p": 2, "x": Fraction(1, 2)}),
+        ("rothe-hagen", {"x": 1, "y": Fraction(-2, 3)}),
+        ("product-laws", {"p": 3, "x": Fraction(5, 2)}),
     ],
 )
 def test_integral_fraction_pins_check_as_ints(identity, pins):
+    # every pin is read through Fraction: "6/2" in an integer slot is 3, as 3 and Fraction(3) are
     as_fractions = {slot: Fraction(v) for slot, v in pins.items()}
+    as_strings = {s: f"{2 * v.numerator}/{2 * v.denominator}" for s, v in as_fractions.items()}
     got = identities.check_registry(identity, 6, as_fractions)
     assert got.to_record() == identities.check_registry(identity, 6, pins).to_record()
+    assert got.to_record() == identities.check_registry(identity, 6, as_strings).to_record()
     assert got.holds and got.points > 0
+
+
+@pytest.mark.parametrize(
+    "argv, slot, value",
+    [
+        (("subarray-convolution", "--p", "1/2"), "p", "1/2"),
+        (("catalan-vandermonde", "--z", "7/2"), "z", "7/2"),
+        (("subarray-convolution", "--k", "0.5"), "k", "1/2"),
+    ],
+)
+def test_check_refuses_a_fractional_integer_pin_by_name(capsys, no_compute, argv, slot, value):
+    # the CLI reads every pin as an exact rational; the registry refuses it by name
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"riordan: identity {argv[0]!r} needs an integer {slot}, got {slot}={value}\n"
 
 
 @pytest.mark.parametrize(
@@ -656,8 +682,6 @@ def test_integral_fraction_pins_check_as_ints(identity, pins):
         ("aseq", "pascal", "--terms", "3", "--precision", "4"),
         ("hyper", "--upper", "1", "--terms", "3", "--precision", "4"),
         ("check", "andrews-a3", "--max-n", "3", "--precision", "4"),
-        # z is an integer slot, like p, r, k and s
-        ("check", "catalan-vandermonde", "--z", "7/2"),
     ],
 )
 def test_cli_refuses_bad_arguments_as_usage_errors(capsys, argv):
@@ -696,7 +720,8 @@ def test_option_after_a_value_option_is_still_refused(capsys):
 
 
 def test_abbreviated_options_are_refused(capsys):
-    # check has no n slot: with abbreviations, --n 5 would be read as --n-max 5
+    # check has no --n flag (an n pin goes through check_registry): with
+    # abbreviations, --n 5 would be read as --n-max 5
     for argv in (("check", "andrews-a1", "--n", "5"), ("check", "andrews-a1", "--max", "5"),
                  ("triangle", "pascal", "--row", "3"), ("hyper", "--up", "1")):
         with pytest.raises(SystemExit) as exc:

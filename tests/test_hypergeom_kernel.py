@@ -13,11 +13,13 @@ from math import comb, factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordan import hypergeom, series
 from riordan.hypergeom import (
     HypergeometricSpec,
     HypergeomError,
     PoleError,
     _binomial_power_ratio,
+    _binomial_ratio,
     binomial_series,
     expand,
     pochhammer,
@@ -158,54 +160,99 @@ def test_binomial_series_pole_matches_reference(q, m, extra):
     assert want == (PoleError, f"qn + r vanishes at n = {m}") or precision <= m
 
 
+# -- the generalized binomial C(a/b, k) -------------------------------------------
+
+
+def ref_binomial(a, b, k):
+    if k < 0:
+        return Fraction(0)
+    out = Fraction(1)
+    for i in range(k):
+        out *= Fraction(a, b) - i
+    return out / factorial(k)
+
+
+@KERNEL
+@given(
+    ab=st.one_of(
+        # b | a with a >= 0: the math.comb route
+        st.builds(lambda c, b: (c * b, b), st.integers(0, 40), st.integers(1, 9)),
+        # a < 0: the falling product
+        st.tuples(st.integers(-200, -1), st.integers(1, 9)),
+        st.tuples(st.integers(-200, 200), st.integers(1, 9)),
+    ),
+    k=st.integers(-2, 30),
+)
+def test_binomial_ratio_matches_reference(ab, k):
+    a, b = ab
+    pair = _binomial_ratio(a, b, k)
+    assert Fraction(*pair) == ref_binomial(a, b, k)
+    if k < 0:
+        assert pair == (0, 1)
+    elif a >= 0 and a % b == 0:
+        assert pair == (comb(a // b, k), 1)
+    else:
+        # raw: the collector, not the kernel, reduces it
+        assert pair[1] == b**k * factorial(k)
+
+
+def test_binomial_kernels_reduce_no_pair(monkeypatch):
+    # the kernels hand back raw pairs; binomial_series reduces its batch once, in _collect
+    def fail(*args):
+        raise AssertionError("a kernel reduced its pair")
+
+    monkeypatch.setattr(hypergeom, "_reduced", fail)
+    monkeypatch.setattr(series, "_reduced", fail)
+    got = binomial_series(3, Fraction(1, 2), 30)
+    assert list(got.coeffs) == [ref_power_term(3, Fraction(1, 2), n) for n in range(30)]
+
+
 # -- the two routes of [t^n] B_q^r ----------------------------------------------
+# r/n C(qn + r - 1, n - 1) takes math.comb where qn + r - 1 is a nonnegative
+# integer, and the falling product otherwise.  The pair is raw (its collector
+# reduces it), so its value is what is compared; an integer r gives an integer.
 
 
 def power_term(q, r, n):
     num, den = _binomial_power_ratio(q, r.numerator, r.denominator, n)
     assert den > 0
-    return Fraction(num, den), (num, den)
+    if r.denominator == 1:
+        assert den == 1
+    return Fraction(num, den)
 
 
 @KERNEL
 @given(q=st.integers(1, 6), a=st.integers(1, 12), n=st.integers(0, 80))
 def test_power_term_by_comb_matches_reference(q, a, n):
-    # integer r = a >= 1 and q >= 1: the math.comb route, an integer term
-    value, pair = power_term(q, Fraction(a), n)
+    # integer r = a >= 1 and q >= 1: the math.comb route at every n >= 1
+    value = power_term(q, Fraction(a), n)
     assert value == ref_power_term(q, Fraction(a), n)
     assert value == Fraction(a, q * n + a) * comb(q * n + a, n)
-    assert pair == (value.numerator, 1)
 
 
 @KERNEL
 @given(
     q=st.integers(-4, 6),
     r=st.one_of(
-        rational.filter(lambda r: r.denominator > 1),  # b > 1
-        st.builds(Fraction, st.integers(-30, 0)),  # a <= 0
+        rational.filter(lambda r: r.denominator > 1),  # b > 1: the product at every n
+        st.builds(Fraction, st.integers(-30, 0)),  # a <= 0: the product while qn + a < 1
     ),
     n=st.integers(0, 40),
 )
 def test_power_term_by_product_matches_reference(q, r, n):
-    value, pair = power_term(q, r, n)
-    assert value == ref_power_term(q, r, n)
-    assert pair == (value.numerator, value.denominator)
+    assert power_term(q, r, n) == ref_power_term(q, r, n)
 
 
 @KERNEL
 @given(q=st.integers(-4, 0), a=st.integers(1, 12), n=st.integers(0, 40))
-def test_power_term_at_q_below_one_takes_the_product(q, a, n):
-    # qn + a can vanish here (q = -1, n = a), where the product stays finite and comb cannot
-    value, pair = power_term(q, Fraction(a), n)
-    assert value == ref_power_term(q, Fraction(a), n)
-    assert pair == (value.numerator, value.denominator)
+def test_power_term_at_q_below_one_matches_reference(q, a, n):
+    # qn + a can vanish here (q = -1, n = a), where the cancelled form stays finite
+    assert power_term(q, Fraction(a), n) == ref_power_term(q, Fraction(a), n)
 
 
 @KERNEL
 @given(q=st.integers(-4, 6).filter(bool), n=st.integers(1, 30))
 def test_power_term_where_qn_plus_r_vanishes(q, n):
-    # r = -qn: a <= 0 at q >= 1 and a >= 1 at q <= -1, both on the product route
+    # r = -qn: a <= 0 at q >= 1 and a >= 1 at q <= -1; qn + r - 1 = -1 takes the product
     r = Fraction(-q * n)
-    value, pair = power_term(q, r, n)
-    assert value == ref_power_term(q, r, n)
-    assert pair == (value.numerator, value.denominator)
+    assert power_term(q, r, n) == ref_power_term(q, r, n)

@@ -18,6 +18,7 @@ from riordan import series
 from riordan.series import FormalPowerSeries as FPS
 from riordan.series import (
     _append_term,
+    _collect,
     _compose,
     lagrange_coeffs,
     lagrange_gf,
@@ -632,6 +633,36 @@ def test_integer_term_appends_as_the_reduced_route_does(xs, den, num):
     assert (fast, got) == (slow, _append_term(slow, den, -num, -1))
     assert got == den
     assert [Fraction(x, got) for x in fast] == [Fraction(x, den) for x in xs] + [num]
+
+
+# -- a batch of terms over one denominator ------------------------------------------
+
+
+raw_pairs = st.tuples(st.integers(-10**9, 10**9), st.integers(-10**6, 10**6).filter(bool))
+
+
+@KERNEL
+@given(st.one_of(
+    st.lists(raw_pairs, max_size=30),  # negative denominators among them
+    # unreduced pairs: each term scaled by a common factor of its own
+    st.lists(st.builds(lambda t, g: (t[0] * g, t[1] * g), raw_pairs,
+                       st.integers(-10**6, 10**6).filter(bool)), max_size=30),
+    st.lists(st.tuples(st.integers(-10**30, 10**30), st.just(1)), max_size=30),  # integers
+    st.lists(raw_pairs, min_size=1, max_size=1),  # a single term
+))
+def test_collect_puts_a_batch_in_lowest_terms(terms):
+    nums, den = _collect(terms)
+    assert [Fraction(x, den) for x in nums] == [Fraction(n, d) for n, d in terms]
+    assert den > 0 and gcd(den, *nums) == 1
+
+
+def test_collect_reduces_no_term_on_its_own(monkeypatch):
+    # over the lcm, then one gcd: a per-term reduction would call _reduced
+    def fail(*args):
+        raise AssertionError("_collect reduced a term on its own")
+
+    monkeypatch.setattr(series, "_reduced", fail)
+    assert _collect([(2, 4), (3, -6), (10, 8), (7, 1)]) == ([2, -2, 5, 28], 4)
 
 
 # -- canonical form and precision rules ----------------------------------------

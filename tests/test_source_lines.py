@@ -107,6 +107,14 @@ def test_only_series_imports_gcd():
     assert importers == [], f"import gcd from math outside series.py: {importers}"
 
 
+def test_identities_imports_no_pair_reduction():
+    # its kernels hand back raw pairs, which the column or batch they join reduces once
+    tree = ast.parse((SRC / "riordan" / "identities.py").read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    assert "_reduced" not in names
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # in a fresh interpreter, so that only what this import adds counts, and
     # not what site or an earlier test has already loaded
