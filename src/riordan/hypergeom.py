@@ -11,13 +11,17 @@ computed through the term ratio
 
 The expansion runs on plain integers.  With a_i = p_i/q_i, c_j = r_j/s_j
 and L = u/v, the ratio is the integer constant u prod(s_j) / (v prod(q_i))
-times prod(p_i + n q_i) / ((n + 1) prod(r_j + n s_j)), so each term is a
-running integer pair (N, D) multiplied by two integer polynomials in n
-and reduced by one gcd.  The terms are collected over one common
-denominator by ``series._collect``, and the series is built once; a
-``Fraction`` is made only when a coefficient is read.  ``binomial_series``
-and ``pochhammer`` work the same way on the numerator and denominator of
-their rational argument.
+times prod(p_i + n q_i) / ((n + 1) prod(r_j + n s_j)), a ratio of integer
+linear factors in n.  Each term is stepped from the one before it by that
+ratio (``series._ratio_steps``): the small ratio is reduced first, then
+cross-reduced against the running pair (N, D), so the term stays in
+lowest terms and no gcd has two full-width operands.  The stepped terms
+go over one common denominator with no further gcd (``series._extend``),
+and the series is built once; a ``Fraction`` is made only when a
+coefficient is read.  ``binomial_series`` and ``pochhammer`` work on the
+numerator and denominator of their rational argument, from the closed
+form, so they stay independent of the stepping that ``expand`` and the
+identity columns use.
 
 No symbolic simplification is attempted: the consumers only ever need
 coefficient streams.  Alongside the generic expansion live the closed
@@ -29,17 +33,25 @@ once, as the integer kernel ``_binomial_power_ratio`` ([t^n] B_q^r):
 ``power_coeff`` and the identity registry's factor columns all read it.
 It reads its cancelled form r/n C(qn + r - 1, n - 1) off the one
 generalized binomial, ``_binomial_ratio``.  Neither kernel reduces: each
-hands back a raw integer pair, which its collector reduces once.
+hands back a raw integer pair, which its collector reduces once.  Their
+term ratios are stated next to them, as integer linear factors:
+``_binomial_steps`` for C(a/b + zm, m) and ``_binomial_power_steps`` for
+B_q^r.  Each is given only where none of its factors can vanish (a/b not
+an integer, z >= 1); the identity registry's columns step their terms
+by them there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, prod
 from typing import NamedTuple, Sequence, Union
 
 from .reports import IdentityReport, series_verdict
-from .series import FormalPowerSeries, SeriesError, _collect, _fraction, _reduced, _wrap
+from .series import (
+    FormalPowerSeries, SeriesError, Steps, _collect, _extend, _fraction, _ratio_steps, _wrap,
+)
 
 Scalar = Union[int, Fraction]
 
@@ -91,7 +103,12 @@ def pochhammer(a: Scalar, n: int) -> Fraction:
 
 
 def expand(spec: HypergeometricSpec, precision: int) -> FormalPowerSeries:
-    """Exact coefficient stream of the spec, constant term 1."""
+    """Exact coefficient stream of the spec, constant term 1.
+
+    Each term is stepped from the one before it by the term ratio
+    (``series._ratio_steps``), so it is in lowest terms without a
+    full-width gcd, and the batch goes over one lcm with no gcd at all.
+    """
     if precision < 1:
         raise SeriesError("precision must be positive")
     upper = [(a.numerator, a.denominator) for a in spec.upper]
@@ -99,13 +116,11 @@ def expand(spec: HypergeometricSpec, precision: int) -> FormalPowerSeries:
     # the scale and every parameter's denominator, as one constant ratio
     const_num = spec.scale.numerator * prod(d for _, d in lower)
     const_den = spec.scale.denominator * prod(d for _, d in upper)
-    terms = [(1, 1)]  # each term N/D in lowest terms
-    for n in range(precision - 1):
-        num, den = terms[-1]
-        # no factor vanishes: a lower parameter is never zero or a negative integer
-        terms.append(_reduced(num * const_num * prod(a + n * b for a, b in upper),
-                              den * const_den * (n + 1) * prod(c + n * d for c, d in lower)))
-    return _wrap(*_collect(terms))
+    # no factor below vanishes: a lower parameter is never zero or a negative integer
+    steps = _ratio_steps(1, 1, [(const_num, 0), *upper], [(const_den, 0), (1, 1), *lower])
+    nums: list[int] = []
+    den = _extend(nums, 1, islice(steps, precision))
+    return _wrap(nums, den)
 
 
 def power_spec(q: int, r: Scalar) -> HypergeometricSpec:
@@ -149,6 +164,21 @@ def _binomial_ratio(a: int, b: int, k: int) -> tuple[int, int]:
     return prod(range(a, a - k * b, -b)), b**k * factorial(k)
 
 
+def _binomial_steps(z: int, a: int, b: int) -> Steps | None:
+    """The ratio C(a/b + z(m+1), m+1) / C(a/b + zm, m) for b > 0, as linear factors in m.
+
+    It is prod_{i=1..z} (a + ib + zbm) over b (m + 1) prod_{i=1..z-1}
+    (a + ib + (z-1)bm), the factors given as pairs (c0, c1) for
+    ``series._ratio_steps``.  None unless a/b is not an integer and
+    z >= 1: then every factor but b and m + 1 is a modulo b, which is not
+    0, so none vanishes, and a stepped term needs no pole or zero rule.
+    """
+    if z < 1 or not a % b:
+        return None
+    return ([(a + i * b, z * b) for i in range(1, z + 1)],
+            [(b, 0), (1, 1), *((a + i * b, (z - 1) * b) for i in range(1, z))])
+
+
 def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:
     """[t^n] B_q^r at r = a/b (b > 0): r/n C(qn + r - 1, n - 1), as a raw integer pair.
 
@@ -164,6 +194,21 @@ def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:
     if b == 1:
         return a * num // (n * den), 1
     return a * num, b * n * den
+
+
+def _binomial_power_steps(q: int, a: int, b: int) -> Steps | None:
+    """The ratio [t^(n+1)] B_q^r / [t^n] B_q^r at r = a/b, as linear factors in n.
+
+    It is the ratio of C(r + qn, n) (``_binomial_steps``) times
+    (r + qn)/(r + qn + q), whose denominator cancels the binomial's last
+    upper factor: the upper factors are r + qn + i for i = 0..q-1.  None
+    where ``_binomial_steps`` is None.
+    """
+    steps = _binomial_steps(q, a, b)
+    if steps is None:
+        return None
+    upper, lower = steps
+    return [(a, q * b), *upper[:-1]], lower
 
 
 def binomial_series(q: int, r: Scalar, precision: int) -> FormalPowerSeries:

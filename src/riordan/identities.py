@@ -26,14 +26,25 @@ since column k of the subsampled array is F_{ps} * G_{p(k-s)+r}, read
 at n - k; the column sum is F_1 * G_{p(k-1)+r}, read at n - k + 1.
 
 The terms run on plain integers: a rational x enters as the pair
-(x.numerator, x.denominator), and a term is a raw integer (numerator,
-denominator) pair that the column it joins reduces.  Every term reads
-hypergeom's kernels: C(a/b, k) = prod(a - i b) / (b^k k!) is
-``_binomial_ratio``, and B_q^r is ``_binomial_power_ratio``.  One run
-of a row keeps a memo of its factor columns, keyed by (factor, first
-set slot, argument), each as integer numerators over one common
-denominator.  A column is made once and grows in place as the points
-read past its end; the memo is dropped when the row ends.
+(x.numerator, x.denominator).  Each factor (``Factor``) declares its
+closed-form term next to its term ratio.  The closed form is a raw
+integer (numerator, denominator) pair that the column it joins reduces,
+and reads hypergeom's kernels: C(a/b, k) = prod(a - i b) / (b^k k!) is
+``_binomial_ratio``, and B_q^r is ``_binomial_power_ratio``.  The ratio
+is a list of integer linear factors in m, upper and lower, built from
+hypergeom's ``_binomial_steps`` (times the ballot weight's ratio for the
+two ballot factors).  It is given only where the column's binomial
+C(alpha + zm, m) has a non-integer alpha and z >= 1, where no factor
+vanishes: there a reach takes its first term from the closed form and
+steps the rest (``series._ratio_steps``), each in lowest terms.  Every
+other column (integer alpha, which ``math.comb`` serves, z <= 0, and the
+central ballot factor at b = 2, where 2y + 2 is an integer) keeps the
+closed form term by term, poles included.  The direct sums of the
+product laws stay on the closed form, as routes independent of the
+stepping.  One run of a row keeps a memo of its factor columns, keyed
+by (factor, first set slot, argument), each as integer numerators over
+one common denominator.  A column is made once and grows in place as
+the points read past its end; the memo is dropped when the row ends.
 
 A run plans its points once: it walks the law's values over n, since
 they depend on n and the pins only, and groups the points by their law
@@ -68,7 +79,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import islice, product
 from math import comb
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
@@ -78,7 +89,9 @@ from .hypergeom import (
     HypergeometricSpec,
     PoleError,
     _binomial_power_ratio,
+    _binomial_power_steps,
     _binomial_ratio,
+    _binomial_steps,
     binomial_series,
     expand,
     power_spec,
@@ -86,8 +99,8 @@ from .hypergeom import (
 )
 from .reports import Counterexample, IdentityReport, series_verdict
 from .series import (
-    FormalPowerSeries, _append_term, _collect, _fraction, _require_terms, _wrap,
-    lagrange_solve,
+    FormalPowerSeries, Steps, _append_term, _collect, _extend, _fraction, _ratio_steps,
+    _require_terms, _wrap, lagrange_solve,
 )
 
 Scalar = Union[int, Fraction]
@@ -128,21 +141,31 @@ def _ratio(x: Scalar) -> Ratio:
 class Column:
     """A factor column: the terms of ``term`` read so far, as integer numerators over ``den``.
 
-    A term that raised holds 0, and its exception waits in ``faults`` for
-    the first sum that takes it.
+    With ``steps``, the term ratio as linear factors none of which
+    vanishes, a reach takes its first term from ``term`` and steps the
+    rest (``series._ratio_steps``).  Otherwise every term comes from
+    ``term``, and a term that raised holds 0, its exception waiting in
+    ``faults`` for the first sum that takes it.
     """
 
-    __slots__ = ("term", "nums", "den", "faults")
+    __slots__ = ("term", "steps", "nums", "den", "faults")
 
-    def __init__(self, term: Callable[[int], Ratio]):
+    def __init__(self, term: Callable[[int], Ratio], steps: Steps | None = None):
         self.term = term
+        self.steps = steps
         self.nums: list[int] = []
         self.den = 1
         self.faults: dict[int, Exception] = {}
 
     def reach(self, length: int) -> Column:
         """Append terms ``len(nums)..length-1``, keeping ``nums/den`` canonical."""
-        for j in range(len(self.nums), length):
+        start = len(self.nums)
+        if self.steps is not None and start < length:
+            # stepped terms are in lowest terms, so the batch takes no gcd
+            terms = _ratio_steps(*self.term(start), *self.steps, start)
+            self.den = _extend(self.nums, self.den, islice(terms, length - start))
+            return self
+        for j in range(start, length):
             try:
                 num, d = self.term(j)
                 if not d:  # a fault of this term, as in a term-by-term sum
@@ -203,6 +226,26 @@ def _central_ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
     wnum, wden = _ballot_weight(p, a, b, m)
     num, den = _binomial_ratio(2 * wden, b, m)
     return wnum * num, wden * den
+
+
+def _weighted(binomial: Steps | None, p: int, a: int, b: int) -> Steps | None:
+    # the ballot weight's ratio w(m + 1)/w(m), its b's cancelled, times a binomial's;
+    # no weight factor vanishes where the binomial steps, since each is a modulo b
+    if binomial is None:
+        return None
+    upper, lower = binomial
+    return ([*upper, ((p - 1) * b + a + b, (p - 1) * b), (a + b, p * b)],
+            [*lower, (a + b, (p - 1) * b), (p * b + a + b, p * b)])
+
+
+def _ballot_steps(p: int, a: int, b: int) -> Steps | None:
+    # the ratio of _ballot_ratio: the weight's times that of C(y + (p+1)m, m)
+    return _weighted(_binomial_steps(p + 1, a, b), p, a, b)
+
+
+def _central_ballot_steps(p: int, a: int, b: int) -> Steps | None:
+    # the ratio of _central_ballot_ratio: the weight's times that of C(2y + 2 + 2pm, m)
+    return _weighted(_binomial_steps(2 * p, 2 * (a + b), b), p, a, b)
 
 
 # a float equal to a cached Fraction must still be refused, so the caches are typed
@@ -522,25 +565,39 @@ def check_product_laws(
 
 
 # -- the factor pairs of the convolution identities ---------------------------
-# A factor maps its row's first set slot and an argument to the term function
-# of its column; each pair (F, G) obeys F_x * G_y = G_{x+y}.
-Factor = Callable[..., Callable[[int], Ratio]]
+# each pair (F, G) obeys F_x * G_y = G_{x+y}
 
 
-def _factor(kernel: Callable[..., Ratio]) -> Factor:
-    # (z, v) -> the term function m -> kernel(z, a, b, m) at v = a/b
-    return lambda z, v: partial(kernel, z, *_ratio(v))
+class Factor(NamedTuple):
+    """A factor's column: its closed-form term and its term ratio, declared side by side.
+
+    ``at`` maps the row's first set slot and an argument to the (z, v) of
+    the column; at v = a/b, ``kernel(z, a, b, m)`` is term m, and
+    ``steps(z, a, b)`` the ratio of terms m + 1 and m, or None where a
+    factor of it can vanish.
+    """
+
+    kernel: Callable[[int, int, int, int], Ratio]
+    steps: Callable[[int, int, int], Steps | None]
+    at: Callable[[int, Scalar], tuple[int, Scalar]] = lambda z, v: (z, v)
+
+    def __call__(self, first: int, v: Scalar) -> Column:
+        z, v = self.at(first, v)
+        a, b = _ratio(v)
+        return Column(partial(self.kernel, z, a, b), self.steps(z, a, b))
 
 
-_catalan_power = _factor(_binomial_power_ratio)  # B_z^x
+_catalan_power = Factor(_binomial_power_ratio, _binomial_power_steps)  # B_z^x
 # B_z^x and C(y + zm, m); at z = p and x = ps, F_x is the subsampled (t h)^s over t^s
-_CATALAN_BINOMIAL = (_catalan_power, _factor(_shifted_binomial_ratio))
+_CATALAN_BINOMIAL = (_catalan_power, Factor(_shifted_binomial_ratio, _binomial_steps))
 # B_z^x and B_z^y: one factor, so the two sides share their columns
 _ROTHE_HAGEN = (_catalan_power, _catalan_power)
 # B_{p+1}^x and the ballot series at y
-_BALLOT = (lambda p, x: _catalan_power(p + 1, x), _factor(_ballot_ratio))
+_BALLOT = (_catalan_power._replace(at=lambda p, x: (p + 1, x)),
+           Factor(_ballot_ratio, _ballot_steps))
 # B_{2p}^{2x} and the central ballot series at y
-_CENTRAL = (lambda p, x: _catalan_power(2 * p, 2 * x), _factor(_central_ballot_ratio))
+_CENTRAL = (_catalan_power._replace(at=lambda p, x: (2 * p, 2 * x)),
+            Factor(_central_ballot_ratio, _central_ballot_steps))
 
 
 # -- registry ------------------------------------------------------------------
@@ -779,9 +836,10 @@ def _check_outer(
 
     def column(factor: Factor, argument: Scalar) -> Column:
         key = (factor, *first, argument)
-        if key not in columns:
-            columns[key] = Column(factor(*first, argument))
-        return columns[key]
+        col = columns.get(key)  # one lookup on a hit: a key may hold a Fraction
+        if col is None:
+            col = columns[key] = factor(*first, argument)
+        return col
 
     earliest = None  # (point index, n, law values, what fails)
     for values, (ns, at) in groups.items():
@@ -918,8 +976,8 @@ def sum_lhs(identity: str, n: int, **slots: Scalar) -> Fraction:
     m < 0 (a k/s point with k > n) the sum is empty.
     """
     row, first, (x, y, m) = _point(identity, n, slots, lhs=True)
-    left = Column(row.left(*first, x)).reach(m + 1)
-    right = Column(row.right(*first, y)).reach(m + 1)
+    left = row.left(*first, x).reach(m + 1)
+    right = row.right(*first, y).reach(m + 1)
     return Fraction(_dot(left, right, m), left.den * right.den)
 
 
@@ -929,7 +987,7 @@ def sum_rhs(identity: str, n: int, **slots: Scalar) -> Fraction:
     A point outside the row's domain is refused, as by :func:`sum_lhs`.
     """
     row, first, (x, y, m) = _point(identity, n, slots, lhs=False)
-    return Fraction(*_entry(Column(row.right(*first, x + y)).reach(m + 1), m))
+    return Fraction(*_entry(row.right(*first, x + y).reach(m + 1), m))
 
 
 def _sweep(

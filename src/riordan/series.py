@@ -18,10 +18,15 @@ reduces each term once.  A batch (a stream of terms, or a constructor's
 fractions) goes over the lcm of its denominators and reaches lowest
 terms by one gcd at the end (:func:`_collect`); no term in it is
 reduced on its own.  A recurrence, whose next term reads the ones
-before it, and a growing column reduce term by term (:func:`_reduced`):
-:func:`_append_term`, and the running term of ``hypergeom.expand``.
-Integer rows over one denominator reach lowest terms by one gcd
-(:func:`_lowest`), and :func:`_stripped` drops trailing zeros.
+before it, and a growing column reduce term by term (:func:`_reduced`,
+:func:`_append_term`).  A hypergeometric term is stepped from the one
+before it by its ratio of integer linear factors (:func:`_ratio_steps`,
+a cross-reduced product whose gcds each have one small operand), so it
+is born in lowest terms, and a batch of such terms joins its column over
+one lcm with no gcd (:func:`_extend`): ``hypergeom.expand`` and the
+identity registry's stepped columns.  Integer rows over one denominator
+reach lowest terms by one gcd (:func:`_lowest`), and :func:`_stripped`
+drops trailing zeros.
 
 One kernel, :func:`lagrange_gf`, reads the Lagrange diagonals
 ``[t^n] F(t) phi(t)^n`` off one shared table of the powers of ``phi``:
@@ -151,16 +156,37 @@ def _stripped(nums: Sequence[int]) -> Sequence[int]:
     return nums[:end]
 
 
+def _extend(xs: list[int], den: int, terms) -> int:
+    """Append a batch of terms ``(num, d != 0)`` to the numerators ``xs`` over ``den > 0``.
+
+    The batch goes over the lcm of ``den`` and its denominators, the
+    prefix is rescaled once if that grows, and the new common denominator
+    is returned.  No gcd is taken.  When ``xs/den`` is canonical and each
+    term is in lowest terms with ``d > 0``, the result is canonical too:
+    every prime of the lcm divides ``den`` or some term's denominator to
+    its full power, and the numerator that goes with it (some prefix
+    entry, or that term's) is prime to it and scaled by a cofactor prime
+    to it.
+    """
+    pairs = list(terms)
+    common = lcm(den, *(d for _, d in pairs))
+    if common != den:
+        grow = common // den
+        xs[:] = [x * grow for x in xs]
+    xs += [num * (common // d) for num, d in pairs]
+    return common
+
+
 def _collect(terms) -> tuple[list[int], int]:
     """Canonical numerators over one denominator of a batch of terms ``(num, den != 0)``.
 
     No term is reduced on its own: the batch goes over the lcm of its
-    denominators, and one gcd over it and every numerator (:func:`_lowest`)
-    brings the whole to lowest terms.
+    denominators (:func:`_extend`), and one gcd over it and every
+    numerator (:func:`_lowest`) brings the whole to lowest terms.
     """
-    pairs = list(terms)
-    den = lcm(*(d for _, d in pairs))
-    (nums,), den = _lowest([[num * (den // d) for num, d in pairs]], den)
+    nums: list[int] = []
+    den = _extend(nums, 1, terms)
+    (nums,), den = _lowest([nums], den)
     return nums, den
 
 
@@ -187,6 +213,39 @@ def _append_term(xs: list[int], den: int, num: int, step: int) -> int:
         den *= grow
     xs.append(num * (den // step))
     return den
+
+
+# the term ratio of a hypergeometric term: integer linear factors (c0, c1),
+# each c0 + c1 k, of its numerator and of its denominator
+Steps = tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
+
+
+def _ratio_steps(num: int, den: int, upper, lower, k: int = 0):
+    """The terms ``t_k, t_(k+1), ...`` from ``t_k = num/den``, each in lowest terms.
+
+    ``t_(j+1) = t_j P(j)/Q(j)``, where ``P`` and ``Q`` are the products
+    of the linear factors ``c0 + c1 j`` in ``upper`` and ``lower``, and
+    ``Q(j)`` never vanishes.  The first term is reduced once.  Each step
+    reduces the small ratio ``P/Q`` first, then takes Knuth's
+    cross-reduced product (TAOCP vol. 2, 4.5.1): with ``g = gcd(P, D)``
+    and ``h = gcd(N, Q)``, ``N/D * P/Q`` is ``(N/h)(P/g)`` over
+    ``(D/g)(Q/h)``, in lowest terms, so every gcd has one small operand.
+    A zero term is ``(0, 1)``, and so is every term after it.
+    """
+    num, den = _reduced(num, den)
+    while True:
+        yield num, den
+        p = q = 1
+        for c0, c1 in upper:
+            p *= c0 + c1 * k
+        for c0, c1 in lower:
+            q *= c0 + c1 * k
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        p //= g
+        q //= g
+        g, h = gcd(p, den), gcd(num, q)
+        num, den = num // h * (p // g), den // g * (q // h)
+        k += 1
 
 
 def _solve(f, a: int, g, b: int) -> tuple[list[int], int]:

@@ -303,6 +303,19 @@ def test_check_cli_matches_golden(capsys, case):
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
+# pins at the bounds of the stepped factor columns: z and p from below 1 up, negative
+# rational arguments, and a pole, replayed byte for byte
+CHECK_PINS = [
+    json.loads(line) for line in (FIXTURES / "check_pins.jsonl").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("case", CHECK_PINS, ids=lambda case: " ".join(case["argv"]))
+def test_check_pins_match_golden(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
 def test_check_andrews_holds(capsys):
     code, out, _ = run(capsys, "check", "andrews-a1", "--max-n", "100")
     assert code == 0

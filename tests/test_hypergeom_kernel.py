@@ -8,7 +8,8 @@ same exception, with the same message, where the reference does.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +137,54 @@ def test_expand_matches_reference(upper, lower, scale, precision):
         assert got.coeffs == want.coeffs
 
 
+def stepped_terms(spec, precision):
+    """``expand(spec, precision)`` and the terms it steps, as the pairs it collects."""
+    seen = []
+    extend = hypergeom._extend
+
+    def spy(xs, den, terms):
+        seen.extend(terms)
+        return extend(xs, den, seen)
+
+    with mock.patch.object(hypergeom, "_extend", spy):
+        return expand(spec, precision), seen
+
+
+# negative upper parameters: the negative integers end the series at a zero term
+negative_upper = st.one_of(
+    terminating, st.builds(Fraction, st.integers(-15, -1), st.integers(1, 12)))
+
+
+@KERNEL
+@given(
+    upper=st.lists(negative_upper, min_size=1, max_size=4),
+    lower=st.lists(lower_param, max_size=3),
+    scale=st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-40, -1),
+                                                    st.integers(1, 9)), rational),
+    precision=st.integers(1, 30),
+)
+def test_expand_steps_are_canonical_fraction_products(upper, lower, scale, precision):
+    # each stepped term is the plain Fraction product of the term ratios, in lowest terms
+    spec = HypergeometricSpec(upper, lower, scale)
+    got, steps = stepped_terms(spec, precision)
+    want = ref_expand(spec, precision)
+    assert steps == [(c.numerator, c.denominator) for c in want.coeffs]
+    assert all(den > 0 and gcd(num, den) == 1 for num, den in steps)
+    assert got == want
+
+
+def test_expand_steps_through_a_zero_term():
+    # (-2)_n / (1)_n t^n / n!: 1, -2, 1/2, then 0 from n = 3 on, each zero as (0, 1)
+    got, steps = stepped_terms(HypergeometricSpec([-2], [1]), 6)
+    assert steps == [(1, 1), (-2, 1), (1, 2), (0, 1), (0, 1), (0, 1)]
+    assert list(got.coeffs) == [1, -2, Fraction(1, 2), 0, 0, 0]
+    # a zero scale gives zero from the first step, a negative one alternates the signs
+    _, zero = stepped_terms(HypergeometricSpec([Fraction(1, 2)], [], 0), 4)
+    assert zero == [(1, 1), (0, 1), (0, 1), (0, 1)]
+    _, negative = stepped_terms(HypergeometricSpec([1], [], -3), 4)
+    assert negative == [(1, 1), (-3, 1), (9, 1), (-27, 1)]
+
+
 @KERNEL
 @given(
     q=st.integers(0, 5),
@@ -201,7 +250,8 @@ def test_binomial_kernels_reduce_no_pair(monkeypatch):
     def fail(*args):
         raise AssertionError("a kernel reduced its pair")
 
-    monkeypatch.setattr(hypergeom, "_reduced", fail)
+    # hypergeom reaches _reduced only through series
+    assert not hasattr(hypergeom, "_reduced")
     monkeypatch.setattr(series, "_reduced", fail)
     got = binomial_series(3, Fraction(1, 2), 30)
     assert list(got.coeffs) == [ref_power_term(3, Fraction(1, 2), n) for n in range(30)]

@@ -546,7 +546,8 @@ def test_counterexample_payload():
     law = _VANDERMONDE_LAW._replace(axes=(), parts=(), point=lambda n: (1, 0, n))
     row = SumIdentity(
         "broken", "n = n, wrong from 3 on",
-        lambda x: lambda j: (int(j == 0), 1), lambda y: lambda m: (m + y * (m >= 3), 1),
+        lambda x: identities.Column(lambda j: (int(j == 0), 1)),
+        lambda y: identities.Column(lambda m: (m + y * (m >= 3), 1)),
         (), law, None,
     )
     rep = _sum_entry(row).run(max_n=10, pinned={})

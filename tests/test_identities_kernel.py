@@ -15,7 +15,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, gcd
 from pathlib import Path
 from unittest import mock
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riordan import hypergeom
 from riordan import identities as I
 from riordan import series
 from riordan.hypergeom import PoleError
@@ -274,6 +275,104 @@ def test_column_grown_in_two_steps_keeps_its_faults_where_a_batch_build_does(rat
     assert {j: (type(e), str(e)) for j, e in grown.faults.items()} == {
         j: (type(e), str(e)) for j, e in batch.faults.items()
     }
+
+
+# -- stepped factor columns ---------------------------------------------------
+# At a non-integer alpha (the binomial's upper argument at m = 0) and z >= 1,
+# a column steps its terms from the one before it; it must hold the same
+# canonical (nums, den) as the closed form, however its reaches are cut.
+
+# the four factor kernels, their step ratios, and the (z, alpha) of their binomial
+STEPPED = {
+    "power": (hypergeom._binomial_power_ratio, hypergeom._binomial_power_steps,
+              lambda z, a, b: (z, Fraction(a, b))),
+    "shifted": (I._shifted_binomial_ratio, hypergeom._binomial_steps,
+                lambda z, a, b: (z, Fraction(a, b))),
+    "ballot": (I._ballot_ratio, I._ballot_steps, lambda p, a, b: (p + 1, Fraction(a, b))),
+    "central": (I._central_ballot_ratio, I._central_ballot_steps,
+                lambda p, a, b: (2 * p, Fraction(2 * (a + b), b))),
+}
+non_integer = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 12)).filter(
+    lambda v: v.denominator > 1)
+
+
+def closed_form(kernel, z, a, b, length):
+    return _collect(kernel(z, a, b, m) for m in range(length))
+
+
+@KERNEL
+@given(kind=st.sampled_from(sorted(STEPPED)), z=st.integers(1, 5), v=non_integer,
+       cuts=st.lists(st.integers(1, 60), min_size=1, max_size=4))
+def test_stepped_column_is_its_closed_form(kind, z, v, cuts):
+    kernel, steps, alpha = STEPPED[kind]
+    a, b = v.numerator, v.denominator
+    ratio = steps(z, a, b)
+    if alpha(z, a, b)[1].denominator == 1:  # central ballot at b = 2: 2y + 2 is an integer
+        assert (kind, b, ratio) == ("central", 2, None)
+        return
+    assert ratio is not None
+    col = I.Column(partial(kernel, z, a, b), ratio)
+    for length in sorted(cuts):  # each reach resumes where the one before stopped
+        assert col.reach(length) is col
+        assert (col.nums, col.den) == closed_form(kernel, z, a, b, length)
+    assert not col.faults
+
+
+@KERNEL
+@given(kind=st.sampled_from(sorted(STEPPED)), z=st.integers(-3, 5),
+       v=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)))
+def test_factor_steps_only_at_a_non_integer_alpha_and_z_at_least_one(kind, z, v):
+    # elsewhere a linear factor can vanish, and the column keeps its closed form
+    kernel, steps, alpha = STEPPED[kind]
+    a, b = v.numerator, v.denominator
+    binomial_z, upper = alpha(z, a, b)
+    assert (steps(z, a, b) is None) == (binomial_z < 1 or upper.denominator == 1)
+
+
+@KERNEL
+@given(kind=st.sampled_from(sorted(STEPPED)), z=st.integers(1, 4), v=non_integer,
+       m=st.integers(0, 40))
+def test_step_ratio_is_the_ratio_of_closed_form_terms(kind, z, v, m):
+    kernel, steps, alpha = STEPPED[kind]
+    a, b = v.numerator, v.denominator
+    ratio = steps(z, a, b)
+    if ratio is None:
+        return
+    upper, lower = ratio
+    value = Fraction(1)
+    for c0, c1 in upper:
+        value *= c0 + c1 * m
+    for c0, c1 in lower:
+        assert c0 + c1 * m
+        value /= c0 + c1 * m
+    assert value == Fraction(*kernel(z, a, b, m + 1)) / Fraction(*kernel(z, a, b, m))
+
+
+def test_non_integer_columns_read_the_closed_form_once_per_reach(monkeypatch):
+    # a reach of a column at a non-integer argument (b >= 2 in catalan-vandermonde's
+    # two kernels) takes its first term from _binomial_ratio and steps the rest
+    calls, reaches = [], []
+    binomial_ratio, reach = hypergeom._binomial_ratio, I.Column.reach
+
+    def spy(a, b, k):
+        calls.append(b)
+        return binomial_ratio(a, b, k)
+
+    def counting_reach(col, length):
+        before, start = len(calls), len(col.nums)
+        out = reach(col, length)
+        reaches.append((length - start, calls[before:]))
+        return out
+
+    for module in (hypergeom, I):
+        monkeypatch.setattr(module, "_binomial_ratio", spy)
+    monkeypatch.setattr(I.Column, "reach", counting_reach)
+    assert I.check_registry("catalan-vandermonde", 30).holds
+    rational = [(grown, [b for b in made if b > 1]) for grown, made in reaches]
+    assert any(grown > 1 and made for grown, made in rational)
+    assert all(len(made) <= 1 for _, made in rational)
+    # an integer column still reads one closed-form term per term
+    assert any(len(made) == grown > 1 for grown, made in reaches)
 
 
 @KERNEL
@@ -641,8 +740,8 @@ def test_an_rhs_over_zero_is_refused_as_fraction_refuses_it():
     # cross-multiplied, an rhs of 0/0 would pass against any lhs: here G_0 = 1 and
     # G_1 = 0/0, so the lhs F_1 * G_0 is well defined and the rhs G_1 is not
     law = I._VANDERMONDE_LAW._replace(axes=(), parts=(), point=lambda n: (1, 0, n))
-    row = I.SumIdentity("zero", "", lambda x: lambda j: (1, 1),
-                        lambda y: lambda m: (1 - y, 1 - y), (), law, None)
+    row = I.SumIdentity("zero", "", lambda x: I.Column(lambda j: (1, 1)),
+                        lambda y: I.Column(lambda m: (1 - y, 1 - y)), (), law, None)
     with pytest.raises(ZeroDivisionError):
         registry_run(row, 3, {})
     # G_{x+y}'s denominator pn + x + y + 1 vanishes at p = 2, x + y = -7, n = 3,
@@ -657,7 +756,7 @@ def test_an_rhs_over_zero_is_refused_as_fraction_refuses_it():
             registry_run(ROWS[identity], 20, point)
 
 
-# (terms evaluated, columns made) in one run at max_n = 50
+# (terms made, columns made) in one run at max_n = 50
 COLUMN_BUILDS = {
     "subarray-convolution": (6770, 559),
     "catalan-vandermonde": (2907, 57),
@@ -673,23 +772,30 @@ COLUMN_BUILDS = {
 @pytest.mark.parametrize("identity", list(ROWS))
 def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
     # the run makes one column per (factor, first set slot, argument), evaluates
-    # each of its terms once, in order, and grows it no further than a group reads it
-    evaluated, highest, keys, alive = {}, {}, {}, []
-    column, first_failure = I.Column, I._first_failure
+    # each of its closed-form terms once, in order, and grows it no further than a
+    # group reads it; a stepped column evaluates only the first term of each reach
+    evaluated, highest, keys, alive, reaches = {}, {}, {}, [], {}
+    column, first_failure, reach = I.Column, I._first_failure, I.Column.reach
 
-    def counting_column(term):
+    def counting_column(term, steps=None):
         key = term.func, term.args
         assert key not in evaluated, key
         evaluated[key] = seen = []
+        reaches[key] = []
 
         def counting_term(j):
             seen.append(j)
             return term(j)
 
-        col = column(counting_term)
+        col = column(counting_term, steps)
         alive.append(col)  # no id is reused while the run goes on
         keys[id(col)] = key
         return col
+
+    def counting_reach(col, length):
+        if id(col) in keys and len(col.nums) < length:
+            reaches[keys[id(col)]].append(len(col.nums))
+        return reach(col, length)
 
     def read(col, m):
         key = keys[id(col)]
@@ -700,14 +806,16 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
             read(col, ns[-1] - shift)
         return first_failure(left, right, rhs, shift, ns)
 
+    monkeypatch.setattr(column, "reach", counting_reach)
     for name, fn in (("Column", counting_column), ("_first_failure", counting_first_failure)):
         monkeypatch.setattr(I, name, fn)
     assert I.check_registry(identity, max_n=50).holds
     for col in alive:
         key = keys[id(col)]
-        assert evaluated[key] == list(range(len(col.nums))), key
+        made = list(range(len(col.nums)))
+        assert evaluated[key] == (made if col.steps is None else reaches[key]), key
         assert len(col.nums) == highest[key] + 1, key
-    assert (sum(map(len, evaluated.values())), len(alive)) == COLUMN_BUILDS[identity]
+    assert (sum(len(col.nums) for col in alive), len(alive)) == COLUMN_BUILDS[identity]
 
 
 def test_term_caches_are_bounded():

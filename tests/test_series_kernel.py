@@ -20,6 +20,8 @@ from riordan.series import (
     _append_term,
     _collect,
     _compose,
+    _extend,
+    _ratio_steps,
     lagrange_coeffs,
     lagrange_gf,
     lagrange_solve,
@@ -663,6 +665,43 @@ def test_collect_reduces_no_term_on_its_own(monkeypatch):
 
     monkeypatch.setattr(series, "_reduced", fail)
     assert _collect([(2, 4), (3, -6), (10, 8), (7, 1)]) == ([2, -2, 5, 28], 4)
+
+
+reduced_pairs = raw_pairs.map(lambda t: (Fraction(*t).numerator, Fraction(*t).denominator))
+
+
+@KERNEL
+@given(st.lists(raw_pairs, max_size=20), st.lists(reduced_pairs, max_size=20))
+def test_extend_keeps_a_canonical_column_canonical_with_no_gcd(prefix, terms):
+    # terms in lowest terms over their lcm are canonical, and so is a canonical prefix rescaled
+    xs, den = _collect(prefix)
+
+    def fail(*args):
+        raise AssertionError("_extend took a gcd")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "gcd", fail)
+        patch.setattr(series, "_reduced", fail)
+        got = _extend(xs, den, terms)
+    assert (xs, got) == _collect(prefix + terms)
+
+
+@KERNEL
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-3, 3)), max_size=4),
+       st.lists(st.one_of(st.tuples(st.integers(1, 9), st.integers(0, 3)),
+                          st.tuples(st.integers(-9, -1), st.integers(-3, 0))), max_size=4),
+       raw_pairs, st.integers(0, 5), st.integers(1, 25))
+def test_ratio_steps_are_the_fraction_products_in_lowest_terms(upper, lower, start, k, count):
+    # c0 + c1 j with c0 != 0 and c1 zero or of the sign of c0 never vanishes at j >= 0
+    want, value = [], Fraction(*start)
+    for j in range(k, k + count):
+        want.append((value.numerator, value.denominator))
+        for c0, c1 in upper:
+            value *= c0 + c1 * j
+        for c0, c1 in lower:
+            value /= c0 + c1 * j
+    steps = _ratio_steps(*start, upper, lower, k)
+    assert [next(steps) for _ in range(count)] == want
 
 
 # -- canonical form and precision rules ----------------------------------------
