@@ -34,11 +34,11 @@ once, as the integer kernel ``_binomial_power_ratio`` ([t^n] B_q^r):
 It reads its cancelled form r/n C(qn + r - 1, n - 1) off the one
 generalized binomial, ``_binomial_ratio``.  Neither kernel reduces: each
 hands back a raw integer pair, which its collector reduces once.  Their
-term ratios are stated next to them, as integer linear factors:
-``_binomial_steps`` for C(a/b + zm, m) and ``_binomial_power_steps`` for
-B_q^r.  Each is given only where none of its factors can vanish (a/b not
-an integer, z >= 1); the identity registry's columns step their terms
-by them there.
+term ratios are stated once, next to them, as integer linear factors
+at every argument: ``_binomial_steps`` for C(a/b + zm, m) and
+``_binomial_power_steps`` for B_q^r.  ``_spec`` reads a spec off a ratio,
+and the identity registry steps a column by one where no factor can
+vanish.
 """
 
 from __future__ import annotations
@@ -117,27 +117,37 @@ def expand(spec: HypergeometricSpec, precision: int) -> FormalPowerSeries:
     const_num = spec.scale.numerator * prod(d for _, d in lower)
     const_den = spec.scale.denominator * prod(d for _, d in upper)
     # no factor below vanishes: a lower parameter is never zero or a negative integer
-    steps = _ratio_steps(1, 1, [(const_num, 0), *upper], [(const_den, 0), (1, 1), *lower])
+    steps = _ratio_steps(1, 1, [(const_num, 0), *upper], [(const_den, 0), *lower])
     nums: list[int] = []
     den = _extend(nums, 1, islice(steps, precision))
     return _wrap(nums, den)
 
 
-def power_spec(q: int, r: Scalar) -> HypergeometricSpec:
-    """The spec whose expansion is (B_q)^r.
+def _spec(upper, lower) -> HypergeometricSpec:
+    """The spec of the term ratio prod(upper) / ((m + 1) prod(lower)), factors c0 + c1 m.
 
-    Parameters are generated from q rather than stored as literals:
-    upper (r+i)/q for i = 0..q-1, lower (r+i)/(q-1) for i = 1..q-1,
-    argument scale q^q / (q-1)^(q-1).
+    A factor in both lists cancels.  Each one left is c1 (c0/c1 + m), a
+    parameter c0/c1, or a constant c0 (c1 = 0); the c1 and c0 go to the scale.
     """
+    lower, kept = list(lower), []
+    for factor in upper:
+        if factor in lower:
+            lower.remove(factor)
+        else:
+            kept.append(factor)
+    return HypergeometricSpec(
+        [Fraction(c0, c1) for c0, c1 in kept if c1],
+        [Fraction(c0, c1) for c0, c1 in lower if c1],
+        Fraction(prod(c1 or c0 for c0, c1 in kept), prod(c1 or c0 for c0, c1 in lower)),
+    )
+
+
+def power_spec(q: int, r: Scalar) -> HypergeometricSpec:
+    """(B_q)^r as a spec read off its ratio: upper (r+i)/q, i < q; lower (r+i)/(q-1), 0 < i < q."""
     if q < 2:
         raise HypergeomError(f"q must be >= 2, got {q}")
     r = _fraction(r)
-    return HypergeometricSpec(
-        upper=[(r + i) / q for i in range(q)],
-        lower=[Fraction(r + i, q - 1) for i in range(1, q)],
-        scale=Fraction(q**q, (q - 1) ** (q - 1)),
-    )
+    return _spec(*_binomial_power_steps(q, r.numerator, r.denominator))
 
 
 def h_for_binomial_A(q: int, precision: int) -> FormalPowerSeries:
@@ -168,15 +178,13 @@ def _binomial_steps(z: int, a: int, b: int) -> Steps | None:
     """The ratio C(a/b + z(m+1), m+1) / C(a/b + zm, m) for b > 0, as linear factors in m.
 
     It is prod_{i=1..z} (a + ib + zbm) over b (m + 1) prod_{i=1..z-1}
-    (a + ib + (z-1)bm), the factors given as pairs (c0, c1) for
-    ``series._ratio_steps``.  None unless a/b is not an integer and
-    z >= 1: then every factor but b and m + 1 is a modulo b, which is not
-    0, so none vanishes, and a stepped term needs no pole or zero rule.
+    (a + ib + (z-1)bm), as pairs (c0, c1) for ``series._ratio_steps``
+    (which supplies the m + 1), wherever term m is not 0; None at z < 1.
     """
-    if z < 1 or not a % b:
+    if z < 1:
         return None
     return ([(a + i * b, z * b) for i in range(1, z + 1)],
-            [(b, 0), (1, 1), *((a + i * b, (z - 1) * b) for i in range(1, z))])
+            [(b, 0), *((a + i * b, (z - 1) * b) for i in range(1, z))])
 
 
 def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:
@@ -201,13 +209,11 @@ def _binomial_power_steps(q: int, a: int, b: int) -> Steps | None:
 
     It is the ratio of C(r + qn, n) (``_binomial_steps``) times
     (r + qn)/(r + qn + q), whose denominator cancels the binomial's last
-    upper factor: the upper factors are r + qn + i for i = 0..q-1.  None
-    where ``_binomial_steps`` is None.
+    upper factor: the upper factors are r + qn + i for i = 0..q-1.  None at q < 1.
     """
-    steps = _binomial_steps(q, a, b)
-    if steps is None:
+    if q < 1:
         return None
-    upper, lower = steps
+    upper, lower = _binomial_steps(q, a, b)
     return [(a, q * b), *upper[:-1]], lower
 
 

@@ -31,20 +31,22 @@ closed-form term next to its term ratio.  The closed form is a raw
 integer (numerator, denominator) pair that the column it joins reduces,
 and reads hypergeom's kernels: C(a/b, k) = prod(a - i b) / (b^k k!) is
 ``_binomial_ratio``, and B_q^r is ``_binomial_power_ratio``.  The ratio
-is a list of integer linear factors in m, upper and lower, built from
-hypergeom's ``_binomial_steps`` (times the ballot weight's ratio for the
-two ballot factors).  It is given only where the column's binomial
-C(alpha + zm, m) has a non-integer alpha and z >= 1, where no factor
-vanishes: there a reach takes its first term from the closed form and
-steps the rest (``series._ratio_steps``), each in lowest terms.  Every
-other column (integer alpha, which ``math.comb`` serves, z <= 0, and the
-central ballot factor at b = 2, where 2y + 2 is an integer) keeps the
-closed form term by term, poles included.  The direct sums of the
-product laws stay on the closed form, as routes independent of the
-stepping.  One run of a row keeps a memo of its factor columns, keyed
-by (factor, first set slot, argument), each as integer numerators over
-one common denominator.  A column is made once and grows in place as
-the points read past its end; the memo is dropped when the row ends.
+is stated once per family, at every argument, as integer linear factors
+in m built from hypergeom's ``_binomial_steps`` (times the ballot
+weight's ratio for the two ballot factors); the family's spec is read
+off it (``hypergeom._spec``).  A column steps by it where no factor can
+vanish at an integer m, which is where its binomial C(alpha + zm, m)
+has a non-integer alpha and z >= 1: a reach takes its first term from
+the closed form and steps the rest (``series._ratio_steps``), each in
+lowest terms.  Every other column (integer alpha, which ``math.comb``
+serves, z <= 0, and the central ballot factor at b = 2, where 2y + 2 is
+an integer) keeps the closed form term by term, poles included.  The
+direct sums of the product laws stay on the closed form, as routes
+independent of the stepping.  One run of a row keeps a memo of its
+factor columns, keyed by (factor, first set slot, argument), each as
+integer numerators over one common denominator.  A column is made once
+and grows in place as the points read past its end; the memo is dropped
+when the row ends.
 
 A run plans its points once: it walks the law's values over n, since
 they depend on n and the pins only, and groups the points by their law
@@ -79,7 +81,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import comb
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
@@ -92,6 +94,7 @@ from .hypergeom import (
     _binomial_power_steps,
     _binomial_ratio,
     _binomial_steps,
+    _spec,
     binomial_series,
     expand,
     power_spec,
@@ -228,24 +231,24 @@ def _central_ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
     return wnum * num, wden * den
 
 
-def _weighted(binomial: Steps | None, p: int, a: int, b: int) -> Steps | None:
-    # the ballot weight's ratio w(m + 1)/w(m), its b's cancelled, times a binomial's;
-    # no weight factor vanishes where the binomial steps, since each is a modulo b
-    if binomial is None:
+def _weighted(z: int, alpha: int, p: int, a: int, b: int) -> Steps | None:
+    # the ratio of C(alpha/b + zm, m) times the ballot weight's w(m + 1)/w(m) at y = a/b,
+    # its b's cancelled; None at z < 1, as for the binomial
+    if z < 1:
         return None
-    upper, lower = binomial
+    upper, lower = _binomial_steps(z, alpha, b)
     return ([*upper, ((p - 1) * b + a + b, (p - 1) * b), (a + b, p * b)],
-            [*lower, (a + b, (p - 1) * b), (p * b + a + b, p * b)])
+            [*lower, (p * b + a + b, p * b), (a + b, (p - 1) * b)])
 
 
 def _ballot_steps(p: int, a: int, b: int) -> Steps | None:
     # the ratio of _ballot_ratio: the weight's times that of C(y + (p+1)m, m)
-    return _weighted(_binomial_steps(p + 1, a, b), p, a, b)
+    return _weighted(p + 1, a, p, a, b)
 
 
 def _central_ballot_steps(p: int, a: int, b: int) -> Steps | None:
     # the ratio of _central_ballot_ratio: the weight's times that of C(2y + 2 + 2pm, m)
-    return _weighted(_binomial_steps(2 * p, 2 * (a + b), b), p, a, b)
+    return _weighted(2 * p, 2 * (a + b), p, a, b)
 
 
 # a float equal to a cached Fraction must still be refused, so the caches are typed
@@ -460,34 +463,17 @@ def _substitution(e: int, a: Fraction, ballot: bool, precision: int) -> FormalPo
 
 
 def fuss_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
-    """The fuss-ballot series as a hypergeometric spec (needs p >= 2)."""
+    """The fuss-ballot series as a spec read off ``_ballot_steps`` (needs p >= 2)."""
     if p < 2:
         raise ValueError(f"the hypergeometric form needs p >= 2, got {p}")
-    y = _fraction(y)
-    return HypergeometricSpec(
-        upper=[(y + i) / (p + 1) for i in range(1, p + 2)] + [(y + p) / (p - 1)],
-        lower=[(y + i) / p for i in range(2, p + 2)] + [(y + 1) / (p - 1)],
-        scale=Fraction((p + 1) ** (p + 1), p**p),
-    )
+    return _spec(*_ballot_steps(p, *_ratio(y)))
 
 
 def central_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
-    """The central ballot series as a hypergeometric spec (needs p >= 2).
-
-    Parameter lists come from the term ratio: 2p upper entries
-    (2y+2+i)/(2p) plus (y+p)/(p-1) and (y+1)/p, against 2p-1 lower
-    entries (2y+2+i)/(2p-1) plus (y+1)/(p-1) and (y+p+1)/p.
-    """
+    """The central ballot series as a spec read off ``_central_ballot_steps`` (needs p >= 2)."""
     if p < 2:
         raise ValueError(f"the hypergeometric form needs p >= 2, got {p}")
-    y = _fraction(y)
-    upper = [(2 * y + 2 + i) / Fraction(2 * p) for i in range(1, 2 * p + 1)]
-    upper += [(y + p) / Fraction(p - 1), (y + 1) / Fraction(p)]
-    lower = [(2 * y + 2 + i) / Fraction(2 * p - 1) for i in range(1, 2 * p)]
-    lower += [(y + 1) / Fraction(p - 1), (y + p + 1) / Fraction(p)]
-    return HypergeometricSpec(
-        upper=upper, lower=lower, scale=Fraction((2 * p) ** (2 * p), (2 * p - 1) ** (2 * p - 1))
-    )
+    return _spec(*_central_ballot_steps(p, *_ratio(y)))
 
 
 def check_product_laws(
@@ -573,8 +559,10 @@ class Factor(NamedTuple):
 
     ``at`` maps the row's first set slot and an argument to the (z, v) of
     the column; at v = a/b, ``kernel(z, a, b, m)`` is term m, and
-    ``steps(z, a, b)`` the ratio of terms m + 1 and m, or None where a
-    factor of it can vanish.
+    ``steps(z, a, b)`` the ratio of terms m + 1 and m (None at z < 1).
+    The column steps by it only at a non-integer v, where no factor
+    c0 + c1 m can vanish at an integer m: c1 does not divide c0, or c1 = 0
+    and c0 != 0.
     """
 
     kernel: Callable[[int, int, int, int], Ratio]
@@ -584,7 +572,10 @@ class Factor(NamedTuple):
     def __call__(self, first: int, v: Scalar) -> Column:
         z, v = self.at(first, v)
         a, b = _ratio(v)
-        return Column(partial(self.kernel, z, a, b), self.steps(z, a, b))
+        steps = self.steps(z, a, b) if b > 1 else None
+        if steps and not all(c0 % c1 if c1 else c0 for c0, c1 in chain(*steps)):
+            steps = None
+        return Column(partial(self.kernel, z, a, b), steps)
 
 
 _catalan_power = Factor(_binomial_power_ratio, _binomial_power_steps)  # B_z^x

@@ -216,26 +216,26 @@ def _append_term(xs: list[int], den: int, num: int, step: int) -> int:
 
 
 # the term ratio of a hypergeometric term: integer linear factors (c0, c1),
-# each c0 + c1 k, of its numerator and of its denominator
+# each c0 + c1 k, of its numerator and of its denominator (the k + 1 of k! implied)
 Steps = tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
 
 
 def _ratio_steps(num: int, den: int, upper, lower, k: int = 0):
     """The terms ``t_k, t_(k+1), ...`` from ``t_k = num/den``, each in lowest terms.
 
-    ``t_(j+1) = t_j P(j)/Q(j)``, where ``P`` and ``Q`` are the products
-    of the linear factors ``c0 + c1 j`` in ``upper`` and ``lower``, and
-    ``Q(j)`` never vanishes.  The first term is reduced once.  Each step
-    reduces the small ratio ``P/Q`` first, then takes Knuth's
-    cross-reduced product (TAOCP vol. 2, 4.5.1): with ``g = gcd(P, D)``
-    and ``h = gcd(N, Q)``, ``N/D * P/Q`` is ``(N/h)(P/g)`` over
-    ``(D/g)(Q/h)``, in lowest terms, so every gcd has one small operand.
-    A zero term is ``(0, 1)``, and so is every term after it.
+    ``t_(j+1) = t_j P(j)/Q(j)``: ``P`` is the product of the linear factors
+    ``c0 + c1 j`` in ``upper``, ``Q`` that of ``lower`` times the ``j + 1``
+    of the term's ``j!``, which no ratio lists, and ``Q(j)`` never vanishes.
+    The first term is reduced once.  Each step reduces the small ratio
+    ``P/Q`` first, then takes Knuth's cross-reduced product (TAOCP vol. 2,
+    4.5.1): with ``g = gcd(P, D)`` and ``h = gcd(N, Q)``, ``N/D * P/Q`` is
+    ``(N/h)(P/g)`` over ``(D/g)(Q/h)``, in lowest terms, so every gcd has
+    one small operand.  A zero term is ``(0, 1)``, as is every term after it.
     """
     num, den = _reduced(num, den)
     while True:
         yield num, den
-        p = q = 1
+        p, q = 1, k + 1
         for c0, c1 in upper:
             p *= c0 + c1 * k
         for c0, c1 in lower:

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +10,7 @@ import pytest
 
 from riordan import identities
 from riordan.arrays import RiordanError, ballot_triangle, catalan_triangle, pascal
-from riordan.hypergeom import binomial_series, expand
+from riordan.hypergeom import HypergeometricSpec, binomial_series, expand, power_spec
 from riordan.identities import (
     _FIB_CACHE_MAX,
     _VANDERMONDE_LAW,
@@ -187,6 +188,67 @@ def test_central_ballot_matches_hypergeometric_form():
     for p in (2, 3):
         for y in (0, 1, Fraction(1, 2), Fraction(3, 7)):
             assert expand(central_ballot_spec(p, y), 10) == central_ballot_gf(p, y, 10)
+
+
+# -- specs read off the term ratios --------------------------------------------
+# the hand-written parameter lists that the three specs replaced, as the reference
+
+
+def listed_power_spec(q, r):
+    r = Fraction(r)
+    return HypergeometricSpec(
+        upper=[(r + i) / q for i in range(q)],
+        lower=[Fraction(r + i, q - 1) for i in range(1, q)],
+        scale=Fraction(q**q, (q - 1) ** (q - 1)),
+    )
+
+
+def listed_fuss_ballot_spec(p, y):
+    y = Fraction(y)
+    return HypergeometricSpec(
+        upper=[(y + i) / (p + 1) for i in range(1, p + 2)] + [(y + p) / (p - 1)],
+        lower=[(y + i) / p for i in range(2, p + 2)] + [(y + 1) / (p - 1)],
+        scale=Fraction((p + 1) ** (p + 1), p**p),
+    )
+
+
+def listed_central_ballot_spec(p, y):
+    y = Fraction(y)
+    upper = [(2 * y + 2 + i) / Fraction(2 * p) for i in range(1, 2 * p + 1)]
+    upper += [(y + p) / Fraction(p - 1), (y + 1) / Fraction(p)]
+    lower = [(2 * y + 2 + i) / Fraction(2 * p - 1) for i in range(1, 2 * p)]
+    lower += [(y + 1) / Fraction(p - 1), (y + p + 1) / Fraction(p)]
+    return HypergeometricSpec(
+        upper=upper, lower=lower, scale=Fraction((2 * p) ** (2 * p), (2 * p - 1) ** (2 * p - 1))
+    )
+
+
+def spec_outcome(make, p, v):
+    """The spec's parameter multisets, scale and 12-term expansion, or its refusal."""
+    try:
+        spec = make(p, v)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return Counter(spec.upper), Counter(spec.lower), spec.scale, expand(spec, 12)
+
+
+# negative and zero-crossing arguments: numerators -12..12 over 1..5
+SPEC_GRID = sorted({Fraction(n, d) for n in range(-12, 13) for d in range(1, 6)})
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+@pytest.mark.parametrize("derived, listed", [
+    (power_spec, listed_power_spec),
+    (fuss_ballot_spec, listed_fuss_ballot_spec),
+    (central_ballot_spec, listed_central_ballot_spec),
+], ids=["power", "fuss-ballot", "central-ballot"])
+def test_specs_read_off_the_ratio_equal_the_listed_parameters(derived, listed, p):
+    refused = 0
+    for v in SPEC_GRID:
+        want = spec_outcome(listed, p, v)
+        assert spec_outcome(derived, p, v) == want, v
+        refused += len(want) == 2
+    assert 0 < refused < len(SPEC_GRID)
 
 
 # -- product laws ---------------------------------------------------------------

@@ -15,7 +15,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial, gcd
 from pathlib import Path
 from unittest import mock
@@ -279,8 +279,9 @@ def test_column_grown_in_two_steps_keeps_its_faults_where_a_batch_build_does(rat
 
 # -- stepped factor columns ---------------------------------------------------
 # At a non-integer alpha (the binomial's upper argument at m = 0) and z >= 1,
-# a column steps its terms from the one before it; it must hold the same
-# canonical (nums, den) as the closed form, however its reaches are cut.
+# no factor of the ratio can vanish, so a column steps its terms from the one
+# before it; it must hold the same canonical (nums, den) as the closed form,
+# however its reaches are cut.
 
 # the four factor kernels, their step ratios, and the (z, alpha) of their binomial
 STEPPED = {
@@ -306,12 +307,11 @@ def closed_form(kernel, z, a, b, length):
 def test_stepped_column_is_its_closed_form(kind, z, v, cuts):
     kernel, steps, alpha = STEPPED[kind]
     a, b = v.numerator, v.denominator
-    ratio = steps(z, a, b)
+    col = I.Factor(kernel, steps)(z, v)
     if alpha(z, a, b)[1].denominator == 1:  # central ballot at b = 2: 2y + 2 is an integer
-        assert (kind, b, ratio) == ("central", 2, None)
+        assert (kind, b, col.steps) == ("central", 2, None)
         return
-    assert ratio is not None
-    col = I.Column(partial(kernel, z, a, b), ratio)
+    assert col.steps is not None
     for length in sorted(cuts):  # each reach resumes where the one before stopped
         assert col.reach(length) is col
         assert (col.nums, col.den) == closed_form(kernel, z, a, b, length)
@@ -326,26 +326,60 @@ def test_factor_steps_only_at_a_non_integer_alpha_and_z_at_least_one(kind, z, v)
     kernel, steps, alpha = STEPPED[kind]
     a, b = v.numerator, v.denominator
     binomial_z, upper = alpha(z, a, b)
-    assert (steps(z, a, b) is None) == (binomial_z < 1 or upper.denominator == 1)
+    col = I.Factor(kernel, steps)(z, v)
+    assert (col.steps is None) == (binomial_z < 1 or upper.denominator == 1)
+    # below z = 1 the ratio has no product form at all
+    assert (steps(z, a, b) is None) == (binomial_z < 1)
 
 
 @KERNEL
-@given(kind=st.sampled_from(sorted(STEPPED)), z=st.integers(1, 4), v=non_integer,
-       m=st.integers(0, 40))
+@given(kind=st.sampled_from(sorted(STEPPED)), z=st.integers(1, 4),
+       v=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)), m=st.integers(0, 40))
 def test_step_ratio_is_the_ratio_of_closed_form_terms(kind, z, v, m):
+    # at every argument, integer alpha included, wherever term m is not 0 (the ratio's
+    # m + 1 is implied); where a lower factor vanishes, the ratio reads 0/0 or term
+    # m + 1 is a pole, which is why such a column is never stepped
     kernel, steps, alpha = STEPPED[kind]
     a, b = v.numerator, v.denominator
-    ratio = steps(z, a, b)
-    if ratio is None:
+    term = Fraction(*kernel(z, a, b, m))
+    if not term:
         return
-    upper, lower = ratio
-    value = Fraction(1)
+    upper, lower = steps(z, a, b)
+    if not all(c0 + c1 * m for c0, c1 in lower):
+        try:
+            kernel(z, a, b, m + 1)
+        except PoleError:
+            return
+        assert not all(c0 + c1 * m for c0, c1 in upper)
+        return
+    value = term / (m + 1)
     for c0, c1 in upper:
         value *= c0 + c1 * m
     for c0, c1 in lower:
-        assert c0 + c1 * m
         value /= c0 + c1 * m
-    assert value == Fraction(*kernel(z, a, b, m + 1)) / Fraction(*kernel(z, a, b, m))
+    assert value == Fraction(*kernel(z, a, b, m + 1))
+
+
+# linear factors (c0, c1), and some that cannot vanish: c1 does not divide c0
+linear = st.tuples(st.integers(-50, 50), st.integers(-6, 6))
+safe = st.tuples(st.integers(-50, 50), st.integers(2, 6)).filter(lambda f: f[0] % f[1])
+
+
+@KERNEL
+@given(st.lists(st.one_of(linear, safe), max_size=5), st.lists(st.one_of(linear, safe),
+       max_size=5), st.integers(0, 200), st.integers(-6, 6).filter(bool))
+def test_a_column_steps_only_by_factors_that_cannot_vanish(upper, lower, m0, c1):
+    def steps(upper, lower):
+        # the ratio is data here: Factor's guard reads nothing but its factors
+        return I.Factor(lambda z, a, b, m: (1, 1), lambda z, a, b: (upper, lower))(
+            1, Fraction(1, 2)).steps
+
+    if steps(upper, lower) is not None:
+        assert all(c0 + c1 * m for c0, c1 in upper + lower for m in range(201))
+    # a factor that vanishes at m0 turns the column to its closed form, in either list
+    vanishing = [(-m0 * c1, c1)]
+    assert steps(upper + vanishing, lower) is None
+    assert steps(upper, lower + vanishing) is None
 
 
 def test_non_integer_columns_read_the_closed_form_once_per_reach(monkeypatch):

@@ -692,7 +692,8 @@ def test_extend_keeps_a_canonical_column_canonical_with_no_gcd(prefix, terms):
                           st.tuples(st.integers(-9, -1), st.integers(-3, 0))), max_size=4),
        raw_pairs, st.integers(0, 5), st.integers(1, 25))
 def test_ratio_steps_are_the_fraction_products_in_lowest_terms(upper, lower, start, k, count):
-    # c0 + c1 j with c0 != 0 and c1 zero or of the sign of c0 never vanishes at j >= 0
+    # c0 + c1 j with c0 != 0 and c1 zero or of the sign of c0 never vanishes at j >= 0;
+    # the j + 1 of the term's j! is the stepper's own lower factor
     want, value = [], Fraction(*start)
     for j in range(k, k + count):
         want.append((value.numerator, value.denominator))
@@ -700,6 +701,7 @@ def test_ratio_steps_are_the_fraction_products_in_lowest_terms(upper, lower, sta
             value *= c0 + c1 * j
         for c0, c1 in lower:
             value /= c0 + c1 * j
+        value /= j + 1
     steps = _ratio_steps(*start, upper, lower, k)
     assert [next(steps) for _ in range(count)] == want
 

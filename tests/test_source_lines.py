@@ -115,6 +115,24 @@ def test_identities_imports_no_pair_reduction():
     assert "_reduced" not in names
 
 
+def test_only_the_ratio_reader_and_the_hyper_command_build_specs():
+    # a spec is read off its family's term ratio (hypergeom._spec) or parsed from the
+    # command line, so no hand-written parameter list comes back
+    callers = set()
+    for path in SOURCES:
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "HypergeometricSpec":
+                callers.add((path.name, owner))
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), None)
+    assert callers == {("hypergeom.py", "_spec"), ("cli.py", "_cmd_hyper")}
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # in a fresh interpreter, so that only what this import adds counts, and
     # not what site or an earlier test has already loaded
