@@ -37,6 +37,9 @@ the row route's oracle in the tests.  :func:`a_sequence` solves the
 recurrence and verifies it by rebuilding the triangle with the same row
 generator, from ``A`` compacted to ``P/(1 - t)^j``;
 :class:`fractions.Fraction` values are built only when entries are read.
+:meth:`RiordanArray.materialize` puts the generator's rows over one
+denominator as a :class:`Triangle`; the CLI writes them as they come,
+after the same row-count check (:meth:`RiordanArray._check_rows`).
 
 Extraction reads the new first column and ``t h`` by one of two
 routes.  The rows route walks the row generator once, one row at a
@@ -141,9 +144,7 @@ class Triangle:
     integer rows over one common positive denominator in lowest terms
     (``gcd(den, *all numerators) == 1``), so equal triangles have equal
     ``(rows, den)``; :attr:`rows` and :meth:`entry` build
-    :class:`fractions.Fraction` values when read, and :meth:`cells` their
-    strings (integers bare, non-integers as ``p/q``), from which the CLI
-    writes each output layout one row at a time.  Floats are rejected.
+    :class:`fractions.Fraction` values when read.  Floats are rejected.
     """
 
     __slots__ = ("_nums", "_den")
@@ -193,13 +194,6 @@ class Triangle:
 
     def __repr__(self):
         return f"Triangle({self.nrows} rows)"
-
-    def cells(self) -> list[list[str]]:
-        """The entries as strings, each the ``str`` of its fraction."""
-        den = self._den
-        if den == 1:
-            return [list(map(str, row)) for row in self._nums]
-        return [[str(Fraction(x, den)) for x in row] for row in self._nums]
 
 
 class RiordanArray:
@@ -385,6 +379,15 @@ class RiordanArray:
             rows = [r if e == den else [x * (den // e) for x in r] for r, e in zip(rows, dens)]
         return _triangle(rows, den)
 
+    def _check_rows(self, nrows: int) -> None:
+        """Refuse ``nrows`` when it is no row, or more rows than the precision."""
+        if nrows < 1:
+            raise RiordanError("nrows must be positive")
+        if nrows > self.precision:
+            raise PrecisionError(
+                f"asked for {nrows} rows but precision is {self.precision}"
+            )
+
     def materialize(self, nrows: int) -> Triangle:
         """First ``nrows`` rows as a :class:`Triangle`.
 
@@ -393,12 +396,7 @@ class RiordanArray:
         ``A``), and from the columns otherwise; both give the same
         canonical triangle.
         """
-        if nrows < 1:
-            raise RiordanError("nrows must be positive")
-        if nrows > self.precision:
-            raise PrecisionError(
-                f"asked for {nrows} rows but precision is {self.precision}"
-            )
+        self._check_rows(nrows)
         return self._band(range(nrows)) if self._P is None else self._rows(nrows)
 
     def extract_subarray(self, p: int, r: int) -> "RiordanArray":

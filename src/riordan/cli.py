@@ -10,6 +10,14 @@ command, as ``riordan: <message>`` on stderr (usage and spec errors, a
 check that covers no points), 141 (128 + SIGPIPE) the reader closed the
 output pipe.  Integers print in full, past CPython's default limit on
 the digits of an integer string.
+
+This is the one module that turns exact values into text, and it prints
+what the kernels yield: ``hyper`` the lowest-terms pairs of
+``hypergeom._terms`` as ``num`` or ``num/den``, and ``triangle`` and
+``extract`` the rows of ``RiordanArray._row_stream`` (every array built
+here keeps its A-sequence, as does each extraction of one), each entry
+over its row's own denominator.  csv and jsonl hold one row at a time;
+text keeps the rows' strings for its column widths.
 """
 
 from __future__ import annotations
@@ -20,16 +28,10 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
-from .arrays import (
-    RiordanArray,
-    Triangle,
-    a_sequence,
-    ballot_triangle,
-    catalan_triangle,
-    pascal,
-)
-from .hypergeom import HypergeometricSpec, expand
+from .arrays import RiordanArray, a_sequence, ballot_triangle, catalan_triangle, pascal
+from .hypergeom import HypergeometricSpec, _terms
 from .identities import REGISTRY, check_registry, registry_entries
 from .series import FormalPowerSeries
 
@@ -80,9 +82,30 @@ def _build_array(args, precision: int) -> RiordanArray:
     return RiordanArray.from_dA(d, a)
 
 
-def _emit_triangle(tri: Triangle, fmt: str, out) -> None:
-    """Write ``tri`` one row per ``write``; text right-aligns each column to its widest cell."""
-    rows = tri.cells()
+def _array_rows(array: RiordanArray, nrows: int):
+    """The first ``nrows`` rows of ``array`` as its row generator yields them, ``(nums, den)``.
+
+    More rows than the precision are refused as ``materialize`` refuses them.
+    """
+    array._check_rows(nrows)
+    return islice(array._row_stream(), nrows)
+
+
+def _entry_texts(nums, den: int) -> list[str]:
+    """Integer entries over ``den > 0``, each as the ``str`` of its fraction."""
+    if den == 1:
+        return list(map(str, nums))
+    return [str(Fraction(x, den)) for x in nums]
+
+
+def _emit_triangle(rows, fmt: str, out) -> None:
+    """Write the rows ``(nums, den)``, one per ``write``.
+
+    csv and jsonl write each row before the next is pulled.  text right-aligns
+    each column to its widest entry, so it keeps every row's strings and
+    writes once the last row is in.
+    """
+    rows = (_entry_texts(*row) for row in rows)
     if fmt == "jsonl":
         for n, row in enumerate(rows):
             out.write(_canonical_json({"row": n, "entries": row}) + "\n")
@@ -90,6 +113,7 @@ def _emit_triangle(tri: Triangle, fmt: str, out) -> None:
         for row in rows:
             out.write(",".join(row) + "\n")
     else:
+        rows = list(rows)
         # column k first appears in row k, and the last row has every column
         widths = list(map(len, rows[-1]))
         for row in rows[:-1]:
@@ -106,6 +130,12 @@ def _emit_coeffs(texts: list[str], record: dict, fmt: str, out, prefix: str = ""
         out.write(",".join(texts) + "\n")
     else:
         out.write(prefix + " ".join(texts) + "\n")
+
+
+def _emit_aseq(seq: FormalPowerSeries, fmt: str, out) -> None:
+    """The line ``A = …``, or the record ``{"aseq": […]}``, of a recovered A-sequence."""
+    texts = [str(c) for c in seq.coeffs]
+    _emit_coeffs(texts, {"aseq": texts}, fmt, out, "A = ")
 
 
 def _emit_report(report, fmt: str, out) -> None:
@@ -131,7 +161,7 @@ def _cmd_triangle(args, out) -> int:
     if args.rows < 1:
         raise UsageError("--rows must be >= 1")
     array = _build_array(args, args.rows)
-    _emit_triangle(array.materialize(args.rows), args.format, out)
+    _emit_triangle(_array_rows(array, args.rows), args.format, out)
     return 0
 
 
@@ -150,12 +180,11 @@ def _cmd_extract(args, out) -> int:
     # auto-raise the base precision so the extraction never hits a shortfall
     base = _build_array(args, args.p * need_rows + args.r + 1)
     sub = base.extract_subarray(args.p, args.r)
-    _emit_triangle(sub.materialize(args.rows), args.format, out)
+    _emit_triangle(_array_rows(sub, args.rows), args.format, out)
     if not args.aseq:
         return 0
     recovered = a_sequence(sub.materialize(terms + 1), terms=terms)
-    texts = [str(c) for c in recovered.coeffs]
-    _emit_coeffs(texts, {"aseq": texts}, args.format, out, "A = ")
+    _emit_aseq(recovered, args.format, out)
     # The printed rows and A come from the A-sequence the sub-array keeps, and
     # its h from the entries the extraction read; the claim holds when the
     # printed A is A^p and the read h solves h = (A^p)(t h).
@@ -174,8 +203,7 @@ def _cmd_aseq(args, out) -> int:
         raise UsageError("--terms must be >= 1")
     array = _build_array(args, args.terms + 1)
     seq = a_sequence(array.materialize(args.terms + 1), terms=args.terms)
-    texts = [str(c) for c in seq.coeffs]
-    _emit_coeffs(texts, {"aseq": texts}, args.format, out, "A = ")
+    _emit_aseq(seq, args.format, out)
     return 0
 
 
@@ -250,8 +278,9 @@ def _cmd_hyper(args, out) -> int:
         lower=_parse_rational_list(args.lower),
         scale=_parse_rational(args.scale),
     )
-    record = expand(spec, args.terms).to_record()
-    _emit_coeffs(record["coeffs"], record, args.format, out)
+    # each term is in lowest terms, so its text is that of its fraction
+    texts = [str(n) if d == 1 else f"{n}/{d}" for n, d in islice(_terms(spec), args.terms)]
+    _emit_coeffs(texts, {"coeffs": texts, "prec": args.terms}, args.format, out)
     return 0
 
 

@@ -15,10 +15,12 @@ times prod(p_i + n q_i) / ((n + 1) prod(r_j + n s_j)), a ratio of integer
 linear factors in n.  Each term is stepped from the one before it by that
 ratio (``series._ratio_steps``): the small ratio is reduced first, then
 cross-reduced against the running pair (N, D), so the term stays in
-lowest terms and no gcd has two full-width operands.  The stepped terms
-go over one common denominator with no further gcd (``series._extend``),
-and the series is built once; a ``Fraction`` is made only when a
-coefficient is read.  ``binomial_series`` and ``pochhammer`` work on the
+lowest terms and no gcd has two full-width operands.  ``_terms`` is that
+stream of terms.  ``expand`` puts them over one common denominator with
+no further gcd (``series._extend``) and builds the series once; a
+``Fraction`` is made only when a coefficient is read.  The CLI's
+``hyper`` prints the same stream, term by term, with no common
+denominator.  ``binomial_series`` and ``pochhammer`` work on the
 numerator and denominator of their rational argument, from the closed
 form, so they stay independent of the stepping that ``expand`` and the
 identity columns use.
@@ -102,24 +104,32 @@ def pochhammer(a: Scalar, n: int) -> Fraction:
     return Fraction(prod(num + i * den for i in range(n)), den**n)
 
 
-def expand(spec: HypergeometricSpec, precision: int) -> FormalPowerSeries:
-    """Exact coefficient stream of the spec, constant term 1.
+def _terms(spec: HypergeometricSpec):
+    """The spec's terms ``(num, den)``, constant term first, each in lowest terms with ``den > 0``.
 
     Each term is stepped from the one before it by the term ratio
     (``series._ratio_steps``), so it is in lowest terms without a
-    full-width gcd, and the batch goes over one lcm with no gcd at all.
+    full-width gcd.  The stream never ends.
     """
-    if precision < 1:
-        raise SeriesError("precision must be positive")
     upper = [(a.numerator, a.denominator) for a in spec.upper]
     lower = [(c.numerator, c.denominator) for c in spec.lower]
     # the scale and every parameter's denominator, as one constant ratio
     const_num = spec.scale.numerator * prod(d for _, d in lower)
     const_den = spec.scale.denominator * prod(d for _, d in upper)
     # no factor below vanishes: a lower parameter is never zero or a negative integer
-    steps = _ratio_steps(1, 1, [(const_num, 0), *upper], [(const_den, 0), *lower])
+    return _ratio_steps(1, 1, [(const_num, 0), *upper], [(const_den, 0), *lower])
+
+
+def expand(spec: HypergeometricSpec, precision: int) -> FormalPowerSeries:
+    """Exact coefficient stream of the spec, constant term 1.
+
+    The first ``precision`` terms of :func:`_terms`, which are in lowest
+    terms, go over one lcm with no gcd at all.
+    """
+    if precision < 1:
+        raise SeriesError("precision must be positive")
     nums: list[int] = []
-    den = _extend(nums, 1, islice(steps, precision))
+    den = _extend(nums, 1, islice(_terms(spec), precision))
     return _wrap(nums, den)
 
 

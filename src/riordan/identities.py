@@ -336,11 +336,9 @@ def check_andrews(identity: str, n_max: int, n: int | None = None) -> IdentityRe
     return IdentityReport(f"andrews-{identity}", grid, points, cex)
 
 
-def _weight_series(signs: Iterable[int], precision: int) -> FormalPowerSeries:
-    # periodic +-1 weights with period 5: expand (polynomial)/(1 - t^5)
-    num = FormalPowerSeries(list(signs), precision=precision)
-    den = FormalPowerSeries([1, 0, 0, 0, 0, -1], precision=precision)
-    return num / den
+def _weight_series(signs: list[int], precision: int) -> FormalPowerSeries:
+    # periodic +-1 weights with period 5, signs/(1 - t^5): the five signs repeated
+    return FormalPowerSeries([signs[i % 5] for i in range(precision)])
 
 
 # closed forms of the first column d of the even and odd row extractions

@@ -24,7 +24,9 @@ before it by its ratio of integer linear factors (:func:`_ratio_steps`,
 a cross-reduced product whose gcds each have one small operand), so it
 is born in lowest terms, and a batch of such terms joins its column over
 one lcm with no gcd (:func:`_extend`): ``hypergeom.expand`` and the
-identity registry's stepped columns.  Integer rows over one denominator
+identity registry's stepped columns.  The CLI's ``hyper`` prints
+stepped terms as they come, over no common denominator; turning a
+coefficient into text is the CLI's job alone.  Integer rows over one denominator
 reach lowest terms by one gcd (:func:`_lowest`), and :func:`_stripped`
 drops trailing zeros.
 
@@ -532,12 +534,6 @@ class FormalPowerSeries:
         if self.order != 1:
             raise ReversionOrderError("reversion needs a series of order exactly 1")
         return lagrange_solve(1 / self.shift_down(), len(self._nums))
-
-    # -- serialization -----------------------------------------------
-
-    def to_record(self) -> dict:
-        """JSON-ready record: the precision, and each coefficient as its exact ``p/q`` string."""
-        return {"prec": len(self._nums), "coeffs": [str(c) for c in self.coeffs]}
 
 
 # -- composition by baby steps and giant steps ------------------------

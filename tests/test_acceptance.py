@@ -139,7 +139,7 @@ def test_criterion_06_golden_triangles():
         # one row per line, entries split by single spaces, one final newline
         assert text.endswith("\n") and not text.endswith("\n\n"), name
         want = [line.split(" ") for line in text[:-1].split("\n")]
-        assert build().cells() == want, name
+        assert [list(map(str, row)) for row in build().rows] == want, name
     _pass(6, "5 golden triangles byte-exact (row 5 of the (3,1) extraction pinned to 4368 1820 560 120 16 1)")
 
 

@@ -212,7 +212,7 @@ def test_triangle_rejects_floats():
 
 def test_triangle_cells():
     tri = Triangle([[1], [Fraction(1, 2), 3]])
-    assert tri.cells() == [["1"], ["1/2", "3"]]
+    assert [list(map(str, row)) for row in tri.rows] == [["1"], ["1/2", "3"]]
 
 
 def test_triangle_entry_reads_as_the_array_does():

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from riordan import cli, identities
-from riordan.arrays import Triangle
+from riordan.arrays import ballot_triangle, catalan_triangle, pascal
 from riordan.cli import main
 from riordan.hypergeom import h_for_binomial_A
 from riordan.reports import Counterexample, IdentityReport
@@ -89,10 +89,65 @@ EMITTED = {
 
 @pytest.mark.parametrize("fmt", EMITTED)
 def test_emit_triangle_writes_one_row_per_write(fmt):
-    writes = []
-    tri = Triangle([[1], [Fraction(1, 2), 3], [10, Fraction(-2, 3), 1]])
-    cli._emit_triangle(tri, fmt, SimpleNamespace(write=writes.append))
+    # rows as the row generator yields them, integers over the row's own denominator
+    events = []
+
+    def rows():
+        for n, row in enumerate([([1], 1), ([1, 6], 2), ([30, -2, 3], 3)]):
+            events.append(("pull", n))
+            yield row
+
+    cli._emit_triangle(rows(), fmt, SimpleNamespace(write=events.append))
+    writes = [e for e in events if isinstance(e, str)]
     assert writes == EMITTED[fmt]
+    pulls = [("pull", n) for n in range(3)]
+    if fmt == "text":
+        # the column widths need every row, so the first write follows the last pull
+        assert events == pulls + writes
+    else:
+        # row n goes out before row n + 1 is pulled
+        assert events == [e for pair in zip(pulls, writes) for e in pair]
+
+
+def dA_args(name=None, d=None, A=None):
+    return SimpleNamespace(name=name, d=d, A=A)
+
+
+@pytest.mark.parametrize("args", [
+    dA_args("pascal"), dA_args("catalan42"), dA_args("ballot43"),
+    dA_args(d="1/2,1,-3/4,2", A="2/3,1,1/5"),
+], ids=["pascal", "catalan42", "ballot43", "dA"])
+def test_every_built_array_and_its_extraction_keep_A(args):
+    # the CLI streams the rows of the row generator, which reads the kept A
+    array = cli._build_array(args, 13)
+    assert array.A is not None
+    for p, r in [(2, 0), (3, 1)]:
+        sub = array.extract_subarray(p, r)
+        assert sub.A is not None
+        # and the entry strings are those of the materialized triangle's fractions
+        streamed = [cli._entry_texts(*row) for row in cli._array_rows(sub, sub.precision)]
+        assert streamed == [list(map(str, row)) for row in sub.materialize(sub.precision).rows]
+
+
+@pytest.mark.parametrize("factory", [pascal, catalan_triangle, ballot_triangle])
+def test_streamed_rows_are_refused_as_materialize_refuses_them(factory):
+    array = factory(6)
+    for nrows in (0, 7):
+        with pytest.raises(ValueError) as streamed:
+            cli._array_rows(array, nrows)
+        with pytest.raises(ValueError) as materialized:
+            array.materialize(nrows)
+        assert (type(streamed.value), str(streamed.value)) == (
+            type(materialized.value), str(materialized.value))
+    assert len(list(cli._array_rows(array, 6))) == 6
+
+
+def test_triangle_past_the_array_precision_exits_2(capsys, monkeypatch):
+    # a builtin one row short of the rows asked for is refused, not cut short
+    monkeypatch.setitem(cli._BUILTINS, "pascal", lambda precision: pascal(precision - 1))
+    for fmt in EMITTED:
+        code, out, err = run(capsys, "triangle", "pascal", "--rows", "5", "--format", fmt)
+        assert (code, out, err) == (2, "", "riordan: asked for 5 rows but precision is 4\n")
 
 
 def test_triangle_explicit_dA(capsys):
@@ -408,6 +463,10 @@ LARGER_OUTPUTS = {
         "66c04cf29ce9499010ea9e1ce8e9e21e379dfc32f811fff9164154b483d0b821",
     "hyper --upper 1/2,1/3,5/7 --lower 2/7,3/11 --scale 3/5 --terms 200 --format csv":
         "59d39fedb6c4769ecc7c4010c7f826211a71634e7deddfcd5a4801aeac7a5d33",
+    "hyper --upper 1/2,1/3,5/7 --lower 2/7,3/11 --scale 3/5 --terms 2000 --format csv":
+        "d1a0ecb1fee13b70edf80cb16d20cedc295b3cfebf2c011a6f372aa0ddbf7054",
+    "hyper --upper 1/2,1/3,5/7 --lower 2/7,3/11 --scale 3/5 --terms 2000 --format jsonl":
+        "9fc63818c4732f438a81205f09c870317f4747cb32f0de658390b2d61a198b3f",
     "check product-laws --max-n 30 --format jsonl":
         "017b828f3a9d65764fc4c4ce10b72d8c61fa7a97219b8084099f8f4a7fef9347",
     "check fibonacci-riordan --max-n 60":

@@ -450,18 +450,6 @@ def test_lagrange_requires_unit_phi():
         lagrange_coeffs(FPS.t(5), 1, 5)
 
 
-# -- serialization ---------------------------------------------------------
-
-
-def test_record_keeps_every_coefficient_exact():
-    f = FPS([Fraction(-3, 7), 10**30, Fraction(1, 10**25)], precision=5)
-    rec = f.to_record()
-    assert rec["prec"] == 5
-    assert rec["coeffs"][0] == "-3/7"
-    assert rec["coeffs"][1] == str(10**30)
-    assert [Fraction(c) for c in rec["coeffs"]] == list(f.coeffs)
-
-
 # -- precision bookkeeping ---------------------------------------------------
 
 
