@@ -34,8 +34,8 @@ need it.  Any other array materializes from its cached columns,
 column ``k`` being column ``k-1`` times ``t h``, whose integer numerators
 are rescaled once to the lcm of their denominators; that column route is
 the row route's oracle in the tests.  :func:`a_sequence` solves the
-recurrence and verifies it by rebuilding the triangle with the same row
-generator, from ``A`` compacted to ``P/(1 - t)^j``;
+recurrence and verifies it against the same row generator, from ``A``
+compacted to ``P/(1 - t)^j``, one rebuilt row at a time;
 :class:`fractions.Fraction` values are built only when entries are read.
 :meth:`RiordanArray.materialize` puts the generator's rows over one
 denominator as a :class:`Triangle`; the CLI writes them as they come,
@@ -368,17 +368,6 @@ class RiordanArray:
             (row,), den = _lowest([row], den)
             yield row, den
 
-    def _rows(self, nrows: int) -> Triangle:
-        """The first ``nrows`` rows of :meth:`_row_stream` as a canonical :class:`Triangle`.
-
-        The rows are rescaled once to the lcm of their denominators.
-        """
-        rows, dens = zip(*islice(self._row_stream(), nrows))
-        den = lcm(*dens)
-        if den != 1:
-            rows = [r if e == den else [x * (den // e) for x in r] for r, e in zip(rows, dens)]
-        return _triangle(rows, den)
-
     def _check_rows(self, nrows: int) -> None:
         """Refuse ``nrows`` when it is no row, or more rows than the precision."""
         if nrows < 1:
@@ -394,10 +383,17 @@ class RiordanArray:
         Built by the recurrence on ``A = P/(1 - t)^j`` when the array keeps its
         A-sequence (an extracted array keeps ``A^p`` when its base kept
         ``A``), and from the columns otherwise; both give the same
-        canonical triangle.
+        canonical triangle.  The rows of :meth:`_row_stream` are rescaled
+        once to the lcm of their denominators.
         """
         self._check_rows(nrows)
-        return self._band(range(nrows)) if self._P is None else self._rows(nrows)
+        if self._P is None:
+            return self._band(range(nrows))
+        rows, dens = zip(*islice(self._row_stream(), nrows))
+        den = lcm(*dens)
+        if den != 1:
+            rows = [r if e == den else [x * (den // e) for x in r] for r, e in zip(rows, dens)]
+        return _triangle(rows, den)
 
     def extract_subarray(self, p: int, r: int) -> "RiordanArray":
         """Keep rows ``pn + r`` and columns from ``(p-1)n + r`` on.
@@ -501,12 +497,15 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> FormalPowerSerie
     ``P = x (1 - t)^j`` mod ``t^N`` (each factor one difference), at the
     ``j`` of least cost ``|P| + j`` an entry (no ``j`` past the best cost
     so far can beat it: the ballot triangle's ``x = 1, 1, 1, ...`` gives
-    ``(1, 1)``), rebuilds the triangle from its first column and compares.
-    Row ``n + 1`` reads ``A`` mod ``t^(n+1)`` only, and ``n + 1 <= N``, so
-    up to the first entry that differs the rebuilt rows are the given
-    ones, and that entry is the first to fail the recurrence.
+    ``(1, 1)``), and rebuilds the rows from the triangle's first column.
+    Each rebuilt row is compared as the generator yields it, its
+    numerators scaled to the triangle's denominator, so no second
+    triangle is built.  Row ``n + 1`` reads ``A`` mod ``t^(n+1)`` only,
+    and ``n + 1 <= N``, so up to the first entry that differs the rebuilt
+    rows are the given ones, and that entry is the first to fail the
+    recurrence.
     """
-    rows = triangle._nums
+    rows, tden = triangle._nums, triangle._den
     available = triangle.nrows - 1
     if terms is None:
         terms = available
@@ -536,15 +535,16 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> FormalPowerSerie
     # row 0's pivot, and from_dA refuses P(0) = x_0 = 0 as A(0) = 0; that
     # x_0 comes only from two rows, whose one check cannot fail
     A = _wrap([*P, 0], den)
-    d = _series([row[0] for row in rows], triangle._den)
-    rebuilt = RiordanArray.from_dA(d, A)._with_A(A, j)._rows(triangle.nrows)
-    if rebuilt != triangle:
-        given, built = triangle.rows, rebuilt.rows
-        n = next(n for n, (x, y) in enumerate(zip(given, built)) if x != y)
-        k = next(k for k, (x, y) in enumerate(zip(given[n], built[n])) if x != y)
-        raise NotRiordanError(
-            f"recurrence fails at (n={n}, k={k}): {given[n][k]} != {built[n][k]}"
-        )
+    d = _series([row[0] for row in rows], tden)
+    rebuilt = RiordanArray.from_dA(d, A)._with_A(A, j)._row_stream()
+    for n, (given, (built, e)) in enumerate(zip(rows, rebuilt)):
+        # a rebuilt row equal to the given one has a denominator that
+        # divides the triangle's, so it compares by scaled numerators
+        scale = tden // e
+        if tden % e or list(given) != (built if scale == 1 else [y * scale for y in built]):
+            k = next(k for k, (x, y) in enumerate(zip(given, built)) if x * e != y * tden)
+            raise NotRiordanError(f"recurrence fails at (n={n}, k={k}): "
+                                  f"{Fraction(given[k], tden)} != {Fraction(built[k], e)}")
     return _series(xs[:terms], den)
 
 

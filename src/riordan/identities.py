@@ -851,7 +851,7 @@ def _check_outer(
 def _check_sums(
     row: SumIdentity, parts: list[GridPart], max_n: int, pinned: Mapping[str, Scalar]
 ) -> IdentityReport:
-    for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0)):
+    for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0), ("k", 1), ("s", 1)):
         _require_min(row.id, slot, least, pinned)
     plan = _plan(row.law, _pin_values(pinned, "n", range(max_n + 1)), pinned)
     columns = {}  # (factor, first set slot, argument) -> its column, grown as it is read

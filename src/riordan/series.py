@@ -604,8 +604,10 @@ def _check_phi(phi: FormalPowerSeries, n: int) -> FormalPowerSeries:
     if phi.precision >= n:
         return phi.truncate(n)
     if phi.precision == n - 1:
-        # The solution of w = t phi(w) mod t^n only involves phi mod t^(n-1),
-        # so one fabricated top coefficient cannot reach the result.
+        # The solution of w = t phi(w) mod t^n only involves phi mod t^(n-1):
+        # lagrange_solve reads phi only through its one composition phi(w)
+        # mod t^(n-1) and the slope taken off it, so one fabricated top
+        # coefficient cannot reach the result.
         return phi._padded(1)
     raise PrecisionError(f"phi known mod t^{phi.precision}, need at least t^{n - 1}")
 
@@ -617,16 +619,15 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     ``F'(w) = 1 - t phi'(w)`` and doubling working precision.  A step
     from ``known`` to ``prec`` correct coefficients has ``F(w)`` of order
     ``known`` or more, so it needs ``F'(w)`` only mod ``t^h``,
-    ``h = prec - known``: it composes ``phi`` at ``w`` mod ``t^(prec-1)``
-    and, when ``h > 1``, ``phi'`` at ``w`` mod ``t^(h-1)`` on its own
-    small table, both by :func:`_compose`.  ``phi'`` is formed once per
-    solve, and only from precision 4, the first with a step of ``h > 1``;
-    the composition trims it to the step's precision.  This is the one
+    ``h = prec - known``.  It makes one composition, ``phi(w)`` mod
+    ``t^(prec-1)`` by :func:`_compose`, and, when ``h > 1``, reads
+    ``phi'(w)`` mod ``t^(h-1)`` off it by the chain rule:
+    ``phi(w)' = phi'(w) w'``, and ``w'(0) = phi(0) != 0``, so ``phi'(w)``
+    is ``phi(w)'/w'`` (Brent and Kung, J. ACM 25, 1978).  This is the one
     Newton iteration of the package: :meth:`revert`,
     ``RiordanArray.from_dA`` and the identity checkers solve through it.
     """
     p = _check_phi(phi, precision)
-    dphi = p.derivative() if precision >= 4 else None  # read only when h > 1
     w = _series([0, p._nums[0]][:precision], p._den)  # phi(0) t, correct mod t^2
     known = 2
     while known < precision:
@@ -635,14 +636,16 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
         # Zero-padding the current guess is safe: the Newton step below
         # repairs every coefficient up to twice the previously correct order.
         w = w._padded(h)
-        # t phi(w) mod t^prec reads w and p mod t^(prec-1) only; neither
-        # composition reads p's last coefficient, which _check_phi may pad
+        # t phi(w) mod t^prec reads w and p mod t^(prec-1) only, so the
+        # composition never reads p's last coefficient, which _check_phi may pad
         value = _compose(p._nums, p._den, w.truncate(prec - 1))
         # F(w) = t^known R, and the correction is t^known R / F'(w) mod t^prec
         r = (w - value.shift_up()).shift_down(known)
         if h > 1:
-            # t phi'(w) mod t^h reads w mod t^(h-1), which is correct
-            r = r / (1 - _compose(dphi._nums, dphi._den, w.truncate(h - 1)).shift_up())
+            # phi'(w) mod t^(h-1) = value'/w' reads value and w mod t^h, and
+            # h <= known, so it reads only correct coefficients of w
+            slope = value.truncate(h).derivative() / w.truncate(h).derivative()
+            r = r / (1 - slope.shift_up())
         w = w - r.shift_up(known)
         known = prec
     return w

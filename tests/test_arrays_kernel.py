@@ -249,6 +249,50 @@ def test_a_sequence_checks_through_the_compacted_A(monkeypatch):
     assert len(lengths) == 120 + 40 and set(lengths) == {1}
 
 
+def test_a_sequence_compares_the_rebuilt_rows_as_they_come(monkeypatch):
+    # the check reads each rebuilt row off the row generator: no second
+    # triangle is built and no row of the given one is turned into fractions
+    triangles = [make(60).materialize(60) for make in (pascal, catalan_triangle, ballot_triangle)]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a_sequence built a whole triangle")
+
+    monkeypatch.setattr(arrays_module, "_triangle", fail)
+    monkeypatch.setattr(Triangle, "rows", property(fail))
+    got = [a_sequence(tri) for tri in triangles]
+    assert got == [FPS([1, 1] + [0] * 57), FPS([1, 2, 1] + [0] * 56), FPS([1] * 59)]
+
+
+def test_a_rebuilt_row_over_a_foreign_denominator_fails():
+    # rebuilt row 2 is [0, 0, -1]/4, and 4 does not divide the triangle's 9:
+    # its numerators scaled by 9 // 4 = 2 would match the given -2/9
+    tri = Triangle([[Fraction(-4, 9)], [0, Fraction(1, 3)], [0, 0, Fraction(-2, 9)]])
+    message = "recurrence fails at (n=2, k=2): -2/9 != -1/4"
+    assert outcome(recovered, tri) == outcome(ref_a_sequence, tri) == (NotRiordanError, message)
+
+
+@pytest.mark.parametrize(
+    "make, n, k, delta",
+    [
+        (pascal, 57, 30, 1),
+        (pascal, 59, 59, Fraction(1, 3)),
+        (catalan_triangle, 58, 2, -2),
+        (catalan_triangle, 57, 0, Fraction(-5, 7)),
+        (ballot_triangle, 59, 40, Fraction(2, 9)),
+        (ballot_triangle, 56, 1, 1),
+    ],
+)
+def test_a_late_perturbed_entry_gives_the_same_outcome(make, n, k, delta):
+    entries = [list(row) for row in make(60).materialize(60).rows]
+    entries[n][k] += delta
+    tri = Triangle(entries)
+    got = outcome(recovered, tri)
+    assert got == outcome(ref_a_sequence, tri)
+    if k >= 2:
+        assert got == (NotRiordanError, f"recurrence fails at (n={n}, k={k}): "
+                       f"{entries[n][k]} != {entries[n][k] - delta}")
+
+
 # -- materialize / subarray_triangle ------------------------------------------
 
 

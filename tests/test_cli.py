@@ -675,6 +675,14 @@ def no_compute(monkeypatch):
         pytest.param("ballot-triangle-convolution", "r", -2, 0,
                      id="ballot-triangle-convolution-r-2"),
         pytest.param("catalan-column-sum", "r", -3, 0, id="catalan-column-sum-r-3"),
+        pytest.param("subarray-convolution", "k", 0, 1, id="subarray-convolution-k0"),
+        pytest.param("subarray-convolution", "k", -2, 1, id="subarray-convolution-k-2"),
+        pytest.param("subarray-convolution", "s", 0, 1, id="subarray-convolution-s0"),
+        pytest.param("catalan-triangle-convolution", "k", 0, 1,
+                     id="catalan-triangle-convolution-k0"),
+        pytest.param("ballot-triangle-convolution", "s", -1, 1,
+                     id="ballot-triangle-convolution-s-1"),
+        pytest.param("catalan-column-sum", "k", 0, 1, id="catalan-column-sum-k0"),
     ],
 )
 def test_check_out_of_domain_pin_names_the_pin(capsys, no_compute, identity, slot, value, least):
