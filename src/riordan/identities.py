@@ -60,7 +60,8 @@ at its first failure, and the failure with the smallest index is the
 run's, as in a point-by-point loop.  A term that raises (a pole) is
 kept in its column and raised by the first point whose sum takes it, as
 a term-by-term sum would.  ``sum_lhs`` and ``sum_rhs`` give one point's
-two sides of any row by id.  ``binomial`` and the ``_*_term`` helpers
+two sides of any row by id, at every slot of the row, read and refused
+as a run's pins are.  ``binomial`` and the ``_*_term`` helpers
 are cached ``Fraction`` wrappers that nothing in ``src/`` calls: the
 benchmark's tracer reads their caches (``bench/layertrace.py``,
 ``CACHES``).
@@ -171,9 +172,7 @@ class Column:
         for j in range(start, length):
             try:
                 num, d = self.term(j)
-                if not d:  # a fault of this term, as in a term-by-term sum
-                    raise ZeroDivisionError("integer modulo by zero")
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 self.faults[j] = exc
                 num, d = 0, 1
             self.den = _append_term(self.nums, self.den, num, d)
@@ -687,27 +686,25 @@ class Law(NamedTuple):
     slots: tuple[str, ...]  # slots it enumerates at each n, through ``values``
     values: Callable[[int, Mapping[str, Scalar]], Iterable[tuple]]
     parts: tuple[GridPart, ...]  # its grid text; a k or s shows only when pinned
-    lhs_only: tuple[str, ...]  # slots the lhs takes and the rhs does not
-    # (outer slots, n, law values) -> (x, y, m): the point reads (F_x * G_y)(m)
-    # against G_{x+y}(m); x + y and n - m do not depend on an ``lhs_only`` slot
+    # (outer slots, n, law values) -> (x, y, m): the point reads (F_x * G_y)(m) against G_{x+y}(m)
     point: Callable[..., tuple[Scalar, Scalar, int]]
 
 
 # column k of the subsampled array: F_{ps} * G_{p(k-s)+r} = G_{pk+r}, read at n - k
 _KS_LAW = Law(
     (), ("k", "s"), _ks_pairs, ((("k",), "", ""), (("s",), "", ""), ((), "1 <= s <= k <= n", "")),
-    ("s",), lambda p, r, n, k, s: (p * s, p * (k - s) + r, n - k),
+    lambda p, r, n, k, s: (p * s, p * (k - s) + r, n - k),
 )
 # the column sum: F_1 * G_{p(k-1)+r} = G_{p(k-1)+r+1}, read at n - k + 1
 _K_LAW = Law(
     (), ("k",), lambda n, pinned: zip(_k_values(n, pinned)),
     ((("k",), "", ""), ((), "1 <= k <= n", "")),
-    (), lambda p, r, n, k: (1, p * (k - 1) + r, n - k + 1),
+    lambda p, r, n, k: (1, p * (k - 1) + r, n - k + 1),
 )
 # over the rational grid, at the point's own x, y and n
 _VANDERMONDE_LAW = Law(
     (("x", RATIONAL_GRID), ("y", RATIONAL_GRID)), (), lambda n, pinned: ((),),
-    (_RATIONAL_PAIR_PART,), (), lambda v, x, y, n: (x, y, n),
+    (_RATIONAL_PAIR_PART,), lambda v, x, y, n: (x, y, n),
 )
 
 
@@ -716,8 +713,7 @@ class SumIdentity(NamedTuple):
 
     Its grid is the product of ``sets`` (the integer slots) and the law's
     axes, n in 0..max_n, then the law's slots at each n.  The factors take
-    the first set slot.  A pinned p below ``p_min`` or r below ``r_min`` is
-    refused before any compute.
+    the first set slot.  Its domain is ``_require_domain``'s.
     """
 
     id: str
@@ -742,6 +738,21 @@ def _require_min(
     if least is not None and pinned.get(slot, least) < least:
         raise RegistryError(
             f"identity {identity!r} needs {slot} >= {least}, got {slot}={pinned[slot]}"
+        )
+
+
+def _require_domain(row: SumIdentity, pinned: Mapping[str, Scalar]) -> None:
+    """Refuse pins outside the row's domain by the slot at fault, before any compute.
+
+    p below ``p_min``, r below ``r_min``, n below 0, k or s below 1, and s
+    above k where both are pinned.  A run's pins and a single point are
+    refused alike.
+    """
+    for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0), ("k", 1), ("s", 1)):
+        _require_min(row.id, slot, least, pinned)
+    if "k" in pinned and pinned.get("s", 1) > pinned["k"]:
+        raise RegistryError(
+            f"identity {row.id!r} needs s <= k, got k={pinned['k']}, s={pinned['s']}"
         )
 
 
@@ -785,7 +796,7 @@ def _first_failure(
         try:  # the fault that the point's sums take first
             _dot(left, right, m)
             _entry(rhs, m)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             return stop, exc
     return None
 
@@ -851,8 +862,7 @@ def _check_outer(
 def _check_sums(
     row: SumIdentity, parts: list[GridPart], max_n: int, pinned: Mapping[str, Scalar]
 ) -> IdentityReport:
-    for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0), ("k", 1), ("s", 1)):
-        _require_min(row.id, slot, least, pinned)
+    _require_domain(row, pinned)
     plan = _plan(row.law, _pin_values(pinned, "n", range(max_n + 1)), pinned)
     columns = {}  # (factor, first set slot, argument) -> its column, grown as it is read
     points = 0
@@ -925,37 +935,28 @@ _SUMS = {row.id: row for row in SUM_IDENTITIES}
 
 
 def _point(
-    identity: str, n: int, slots: Mapping[str, Scalar], lhs: bool
+    identity: str, n: int, slots: Mapping[str, Scalar]
 ) -> tuple[SumIdentity, tuple, tuple[Scalar, Scalar, int]]:
     """The row of ``identity``, the point's first set slot, and its (x, y, m).
 
-    A point outside the row's domain is refused by the slot at fault, before
-    any compute: p below ``p_min``, r below ``r_min``, n below 0, k below
-    1, and a k/s point outside 1 <= s <= k.  An rhs takes no ``lhs_only``
-    slot; x + y and m do not depend on one, so it is read at 0.
+    ``slots`` gives every slot of the row but n.  The point is read as
+    ``check_registry`` reads a run's pins, n included (``_read_pins``),
+    and refused outside the row's domain as a run is
+    (``_require_domain``), before any compute.
     """
     row = _SUMS.get(identity)
     if row is None:
         raise RegistryError(f"unknown sum identity {identity!r}")
-    law = row.law
-    skip = () if lhs else law.lhs_only
-    names = [slot for slot in _slots(row) if slot != "n" and slot not in skip]
-    if sorted(slots) != sorted(names):
+    point = _read_pins(identity, _slots(row), {**slots, "n": n})
+    names = [slot for slot in _slots(row) if slot != "n"]
+    if len(point) <= len(names):
         raise RegistryError(
             f"identity {identity!r} takes slots {names} besides n, got {sorted(slots)}"
         )
-    if law is _KS_LAW and "s" in slots:
-        p, k, s = slots["p"], slots["k"], slots["s"]
-        if p < row.p_min or not 1 <= s <= k:
-            raise ValueError(
-                f"{row.id} needs p >= {row.p_min} and 1 <= s <= k, got p={p}, k={k}, s={s}"
-            )
-    point = {**slots, "n": n}
-    for slot, least in (("p", row.p_min), ("r", row.r_min), ("n", 0), ("k", 1)):
-        _require_min(row.id, slot, least, point)
-    outer = tuple(slots[slot] for slot in names if slot not in law.slots)
-    values = tuple(slots.get(slot, 0) for slot in law.slots)
-    return row, outer[:1], law.point(*outer, n, *values)
+    _require_domain(row, point)
+    law = row.law
+    outer = [point[slot] for slot, _ in row.sets + law.axes]
+    return row, outer[:1], law.point(*outer, point["n"], *(point[slot] for slot in law.slots))
 
 
 def sum_lhs(identity: str, n: int, **slots: Scalar) -> Fraction:
@@ -964,18 +965,18 @@ def sum_lhs(identity: str, n: int, **slots: Scalar) -> Fraction:
     A point outside the row's domain is refused (see :func:`_point`); at
     m < 0 (a k/s point with k > n) the sum is empty.
     """
-    row, first, (x, y, m) = _point(identity, n, slots, lhs=True)
+    row, first, (x, y, m) = _point(identity, n, slots)
     left = row.left(*first, x).reach(m + 1)
     right = row.right(*first, y).reach(m + 1)
     return Fraction(_dot(left, right, m), left.den * right.den)
 
 
 def sum_rhs(identity: str, n: int, **slots: Scalar) -> Fraction:
-    """One point's rhs, G_{x+y}(m); no ``lhs_only`` slot, and 0 at m < 0.
+    """One point's rhs, G_{x+y}(m), at the same slots as :func:`sum_lhs`; 0 at m < 0.
 
     A point outside the row's domain is refused, as by :func:`sum_lhs`.
     """
-    row, first, (x, y, m) = _point(identity, n, slots, lhs=False)
+    row, first, (x, y, m) = _point(identity, n, slots)
     return Fraction(*_entry(row.right(*first, x + y).reach(m + 1), m))
 
 
@@ -1084,6 +1085,16 @@ def _exact_pin(identity: str, slot: str, value: Union[Scalar, str]) -> Scalar:
     return int(exact) if integer else exact
 
 
+def _read_pins(
+    identity: str, slots: tuple[str, ...], pinned: Mapping[str, Union[Scalar, str]]
+) -> dict[str, Scalar]:
+    """Pins as a run takes them: a slot of ``slots``, each value read by ``_exact_pin``."""
+    bad = set(pinned) - set(slots)
+    if bad:
+        raise RegistryError(f"identity {identity!r} has no slots {sorted(bad)}; available: {slots}")
+    return {slot: _exact_pin(identity, slot, value) for slot, value in pinned.items()}
+
+
 def check_registry(
     identity: str, max_n: int = 20, pinned: Mapping[str, Scalar] | None = None
 ) -> IdentityReport:
@@ -1091,11 +1102,4 @@ def check_registry(
     entry = REGISTRY.get(identity)
     if entry is None:
         raise RegistryError(f"unknown identity {identity!r}")
-    pinned = pinned or {}
-    bad = set(pinned) - set(entry.slots)
-    if bad:
-        raise RegistryError(
-            f"identity {identity!r} has no slots {sorted(bad)}; available: {entry.slots}"
-        )
-    pinned = {slot: _exact_pin(identity, slot, value) for slot, value in pinned.items()}
-    return entry.run(max_n=max_n, pinned=pinned)
+    return entry.run(max_n=max_n, pinned=_read_pins(identity, entry.slots, pinned or {}))

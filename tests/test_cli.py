@@ -359,7 +359,7 @@ def test_check_cli_matches_golden(capsys, case):
 
 
 # pins at the bounds of the stepped factor columns: z and p from below 1 up, negative
-# rational arguments, and a pole, replayed byte for byte
+# rational arguments, and a pole; and an s pin above the k pin; replayed byte for byte
 CHECK_PINS = [
     json.loads(line) for line in (FIXTURES / "check_pins.jsonl").read_text().splitlines()
 ]
@@ -690,6 +690,66 @@ def test_check_out_of_domain_pin_names_the_pin(capsys, no_compute, identity, slo
     assert code == 2
     assert out == ""
     assert err == f"riordan: identity {identity!r} needs {slot} >= {least}, got {slot}={value}\n"
+
+
+def domain_bounds(row):
+    """A valid point of the row, and each bound of its domain: (name, outside, at the bound).
+
+    ``outside`` and ``at`` are the slots that replace the point's; the name
+    ``s<=k`` is the one bound that ties two slots.
+    """
+    point = {slot: values[0] for slot, values in row.sets}
+    point.update({"x": 1, "y": 1, "n": 3, "k": 2, "s": 1})
+    slots = identities._slots(row)
+    point = {slot: point[slot] for slot in slots}
+    bounds = [(slot, {slot: least - 1}, {slot: least}) for slot, least in (
+        ("p", row.p_min), ("r", row.r_min), ("n", 0), ("k", 1), ("s", 1))
+        if least is not None and slot in slots]
+    if "s" in slots:
+        bounds.append(("s<=k", {"k": 2, "s": 3}, {"k": 2, "s": 2}))
+    return point, bounds
+
+
+DOMAIN_BOUNDS = [
+    pytest.param(row, outside, at, id=f"{row.id}-{name}")
+    for row in identities.SUM_IDENTITIES
+    for name, outside, at in domain_bounds(row)[1]
+]
+
+
+@pytest.mark.parametrize("row, outside, at", DOMAIN_BOUNDS)
+def test_every_domain_bound_is_refused_alike_by_check_and_both_sides(
+    capsys, no_compute, row, outside, at
+):
+    # the value just outside the bound is refused with one message by the CLI (which has
+    # no --n, so n goes through check_registry), check_registry, sum_lhs and sum_rhs
+    point = {**domain_bounds(row)[0], **outside}
+    with pytest.raises(identities.RegistryError) as refused:
+        identities.check_registry(row.id, 2, outside)
+    message = str(refused.value)
+    assert message.startswith(f"identity {row.id!r} needs ")
+    assert all(f"{slot}={value}" in message for slot, value in outside.items())
+    if "n" not in outside:
+        argv = [f"--{slot}={value}" for slot, value in outside.items()]
+        assert run(capsys, "check", row.id, *argv) == (2, "", f"riordan: {message}\n")
+    n = point.pop("n")
+    for side in (identities.sum_lhs, identities.sum_rhs):
+        with pytest.raises(identities.RegistryError) as refused:
+            side(row.id, n, **point)
+        assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("row, outside, at", DOMAIN_BOUNDS)
+def test_every_domain_bound_itself_is_taken(capsys, row, outside, at):
+    point = {**domain_bounds(row)[0], **at}
+    # at n = 0 a k row has no points, and so no counterexample
+    assert identities.check_registry(row.id, 2, at).holds
+    if "n" not in at:
+        argv = [f"--{slot}={value}" for slot, value in at.items()]
+        code, out, err = run(capsys, "check", row.id, "--max-n", "2", *argv)
+        assert (code, err) == (0, "") and ": holds (" in out
+    n = point.pop("n")
+    assert identities.sum_lhs(row.id, n, **point) == identities.sum_rhs(row.id, n, **point)
 
 
 @pytest.mark.parametrize(

@@ -306,16 +306,23 @@ def test_product_laws_memo_keys_on_the_direct_sum_not_its_name(monkeypatch):
 
 def test_subarray_convolution_examples():
     for p, r, n, k, s in ((2, 0, 5, 2, 1), (3, 1, 7, 4, 2), (4, 2, 6, 6, 3)):
-        assert sum_lhs("subarray-convolution", n, p=p, r=r, k=k, s=s) == sum_rhs(
-            "subarray-convolution", n, p=p, r=r, k=k
+        point = {"p": p, "r": r, "k": k, "s": s}
+        assert sum_lhs("subarray-convolution", n, **point) == sum_rhs(
+            "subarray-convolution", n, **point
         )
 
 
-@pytest.mark.parametrize("p, k, s", [(2, 2, 3), (2, 2, 0), (0, 2, 1)])
-def test_triangle_sums_refuse_points_outside_their_domain(p, k, s):
+@pytest.mark.parametrize("p, k, s, message", [
+    (2, 2, 3, "needs s <= k, got k=2, s=3"),
+    (2, 2, 0, "needs s >= 1, got s=0"),
+    (0, 2, 1, "needs p >= 1, got p=0"),
+])
+def test_triangle_sums_refuse_points_outside_their_domain(p, k, s, message):
     # the left column starts at s and the right one is offset by k - s >= 0
-    with pytest.raises(ValueError, match="needs p >= 1 and 1 <= s <= k"):
-        sum_lhs("subarray-convolution", 5, p=p, r=0, k=k, s=s)
+    message = f"identity 'subarray-convolution' {message}"
+    for side in (sum_lhs, sum_rhs):
+        with pytest.raises(RegistryError, match=f"^{re.escape(message)}$"):
+            side("subarray-convolution", 5, p=p, r=0, k=k, s=s)
 
 
 @pytest.mark.parametrize("identity, slots, p_min", [
@@ -332,27 +339,26 @@ def test_sums_refuse_p_below_their_domain(identity, slots, p_min):
 
 @pytest.mark.parametrize("identity, n, slots, message", [
     ("catalan-column-sum", 3, {"p": -1, "r": 0, "k": 1}, "needs p >= 0, got p=-1"),
-    ("ballot-triangle-convolution", -1, {"p": 3, "r": -2, "k": 5}, "needs r >= 0, got r=-2"),
-    ("catalan-triangle-convolution", 1, {"p": 1, "r": -2, "k": 1}, "needs r >= 0, got r=-2"),
-    ("subarray-convolution", -1, {"p": 2, "r": 0, "k": 1}, "needs n >= 0, got n=-1"),
+    ("ballot-triangle-convolution", -1, {"p": 3, "r": -2, "k": 5, "s": 1},
+     "needs r >= 0, got r=-2"),
+    ("catalan-triangle-convolution", 1, {"p": 1, "r": -2, "k": 1, "s": 1},
+     "needs r >= 0, got r=-2"),
+    ("subarray-convolution", -1, {"p": 2, "r": 0, "k": 1, "s": 1}, "needs n >= 0, got n=-1"),
     # read as F_1 * G_{p(k-1)+r} at n - k + 1, k = 0 would sum one term past j = n
     ("catalan-column-sum", 3, {"p": 2, "r": 0, "k": 0}, "needs k >= 1, got k=0"),
 ])
 def test_both_sides_refuse_points_outside_the_domain(identity, n, slots, message):
     # the rhs refuses what the lhs refuses, naming the slot at fault
     message = re.escape(f"identity {identity!r} {message}")
-    with pytest.raises(RegistryError, match=message):
-        sum_rhs(identity, n, **slots)
-    lhs_slots = {**slots, "s": 1} if identity != "catalan-column-sum" else slots
-    with pytest.raises(RegistryError, match=message):
-        sum_lhs(identity, n, **lhs_slots)
+    for side in (sum_lhs, sum_rhs):
+        with pytest.raises(RegistryError, match=message):
+            side(identity, n, **slots)
 
 
 @pytest.mark.parametrize("call", [
     lambda: central_power_gf(2, 0.1, 3),
     lambda: binomial(0.1, 2),
     lambda: fuss_ballot_gf(2, 0.5, 4),
-    lambda: sum_lhs("rothe-hagen", 3, z=2, x=0.5, y=1),
     lambda: fuss_ballot_spec(2, 0.5),
     lambda: central_ballot_spec(2, 0.5),
     lambda: check_product_laws(2, 0.5, 1, 4),
@@ -417,15 +423,20 @@ def test_subarray_convolution_matches_catalan_vandermonde():
                         mapped = sum_lhs("catalan-vandermonde", n - k, **mapped_point)
                         assert direct == mapped
                         assert mapped == sum_rhs("catalan-vandermonde", n - k, **mapped_point)
-                        assert direct == sum_rhs("subarray-convolution", n, p=p, r=r, k=k)
+                        assert direct == sum_rhs("subarray-convolution", n, p=p, r=r, k=k, s=s)
 
 
 @pytest.mark.parametrize("identity, n, slots, message", [
     ("product-laws", 3, {"p": 2, "x": 1, "y": 1}, "unknown sum identity 'product-laws'"),
     ("no-such-identity", 3, {}, "unknown sum identity 'no-such-identity'"),
     ("rothe-hagen", 3, {"z": 2, "x": 1}, "takes slots ['z', 'x', 'y'] besides n, got ['x', 'z']"),
-    ("rothe-hagen", 3, {"z": 2, "x": 1, "y": 1, "k": 1}, "got ['k', 'x', 'y', 'z']"),
-    ("catalan-column-sum", 3, {"p": 2, "r": 0, "s": 1}, "takes slots ['p', 'r', 'k']"),
+    ("subarray-convolution", 3, {"p": 2, "r": 0, "k": 2},
+     "takes slots ['p', 'r', 'k', 's'] besides n, got ['k', 'p', 'r']"),
+    # an unknown slot is refused as check_registry refuses its pin
+    ("rothe-hagen", 3, {"z": 2, "x": 1, "y": 1, "k": 1},
+     "identity 'rothe-hagen' has no slots ['k']; available: ('z', 'x', 'y', 'n')"),
+    ("catalan-column-sum", 3, {"p": 2, "r": 0, "s": 1},
+     "identity 'catalan-column-sum' has no slots ['s']; available: ('p', 'r', 'n', 'k')"),
 ])
 def test_sum_sides_refuse_unknown_ids_and_slots(identity, n, slots, message):
     for side in (sum_lhs, sum_rhs):
@@ -433,13 +444,44 @@ def test_sum_sides_refuse_unknown_ids_and_slots(identity, n, slots, message):
             side(identity, n, **slots)
 
 
-def test_sum_rhs_of_a_k_s_row_takes_no_s():
+def test_sum_rhs_of_a_k_s_row_takes_s():
+    # G_{x+y} at x + y = ps + p(k - s) + r does not depend on s
     point = {"p": 2, "r": 0, "k": 2}
-    assert sum_rhs("subarray-convolution", 4, **point) == comb(8, 2)
-    with pytest.raises(RegistryError, match=re.escape("takes slots ['p', 'r', 'k'] besides n")):
-        sum_rhs("subarray-convolution", 4, **point, s=1)
-    with pytest.raises(RegistryError, match=re.escape("takes slots ['p', 'r', 'k', 's']")):
-        sum_lhs("subarray-convolution", 4, **point)
+    assert sum_rhs("subarray-convolution", 4, **point, s=1) == comb(8, 2)
+    assert sum_rhs("subarray-convolution", 4, **point, s=2) == comb(8, 2)
+    for side in (sum_lhs, sum_rhs):
+        with pytest.raises(RegistryError, match=re.escape("takes slots ['p', 'r', 'k', 's']")):
+            side("subarray-convolution", 4, **point)
+
+
+@pytest.mark.parametrize("identity, n, slots, exact", [
+    ("subarray-convolution", 3, {"p": 2, "r": 0, "k": Fraction(2), "s": 1}, {"k": 2}),
+    ("subarray-convolution", 3, {"p": 2, "r": 0, "k": "2", "s": 1}, {"k": 2}),
+    ("rothe-hagen", 3, {"z": 2, "x": "1/2", "y": 1}, {"x": Fraction(1, 2)}),
+    ("rothe-hagen", Fraction(3), {"z": "2", "x": 1, "y": "6/2"}, {"z": 2, "y": 3}),
+])
+def test_sum_sides_take_the_pins_check_registry_takes(identity, n, slots, exact):
+    # each value is read as its exact pin, so the sides equal those at the exact point
+    for side in (sum_lhs, sum_rhs):
+        assert side(identity, n, **slots) == side(identity, int(n), **{**slots, **exact})
+    report = check_registry(identity, 3, {**slots, "n": n})
+    assert (report.holds, report.points) == (True, 1)
+
+
+@pytest.mark.parametrize("identity, n, slots, message", [
+    ("rothe-hagen", 3, {"z": Fraction(5, 2), "x": 1, "y": 1}, "needs an integer z, got z=5/2"),
+    ("rothe-hagen", 3.0, {"z": 2, "x": 1, "y": 1}, "needs an exact n, got n=3.0"),
+    ("rothe-hagen", 3, {"z": 2, "x": 0.5, "y": 1}, "needs an exact x, got x=0.5"),
+    ("subarray-convolution", 3, {"p": 2, "r": 0, "k": "5/2", "s": 1},
+     "needs an integer k, got k=5/2"),
+])
+def test_sum_sides_refuse_the_pins_check_registry_refuses(identity, n, slots, message):
+    message = f"identity {identity!r} {message}"
+    for side in (sum_lhs, sum_rhs):
+        with pytest.raises(RegistryError, match=f"^{re.escape(message)}$"):
+            side(identity, n, **slots)
+    with pytest.raises(RegistryError, match=f"^{re.escape(message)}$"):
+        check_registry(identity, 3, {**slots, "n": n})
 
 
 # -- weighted row sums and the column convolution of an array --------------------

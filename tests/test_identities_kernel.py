@@ -255,9 +255,10 @@ def test_column_is_exact_over_one_denominator(ratios, data):
 
 
 @KERNEL
-@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-3, 3)), max_size=20), st.data())
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-3, 3).filter(bool)), max_size=20),
+       st.data())
 def test_column_grown_in_two_steps_keeps_its_faults_where_a_batch_build_does(ratios, data):
-    # a zero denominator faults, and so does a term that raises
+    # a term that raises faults; a denominator may be negative, never 0 (as no kernel's is)
     def term(j):
         num, d = ratios[j]
         if num == 9:
@@ -265,7 +266,7 @@ def test_column_grown_in_two_steps_keeps_its_faults_where_a_batch_build_does(rat
         return num, d
 
     batch = I.Column(term).reach(len(ratios))
-    bad = {j for j, (num, d) in enumerate(ratios) if num == 9 or not d}
+    bad = {j for j, (num, d) in enumerate(ratios) if num == 9}
     assert set(batch.faults) == bad
     a = data.draw(st.integers(0, len(ratios)))
     grown = I.Column(term).reach(a)
@@ -434,13 +435,23 @@ def test_dot_reads_only_its_terms_of_columns_reached_further(left, right, n, mor
     assert Fraction(I._dot(a, b, n), a.den * b.den) == ref
 
 
-def test_column_zero_denominator_faults_where_the_sum_takes_it():
-    col = I.Column(lambda j: [(1, 2), (1, 0), (1, 3)][j]).reach(3)
-    assert set(col.faults) == {1}
-    unit = I.Column(lambda j: (int(j == 0), 1)).reach(3)
-    assert Fraction(I._dot(unit, col, 0), unit.den * col.den) == Fraction(1, 2)
-    with pytest.raises(ZeroDivisionError):
-        I._dot(unit, col, 1)
+# the closed-form kernels of the four factor pairs' columns
+FACTOR_KERNELS = (I._binomial_power_ratio, I._shifted_binomial_ratio, I._ballot_ratio,
+                  I._central_ballot_ratio)
+
+
+@KERNEL
+@given(st.sampled_from(FACTOR_KERNELS), st.integers(-3, 6), st.integers(1, 6),
+       st.integers(0, 24), st.data())
+def test_factor_kernels_return_a_nonzero_denominator_or_a_pole(kernel, z, b, m, data):
+    # so a column holds a term or a PoleError, and never a term over 0; a/b = -(zm + 1)
+    # is the ballot weight's pole
+    a = data.draw(st.one_of(st.integers(-12, 12), st.just(-b * (z * m + 1))))
+    try:
+        _, d = kernel(z, a, b, m)
+    except PoleError:
+        return
+    assert d != 0
 
 
 def test_dot_raises_the_first_fault_it_takes():
@@ -535,14 +546,14 @@ REF_LHS = {
     "central-binomial-vandermonde": lambda p, x, y, n: ref_convolution(
         lambda i: ref_central_power(p, x, i), lambda m: ref_central_ballot(p, y, m), n),
 }
-# each row's rhs as its closed form, from the point's slots other than the law's lhs_only
+# each row's rhs as its closed form, from the point's slots; a k/s row's does not read s
 REF_RHS = {
-    "subarray-convolution": lambda p, r, n, k: Fraction(ref_icomb(p * n + r, n - k)),
+    "subarray-convolution": lambda p, r, n, k, s: Fraction(ref_icomb(p * n + r, n - k)),
     "catalan-vandermonde": lambda z, x, y, n: ref_binomial(x + y + z * n, n),
     "catalan-column-sum": lambda p, r, n, k: Fraction(ref_icomb(p * n + r + 1, n - k + 1)),
-    "catalan-triangle-convolution": lambda p, r, n, k: (
+    "catalan-triangle-convolution": lambda p, r, n, k, s: (
         Fraction((p - 1) * n + r + k + 1, p * n + r + 1) * ref_icomb(2 * (p * n + r + 1), n - k)),
-    "ballot-triangle-convolution": lambda p, r, n, k: (
+    "ballot-triangle-convolution": lambda p, r, n, k, s: (
         Fraction((p - 1) * n + k + r + 1, p * n + r + 1)
         * ref_icomb((p + 1) * n + r - k, p * n + r)),
     "ballot-vandermonde": lambda p, x, y, n: ref_ballot(p, x + y, n),
@@ -573,10 +584,8 @@ def test_sum_rhs_is_the_closed_form(identity):
     # the right factor at the law's summed parameter; k > n reads index n - k < 0, which
     # must give 0, not wrap.  From n = 1 only: at n = 0 the ballot-triangle reference
     # takes a binomial with the negative upper index (p+1)n + r - k
-    law = ROWS[identity].law
     for params in default_points(ROWS[identity], past_from=1):
-        rhs = {slot: v for slot, v in params.items() if slot not in law.lhs_only}
-        assert outcome(I.sum_rhs, identity, **rhs) == outcome(REF_RHS[identity], **rhs)
+        assert outcome(I.sum_rhs, identity, **params) == outcome(REF_RHS[identity], **params)
 
 
 @pytest.mark.parametrize("identity", sorted(ROWS))
@@ -599,7 +608,7 @@ def pointwise_run(row, max_n, pinned, bad=None):
             params = {**point, **dict(zip(law.slots, values))}
             points += 1
             lhs = REF_LHS[row.id](**params)
-            rhs = REF_RHS[row.id](**{s: v for s, v in params.items() if s not in law.lhs_only})
+            rhs = REF_RHS[row.id](**params)
             hit = bad and bad(point["n"], values)
             if isinstance(hit, Exception):
                 raise hit

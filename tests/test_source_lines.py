@@ -80,6 +80,25 @@ def test_every_definition_has_a_use():
     assert unused == [], f"defined in src/riordan but used nowhere there: {unused}"
 
 
+def test_every_named_tuple_field_is_read():
+    # a field that nothing reads is a concept half removed: its readers went, it stayed
+    read = {
+        node.attr for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = {
+        f"{cls.__name__}.{field}": field
+        for path in SOURCES
+        for module in [importlib.import_module(f"riordan.{path.stem}")]
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+        and cls.__module__ == module.__name__
+        for field in cls._fields
+    }
+    assert len(fields) > 20
+    assert sorted(name for name, field in fields.items() if field not in read) == []
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_import_has_a_use(path):
