@@ -38,10 +38,14 @@ caches keyed on the value of ``phi``.  :func:`lagrange_coeffs` reads
 every ``w^k`` off both.  Extractions at one ``p`` share the first when
 they take the diagonal route, as every array known by ``(d, h)`` alone
 does; an array that keeps a short A-sequence extracts from its own rows
-instead, with no diagonal.
+instead, with no diagonal.  A third small bounded cache,
+:func:`_newton`, holds the Newton solves of :func:`lagrange_solve`,
+keyed on the value ``phi`` mod ``t^(n-1)`` that a solve at precision
+``n`` reads, so ``revert`` of ``t/phi`` reuses a solve of ``phi``; it
+shares nothing with the power tables.
 
 Everything here is immutable and pure; values can be shared freely
-across threads, and the two caches hold only immutable values.
+across threads, and the three caches hold only immutable values.
 """
 
 from __future__ import annotations
@@ -528,8 +532,11 @@ class FormalPowerSeries:
         solves ``w h(w) = t``, that is ``w = t phi(w)`` with ``phi = 1/h``,
         so it is :func:`lagrange_solve` of ``1/h``; the one padded
         coefficient of ``phi`` cannot reach ``w`` mod ``t^precision``.  The
-        independent Lagrange coefficient formula (:func:`lagrange_coeffs`)
-        serves as the test oracle.
+        solve reads ``phi`` mod ``t^(precision-1)`` only and is shared by
+        that value, so reverting ``t/phi`` after ``lagrange_solve(phi,
+        precision)`` reuses that solve.  The independent Lagrange
+        coefficient formula (:func:`lagrange_coeffs`) serves as the test
+        oracle.
         """
         if self.order != 1:
             raise ReversionOrderError("reversion needs a series of order exactly 1")
@@ -605,9 +612,9 @@ def _check_phi(phi: FormalPowerSeries, n: int) -> FormalPowerSeries:
         return phi.truncate(n)
     if phi.precision == n - 1:
         # The solution of w = t phi(w) mod t^n only involves phi mod t^(n-1):
-        # lagrange_solve reads phi only through its one composition phi(w)
-        # mod t^(n-1) and the slope taken off it, so one fabricated top
-        # coefficient cannot reach the result.
+        # lagrange_solve keys its solve on phi mod t^(n-1), and coefficient
+        # j < n of lagrange_coeffs reads [t^(j-k)] phi^j, j - k <= n - 2, so
+        # one fabricated top coefficient cannot reach the result.
         return phi._padded(1)
     raise PrecisionError(f"phi known mod t^{phi.precision}, need at least t^{n - 1}")
 
@@ -626,9 +633,27 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     is ``phi(w)'/w'`` (Brent and Kung, J. ACM 25, 1978).  This is the one
     Newton iteration of the package: :meth:`revert`,
     ``RiordanArray.from_dA`` and the identity checkers solve through it.
+
+    The solve is shared by value: the iteration (:func:`_newton`) is
+    cached on ``phi`` mod ``t^(precision-1)`` and the precision.  That
+    is all it reads, since every composition is at ``w`` mod
+    ``t^(prec-1)``, ``prec <= precision``; it is also why
+    :func:`_check_phi` may pad a ``phi`` known one order short.  So a
+    ``phi`` that differs only at ``t^(precision-1)``, or is known only to
+    there, shares one solve, as ``(t/phi).revert()`` does with
+    ``lagrange_solve(phi, precision)``.  A refused ``phi`` raises before
+    the cache and is never stored.
     """
     p = _check_phi(phi, precision)
-    w = _series([0, p._nums[0]][:precision], p._den)  # phi(0) t, correct mod t^2
+    if precision == 1:
+        return _wrap((0,), 1)
+    return _newton(p.truncate(precision - 1), precision)
+
+
+@lru_cache(maxsize=8)
+def _newton(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
+    """The Newton iteration of :func:`lagrange_solve`, ``phi`` known mod ``t^(precision-1)``."""
+    w = _series([0, phi._nums[0]], phi._den)  # phi(0) t, correct mod t^2
     known = 2
     while known < precision:
         prec = min(2 * known, precision)
@@ -636,9 +661,8 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
         # Zero-padding the current guess is safe: the Newton step below
         # repairs every coefficient up to twice the previously correct order.
         w = w._padded(h)
-        # t phi(w) mod t^prec reads w and p mod t^(prec-1) only, so the
-        # composition never reads p's last coefficient, which _check_phi may pad
-        value = _compose(p._nums, p._den, w.truncate(prec - 1))
+        # t phi(w) mod t^prec reads w and phi mod t^(prec-1) only
+        value = _compose(phi._nums, phi._den, w.truncate(prec - 1))
         # F(w) = t^known R, and the correction is t^known R / F'(w) mod t^prec
         r = (w - value.shift_up()).shift_down(known)
         if h > 1:

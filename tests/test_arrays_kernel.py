@@ -433,6 +433,25 @@ def test_extraction_from_a_dense_from_dA_base_solves_h_to_the_new_precision(monk
     assert sub.materialize(21) == subarray_triangle(base, 3, 0, 21)
 
 
+def test_diagonal_extractions_at_one_precision_share_one_newton_solve(monkeypatch):
+    # rows 2n and 2n + 1 of a base of even precision 40 give m = 20 at r = 0
+    # and r = 1, so both extractions solve h mod t^21 from the same A
+    calls = counted_solves(monkeypatch)
+    diagonals = []
+    diagonal = arrays_module.lagrange_gf
+    monkeypatch.setattr(arrays_module, "lagrange_gf",
+                        lambda F, phi, n: diagonals.append(n) or diagonal(F, phi, n))
+    base = RiordanArray.from_dA(FPS.one(40), FPS([1] * 40))
+    series._newton.cache_clear()
+    subs = [base.extract_subarray(2, r) for r in (0, 1)]
+    assert (calls, diagonals) == ([21, 21], [20] * 4)
+    info = series._newton.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert base._h is None
+    for r, sub in zip((0, 1), subs):
+        assert sub.materialize(20) == subarray_triangle(base, 2, r, 20)
+
+
 # -- extract_subarray against its oracle ----------------------------------------
 
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from riordan import series
 from riordan.series import FormalPowerSeries as FPS
 from riordan.series import (
+    PrecisionError,
+    SeriesError,
     _append_term,
     _collect,
     _compose,
@@ -349,6 +351,7 @@ def test_lagrange_solve_composes_each_step_to_the_order_it_reaches(monkeypatch):
         return compose(nums, den, w)
 
     monkeypatch.setattr(series, "_compose", recorded)
+    series._newton.cache_clear()
     lagrange_solve(FPS(PHI * 4), 33)
     assert calls == [3, 7, 15, 31, 32]
 
@@ -447,7 +450,108 @@ def test_lagrange_solve_calls_neither_revert_nor_lagrange_coeffs(monkeypatch):
 
     monkeypatch.setattr(series.FormalPowerSeries, "revert", refuse)
     monkeypatch.setattr(series, "lagrange_coeffs", refuse)
+    series._newton.cache_clear()
     assert lagrange_solve(phi, 12) == want
+
+
+# -- the Newton solve shared by value --------------------------------------------
+
+
+@st.composite
+def solves(draw):
+    """A rational phi known mod t^n, phi(0) != 0, and the precision 2 <= n <= 24."""
+    n = draw(st.integers(2, 24))
+    phi = draw(st.lists(coefficient, min_size=n, max_size=n))
+    phi[0] = draw(unit) * draw(st.sampled_from([1, -1]))
+    return phi, n
+
+
+def newton_counts(before):
+    """The hits and misses of the Newton cache since ``before``, a ``cache_info()``."""
+    after = series._newton.cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+@HEAVY
+@given(solves())
+def test_lagrange_solve_cold_and_warm_equal_the_reference(case):
+    phi, n = case
+    want = ref_lagrange_solve(phi, n)
+    series._newton.cache_clear()
+    before = series._newton.cache_info()
+    cold = lagrange_solve(FPS(phi), n)
+    assert newton_counts(before) == (0, 1)
+    warm = lagrange_solve(FPS(phi), n)
+    assert newton_counts(before) == (1, 1)
+    assert canonical(cold) == canonical(warm) == want
+
+
+@HEAVY
+@given(solves())
+def test_lagrange_solve_shares_one_solve_for_phi_mod_t_to_the_precision_less_one(case):
+    # w mod t^n reads phi mod t^(n-1) only: coefficient n - 1 is not read,
+    # and a phi known only to there is the same solve
+    phi, n = case
+    got = lagrange_solve(FPS(phi), n)
+    for other in (FPS(phi[:-1] + [phi[-1] + 1]), FPS(phi[:-1])):
+        before = series._newton.cache_info()
+        assert lagrange_solve(other, n) == got
+        assert newton_counts(before) == (1, 0)
+
+
+@HEAVY
+@given(solves())
+def test_lagrange_solve_of_phi_changed_at_the_precision_less_two_solves_again(case):
+    # w_(n-1) reads phi_(n-2) times phi(0)^(n-2) != 0, so a key on phi mod
+    # t^(n-2) would hand back the solve of the unchanged phi
+    phi, n = case
+    series._newton.cache_clear()
+    lagrange_solve(FPS(phi), n)
+    changed = list(phi)
+    changed[n - 2] += 2 if changed[n - 2] == -1 else 1  # phi(0) stays nonzero
+    before = series._newton.cache_info()
+    got = lagrange_solve(FPS(changed), n)
+    assert newton_counts(before) == (0, 1)
+    assert canonical(got) == ref_lagrange_solve(changed, n)
+
+
+@KERNEL
+@given(solves())
+def test_refused_solves_raise_on_every_call_and_store_nothing(case):
+    phi, n = case
+    lagrange_solve(FPS(phi), n)
+    refused = [
+        (FPS([0] + phi[1:]), n, SeriesError, r"phi\(0\) must be nonzero"),
+        (FPS(phi[:-1]), n + 1, PrecisionError, rf"phi known mod t\^{n - 1}, need at least"),
+        (FPS(phi), 0, SeriesError, "precision must be positive"),
+        (FPS(phi), -n, SeriesError, "precision must be positive"),
+    ]
+    before = series._newton.cache_info()
+    for _ in range(2):
+        for bad, precision, error, message in refused:
+            with pytest.raises(error, match=message):
+                lagrange_solve(bad, precision)
+    assert series._newton.cache_info() == before
+
+
+@pytest.mark.parametrize("n", [3, 17, 33])
+def test_revert_of_t_over_phi_reuses_the_solve_of_phi(monkeypatch, n):
+    # t/phi reverts through lagrange_solve(phi mod t^(n-1) padded, n): the same key
+    calls = []
+    compose = series._compose
+
+    def recorded(nums, den, w):
+        calls.append(w.precision)
+        return compose(nums, den, w)
+
+    monkeypatch.setattr(series, "_compose", recorded)
+    phi = FPS([PHI[i % len(PHI)] + i for i in range(n)])
+    series._newton.cache_clear()
+    w = lagrange_solve(phi, n)
+    assert calls
+    calls.clear()
+    assert (FPS.t(n) / phi).revert() == w
+    assert calls == []
 
 
 # -- the Lagrange diagonal by baby steps and giant steps -------------------------
