@@ -13,11 +13,13 @@ the digits of an integer string.
 
 This is the one module that turns exact values into text, and it prints
 what the kernels yield: ``hyper`` the lowest-terms pairs of
-``hypergeom._terms`` as ``num`` or ``num/den``, and ``triangle`` and
-``extract`` the rows of ``RiordanArray._row_stream`` (every array built
-here keeps its A-sequence, as does each extraction of one), each entry
-over its row's own denominator.  csv and jsonl hold one row at a time;
-text keeps the rows' strings for its column widths.
+``hypergeom._terms`` as ``num`` or ``num/den``, each written as it is
+stepped, and ``triangle`` and ``extract`` the rows of
+``RiordanArray._row_stream`` (every array built here keeps its
+A-sequence, as does each extraction of one), each entry over its row's
+own denominator.  csv and jsonl hold one row at a time; text keeps the
+rows' strings for its column widths.  ``check`` passes each pin as given
+to ``check_registry``, which reads it.
 """
 
 from __future__ import annotations
@@ -122,20 +124,15 @@ def _emit_triangle(rows, fmt: str, out) -> None:
             out.write(" ".join(map(str.rjust, row, widths)) + "\n")
 
 
-def _emit_coeffs(texts: list[str], record: dict, fmt: str, out, prefix: str = "") -> None:
-    """One line of coefficients: ``record`` in jsonl, else ``texts`` (after ``prefix`` in text)."""
-    if fmt == "jsonl":
-        out.write(_canonical_json(record) + "\n")
-    elif fmt == "csv":
-        out.write(",".join(texts) + "\n")
-    else:
-        out.write(prefix + " ".join(texts) + "\n")
-
-
 def _emit_aseq(seq: FormalPowerSeries, fmt: str, out) -> None:
     """The line ``A = …``, or the record ``{"aseq": […]}``, of a recovered A-sequence."""
     texts = [str(c) for c in seq.coeffs]
-    _emit_coeffs(texts, {"aseq": texts}, fmt, out, "A = ")
+    if fmt == "jsonl":
+        out.write(_canonical_json({"aseq": texts}) + "\n")
+    elif fmt == "csv":
+        out.write(",".join(texts) + "\n")
+    else:
+        out.write("A = " + " ".join(texts) + "\n")
 
 
 def _emit_report(report, fmt: str, out) -> None:
@@ -207,12 +204,14 @@ def _cmd_aseq(args, out) -> int:
     return 0
 
 
-_PINS = ("p", "r", "k", "s", "x", "y", "z")
+# the check pins --p .. --z, passed on as given: slot -> the kind its help text names
+_PINS = {"p": "", "r": "", "k": "", "s": "", "x": "rational ", "y": "rational ", "z": "integer "}
 
 
 def _cmd_check(args, out) -> int:
+    pinned = {slot: getattr(args, slot) for slot in _PINS if getattr(args, slot) is not None}
     if args.list:
-        ignored = [f"--{slot}" for slot in _PINS if getattr(args, slot) is not None]
+        ignored = [f"--{slot}" for slot in pinned]
         if args.max_n is not None:
             ignored.insert(0, "--max-n")
         if args.all:
@@ -230,8 +229,6 @@ def _cmd_check(args, out) -> int:
                     f"  slots: {', '.join(entry.slots)}; default grid: {entry.default_grid}\n"
                 )
         return 0
-    pinned = {slot: _parse_rational(getattr(args, slot))
-              for slot in _PINS if getattr(args, slot) is not None}
     ids: list[str]
     if args.all:
         if args.identity is not None:
@@ -279,8 +276,16 @@ def _cmd_hyper(args, out) -> int:
         scale=_parse_rational(args.scale),
     )
     # each term is in lowest terms, so its text is that of its fraction
-    texts = [str(n) if d == 1 else f"{n}/{d}" for n, d in islice(_terms(spec), args.terms)]
-    _emit_coeffs(texts, {"coeffs": texts, "prec": args.terms}, args.format, out)
+    texts = (str(n) if d == 1 else f"{n}/{d}" for n, d in islice(_terms(spec), args.terms))
+    head, tail, sep = "", "", "," if args.format == "csv" else " "
+    if args.format == "jsonl":
+        # the record {"coeffs": [...], "prec": terms} as its head, its quoted terms and its tail
+        head, tail = _canonical_json({"coeffs": [""], "prec": args.terms}).split('""')
+        sep, texts = ",", map(_canonical_json, texts)
+    out.write(head + next(texts))  # --terms >= 1
+    for text in texts:
+        out.write(sep + text)
+    out.write(tail + "\n")
     return 0
 
 
@@ -360,13 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--max-n", "--n-max", dest="max_n", type=int, help="grid bound (default: 20)"
     )
-    p_check.add_argument("--p", default=None, help="pin the p slot")
-    p_check.add_argument("--r", default=None, help="pin the r slot")
-    p_check.add_argument("--k", default=None, help="pin the k slot")
-    p_check.add_argument("--s", default=None, help="pin the s slot")
-    p_check.add_argument("--x", default=None, help="pin the rational x slot")
-    p_check.add_argument("--y", default=None, help="pin the rational y slot")
-    p_check.add_argument("--z", default=None, help="pin the integer z slot")
+    for slot, kind in _PINS.items():
+        p_check.add_argument(f"--{slot}", help=f"pin the {kind}{slot} slot")
     # a report or a registry entry has no table shape, so check has no csv
     _add_common(p_check, ("text", "jsonl"))
 

@@ -3,16 +3,19 @@
 Every identity is evaluated exactly on finite parameter grids:
 alternating binomial sums against the Fibonacci recurrence, convolution
 sums against one closed-form term, and product laws of generating
-functions coefficient by coefficient.  Infinite sums are cut to the
-support of their binomials (zero outside 0 <= lower <= upper), widened
-by one guard term on each side.  C(n, m) = 0 for m < 0 or m > n when
-n >= 0; a rational upper argument takes the falling-factorial product.
-Floors of negative arguments round toward minus infinity (``//``).
+functions coefficient by coefficient.  C(n, m) = 0 for m < 0 or m > n
+when n >= 0; a rational upper argument takes the falling-factorial
+product.  Floors of negative arguments round toward minus infinity
+(``//``).
 
-Identities are data.  Each Andrews row maps n to (U, L1, L2) for one sum
-``andrews_sum`` = sum_j C(U, L1 - 5j) - C(U, L2 - 5j); for a1/a2,
-sum_k (-1)^k C(U, floor((n-1-5k)/2)) with U = n-1 or n splits by the
-parity of k into L1 = floor((n-1)/2) and L2 = floor((n-6)/2).
+Identities are data.  Each Andrews row is integers: its Fibonacci index
+and its U, L1 and L2 are affine maps (a, b, d) of n, each meaning
+(a n + b) // d.  Its sum ``andrews_sum`` = sum_j C(U, L1 - 5j) -
+C(U, L2 - 5j) is the difference of two residue classes mod 5 of Pascal
+row U: the entries C(U, l) with l = L1 (mod 5), less those with
+l = L2 (mod 5).  For a1/a2, sum_k (-1)^k C(U, floor((n-1-5k)/2)) with
+U = n-1 or n splits by the parity of k into L1 = floor((n-1)/2) and
+L2 = floor((n-6)/2), the two maps over d = 2.
 
 Each convolution identity is one ``SumIdentity`` row: a factor pair,
 the default sets of its integer slots, and a law.  All eight rows state
@@ -126,15 +129,6 @@ def _power_fixed_point(exponent: int, precision: int) -> FormalPowerSeries:
 
 
 # -- elementary exact ingredients --------------------------------------
-
-
-def icomb(n: int, k: int) -> int:
-    """Integer binomial with the zero convention; requires n >= 0."""
-    if n < 0:
-        raise ValueError(f"icomb needs a nonnegative upper index, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def _ratio(x: Scalar) -> Ratio:
@@ -295,24 +289,33 @@ def _central_power_term(p: int, x: Scalar, i: int) -> Fraction:
 def andrews_sum(upper: int, low1: int, low2: int) -> int:
     """sum_j C(upper, low1 - 5j) - C(upper, low2 - 5j) over all integers j.
 
-    The window is the support of both columns (0 <= low - 5j <= upper)
-    widened by one guard term on each side.
+    Each column is one residue class mod 5 of Pascal row ``upper``.
     """
-    lo = -((upper - min(low1, low2)) // 5) - 1
-    hi = max(low1, low2) // 5 + 1
-    return sum(icomb(upper, low1 - 5 * j) - icomb(upper, low2 - 5 * j) for j in range(lo, hi + 1))
+    if upper < 0:
+        raise ValueError(f"andrews_sum needs a nonnegative upper index, got {upper}")
+    first = sum(comb(upper, low) for low in range(low1 % 5, upper + 1, 5))
+    return first - sum(comb(upper, low) for low in range(low2 % 5, upper + 1, 5))
 
 
-# id -> (Fibonacci index at n, smallest valid n, n -> (upper, low1, low2) of andrews_sum)
-AndrewsRow = tuple[Callable[[int], int], int, Callable[[int], tuple[int, int, int]]]
+# (a, b, d): the map n -> (a n + b) // d
+_Affine = tuple[int, int, int]
+
+
+def _at(affine: _Affine, n: int) -> int:
+    a, b, d = affine
+    return (a * n + b) // d
+
+
+# id -> (Fibonacci index, smallest valid n, (upper, low1, low2) of andrews_sum)
+AndrewsRow = tuple[_Affine, int, tuple[_Affine, _Affine, _Affine]]
 ANDREWS_VARIANTS: dict[str, AndrewsRow] = {
-    "a1": (lambda n: n, 1, lambda n: (n - 1, (n - 1) // 2, (n - 6) // 2)),
-    "a2": (lambda n: n, 1, lambda n: (n, (n - 1) // 2, (n - 6) // 2)),
-    "a3": (lambda n: 2 * n + 1, 0, lambda n: (2 * n + 1, n, n - 1)),
-    "a121": (lambda n: 2 * n + 2, 0, lambda n: (2 * n + 2, n, n - 1)),
-    "a5": (lambda n: 2 * n + 2, 0, lambda n: (2 * n + 1, n, n - 2)),
-    "a6": (lambda n: 2 * n + 1, 0, lambda n: (2 * n, n, n - 2)),
-    "a122": (lambda n: 2 * n, 0, lambda n: (2 * n, n - 1, n - 2)),
+    "a1": ((1, 0, 1), 1, ((1, -1, 1), (1, -1, 2), (1, -6, 2))),
+    "a2": ((1, 0, 1), 1, ((1, 0, 1), (1, -1, 2), (1, -6, 2))),
+    "a3": ((2, 1, 1), 0, ((2, 1, 1), (1, 0, 1), (1, -1, 1))),
+    "a121": ((2, 2, 1), 0, ((2, 2, 1), (1, 0, 1), (1, -1, 1))),
+    "a5": ((2, 2, 1), 0, ((2, 1, 1), (1, 0, 1), (1, -2, 1))),
+    "a6": ((2, 1, 1), 0, ((2, 0, 1), (1, 0, 1), (1, -2, 1))),
+    "a122": ((2, 0, 1), 0, ((2, 0, 1), (1, -1, 1), (1, -2, 1))),
 }
 
 
@@ -327,7 +330,7 @@ def check_andrews(identity: str, n_max: int, n: int | None = None) -> IdentityRe
     cex = None
     for n in _pin_values(pinned, "n", range(n_min, n_max + 1)):
         points += 1
-        lhs, rhs = fibonacci(index(n)), andrews_sum(*window(n))
+        lhs, rhs = fibonacci(_at(index, n)), andrews_sum(*(_at(affine, n) for affine in window))
         if lhs != rhs:
             cex = Counterexample({"n": str(n)}, lhs=str(lhs), rhs=str(rhs))
             break
@@ -370,27 +373,26 @@ def check_via_riordan(n_max: int, n: int | None = None) -> IdentityReport:
         return IdentityReport("fibonacci-riordan", f"even and odd extractions, {n_grid}", 0)
     base = pascal(2 * terms + 2)
     fib_den = FormalPowerSeries([1, -3, 1], precision=terms)
-    # (rows, row offset, period-5 weights, target numerator, Fibonacci number at n)
+    # (rows, row offset r, period-5 weights, target numerator); coefficient n is F_{2n+r}
     extractions = (
-        ("even", 0, [0, 1, -1, -1, 1], [0, 1], lambda m: fibonacci(2 * m)),
-        ("odd", 1, [1, -1, 0, -1, 1], [1, -1], lambda m: fibonacci(2 * m + 1)),
+        ("even", 0, [0, 1, -1, -1, 1], [0, 1]),
+        ("odd", 1, [1, -1, 0, -1, 1], [1, -1]),
     )
     points = 0
-    for label, r, signs, numerator, fib_value in extractions:
+    for label, r, signs, numerator in extractions:
         arr = base.extract_subarray(2, r)
         composed = arr.d * _weight_series(signs, terms).compose(arr.h.shift_up())
         target = FormalPowerSeries(numerator, precision=terms) / fib_den
-        closed_form = _EXTRACTED_D[label]
         for m in coefficients:
             points += 1
             # the extracted first column has its own closed form
-            got, want = arr.d.coeff(m), closed_form(m)
+            got, want = arr.d.coeff(m), _EXTRACTED_D[label](m)
             if got != want:
                 params, grid = {"rows": label, "column": "d", "n": str(m)}, "first column of rows"
             else:
                 got, want = composed.coeff(m), target.coeff(m)
                 if got == want:  # then the Fibonacci number is the side that may differ
-                    want = fib_value(m)
+                    want = fibonacci(2 * m + r)
                 params, grid = {"rows": label, "n": str(m)}, "rows"
             if got != want:
                 cex = Counterexample(params, lhs=str(got), rhs=str(want))
@@ -1016,7 +1018,7 @@ def _andrews_entry(variant: str) -> RegistryEntry:
     return RegistryEntry(
         f"andrews-{variant}",
         "alternating binomial sum over a period-5 window equals a Fibonacci number "
-        f"(parameter n maps to F with index like {index(3)} at n=3)",
+        f"(parameter n maps to F with index like {_at(index, 3)} at n=3)",
         ("n",), f"n from {n_min}",
         lambda max_n, pinned: check_andrews(variant, max_n, pinned.get("n")),
     )
@@ -1096,9 +1098,12 @@ def _read_pins(
 
 
 def check_registry(
-    identity: str, max_n: int = 20, pinned: Mapping[str, Scalar] | None = None
+    identity: str, max_n: int = 20, pinned: Mapping[str, Union[Scalar, str]] | None = None
 ) -> IdentityReport:
-    """Run one registry identity over its grid (optionally pinning slots to exact values)."""
+    """Run one registry identity over its grid, optionally pinning slots to exact values.
+
+    A pin is read by ``_exact_pin``: an int, a ``Fraction`` or a string such as ``"1/2"``.
+    """
     entry = REGISTRY.get(identity)
     if entry is None:
         raise RegistryError(f"unknown identity {identity!r}")

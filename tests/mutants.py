@@ -1,0 +1,180 @@
+"""A standing mutant suite: small faults in ``src/`` that named tests must catch.
+
+Each mutant is data: a name, a file under ``src/``, an exact snippet of that
+file, the snippet's replacement, and the pytest node ids that must fail
+with the replacement in place.  A run copies ``src/`` to a temporary
+directory, applies one mutant to the copy, and runs only the mutant's
+tests against it (``PYTHONPATH`` names the copy).  The mutant is killed
+when every one of its tests fails.  The repository's own ``src/`` is
+never edited.
+
+Run it from anywhere, with pytest and hypothesis installed::
+
+    python tests/mutants.py           # every mutant
+    python tests/mutants.py NAME ...  # the named mutants only
+
+It prints one line per mutant and exits 1 if any survived.  pytest does
+not collect this file (no ``test_`` prefix); ``test_mutants.py`` checks,
+as part of the suite, that each snippet occurs exactly once in its file
+and that each named test exists.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "ballot-weight-pole-check-dropped",
+        "riordan/identities.py",
+        '    if den == 0:\n        raise PoleError(f"pm + y + 1 vanishes at m = {m}")\n',
+        "",
+        (
+            "tests/test_identities_kernel.py::test_ballot_terms_and_poles",
+            "tests/test_identities_kernel.py::test_ballot_sums_and_poles",
+        ),
+    ),
+    Mutant(
+        "s-at-most-k-rule-dropped",
+        "riordan/identities.py",
+        '    if "k" in pinned and pinned.get("s", 1) > pinned["k"]:\n',
+        "    if False:\n",
+        (
+            "tests/test_identities.py::test_triangle_sums_refuse_points_outside_their_domain"
+            "[2-2-3-needs s <= k, got k=2, s=3]",
+            "tests/test_cli.py::test_every_domain_bound_is_refused_alike_by_check_and_both_sides"
+            "[subarray-convolution-s<=k]",
+        ),
+    ),
+    Mutant(
+        "newton-keyed-on-phi-mod-t-n-minus-2",
+        "riordan/series.py",
+        "    return _newton(p.truncate(precision - 1), precision)\n",
+        "    return _newton(p.truncate(precision - 2), precision)\n",
+        (
+            "tests/test_series_kernel.py::test_lagrange_solve_matches_reverting_t_over_phi",
+            "tests/test_series.py::test_revert_solves_through_lagrange_solve",
+        ),
+    ),
+    Mutant(
+        "a-sequence-divisibility-test-dropped",
+        "riordan/arrays.py",
+        "        if tden % e or list(given) != ",
+        "        if list(given) != ",
+        (
+            "tests/test_arrays_kernel.py::test_a_rebuilt_row_over_a_foreign_denominator_fails",
+        ),
+    ),
+    Mutant(
+        "newton-slope-without-division-by-w-prime",
+        "riordan/series.py",
+        "            slope = value.truncate(h).derivative() / w.truncate(h).derivative()\n",
+        "            slope = value.truncate(h).derivative()\n",
+        (
+            "tests/test_arrays.py::test_from_dA_h_series",
+            "tests/test_arrays_kernel.py::test_a_sequence_matches_reference",
+        ),
+    ),
+    Mutant(
+        "andrews-fibonacci-index-off-by-one",
+        "riordan/identities.py",
+        '    "a3": ((2, 1, 1), 0,',
+        '    "a3": ((2, 2, 1), 0,',
+        (
+            "tests/test_identities.py::test_andrews_all_variants_hold[a3]",
+            "tests/test_identities_kernel.py::test_andrews_integer_table_gives_the_lambdas_values",
+        ),
+    ),
+    Mutant(
+        "andrews-window-map-shifted-by-one",
+        "riordan/identities.py",
+        '    "a6": ((2, 1, 1), 0, ((2, 0, 1), (1, 0, 1), (1, -2, 1))),\n',
+        '    "a6": ((2, 1, 1), 0, ((2, 0, 1), (1, 0, 1), (1, -1, 1))),\n',
+        (
+            "tests/test_identities.py::test_andrews_all_variants_hold[a6]",
+            "tests/test_identities_kernel.py::test_andrews_integer_table_gives_the_lambdas_values",
+            "tests/test_identities_kernel.py::test_andrews_table_matches_per_identity_sums",
+        ),
+    ),
+    Mutant(
+        "andrews-sum-residue-off-by-one",
+        "riordan/identities.py",
+        "range(low1 % 5, upper + 1, 5)",
+        "range((low1 + 1) % 5, upper + 1, 5)",
+        (
+            "tests/test_identities.py::test_andrews_sum_is_two_residue_classes_of_one_row",
+            "tests/test_identities_kernel.py::test_andrews_sum_matches_a_guard_window_sum",
+        ),
+    ),
+)
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Replace the mutant's one snippet in its file under ``src``."""
+    path = src / mutant.path
+    text = path.read_text()
+    if text.count(mutant.snippet) != 1:
+        raise ValueError(f"{mutant.name}: the snippet does not occur exactly once")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+
+
+def failed_tests(report: str) -> set[str]:
+    """The node ids that pytest's ``-rfE`` summary names as failed or in error."""
+    failed = set()
+    for line in report.splitlines():
+        for status in ("FAILED ", "ERROR "):
+            if line.startswith(status):
+                failed.add(line[len(status):].split(" - ", 1)[0])
+    return failed
+
+
+def run(mutant: Mutant) -> set[str]:
+    """The mutant's tests that did not fail against a mutated copy of ``src/``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        apply(mutant, src)
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                   *mutant.tests]
+        done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    return set(mutant.tests) - failed_tests(done.stdout)
+
+
+def main(names: list[str]) -> int:
+    known = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    survived = 0
+    for mutant in [known[name] for name in names] or MUTANTS:
+        passing = run(mutant)
+        survived += bool(passing)
+        verdict = "survived" if passing else "killed"
+        print(f"{mutant.name}: {verdict} ({len(mutant.tests) - len(passing)}"
+              f"/{len(mutant.tests)} tests failed)")
+        for node in sorted(passing):
+            print(f"  did not fail: {node}")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

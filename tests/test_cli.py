@@ -17,7 +17,7 @@ import pytest
 from riordan import cli, identities
 from riordan.arrays import ballot_triangle, catalan_triangle, pascal
 from riordan.cli import main
-from riordan.hypergeom import h_for_binomial_A
+from riordan.hypergeom import HypergeometricSpec, _terms, expand, h_for_binomial_A
 from riordan.reports import Counterexample, IdentityReport
 from riordan.series import FormalPowerSeries
 
@@ -651,7 +651,7 @@ def no_compute(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("computed before the pin was checked")
 
-    monkeypatch.setattr(identities, "icomb", fail)
+    monkeypatch.setattr(identities, "andrews_sum", fail)
     monkeypatch.setattr(identities, "_grid_points", fail)
 
 
@@ -804,14 +804,23 @@ def test_integral_fraction_pins_check_as_ints(identity, pins):
     [
         (("subarray-convolution", "--p", "1/2"), "p", "1/2"),
         (("catalan-vandermonde", "--z", "7/2"), "z", "7/2"),
-        (("subarray-convolution", "--k", "0.5"), "k", "1/2"),
+        (("subarray-convolution", "--k", "0.5"), "k", "0.5"),
+        (("subarray-convolution", "--p", "2/4"), "p", "2/4"),
     ],
 )
 def test_check_refuses_a_fractional_integer_pin_by_name(capsys, no_compute, argv, slot, value):
-    # the CLI reads every pin as an exact rational; the registry refuses it by name
+    # the CLI passes every pin as given; the registry reads it, refuses it by name
+    # and echoes it as given
     code, out, err = run(capsys, "check", *argv)
     assert (code, out) == (2, "")
     assert err == f"riordan: identity {argv[0]!r} needs an integer {slot}, got {slot}={value}\n"
+
+
+@pytest.mark.parametrize("slot, value", [("x", "abc"), ("y", "1/0"), ("x", "1/2/3")])
+def test_check_refuses_a_pin_that_is_no_rational_by_name(capsys, no_compute, slot, value):
+    code, out, err = run(capsys, "check", "rothe-hagen", f"--{slot}", value)
+    assert (code, out) == (2, "")
+    assert err == f"riordan: identity 'rothe-hagen' needs an exact {slot}, got {slot}={value}\n"
 
 
 @pytest.mark.parametrize(
@@ -1070,6 +1079,38 @@ def test_hyper_cli_matches_golden(capsys, case):
     # stdout, stderr and exit code of hyper, byte for byte
     code, out, err = run(capsys, *case["argv"])
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("upper, lower, scale, terms", [
+    ("1/2,1", "2", "4", 1),
+    ("1/2,1/3,5/7", "2/7,3/11", "3/5", 40),
+    ("1", "", "-7/3", 12),
+    ("-3", "1/2", "1", 6),
+])
+def test_hyper_writes_each_term_as_it_is_stepped(monkeypatch, upper, lower, scale, terms):
+    # the bytes are those of the whole line or record, which expand's coefficients give
+    spec = HypergeometricSpec(cli._parse_rational_list(upper), cli._parse_rational_list(lower),
+                              Fraction(scale))
+    texts = [str(c) for c in expand(spec, terms).coeffs]
+    whole = {"text": " ".join(texts), "csv": ",".join(texts),
+             "jsonl": cli._canonical_json({"coeffs": texts, "prec": terms})}
+    events = []
+
+    def pulled(spec):
+        for k, term in enumerate(_terms(spec)):
+            events.append(("pull", k))
+            yield term
+
+    monkeypatch.setattr(cli, "_terms", pulled)
+    for fmt, line in whole.items():
+        events.clear()
+        args = SimpleNamespace(upper=upper, lower=lower, scale=scale, terms=terms, format=fmt)
+        assert cli._cmd_hyper(args, SimpleNamespace(write=events.append)) == 0
+        writes = [e for e in events if isinstance(e, str)]
+        assert "".join(writes) == line + "\n"
+        # term k goes out before term k + 1 is pulled, and the tail after the last
+        pulls = [("pull", k) for k in range(terms)]
+        assert events == [e for pair in zip(pulls, writes) for e in pair] + writes[-1:]
 
 
 def test_hyper_jsonl(capsys):

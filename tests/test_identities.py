@@ -14,6 +14,7 @@ from riordan.hypergeom import HypergeometricSpec, binomial_series, expand, power
 from riordan.identities import (
     _FIB_CACHE_MAX,
     _VANDERMONDE_LAW,
+    _at,
     ANDREWS_VARIANTS,
     RATIONAL_GRID,
     RegistryError,
@@ -32,7 +33,6 @@ from riordan.identities import (
     fibonacci,
     fuss_ballot_gf,
     fuss_ballot_spec,
-    icomb,
     registry_entries,
     sum_lhs,
     sum_rhs,
@@ -63,12 +63,13 @@ def test_fibonacci_past_the_cache_cap():
     assert len(_fib_cache) <= cap
 
 
-def test_icomb_convention():
-    assert icomb(5, -1) == 0
-    assert icomb(5, 6) == 0
-    assert icomb(5, 2) == 10
-    with pytest.raises(ValueError):
-        icomb(-1, 0)
+def test_andrews_sum_is_two_residue_classes_of_one_row():
+    # row 5 is 1 5 10 10 5 1: class 2 mod 5 holds C(5, 2), class 0 holds C(5, 0) and C(5, 5)
+    assert andrews_sum(5, 2, 0) == 10 - 2
+    assert andrews_sum(5, -3, 12) == 0  # -3 and 12 are both 2 mod 5
+    assert andrews_sum(0, 0, 1) == 1
+    with pytest.raises(ValueError, match="nonnegative upper index, got -1"):
+        andrews_sum(-1, 0, 0)
 
 
 def test_generalized_binomial():
@@ -86,19 +87,23 @@ def test_negative_floor_division_matters():
 # -- Andrews suite -------------------------------------------------------
 
 
+def _window(variant, n):
+    # (upper, low1, low2) of the variant's sum at n
+    return tuple(_at(affine, n) for affine in ANDREWS_VARIANTS[variant][2])
+
+
 def test_andrews_a1_values():
     rep = check_andrews("a1", 40)
     assert rep.holds
     # n = 5: both sides are 5 (terms at k = -1, 0, 1)
-    window = ANDREWS_VARIANTS["a1"][2]
-    assert andrews_sum(*window(5)) == 5 == fibonacci(5)
-    assert andrews_sum(*window(1)) == 1 == fibonacci(1)
+    assert andrews_sum(*_window("a1", 5)) == 5 == fibonacci(5)
+    assert andrews_sum(*_window("a1", 1)) == 1 == fibonacci(1)
 
 
 def test_andrews_a122_marked_row():
     # n = 3: F_6 = 8 = 15 - 6 - 1 from the marked even-row triangle
-    window = ANDREWS_VARIANTS["a122"][2]
-    assert andrews_sum(*window(3)) == comb(6, 2) - comb(6, 1) - comb(6, 6) == 8 == fibonacci(6)
+    assert _window("a122", 3) == (6, 2, 1)
+    assert andrews_sum(6, 2, 1) == comb(6, 2) - comb(6, 1) - comb(6, 6) == 8 == fibonacci(6)
 
 
 @pytest.mark.parametrize("variant", ["a1", "a2", "a3", "a121", "a5", "a6", "a122"])
@@ -697,7 +702,7 @@ def test_andrews_n_pin_checks_that_n_only(monkeypatch, variant):
     monkeypatch.setattr(identities, "andrews_sum", lambda *w: windows.append(w) or real(*w))
     rep = check_registry(f"andrews-{variant}", 5, {"n": 7})
     assert (rep.holds, rep.points, rep.grid) == (True, 1, "n=7")
-    assert windows == [ANDREWS_VARIANTS[variant][2](7)]
+    assert windows == [_window(variant, 7)]
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ of two factor columns kept over one common denominator.  The reference
 below is the plain per-term ``Fraction`` arithmetic of the original
 formulas; every kernel must agree with it exactly, and raise ``PoleError``
 exactly where the reference does.  The registry's grid runner is checked
-against a term-by-term runner on the same reference, and the Andrews table
-against the seven per-identity sums it replaced.
+against a term-by-term runner on the same reference, and the Andrews integer
+table against the seven per-identity sums and the row lambdas it replaced.
 """
 
 import os
@@ -15,8 +15,8 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd
+from operator import add
 from pathlib import Path
 from unittest import mock
 
@@ -892,22 +892,34 @@ def test_check_all_leaves_no_heap_behind():
 # -- Andrews table against the per-identity sums --------------------------------
 
 
+# Pascal's rows by addition, as far as a reference has read: far quicker at
+# n < 800 than ref_icomb's factorials, even behind a cache
+_REF_ROWS = [[1]]
+
+
+def _ref_comb(n, k):
+    while len(_REF_ROWS) <= n:
+        row = _REF_ROWS[-1]
+        _REF_ROWS.append([1, *map(add, row, row[1:]), 1])
+    return _REF_ROWS[n][k] if 0 <= k <= n else 0
+
+
 def _sign(k):
     return -1 if k % 2 else 1
 
 
 def ref_a1(n):
     lo, hi = -(n // 5) - 1, (n - 1) // 5 + 1
-    return sum(_sign(k) * I.icomb(n - 1, (n - 1 - 5 * k) // 2) for k in range(lo, hi + 1))
+    return sum(_sign(k) * _ref_comb(n - 1, (n - 1 - 5 * k) // 2) for k in range(lo, hi + 1))
 
 
 def ref_a2(n):
     lo, hi = -((n + 2) // 5) - 1, (n - 1) // 5 + 1
-    return sum(_sign(k) * I.icomb(n, (n - 1 - 5 * k) // 2) for k in range(lo, hi + 1))
+    return sum(_sign(k) * _ref_comb(n, (n - 1 - 5 * k) // 2) for k in range(lo, hi + 1))
 
 
 def _ref_columns(upper, low1, low2, lo, hi):
-    return sum(I.icomb(upper, low1 - 5 * j) - I.icomb(upper, low2 - 5 * j)
+    return sum(_ref_comb(upper, low1 - 5 * j) - _ref_comb(upper, low2 - 5 * j)
                for j in range(lo, hi + 1))
 
 
@@ -935,10 +947,50 @@ ANDREWS_REF = {"a1": ref_a1, "a2": ref_a2, "a3": ref_a3, "a121": ref_a121,
                "a5": ref_a5, "a6": ref_a6, "a122": ref_a122}
 
 
+def _window(window, n):
+    return tuple(I._at(affine, n) for affine in window)
+
+
 def test_andrews_table_matches_per_identity_sums(monkeypatch):
-    # both sides take the same binomials; caching them keeps n < 400 quick
-    monkeypatch.setattr(I, "icomb", lru_cache(maxsize=None)(I.icomb))
+    # both sides read the same binomials; taking them from the rows keeps n < 400 quick
+    monkeypatch.setattr(I, "comb", _ref_comb)
     assert set(ANDREWS_REF) == set(I.ANDREWS_VARIANTS)
     for variant, (_, n_min, window) in I.ANDREWS_VARIANTS.items():
         for n in range(n_min, 400):
-            assert I.andrews_sum(*window(n)) == ANDREWS_REF[variant](n), (variant, n)
+            assert I.andrews_sum(*_window(window, n)) == ANDREWS_REF[variant](n), (variant, n)
+    del _REF_ROWS[1:]  # rows 0..802 hold tens of MiB
+
+
+# the table as lambdas, id -> (n -> Fibonacci index, n -> (upper, low1, low2))
+ANDREWS_LAMBDAS = {
+    "a1": (lambda n: n, lambda n: (n - 1, (n - 1) // 2, (n - 6) // 2)),
+    "a2": (lambda n: n, lambda n: (n, (n - 1) // 2, (n - 6) // 2)),
+    "a3": (lambda n: 2 * n + 1, lambda n: (2 * n + 1, n, n - 1)),
+    "a121": (lambda n: 2 * n + 2, lambda n: (2 * n + 2, n, n - 1)),
+    "a5": (lambda n: 2 * n + 2, lambda n: (2 * n + 1, n, n - 2)),
+    "a6": (lambda n: 2 * n + 1, lambda n: (2 * n, n, n - 2)),
+    "a122": (lambda n: 2 * n, lambda n: (2 * n, n - 1, n - 2)),
+}
+
+
+def test_andrews_integer_table_gives_the_lambdas_values():
+    assert set(ANDREWS_LAMBDAS) == set(I.ANDREWS_VARIANTS)
+    for variant, (index, _, window) in I.ANDREWS_VARIANTS.items():
+        ref_index, ref_window = ANDREWS_LAMBDAS[variant]
+        for n in range(300):
+            got = (I._at(index, n), *_window(window, n))
+            assert got == (ref_index(n), *ref_window(n)), (variant, n)
+
+
+def ref_guard_window_sum(upper, low1, low2):
+    # the support of both columns (0 <= low - 5j <= upper), one guard term wider each side
+    lo = -((upper - min(low1, low2)) // 5) - 1
+    hi = max(low1, low2) // 5 + 1
+    return sum(ref_icomb(upper, low1 - 5 * j) - ref_icomb(upper, low2 - 5 * j)
+               for j in range(lo, hi + 1))
+
+
+@KERNEL
+@given(st.integers(0, 80), st.integers(-100, 100), st.integers(-100, 100))
+def test_andrews_sum_matches_a_guard_window_sum(upper, low1, low2):
+    assert I.andrews_sum(upper, low1, low2) == ref_guard_window_sum(upper, low1, low2)
