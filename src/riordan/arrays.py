@@ -20,23 +20,26 @@ An array keeps its A-sequence when it is known exactly, as a series
 ``P`` and a count ``j`` with ``A = P/(1 - t)^j``: ``from_dA`` keeps
 ``(A, 0)``, ``pascal`` and ``catalan_triangle`` keep ``(1 + t, 0)`` and
 ``((1 + t)^2, 0)``, and ``ballot_triangle`` keeps ``(1, 1)``.  One row
-generator builds the rows of such an array by the recurrence multiplied
-through by ``(1 - t)^j``,
+step, :func:`_step`, runs the recurrence multiplied through by
+``(1 - t)^j``,
 
     sum_i (-1)^i C(j, i) d[n+1][k+1+i] = sum_l P_l d[n][k+l],
 
-on integer rows: row ``n+1`` is ``d[n+1]`` followed by row ``n``
-correlated with ``P`` and then summed ``j`` times from the right (each
-a suffix running sum), so an entry costs one product per nonzero term of
-``P`` and ``j`` additions.  ``from_dA`` solves ``h`` (a Newton solve)
+on integer rows: row ``n`` correlated with ``P`` and then summed ``j``
+times from the right (each a suffix running sum) gives entries
+``1..n+1`` of row ``n+1``, so an entry costs one product per nonzero
+term of ``P`` and ``j`` additions.  The row generator puts ``d[n+1]``
+in front of each step.  ``from_dA`` solves ``h`` (a Newton solve)
 only when ``h``, an entry or a column is first read; the rows never
 need it.  Any other array materializes from its cached columns,
 column ``k`` being column ``k-1`` times ``t h``, whose integer numerators
 are rescaled once to the lcm of their denominators; that column route is
 the row route's oracle in the tests.  :func:`a_sequence` solves the
-recurrence and verifies it against the same row generator, from ``A``
-compacted to ``P/(1 - t)^j``, one rebuilt row at a time;
-:class:`fractions.Fraction` values are built only when entries are read.
+recurrence from neighbouring rows and checks each row against the step
+of the row before it, from ``A`` compacted to ``P/(1 - t)^j``: two walks
+over the rows, neither of which keeps a row past its neighbour, and no
+array rebuilt; :class:`fractions.Fraction` values are built only when
+entries are read.
 :meth:`RiordanArray.materialize` puts the generator's rows over one
 denominator as a :class:`Triangle`; the CLI writes them as they come,
 after the same row-count check (:meth:`RiordanArray._check_rows`).
@@ -61,7 +64,7 @@ the rows built from ``A^p``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, pairwise, repeat
 from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -108,23 +111,26 @@ class InsufficientDataError(RiordanError):
     """Triangle too small (or degenerate) to recover the requested A-terms."""
 
 
-def _correlate(row: Sequence[int], a: Sequence[int]) -> list[int]:
-    """``sum_j a[j] row[k+j]`` for every ``k`` of ``row``, over the integers.
+def _step(row: Sequence[int], P: Sequence[int], j: int) -> list[int]:
+    """One step of the recurrence on ``A = P/(1 - t)^j``, over the integers.
 
-    This is one step of the A-sequence recurrence: row ``n`` of a triangle
-    correlated with ``P`` gives the right side ``sum_l P_l d[n][k+l]`` for
-    entries ``1..n+1`` of row ``n+1``, and those entries themselves when
-    ``A = P``.  ``a`` has no trailing zeros, so an entry costs at most
-    ``len(a)`` products, taken one term of ``a`` at a time across the
-    whole row.
+    Row ``n`` of a triangle gives ``sum_i A_i d[n][k+i]`` for every ``k``
+    of the row, the entries ``1..n+1`` of row ``n+1``, over ``P``'s
+    denominator.  The row is correlated with ``P``'s numerators, one term
+    of ``P`` at a time across the whole row, so an entry costs one product
+    per nonzero term; then it is summed ``j`` times from the right, as
+    ``x[k] - x[k+1] = c[k]`` is a suffix running sum, at ``j`` additions
+    an entry.  ``P[0]`` must exist.
     """
-    c = a[0]
+    c = P[0]
     out = list(row) if c == 1 else [c * x for x in row]
-    for j in range(1, min(len(a), len(row))):
-        c = a[j]
+    for i in range(1, min(len(P), len(row))):
+        c = P[i]
         if c:
-            tail = row[j:]
+            tail = row[i:]
             out[:len(tail)] = map(add, out, tail if c == 1 else [c * x for x in tail])
+    for _ in range(j):
+        out = list(accumulate(reversed(out)))[::-1]
     return out
 
 
@@ -346,10 +352,8 @@ class RiordanArray:
 
         Each row is yielded as integers over its own denominator, brought
         to lowest terms by :func:`~riordan.series._lowest` from row 1 on.
-        Row ``n+1`` is ``d[n+1]`` followed by row ``n`` correlated with P's
-        numerators and then summed ``j`` times from the right
-        (``x[k] - x[k+1] = c[k]`` is a suffix running sum), over ``P.den``
-        times row ``n``'s denominator.
+        Row ``n+1`` is ``d[n+1]`` followed by :func:`_step` of row ``n``,
+        over ``P.den`` times row ``n``'s denominator.
         """
         dn, dd = self._d._nums, self._d._den
         a, ad = _stripped(self._P._nums), self._P._den
@@ -359,9 +363,7 @@ class RiordanArray:
             step = ad * den
             den = lcm(step, dd)
             scale = den // step
-            row = _correlate(row, a)
-            for _ in range(self._j):
-                row = list(accumulate(reversed(row)))[::-1]
+            row = _step(row, a, self._j)
             if scale != 1:
                 row = [x * scale for x in row]
             row.insert(0, dn[n] * (den // dd))
@@ -458,11 +460,9 @@ class RiordanArray:
 
     def _rows_route(self, p: int, r: int, m: int):
         """The extracted first column and ``t h`` off rows ``pn + r`` of one row walk."""
-        rows = self._row_stream()
         firsts, seconds = [], []
-        for n in range(m):
-            # skip to row pn + r: r rows before the first, p - 1 between the others
-            row, den = next(islice(rows, p - 1 if n else r, None))
+        # rows pn + r: r rows before the first, p - 1 between the others
+        for n, (row, den) in zip(range(m), islice(self._row_stream(), r, None, p)):
             k = (p - 1) * n + r
             firsts.append((row[k], den))
             seconds.append((row[k + 1] if n else 0, den))  # (r, r + 1) is above the diagonal
@@ -488,41 +488,49 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> FormalPowerSerie
     increasing ``n``, then verifies the recurrence on *every* in-range
     ``(n, k)`` pair.  ``nrows`` rows recover ``nrows - 1`` terms, returned
     as the series A mod ``t^terms``; A(0) = 0 is refused, as no proper
-    array has it.
-
-    The recurrence is homogeneous, so it runs on the triangle's integer
-    rows: the ``N = nrows - 1`` terms are numerators ``x_i`` over one
-    running common denominator, as in the series division kernel.  The
-    check hands ``A`` to the row generator in its own form ``P/(1 - t)^j``,
-    ``P = x (1 - t)^j`` mod ``t^N`` (each factor one difference), at the
-    ``j`` of least cost ``|P| + j`` an entry (no ``j`` past the best cost
-    so far can beat it: the ballot triangle's ``x = 1, 1, 1, ...`` gives
-    ``(1, 1)``), and rebuilds the rows from the triangle's first column.
-    Each rebuilt row is compared as the generator yields it, its
-    numerators scaled to the triangle's denominator, so no second
-    triangle is built.  Row ``n + 1`` reads ``A`` mod ``t^(n+1)`` only,
-    and ``n + 1 <= N``, so up to the first entry that differs the rebuilt
-    rows are the given ones, and that entry is the first to fail the
-    recurrence.
+    array has it.  The work is :func:`_a_sequence`'s, on the triangle's
+    integer rows.
     """
-    rows, tden = triangle._nums, triangle._den
-    available = triangle.nrows - 1
+    return _a_sequence(lambda: zip(triangle._nums, repeat(triangle._den)), triangle.nrows, terms)
+
+
+def _a_sequence(walk, nrows: int, terms: int | None = None) -> FormalPowerSeries:
+    """:func:`a_sequence` of the ``nrows`` rows that each call ``walk()`` yields as ``(nums, den)``.
+
+    Each row is integers over its own positive denominator, not
+    necessarily in lowest terms, and both the solve and the check read
+    only neighbouring rows ``n`` and ``n + 1``: each is one walk, and no
+    row is kept past its neighbour.  The ``N = nrows - 1`` terms are
+    numerators ``x_i`` over one running common denominator, as in the
+    series division kernel.  The check reads ``A`` in the row
+    recurrence's form ``P/(1 - t)^j``, ``P = x (1 - t)^j`` mod ``t^N``
+    (each factor one difference), at the ``j`` of least cost ``|P| + j``
+    an entry (no ``j`` past the best cost so far can beat it: the ballot
+    triangle's ``x = 1, 1, 1, ...`` gives ``(1, 1)``).  Entries ``1..n``
+    of row ``n`` must equal :func:`_step` of row ``n - 1``, cross-multiplied
+    by the two rows' denominators and the solve's; two rows that share a
+    denominator compare with no product by it.  The first entry that
+    differs is the first to fail the recurrence.
+    """
+    available = nrows - 1
     if terms is None:
         terms = available
     if terms < 1 or terms > available:
-        raise InsufficientDataError(
-            f"{triangle.nrows} rows recover at most {available} terms, asked for {terms}"
-        )
+        raise InsufficientDataError(f"{nrows} rows recover at most {available} "
+                                    f"terms, asked for {terms}")
     xs: list[int] = []
     den = 1
-    for n in range(available):
-        pivot = rows[n][n]
+    for n, ((row, e), (nxt, f)) in enumerate(pairwise(walk())):
+        pivot = row[n]
         if not pivot:
-            raise InsufficientDataError(
-                f"zero diagonal entry at row {n}: triangle is not a proper array"
-            )
-        num = den * rows[n + 1][1] - sum(map(mul, xs, rows[n]))  # xs has n terms
-        den = _append_term(xs, den, num, den * pivot)
+            raise InsufficientDataError(f"zero diagonal entry at row {n}: "
+                                        "triangle is not a proper array")
+        dot = sum(map(mul, xs, row))  # xs has n terms, over den, and row is over e
+        den = _append_term(xs, den, e * den * nxt[1] - f * dot, f * den * pivot)
+    if not xs[0]:
+        # x_0 = 0 zeroes entry (1, 1), a pivot unless there are two rows,
+        # whose one check cannot fail
+        raise ImproperAError("A(0) must be nonzero")
     best = (len(_stripped(xs)), 0, xs)  # cost |P| + j, j, P
     diff = xs
     for j in range(1, available):
@@ -530,21 +538,16 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> FormalPowerSerie
             break
         diff = list(map(sub, diff, [0, *diff]))  # times 1 - t, mod t^N
         best = min(best, (len(_stripped(diff)) + j, j, diff))
-    _, j, P = best
-    # row N reads P mod t^N only: the padded term is never read.  d(0) is
-    # row 0's pivot, and from_dA refuses P(0) = x_0 = 0 as A(0) = 0; that
-    # x_0 comes only from two rows, whose one check cannot fail
-    A = _wrap([*P, 0], den)
-    d = _series([row[0] for row in rows], tden)
-    rebuilt = RiordanArray.from_dA(d, A)._with_A(A, j)._row_stream()
-    for n, (given, (built, e)) in enumerate(zip(rows, rebuilt)):
-        # a rebuilt row equal to the given one has a denominator that
-        # divides the triangle's, so it compares by scaled numerators
-        scale = tden // e
-        if tden % e or list(given) != (built if scale == 1 else [y * scale for y in built]):
-            k = next(k for k, (x, y) in enumerate(zip(given, built)) if x * e != y * tden)
+    j, P = best[1], _stripped(best[2])
+    for n, ((row, e), (nxt, f)) in enumerate(pairwise(walk()), 1):
+        step = _step(row, P, j)  # entries 1..n of row n, over den * e
+        scale = den if e == f else den * e
+        lhs = [x * scale for x in nxt[1:]] if scale != 1 else list(nxt[1:])
+        rhs = step if e == f else [y * f for y in step]
+        if lhs != rhs:
+            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs), 1) if x != y)
             raise NotRiordanError(f"recurrence fails at (n={n}, k={k}): "
-                                  f"{Fraction(given[k], tden)} != {Fraction(built[k], e)}")
+                                  f"{Fraction(nxt[k], f)} != {Fraction(step[k - 1], den * e)}")
     return _series(xs[:terms], den)
 
 

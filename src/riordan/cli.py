@@ -18,7 +18,9 @@ stepped, and ``triangle`` and ``extract`` the rows of
 ``RiordanArray._row_stream`` (every array built here keeps its
 A-sequence, as does each extraction of one), each entry over its row's
 own denominator.  csv and jsonl hold one row at a time; text keeps the
-rows' strings for its column widths.  ``check`` passes each pin as given
+rows' strings for its column widths.  ``aseq`` and ``extract --aseq``
+walk the same rows twice through ``arrays._a_sequence``, so they hold no
+triangle either.  ``check`` passes each pin as given
 to ``check_registry``, which reads it.
 """
 
@@ -32,7 +34,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .arrays import RiordanArray, a_sequence, ballot_triangle, catalan_triangle, pascal
+from .arrays import RiordanArray, _a_sequence, ballot_triangle, catalan_triangle, pascal
 from .hypergeom import HypergeometricSpec, _terms
 from .identities import REGISTRY, check_registry, registry_entries
 from .series import FormalPowerSeries
@@ -180,7 +182,7 @@ def _cmd_extract(args, out) -> int:
     _emit_triangle(_array_rows(sub, args.rows), args.format, out)
     if not args.aseq:
         return 0
-    recovered = a_sequence(sub.materialize(terms + 1), terms=terms)
+    recovered = _a_sequence(lambda: _array_rows(sub, terms + 1), terms + 1)
     _emit_aseq(recovered, args.format, out)
     # The printed rows and A come from the A-sequence the sub-array keeps, and
     # its h from the entries the extraction read; the claim holds when the
@@ -199,7 +201,7 @@ def _cmd_aseq(args, out) -> int:
     if args.terms < 1:
         raise UsageError("--terms must be >= 1")
     array = _build_array(args, args.terms + 1)
-    seq = a_sequence(array.materialize(args.terms + 1), terms=args.terms)
+    seq = _a_sequence(lambda: _array_rows(array, args.terms + 1), args.terms + 1)
     _emit_aseq(seq, args.format, out)
     return 0
 

@@ -74,12 +74,46 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a-sequence-divisibility-test-dropped",
+        "a-sequence-check-without-the-solve-denominator",
         "riordan/arrays.py",
-        "        if tden % e or list(given) != ",
-        "        if list(given) != ",
+        "        scale = den if e == f else den * e\n",
+        "        scale = 1 if e == f else e\n",
         (
-            "tests/test_arrays_kernel.py::test_a_rebuilt_row_over_a_foreign_denominator_fails",
+            "tests/test_arrays.py::test_a_sequence_handles_rational_triangles",
+            "tests/test_arrays_kernel.py::test_a_sequence_matches_reference",
+            "tests/test_arrays_kernel.py::test_a_sequence_recovers_the_building_A",
+        ),
+    ),
+    Mutant(
+        "a-sequence-check-without-the-next-row-denominator",
+        "riordan/arrays.py",
+        "        rhs = step if e == f else [y * f for y in step]\n",
+        "        rhs = step\n",
+        (
+            "tests/test_arrays_kernel.py::"
+            "test_rows_over_their_own_denominators_give_the_same_outcome",
+        ),
+    ),
+    Mutant(
+        "step-suffix-sums-skipped",
+        "riordan/arrays.py",
+        "    for _ in range(j):\n        out = list(accumulate(reversed(out)))[::-1]\n",
+        "",
+        (
+            "tests/test_arrays.py::test_ballot_triangle_a_sequence",
+            "tests/test_arrays_kernel.py::test_a_sequence_checks_through_the_compacted_A",
+            "tests/test_arrays_kernel.py::test_stock_triangles_rows_match_their_columns"
+            "[ballot_triangle]",
+        ),
+    ),
+    Mutant(
+        "a-sequence-zero-A0-accepted",
+        "riordan/arrays.py",
+        "    if not xs[0]:\n",
+        "    if False:\n",
+        (
+            "tests/test_arrays.py::test_a_sequence_refuses_a_zero_A0",
+            "tests/test_arrays_kernel.py::test_zero_pivot_gives_the_same_outcome",
         ),
     ),
     Mutant(

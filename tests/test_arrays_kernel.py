@@ -18,7 +18,7 @@ its oracles.
 
 from fractions import Fraction
 from itertools import chain
-from math import ceil, comb, gcd, sqrt
+from math import ceil, comb, gcd, lcm, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -233,39 +233,62 @@ def test_one_row_recovers_nothing():
 
 
 def test_a_sequence_checks_through_the_compacted_A(monkeypatch):
-    # the ballot triangle's A = 1, 1, 1, ... rebuilds from (1, 1), and its
-    # extraction at p = 3, A^3 = C(n + 2, 2), from (1, 3): no check
+    # the ballot triangle's A = 1, 1, 1, ... is checked as (1, 1), and its
+    # extraction at p = 3, A^3 = C(n + 2, 2), as (1, 3): no check step
     # correlates a row with the dense terms
     base = ballot_triangle(121)
     sub = base.extract_subarray(3, 0)
     assert sub.precision == 41
     triangles = [base.materialize(121), sub.materialize(41)]
-    lengths = []
-    correlate = arrays_module._correlate
-    monkeypatch.setattr(arrays_module, "_correlate",
-                        lambda row, a: lengths.append(len(a)) or correlate(row, a))
+    forms = []
+    step = arrays_module._step
+    monkeypatch.setattr(arrays_module, "_step",
+                        lambda row, P, j: forms.append((len(P), j)) or step(row, P, j))
     got = [a_sequence(tri) for tri in triangles]
     assert got == [FPS([1] * 120), FPS([comb(n + 2, 2) for n in range(40)])]
-    assert len(lengths) == 120 + 40 and set(lengths) == {1}
+    assert forms == [(1, 1)] * 120 + [(1, 3)] * 40
 
 
-def test_a_sequence_compares_the_rebuilt_rows_as_they_come(monkeypatch):
-    # the check reads each rebuilt row off the row generator: no second
-    # triangle is built and no row of the given one is turned into fractions
+def test_a_sequence_checks_each_row_against_the_row_before_it(monkeypatch):
+    # the check reads each row against the step of the row before it: no
+    # array is rebuilt, no second triangle is built and no row of the given
+    # one is turned into fractions
     triangles = [make(60).materialize(60) for make in (pascal, catalan_triangle, ballot_triangle)]
 
     def fail(*args, **kwargs):
-        raise AssertionError("a_sequence built a whole triangle")
+        raise AssertionError("a_sequence built a whole triangle or rebuilt an array")
 
     monkeypatch.setattr(arrays_module, "_triangle", fail)
     monkeypatch.setattr(Triangle, "rows", property(fail))
+    monkeypatch.setattr(RiordanArray, "from_dA", fail)
+    monkeypatch.setattr(RiordanArray, "_row_stream", fail)
     got = [a_sequence(tri) for tri in triangles]
     assert got == [FPS([1, 1] + [0] * 57), FPS([1, 2, 1] + [0] * 56), FPS([1] * 59)]
 
 
+@KERNEL
+@given(any_A_form.filter(lambda case: case[1] >= 2), st.data())
+def test_rows_over_their_own_denominators_give_the_same_outcome(case, data):
+    # the walk reader takes each row over any positive denominator of its
+    # own, not necessarily in lowest terms, and perturbed or not
+    array, rows = case
+    entries = [list(row) for row in array.materialize(rows).rows]
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(1, rows - 1))
+        entries[n][data.draw(st.integers(0, n))] += data.draw(rational.filter(bool))
+    tri = Triangle(entries)
+    walk = []
+    for row in entries:
+        den = lcm(*(c.denominator for c in row)) * data.draw(st.integers(1, 6))
+        walk.append(([int(c * den) for c in row], den))
+    terms = data.draw(st.sampled_from([None, 1, rows - 1]))
+    got = outcome(arrays_module._a_sequence, lambda: iter(walk), rows, terms)
+    assert got == outcome(recovered, tri, terms)
+
+
 def test_a_rebuilt_row_over_a_foreign_denominator_fails():
-    # rebuilt row 2 is [0, 0, -1]/4, and 4 does not divide the triangle's 9:
-    # its numerators scaled by 9 // 4 = 2 would match the given -2/9
+    # the step of row 1 puts entry (2, 2) at -1/4, and 4 does not divide the
+    # triangle's 9: numerators scaled by 9 // 4 = 2 would match the given -2/9
     tri = Triangle([[Fraction(-4, 9)], [0, Fraction(1, 3)], [0, 0, Fraction(-2, 9)]])
     message = "recurrence fails at (n=2, k=2): -2/9 != -1/4"
     assert outcome(recovered, tri) == outcome(ref_a_sequence, tri) == (NotRiordanError, message)

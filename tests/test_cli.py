@@ -331,6 +331,33 @@ def test_aseq_improper_triangle(capsys):
     assert code == 2
 
 
+# Run from a small parent: a child's ru_maxrss can count pages of the
+# process it was forked from, so the test runner must not fork it.
+_PEAK_KIB = (
+    "import os, subprocess, sys\n"
+    "for argv in (['-c', 'import riordan.cli'], ['-m', 'riordan', *sys.argv[1:]]):\n"
+    "    with open(os.devnull, 'w') as out:\n"
+    "        child = subprocess.Popen([sys.executable, *argv], stdout=out)\n"
+    "        _, status, usage = os.wait4(child.pid, 0)\n"
+    "    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_aseq_holds_no_triangle():
+    # the rows stream through two walks, so 800 terms peak within 4 MiB of
+    # the import, where a materialized triangle took some 40 MiB more
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_KIB, "aseq", "ballot43", "--terms", "800"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    (imported_code, imported), (code, peak) = (map(int, line.split())
+                                               for line in done.stdout.splitlines())
+    assert (imported_code, code) == (0, 0)
+    assert peak - imported <= 4 * 1024  # KiB
+
+
 ARRAYS_CLI = [
     json.loads(line) for line in (FIXTURES / "arrays_cli.jsonl").read_text().splitlines()
 ]
