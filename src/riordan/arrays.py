@@ -34,15 +34,16 @@ only when ``h``, an entry or a column is first read; the rows never
 need it.  Any other array materializes from its cached columns,
 column ``k`` being column ``k-1`` times ``t h``, whose integer numerators
 are rescaled once to the lcm of their denominators; that column route is
-the row route's oracle in the tests.  :func:`a_sequence` solves the
-recurrence from neighbouring rows and checks each row against the step
-of the row before it, from ``A`` compacted to ``P/(1 - t)^j``: two walks
-over the rows, neither of which keeps a row past its neighbour, and no
-array rebuilt; :class:`fractions.Fraction` values are built only when
-entries are read.
-:meth:`RiordanArray.materialize` puts the generator's rows over one
-denominator as a :class:`Triangle`; the CLI writes them as they come,
-after the same row-count check (:meth:`RiordanArray._check_rows`).
+the row route's oracle in the tests.  :func:`a_sequence` recovers ``A``
+from a triangle given from outside: it solves the recurrence from
+neighbouring rows of the triangle's integer rows and checks each row
+against the step of the row before it, from ``A`` compacted to
+``P/(1 - t)^j``, with no array rebuilt; :class:`fractions.Fraction`
+values are built only when entries are read.  An array built here needs
+no such recovery, as it keeps its ``A``.  One reader,
+:meth:`RiordanArray._rows`, hands out the generator's first rows after a
+row-count check; :meth:`RiordanArray.materialize` puts them over one
+denominator as a :class:`Triangle`, and the CLI writes them as they come.
 
 Extraction reads the new first column and ``t h`` by one of two
 routes.  The rows route walks the row generator once, one row at a
@@ -64,7 +65,7 @@ the rows built from ``A^p``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice, pairwise, repeat
+from itertools import accumulate, islice, pairwise
 from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -370,14 +371,19 @@ class RiordanArray:
             (row,), den = _lowest([row], den)
             yield row, den
 
-    def _check_rows(self, nrows: int) -> None:
-        """Refuse ``nrows`` when it is no row, or more rows than the precision."""
+    def _rows(self, nrows: int):
+        """The first ``nrows`` rows of :meth:`_row_stream`, after the row-count check.
+
+        No row is made until the first is read, so :meth:`materialize`
+        refuses through it also on an array that has no rows to walk.
+        """
         if nrows < 1:
             raise RiordanError("nrows must be positive")
         if nrows > self.precision:
             raise PrecisionError(
                 f"asked for {nrows} rows but precision is {self.precision}"
             )
+        return islice(self._row_stream(), nrows)
 
     def materialize(self, nrows: int) -> Triangle:
         """First ``nrows`` rows as a :class:`Triangle`.
@@ -388,10 +394,10 @@ class RiordanArray:
         canonical triangle.  The rows of :meth:`_row_stream` are rescaled
         once to the lcm of their denominators.
         """
-        self._check_rows(nrows)
+        rows = self._rows(nrows)
         if self._P is None:
             return self._band(range(nrows))
-        rows, dens = zip(*islice(self._row_stream(), nrows))
+        rows, dens = zip(*rows)
         den = lcm(*dens)
         if den != 1:
             rows = [r if e == den else [x * (den // e) for x in r] for r, e in zip(rows, dens)]
@@ -488,45 +494,36 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> FormalPowerSerie
     increasing ``n``, then verifies the recurrence on *every* in-range
     ``(n, k)`` pair.  ``nrows`` rows recover ``nrows - 1`` terms, returned
     as the series A mod ``t^terms``; A(0) = 0 is refused, as no proper
-    array has it.  The work is :func:`_a_sequence`'s, on the triangle's
-    integer rows.
+    array has it.
+
+    The work is on the triangle's integer rows, whose one denominator
+    cancels from the solve: the ``N = nrows - 1`` terms are numerators
+    ``x_i`` over one running common denominator, as in the series
+    division kernel.  The check reads ``A`` in the row recurrence's form
+    ``P/(1 - t)^j``, ``P = x (1 - t)^j`` mod ``t^N`` (each factor one
+    difference), at the ``j`` of least cost ``|P| + j`` an entry (no ``j``
+    past the best cost so far can beat it: the ballot triangle's
+    ``x = 1, 1, 1, ...`` gives ``(1, 1)``).  Entries ``1..n`` of row ``n``,
+    times the solve's denominator, must equal :func:`_step` of row
+    ``n - 1``; the first entry that differs is the first to fail the
+    recurrence.  Both the solve and the check read only neighbouring rows.
     """
-    return _a_sequence(lambda: zip(triangle._nums, repeat(triangle._den)), triangle.nrows, terms)
-
-
-def _a_sequence(walk, nrows: int, terms: int | None = None) -> FormalPowerSeries:
-    """:func:`a_sequence` of the ``nrows`` rows that each call ``walk()`` yields as ``(nums, den)``.
-
-    Each row is integers over its own positive denominator, not
-    necessarily in lowest terms, and both the solve and the check read
-    only neighbouring rows ``n`` and ``n + 1``: each is one walk, and no
-    row is kept past its neighbour.  The ``N = nrows - 1`` terms are
-    numerators ``x_i`` over one running common denominator, as in the
-    series division kernel.  The check reads ``A`` in the row
-    recurrence's form ``P/(1 - t)^j``, ``P = x (1 - t)^j`` mod ``t^N``
-    (each factor one difference), at the ``j`` of least cost ``|P| + j``
-    an entry (no ``j`` past the best cost so far can beat it: the ballot
-    triangle's ``x = 1, 1, 1, ...`` gives ``(1, 1)``).  Entries ``1..n``
-    of row ``n`` must equal :func:`_step` of row ``n - 1``, cross-multiplied
-    by the two rows' denominators and the solve's; two rows that share a
-    denominator compare with no product by it.  The first entry that
-    differs is the first to fail the recurrence.
-    """
-    available = nrows - 1
+    rows, tden = triangle._nums, triangle._den
+    available = len(rows) - 1
     if terms is None:
         terms = available
     if terms < 1 or terms > available:
-        raise InsufficientDataError(f"{nrows} rows recover at most {available} "
+        raise InsufficientDataError(f"{len(rows)} rows recover at most {available} "
                                     f"terms, asked for {terms}")
     xs: list[int] = []
     den = 1
-    for n, ((row, e), (nxt, f)) in enumerate(pairwise(walk())):
+    for n, (row, nxt) in enumerate(pairwise(rows)):
         pivot = row[n]
         if not pivot:
             raise InsufficientDataError(f"zero diagonal entry at row {n}: "
                                         "triangle is not a proper array")
-        dot = sum(map(mul, xs, row))  # xs has n terms, over den, and row is over e
-        den = _append_term(xs, den, e * den * nxt[1] - f * dot, f * den * pivot)
+        dot = sum(map(mul, xs, row))  # xs has n terms, over den
+        den = _append_term(xs, den, den * nxt[1] - dot, den * pivot)
     if not xs[0]:
         # x_0 = 0 zeroes entry (1, 1), a pivot unless there are two rows,
         # whose one check cannot fail
@@ -539,15 +536,13 @@ def _a_sequence(walk, nrows: int, terms: int | None = None) -> FormalPowerSeries
         diff = list(map(sub, diff, [0, *diff]))  # times 1 - t, mod t^N
         best = min(best, (len(_stripped(diff)) + j, j, diff))
     j, P = best[1], _stripped(best[2])
-    for n, ((row, e), (nxt, f)) in enumerate(pairwise(walk()), 1):
-        step = _step(row, P, j)  # entries 1..n of row n, over den * e
-        scale = den if e == f else den * e
-        lhs = [x * scale for x in nxt[1:]] if scale != 1 else list(nxt[1:])
-        rhs = step if e == f else [y * f for y in step]
-        if lhs != rhs:
-            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs), 1) if x != y)
-            raise NotRiordanError(f"recurrence fails at (n={n}, k={k}): "
-                                  f"{Fraction(nxt[k], f)} != {Fraction(step[k - 1], den * e)}")
+    for n, (row, nxt) in enumerate(pairwise(rows), 1):
+        step = _step(row, P, j)  # entries 1..n of row n, over den * tden
+        lhs = [x * den for x in nxt[1:]] if den != 1 else list(nxt[1:])
+        if lhs != step:
+            k = next(k for k, (x, y) in enumerate(zip(lhs, step), 1) if x != y)
+            raise NotRiordanError(f"recurrence fails at (n={n}, k={k}): {Fraction(nxt[k], tden)}"
+                                  f" != {Fraction(step[k - 1], den * tden)}")
     return _series(xs[:terms], den)
 
 

@@ -14,14 +14,16 @@ the digits of an integer string.
 This is the one module that turns exact values into text, and it prints
 what the kernels yield: ``hyper`` the lowest-terms pairs of
 ``hypergeom._terms`` as ``num`` or ``num/den``, each written as it is
-stepped, and ``triangle`` and ``extract`` the rows of
-``RiordanArray._row_stream`` (every array built here keeps its
+stepped, and ``triangle`` and ``extract`` the rows that
+``RiordanArray._rows`` hands out (every array built here keeps its
 A-sequence, as does each extraction of one), each entry over its row's
 own denominator.  csv and jsonl hold one row at a time; text keeps the
 rows' strings for its column widths.  ``aseq`` and ``extract --aseq``
-walk the same rows twice through ``arrays._a_sequence``, so they hold no
-triangle either.  ``check`` passes each pin as given
-to ``check_registry``, which reads it.
+print the A-sequence the array keeps and walk no row for it: a proper
+array is fixed by its first column and its A-sequence, so its rows
+recover the A they were built from.  One writer, ``_emit_terms``, prints
+every line of exact terms, each term as it comes.  ``check`` passes each
+pin as given to ``check_registry``, which reads it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .arrays import RiordanArray, _a_sequence, ballot_triangle, catalan_triangle, pascal
+from .arrays import RiordanArray, ballot_triangle, catalan_triangle, pascal
 from .hypergeom import HypergeometricSpec, _terms
 from .identities import REGISTRY, check_registry, registry_entries
 from .series import FormalPowerSeries
@@ -86,15 +88,6 @@ def _build_array(args, precision: int) -> RiordanArray:
     return RiordanArray.from_dA(d, a)
 
 
-def _array_rows(array: RiordanArray, nrows: int):
-    """The first ``nrows`` rows of ``array`` as its row generator yields them, ``(nums, den)``.
-
-    More rows than the precision are refused as ``materialize`` refuses them.
-    """
-    array._check_rows(nrows)
-    return islice(array._row_stream(), nrows)
-
-
 def _entry_texts(nums, den: int) -> list[str]:
     """Integer entries over ``den > 0``, each as the ``str`` of its fraction."""
     if den == 1:
@@ -126,15 +119,26 @@ def _emit_triangle(rows, fmt: str, out) -> None:
             out.write(" ".join(map(str.rjust, row, widths)) + "\n")
 
 
-def _emit_aseq(seq: FormalPowerSeries, fmt: str, out) -> None:
-    """The line ``A = …``, or the record ``{"aseq": […]}``, of a recovered A-sequence."""
-    texts = [str(c) for c in seq.coeffs]
+def _emit_terms(texts, fmt: str, out, label: str, record: dict) -> None:
+    """Write a nonempty iterator of term texts as one line, each text as it comes.
+
+    text writes them after ``label``, space-separated, and csv comma-separated;
+    jsonl writes ``record`` with its one ``""`` filled by the quoted texts: the
+    record's head, each quoted text, then its tail.
+    """
+    head, tail, sep = (label, "", " ") if fmt == "text" else ("", "", ",")
     if fmt == "jsonl":
-        out.write(_canonical_json({"aseq": texts}) + "\n")
-    elif fmt == "csv":
-        out.write(",".join(texts) + "\n")
-    else:
-        out.write("A = " + " ".join(texts) + "\n")
+        head, tail = _canonical_json(record).split('""')
+        texts = map(_canonical_json, texts)
+    out.write(head + next(texts))
+    for text in texts:
+        out.write(sep + text)
+    out.write(tail + "\n")
+
+
+def _emit_aseq(seq: FormalPowerSeries, fmt: str, out) -> None:
+    """The line ``A = …``, or the record ``{"aseq": […]}``, of an A-sequence."""
+    _emit_terms(map(str, seq.coeffs), fmt, out, "A = ", {"aseq": [""]})
 
 
 def _emit_report(report, fmt: str, out) -> None:
@@ -160,7 +164,7 @@ def _cmd_triangle(args, out) -> int:
     if args.rows < 1:
         raise UsageError("--rows must be >= 1")
     array = _build_array(args, args.rows)
-    _emit_triangle(_array_rows(array, args.rows), args.format, out)
+    _emit_triangle(array._rows(args.rows), args.format, out)
     return 0
 
 
@@ -179,17 +183,17 @@ def _cmd_extract(args, out) -> int:
     # auto-raise the base precision so the extraction never hits a shortfall
     base = _build_array(args, args.p * need_rows + args.r + 1)
     sub = base.extract_subarray(args.p, args.r)
-    _emit_triangle(_array_rows(sub, args.rows), args.format, out)
+    _emit_triangle(sub._rows(args.rows), args.format, out)
     if not args.aseq:
         return 0
-    recovered = _a_sequence(lambda: _array_rows(sub, terms + 1), terms + 1)
-    _emit_aseq(recovered, args.format, out)
+    kept = sub.A.truncate(terms)
+    _emit_aseq(kept, args.format, out)
     # The printed rows and A come from the A-sequence the sub-array keeps, and
     # its h from the entries the extraction read; the claim holds when the
     # printed A is A^p and the read h solves h = (A^p)(t h).
     a_p = base.A.truncate(terms) ** args.p
     h = sub.h.truncate(terms)
-    claim_ok = recovered == a_p and a_p.compose(h.shift_up().truncate(terms)) == h
+    claim_ok = kept == a_p and a_p.compose(h.shift_up().truncate(terms)) == h
     if args.format == "jsonl":
         out.write(_canonical_json({"claim": "a-power", "holds": claim_ok}) + "\n")
     else:
@@ -201,8 +205,7 @@ def _cmd_aseq(args, out) -> int:
     if args.terms < 1:
         raise UsageError("--terms must be >= 1")
     array = _build_array(args, args.terms + 1)
-    seq = _a_sequence(lambda: _array_rows(array, args.terms + 1), args.terms + 1)
-    _emit_aseq(seq, args.format, out)
+    _emit_aseq(array.A.truncate(args.terms), args.format, out)
     return 0
 
 
@@ -279,15 +282,7 @@ def _cmd_hyper(args, out) -> int:
     )
     # each term is in lowest terms, so its text is that of its fraction
     texts = (str(n) if d == 1 else f"{n}/{d}" for n, d in islice(_terms(spec), args.terms))
-    head, tail, sep = "", "", "," if args.format == "csv" else " "
-    if args.format == "jsonl":
-        # the record {"coeffs": [...], "prec": terms} as its head, its quoted terms and its tail
-        head, tail = _canonical_json({"coeffs": [""], "prec": args.terms}).split('""')
-        sep, texts = ",", map(_canonical_json, texts)
-    out.write(head + next(texts))  # --terms >= 1
-    for text in texts:
-        out.write(sep + text)
-    out.write(tail + "\n")
+    _emit_terms(texts, args.format, out, "", {"coeffs": [""], "prec": args.terms})
     return 0
 
 
@@ -349,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument(
         "--aseq",
         action="store_true",
-        help="also recover the A-sequence, and check that it is A^p and that "
-        "the extracted h solves h = (A^p)(t h)",
+        help="also print the A-sequence the sub-array keeps, and check that it "
+        "is A^p and that the extracted h solves h = (A^p)(t h)",
     )
     p_ext.add_argument("--terms", type=int, default=None, help="A-sequence terms")
     _add_common(p_ext)
 
-    p_aseq = sub.add_parser("aseq", help="recover a triangle's A-sequence")
+    p_aseq = sub.add_parser("aseq", help="print the A-sequence a triangle keeps")
     _add_triangle_spec(p_aseq)
     p_aseq.add_argument("--terms", type=int, default=8)
     _add_common(p_aseq)

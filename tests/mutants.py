@@ -76,22 +76,12 @@ MUTANTS = (
     Mutant(
         "a-sequence-check-without-the-solve-denominator",
         "riordan/arrays.py",
-        "        scale = den if e == f else den * e\n",
-        "        scale = 1 if e == f else e\n",
+        "        lhs = [x * den for x in nxt[1:]] if den != 1 else list(nxt[1:])\n",
+        "        lhs = list(nxt[1:])\n",
         (
             "tests/test_arrays.py::test_a_sequence_handles_rational_triangles",
             "tests/test_arrays_kernel.py::test_a_sequence_matches_reference",
             "tests/test_arrays_kernel.py::test_a_sequence_recovers_the_building_A",
-        ),
-    ),
-    Mutant(
-        "a-sequence-check-without-the-next-row-denominator",
-        "riordan/arrays.py",
-        "        rhs = step if e == f else [y * f for y in step]\n",
-        "        rhs = step\n",
-        (
-            "tests/test_arrays_kernel.py::"
-            "test_rows_over_their_own_denominators_give_the_same_outcome",
         ),
     ),
     Mutant(
@@ -155,6 +145,42 @@ MUTANTS = (
         (
             "tests/test_identities.py::test_andrews_sum_is_two_residue_classes_of_one_row",
             "tests/test_identities_kernel.py::test_andrews_sum_matches_a_guard_window_sum",
+        ),
+    ),
+    Mutant(
+        "aseq-prints-A-mod-t-terms-plus-one",
+        "riordan/cli.py",
+        "    _emit_aseq(array.A.truncate(args.terms), args.format, out)\n",
+        "    _emit_aseq(array.A.truncate(args.terms + 1), args.format, out)\n",
+        (
+            "tests/test_cli.py::test_aseq_pascal",
+            "tests/test_cli.py::test_aseq_ballot",
+            "tests/test_cli.py::test_arrays_cli_matches_golden"
+            "[aseq catalan42 --terms 8 --format csv]",
+        ),
+    ),
+    Mutant(
+        "emit-terms-csv-separator-as-space",
+        "riordan/cli.py",
+        'else ("", "", ",")\n',
+        'else ("", "", " ")\n',
+        (
+            "tests/test_cli.py::test_arrays_cli_matches_golden"
+            "[aseq ballot43 --terms 8 --format csv]",
+            "tests/test_cli.py::test_hyper_cli_matches_golden"
+            "[hyper --upper 1/2,1 --lower 2 --scale 4 --terms 8 --format csv]",
+            "tests/test_cli.py::test_hyper_writes_each_term_as_it_is_stepped[1---7/3-12]",
+        ),
+    ),
+    Mutant(
+        "rows-without-the-precision-refusal",
+        "riordan/arrays.py",
+        "        if nrows > self.precision:\n",
+        "        if False:\n",
+        (
+            "tests/test_cli.py::test_streamed_rows_are_refused_as_materialize_refuses_them[pascal]",
+            "tests/test_cli.py::test_triangle_past_the_array_precision_exits_2",
+            "tests/test_arrays_kernel.py::test_too_short_A_gives_the_column_routes_precision_error",
         ),
     ),
 )

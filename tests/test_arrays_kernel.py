@@ -18,7 +18,7 @@ its oracles.
 
 from fractions import Fraction
 from itertools import chain
-from math import ceil, comb, gcd, lcm, sqrt
+from math import ceil, comb, gcd, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -264,26 +264,6 @@ def test_a_sequence_checks_each_row_against_the_row_before_it(monkeypatch):
     monkeypatch.setattr(RiordanArray, "_row_stream", fail)
     got = [a_sequence(tri) for tri in triangles]
     assert got == [FPS([1, 1] + [0] * 57), FPS([1, 2, 1] + [0] * 56), FPS([1] * 59)]
-
-
-@KERNEL
-@given(any_A_form.filter(lambda case: case[1] >= 2), st.data())
-def test_rows_over_their_own_denominators_give_the_same_outcome(case, data):
-    # the walk reader takes each row over any positive denominator of its
-    # own, not necessarily in lowest terms, and perturbed or not
-    array, rows = case
-    entries = [list(row) for row in array.materialize(rows).rows]
-    if data.draw(st.booleans()):
-        n = data.draw(st.integers(1, rows - 1))
-        entries[n][data.draw(st.integers(0, n))] += data.draw(rational.filter(bool))
-    tri = Triangle(entries)
-    walk = []
-    for row in entries:
-        den = lcm(*(c.denominator for c in row)) * data.draw(st.integers(1, 6))
-        walk.append(([int(c * den) for c in row], den))
-    terms = data.draw(st.sampled_from([None, 1, rows - 1]))
-    got = outcome(arrays_module._a_sequence, lambda: iter(walk), rows, terms)
-    assert got == outcome(recovered, tri, terms)
 
 
 def test_a_rebuilt_row_over_a_foreign_denominator_fails():

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from riordan import cli, identities
-from riordan.arrays import ballot_triangle, catalan_triangle, pascal
+from riordan.arrays import a_sequence, ballot_triangle, catalan_triangle, pascal
 from riordan.cli import main
 from riordan.hypergeom import HypergeometricSpec, _terms, expand, h_for_binomial_A
 from riordan.reports import Counterexample, IdentityReport
@@ -125,7 +125,7 @@ def test_every_built_array_and_its_extraction_keep_A(args):
         sub = array.extract_subarray(p, r)
         assert sub.A is not None
         # and the entry strings are those of the materialized triangle's fractions
-        streamed = [cli._entry_texts(*row) for row in cli._array_rows(sub, sub.precision)]
+        streamed = [cli._entry_texts(*row) for row in sub._rows(sub.precision)]
         assert streamed == [list(map(str, row)) for row in sub.materialize(sub.precision).rows]
 
 
@@ -134,12 +134,27 @@ def test_streamed_rows_are_refused_as_materialize_refuses_them(factory):
     array = factory(6)
     for nrows in (0, 7):
         with pytest.raises(ValueError) as streamed:
-            cli._array_rows(array, nrows)
+            array._rows(nrows)
         with pytest.raises(ValueError) as materialized:
             array.materialize(nrows)
         assert (type(streamed.value), str(streamed.value)) == (
             type(materialized.value), str(materialized.value))
-    assert len(list(cli._array_rows(array, 6))) == 6
+    assert len(list(array._rows(6))) == 6
+
+
+@pytest.mark.parametrize("args", [
+    dA_args("pascal"), dA_args("catalan42"), dA_args("ballot43"),
+    dA_args(d="1/2,1,-3/4,2", A="2/3,1,1/5"),
+    dA_args(d="1,-1/3", A=",".join(f"{(-1) ** i}/{i + 1}" for i in range(25))),
+], ids=["pascal", "catalan42", "ballot43", "rational", "dense"])
+def test_the_A_the_cli_prints_is_the_A_its_rows_recover(args):
+    # aseq and extract --aseq print the A an array keeps; a proper array is
+    # fixed by d and A, so the rows built from A must recover it, on a base
+    # and on each extraction (a dense A extracts by the diagonal route)
+    array = cli._build_array(args, 25)
+    for each in [array, *(array.extract_subarray(p, r) for p in (2, 3, 4) for r in (0, 1, 2))]:
+        n = each.precision
+        assert each.A.truncate(n - 1) == a_sequence(each.materialize(n))
 
 
 def test_triangle_past_the_array_precision_exits_2(capsys, monkeypatch):
@@ -325,6 +340,27 @@ def test_aseq_ballot(capsys):
     assert out == "A = 1 1 1 1 1\n"
 
 
+def test_aseq_reads_no_row_and_extract_walks_the_sub_array_once(capsys, monkeypatch):
+    stream, extract = cli.RiordanArray._row_stream, cli.RiordanArray.extract_subarray
+
+    def fail(self):
+        raise AssertionError("aseq walked the array's rows")
+
+    monkeypatch.setattr(cli.RiordanArray, "_row_stream", fail)
+    assert run(capsys, "aseq", "ballot43", "--terms", "5") == (0, "A = 1 1 1 1 1\n", "")
+    # extract --aseq walks the sub-array's rows for the printed triangle alone
+    walks, subs = [], []
+    monkeypatch.setattr(cli.RiordanArray, "_row_stream",
+                        lambda self: walks.append(self) or stream(self))
+    monkeypatch.setattr(cli.RiordanArray, "extract_subarray",
+                        lambda self, p, r: subs.append(extract(self, p, r)) or subs[-1])
+    code, out, _ = run(capsys, "extract", "ballot43", "--p", "3", "--rows", "4",
+                       "--aseq", "--terms", "6")
+    assert code == 0
+    assert lines(out)[-2:] == ["A = 1 3 6 10 15 21", "claim A_new = A^3: ok"]
+    assert [walk for walk in walks if walk is subs[0]] == subs
+
+
 def test_aseq_improper_triangle(capsys):
     # d, A with A(0) = 0 is rejected before any recovery runs
     code, _, err = run(capsys, "aseq", "--d", "1,1", "--A", "0,1", "--terms", "3")
@@ -345,8 +381,9 @@ _PEAK_KIB = (
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_aseq_holds_no_triangle():
-    # the rows stream through two walks, so 800 terms peak within 4 MiB of
-    # the import, where a materialized triangle took some 40 MiB more
+    # aseq prints the A the array keeps and walks no row, so 800 terms peak
+    # within 4 MiB of the import, where a materialized triangle took some
+    # 40 MiB more
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _PEAK_KIB, "aseq", "ballot43", "--terms", "800"],
