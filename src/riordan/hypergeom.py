@@ -63,7 +63,7 @@ class HypergeomError(ValueError):
 
 
 class PoleError(HypergeomError):
-    """A vanishing denominator: bad lower parameter or power-series pole."""
+    """A vanishing denominator: a lower parameter that is zero or a negative integer."""
 
 
 def _is_nonpositive_integer(x: Fraction) -> bool:
@@ -202,9 +202,8 @@ def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:
 
     This is r/(qn + r) C(qn + r, n) with its qn + r cancelled, read off
     ``_binomial_ratio``, so rational r is legal and the form has no pole:
-    a vanishing qn + r is the caller's to refuse.  At an integer r the
-    term is an integer (B_q^r has integer coefficients), and is returned
-    over 1.
+    it is defined where qn + r vanishes too.  At an integer r the term is
+    an integer (B_q^r has integer coefficients), and is returned over 1.
     """
     if n == 0:
         return 1, 1
@@ -231,8 +230,8 @@ def binomial_series(q: int, r: Scalar, precision: int) -> FormalPowerSeries:
     """(B_q)^r with coefficient n equal to r/(qn+r) C(qn+r, n).
 
     The coefficients come from ``_binomial_power_ratio``, so rational r is
-    legal; a vanishing qn + r below the precision is still rejected as a
-    pole of the stated form.
+    legal, and so is an r at which qn + r vanishes: the cancelled form
+    r/n C(qn + r - 1, n - 1) is the coefficient there.
     """
     if q < 1:
         raise HypergeomError(f"q must be >= 1, got {q}")
@@ -240,9 +239,6 @@ def binomial_series(q: int, r: Scalar, precision: int) -> FormalPowerSeries:
         raise SeriesError("precision must be positive")
     r = _fraction(r)
     a, b = r.numerator, r.denominator
-    for n in range(1, precision):
-        if q * n * b + a == 0:
-            raise PoleError(f"qn + r vanishes at n = {n}")
     return _wrap(*_collect(_binomial_power_ratio(q, a, b, n) for n in range(precision)))
 
 

@@ -33,23 +33,27 @@ The terms run on plain integers: a rational x enters as the pair
 closed-form term next to its term ratio.  The closed form is a raw
 integer (numerator, denominator) pair that the column it joins reduces,
 and reads hypergeom's kernels: C(a/b, k) = prod(a - i b) / (b^k k!) is
-``_binomial_ratio``, and B_q^r is ``_binomial_power_ratio``.  The ratio
-is stated once per family, at every argument, as integer linear factors
-in m built from hypergeom's ``_binomial_steps`` (times the ballot
-weight's ratio for the two ballot factors); the family's spec is read
-off it (``hypergeom._spec``).  A column steps by it where no factor can
-vanish at an integer m, which is where its binomial C(alpha + zm, m)
-has a non-integer alpha and z >= 1: a reach takes its first term from
-the closed form and steps the rest (``series._ratio_steps``), each in
-lowest terms.  Every other column (integer alpha, which ``math.comb``
-serves, z <= 0, and the central ballot factor at b = 2, where 2y + 2 is
-an integer) keeps the closed form term by term, poles included.  The
-direct sums of the product laws stay on the closed form, as routes
-independent of the stepping.  One run of a row keeps a memo of its
-factor columns, keyed by (factor, first set slot, argument), each as
-integer numerators over one common denominator.  A column is made once
-and grows in place as the points read past its end; the memo is dropped
-when the row ends.
+``_binomial_ratio``, and B_q^r is ``_binomial_power_ratio``.  Term m of
+every factor is a polynomial of degree m in its argument, and each
+kernel is written so: the ballot forms ((p-1)m + y + 1)/(pm + y + 1)
+times C((p+1)m + y, m) or C(2(pm + y + 1), m) have their pm + y + 1
+cancelled by the binomial, as B_q^r has its qn + r.  So no kernel raises
+or returns a term over 0, at any argument.  The ratio is stated once per
+family, at every argument, as integer linear factors in m built from
+hypergeom's ``_binomial_steps`` (times the ballot weight's ratio for the
+two ballot factors); the family's spec is read off it
+(``hypergeom._spec``).  A column steps by it where no factor can vanish
+at an integer m, which is where its binomial C(alpha + zm, m) has a
+non-integer alpha and z >= 1: a reach takes its first term from the
+closed form and steps the rest (``series._ratio_steps``), each in lowest
+terms.  Every other column (integer alpha, which ``math.comb`` serves,
+z <= 0, and the central ballot factor at b = 2, where 2y + 2 is an
+integer) keeps the closed form term by term.  The direct sums of the
+product laws stay on the closed form, as routes independent of the
+stepping.  One run of a row keeps a memo of its factor columns, keyed by
+(factor, first set slot, argument), each as integer numerators over one
+common denominator.  A column is made once and grows in place as the
+points read past its end; the memo is dropped when the row ends.
 
 A run plans its points once: it walks the law's values over n, since
 they depend on n and the pins only, and groups the points by their law
@@ -60,13 +64,11 @@ its points in one loop: a point's lhs is one integer dot product of two
 columns, compared with the rhs term by cross-multiplication, and a
 ``Fraction`` is built only for a counterexample's text.  A group stops
 at its first failure, and the failure with the smallest index is the
-run's, as in a point-by-point loop.  A term that raises (a pole) is
-kept in its column and raised by the first point whose sum takes it, as
-a term-by-term sum would.  ``sum_lhs`` and ``sum_rhs`` give one point's
-two sides of any row by id, at every slot of the row, read and refused
-as a run's pins are.  ``binomial`` and the ``_*_term`` helpers
-are cached ``Fraction`` wrappers that nothing in ``src/`` calls: the
-benchmark's tracer reads their caches (``bench/layertrace.py``,
+run's, as in a point-by-point loop.  ``sum_lhs`` and ``sum_rhs`` give
+one point's two sides of any row by id, at every slot of the row, read
+and refused as a run's pins are.  ``binomial`` and the ``_*_term``
+helpers are cached ``Fraction`` wrappers that nothing in ``src/`` calls:
+the benchmark's tracer reads their caches (``bench/layertrace.py``,
 ``CACHES``).
 
 The product laws compare whole series.  One run builds each factor
@@ -93,7 +95,6 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 from .arrays import pascal
 from .hypergeom import (
     HypergeometricSpec,
-    PoleError,
     _binomial_power_ratio,
     _binomial_power_steps,
     _binomial_ratio,
@@ -142,18 +143,16 @@ class Column:
     With ``steps``, the term ratio as linear factors none of which
     vanishes, a reach takes its first term from ``term`` and steps the
     rest (``series._ratio_steps``).  Otherwise every term comes from
-    ``term``, and a term that raised holds 0, its exception waiting in
-    ``faults`` for the first sum that takes it.
+    ``term``, which no factor kernel can make raise.
     """
 
-    __slots__ = ("term", "steps", "nums", "den", "faults")
+    __slots__ = ("term", "steps", "nums", "den")
 
     def __init__(self, term: Callable[[int], Ratio], steps: Steps | None = None):
         self.term = term
         self.steps = steps
         self.nums: list[int] = []
         self.den = 1
-        self.faults: dict[int, Exception] = {}
 
     def reach(self, length: int) -> Column:
         """Append terms ``len(nums)..length-1``, keeping ``nums/den`` canonical."""
@@ -164,37 +163,15 @@ class Column:
             self.den = _extend(self.nums, self.den, islice(terms, length - start))
             return self
         for j in range(start, length):
-            try:
-                num, d = self.term(j)
-            except ValueError as exc:
-                self.faults[j] = exc
-                num, d = 0, 1
-            self.den = _append_term(self.nums, self.den, num, d)
+            self.den = _append_term(self.nums, self.den, *self.term(j))
         return self
 
 
 def _dot(left: Column, right: Column, m: int) -> int:
-    """sum_{i = 0..m} left(i) right(m - i), over ``left.den * right.den``; 0 for m < 0.
-
-    If a term taken has a fault, the first one in order of i (the left
-    factor before the right) is raised instead, as a term-by-term sum
-    would have raised it.
-    """
-    if left.faults or right.faults:
-        for i in range(m + 1):
-            fault = left.faults.get(i) or right.faults.get(m - i)
-            if fault is not None:
-                raise fault
+    """sum_{i = 0..m} left(i) right(m - i), over ``left.den * right.den``; 0 for m < 0."""
     # at m < 0 the sum is empty: a negative index must not wrap round a column
     # the map stops with the m + 1 reversed right terms, so no left prefix is copied
     return sum(map(mul, left.nums, right.nums[m::-1])) if m >= 0 else 0
-
-
-def _entry(col: Column, m: int) -> Ratio:
-    """Term m of a column, or the fault it holds; 0 for m < 0, where no index wraps."""
-    if m in col.faults:
-        raise col.faults[m]
-    return (col.nums[m] if m >= 0 else 0), col.den
 
 
 def _shifted_binomial_ratio(z: int, c: int, e: int, m: int) -> Ratio:
@@ -202,26 +179,22 @@ def _shifted_binomial_ratio(z: int, c: int, e: int, m: int) -> Ratio:
     return _binomial_ratio(c + z * m * e, e, m)
 
 
-def _ballot_weight(p: int, a: int, b: int, m: int) -> Ratio:
-    # the ballot weight ((p-1)m + y + 1)/(pm + y + 1) at y = a/b, whose b's cancel
-    den = p * m * b + a + b
-    if den == 0:
-        raise PoleError(f"pm + y + 1 vanishes at m = {m}")
-    return (p - 1) * m * b + a + b, den
-
-
 def _ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
-    # the weight times C((p+1)m + y, m)
-    wnum, wden = _ballot_weight(p, a, b, m)
-    num, den = _binomial_ratio((p + 1) * m * b + a, b, m)
-    return wnum * num, wden * den
+    # ((p-1)m + y + 1)/(pm + y + 1) C(N, m) at y = a/b, N = (p+1)m + y, with its pm + y + 1
+    # cancelled by C(N, m) = (N - m + 1)/m C(N, m - 1): ((p-1)m + y + 1)/m C(N, m - 1)
+    if m == 0:
+        return 1, 1
+    num, den = _binomial_ratio((p + 1) * m * b + a, b, m - 1)
+    return ((p - 1) * m * b + a + b) * num, b * m * den
 
 
 def _central_ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
-    # the weight times C(2(pm + y + 1), m)
-    wnum, wden = _ballot_weight(p, a, b, m)
-    num, den = _binomial_ratio(2 * wden, b, m)
-    return wnum * num, wden * den
+    # ((p-1)m + y + 1)/D C(2D, m) at y = a/b, D = pm + y + 1, with its D cancelled by
+    # C(2D, m) = 2D/m C(2D - 1, m - 1): 2((p-1)m + y + 1)/m C(2D - 1, m - 1)
+    if m == 0:
+        return 1, 1
+    num, den = _binomial_ratio(2 * (p * m * b + a + b) - b, b, m - 1)
+    return 2 * ((p - 1) * m * b + a + b) * num, b * m * den
 
 
 def _weighted(z: int, alpha: int, p: int, a: int, b: int) -> Steps | None:
@@ -428,16 +401,14 @@ def fuss_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
 def central_power_gf(p: int, x: Scalar, precision: int) -> FormalPowerSeries:
     """sum 2x/((2p-1)n+2x) C(2pn+2x-1, n) t^n, by direct summation.
 
+    Each term is read off ``_binomial_power_ratio``, whose cancelled form
+    2x/n C(2pn + 2x - 1, n - 1) is defined at every x.
     ``check_product_laws`` compares it with (1 + w)^(2x) at
     w = t (1 + w)^(2p).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    x = _fraction(x)
-    for n in range(1, precision):
-        if (2 * p - 1) * n + 2 * x == 0:
-            raise PoleError(f"(2p-1)n + 2x vanishes at n = {n}")
-    return _direct_sum(_binomial_power_ratio, 2 * p, 2 * x, precision)
+    return _direct_sum(_binomial_power_ratio, 2 * p, 2 * _fraction(x), precision)
 
 
 def central_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
@@ -758,9 +729,8 @@ def _require_domain(row: SumIdentity, pinned: Mapping[str, Scalar]) -> None:
         )
 
 
-# a group's first failing point: its position in the group's n list, and the
-# exception its sums take or, for a mismatch, its two sides
-Failure = tuple[int, Union[Exception, tuple[Fraction, Fraction]]]
+# a group's first failing point: its position in the group's n list, and its two sides
+Failure = tuple[int, tuple[Fraction, Fraction]]
 
 
 def _first_failure(
@@ -770,36 +740,20 @@ def _first_failure(
 
     The group's points read (F_x * G_y)(m) against G_{x+y}(m) at
     m = n - shift, for n in ``ns`` in increasing order.  Each column is
-    reached once to the group's top m.  A point fails on a mismatch, or
-    where its sums take a fault: the exception raised is the one a
-    term-by-term sum raises (the left factor before the right, then the
-    rhs).
+    reached once to the group's top m.
     """
     top = ns[-1] - shift
     for col in (left, right, rhs):
         if len(col.nums) <= top:
             col.reach(top + 1)
-    stop = len(ns)
-    if left.faults or right.faults or rhs.faults:
-        # every m from a factor's first fault on takes it; the rhs faults one m each
-        taken = min((top + 1, *left.faults, *right.faults))
-        stop = next((j for j in range(stop)
-                     if ns[j] - shift >= taken or ns[j] - shift in rhs.faults), stop)
     L, R, H = left.nums, right.nums, rhs.nums
     den, rden = left.den * right.den, rhs.den
-    for j in range(stop):
-        m = ns[j] - shift
+    for j, n in enumerate(ns):
+        m = n - shift
         # the map stops with the m + 1 reversed right terms, so no left prefix is copied
         lhs = sum(map(mul, L, R[m::-1]))
         if lhs * rden != H[m] * den:
             return j, (Fraction(lhs, den), Fraction(H[m], rden))
-    if stop < len(ns):
-        m = ns[stop] - shift
-        try:  # the fault that the point's sums take first
-            _dot(left, right, m)
-            _entry(rhs, m)
-        except ValueError as exc:
-            return stop, exc
     return None
 
 
@@ -826,10 +780,9 @@ def _check_outer(
 ) -> tuple[int, Counterexample | None]:
     """Check the planned points (n, law slots) at one value ``outer`` of the other slots.
 
-    Returns the points checked and the first counterexample, or raises the
-    fault of the first point that takes one, in the plan's point order.
-    Each group reads F_x, G_y and, for its rhs, G_{x+y} from the run's
-    ``columns``, grown as far as the group reads them.
+    Returns the points checked and the first counterexample, in the plan's
+    point order.  Each group reads F_x, G_y and, for its rhs, G_{x+y}
+    from the run's ``columns``, grown as far as the group reads them.
     """
     args = tuple(outer.values())
     first = args[:1]
@@ -855,8 +808,6 @@ def _check_outer(
     if earliest is None:
         return total, None
     index, n, values, what = earliest
-    if isinstance(what, Exception):
-        raise what
     params = {**outer, "n": n, **dict(zip(law.slots, values))}
     return index + 1, Counterexample({k: str(v) for k, v in params.items()}, *map(str, what))
 
@@ -979,7 +930,8 @@ def sum_rhs(identity: str, n: int, **slots: Scalar) -> Fraction:
     A point outside the row's domain is refused, as by :func:`sum_lhs`.
     """
     row, first, (x, y, m) = _point(identity, n, slots)
-    return Fraction(*_entry(row.right(*first, x + y).reach(m + 1), m))
+    col = row.right(*first, x + y).reach(m + 1)
+    return Fraction(col.nums[m] if m >= 0 else 0, col.den)
 
 
 def _sweep(

@@ -42,13 +42,42 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "ballot-weight-pole-check-dropped",
+        "ballot-ratio-reads-C-N-m",
         "riordan/identities.py",
-        '    if den == 0:\n        raise PoleError(f"pm + y + 1 vanishes at m = {m}")\n',
-        "",
+        "    num, den = _binomial_ratio((p + 1) * m * b + a, b, m - 1)\n",
+        "    num, den = _binomial_ratio((p + 1) * m * b + a, b, m)\n",
         (
-            "tests/test_identities_kernel.py::test_ballot_terms_and_poles",
-            "tests/test_identities_kernel.py::test_ballot_sums_and_poles",
+            "tests/test_identities_kernel.py::test_ballot_kernels_and_poles",
+            "tests/test_identities_kernel.py"
+            "::test_factor_kernel_term_m_is_a_polynomial_of_degree_m",
+            "tests/test_identities.py::test_direct_sums_equal_their_substitution[v1-2]",
+        ),
+    ),
+    Mutant(
+        "central-ballot-ratio-without-its-factor-2",
+        "riordan/identities.py",
+        "    return 2 * ((p - 1) * m * b + a + b) * num, b * m * den\n",
+        "    return ((p - 1) * m * b + a + b) * num, b * m * den\n",
+        (
+            "tests/test_identities_kernel.py::test_ballot_kernels_and_poles",
+            "tests/test_identities.py::test_direct_sums_equal_their_substitution[v1-2]",
+            "tests/test_cli.py::test_check_cli_matches_golden[check --all --max-n 4]",
+        ),
+    ),
+    Mutant(
+        "ballot-ratio-in-its-stated-form",
+        "riordan/identities.py",
+        "    if m == 0:\n        return 1, 1\n"
+        "    num, den = _binomial_ratio((p + 1) * m * b + a, b, m - 1)\n"
+        "    return ((p - 1) * m * b + a + b) * num, b * m * den\n",
+        "    num, den = _binomial_ratio((p + 1) * m * b + a, b, m)\n"
+        "    return ((p - 1) * m * b + a + b) * num, (p * m * b + a + b) * den\n",
+        (
+            "tests/test_identities_kernel.py::test_ballot_kernels_and_poles",
+            "tests/test_identities_kernel.py"
+            "::test_factor_kernel_term_m_is_a_polynomial_of_degree_m",
+            "tests/test_identities.py::test_direct_sums_equal_their_substitution[-7-2]",
+            "tests/test_cli.py::test_check_cli_matches_golden[check ballot-vandermonde --y -3]",
         ),
     ),
     Mutant(

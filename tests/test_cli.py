@@ -417,13 +417,14 @@ CHECK_CLI = [
 
 @pytest.mark.parametrize("case", CHECK_CLI, ids=lambda case: " ".join(case["argv"]))
 def test_check_cli_matches_golden(capsys, case):
-    # stdout, stderr and exit code of check, pole runs and central-factor pins among them
+    # stdout, stderr and exit code of check; runs at the stated ballot forms' former poles
+    # and central-factor pins among them
     code, out, err = run(capsys, *case["argv"])
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
 # pins at the bounds of the stepped factor columns: z and p from below 1 up, negative
-# rational arguments, and a pole; and an s pin above the k pin; replayed byte for byte
+# rational arguments, and a former pole; and an s pin above the k pin; replayed byte for byte
 CHECK_PINS = [
     json.loads(line) for line in (FIXTURES / "check_pins.jsonl").read_text().splitlines()
 ]
@@ -951,12 +952,11 @@ def test_abbreviated_options_are_refused(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # the right factor has a pole at m = 1: raised at the first point with n = 1
-        (("ballot-vandermonde", "--y", "-3"), "pm + y + 1 vanishes at m = 1"),
-        (("central-binomial-vandermonde", "--y", "-3"), "pm + y + 1 vanishes at m = 1"),
-        # no factor has a pole, the rhs at x + y = -4 has one at n = 1
-        (("ballot-vandermonde", "--p", "3", "--x", "-5", "--y", "1"),
-         "pm + y + 1 vanishes at m = 1"),
+        # a pin whose hypergeometric spec has a lower parameter that is zero or a
+        # negative integer: the spec route refuses it, and no two routes disagree
+        (("product-laws", "--y", "-3"), "lower parameter 0 is zero or a negative integer"),
+        (("hypergeometric-power-law", "--x", "-2"),
+         "lower parameter -1 is zero or a negative integer"),
     ],
 )
 def test_check_faulty_pins_fail_as_a_usage_error(capsys, argv, message):

@@ -169,11 +169,6 @@ def test_binomial_series_addition_law():
                 assert lhs == binomial_series(q, r1 + r2, 12)
 
 
-def test_binomial_series_pole():
-    with pytest.raises(PoleError):
-        binomial_series(2, -4, 6)
-
-
 def test_binomial_series_closed_form_against_comb():
     for q in (2, 3, 4):
         for r in (1, 2, 3):

@@ -18,13 +18,13 @@ from riordan import hypergeom, series
 from riordan.hypergeom import (
     HypergeometricSpec,
     HypergeomError,
-    PoleError,
     _binomial_power_ratio,
     _binomial_ratio,
     binomial_series,
     expand,
     pochhammer,
 )
+from riordan.identities import _substitution
 from riordan.series import FormalPowerSeries, SeriesError
 
 KERNEL = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -69,8 +69,6 @@ def ref_binomial_series(q, r, precision):
         return FormalPowerSeries.one(precision)
     coeffs = [Fraction(1)]
     for n in range(1, precision):
-        if q * n + r == 0:
-            raise PoleError(f"qn + r vanishes at n = {n}")
         prod = r
         for i in range(1, n):
             prod *= q * n + r - i
@@ -200,13 +198,15 @@ def test_binomial_series_matches_reference(q, r, precision):
 
 
 @KERNEL
-@given(q=st.integers(1, 5), m=st.integers(1, 8), extra=st.integers(0, 4))
-def test_binomial_series_pole_matches_reference(q, m, extra):
-    # r = -qm makes qn + r vanish at n = m; it raises once the precision reaches m
+@given(q=st.integers(1, 5), m=st.integers(1, 8), extra=st.integers(1, 4))
+def test_binomial_series_where_qn_plus_r_vanishes(q, m, extra):
+    # r = -qm makes the stated form's qn + r vanish at n = m, below the precision: the
+    # series is still B_q^r, the inverse of B_q^(-r) and the substitution route's
+    # (1 + w)^r at w = t (1 + w)^q
     r, precision = -q * m, m + extra
-    want = outcome(ref_binomial_series, q, r, precision)
-    assert outcome(binomial_series, q, r, precision) == want
-    assert want == (PoleError, f"qn + r vanishes at n = {m}") or precision <= m
+    got = binomial_series(q, r, precision)
+    assert got * binomial_series(q, -r, precision) == FormalPowerSeries.one(precision)
+    assert got == _substitution(q, Fraction(r), False, precision)
 
 
 # -- the generalized binomial C(a/b, k) -------------------------------------------

@@ -259,14 +259,23 @@ def test_specs_read_off_the_ratio_equal_the_listed_parameters(derived, listed, p
 # -- product laws ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("v", [0, 1, Fraction(1, 2), Fraction(-3, 7)])
+@pytest.mark.parametrize("p", range(5))
+@pytest.mark.parametrize("v", [1, Fraction(1, 2), Fraction(-3, 7), *range(-12, 1),
+                               *(Fraction(k, 2) for k in range(-9, 4, 2))])
 def test_direct_sums_equal_their_substitution(p, v):
-    # the (e, a, ballot) of each direct sum at w = t (1 + w)^e
+    # the (e, a, ballot) of each direct sum at w = t (1 + w)^e.  The integers down to -12
+    # and the odd halves put v on poles of the stated forms below 9 terms, at every p:
+    # pm + v + 1 = 0 of the ballot forms (m = 3 at p = 2, v = -7) and (2p-1)m + 2v = 0
+    # of the central power; the sums start at p = 1, so p = 0 reads their kernels
+    # through _direct_sum
     n = 9
-    assert fuss_ballot_gf(p, v, n) == identities._substitution(p + 1, v + 1, True, n)
-    assert central_power_gf(p, v, n) == identities._substitution(2 * p, 2 * v, False, n)
-    assert central_ballot_gf(p, v, n) == identities._substitution(2 * p, 2 * v + 2, True, n)
+    for gf, kernel, z, arg, route in (
+        (fuss_ballot_gf, identities._ballot_ratio, p, v, (p + 1, v + 1, True)),
+        (central_power_gf, identities._binomial_power_ratio, 2 * p, 2 * v, (2 * p, 2 * v, False)),
+        (central_ballot_gf, identities._central_ballot_ratio, p, v, (2 * p, 2 * v + 2, True)),
+    ):
+        got = gf(p, v, n) if p else identities._direct_sum(kernel, z, arg, n)
+        assert got == identities._substitution(*route, n), gf.__name__
 
 
 def test_product_laws_hold():
