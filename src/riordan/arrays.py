@@ -48,6 +48,9 @@ denominator as a :class:`Triangle`, and the CLI writes them as they come.
 Extraction reads the new first column and ``t h`` by one of two
 routes.  The rows route walks the row generator once, one row at a
 time, and reads them off rows ``pn + r``; it needs ``A = P/(1 - t)^j``.
+The walk keeps two entries of every row, cached by ``(p, r // p)``
+beside the columns, so one walk serves every residue ``r`` at that key:
+the even and the odd rows of Pascal's triangle are read off one walk.
 The diagonal route reads the kept entries as Lagrange diagonals
 ``[t^n] F(t) phi(t)^n`` with ``phi = h^(p-1)``, by
 :func:`~riordan.series.lagrange_gf` at the new, smaller precision.  An
@@ -129,7 +132,8 @@ def _step(row: Sequence[int], P: Sequence[int], j: int) -> list[int]:
         c = P[i]
         if c:
             tail = row[i:]
-            out[:len(tail)] = map(add, out, tail if c == 1 else [c * x for x in tail])
+            out[:len(tail)] = (map(add, out, tail) if c == 1
+                               else [y + c * x for y, x in zip(out, tail)])
     for _ in range(j):
         out = list(accumulate(reversed(out)))[::-1]
     return out
@@ -220,6 +224,7 @@ class RiordanArray:
         self._d = d.truncate(n)
         self._h = h.truncate(min(h.precision, n))
         self._cols = {0: self._d}
+        self._kept = {}
         self._P = None
 
     @classmethod
@@ -239,6 +244,7 @@ class RiordanArray:
         array._d = d.truncate(n)
         array._h = None
         array._cols = {0: array._d}
+        array._kept = {}
         return array._with_A(A)
 
     def _with_A(self, P: FormalPowerSeries, j: int = 0) -> "RiordanArray":
@@ -412,11 +418,12 @@ class RiordanArray:
         the right, and its ``h`` the second divided by the first.  They are
         read by one of two routes.  The rows route walks the row generator
         once, holding one row at a time and building no column, and reads
-        rows ``pn + r``; it needs the A-sequence ``A = P/(1 - t)^j``.  The
-        diagonal route reads entry ``(pn + r, (p-1)n + r + k)`` as
-        ``[t^n] t^k d h^(r+k) (h^(p-1))^n``: the new first column is the
-        Lagrange diagonal of ``F = d h^r`` and the new ``t h`` is that of
-        ``F = t d h^(r+1)``, both with ``phi = h^(p-1)``, each read by
+        rows ``pn + r``; it needs the A-sequence ``A = P/(1 - t)^j``, and
+        its walk serves every ``r`` at one ``r // p``.  The diagonal route
+        reads entry ``(pn + r, (p-1)n + r + k)`` as ``[t^n] t^k d h^(r+k)
+        (h^(p-1))^n``: the new first column is the Lagrange diagonal of
+        ``F = d h^r`` and the new ``t h`` is that of ``F = t d h^(r+1)``,
+        both with ``phi = h^(p-1)``, each read by
         :func:`~riordan.series.lagrange_gf` at the new precision.  The
         table of ``phi`` is cached by value, so the second diagonal, and
         extractions at one ``p`` and an equal new precision (``r = 0`` and
@@ -465,14 +472,30 @@ class RiordanArray:
         return lagrange_gf(f, phi, m), lagrange_gf((f * h).shift_up().truncate(m), phi, m)
 
     def _rows_route(self, p: int, r: int, m: int):
-        """The extracted first column and ``t h`` off rows ``pn + r`` of one row walk."""
-        firsts, seconds = [], []
-        # rows pn + r: r rows before the first, p - 1 between the others
-        for n, (row, den) in zip(range(m), islice(self._row_stream(), r, None, p)):
-            k = (p - 1) * n + r
-            firsts.append((row[k], den))
-            seconds.append((row[k + 1] if n else 0, den))  # (r, r + 1) is above the diagonal
-        return _wrap(*_collect(firsts)), _wrap(*_collect(seconds))
+        """The extracted first column and ``t h`` off rows ``pn + r`` of one row walk.
+
+        With ``q = r // p``, row ``pn + r`` holds the kept entries ``(pn + r,
+        (p-1)n + r)`` and ``(pn + r, (p-1)n + r + 1)`` at columns ``c`` and
+        ``c + 1``, ``c = R - R//p + q`` for ``R = pn + r``.  One walk of
+        :meth:`_row_stream` keeps those two entries of every row ``R``, and
+        its denominator, as three flat lists cached by ``(p, q)`` beside the
+        columns, so it serves every residue ``r`` at that key.  An entry
+        above the diagonal is 0.
+        """
+        q = r // p
+        kept = self._kept.get((p, q))
+        if kept is None:
+            firsts, seconds, dens = kept = [], [], []
+            for R, (row, den) in enumerate(self._row_stream()):
+                c = R - R // p + q
+                firsts.append(row[c] if c <= R else 0)
+                seconds.append(row[c + 1] if c < R else 0)
+                dens.append(den)
+            self._kept[(p, q)] = kept
+        firsts, seconds, dens = kept
+        rows = range(r, r + p * m, p)
+        return (_wrap(*_collect((firsts[i], dens[i]) for i in rows)),
+                _wrap(*_collect((seconds[i], dens[i]) for i in rows)))
 
 
 def subarray_triangle(array: RiordanArray, p: int, r: int, nrows: int) -> Triangle:

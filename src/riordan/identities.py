@@ -463,7 +463,10 @@ def check_product_laws(
     is built once too, keyed by ``_substitution`` and the sum's key, and
     compared with the sum on every read.  That check counts no points
     while it holds, and routes that disagree give the counterexample,
-    named by ``routes``, p and the slot.
+    named by ``routes``, p and the slot.  The laws are compared in
+    order, and the hypergeometric factors are built only once (i) and
+    (ii) hold, so a law that fails where a spec refuses its argument is
+    still a counterexample.
     """
     x, y = _fraction(x), _fraction(y)
     n = precision
@@ -481,7 +484,8 @@ def check_product_laws(
     def hyper(spec: Callable, a: int, value: Fraction) -> FormalPowerSeries:
         return factor((spec, a, value), lambda: expand(spec(a, value), n))
 
-    # every factor (and route check) is built, in this order, before any law is compared
+    # every direct factor (and route check) is built, in this order, before any law is
+    # compared; the hypergeometric factors only once laws (i) and (ii) hold
     binomial = factor((binomial_series, p + 1, x), lambda: binomial_series(p + 1, x, n))
     direct = []
     # (direct sum, slot, argument, the (e, a, ballot) of its _substitution)
@@ -500,23 +504,26 @@ def check_product_laws(
             return series_verdict("product-laws", grid, [(routes, series, substituted)])
         direct.append(series)
     fuss_y, fuss_xy, power_x, central_y, central_xy = direct
-    laws = [
-        ("binomial-ballot", binomial * fuss_y, fuss_xy),
-        ("central-ballot", power_x * central_y, central_xy),
-        (
+
+    def laws():
+        # yielded one at a time, so a spec that refuses its argument (a lower
+        # parameter that is zero or a negative integer) is met only after (i) and (ii)
+        yield "binomial-ballot", binomial * fuss_y, fuss_xy
+        yield "central-ballot", power_x * central_y, central_xy
+        yield (
             "binomial-ballot-hypergeometric",
             hyper(power_spec, p + 1, x) * hyper(fuss_ballot_spec, p, y),
             hyper(fuss_ballot_spec, p, x + y),
-        ),
-        (
+        )
+        yield (
             "central-ballot-hypergeometric",
             hyper(power_spec, 2 * p, 2 * x) * hyper(central_ballot_spec, p, y),
             hyper(central_ballot_spec, p, x + y),
-        ),
-    ]
+        )
+
     return series_verdict("product-laws", grid, (
         ({"law": label, "p": str(p), "x": str(x), "y": str(y)}, lhs, rhs)
-        for label, lhs, rhs in laws
+        for label, lhs, rhs in laws()
     ))
 
 

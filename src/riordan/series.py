@@ -30,19 +30,27 @@ coefficient into text is the CLI's job alone.  Integer rows over one denominator
 reach lowest terms by one gcd (:func:`_lowest`), and :func:`_stripped`
 drops trailing zeros.
 
-One kernel, :func:`lagrange_gf`, reads the Lagrange diagonals
-``[t^n] F(t) phi(t)^n`` off one shared table of the powers of ``phi``:
-:func:`_power_table` holds the baby powers and the giant step,
-:func:`_giant_powers` the powers ``phi^(qm)``, both in small bounded
-caches keyed on the value of ``phi``.  :func:`lagrange_coeffs` reads
-every ``w^k`` off both.  Extractions at one ``p`` share the first when
-they take the diagonal route, as every array known by ``(d, h)`` alone
-does; an array that keeps a short A-sequence extracts from its own rows
-instead, with no diagonal.  A third small bounded cache,
+The square of a series is one :func:`_square`, which makes each product
+``a_i a_(k-i)``, ``i < k - i``, once and doubles the sum, so it makes half
+the products of a general one; ``**`` and every ladder of powers
+(:func:`_ladder`, each even power the square of its half) square.  One
+table of powers serves both Brent and Kung kernels:
+:func:`_baby_and_giant_steps` holds the baby powers ``w^0 .. w^(m-1)``
+and the giant step ``w^m`` in a small bounded cache keyed on the value
+of ``w`` and ``m``, so a second :func:`_compose` at an equal inner, such
+as the two weights composed with the one ``t h`` of the even and odd
+extractions of Pascal's triangle, builds no power.  One kernel,
+:func:`lagrange_gf`, reads the Lagrange diagonals ``[t^n] F(t)
+phi(t)^n`` off that table (through :func:`_power_table`), and
+:func:`_giant_powers` holds the powers ``phi^(qm)`` in a second small
+bounded cache keyed on the value of ``phi``.  :func:`lagrange_coeffs`
+reads every ``w^k`` off both.  Extractions at one ``p`` share the table
+when they take the diagonal route, as every array known by ``(d, h)``
+alone does; an array that keeps a short A-sequence extracts from its own
+rows instead, with no diagonal.  A third small bounded cache,
 :func:`_newton`, holds the Newton solves of :func:`lagrange_solve`,
 keyed on the value ``phi`` mod ``t^(n-1)`` that a solve at precision
-``n`` reads, so ``revert`` of ``t/phi`` reuses a solve of ``phi``; it
-shares nothing with the power tables.
+``n`` reads, so ``revert`` of ``t/phi`` reuses a solve of ``phi``.
 
 Everything here is immutable and pure; values can be shared freely
 across threads, and the three caches hold only immutable values.
@@ -125,7 +133,12 @@ def _series(nums, den: int) -> "FormalPowerSeries":
 
 
 def _convolve(a, b, n: int) -> list[int]:
-    """The first ``n`` coefficients of the product of integer sequences."""
+    """The first ``n`` coefficients of the product of integer sequences.
+
+    The square of one tuple (``a is b``) is :func:`_square`'s.
+    """
+    if a is b:
+        return _square(a, n)
     out = [0] * n
     oa = next((i for i in range(n) if a[i]), n)
     ob = next((i for i in range(n) if b[i]), n)
@@ -134,6 +147,27 @@ def _convolve(a, b, n: int) -> list[int]:
     for k in range(oa + ob, n):
         # a[i] b[k-i] for oa <= i <= k - ob; map stops at the shorter input
         out[k] = sum(map(mul, a, rb[n - 1 - k + oa:]))
+    return out
+
+
+def _square(a, n: int) -> list[int]:
+    """The first ``n`` coefficients of the square of an integer sequence, at half the products.
+
+    Coefficient ``k`` is twice the sum over the pairs ``i < k - i`` of
+    ``a[i] a[k-i]``, plus ``a[k/2]^2`` when ``k`` is even.
+    """
+    out = [0] * n
+    o = next((i for i in range(n) if a[i]), n)
+    head = a[o:n]
+    ra = a[n - 1::-1]  # ra[n-1-j] = a[j]
+    for k in range(2 * o, n):
+        # a[i] a[k-i] for o <= i <= (k-1)//2, the pairs below the middle
+        s = sum(map(mul, head, ra[n - 1 - k + o:n - k + (k - 1) // 2]))
+        s += s
+        if not k & 1:
+            x = a[k >> 1]
+            s += x * x
+        out[k] = s
     return out
 
 
@@ -577,12 +611,34 @@ def _compose(nums, den: int, w: FormalPowerSeries) -> FormalPowerSeries:
     return acc
 
 
+@lru_cache(maxsize=8)
 def _baby_and_giant_steps(w: FormalPowerSeries, m: int, giant: bool):
-    """The baby table ``w^0 .. w^(m-1)`` and, if ``giant``, the giant step ``w^m`` (else None)."""
-    powers = [FormalPowerSeries.one(len(w._nums)), w][:m]
-    while len(powers) < m:
-        powers.append(powers[-1] * w)
-    return powers, powers[-1] * w if giant else None
+    """The baby table ``w^0 .. w^(m-1)`` as a tuple, and the giant step ``w^m`` if ``giant``.
+
+    The giant step is None when ``giant`` is false.  Walked by
+    :func:`_ladder`.  Cached by value: equal series, at equal
+    precision and ``m``, share one table, which :func:`_compose` and
+    :func:`_power_table` both read, so a second composition with an equal
+    inner builds no power.
+    """
+    powers = _ladder(w, m + 1 if giant else m)
+    return tuple(powers[:m]), powers[m] if giant else None
+
+
+def _ladder(x: FormalPowerSeries, count: int) -> list[FormalPowerSeries]:
+    """``x^0 .. x^(count-1)``, each even power the square of its half.
+
+    An odd power is ``x`` times the power before it.  A square is one
+    :func:`_square`, at half the products of a general product.
+    """
+    powers = [FormalPowerSeries.one(len(x._nums)), x][:count]
+    for i in range(2, count):
+        if i & 1:
+            powers.append(powers[-1] * x)
+        else:
+            half = powers[i // 2]
+            powers.append(half * half)
+    return powers
 
 
 def _linear_combination(coeffs, den: int, powers, length: int) -> FormalPowerSeries:
@@ -675,16 +731,16 @@ def _newton(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
     return w
 
 
-@lru_cache(maxsize=8)
 def _power_table(phi: FormalPowerSeries):
     """``m = isqrt(n - 1) + 1``, the reversed baby table ``phi^0 .. phi^(m-1)`` and ``phi^m``.
 
-    ``n`` is ``phi``'s precision.  Each baby power is kept as its
+    ``n`` is ``phi``'s precision.  Each baby power is handed out as its
     numerators reversed, with its denominator: with ``rev = phi^r``
     reversed, ``rev[n - 1 - j + i] = phi^r[j - i]``, so coefficient ``j``
     of a product with ``phi^r`` is one dot product against a tail of
-    ``rev``.  The giant step ``phi^m`` is None when ``m >= n``.  Cached
-    by value: equal series, at equal precision, share one table, which
+    ``rev``.  The giant step ``phi^m`` is None when ``m >= n``.  The
+    powers come from the cache of :func:`_baby_and_giant_steps`, so equal
+    series, at equal precision, share one table, which
     :func:`lagrange_gf` and :func:`lagrange_coeffs` both read.
     """
     n = len(phi._nums)
@@ -695,14 +751,10 @@ def _power_table(phi: FormalPowerSeries):
 
 @lru_cache(maxsize=8)
 def _giant_powers(phi: FormalPowerSeries) -> tuple[FormalPowerSeries, ...]:
-    """``phi^(qm)`` for ``q = 0 .. (n-1)//m``, walked by the giant step of :func:`_power_table`."""
+    """``phi^(qm)`` for ``q = 0 .. (n-1)//m``, the :func:`_ladder` of the giant step ``phi^m``."""
     n = len(phi._nums)
     m, _, giant = _power_table(phi)
-    top = (n - 1) // m
-    powers = [FormalPowerSeries.one(n), giant][:top + 1]
-    while len(powers) <= top:
-        powers.append(powers[-1] * giant)
-    return tuple(powers)
+    return tuple(_ladder(giant, (n - 1) // m + 1)) if giant else (FormalPowerSeries.one(n),)
 
 
 def lagrange_coeffs(phi: FormalPowerSeries, k: int, precision: int) -> FormalPowerSeries:

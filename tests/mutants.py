@@ -212,6 +212,44 @@ MUTANTS = (
             "tests/test_arrays_kernel.py::test_too_short_A_gives_the_column_routes_precision_error",
         ),
     ),
+    Mutant(
+        "square-without-its-doubling",
+        "riordan/series.py",
+        "        s += s\n",
+        "",
+        (
+            "tests/test_series_kernel.py"
+            "::test_square_is_the_product_of_equal_copies_and_the_fraction_loop",
+            "tests/test_series_kernel.py::test_pow",
+            "tests/test_series.py::test_mul_binomial_square",
+        ),
+    ),
+    Mutant(
+        "even-ladder-step-squares-the-power-below-its-half",
+        "riordan/series.py",
+        "            half = powers[i // 2]\n",
+        "            half = powers[i // 2 - 1]\n",
+        (
+            "tests/test_series_kernel.py"
+            "::test_squared_baby_and_giant_ladders_equal_the_chain_of_products",
+            "tests/test_series_kernel.py::test_compose",
+            "tests/test_series_kernel.py::test_lagrange_coeffs_against_solve",
+        ),
+    ),
+    Mutant(
+        "kept-walk-without-its-r-over-p-offset",
+        "riordan/arrays.py",
+        "        q = r // p\n",
+        "        q = 0\n",
+        (
+            "tests/test_arrays_kernel.py"
+            "::test_every_residue_off_one_array_in_any_order_is_its_extraction[pascal]",
+            "tests/test_arrays_kernel.py"
+            "::test_every_residue_off_one_array_in_any_order_is_its_extraction[rational]",
+            "tests/test_arrays_kernel.py"
+            "::test_extraction_by_rows_matches_the_diagonal_and_keeps_A_to_the_p[stock]",
+        ),
+    ),
 )
 
 

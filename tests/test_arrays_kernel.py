@@ -16,6 +16,7 @@ diagonal) and keeps ``A^p``; the Lagrange-diagonal route on the same
 its oracles.
 """
 
+import random
 from fractions import Fraction
 from itertools import chain
 from math import ceil, comb, gcd, sqrt
@@ -603,6 +604,27 @@ def test_extraction_on_a_dense_A_takes_the_diagonal(monkeypatch):
     assert short.extract_subarray(2, 0).materialize(12) == sub.materialize(12)
 
 
+def rational_from_dA(precision):
+    return RiordanArray.from_dA(FPS([2, Fraction(-1, 3), 5], precision=precision),
+                                FPS([1, Fraction(1, 2), Fraction(-2, 3)], precision=precision))
+
+
+@pytest.mark.parametrize("make", [pascal, catalan_triangle, ballot_triangle, rational_from_dA],
+                         ids=["pascal", "catalan42", "ballot43", "rational"])
+def test_every_residue_off_one_array_in_any_order_is_its_extraction(monkeypatch, make):
+    # one kept walk per (p, r // p) serves every r < 2p; r >= p reads it one column right
+    no_diagonal(monkeypatch)
+    cases = [(p, r) for p in (2, 3, 4) for r in range(2 * p)]
+    random.Random(45).shuffle(cases)
+    base = make(70)
+    for p, r in cases:
+        sub = base.extract_subarray(p, r)
+        fresh = make(70).extract_subarray(p, r)
+        assert (sub.d, sub.h, sub.A) == (fresh.d, fresh.h, fresh.A)
+        assert sub.materialize(sub.precision) == subarray_triangle(base, p, r, sub.precision)
+    assert sorted(base._kept) == [(p, q) for p in (2, 3, 4) for q in (0, 1)]
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_extractions_at_one_p_agree_with_a_warm_or_a_cleared_table(p):
     # extractions at one p and an equal new precision share the table of phi = h^(p-1)
@@ -612,7 +634,7 @@ def test_extractions_at_one_p_agree_with_a_warm_or_a_cleared_table(p):
     for base in (RiordanArray(pascal(27).d, pascal(27).h), rational):
         cleared = []
         for r in (0, 1, 2):
-            series._power_table.cache_clear()
+            series._baby_and_giant_steps.cache_clear()
             series._giant_powers.cache_clear()
             sub = base.extract_subarray(p, r)
             assert sub.materialize(sub.precision) == subarray_triangle(base, p, r, sub.precision)

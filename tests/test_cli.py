@@ -966,6 +966,23 @@ def test_check_faulty_pins_fail_as_a_usage_error(capsys, argv, message):
     assert err == f"riordan: {message}\n"
 
 
+def test_a_product_law_that_fails_at_a_spec_pole_is_a_counterexample(capsys, monkeypatch):
+    # laws (i) and (ii) are compared before the ballot spec refuses y = -3,
+    # so a direct route that disagrees is a counterexample, never a usage error
+    binomial_series = identities.binomial_series
+
+    def perturbed(q, r, n):
+        return binomial_series(q, r, n) + FormalPowerSeries.t(n)
+
+    monkeypatch.setattr(identities, "binomial_series", perturbed)
+    code, out, err = run(capsys, "check", "product-laws", "--y", "-3", "--format", "jsonl")
+    assert (code, err) == (1, "")
+    record = json.loads(out)
+    assert record["verdict"] == "counterexample"
+    assert record["counterexample"]["params"]["law"] == "binomial-ballot"
+    assert record["counterexample"]["params"]["y"] == "-3"
+
+
 def check_record(capsys, *argv):
     code, out, _ = run(capsys, "check", *argv, "--format", "jsonl")
     assert code == 0

@@ -788,7 +788,7 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
 
 def test_term_caches_are_bounded():
     for cached in (I.binomial, I._catalan_power_term, I._central_power_term,
-                   I._power_fixed_point, series._power_table, series._giant_powers,
+                   I._power_fixed_point, series._baby_and_giant_steps, series._giant_powers,
                    series._newton):
         assert cached.cache_info().maxsize is not None
 

@@ -153,7 +153,7 @@ def convolutions(monkeypatch):
 
     The cached power tables start empty, so a table is counted when it is built.
     """
-    series._power_table.cache_clear()
+    series._baby_and_giant_steps.cache_clear()
     series._giant_powers.cache_clear()
     calls = []
     convolve = series._convolve
@@ -235,6 +235,66 @@ def test_pow_starts_from_the_first_factor(convolutions, k, products):
     got = FPS(f) ** k
     assert len(convolutions) == products
     assert canonical(got) == ref_pow(f, k)
+
+
+@KERNEL
+@given(st.lists(st.integers(-10**12, 10**12), max_size=14), st.integers(0, 4),
+       st.integers(0, 20))
+@example([], 3, 2)  # all zero
+@example([5], 0, 1)  # length 1
+@example([3, -1, 2], 2, 4)  # leading zeros, n shorter than the operand
+@example([1, 2, 3], 0, 0)
+def test_square_is_the_product_of_equal_copies_and_the_fraction_loop(tail, zeros, n):
+    a = tuple([0] * zeros + tail) or (0,)
+    n = min(n, len(a))
+    got = series._square(a, n)
+    # an equal copy is another object, so the general product is formed
+    assert got == series._convolve(a, list(a), n)
+    assert got == ref_mul([Fraction(x) for x in a[:n]], a[:n])
+    assert series._convolve(a, a, n) == got
+
+
+def ref_chain(x, count):
+    """``x^0 .. x^(count-1)`` by a chain of products ``powers[-1] * x``."""
+    powers = [FPS.one(x.precision)]
+    while len(powers) < count:
+        powers.append(powers[-1] * x)
+    return powers
+
+
+@KERNEL
+@given(coeff_lists(max_size=16), st.integers(1, 7))
+def test_squared_baby_and_giant_ladders_equal_the_chain_of_products(cs, m):
+    series._baby_and_giant_steps.cache_clear()
+    series._giant_powers.cache_clear()
+    w = FPS(cs)
+    chain = ref_chain(w, m + 1)
+    assert series._baby_and_giant_steps(w, m, True) == (tuple(chain[:m]), chain[m])
+    assert series._baby_and_giant_steps(w, m, False) == (tuple(chain[:m]), None)
+    # the Lagrange tables' giant ladder phi^(qm), m = isqrt(n - 1) + 1
+    n = w.precision
+    m = isqrt(n - 1) + 1
+    giants = series._giant_powers(w)
+    assert list(giants) == ([FPS.one(n)] if m >= n else ref_chain(w**m, (n - 1) // m + 1))
+
+
+def test_a_second_composition_with_an_equal_inner_builds_no_power(convolutions):
+    inner = FPS([0, 1, Fraction(-2, 3), 5, 1, 0, 7, 1, -1, 2, 0, 3])
+    f = FPS([Fraction(k * k - 5, k % 3 + 1) for k in range(12)])
+    first = f.compose(inner)
+    info = series._baby_and_giant_steps.cache_info()
+    built = len(convolutions)
+    # an equal inner, built afresh, and another outer of the same length
+    equal = FPS(list(inner.coeffs))
+    again = f.compose(equal)
+    other = (f + FPS.t(12)).compose(equal)
+    after = series._baby_and_giant_steps.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 2, info.misses)
+    assert (again._nums, again._den) == (first._nums, first._den)
+    assert canonical(first) == ref_compose(list(f.coeffs), list(inner.coeffs))
+    assert canonical(other) == ref_compose(list((f + FPS.t(12)).coeffs), list(inner.coeffs))
+    # m = 4: the table makes w^2, w^3 and w^4, and each composition two Horner products
+    assert (built, len(convolutions)) == (3 + 2, 3 + 2 + 2 + 2)
 
 
 @KERNEL
@@ -652,7 +712,7 @@ def test_lagrange_coeffs_calls_no_composition(monkeypatch, kernel):
     # Lagrange-diagonal kernel, reads the power table alone as well
     phi = FPS([Fraction(3, 2), -1, Fraction(2, 7), 0, 5, 0, 0, 0, 0, 0, 0, 0])
     want = kernel(phi)
-    series._power_table.cache_clear()
+    series._baby_and_giant_steps.cache_clear()
     series._giant_powers.cache_clear()
 
     def refuse(*args, **kwargs):
@@ -706,7 +766,7 @@ def power_table_streams(draw):
 def test_lagrange_coeffs_and_diagonals_read_the_table_of_their_own_phi(case):
     # every call builds its phi afresh, so equal phis are distinct objects
     calls, f = case
-    series._power_table.cache_clear()
+    series._baby_and_giant_steps.cache_clear()
     series._giant_powers.cache_clear()
     chains = {}
     for phi, n, k in calls:
