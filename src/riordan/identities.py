@@ -50,10 +50,11 @@ terms.  Every other column (integer alpha, which ``math.comb`` serves,
 z <= 0, and the central ballot factor at b = 2, where 2y + 2 is an
 integer) keeps the closed form term by term.  The direct sums of the
 product laws stay on the closed form, as routes independent of the
-stepping.  One run of a row keeps a memo of its factor columns, keyed by
-(factor, first set slot, argument), each as integer numerators over one
-common denominator.  A column is made once and grows in place as the
-points read past its end; the memo is dropped when the row ends.
+stepping.  One run of a row keeps a memo of its factor columns, one
+table per (factor, first set slot) keyed by the argument, each column as
+integer numerators over one common denominator.  A column is made once
+and grows in place as the points read past its end; the memo is dropped
+when the row ends.
 
 A run plans its points once: it walks the law's values over n, since
 they depend on n and the pins only, and groups the points by their law
@@ -61,7 +62,8 @@ values, keeping each point's index in (n, law values) order.  Then, at
 each value of the other slots, a group resolves its (x, y, n - m) and
 its three columns once, reaches each to the group's top m, and checks
 its points in one loop: a point's lhs is one integer dot product of two
-columns, compared with the rhs term by cross-multiplication, and a
+columns, compared with the rhs term as it is where the two sides share
+their denominator and by cross-multiplication otherwise, and a
 ``Fraction`` is built only for a counterexample's text.  A group stops
 at its first failure, and the failure with the smallest index is the
 run's, as in a point-by-point loop.  ``sum_lhs`` and ``sum_rhs`` give
@@ -76,11 +78,13 @@ series (a direct sum, a binomial series or a hypergeometric expansion)
 once per distinct (kind, p or exponent, argument), in one flat memo, and
 each ballot-family direct sum's Lagrange substitution route once, keyed
 by its sum; the two are compared each time the sum is read.  The memo
-is dropped when the run ends.  Every series comparison,
-hypergeometric-power-law's two routes included, is a verdict of
-``reports.series_verdict``: a law that holds counts its coefficients as
-points, a route check counts none, and the first coefficient that
-differs is the counterexample, routes that disagree included.
+is dropped when the run ends.  A ballot route's quotient
+(1 - w)/(1 - (e - 1) w) is divided once per (e, precision), in a small
+bounded cache.  Every series comparison, hypergeometric-power-law's two
+routes included, is a verdict of ``reports.series_verdict``: a law that
+holds counts its coefficients as points, a route check counts none, and
+the first coefficient that differs is the counterexample, routes that
+disagree included.
 """
 
 from __future__ import annotations
@@ -129,10 +133,23 @@ def _power_fixed_point(exponent: int, precision: int) -> FormalPowerSeries:
     return lagrange_solve((1 + FormalPowerSeries.t(precision)) ** exponent, precision)
 
 
+@lru_cache(maxsize=16)
+def _ballot_quotient(e: int, precision: int) -> FormalPowerSeries:
+    # (1 - w)/(1 - (e - 1) w) at w = t (1 + w)^e: the part of a ballot route free of its a
+    w = _power_fixed_point(e, precision)
+    return (1 - w) / (1 - (e - 1) * w)
+
+
 # -- elementary exact ingredients --------------------------------------
 
 
 def _ratio(x: Scalar) -> Ratio:
+    """``x`` as an integer (numerator, denominator) pair; an int makes no ``Fraction``.
+
+    Anything else goes through ``series._fraction``, so a float is refused.
+    """
+    if isinstance(x, int):
+        return x, 1
     x = _fraction(x)
     return x.numerator, x.denominator
 
@@ -155,15 +172,21 @@ class Column:
         self.den = 1
 
     def reach(self, length: int) -> Column:
-        """Append terms ``len(nums)..length-1``, keeping ``nums/den`` canonical."""
-        start = len(self.nums)
+        """Append terms ``len(nums)..length-1``, keeping ``nums/den`` canonical.
+
+        ``nums`` grows in place, so a caller may hold on to the list.  The
+        closed-form loop runs on local names and stores ``den`` once.
+        """
+        nums, den, term = self.nums, self.den, self.term
+        start = len(nums)
         if self.steps is not None and start < length:
             # stepped terms are in lowest terms, so the batch takes no gcd
-            terms = _ratio_steps(*self.term(start), *self.steps, start)
-            self.den = _extend(self.nums, self.den, islice(terms, length - start))
+            terms = _ratio_steps(*term(start), *self.steps, start)
+            self.den = _extend(nums, den, islice(terms, length - start))
             return self
         for j in range(start, length):
-            self.den = _append_term(self.nums, self.den, *self.term(j))
+            den = _append_term(nums, den, *term(j))
+        self.den = den
         return self
 
 
@@ -425,11 +448,14 @@ def central_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
 def _substitution(e: int, a: Fraction, ballot: bool, precision: int) -> FormalPowerSeries:
     """The substitution route of the direct sums above, at w = t (1 + w)^e.
 
-    (1 + w)^a, or for a ballot series (1 - w)(1 + w)^a / (1 - (e - 1) w).
+    (1 + w)^a, or for a ballot series (1 + w)^a times the quotient
+    (1 - w)/(1 - (e - 1) w) of ``_ballot_quotient``, which does not depend
+    on a and is divided once per (e, precision).  It is the same exact
+    series as (1 - w)(1 + w)^a/(1 - (e - 1) w), read off the same w, so the
+    route stays independent of the direct sums.
     """
-    w = _power_fixed_point(e, precision)
-    power = (1 + w).pow_rational(a)
-    return (1 - w) * power / (1 - (e - 1) * w) if ballot else power
+    power = (1 + _power_fixed_point(e, precision)).pow_rational(a)
+    return power * _ballot_quotient(e, precision) if ballot else power
 
 
 def fuss_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
@@ -746,20 +772,29 @@ def _first_failure(
     """The first failing point of one operand group, or None if all hold.
 
     The group's points read (F_x * G_y)(m) against G_{x+y}(m) at
-    m = n - shift, for n in ``ns`` in increasing order.  Each column is
-    reached once to the group's top m.
+    m = n - shift, for n in ``ns`` in increasing order.  Each column's
+    length is read once, and a column shorter than the group's top m is
+    reached to it once (``Column.reach`` grows ``nums`` in place).  The lhs
+    is over ``den``, the product of the factors' denominators, and the rhs
+    over ``rden``: where the two are equal, as on every integer column, a
+    point compares the numerators as they are, and otherwise it
+    cross-multiplies.
     """
     top = ns[-1] - shift
-    for col in (left, right, rhs):
-        if len(col.nums) <= top:
-            col.reach(top + 1)
     L, R, H = left.nums, right.nums, rhs.nums
+    if len(L) <= top:
+        left.reach(top + 1)
+    if len(R) <= top:
+        right.reach(top + 1)
+    if len(H) <= top:
+        rhs.reach(top + 1)
     den, rden = left.den * right.den, rhs.den
+    same = den == rden
     for j, n in enumerate(ns):
         m = n - shift
         # the map stops with the m + 1 reversed right terms, so no left prefix is copied
         lhs = sum(map(mul, L, R[m::-1]))
-        if lhs * rden != H[m] * den:
+        if lhs != H[m] if same else lhs * rden != H[m] * den:
             return j, (Fraction(lhs, den), Fraction(H[m], rden))
     return None
 
@@ -783,31 +818,35 @@ def _plan(law: Law, n_values: Iterable[int], pinned: Mapping[str, Scalar]) -> tu
 
 
 def _check_outer(
-    row: SumIdentity, outer: dict, plan: tuple[int, Plan], columns: dict[tuple, Column]
+    row: SumIdentity, outer: dict, plan: tuple[int, Plan], columns: dict[tuple, dict]
 ) -> tuple[int, Counterexample | None]:
     """Check the planned points (n, law slots) at one value ``outer`` of the other slots.
 
     Returns the points checked and the first counterexample, in the plan's
-    point order.  Each group reads F_x, G_y and, for its rhs, G_{x+y}
-    from the run's ``columns``, grown as far as the group reads them.
+    point order.  The run's ``columns`` holds one table of columns per
+    (factor, first set slot); the two tables of this outer value are
+    fetched once, and each group looks F_x, G_y and, for its rhs,
+    G_{x+y} up by its argument alone, so an int and an equal ``Fraction``
+    read one column.  A column is made on its first lookup and grown as
+    far as the groups read it.
     """
     args = tuple(outer.values())
     first = args[:1]
-    law = row.law
+    law, left, right = row.law, row.left, row.right
     total, groups = plan
-
-    def column(factor: Factor, argument: Scalar) -> Column:
-        key = (factor, *first, argument)
-        col = columns.get(key)  # one lookup on a hit: a key may hold a Fraction
-        if col is None:
-            col = columns[key] = factor(*first, argument)
-        return col
-
+    # one table per factor at this first set slot; a shared factor shares its table
+    lefts, rights = (columns.setdefault((factor, *first), {}) for factor in (left, right))
     earliest = None  # (point index, n, law values, what fails)
     for values, (ns, at) in groups.items():
         x, y, m = law.point(*args, ns[0], *values)
-        failure = _first_failure(column(row.left, x), column(row.right, y),
-                                 column(row.right, x + y), ns[0] - m, ns)
+        # one lookup on a hit; an int and an equal Fraction are one key
+        xy = x + y
+        failure = _first_failure(
+            lefts.get(x) or lefts.setdefault(x, left(*first, x)),
+            rights.get(y) or rights.setdefault(y, right(*first, y)),
+            rights.get(xy) or rights.setdefault(xy, right(*first, xy)),
+            ns[0] - m, ns,
+        )
         if failure is not None:
             j, what = failure
             if earliest is None or at[j] < earliest[0]:
@@ -824,7 +863,7 @@ def _check_sums(
 ) -> IdentityReport:
     _require_domain(row, pinned)
     plan = _plan(row.law, _pin_values(pinned, "n", range(max_n + 1)), pinned)
-    columns = {}  # (factor, first set slot, argument) -> its column, grown as it is read
+    columns = {}  # (factor, first set slot) -> {argument: its column, grown as it is read}
     points = 0
     cex = None
     for outer in _grid_points(row.sets + row.law.axes, pinned):

@@ -39,9 +39,10 @@ table of powers serves both Brent and Kung kernels:
 and the giant step ``w^m`` in a small bounded cache keyed on the value
 of ``w`` and ``m``, so a second :func:`_compose` at an equal inner, such
 as the two weights composed with the one ``t h`` of the even and odd
-extractions of Pascal's triangle, builds no power.  One kernel,
-:func:`lagrange_gf`, reads the Lagrange diagonals ``[t^n] F(t)
-phi(t)^n`` off that table (through :func:`_power_table`), and
+extractions of Pascal's triangle, builds no power.  A Newton step's inner
+is new at every step and read once, so its table is built past the
+cache.  One kernel, :func:`lagrange_gf`, reads the Lagrange diagonals
+``[t^n] F(t) phi(t)^n`` off that table (through :func:`_power_table`), and
 :func:`_giant_powers` holds the powers ``phi^(qm)`` in a second small
 bounded cache keyed on the value of ``phi``.  :func:`lagrange_coeffs`
 reads every ``w^k`` off both.  Extractions at one ``p`` share the table
@@ -293,11 +294,14 @@ def _solve(f, a: int, g, b: int) -> tuple[list[int], int]:
 
     ``x_i = (b f_i/a - sum_{1<=j<=i} g_j x_{i-j}) / g_0``, built as integer
     numerators over one running common denominator by
-    :func:`_append_term`, and canonical.
+    :func:`_append_term`, and canonical.  ``g`` is read only up to its last
+    nonzero coefficient below ``f``'s length, so a short divisor padded with
+    zeros, such as ``1 - 3t + t^2``, costs ``O(len(f) len(g))`` products
+    rather than ``O(len(f)^2)``.
     """
     xs: list[int] = []
     den = 1
-    g1, g0 = g[1:], g[0]
+    g1, g0 = _stripped(g[1:len(f)]), g[0]
     for fi in f:
         s = sum(map(mul, g1, reversed(xs)))  # g_1 x_{i-1} + ... + g_i x_0
         den = _append_term(xs, den, fi * b * den - a * s, a * den * g0)
@@ -524,14 +528,15 @@ class FormalPowerSeries:
     def compose(self, inner: "FormalPowerSeries") -> "FormalPowerSeries":
         """``self(inner(t))``, by baby steps and giant steps; requires ``inner(0) = 0``.
 
-        The route is :func:`_compose`, the one composition kernel.
+        The route is :func:`_compose`, the one composition kernel, with the
+        table of powers of ``inner`` cached by value.
         """
         if not isinstance(inner, FormalPowerSeries):
             raise SeriesError("compose needs a series argument")
         if inner._nums[0]:
             raise CompositionOrderError("inner series must have order >= 1")
         n = min(len(self._nums), len(inner._nums))
-        return _compose(self._nums, self._den, inner.truncate(n))
+        return _compose(self._nums, self._den, inner.truncate(n), cached=True)
 
     def pow_rational(self, r: Scalar) -> "FormalPowerSeries":
         """``f**r`` for rational ``r``; needs ``f(0) = 1``.
@@ -580,7 +585,7 @@ class FormalPowerSeries:
 # -- composition by baby steps and giant steps ------------------------
 
 
-def _compose(nums, den: int, w: FormalPowerSeries) -> FormalPowerSeries:
+def _compose(nums, den: int, w: FormalPowerSeries, cached: bool = False) -> FormalPowerSeries:
     """``nums/den`` composed with ``w``, at ``w``'s precision ``n``.
 
     ``w(0) = 0``; a coefficient past the input's length counts as 0, and one
@@ -593,12 +598,18 @@ def _compose(nums, den: int, w: FormalPowerSeries) -> FormalPowerSeries:
     giant step ``W = w^m``.  A length-``L`` input costs about ``m + L/m``
     products instead of ``L``.  Block ``b`` reaches the result times
     ``W^b``, of order ``b m`` or more, so Horner level ``b`` is formed mod
-    ``t^(n - b m)`` only.
+    ``t^(n - b m)`` only.  With ``cached``, as :meth:`~FormalPowerSeries.compose`
+    asks, the table of powers is read from and stored in the cache of
+    :func:`_baby_and_giant_steps`.  Without it, as for a Newton step of
+    :func:`_newton`, whose ``w`` is met once, the table is built by the
+    same function uncached and stored nowhere, so it evicts no table that
+    is read again.
     """
     n = len(w._nums)
     nums = _stripped(nums[:n])
     m = isqrt(max(len(nums) - 1, 0)) + 1
-    powers, giant = _baby_and_giant_steps(w, m, len(nums) > m)
+    table = _baby_and_giant_steps if cached else _baby_and_giant_steps.__wrapped__
+    powers, giant = table(w, m, len(nums) > m)
     blocks = [nums[i:i + m] for i in range(0, len(nums), m)] or [()]
     top = len(blocks) - 1
     acc = _linear_combination(blocks[top], den, powers, n - top * m)
@@ -708,7 +719,12 @@ def lagrange_solve(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
 
 @lru_cache(maxsize=8)
 def _newton(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
-    """The Newton iteration of :func:`lagrange_solve`, ``phi`` known mod ``t^(precision-1)``."""
+    """The Newton iteration of :func:`lagrange_solve`, ``phi`` known mod ``t^(precision-1)``.
+
+    Each step composes ``phi`` with a ``w`` that no later call meets, so
+    its :func:`_compose` builds the table of powers of ``w`` uncached and
+    stores nothing in the cache of :func:`_baby_and_giant_steps`.
+    """
     w = _series([0, phi._nums[0]], phi._den)  # phi(0) t, correct mod t^2
     known = 2
     while known < precision:
@@ -717,7 +733,8 @@ def _newton(phi: FormalPowerSeries, precision: int) -> FormalPowerSeries:
         # Zero-padding the current guess is safe: the Newton step below
         # repairs every coefficient up to twice the previously correct order.
         w = w._padded(h)
-        # t phi(w) mod t^prec reads w and phi mod t^(prec-1) only
+        # t phi(w) mod t^prec reads w and phi mod t^(prec-1) only; w is new at every
+        # step, so _compose stores no table of its powers
         value = _compose(phi._nums, phi._den, w.truncate(prec - 1))
         # F(w) = t^known R, and the correction is t^known R / F'(w) mod t^prec
         r = (w - value.shift_up()).shift_down(known)

@@ -250,6 +250,44 @@ MUTANTS = (
             "::test_extraction_by_rows_matches_the_diagonal_and_keeps_A_to_the_p[stock]",
         ),
     ),
+    Mutant(
+        "equal-denominator-compare-when-the-denominators-differ",
+        "riordan/identities.py",
+        "    same = den == rden\n",
+        "    same = True\n",
+        (
+            "tests/test_identities_kernel.py"
+            "::test_registry_runner_matches_term_by_term[catalan-vandermonde]",
+            "tests/test_identities_kernel.py"
+            "::test_columns_are_built_only_as_far_as_they_are_read[rothe-hagen]",
+            "tests/test_cli.py::test_check_all_matches_golden_jsonl",
+        ),
+    ),
+    Mutant(
+        "column-tables-shared-across-the-first-set-slot",
+        "riordan/identities.py",
+        "columns.setdefault((factor, *first), {})",
+        "columns.setdefault((factor,), {})",
+        (
+            "tests/test_identities_kernel.py"
+            "::test_the_column_tables_are_kept_apart_by_the_first_set_slot",
+            "tests/test_identities_kernel.py"
+            "::test_columns_are_built_only_as_far_as_they_are_read[subarray-convolution]",
+            "tests/test_identities_kernel.py::test_a_run_enumerates_the_law_values_once_per_n",
+        ),
+    ),
+    Mutant(
+        "ballot-quotient-with-e-minus-2",
+        "riordan/identities.py",
+        "    return (1 - w) / (1 - (e - 1) * w)\n",
+        "    return (1 - w) / (1 - (e - 2) * w)\n",
+        (
+            "tests/test_identities_kernel.py"
+            "::test_the_cached_ballot_quotient_route_is_the_whole_expression",
+            "tests/test_identities.py::test_direct_sums_equal_their_substitution[1-2]",
+            "tests/test_acceptance.py::test_criterion_08_product_laws",
+        ),
+    ),
 )
 
 

@@ -786,6 +786,59 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
     assert (sum(len(col.nums) for col in alive), len(alive)) == COLUMN_BUILDS[identity]
 
 
+def test_an_int_and_an_equal_fraction_read_one_column():
+    # the tables of one (factor, first set slot) are keyed by the argument alone,
+    # and the int 2 and Fraction(2) (as x + y gives it on the rational grid) are one key
+    row = ROWS["catalan-vandermonde"]
+    plan = I._plan(row.law, range(9), {})
+    columns = {}
+    ints = I._check_outer(row, {"z": 2, "x": 1, "y": 1}, plan, columns)
+    lefts, rights = columns[row.left, 2], columns[row.right, 2]
+    assert (sorted(lefts), sorted(rights)) == ([1], [1, 2])
+    made = {id(col) for col in (*lefts.values(), *rights.values())}
+    fractions = I._check_outer(row, {"z": 2, "x": Fraction(1), "y": Fraction(1)}, plan, columns)
+    assert fractions == ints == (9, None)
+    assert len(columns) == 2 and (len(lefts), len(rights)) == (1, 2)
+    assert {id(col) for col in (*lefts.values(), *rights.values())} == made
+    assert I._ratio(Fraction(2)) == I._ratio(2) == (2, 1)
+
+
+def test_the_column_tables_are_kept_apart_by_the_first_set_slot():
+    # the column at one argument differs with z (or p), so no table is shared across it
+    row = ROWS["catalan-vandermonde"]
+    plan = I._plan(row.law, range(9), {})
+    columns = {}
+    for z in (2, 3):
+        assert I._check_outer(row, {"z": z, "x": Fraction(1, 2), "y": 1}, plan, columns) == (
+            9, None)
+    assert sorted(key[1] for key in columns) == [2, 2, 3, 3]
+    half = [columns[row.left, z][Fraction(1, 2)] for z in (2, 3)]
+    assert half[0] is not half[1]
+    assert [Fraction(v, col.den) for col in half for v in col.nums[2:3]] == [
+        ref_catalan_power(z, Fraction(1, 2), 2) for z in (2, 3)]
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0])
+def test_ratio_and_factor_columns_still_refuse_a_float(value):
+    with pytest.raises(SeriesError, match="float coefficients are not exact"):
+        I._ratio(value)
+    for factor in {*I._CATALAN_BINOMIAL, *I._BALLOT, *I._CENTRAL}:
+        with pytest.raises(SeriesError, match="float coefficients are not exact"):
+            factor(2, value)
+
+
+@KERNEL
+@given(st.integers(0, 6), rational, st.integers(1, 24))
+def test_the_cached_ballot_quotient_route_is_the_whole_expression(e, a, precision):
+    # the quotient (1 - w)/(1 - (e - 1) w) is divided once per (e, precision); the route
+    # is still (1 - w)(1 + w)^a/(1 - (e - 1) w) at the same w
+    w = I._power_fixed_point(e, precision)
+    want = (1 - w) * (1 + w).pow_rational(a) / (1 - (e - 1) * w)
+    assert I._substitution(e, a, True, precision) == want
+    assert I._substitution(e, a, False, precision) == (1 + w).pow_rational(a)
+    assert I._ballot_quotient.cache_info().maxsize is not None
+
+
 def test_term_caches_are_bounded():
     for cached in (I.binomial, I._catalan_power_term, I._central_power_term,
                    I._power_fixed_point, series._baby_and_giant_steps, series._giant_powers,

@@ -217,6 +217,30 @@ def test_div(a, b, b0):
     assert canonical(FPS(a) / FPS(b)) == ref_div(a, b)
 
 
+# a short divisor zero-padded to the dividend's length: a constant, one whose only
+# nonzero tail term is its last (1 - t^5 at padding 0), or a general head
+short_divisors = st.one_of(
+    st.builds(lambda u, pad: [u] + [0] * pad, unit, st.integers(0, 13)),
+    st.builds(lambda u, gap, c, pad: [u] + [0] * gap + [c] + [0] * pad,
+              unit, st.integers(0, 6), coefficient.filter(bool), st.integers(0, 6)),
+    st.builds(lambda u, head, pad: [u, *head] + [0] * pad,
+              unit, st.lists(coefficient, max_size=4), st.integers(0, 9)),
+)
+
+
+@KERNEL
+@given(st.lists(coefficient, min_size=1, max_size=14), short_divisors)
+@example([1] * 8, [1, 0, 0, 0, 0, -1])
+@example([Fraction(1, 3), 2, 0, Fraction(-5, 7)], [Fraction(3, 5)] + [0] * 9)
+@example([Fraction(2, 3)] * 6, [1, 0, 0, 0, 0, Fraction(-1, 2)])
+@example([0, 1, 0, 0, 0, 0, 0], [1, -3, 1, 0, 0, 0, 0])
+def test_division_by_a_short_zero_padded_divisor_is_the_fraction_loop(f, g):
+    # _solve reads g only up to its last nonzero coefficient below the dividend's length
+    got = FPS(f) / FPS(g)
+    assert canonical(got) == ref_div(f, g)
+    assert got.precision == min(len(f), len(g))
+
+
 @KERNEL
 @given(coeff_lists(max_size=8), st.integers(-3, 4))
 def test_pow(a, k):
@@ -414,6 +438,26 @@ def test_lagrange_solve_composes_each_step_to_the_order_it_reaches(monkeypatch):
     series._newton.cache_clear()
     lagrange_solve(FPS(PHI * 4), 33)
     assert calls == [3, 7, 15, 31, 32]
+
+
+def test_newton_steps_store_no_table_and_evict_none():
+    # each Newton step's w is met once, so its table of powers is built uncached
+    # and a Lagrange table read before the solves is still read from the cache
+    tables = series._baby_and_giant_steps
+    tables.cache_clear()
+    series._giant_powers.cache_clear()
+    series._newton.cache_clear()
+    lagrange_solve(FPS([3, 1, Fraction(1, 7), -2], precision=33), 33)  # five Newton steps
+    assert tables.cache_info().currsize == 0
+    phi = FPS([2, Fraction(-1, 3), 0, 5, 1, 1, 0, 7, 1, -1, 2, 0])
+    first = lagrange_coeffs(phi, 1, 12)
+    before = tables.cache_info()
+    for c in (5, 6, 7):  # fifteen steps, more than the cache holds
+        lagrange_solve(FPS([c, 1, Fraction(1, c), -2], precision=33), 33)
+    again = lagrange_coeffs(phi, 2, 12)
+    after = tables.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
+    assert again == first ** 2
 
 
 @KERNEL
