@@ -33,28 +33,33 @@ The terms run on plain integers: a rational x enters as the pair
 closed-form term next to its term ratio.  The closed form is a raw
 integer (numerator, denominator) pair that the column it joins reduces,
 and reads hypergeom's kernels: C(a/b, k) = prod(a - i b) / (b^k k!) is
-``_binomial_ratio``, and B_q^r is ``_binomial_power_ratio``.  Term m of
-every factor is a polynomial of degree m in its argument, and each
-kernel is written so: the ballot forms ((p-1)m + y + 1)/(pm + y + 1)
-times C((p+1)m + y, m) or C(2(pm + y + 1), m) have their pm + y + 1
-cancelled by the binomial, as B_q^r has its qn + r.  So no kernel raises
-or returns a term over 0, at any argument.  The ratio is stated once per
+``_binomial_ratio``, and B_q^r is ``_binomial_power_ratio``.  The two
+ballot series are one family, the d-column of a subsampled array whose
+A-sequence is (1 + t)^e: B(e, alpha) = (1 - w)(1 + w)^alpha/(1 - (e - 1) w)
+at w = t (1 + w)^e, whose term m is ((e-2)m + alpha)/((e-1)m + alpha)
+C(em + alpha - 1, m).  The fuss ballot series at (p, y) is
+B(p + 1, y + 1) (``_fuss``) and the central one B(2p, 2y + 2)
+(``_central``); each map is stated once, and the direct sums, the specs,
+the factors and the product-law routes read it.  Term m of every factor
+is a polynomial of degree m in its argument, and each kernel is written
+so: the family's (e-1)m + alpha is cancelled by the binomial beside it
+(``_ballot_ratio``), as B_q^r's qn + r is.  So no kernel raises or
+returns a term over 0, at any argument.  The ratio is stated once per
 family, at every argument, as integer linear factors in m built from
-hypergeom's ``_binomial_steps`` (times the ballot weight's ratio for the
-two ballot factors); the family's spec is read off it
+hypergeom's ``_binomial_steps`` (times the weight's ratio for the ballot
+family, ``_ballot_steps``); the family's spec is read off it
 (``hypergeom._spec``).  A column steps by it where no factor can vanish
-at an integer m, which is where its binomial C(alpha + zm, m) has a
-non-integer alpha and z >= 1: a reach takes its first term from the
-closed form and steps the rest (``series._ratio_steps``), each in lowest
-terms.  Every other column (integer alpha, which ``math.comb`` serves,
-z <= 0, and the central ballot factor at b = 2, where 2y + 2 is an
-integer) keeps the closed form term by term.  The direct sums of the
-product laws stay on the closed form, as routes independent of the
-stepping.  One run of a row keeps a memo of its factor columns, one
-table per (factor, first set slot) keyed by the argument, each column as
-integer numerators over one common denominator.  A column is made once
-and grows in place as the points read past its end; the memo is dropped
-when the row ends.
+at an integer m, which is where the argument of its family (the alpha of
+a ballot factor) is not an integer and z >= 1: a reach takes its first
+term from the closed form and steps the rest (``series._ratio_steps``),
+each in lowest terms.  Every other column (an integer argument, which
+``math.comb`` serves, or z <= 0) keeps the closed form term by term.
+The direct sums of the product laws stay on the closed form, as routes
+independent of the stepping.  One run of a row keeps a memo of its
+factor columns, one table per (factor, first set slot) keyed by the
+argument, each column as integer numerators over one common denominator.
+A column is made once and grows in place as the points read past its
+end; the memo is dropped when the row ends.
 
 A run plans its points once: it walks the law's values over n, since
 they depend on n and the pins only, and groups the points by their law
@@ -202,42 +207,34 @@ def _shifted_binomial_ratio(z: int, c: int, e: int, m: int) -> Ratio:
     return _binomial_ratio(c + z * m * e, e, m)
 
 
-def _ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
-    # ((p-1)m + y + 1)/(pm + y + 1) C(N, m) at y = a/b, N = (p+1)m + y, with its pm + y + 1
-    # cancelled by C(N, m) = (N - m + 1)/m C(N, m - 1): ((p-1)m + y + 1)/m C(N, m - 1)
+def _fuss(p: int, y: Scalar) -> tuple[int, Scalar]:
+    # the fuss ballot series at (p, y) is B(p + 1, y + 1)
+    return p + 1, y + 1
+
+
+def _central(p: int, y: Scalar) -> tuple[int, Scalar]:
+    # the central ballot series at (p, y) is B(2p, 2y + 2)
+    return 2 * p, 2 * y + 2
+
+
+def _ballot_ratio(e: int, a: int, b: int, m: int) -> Ratio:
+    # term m of B(e, alpha) at alpha = a/b: ((e-2)m + alpha)/((e-1)m + alpha) C(N, m) with
+    # N = em + alpha - 1, its (e-1)m + alpha cancelled by C(N, m) = (N - m + 1)/m C(N, m - 1)
     if m == 0:
         return 1, 1
-    num, den = _binomial_ratio((p + 1) * m * b + a, b, m - 1)
-    return ((p - 1) * m * b + a + b) * num, b * m * den
+    num, den = _binomial_ratio(e * m * b + a - b, b, m - 1)
+    return ((e - 2) * m * b + a) * num, b * m * den
 
 
-def _central_ballot_ratio(p: int, a: int, b: int, m: int) -> Ratio:
-    # ((p-1)m + y + 1)/D C(2D, m) at y = a/b, D = pm + y + 1, with its D cancelled by
-    # C(2D, m) = 2D/m C(2D - 1, m - 1): 2((p-1)m + y + 1)/m C(2D - 1, m - 1)
-    if m == 0:
-        return 1, 1
-    num, den = _binomial_ratio(2 * (p * m * b + a + b) - b, b, m - 1)
-    return 2 * ((p - 1) * m * b + a + b) * num, b * m * den
-
-
-def _weighted(z: int, alpha: int, p: int, a: int, b: int) -> Steps | None:
-    # the ratio of C(alpha/b + zm, m) times the ballot weight's w(m + 1)/w(m) at y = a/b,
-    # its b's cancelled; None at z < 1, as for the binomial
-    if z < 1:
+def _ballot_steps(e: int, a: int, b: int) -> Steps | None:
+    # the ratio of _ballot_ratio: that of C(alpha - 1 + em, m) times the weight's
+    # w(m + 1)/w(m), w(m) = ((e-2)m + alpha)/((e-1)m + alpha), at alpha = a/b with its b's
+    # cancelled; None at e < 1, as for the binomial
+    if e < 1:
         return None
-    upper, lower = _binomial_steps(z, alpha, b)
-    return ([*upper, ((p - 1) * b + a + b, (p - 1) * b), (a + b, p * b)],
-            [*lower, (p * b + a + b, p * b), (a + b, (p - 1) * b)])
-
-
-def _ballot_steps(p: int, a: int, b: int) -> Steps | None:
-    # the ratio of _ballot_ratio: the weight's times that of C(y + (p+1)m, m)
-    return _weighted(p + 1, a, p, a, b)
-
-
-def _central_ballot_steps(p: int, a: int, b: int) -> Steps | None:
-    # the ratio of _central_ballot_ratio: the weight's times that of C(2y + 2 + 2pm, m)
-    return _weighted(2 * p, 2 * (a + b), p, a, b)
+    upper, lower = _binomial_steps(e, a - b, b)
+    return ([*upper, ((e - 2) * b + a, (e - 2) * b), (a, (e - 1) * b)],
+            [*lower, ((e - 1) * b + a, (e - 1) * b), (a, (e - 2) * b)])
 
 
 # a float equal to a cached Fraction must still be refused, so the caches are typed
@@ -402,23 +399,24 @@ def check_via_riordan(n_max: int, n: int | None = None) -> IdentityReport:
 
 
 def _direct_sum(
-    kernel: Callable[[int, int, int, int], Ratio], p: int, v: Scalar, precision: int
+    kernel: Callable[[int, int, int, int], Ratio], z: int, v: Scalar, precision: int
 ) -> FormalPowerSeries:
-    """sum_{m < precision} kernel(p, v, m) t^m; the first term that raises, in order of m."""
+    """sum_{m < precision} kernel(z, v, m) t^m; no factor kernel raises, at any v."""
     _require_terms(precision)
     a, b = _ratio(v)
-    return _wrap(*_collect(kernel(p, a, b, m) for m in range(precision)))
+    return _wrap(*_collect(kernel(z, a, b, m) for m in range(precision)))
 
 
 def fuss_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
     """sum ((p-1)n+y+1)/(pn+y+1) C((p+1)n+y, n) t^n, by direct summation.
 
+    It is the ballot family's B(p + 1, y + 1) (``_fuss``), and
     ``check_product_laws`` compares it with the substitution route
     (1 - w)(1 + w)^(y+1) / (1 - p w) at w = t (1 + w)^(p+1).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _direct_sum(_ballot_ratio, p, y, precision)
+    return _direct_sum(_ballot_ratio, *_fuss(p, _fraction(y)), precision)
 
 
 def central_power_gf(p: int, x: Scalar, precision: int) -> FormalPowerSeries:
@@ -437,12 +435,13 @@ def central_power_gf(p: int, x: Scalar, precision: int) -> FormalPowerSeries:
 def central_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
     """sum ((p-1)n+y+1)/(pn+y+1) C(2(pn+y+1), n) t^n, by direct summation.
 
+    It is the ballot family's B(2p, 2y + 2) (``_central``), and
     ``check_product_laws`` compares it with (1 - w)(1 + w)^(2y+2) /
     (1 + (1-2p) w) at w = t (1 + w)^(2p).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _direct_sum(_central_ballot_ratio, p, y, precision)
+    return _direct_sum(_ballot_ratio, *_central(p, _fraction(y)), precision)
 
 
 def _substitution(e: int, a: Fraction, ballot: bool, precision: int) -> FormalPowerSeries:
@@ -462,14 +461,16 @@ def fuss_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
     """The fuss-ballot series as a spec read off ``_ballot_steps`` (needs p >= 2)."""
     if p < 2:
         raise ValueError(f"the hypergeometric form needs p >= 2, got {p}")
-    return _spec(*_ballot_steps(p, *_ratio(y)))
+    e, alpha = _fuss(p, _fraction(y))
+    return _spec(*_ballot_steps(e, *_ratio(alpha)))
 
 
 def central_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
-    """The central ballot series as a spec read off ``_central_ballot_steps`` (needs p >= 2)."""
+    """The central ballot series as a spec read off ``_ballot_steps`` (needs p >= 2)."""
     if p < 2:
         raise ValueError(f"the hypergeometric form needs p >= 2, got {p}")
-    return _spec(*_central_ballot_steps(p, *_ratio(y)))
+    e, alpha = _central(p, _fraction(y))
+    return _spec(*_ballot_steps(e, *_ratio(alpha)))
 
 
 def check_product_laws(
@@ -516,11 +517,11 @@ def check_product_laws(
     direct = []
     # (direct sum, slot, argument, the (e, a, ballot) of its _substitution)
     for gf, slot, value, route in (
-        (fuss_ballot_gf, "y", y, (p + 1, y + 1, True)),
-        (fuss_ballot_gf, "y", x + y, (p + 1, x + y + 1, True)),
+        (fuss_ballot_gf, "y", y, (*_fuss(p, y), True)),
+        (fuss_ballot_gf, "y", x + y, (*_fuss(p, x + y), True)),
         (central_power_gf, "x", x, (2 * p, 2 * x, False)),
-        (central_ballot_gf, "y", y, (2 * p, 2 * y + 2, True)),
-        (central_ballot_gf, "y", x + y, (2 * p, 2 * (x + y) + 2, True)),
+        (central_ballot_gf, "y", y, (*_central(p, y), True)),
+        (central_ballot_gf, "y", x + y, (*_central(p, x + y), True)),
     ):
         series = factor((gf, p, value), lambda: gf(p, value, n))
         substituted = factor((_substitution, gf, p, value), lambda: _substitution(*route, n))
@@ -561,11 +562,11 @@ class Factor(NamedTuple):
     """A factor's column: its closed-form term and its term ratio, declared side by side.
 
     ``at`` maps the row's first set slot and an argument to the (z, v) of
-    the column; at v = a/b, ``kernel(z, a, b, m)`` is term m, and
-    ``steps(z, a, b)`` the ratio of terms m + 1 and m (None at z < 1).
-    The column steps by it only at a non-integer v, where no factor
-    c0 + c1 m can vanish at an integer m: c1 does not divide c0, or c1 = 0
-    and c0 != 0.
+    the column's family, such as (e, alpha) of the ballot family; at
+    v = a/b, ``kernel(z, a, b, m)`` is term m, and ``steps(z, a, b)`` the
+    ratio of terms m + 1 and m (None at z < 1).  The column steps by it
+    only at a non-integer v, where no factor c0 + c1 m can vanish at an
+    integer m: c1 does not divide c0, or c1 = 0 and c0 != 0.
     """
 
     kernel: Callable[[int, int, int, int], Ratio]
@@ -586,12 +587,12 @@ _catalan_power = Factor(_binomial_power_ratio, _binomial_power_steps)  # B_z^x
 _CATALAN_BINOMIAL = (_catalan_power, Factor(_shifted_binomial_ratio, _binomial_steps))
 # B_z^x and B_z^y: one factor, so the two sides share their columns
 _ROTHE_HAGEN = (_catalan_power, _catalan_power)
-# B_{p+1}^x and the ballot series at y
+# B_{p+1}^x and the fuss ballot series at y, B(p + 1, y + 1)
 _BALLOT = (_catalan_power._replace(at=lambda p, x: (p + 1, x)),
-           Factor(_ballot_ratio, _ballot_steps))
-# B_{2p}^{2x} and the central ballot series at y
+           Factor(_ballot_ratio, _ballot_steps, _fuss))
+# B_{2p}^{2x} and the central ballot series at y, B(2p, 2y + 2)
 _CENTRAL = (_catalan_power._replace(at=lambda p, x: (2 * p, 2 * x)),
-            Factor(_central_ballot_ratio, _central_ballot_steps))
+            Factor(_ballot_ratio, _ballot_steps, _central))
 
 
 # -- registry ------------------------------------------------------------------

@@ -44,8 +44,8 @@ MUTANTS = (
     Mutant(
         "ballot-ratio-reads-C-N-m",
         "riordan/identities.py",
-        "    num, den = _binomial_ratio((p + 1) * m * b + a, b, m - 1)\n",
-        "    num, den = _binomial_ratio((p + 1) * m * b + a, b, m)\n",
+        "    num, den = _binomial_ratio(e * m * b + a - b, b, m - 1)\n",
+        "    num, den = _binomial_ratio(e * m * b + a - b, b, m)\n",
         (
             "tests/test_identities_kernel.py::test_ballot_kernels_and_poles",
             "tests/test_identities_kernel.py"
@@ -54,12 +54,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the central series' factor 2 is its map's alpha = 2(y + 1), since the kernel is shared
         "central-ballot-ratio-without-its-factor-2",
         "riordan/identities.py",
-        "    return 2 * ((p - 1) * m * b + a + b) * num, b * m * den\n",
-        "    return ((p - 1) * m * b + a + b) * num, b * m * den\n",
+        "    return 2 * p, 2 * y + 2\n",
+        "    return 2 * p, y + 1\n",
         (
-            "tests/test_identities_kernel.py::test_ballot_kernels_and_poles",
+            "tests/test_identities_kernel.py::test_ballot_terms_and_poles",
             "tests/test_identities.py::test_direct_sums_equal_their_substitution[v1-2]",
             "tests/test_cli.py::test_check_cli_matches_golden[check --all --max-n 4]",
         ),
@@ -68,16 +69,52 @@ MUTANTS = (
         "ballot-ratio-in-its-stated-form",
         "riordan/identities.py",
         "    if m == 0:\n        return 1, 1\n"
-        "    num, den = _binomial_ratio((p + 1) * m * b + a, b, m - 1)\n"
-        "    return ((p - 1) * m * b + a + b) * num, b * m * den\n",
-        "    num, den = _binomial_ratio((p + 1) * m * b + a, b, m)\n"
-        "    return ((p - 1) * m * b + a + b) * num, (p * m * b + a + b) * den\n",
+        "    num, den = _binomial_ratio(e * m * b + a - b, b, m - 1)\n"
+        "    return ((e - 2) * m * b + a) * num, b * m * den\n",
+        "    num, den = _binomial_ratio(e * m * b + a - b, b, m)\n"
+        "    return ((e - 2) * m * b + a) * num, ((e - 1) * m * b + a) * den\n",
         (
             "tests/test_identities_kernel.py::test_ballot_kernels_and_poles",
             "tests/test_identities_kernel.py"
             "::test_factor_kernel_term_m_is_a_polynomial_of_degree_m",
             "tests/test_identities.py::test_direct_sums_equal_their_substitution[-7-2]",
             "tests/test_cli.py::test_check_cli_matches_golden[check ballot-vandermonde --y -3]",
+        ),
+    ),
+    Mutant(
+        "central-map-with-2y-plus-1",
+        "riordan/identities.py",
+        "    return 2 * p, 2 * y + 2\n",
+        "    return 2 * p, 2 * y + 1\n",
+        (
+            "tests/test_identities_kernel.py::test_ballot_terms_and_poles",
+            "tests/test_identities_kernel.py"
+            "::test_each_ballot_map_keeps_its_stated_form_its_stepping_and_its_refusals",
+            "tests/test_identities.py::test_direct_sums_equal_their_substitution[v1-2]",
+        ),
+    ),
+    Mutant(
+        "fuss-map-with-y-for-y-plus-1",
+        "riordan/identities.py",
+        "    return p + 1, y + 1\n",
+        "    return p + 1, y\n",
+        (
+            "tests/test_identities_kernel.py::test_ballot_terms_and_poles",
+            "tests/test_identities_kernel.py"
+            "::test_each_ballot_map_keeps_its_stated_form_its_stepping_and_its_refusals",
+            "tests/test_identities.py::test_direct_sums_equal_their_substitution[v1-2]",
+        ),
+    ),
+    Mutant(
+        "ballot-weight-ratio-with-e-minus-1",
+        "riordan/identities.py",
+        "[*upper, ((e - 2) * b + a, (e - 2) * b),",
+        "[*upper, ((e - 1) * b + a, (e - 1) * b),",
+        (
+            "tests/test_identities_kernel.py::test_step_ratio_is_the_ratio_of_closed_form_terms",
+            "tests/test_identities_kernel.py::test_stepped_column_is_its_closed_form",
+            "tests/test_identities.py::test_specs_read_off_the_ratio_equal_the_listed_parameters"
+            "[fuss-ballot-2]",
         ),
     ),
     Mutant(

@@ -1254,6 +1254,23 @@ def wrong_kernel(p, a, b, m):
     return m + 1, 1
 
 
+def wrong_ballot_sum(monkeypatch, gf, family, at_p=None):
+    """Make the ballot series ``gf`` sum ``wrong_kernel`` at its map ``family`` (at ``at_p`` only).
+
+    The two ballot series share one kernel, and fuss at p = 3 and central at p = 2 both
+    have e = 4, so the series perturbed is picked by its map, not by the kernel's e.
+    """
+    real = getattr(identities, gf)
+
+    def wrong(p, y, precision):
+        if at_p not in (None, p):
+            return real(p, y, precision)
+        return identities._direct_sum(wrong_kernel, *family(p, y), precision)
+
+    wrong.__name__ = gf
+    monkeypatch.setattr(identities, gf, wrong)
+
+
 def assert_route_failure_report(capsys, gf, slot, rhs, p=2, points=2):
     """``gf``'s two routes disagree at p and the grid's first (x, y) = (1/2, 1/2), at n = 1,
     where the substitution route has the true term ``rhs``.
@@ -1277,7 +1294,8 @@ def assert_route_failure_report(capsys, gf, slot, rhs, p=2, points=2):
 
 
 def test_check_disagreeing_routes_exit_1(capsys, monkeypatch):
-    # a wrong direct summation makes fuss_ballot_gf's two routes disagree
+    # a wrong ballot kernel makes both ballot series' routes disagree, and fuss_ballot_gf's
+    # are compared first
     monkeypatch.setattr(identities, "_ballot_ratio", wrong_kernel)
     # term 1 at p = 2, y = 1/2: (p + y)/(p + y + 1) C(p + 1 + y, 1) = 5/7 * 7/2
     assert_route_failure_report(capsys, "fuss_ballot_gf", "y", "5/2")
@@ -1287,23 +1305,24 @@ def test_check_disagreeing_routes_exit_1(capsys, monkeypatch):
     # term 1 at p = 2, x = 1/2: 2x/(2p - 1 + 2x) C(2p + 2x - 1, 1) = 1/4 * 4
     pytest.param("_binomial_power_ratio", "central_power_gf", "x", "1",
                  id="_binomial_power_ratio-central_power_gf"),
-    # term 1 at p = 2, y = 1/2: (p + y)/(p + y + 1) C(2(p + y + 1), 1) = 5/7 * 7
-    pytest.param("_central_ballot_ratio", "central_ballot_gf", "y", "5",
-                 id="_central_ballot_ratio-central_ballot_gf"),
 ])
 def test_check_disagreeing_central_routes_exit_1(capsys, monkeypatch, kernel, gf, slot, rhs):
-    # a wrong direct summation makes the central series' two routes disagree
+    # a wrong direct summation makes the central power's two routes disagree
     monkeypatch.setattr(identities, kernel, wrong_kernel)
     assert_route_failure_report(capsys, gf, slot, rhs)
+
+
+def test_check_disagreeing_central_ballot_routes_exit_1(capsys, monkeypatch):
+    # a wrong direct summation at the central map makes central_ballot_gf's routes disagree
+    wrong_ballot_sum(monkeypatch, "central_ballot_gf", identities._central)
+    # term 1 at p = 2, y = 1/2: (p + y)/(p + y + 1) C(2(p + y + 1), 1) = 5/7 * 7
+    assert_route_failure_report(capsys, "central_ballot_gf", "y", "5")
 
 
 def test_check_disagreeing_routes_count_the_points_before_them(capsys, monkeypatch):
     # fuss_ballot_gf is wrong at p = 3 only: p = 2 holds on its 25 (x, y) points,
     # 4 laws of 4 coefficients each, then the first p = 3 point fails
-    real = identities._ballot_ratio
-    monkeypatch.setattr(
-        identities, "_ballot_ratio", lambda p, *args: (wrong_kernel if p == 3 else real)(p, *args)
-    )
+    wrong_ballot_sum(monkeypatch, "fuss_ballot_gf", identities._fuss, at_p=3)
     # term 1 at p = 3, y = 1/2: (p + y)/(p + y + 1) C(p + 1 + y, 1) = 7/9 * 9/2
     assert_route_failure_report(capsys, "fuss_ballot_gf", "y", "7/2", p=3, points=25 * 16 + 2)
 

@@ -217,12 +217,29 @@ def listed_fuss_ballot_spec(p, y):
     )
 
 
-def listed_central_ballot_spec(p, y):
+def uncancelled_central_ballot_spec(p, y):
+    # the lists as they were written by hand, with (y + p + 1)/p both above (at i = 2p)
+    # and below: the reference for the central spec's expansions and refusals
     y = Fraction(y)
     upper = [(2 * y + 2 + i) / Fraction(2 * p) for i in range(1, 2 * p + 1)]
     upper += [(y + p) / Fraction(p - 1), (y + 1) / Fraction(p)]
     lower = [(2 * y + 2 + i) / Fraction(2 * p - 1) for i in range(1, 2 * p)]
     lower += [(y + 1) / Fraction(p - 1), (y + p + 1) / Fraction(p)]
+    return HypergeometricSpec(
+        upper=upper, lower=lower, scale=Fraction((2 * p) ** (2 * p), (2 * p - 1) ** (2 * p - 1))
+    )
+
+
+def listed_central_ballot_spec(p, y):
+    # those lists less the pair (y + p + 1)/p, which cancels: the ratio is read at
+    # B(2p, 2y + 2), whose binomial C(2y + 1 + 2pm, m) has no upper factor
+    # 2y + 2 + 2p(m + 1).  No refusal moves: where (y + p + 1)/p is zero or a negative
+    # integer, so is an earlier lower parameter (2y + 2 + i)/(2p - 1)
+    y = Fraction(y)
+    upper = [(2 * y + 2 + i) / Fraction(2 * p) for i in range(1, 2 * p)]
+    upper += [(y + p) / Fraction(p - 1), (y + 1) / Fraction(p)]
+    lower = [(2 * y + 2 + i) / Fraction(2 * p - 1) for i in range(1, 2 * p)]
+    lower += [(y + 1) / Fraction(p - 1)]
     return HypergeometricSpec(
         upper=upper, lower=lower, scale=Fraction((2 * p) ** (2 * p), (2 * p - 1) ** (2 * p - 1))
     )
@@ -263,18 +280,18 @@ def test_specs_read_off_the_ratio_equal_the_listed_parameters(derived, listed, p
 @pytest.mark.parametrize("v", [1, Fraction(1, 2), Fraction(-3, 7), *range(-12, 1),
                                *(Fraction(k, 2) for k in range(-9, 4, 2))])
 def test_direct_sums_equal_their_substitution(p, v):
-    # the (e, a, ballot) of each direct sum at w = t (1 + w)^e.  The integers down to -12
-    # and the odd halves put v on poles of the stated forms below 9 terms, at every p:
-    # pm + v + 1 = 0 of the ballot forms (m = 3 at p = 2, v = -7) and (2p-1)m + 2v = 0
-    # of the central power; the sums start at p = 1, so p = 0 reads their kernels
-    # through _direct_sum
+    # the (e, a, ballot) of each direct sum at w = t (1 + w)^e, written out here.  The
+    # integers down to -12 and the odd halves put v on poles of the stated forms below 9
+    # terms, at every p: pm + v + 1 = 0 of the ballot forms (m = 3 at p = 2, v = -7) and
+    # (2p-1)m + 2v = 0 of the central power; the sums start at p = 1, so p = 0 reads
+    # their kernels through _direct_sum at the route's (e, a)
     n = 9
-    for gf, kernel, z, arg, route in (
-        (fuss_ballot_gf, identities._ballot_ratio, p, v, (p + 1, v + 1, True)),
-        (central_power_gf, identities._binomial_power_ratio, 2 * p, 2 * v, (2 * p, 2 * v, False)),
-        (central_ballot_gf, identities._central_ballot_ratio, p, v, (2 * p, 2 * v + 2, True)),
+    for gf, kernel, route in (
+        (fuss_ballot_gf, identities._ballot_ratio, (p + 1, v + 1, True)),
+        (central_power_gf, identities._binomial_power_ratio, (2 * p, 2 * v, False)),
+        (central_ballot_gf, identities._ballot_ratio, (2 * p, 2 * v + 2, True)),
     ):
-        got = gf(p, v, n) if p else identities._direct_sum(kernel, z, arg, n)
+        got = gf(p, v, n) if p else identities._direct_sum(kernel, *route[:2], n)
         assert got == identities._substitution(*route, n), gf.__name__
 
 

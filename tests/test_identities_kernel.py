@@ -27,6 +27,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_identities import listed_fuss_ballot_spec, uncancelled_central_ballot_spec
 
 from riordan import hypergeom
 from riordan import identities as I
@@ -175,12 +176,13 @@ def test_central_power_term(p, x, i):
 @KERNEL
 @given(st.data(), st.integers(0, 4), index)
 def test_ballot_kernels_and_poles(data, p, m):
-    # the ratio kernels term by term, from p = 0 on, where the two ballot rows start:
-    # the stated form off the pole line, the substitution route on it
+    # the family kernel term by term at the fuss (p + 1, y + 1) and the central
+    # (2p, 2y + 2), from p = 0 on, where the two ballot rows start: the stated form off
+    # the pole line, the substitution route on it
     y = Fraction(data.draw(poles_too(st.just(p))))
-    for kernel, ref in ((I._ballot_ratio, ref_ballot),
-                        (I._central_ballot_ratio, ref_central_ballot)):
-        assert Fraction(*kernel(p, *I._ratio(y), m)) == ref(p, y, m)
+    for (e, alpha), ref in (((p + 1, y + 1), ref_ballot),
+                            ((2 * p, 2 * y + 2), ref_central_ballot)):
+        assert Fraction(*I._ballot_ratio(e, *I._ratio(alpha), m)) == ref(p, y, m)
 
 
 @pytest.mark.parametrize("wrapper, args", [
@@ -253,38 +255,42 @@ def test_column_is_exact_over_one_denominator(ratios, data):
 # before it; it must hold the same canonical (nums, den) as the closed form,
 # however its reaches are cut.
 
-# the four factor kernels, their step ratios, and the (z, alpha) of their binomial
+# the four factor families, each a factor and the (z, alpha) of its binomial
+# C(alpha + zm, m) at the factor's first set slot and argument: the ballot family's
+# binomial is C(alpha - 1 + em, m), at the fuss (p + 1, y + 1) and the central (2p, 2y + 2)
 STEPPED = {
-    "power": (hypergeom._binomial_power_ratio, hypergeom._binomial_power_steps,
-              lambda z, a, b: (z, Fraction(a, b))),
-    "shifted": (I._shifted_binomial_ratio, hypergeom._binomial_steps,
-                lambda z, a, b: (z, Fraction(a, b))),
-    "ballot": (I._ballot_ratio, I._ballot_steps, lambda p, a, b: (p + 1, Fraction(a, b))),
-    "central": (I._central_ballot_ratio, I._central_ballot_steps,
-                lambda p, a, b: (2 * p, Fraction(2 * (a + b), b))),
+    "power": (I._catalan_power, lambda z, v: (z, v)),
+    "shifted": (I._CATALAN_BINOMIAL[1], lambda z, v: (z, v)),
+    "ballot": (I._BALLOT[1], lambda p, y: (p + 1, y)),
+    "central": (I._CENTRAL[1], lambda p, y: (2 * p, 2 * y + 1)),
 }
 non_integer = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 12)).filter(
     lambda v: v.denominator > 1)
 
 
-def closed_form(kernel, z, a, b, length):
-    return _collect(kernel(z, a, b, m) for m in range(length))
+def family_at(factor, z, v):
+    """The (z, a, b) at which ``factor`` reads its kernel and its ratio: its family's map."""
+    z, v = factor.at(z, v)
+    return (z, *I._ratio(v))
+
+
+def closed_form(factor, z, v, length):
+    return _collect(factor.kernel(*family_at(factor, z, v), m) for m in range(length))
 
 
 @KERNEL
 @given(kind=st.sampled_from(sorted(STEPPED)), z=st.integers(1, 5), v=non_integer,
        cuts=st.lists(st.integers(1, 60), min_size=1, max_size=4))
 def test_stepped_column_is_its_closed_form(kind, z, v, cuts):
-    kernel, steps, alpha = STEPPED[kind]
-    a, b = v.numerator, v.denominator
-    col = I.Factor(kernel, steps)(z, v)
-    if alpha(z, a, b)[1].denominator == 1:  # central ballot at b = 2: 2y + 2 is an integer
-        assert (kind, b, col.steps) == ("central", 2, None)
+    factor, binomial = STEPPED[kind]
+    col = factor(z, v)
+    if binomial(z, v)[1].denominator == 1:  # the central map takes y = a/2 to an integer
+        assert (kind, v.denominator, col.steps) == ("central", 2, None)
         return
     assert col.steps is not None
     for length in sorted(cuts):  # each reach resumes where the one before stopped
         assert col.reach(length) is col
-        assert (col.nums, col.den) == closed_form(kernel, z, a, b, length)
+        assert (col.nums, col.den) == closed_form(factor, z, v, length)
 
 
 @KERNEL
@@ -292,13 +298,12 @@ def test_stepped_column_is_its_closed_form(kind, z, v, cuts):
        v=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)))
 def test_factor_steps_only_at_a_non_integer_alpha_and_z_at_least_one(kind, z, v):
     # elsewhere a linear factor can vanish, and the column keeps its closed form
-    kernel, steps, alpha = STEPPED[kind]
-    a, b = v.numerator, v.denominator
-    binomial_z, upper = alpha(z, a, b)
-    col = I.Factor(kernel, steps)(z, v)
+    factor, binomial = STEPPED[kind]
+    binomial_z, upper = binomial(z, v)
+    col = factor(z, v)
     assert (col.steps is None) == (binomial_z < 1 or upper.denominator == 1)
     # below z = 1 the ratio has no product form at all
-    assert (steps(z, a, b) is None) == (binomial_z < 1)
+    assert (factor.steps(*family_at(factor, z, v)) is None) == (binomial_z < 1)
 
 
 @KERNEL
@@ -308,12 +313,12 @@ def test_step_ratio_is_the_ratio_of_closed_form_terms(kind, z, v, m):
     # at every argument, integer alpha included, wherever term m is not 0 (the ratio's
     # m + 1 is implied); where a lower factor vanishes, an upper one does too and the
     # ratio reads 0/0, which is why such a column is never stepped
-    kernel, steps, alpha = STEPPED[kind]
-    a, b = v.numerator, v.denominator
-    term = Fraction(*kernel(z, a, b, m))
+    factor, _ = STEPPED[kind]
+    at = family_at(factor, z, v)
+    term = Fraction(*factor.kernel(*at, m))
     if not term:
         return
-    upper, lower = steps(z, a, b)
+    upper, lower = factor.steps(*at)
     if not all(c0 + c1 * m for c0, c1 in lower):
         assert not all(c0 + c1 * m for c0, c1 in upper)
         return
@@ -322,7 +327,7 @@ def test_step_ratio_is_the_ratio_of_closed_form_terms(kind, z, v, m):
         value *= c0 + c1 * m
     for c0, c1 in lower:
         value /= c0 + c1 * m
-    assert value == Fraction(*kernel(z, a, b, m + 1))
+    assert value == Fraction(*factor.kernel(*at, m + 1))
 
 
 # linear factors (c0, c1), and some that cannot vanish: c1 does not divide c0
@@ -398,9 +403,8 @@ def test_dot_reads_only_its_terms_of_columns_reached_further(left, right, n, mor
     assert Fraction(I._dot(a, b, n), a.den * b.den) == ref
 
 
-# the closed-form kernels of the four factor pairs' columns
-FACTOR_KERNELS = (I._binomial_power_ratio, I._shifted_binomial_ratio, I._ballot_ratio,
-                  I._central_ballot_ratio)
+# the closed-form kernels of the four factor pairs' columns; both ballot series read one
+FACTOR_KERNELS = (I._binomial_power_ratio, I._shifted_binomial_ratio, I._ballot_ratio)
 
 
 @KERNEL
@@ -408,8 +412,9 @@ FACTOR_KERNELS = (I._binomial_power_ratio, I._shifted_binomial_ratio, I._ballot_
        st.integers(0, 24), st.data())
 def test_factor_kernels_return_a_positive_denominator(kernel, z, b, m, data):
     # so a column always holds a term, never a term over 0 and never an exception;
-    # a/b = -(zm + 1) is the stated ballot forms' pole, a/b = -zm that of B_z^v's
-    a = data.draw(st.one_of(st.integers(-12, 12), st.just(-b * (z * m + 1)), st.just(-b * z * m)))
+    # a/b = -(z - 1)m is the pole of the ballot family's stated form, a/b = -zm that of
+    # B_z^v's and of the family's other form ((z - 2)m + v)/(zm + v) C(zm + v, m)
+    a = data.draw(st.one_of(st.integers(-12, 12), st.just(-b * (z - 1) * m), st.just(-b * z * m)))
     _, d = kernel(z, a, b, m)
     assert d > 0
 
@@ -427,9 +432,9 @@ def test_factor_kernel_term_m_is_a_polynomial_of_degree_m(kernel, z, m, h, data)
     # term m of every factor is a polynomial of degree m in its argument v (Graham, Knuth
     # & Patashnik, Concrete Mathematics, 5.4): its difference of order m + 1 vanishes and
     # that of order m does not.  The points v, v + h, ... run through the stated forms'
-    # poles: a start on one (zm + v + 1 = 0 for a ballot factor, zm + v = 0 for B_z^v)
+    # poles: a start on one ((z - 1)m + v = 0 for the ballot family, zm + v = 0 for B_z^v)
     # or an integer start with an integer step
-    v = data.draw(st.one_of(rational, st.just(Fraction(-(z * m + 1))), st.just(Fraction(-z * m)),
+    v = data.draw(st.one_of(rational, st.just(Fraction(-(z - 1) * m)), st.just(Fraction(-z * m)),
                             integer.map(Fraction)))
 
     def term(v):
@@ -491,6 +496,44 @@ def test_ballot_sums_and_poles(data, p, x, n):
         lambda i: ref_catalan_power(p + 1, x, i), lambda m: ref_ballot(p, y, m), n)
     assert I.sum_lhs("central-binomial-vandermonde", n, p=p, x=x, y=y) == ref_convolution(
         lambda i: ref_central_power(p, x, i), lambda m: ref_central_ballot(p, y, m), n)
+
+
+# -- the ballot family at its two maps ---------------------------------------------
+# each map by the factor that reads it, with its series' stated form, its spec and the
+# spec's hand-written lists (the central ones uncancelled)
+BALLOT_MAPS = {
+    "fuss": (I._BALLOT[1], ref_ballot, I.fuss_ballot_spec, listed_fuss_ballot_spec),
+    "central": (I._CENTRAL[1], ref_central_ballot, I.central_ballot_spec,
+                uncancelled_central_ballot_spec),
+}
+
+
+def expansion_or_refusal(make, p, y):
+    try:
+        spec = make(p, y)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return hypergeom.expand(spec, 12)
+
+
+@KERNEL
+@given(family=st.sampled_from(sorted(BALLOT_MAPS)), p=st.integers(0, 5), data=st.data())
+def test_each_ballot_map_keeps_its_stated_form_its_stepping_and_its_refusals(family, p, data):
+    factor, ref, spec, listed = BALLOT_MAPS[family]
+    y = Fraction(data.draw(poles_too(st.just(p))))
+    # the column is its stated form term by term, stepped or not, through the poles
+    col = factor(p, y).reach(14)
+    assert [Fraction(num, col.den) for num in col.nums] == [ref(p, y, m) for m in range(14)]
+    # it steps as the column at any other argument with the same denominator does
+    d = y.denominator
+    other = Fraction(data.draw(st.integers(-40, 40).filter(lambda n: gcd(n, d) == 1)), d)
+    assert (factor(p, other).steps is None) == (col.steps is None)
+    # the spec expands and refuses as the hand-written lists do, with the same message
+    if p < 2:
+        with pytest.raises(ValueError, match=f"the hypergeometric form needs p >= 2, got {p}"):
+            spec(p, y)
+    else:
+        assert expansion_or_refusal(spec, p, y) == expansion_or_refusal(listed, p, y)
 
 
 # -- the grid runner against a term-by-term runner ---------------------------------
