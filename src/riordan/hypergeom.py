@@ -173,7 +173,7 @@ def h_for_binomial_A(q: int, precision: int) -> FormalPowerSeries:
 def _binomial_ratio(a: int, b: int, k: int) -> tuple[int, int]:
     """C(a/b, k) for b > 0, as a raw integer pair: prod_{i<k} (a - i b) / (b^k k!); 0 for k < 0.
 
-    The one place that chooses ``math.comb``: at a nonnegative integer
+    The one closed form that chooses ``math.comb``: at a nonnegative integer
     a/b.  Any other a/b takes one ``math.prod`` over the k falling
     factors, left for the caller's collector to reduce.
     """

@@ -30,10 +30,11 @@ at n - k; the column sum is F_1 * G_{p(k-1)+r}, read at n - k + 1.
 
 The terms run on plain integers: a rational x enters as the pair
 (x.numerator, x.denominator).  Each factor (``Factor``) declares its
-closed-form term next to its term ratio.  The closed form is a raw
-integer (numerator, denominator) pair that the column it joins reduces,
-and reads hypergeom's kernels: C(a/b, k) = prod(a - i b) / (b^k k!) is
-``_binomial_ratio``, and B_q^r is ``_binomial_power_ratio``.  The two
+closed-form term next to its term ratio and its integer form.  The
+closed form is a raw integer (numerator, denominator) pair that the
+column it joins reduces, and reads hypergeom's kernels:
+C(a/b, k) = prod(a - i b) / (b^k k!) is ``_binomial_ratio``, and B_q^r
+is ``_binomial_power_ratio``.  The two
 ballot series are one family, the d-column of a subsampled array whose
 A-sequence is (1 + t)^e: B(e, alpha) = (1 - w)(1 + w)^alpha/(1 - (e - 1) w)
 at w = t (1 + w)^e, whose term m is ((e-2)m + alpha)/((e-1)m + alpha)
@@ -48,12 +49,13 @@ returns a term over 0, at any argument.  The ratio is stated once per
 family, at every argument, as integer linear factors in m built from
 hypergeom's ``_binomial_steps`` (times the weight's ratio for the ballot
 family, ``_ballot_steps``); the family's spec is read off it
-(``hypergeom._spec``).  A column steps by it where no factor can vanish
-at an integer m, which is where the argument of its family (the alpha of
-a ballot factor) is not an integer and z >= 1: a reach takes its first
-term from the closed form and steps the rest (``series._ratio_steps``),
-each in lowest terms.  Every other column (an integer argument, which
-``math.comb`` serves, or z <= 0) keeps the closed form term by term.
+(``hypergeom._spec``).  At an integer argument every family's term is one
+generalized binomial with a linear weight, so one ``math.comb`` kernel
+makes the terms of every family (``_integer_terms``), from the two
+integers (g, c) that each factor declares.  ``Factor`` states that form
+and the route each column takes: the ``math.comb`` kernel at an integer
+argument, the ratio at a non-integer one, and the closed form term by
+term where neither applies (z <= 0, or a pinned negative argument).
 The direct sums of the product laws stay on the closed form, as routes
 independent of the stepping.  One run of a row keeps a memo of its
 factor columns, one table per (factor, first set slot) keyed by the
@@ -159,20 +161,34 @@ def _ratio(x: Scalar) -> Ratio:
     return x.numerator, x.denominator
 
 
+def _integer_terms(z: int, g: int, c: int, start: int, stop: int) -> list[int]:
+    """Terms ``start..stop-1`` of the integer form that ``Factor`` states, at its (z, g, c).
+
+    Term 0 is 1; each term is an int, made by one ``comb`` and no gcd.
+    """
+    # [1][start:stop] is term 0 where the range holds it
+    return [1][start:stop] + [(g * m + c) * comb(z * m + c - 1, m - 1) // m
+                              for m in range(max(start, 1), stop)]
+
+
 class Column:
     """A factor column: the terms of ``term`` read so far, as integer numerators over ``den``.
 
-    With ``steps``, the term ratio as linear factors none of which
-    vanishes, a reach takes its first term from ``term`` and steps the
-    rest (``series._ratio_steps``).  Otherwise every term comes from
-    ``term``, which no factor kernel can make raise.
+    ``Factor`` picks its route.  With ``integer``, a (z, g, c), a reach
+    appends ``_integer_terms`` in one batch and ``den`` stays 1.  With
+    ``steps``, the term ratio as linear factors none of which vanishes, a
+    reach takes its first term from ``term`` and steps the rest
+    (``series._ratio_steps``).  Otherwise every term comes from ``term``,
+    which no factor kernel can make raise.
     """
 
-    __slots__ = ("term", "steps", "nums", "den")
+    __slots__ = ("term", "steps", "integer", "nums", "den")
 
-    def __init__(self, term: Callable[[int], Ratio], steps: Steps | None = None):
+    def __init__(self, term: Callable[[int], Ratio], steps: Steps | None = None,
+                 integer: tuple[int, int, int] | None = None):
         self.term = term
         self.steps = steps
+        self.integer = integer
         self.nums: list[int] = []
         self.den = 1
 
@@ -184,6 +200,9 @@ class Column:
         """
         nums, den, term = self.nums, self.den, self.term
         start = len(nums)
+        if self.integer is not None:
+            nums += _integer_terms(*self.integer, start, length)
+            return self
         if self.steps is not None and start < length:
             # stepped terms are in lowest terms, so the batch takes no gcd
             terms = _ratio_steps(*term(start), *self.steps, start)
@@ -559,40 +578,62 @@ def check_product_laws(
 
 
 class Factor(NamedTuple):
-    """A factor's column: its closed-form term and its term ratio, declared side by side.
+    """A factor's column: its closed-form term, its term ratio and its integer form.
 
     ``at`` maps the row's first set slot and an argument to the (z, v) of
     the column's family, such as (e, alpha) of the ballot family; at
     v = a/b, ``kernel(z, a, b, m)`` is term m, and ``steps(z, a, b)`` the
-    ratio of terms m + 1 and m (None at z < 1).  The column steps by it
-    only at a non-integer v, where no factor c0 + c1 m can vanish at an
-    integer m: c1 does not divide c0, or c1 = 0 and c0 != 0.
+    ratio of terms m + 1 and m (None at z < 1).  At an integer v = a,
+    every family's term m >= 1 is (g m + c)/m C(z m + c - 1, m - 1), the
+    generalized binomial r/(tn + r) C(tn + r, n) with a linear weight
+    (Graham, Knuth and Patashnik, *Concrete Mathematics* 5.4), and
+    ``integer(z, a)`` gives its (g, c).  A column takes one route:
+
+    - ``_integer_terms`` at an integer v with z >= 1 and c >= 1, where
+      z m + c - 1 >= m - 1 >= 0, so ``math.comb`` is defined, and m
+      divides exactly, since the family's terms are integers there;
+    - the ratio at a non-integer v, where no factor c0 + c1 m can vanish
+      at an integer m: c1 does not divide c0, or c1 = 0 and c0 != 0;
+    - the closed form term by term elsewhere: at z <= 0, or at c < 1, as
+      at a pinned negative integer v.
+
+    A factor with no ``integer`` map takes the closed form at an integer v.
     """
 
     kernel: Callable[[int, int, int, int], Ratio]
     steps: Callable[[int, int, int], Steps | None]
+    integer: Callable[[int, int], tuple[int, int]] | None = None
     at: Callable[[int, Scalar], tuple[int, Scalar]] = lambda z, v: (z, v)
 
     def __call__(self, first: int, v: Scalar) -> Column:
         z, v = self.at(first, v)
         a, b = _ratio(v)
-        steps = self.steps(z, a, b) if b > 1 else None
-        if steps and not all(c0 % c1 if c1 else c0 for c0, c1 in chain(*steps)):
-            steps = None
-        return Column(partial(self.kernel, z, a, b), steps)
+        term = partial(self.kernel, z, a, b)
+        if b > 1:
+            steps = self.steps(z, a, b)
+            if steps and all(c0 % c1 if c1 else c0 for c0, c1 in chain(*steps)):
+                return Column(term, steps)
+        elif self.integer is not None and z >= 1:
+            g, c = self.integer(z, a)
+            if c >= 1:
+                return Column(term, integer=(z, g, c))
+        return Column(term)
 
 
-_catalan_power = Factor(_binomial_power_ratio, _binomial_power_steps)  # B_z^x
+_catalan_power = Factor(_binomial_power_ratio, _binomial_power_steps,
+                        lambda z, a: (0, a))  # B_z^x
 # B_z^x and C(y + zm, m); at z = p and x = ps, F_x is the subsampled (t h)^s over t^s
-_CATALAN_BINOMIAL = (_catalan_power, Factor(_shifted_binomial_ratio, _binomial_steps))
+_CATALAN_BINOMIAL = (_catalan_power, Factor(_shifted_binomial_ratio, _binomial_steps,
+                                            lambda z, a: (z - 1, a + 1)))
 # B_z^x and B_z^y: one factor, so the two sides share their columns
 _ROTHE_HAGEN = (_catalan_power, _catalan_power)
+# the ballot family B(e, alpha), read at each series' map
+_ballot = Factor(_ballot_ratio, _ballot_steps, lambda e, a: (e - 2, a))
 # B_{p+1}^x and the fuss ballot series at y, B(p + 1, y + 1)
-_BALLOT = (_catalan_power._replace(at=lambda p, x: (p + 1, x)),
-           Factor(_ballot_ratio, _ballot_steps, _fuss))
+_BALLOT = (_catalan_power._replace(at=lambda p, x: (p + 1, x)), _ballot._replace(at=_fuss))
 # B_{2p}^{2x} and the central ballot series at y, B(2p, 2y + 2)
 _CENTRAL = (_catalan_power._replace(at=lambda p, x: (2 * p, 2 * x)),
-            Factor(_ballot_ratio, _ballot_steps, _central))
+            _ballot._replace(at=_central))
 
 
 # -- registry ------------------------------------------------------------------

@@ -325,6 +325,47 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_08_product_laws",
         ),
     ),
+    Mutant(
+        "shifted-binomial-integer-map-with-z",
+        "riordan/identities.py",
+        "lambda z, a: (z - 1, a + 1)",
+        "lambda z, a: (z, a + 1)",
+        (
+            "tests/test_identities_kernel.py"
+            "::test_the_integer_kernel_is_each_familys_term[shifted]",
+            "tests/test_identities_kernel.py"
+            "::test_an_integer_column_is_its_closed_form_however_its_reaches_are_cut[shifted]",
+            "tests/test_cli.py::test_check_all_matches_golden_jsonl",
+        ),
+    ),
+    Mutant(
+        "ballot-integer-map-with-alpha-plus-1",
+        "riordan/identities.py",
+        "lambda e, a: (e - 2, a)",
+        "lambda e, a: (e - 2, a + 1)",
+        (
+            "tests/test_identities_kernel.py"
+            "::test_the_integer_kernel_is_each_familys_term[ballot]",
+            "tests/test_identities_kernel.py"
+            "::test_an_integer_column_is_its_closed_form_however_its_reaches_are_cut[fuss]",
+            "tests/test_identities_kernel.py"
+            "::test_an_integer_column_is_its_closed_form_however_its_reaches_are_cut[central]",
+        ),
+    ),
+    Mutant(
+        "integer-kernel-reads-C-zm-plus-c",
+        "riordan/identities.py",
+        "comb(z * m + c - 1, m - 1)",
+        "comb(z * m + c, m - 1)",
+        (
+            "tests/test_identities_kernel.py"
+            "::test_the_integer_kernel_is_each_familys_term[power]",
+            "tests/test_identities_kernel.py"
+            "::test_an_integer_column_is_its_closed_form_however_its_reaches_are_cut[fuss]",
+            "tests/test_identities_kernel.py"
+            "::test_columns_are_built_only_as_far_as_they_are_read[rothe-hagen]",
+        ),
+    ),
 )
 
 

@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from operator import add
 from pathlib import Path
 from unittest import mock
@@ -32,6 +32,7 @@ from test_identities import listed_fuss_ballot_spec, uncancelled_central_ballot_
 from riordan import hypergeom
 from riordan import identities as I
 from riordan import series
+from riordan.cli import main
 from riordan.reports import Counterexample
 from riordan.series import FormalPowerSeries, SeriesError, _collect
 
@@ -375,8 +376,104 @@ def test_non_integer_columns_read_the_closed_form_once_per_reach(monkeypatch):
     rational = [(grown, [b for b in made if b > 1]) for grown, made in reaches]
     assert any(grown > 1 and made for grown, made in rational)
     assert all(len(made) <= 1 for _, made in rational)
-    # an integer column still reads one closed-form term per term
-    assert any(len(made) == grown > 1 for grown, made in reaches)
+    # an integer column (x, y and x + y in 1..3, z >= 1) reads no closed-form term:
+    # math.comb serves it in one batch per reach
+    assert all(b > 1 for _, made in reaches for b in made)
+    assert any(grown > 1 and not made for grown, made in reaches)
+
+
+# -- integer factor columns ----------------------------------------------------
+# At an integer argument a of its family, every factor's term m >= 1 is
+# (g m + c)/m C(z m + c - 1, m - 1) at the (g, c) its ``integer`` map gives; where
+# z >= 1 and c >= 1 one math.comb kernel (``_integer_terms``) makes the column's
+# terms, which must be the family's per-term kernel and its stated form, however
+# the column's reaches are cut.
+
+# each family at its own (z, a): its factor, and its stated term in Fraction and
+# math.comb, defined wherever the integer route runs
+FAMILIES = {
+    "power": (I._catalan_power, lambda z, a, m: Fraction(a, z * m + a) * comb(z * m + a, m)),
+    "shifted": (I._CATALAN_BINOMIAL[1], lambda z, a, m: Fraction(comb(a + z * m, m))),
+    "ballot": (I._ballot, lambda e, a, m: Fraction((e - 2) * m + a, (e - 1) * m + a)
+               * comb(e * m + a - 1, m)),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@KERNEL
+@given(z=st.integers(1, 6), c=st.integers(1, 60), stop=st.integers(0, 61))
+def test_the_integer_kernel_is_each_familys_term(family, z, c, stop):
+    factor, stated = FAMILIES[family]
+    a = c - 1 if family == "shifted" else c  # the argument whose map gives this c
+    g, mapped = factor.integer(z, a)
+    assert mapped == c
+    terms = I._integer_terms(z, g, c, 0, stop)
+    assert all(type(term) is int for term in terms)
+    assert terms == [Fraction(*factor.kernel(z, a, 1, m)) for m in range(stop)]
+    assert terms == [stated(z, a, m) for m in range(stop)]
+
+
+# every factor of the four pairs, read at a row's first set slot and argument, so the
+# fuss and central maps (_fuss, _central) are read too
+ROW_FACTORS = {
+    "power": I._catalan_power, "shifted": I._CATALAN_BINOMIAL[1],
+    "fuss-power": I._BALLOT[0], "fuss": I._BALLOT[1],
+    "central-power": I._CENTRAL[0], "central": I._CENTRAL[1],
+}
+
+
+@pytest.mark.parametrize("kind", ROW_FACTORS)
+@KERNEL
+@given(first=st.integers(-1, 6),
+       v=st.builds(Fraction, st.integers(-6, 40), st.sampled_from([1, 2])),
+       cuts=st.lists(st.integers(0, 61), min_size=1, max_size=4))
+def test_an_integer_column_is_its_closed_form_however_its_reaches_are_cut(
+        kind, first, v, cuts):
+    # a half-integer v reaches an integer argument of the family through the central
+    # maps (2x and 2y + 2); anywhere else it takes another route
+    factor = ROW_FACTORS[kind]
+    z, a, b = family_at(factor, first, v)
+    integer = b == 1 and z >= 1 and factor.integer(z, a)[1] >= 1
+    col = factor(first, v)
+    assert col.integer == ((z, *factor.integer(z, a)) if integer else None)
+    if not integer:
+        return
+    assert col.steps is None
+    whole = factor(first, v).reach(max(cuts))
+    assert whole.nums == [Fraction(*factor.kernel(z, a, b, m)) for m in range(max(cuts))]
+    # grown over several reaches, in any order, it is the same column grown in one
+    for at, length in enumerate(cuts):
+        assert col.reach(length) is col
+        assert (col.nums, col.den) == (whole.nums[:max(cuts[:at + 1])], 1)
+
+
+# a pinned negative integer argument: the family's c is below 1, so the pinned
+# columns keep the closed form term by term, and the report is the one they gave
+# before the integer kernel
+PINNED_NEGATIVE = {
+    ("catalan-vandermonde", "--x", "-3"): "catalan-vandermonde: holds (315 points, "
+    "z in (2,3,4), x=-3, y over the rational grid, n <= 20)\n",
+    ("ballot-vandermonde", "--y", "-3"): "ballot-vandermonde: holds (315 points, "
+    "p in (2,3,4), y=-3, x over the rational grid, n <= 20)\n",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_NEGATIVE)
+def test_a_pinned_negative_integer_argument_keeps_the_per_term_route(monkeypatch, capsys,
+                                                                     argv):
+    made, column = [], I.Column
+
+    def recording_column(term, steps=None, integer=None):
+        made.append((term.args, integer))
+        return column(term, steps, integer)
+
+    monkeypatch.setattr(I, "Column", recording_column)
+    assert main(["check", *argv]) == 0
+    assert capsys.readouterr().out == PINNED_NEGATIVE[argv]
+    negative = [integer for (z, a, b), integer in made if b == 1 and a < 0]
+    assert negative and all(integer is None for integer in negative)
+    # the run's other integer columns take the kernel
+    assert any(integer is not None for _, integer in made)
 
 
 @KERNEL
@@ -784,11 +881,12 @@ COLUMN_BUILDS = {
 def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
     # the run makes one column per (factor, first set slot, argument), evaluates
     # each of its closed-form terms once, in order, and grows it no further than a
-    # group reads it; a stepped column evaluates only the first term of each reach
+    # group reads it; a stepped column evaluates only the first term of each reach,
+    # and an integer column none: math.comb makes its terms, each once, in order
     evaluated, highest, keys, alive, reaches = {}, {}, {}, [], {}
     column, first_failure, reach = I.Column, I._first_failure, I.Column.reach
 
-    def counting_column(term, steps=None):
+    def counting_column(term, steps=None, integer=None):
         key = term.func, term.args
         assert key not in evaluated, key
         evaluated[key] = seen = []
@@ -798,7 +896,7 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
             seen.append(j)
             return term(j)
 
-        col = column(counting_term, steps)
+        col = column(counting_term, steps, integer)
         alive.append(col)  # no id is reused while the run goes on
         keys[id(col)] = key
         return col
@@ -824,7 +922,12 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
     for col in alive:
         key = keys[id(col)]
         made = list(range(len(col.nums)))
-        assert evaluated[key] == (made if col.steps is None else reaches[key]), key
+        if col.integer is not None:
+            assert evaluated[key] == [], key
+            kernel, args = key
+            assert col.nums == [Fraction(*kernel(*args, m)) for m in made], key
+        else:
+            assert evaluated[key] == (made if col.steps is None else reaches[key]), key
         assert len(col.nums) == highest[key] + 1, key
     assert (sum(len(col.nums) for col in alive), len(alive)) == COLUMN_BUILDS[identity]
 
