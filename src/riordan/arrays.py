@@ -39,8 +39,10 @@ from a triangle given from outside: it solves the recurrence from
 neighbouring rows of the triangle's integer rows and checks each row
 against the step of the row before it, from ``A`` compacted to
 ``P/(1 - t)^j``, with no array rebuilt; :class:`fractions.Fraction`
-values are built only when entries are read.  An array built here needs
-no such recovery, as it keeps its ``A``.  One reader,
+values are built only when entries are read, by the series module's one
+reader of the integer form (:func:`~riordan.series._fractions`), which
+takes no gcd at denominator 1 and one per value otherwise.  An array
+built here needs no such recovery, as it keeps its ``A``.  One reader,
 :meth:`RiordanArray._rows`, hands out the generator's first rows after a
 row-count check; :meth:`RiordanArray.materialize` puts them over one
 denominator as a :class:`Triangle`, and the CLI writes them as they come.
@@ -80,6 +82,7 @@ from .series import (
     _append_term,
     _collect,
     _fraction,
+    _fractions,
     _lowest,
     _series,
     _stripped,
@@ -155,7 +158,8 @@ class Triangle:
     integer rows over one common positive denominator in lowest terms
     (``gcd(den, *all numerators) == 1``), so equal triangles have equal
     ``(rows, den)``; :attr:`rows` and :meth:`entry` build
-    :class:`fractions.Fraction` values when read.  Floats are rejected.
+    :class:`fractions.Fraction` values when read, through
+    :func:`~riordan.series._fractions`.  Floats are rejected.
     """
 
     __slots__ = ("_nums", "_den")
@@ -179,9 +183,7 @@ class Triangle:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as fractions, built on each access."""
         den = self._den
-        if den == 1:
-            return tuple(tuple(map(Fraction, row)) for row in self._nums)
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self._nums)
+        return tuple(_fractions(row, den) for row in self._nums)
 
     @property
     def nrows(self) -> int:
@@ -193,7 +195,7 @@ class Triangle:
             raise RiordanError(f"negative index ({n}, {k})")
         if n >= len(self._nums):
             raise RiordanError(f"row {n} is past the last row, {len(self._nums) - 1}")
-        return Fraction(self._nums[n][k], self._den) if k <= n else _ZERO
+        return _fractions((self._nums[n][k],), self._den)[0] if k <= n else _ZERO
 
     def __eq__(self, other):
         if not isinstance(other, Triangle):
@@ -564,8 +566,9 @@ def a_sequence(triangle: Triangle, terms: int | None = None) -> FormalPowerSerie
         lhs = [x * den for x in nxt[1:]] if den != 1 else list(nxt[1:])
         if lhs != step:
             k = next(k for k, (x, y) in enumerate(zip(lhs, step), 1) if x != y)
-            raise NotRiordanError(f"recurrence fails at (n={n}, k={k}): {Fraction(nxt[k], tden)}"
-                                  f" != {Fraction(step[k - 1], den * tden)}")
+            got = _fractions((nxt[k],), tden)[0]
+            want = _fractions((step[k - 1],), den * tden)[0]
+            raise NotRiordanError(f"recurrence fails at (n={n}, k={k}): {got} != {want}")
     return _series(xs[:terms], den)
 
 

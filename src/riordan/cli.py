@@ -39,7 +39,7 @@ from itertools import islice
 from .arrays import RiordanArray, ballot_triangle, catalan_triangle, pascal
 from .hypergeom import HypergeometricSpec, _terms
 from .identities import REGISTRY, check_registry, registry_entries
-from .series import FormalPowerSeries
+from .series import FormalPowerSeries, _fractions
 
 # builtin name -> array factory; each builtin array keeps its A-sequence
 _BUILTINS = {"pascal": pascal, "catalan42": catalan_triangle, "ballot43": ballot_triangle}
@@ -92,7 +92,7 @@ def _entry_texts(nums, den: int) -> list[str]:
     """Integer entries over ``den > 0``, each as the ``str`` of its fraction."""
     if den == 1:
         return list(map(str, nums))
-    return [str(Fraction(x, den)) for x in nums]
+    return list(map(str, _fractions(nums, den)))
 
 
 def _emit_triangle(rows, fmt: str, out) -> None:

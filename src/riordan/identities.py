@@ -91,7 +91,10 @@ bounded cache.  Every series comparison, hypergeometric-power-law's two
 routes included, is a verdict of ``reports.series_verdict``: a law that
 holds counts its coefficients as points, a route check counts none, and
 the first coefficient that differs is the counterexample, routes that
-disagree included.
+disagree included.  Where a hypergeometric spec refuses its argument (a
+lower parameter that is zero or a negative integer), the laws that read
+it are left out, the others are still compared, and the grid text says
+so.
 """
 
 from __future__ import annotations
@@ -106,6 +109,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 from .arrays import pascal
 from .hypergeom import (
     HypergeometricSpec,
+    PoleError,
     _binomial_power_ratio,
     _binomial_power_steps,
     _binomial_ratio,
@@ -118,8 +122,8 @@ from .hypergeom import (
 )
 from .reports import Counterexample, IdentityReport, series_verdict
 from .series import (
-    FormalPowerSeries, Steps, _append_term, _collect, _extend, _fraction, _ratio_steps,
-    _require_terms, _wrap, lagrange_solve,
+    FormalPowerSeries, Steps, _append_term, _collect, _extend, _fraction, _fractions,
+    _ratio_steps, _require_terms, _wrap, lagrange_solve,
 )
 
 Scalar = Union[int, Fraction]
@@ -492,6 +496,12 @@ def central_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
     return _spec(*_ballot_steps(e, *_ratio(alpha)))
 
 
+# the grid text's note where a product law's hypergeometric spec refused its argument
+_SPECS_LEFT_OUT = (
+    "hypergeometric laws left out where a spec has a nonpositive integer lower parameter"
+)
+
+
 def check_product_laws(
     p: int, x: Scalar, y: Scalar, precision: int, factors: dict | None = None
 ) -> IdentityReport:
@@ -511,8 +521,9 @@ def check_product_laws(
     while it holds, and routes that disagree give the counterexample,
     named by ``routes``, p and the slot.  The laws are compared in
     order, and the hypergeometric factors are built only once (i) and
-    (ii) hold, so a law that fails where a spec refuses its argument is
-    still a counterexample.
+    (ii) hold.  A hypergeometric law whose spec refuses its argument is
+    left out, and the grid text ends with ``_SPECS_LEFT_OUT``; (i), (ii)
+    and the other law are still compared and counted.
     """
     x, y = _fraction(x), _fraction(y)
     n = precision
@@ -551,26 +562,29 @@ def check_product_laws(
         direct.append(series)
     fuss_y, fuss_xy, power_x, central_y, central_xy = direct
 
+    left_out = []
+
     def laws():
-        # yielded one at a time, so a spec that refuses its argument (a lower
-        # parameter that is zero or a negative integer) is met only after (i) and (ii)
+        # yielded one at a time, so the hypergeometric factors are built after (i) and (ii)
         yield "binomial-ballot", binomial * fuss_y, fuss_xy
         yield "central-ballot", power_x * central_y, central_xy
-        yield (
-            "binomial-ballot-hypergeometric",
-            hyper(power_spec, p + 1, x) * hyper(fuss_ballot_spec, p, y),
-            hyper(fuss_ballot_spec, p, x + y),
-        )
-        yield (
-            "central-ballot-hypergeometric",
-            hyper(power_spec, 2 * p, 2 * x) * hyper(central_ballot_spec, p, y),
-            hyper(central_ballot_spec, p, x + y),
-        )
+        for label, power, ballot in (
+            ("binomial-ballot-hypergeometric", (p + 1, x), fuss_ballot_spec),
+            ("central-ballot-hypergeometric", (2 * p, 2 * x), central_ballot_spec),
+        ):
+            try:
+                lhs = hyper(power_spec, *power) * hyper(ballot, p, y)
+                rhs = hyper(ballot, p, x + y)
+            except PoleError:
+                left_out.append(label)
+                continue
+            yield label, lhs, rhs
 
-    return series_verdict("product-laws", grid, (
+    report = series_verdict("product-laws", grid, (
         ({"law": label, "p": str(p), "x": str(x), "y": str(y)}, lhs, rhs)
         for label, lhs, rhs in laws()
     ))
+    return report._replace(grid=f"{grid}, {_SPECS_LEFT_OUT}") if left_out else report
 
 
 # -- the factor pairs of the convolution identities ---------------------------
@@ -837,7 +851,7 @@ def _first_failure(
         # the map stops with the m + 1 reversed right terms, so no left prefix is copied
         lhs = sum(map(mul, L, R[m::-1]))
         if lhs != H[m] if same else lhs * rden != H[m] * den:
-            return j, (Fraction(lhs, den), Fraction(H[m], rden))
+            return j, _fractions((lhs,), den) + _fractions((H[m],), rden)
     return None
 
 
@@ -1009,7 +1023,7 @@ def sum_lhs(identity: str, n: int, **slots: Scalar) -> Fraction:
     row, first, (x, y, m) = _point(identity, n, slots)
     left = row.left(*first, x).reach(m + 1)
     right = row.right(*first, y).reach(m + 1)
-    return Fraction(_dot(left, right, m), left.den * right.den)
+    return _fractions((_dot(left, right, m),), left.den * right.den)[0]
 
 
 def sum_rhs(identity: str, n: int, **slots: Scalar) -> Fraction:
@@ -1019,7 +1033,7 @@ def sum_rhs(identity: str, n: int, **slots: Scalar) -> Fraction:
     """
     row, first, (x, y, m) = _point(identity, n, slots)
     col = row.right(*first, x + y).reach(m + 1)
-    return Fraction(col.nums[m] if m >= 0 else 0, col.den)
+    return _fractions((col.nums[m] if m >= 0 else 0,), col.den)[0]
 
 
 def _sweep(
@@ -1045,12 +1059,14 @@ def _sweep(
         return IdentityReport(identity, grid, 0)
     factors: dict = {}
     points = 0
+    left_out = False
     for params in _grid_points(axes, pinned):
         rep = check(*params.values(), precision, factors=factors)
         points += rep.points
         if not rep.holds:
             return IdentityReport(identity, rep.grid, points, rep.counterexample)
-    return IdentityReport(identity, grid, points)
+        left_out = left_out or rep.grid.endswith(_SPECS_LEFT_OUT)
+    return IdentityReport(identity, f"{grid}, {_SPECS_LEFT_OUT}" if left_out else grid, points)
 
 
 def _andrews_entry(variant: str) -> RegistryEntry:

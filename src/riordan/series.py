@@ -7,11 +7,15 @@ common positive denominator in lowest terms.  Every kernel runs on those
 integers: products and sums reduce by one gcd per operation, and the
 division and rational-power recurrences by one per output coefficient,
 instead of one per coefficient operation.  :meth:`FormalPowerSeries.coeff`
-and :attr:`FormalPowerSeries.coeffs` return :class:`fractions.Fraction`.
-No operation ever rounds.  Requesting a coefficient at or past the
-precision is an error rather than a silent zero, and binary operations
-truncate to the smaller operand precision, so knowledge never grows by
-accident.
+and :attr:`FormalPowerSeries.coeffs` return :class:`fractions.Fraction`,
+built by the one reader of the integer form, :func:`_fractions`: the
+container's gcd(den, *nums) == 1 makes every value coprime at
+denominator 1, so there a value takes no gcd, and otherwise one gcd
+with the denominator (:func:`_coprime` fills a ``Fraction``'s slots from
+the coprime pair).  No operation ever rounds.  Requesting a coefficient
+at or past the precision is an error rather than a silent zero, and
+binary operations truncate to the smaller operand precision, so
+knowledge never grows by accident.
 
 The package puts exact terms over one denominator here alone, and
 reduces each term once.  A batch (a stream of terms, or a constructor's
@@ -99,6 +103,30 @@ def _fraction(value) -> Fraction:
     if isinstance(value, float):
         raise SeriesError("float coefficients are not exact; use Fraction or int")
     return Fraction(value)
+
+
+def _coprime(num: int, den: int = 1) -> Fraction:
+    """The fraction ``num/den`` of a coprime pair with ``den > 0``, with no gcd.
+
+    It sets the two slots of a bare ``Fraction``, as CPython 3.12's
+    ``Fraction._from_coprime_ints`` does, so the value is
+    ``Fraction(num, den)`` in every respect: numerator, denominator, hash and text.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
+
+
+def _fractions(nums: Iterable[int], den: int) -> tuple[Fraction, ...]:
+    """Each ``x/den`` of integers over ``den > 0`` with gcd(den, *nums) == 1.
+
+    The one reader of the integer form: at ``den == 1`` each value is
+    already coprime and takes no gcd, otherwise each takes one gcd(x, den).
+    """
+    if den == 1:
+        return tuple(map(_coprime, nums))
+    return tuple([_coprime(x // g, den // g) for x in nums for g in (gcd(x, den),)])
 
 
 # -- integer kernels ---------------------------------------------------
@@ -360,8 +388,7 @@ class FormalPowerSeries:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as fractions, built on each access."""
-        den = self._den
-        return tuple(Fraction(x, den) for x in self._nums)
+        return _fractions(self._nums, self._den)
 
     def coeff(self, n: int) -> Fraction:
         """Coefficient of ``t**n``; error if ``n`` is out of the known range."""
@@ -371,7 +398,7 @@ class FormalPowerSeries:
             raise PrecisionError(
                 f"coefficient {n} requested but series only known mod t^{len(self._nums)}"
             )
-        return Fraction(self._nums[n], self._den)
+        return _fractions((self._nums[n],), self._den)[0]
 
     __getitem__ = coeff
 

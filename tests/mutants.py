@@ -366,6 +366,43 @@ MUTANTS = (
             "::test_columns_are_built_only_as_far_as_they_are_read[rothe-hagen]",
         ),
     ),
+    Mutant(
+        "fractions-reader-without-the-gcd",
+        "riordan/series.py",
+        "    return tuple([_coprime(x // g, den // g) for x in nums for g in (gcd(x, den),)])\n",
+        "    return tuple([_coprime(x, den) for x in nums])\n",
+        (
+            "tests/test_series_kernel.py"
+            "::test_fractions_reads_a_canonical_pair_as_the_fraction_loop",
+            "tests/test_series_kernel.py::test_series_reads_equal_a_fraction_loop",
+            "tests/test_arrays_kernel.py::test_triangle_reads_equal_a_fraction_loop",
+        ),
+    ),
+    Mutant(
+        "fractions-reader-takes-the-integer-route-at-every-denominator",
+        "riordan/series.py",
+        "    if den == 1:\n        return tuple(map(_coprime, nums))\n",
+        "    if den:\n        return tuple(map(_coprime, nums))\n",
+        (
+            "tests/test_series_kernel.py"
+            "::test_fractions_reads_a_canonical_pair_as_the_fraction_loop",
+            "tests/test_series_kernel.py::test_series_reads_equal_a_fraction_loop",
+            "tests/test_arrays_kernel.py::test_triangle_reads_equal_a_fraction_loop",
+        ),
+    ),
+    Mutant(
+        "product-laws-end-the-run-where-a-spec-refuses",
+        "riordan/identities.py",
+        "            except PoleError:\n",
+        "            except ArithmeticError:\n",
+        (
+            "tests/test_identities.py"
+            "::test_product_laws_at_a_spec_pole_compare_every_law_that_is_defined[pinned0]",
+            "tests/test_identities.py"
+            "::test_product_laws_at_a_spec_pole_compare_every_law_that_is_defined[pinned2]",
+            "tests/test_cli.py::test_check_cli_matches_golden[check product-laws --y -3]",
+        ),
+    ),
 )
 
 

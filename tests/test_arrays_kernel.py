@@ -676,3 +676,29 @@ def test_fraction_rows_give_the_materialized_triangle(case):
     assert hash(rebuilt) == hash(tri)
     assert (rebuilt._nums, rebuilt._den) == (tri._nums, tri._den)
     assert (rebuilt._den == 1) == all(c.denominator == 1 for row in tri.rows for c in row)
+
+
+@st.composite
+def triangle_rows(draw):
+    """Fraction rows of a triangle: integer, small rational or several hundred bits wide."""
+    wide = st.builds(Fraction, st.integers(-2**500, 2**500), st.integers(1, 2**300))
+    entry = draw(st.sampled_from([integer, st.one_of(integer, rational), wide]))
+    return [[draw(entry) for _ in range(n + 1)] for n in range(draw(st.integers(1, 7)))]
+
+
+@KERNEL
+@given(triangle_rows())
+def test_triangle_reads_equal_a_fraction_loop(rows):
+    tri = Triangle(rows)
+    assert_canonical(tri)
+    want = [[Fraction(x, tri._den) for x in row] for row in tri._nums]
+    assert want == rows
+    read = tri.rows
+    assert [list(row) for row in read] == want
+    for n, row in enumerate(want):
+        for k, value in enumerate(row):
+            for got in (read[n][k], tri.entry(n, k)):
+                assert type(got) is Fraction
+                assert (got.numerator, got.denominator) == (value.numerator, value.denominator)
+                assert hash(got) == hash(value) and str(got) == str(value)
+        assert tri.entry(n, n + 1) == 0

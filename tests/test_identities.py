@@ -4,13 +4,14 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
 from riordan import identities
 from riordan.arrays import RiordanError, ballot_triangle, catalan_triangle, pascal
-from riordan.hypergeom import HypergeometricSpec, binomial_series, expand, power_spec
+from riordan.hypergeom import HypergeometricSpec, PoleError, binomial_series, expand, power_spec
 from riordan.identities import (
     _FIB_CACHE_MAX,
     _VANDERMONDE_LAW,
@@ -304,6 +305,46 @@ def test_product_laws_hold():
 def test_product_laws_trivial_x():
     rep = check_product_laws(2, 0, 1, 15)
     assert rep.holds
+
+
+def defined_laws(p, x, y):
+    """How many of the four product laws are defined at (p, x, y): every spec of a
+    hypergeometric law must accept its argument, and laws (i) and (ii) always are."""
+    count = 2
+    for power, ballot in (((p + 1, x), fuss_ballot_spec), ((2 * p, 2 * x), central_ballot_spec)):
+        try:
+            power_spec(*power), ballot(p, y), ballot(p, x + y)
+        except PoleError:
+            continue
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("pinned", [
+    {"y": -3}, {"p": 2, "x": Fraction(-3, 2)}, {"p": 2, "x": Fraction(-3, 2), "y": 3},
+    {"x": Fraction(-1, 2), "y": 1}, {"p": 3, "x": -4, "y": Fraction(1, 2)},
+])
+def test_product_laws_at_a_spec_pole_compare_every_law_that_is_defined(pinned):
+    # at such a point the spec route refuses its argument: laws (i) and (ii) are still
+    # compared and counted, and only a hypergeometric law that reads the refused spec
+    # is left out, which the grid text names
+    n = 13
+    report = check_registry("product-laws", max_n=n - 1, pinned=pinned)
+    points = list(product(*(
+        [pinned[slot]] if slot in pinned else values
+        for slot, values in (("p", (2, 3)), ("x", RATIONAL_GRID), ("y", RATIONAL_GRID))
+    )))
+    assert report.holds
+    assert report.points == n * sum(defined_laws(*point) for point in points)
+    assert report.points >= n * 2 * len(points)
+    assert report.grid.endswith(
+        f"coefficients below {n}, hypergeometric laws left out where a spec has a "
+        "nonpositive integer lower parameter"
+    )
+    for point in points:
+        one = check_product_laws(*point, n)
+        assert one.holds and one.points == n * defined_laws(*point)
+        assert one.grid.endswith("lower parameter") == (defined_laws(*point) < 4)
 
 
 def test_product_laws_build_and_route_check_each_direct_sum_once_per_sweep(monkeypatch):

@@ -7,6 +7,8 @@ and every result must be in canonical form (positive denominator sharing
 no factor with all numerators).
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from math import ceil, gcd, isqrt, sqrt
 
@@ -942,3 +944,91 @@ def test_truncation_reduces_and_precision_rules_hold():
     assert f.shift_up(2).shift_down(2) == f
     assert (f / FPS([2] * 7)).precision == 3
     assert f.compose(FPS.t(9)) == f
+
+
+# -- the one reader of the integer form ----------------------------------------
+
+# zero, small signed values and values of several hundred bits
+numerator = st.one_of(st.just(0), st.integers(-40, 40), st.integers(-2**700, 2**700))
+# 1, small composite denominators that share factors with the numerators, and wide ones
+denominator = st.one_of(st.just(1), st.sampled_from([2, 6, 12, 30, 360, 2**64]),
+                        st.integers(1, 2**400))
+
+
+def same_fraction(got, want):
+    """``got`` is ``want`` in every respect a caller can see."""
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
+    assert (str(got), repr(got)) == (str(want), repr(want))
+    for back in (pickle.loads(pickle.dumps(got)), copy.copy(got), copy.deepcopy(got)):
+        assert type(back) is Fraction and back == want and hash(back) == hash(want)
+    third = Fraction(-1, 3)
+    assert (got + 7, got * -3, got - third, got / 5) == (want + 7, want * -3, want - third,
+                                                        want / 5)
+    assert (7 - got, third * got, got < third, got == 0) == (7 - want, third * want,
+                                                             want < third, want == 0)
+
+
+@st.composite
+def canonical_pairs(draw, max_size=8):
+    """Integers over ``den > 0`` with gcd(den, *nums) == 1, values sharing factors with den."""
+    den = draw(denominator)
+    shared = [d for d in (2, 3, 4, 5, 6, 10, 12) if den % d == 0] or [1]
+    nums = [draw(numerator) * draw(st.sampled_from(shared))
+            for _ in range(draw(st.integers(1, max_size)))]
+    g = gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+@KERNEL
+@given(numerator, denominator)
+@example(0, 12)
+@example(-2**600 * 3, 2**64 * 9)
+def test_coprime_builds_the_fraction_of_a_coprime_pair(num, den):
+    want = Fraction(num, den)
+    same_fraction(series._coprime(want.numerator, want.denominator), want)
+    same_fraction(series._coprime(num), Fraction(num))
+
+
+@KERNEL
+@given(canonical_pairs())
+@example(([2, 3, 4, 0, -6], 6))
+@example(([0], 1))
+@example(([-2**500, 5**200, 7], 1))
+@example(([2**400, -3 * 2**300, 1], 2**500 * 3))
+def test_fractions_reads_a_canonical_pair_as_the_fraction_loop(case):
+    nums, den = case
+    got = series._fractions(nums, den)
+    assert type(got) is tuple and len(got) == len(nums)
+    for value, x in zip(got, nums):
+        same_fraction(value, Fraction(x, den))
+
+
+def test_coprime_leaves_no_slot_of_a_fraction_unset():
+    # the reader fills a bare Fraction's slots by name: a Python whose Fraction renames
+    # its slots, or adds one, must fail here rather than hand out a broken value
+    value = series._coprime(-7, 12)
+    slots = [name for cls in Fraction.__mro__
+             for names in [vars(cls).get("__slots__", ())]
+             for name in ([names] if isinstance(names, str) else names)]
+    assert "_numerator" in slots and "_denominator" in slots
+    assert not hasattr(value, "__dict__")
+    assert [name for name in slots if not hasattr(value, name)] == []
+    same_fraction(value, Fraction(-7, 12))
+
+
+@KERNEL
+@given(canonical_pairs(max_size=12))
+@example(([6, 4, -9, 0], 12))
+def test_series_reads_equal_a_fraction_loop(case):
+    nums, den = case
+    # the series of the pair spelled with a shared factor, brought back to canonical form
+    f = series._series([3 * x for x in nums], 3 * den)
+    want = [Fraction(x, den) for x in nums]
+    assert (f._nums, f._den) == (tuple(nums), den)
+    for got, value in zip(f.coeffs, want, strict=True):
+        same_fraction(got, value)
+    for n, value in enumerate(want):
+        assert type(f.coeff(n)) is Fraction and f.coeff(n) == value
+        assert (f[n].numerator, f[n].denominator) == (value.numerator, value.denominator)
