@@ -27,20 +27,22 @@ identity columns use.
 
 No symbolic simplification is attempted: the consumers only ever need
 coefficient streams.  Alongside the generic expansion live the closed
-forms tied to arrays whose A-sequence is (1 + t)^q: the h-series of such
-an array, the generalized binomial series B_q and its rational powers,
-and the coefficient formula for (t h)^s = t^s B_q^{qs}.  They are stated
-once, as the integer kernel ``_binomial_power_ratio`` ([t^n] B_q^r):
-``binomial_series``, the h-series (B_q^q), the stock Catalan triangles,
-``power_coeff`` and the identity registry's factor columns all read it.
-It reads its cancelled form r/n C(qn + r - 1, n - 1) off the one
-generalized binomial, ``_binomial_ratio``.  Neither kernel reduces: each
-hands back a raw integer pair, which its collector reduces once.  Their
-term ratios are stated once, next to them, as integer linear factors
-at every argument: ``_binomial_steps`` for C(a/b + zm, m) and
-``_binomial_power_steps`` for B_q^r.  ``_spec`` reads a spec off a ratio,
-and the identity registry steps a column by one where no factor can
-vanish.
+forms tied to arrays whose A-sequence is (1 + t)^q, whose h-series is
+the generalized binomial series B_q.  Every series of that kind here is
+one factor family (z, g, c): term 0 is 1 and term m >= 1 is
+(g m + c)/m C(z m + c - 1, m - 1), B_z^c with a linear weight (Graham,
+Knuth and Patashnik, *Concrete Mathematics* 5.4).  B_q^r is (q, 0, r),
+so ``binomial_series``, the h-series (B_q^q), the stock Catalan
+triangles and ``power_coeff`` read the family, as the identity
+registry's factor columns, direct sums and specs do.  It is stated
+once, as one kernel and one ratio.  The kernel ``_family_ratio`` reads
+term m off the one generalized binomial, ``_binomial_ratio``, and hands
+back a raw integer pair for its collector to reduce; at an integer c
+the term is an integer, over 1.  The ratio ``_family_steps`` is the
+term ratio as integer linear factors at every argument: that of
+C(c - 1 + zm, m) (``_binomial_steps``) times the weight's, with every
+factor listed both above and below cancelled.  ``_spec`` reads a spec
+off it, and the identity registry steps a column by it.
 """
 
 from __future__ import annotations
@@ -136,19 +138,14 @@ def expand(spec: HypergeometricSpec, precision: int) -> FormalPowerSeries:
 def _spec(upper, lower) -> HypergeometricSpec:
     """The spec of the term ratio prod(upper) / ((m + 1) prod(lower)), factors c0 + c1 m.
 
-    A factor in both lists cancels.  Each one left is c1 (c0/c1 + m), a
-    parameter c0/c1, or a constant c0 (c1 = 0); the c1 and c0 go to the scale.
+    The ratio arrives cancelled (``_family_steps``).  Each factor is
+    c1 (c0/c1 + m), a parameter c0/c1, or a constant c0 (c1 = 0); the c1
+    and c0 go to the scale.
     """
-    lower, kept = list(lower), []
-    for factor in upper:
-        if factor in lower:
-            lower.remove(factor)
-        else:
-            kept.append(factor)
     return HypergeometricSpec(
-        [Fraction(c0, c1) for c0, c1 in kept if c1],
+        [Fraction(c0, c1) for c0, c1 in upper if c1],
         [Fraction(c0, c1) for c0, c1 in lower if c1],
-        Fraction(prod(c1 or c0 for c0, c1 in kept), prod(c1 or c0 for c0, c1 in lower)),
+        Fraction(prod(c1 or c0 for c0, c1 in upper), prod(c1 or c0 for c0, c1 in lower)),
     )
 
 
@@ -157,7 +154,7 @@ def power_spec(q: int, r: Scalar) -> HypergeometricSpec:
     if q < 2:
         raise HypergeomError(f"q must be >= 2, got {q}")
     r = _fraction(r)
-    return _spec(*_binomial_power_steps(q, r.numerator, r.denominator))
+    return _spec(*_family_steps(q, 0, r.numerator, r.denominator))
 
 
 def h_for_binomial_A(q: int, precision: int) -> FormalPowerSeries:
@@ -197,40 +194,50 @@ def _binomial_steps(z: int, a: int, b: int) -> Steps | None:
             [(b, 0), *((a + i * b, (z - 1) * b) for i in range(1, z))])
 
 
-def _binomial_power_ratio(q: int, a: int, b: int, n: int) -> tuple[int, int]:
-    """[t^n] B_q^r at r = a/b (b > 0): r/n C(qn + r - 1, n - 1), as a raw integer pair.
+def _family_ratio(z: int, g: int, a: int, b: int, m: int) -> tuple[int, int]:
+    """Term m of the family (z, g, c) at c = a/b (b > 0): (g m + c)/m C(z m + c - 1, m - 1).
 
-    This is r/(qn + r) C(qn + r, n) with its qn + r cancelled, read off
-    ``_binomial_ratio``, so rational r is legal and the form has no pole:
-    it is defined where qn + r vanishes too.  At an integer r the term is
-    an integer (B_q^r has integer coefficients), and is returned over 1.
+    Term 0 is 1.  The term is read off ``_binomial_ratio``, with the
+    weight's (z - 1) m + c cancelled by the binomial beside it, so it is
+    a polynomial of degree m in c with no pole, defined at every
+    argument.  At b = 1 it is an integer (the family has integer terms
+    at an integer c), returned over 1; otherwise the pair is raw.
     """
-    if n == 0:
+    if m == 0:
         return 1, 1
-    num, den = _binomial_ratio(a + (q * n - 1) * b, b, n - 1)
+    num, den = _binomial_ratio(a + (z * m - 1) * b, b, m - 1)
     if b == 1:
-        return a * num // (n * den), 1
-    return a * num, b * n * den
+        return (g * m + a) * num // (m * den), 1
+    return (g * m * b + a) * num, b * m * den
 
 
-def _binomial_power_steps(q: int, a: int, b: int) -> Steps | None:
-    """The ratio [t^(n+1)] B_q^r / [t^n] B_q^r at r = a/b, as linear factors in n.
+def _family_steps(z: int, g: int, a: int, b: int) -> Steps | None:
+    """The ratio of terms m + 1 and m of the family (z, g, c) at c = a/b, as linear factors in m.
 
-    It is the ratio of C(r + qn, n) (``_binomial_steps``) times
-    (r + qn)/(r + qn + q), whose denominator cancels the binomial's last
-    upper factor: the upper factors are r + qn + i for i = 0..q-1.  None at q < 1.
+    Term m is w(m) C(c - 1 + zm, m) with the weight w(m) = (gm + c)/((z-1)m + c),
+    so the ratio is ``_binomial_steps``'s times w(m + 1)/w(m), each factor
+    times b.  A factor listed both above and below is cancelled here, so
+    every reader gets the ratio cancelled.  None at z < 1.
     """
-    if q < 1:
+    if z < 1:
         return None
-    upper, lower = _binomial_steps(q, a, b)
-    return [(a, q * b), *upper[:-1]], lower
+    upper, lower = _binomial_steps(z, a - b, b)
+    upper += [(g * b + a, g * b), (a, (z - 1) * b)]
+    lower += [((z - 1) * b + a, (z - 1) * b), (a, g * b)]
+    kept = []
+    for factor in upper:
+        if factor in lower:
+            lower.remove(factor)
+        else:
+            kept.append(factor)
+    return kept, lower
 
 
 def binomial_series(q: int, r: Scalar, precision: int) -> FormalPowerSeries:
-    """(B_q)^r with coefficient n equal to r/(qn+r) C(qn+r, n).
+    """(B_q)^r with coefficient n equal to r/(qn+r) C(qn+r, n): the family (q, 0, r).
 
-    The coefficients come from ``_binomial_power_ratio``, so rational r is
-    legal, and so is an r at which qn + r vanishes: the cancelled form
+    The coefficients come from ``_family_ratio``, so rational r is legal,
+    and so is an r at which qn + r vanishes: the cancelled form
     r/n C(qn + r - 1, n - 1) is the coefficient there.
     """
     if q < 1:
@@ -239,7 +246,7 @@ def binomial_series(q: int, r: Scalar, precision: int) -> FormalPowerSeries:
         raise SeriesError("precision must be positive")
     r = _fraction(r)
     a, b = r.numerator, r.denominator
-    return _wrap(*_collect(_binomial_power_ratio(q, a, b, n) for n in range(precision)))
+    return _wrap(*_collect(_family_ratio(q, 0, a, b, n) for n in range(precision)))
 
 
 def power_coeff(q: int, s: int, j: int) -> Fraction:
@@ -253,7 +260,7 @@ def power_coeff(q: int, s: int, j: int) -> Fraction:
         raise HypergeomError(f"s must be >= 1, got {s}")
     if j < s:
         return Fraction(0)
-    return Fraction(*_binomial_power_ratio(q, q * s, 1, j - s))
+    return Fraction(*_family_ratio(q, 0, q * s, 1, j - s))
 
 
 def verify_power_identity(q: int, r: Scalar, precision: int) -> IdentityReport:

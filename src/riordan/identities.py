@@ -29,35 +29,30 @@ since column k of the subsampled array is F_{ps} * G_{p(k-s)+r}, read
 at n - k; the column sum is F_1 * G_{p(k-1)+r}, read at n - k + 1.
 
 The terms run on plain integers: a rational x enters as the pair
-(x.numerator, x.denominator).  Each factor (``Factor``) declares its
-closed-form term next to its term ratio and its integer form.  The
-closed form is a raw integer (numerator, denominator) pair that the
-column it joins reduces, and reads hypergeom's kernels:
-C(a/b, k) = prod(a - i b) / (b^k k!) is ``_binomial_ratio``, and B_q^r
-is ``_binomial_power_ratio``.  The two
-ballot series are one family, the d-column of a subsampled array whose
-A-sequence is (1 + t)^e: B(e, alpha) = (1 - w)(1 + w)^alpha/(1 - (e - 1) w)
-at w = t (1 + w)^e, whose term m is ((e-2)m + alpha)/((e-1)m + alpha)
-C(em + alpha - 1, m).  The fuss ballot series at (p, y) is
-B(p + 1, y + 1) (``_fuss``) and the central one B(2p, 2y + 2)
-(``_central``); each map is stated once, and the direct sums, the specs,
-the factors and the product-law routes read it.  Term m of every factor
-is a polynomial of degree m in its argument, and each kernel is written
-so: the family's (e-1)m + alpha is cancelled by the binomial beside it
-(``_ballot_ratio``), as B_q^r's qn + r is.  So no kernel raises or
-returns a term over 0, at any argument.  The ratio is stated once per
-family, at every argument, as integer linear factors in m built from
-hypergeom's ``_binomial_steps`` (times the weight's ratio for the ballot
-family, ``_ballot_steps``); the family's spec is read off it
-(``hypergeom._spec``).  At an integer argument every family's term is one
-generalized binomial with a linear weight, so one ``math.comb`` kernel
-makes the terms of every family (``_integer_terms``), from the two
-integers (g, c) that each factor declares.  ``Factor`` states that form
-and the route each column takes: the ``math.comb`` kernel at an integer
-argument, the ratio at a non-integer one, and the closed form term by
-term where neither applies (z <= 0, or a pinned negative argument).
-The direct sums of the product laws stay on the closed form, as routes
-independent of the stepping.  One run of a row keeps a memo of its
+(x.numerator, x.denominator).  Every factor is one family: term 0 is 1
+and term m >= 1 is (g m + c)/m C(z m + c - 1, m - 1), the generalized
+binomial B_z^c with a linear weight.  B_z^x is (z, 0, x), C(y + zm, m)
+is (z, z - 1, y + 1), and the two ballot series are one family, the
+d-column of a subsampled array whose A-sequence is (1 + t)^e:
+B(e, alpha) = (1 - w)(1 + w)^alpha/(1 - (e - 1) w) at w = t (1 + w)^e,
+whose term m is ((e-2)m + alpha)/((e-1)m + alpha) C(em + alpha - 1, m),
+is (e, e - 2, alpha) (``_ballot``).  The fuss ballot series at (p, y)
+is B(p + 1, y + 1) (``_fuss``) and the central one B(2p, 2y + 2)
+(``_central``); each map is stated once, and the direct sums, the
+specs, the factors and the product-law routes read it.  A factor
+(``Factor``) is its map to (z, g, c) and nothing else: every column,
+direct sum and spec reads hypergeom's one kernel ``_family_ratio`` (a
+raw integer pair, which the column or sum it joins reduces) and one
+ratio ``_family_steps`` (integer linear factors in m, cancelled, which
+``hypergeom._spec`` reads a spec off).  Term m is a polynomial of
+degree m in c, and the kernel is written so: the weight's
+(z - 1)m + c is cancelled by the binomial beside it, so it never raises
+or returns a term over 0.  ``Factor`` picks the route each column takes:
+one ``math.comb`` kernel (``_integer_terms``) at an integer c, the ratio
+at a non-integer one, and the closed form term by term where neither
+applies (z <= 0, or a pinned negative argument).  The direct sums of the
+product laws stay on the closed form, as routes independent of the
+stepping.  One run of a row keeps a memo of its
 factor columns, one table per (factor, first set slot) keyed by the
 argument, each column as integer numerators over one common denominator.
 A column is made once and grows in place as the points read past its
@@ -101,7 +96,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, islice, product
+from itertools import islice, product
 from math import comb
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
@@ -110,10 +105,8 @@ from .arrays import pascal
 from .hypergeom import (
     HypergeometricSpec,
     PoleError,
-    _binomial_power_ratio,
-    _binomial_power_steps,
-    _binomial_ratio,
-    _binomial_steps,
+    _family_ratio,
+    _family_steps,
     _spec,
     binomial_series,
     expand,
@@ -225,11 +218,6 @@ def _dot(left: Column, right: Column, m: int) -> int:
     return sum(map(mul, left.nums, right.nums[m::-1])) if m >= 0 else 0
 
 
-def _shifted_binomial_ratio(z: int, c: int, e: int, m: int) -> Ratio:
-    # C(y + zm, m) at y = c/e
-    return _binomial_ratio(c + z * m * e, e, m)
-
-
 def _fuss(p: int, y: Scalar) -> tuple[int, Scalar]:
     # the fuss ballot series at (p, y) is B(p + 1, y + 1)
     return p + 1, y + 1
@@ -240,31 +228,18 @@ def _central(p: int, y: Scalar) -> tuple[int, Scalar]:
     return 2 * p, 2 * y + 2
 
 
-def _ballot_ratio(e: int, a: int, b: int, m: int) -> Ratio:
-    # term m of B(e, alpha) at alpha = a/b: ((e-2)m + alpha)/((e-1)m + alpha) C(N, m) with
-    # N = em + alpha - 1, its (e-1)m + alpha cancelled by C(N, m) = (N - m + 1)/m C(N, m - 1)
-    if m == 0:
-        return 1, 1
-    num, den = _binomial_ratio(e * m * b + a - b, b, m - 1)
-    return ((e - 2) * m * b + a) * num, b * m * den
-
-
-def _ballot_steps(e: int, a: int, b: int) -> Steps | None:
-    # the ratio of _ballot_ratio: that of C(alpha - 1 + em, m) times the weight's
-    # w(m + 1)/w(m), w(m) = ((e-2)m + alpha)/((e-1)m + alpha), at alpha = a/b with its b's
-    # cancelled; None at e < 1, as for the binomial
-    if e < 1:
-        return None
-    upper, lower = _binomial_steps(e, a - b, b)
-    return ([*upper, ((e - 2) * b + a, (e - 2) * b), (a, (e - 1) * b)],
-            [*lower, ((e - 1) * b + a, (e - 1) * b), (a, (e - 2) * b)])
+def _ballot(e: int, alpha: Scalar) -> tuple[int, int, Scalar]:
+    # the ballot family B(e, alpha), term m ((e-2)m + alpha)/((e-1)m + alpha)
+    # C(em + alpha - 1, m), is the factor family (e, e - 2, alpha)
+    return e, e - 2, alpha
 
 
 # a float equal to a cached Fraction must still be refused, so the caches are typed
 @lru_cache(maxsize=8192, typed=True)
 def binomial(a: Scalar, k: int) -> Fraction:
-    """Generalized binomial: falling-factorial product over k!; 0 for k < 0."""
-    return Fraction(*_binomial_ratio(*_ratio(a), k))
+    """Generalized binomial C(a, k): the family of C(y + zm, m) at z = 0; 0 for k < 0."""
+    a, b = _ratio(a)
+    return Fraction(*_family_ratio(0, -1, a + b, b, k)) if k >= 0 else Fraction(0)
 
 
 # F_0 .. F_{len-1}; capped far above the 103 entries of ``check --all --max-n 50``
@@ -290,13 +265,13 @@ def fibonacci(n: int) -> int:
 @lru_cache(maxsize=4096, typed=True)
 def _catalan_power_term(z: int, x: Scalar, i: int) -> Fraction:
     # x/(x + zi) C(x + zi, i): [t^i] of B_z^x
-    return Fraction(*_binomial_power_ratio(z, *_ratio(x), i))
+    return Fraction(*_family_ratio(z, 0, *_ratio(x), i))
 
 
 @lru_cache(maxsize=2048, typed=True)
 def _central_power_term(p: int, x: Scalar, i: int) -> Fraction:
     # 2x/((2p-1)i + 2x) C(2pi + 2x - 1, i): [t^i] of B_{2p}^{2x}
-    return Fraction(*_binomial_power_ratio(2 * p, *_ratio(2 * x), i))
+    return Fraction(*_family_ratio(2 * p, 0, *_ratio(2 * x), i))
 
 
 # -- the Fibonacci / alternating binomial suite --------------------------
@@ -359,13 +334,6 @@ def _weight_series(signs: list[int], precision: int) -> FormalPowerSeries:
     return FormalPowerSeries([signs[i % 5] for i in range(precision)])
 
 
-# closed forms of the first column d of the even and odd row extractions
-_EXTRACTED_D: dict[str, Callable[[int], int]] = {
-    "even": lambda m: comb(2 * m, m),
-    "odd": lambda m: comb(2 * m + 1, m + 1),
-}
-
-
 def check_via_riordan(n_max: int, n: int | None = None) -> IdentityReport:
     """Reproduce the generating-function proof of the Fibonacci identities.
 
@@ -401,8 +369,8 @@ def check_via_riordan(n_max: int, n: int | None = None) -> IdentityReport:
         target = FormalPowerSeries(numerator, precision=terms) / fib_den
         for m in coefficients:
             points += 1
-            # the extracted first column has its own closed form
-            got, want = arr.d.coeff(m), _EXTRACTED_D[label](m)
+            # the extracted first column is C(2m + r, m)
+            got, want = arr.d.coeff(m), comb(2 * m + r, m)
             if got != want:
                 params, grid = {"rows": label, "column": "d", "n": str(m)}, "first column of rows"
             else:
@@ -421,13 +389,11 @@ def check_via_riordan(n_max: int, n: int | None = None) -> IdentityReport:
 # -- generating functions of the convolution families -----------------------
 
 
-def _direct_sum(
-    kernel: Callable[[int, int, int, int], Ratio], z: int, v: Scalar, precision: int
-) -> FormalPowerSeries:
-    """sum_{m < precision} kernel(z, v, m) t^m; no factor kernel raises, at any v."""
+def _direct_sum(z: int, g: int, c: Scalar, precision: int) -> FormalPowerSeries:
+    """sum_{m < precision} t^m times term m of the family (z, g, c); the kernel never raises."""
     _require_terms(precision)
-    a, b = _ratio(v)
-    return _wrap(*_collect(kernel(z, a, b, m) for m in range(precision)))
+    a, b = _ratio(c)
+    return _wrap(*_collect(_family_ratio(z, g, a, b, m) for m in range(precision)))
 
 
 def fuss_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
@@ -439,20 +405,20 @@ def fuss_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _direct_sum(_ballot_ratio, *_fuss(p, _fraction(y)), precision)
+    return _direct_sum(*_ballot(*_fuss(p, _fraction(y))), precision)
 
 
 def central_power_gf(p: int, x: Scalar, precision: int) -> FormalPowerSeries:
     """sum 2x/((2p-1)n+2x) C(2pn+2x-1, n) t^n, by direct summation.
 
-    Each term is read off ``_binomial_power_ratio``, whose cancelled form
+    It is B_{2p}^{2x}, the family (2p, 0, 2x), whose cancelled term
     2x/n C(2pn + 2x - 1, n - 1) is defined at every x.
     ``check_product_laws`` compares it with (1 + w)^(2x) at
     w = t (1 + w)^(2p).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _direct_sum(_binomial_power_ratio, 2 * p, 2 * _fraction(x), precision)
+    return _direct_sum(2 * p, 0, 2 * _fraction(x), precision)
 
 
 def central_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
@@ -464,7 +430,7 @@ def central_ballot_gf(p: int, y: Scalar, precision: int) -> FormalPowerSeries:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _direct_sum(_ballot_ratio, *_central(p, _fraction(y)), precision)
+    return _direct_sum(*_ballot(*_central(p, _fraction(y))), precision)
 
 
 def _substitution(e: int, a: Fraction, ballot: bool, precision: int) -> FormalPowerSeries:
@@ -481,19 +447,19 @@ def _substitution(e: int, a: Fraction, ballot: bool, precision: int) -> FormalPo
 
 
 def fuss_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
-    """The fuss-ballot series as a spec read off ``_ballot_steps`` (needs p >= 2)."""
+    """The fuss-ballot series as a spec read off ``_family_steps`` (needs p >= 2)."""
     if p < 2:
         raise ValueError(f"the hypergeometric form needs p >= 2, got {p}")
-    e, alpha = _fuss(p, _fraction(y))
-    return _spec(*_ballot_steps(e, *_ratio(alpha)))
+    z, g, alpha = _ballot(*_fuss(p, _fraction(y)))
+    return _spec(*_family_steps(z, g, *_ratio(alpha)))
 
 
 def central_ballot_spec(p: int, y: Scalar) -> HypergeometricSpec:
-    """The central ballot series as a spec read off ``_ballot_steps`` (needs p >= 2)."""
+    """The central ballot series as a spec read off ``_family_steps`` (needs p >= 2)."""
     if p < 2:
         raise ValueError(f"the hypergeometric form needs p >= 2, got {p}")
-    e, alpha = _central(p, _fraction(y))
-    return _spec(*_ballot_steps(e, *_ratio(alpha)))
+    z, g, alpha = _ballot(*_central(p, _fraction(y)))
+    return _spec(*_family_steps(z, g, *_ratio(alpha)))
 
 
 # the grid text's note where a product law's hypergeometric spec refused its argument
@@ -592,62 +558,49 @@ def check_product_laws(
 
 
 class Factor(NamedTuple):
-    """A factor's column: its closed-form term, its term ratio and its integer form.
+    """A factor's column, declared as its map to the factor family (z, g, c).
 
-    ``at`` maps the row's first set slot and an argument to the (z, v) of
-    the column's family, such as (e, alpha) of the ballot family; at
-    v = a/b, ``kernel(z, a, b, m)`` is term m, and ``steps(z, a, b)`` the
-    ratio of terms m + 1 and m (None at z < 1).  At an integer v = a,
-    every family's term m >= 1 is (g m + c)/m C(z m + c - 1, m - 1), the
+    ``at`` maps the row's first set slot and an argument to the (z, g, c)
+    of the family whose term m is (g m + c)/m C(z m + c - 1, m - 1): the
     generalized binomial r/(tn + r) C(tn + r, n) with a linear weight
-    (Graham, Knuth and Patashnik, *Concrete Mathematics* 5.4), and
-    ``integer(z, a)`` gives its (g, c).  A column takes one route:
+    (Graham, Knuth and Patashnik, *Concrete Mathematics* 5.4).  Every
+    column reads the one kernel ``_family_ratio`` and the one ratio
+    ``_family_steps`` at c = a/b.  A column takes one route:
 
-    - ``_integer_terms`` at an integer v with z >= 1 and c >= 1, where
+    - ``_integer_terms`` at b = 1 with z >= 1 and c >= 1, where
       z m + c - 1 >= m - 1 >= 0, so ``math.comb`` is defined, and m
       divides exactly, since the family's terms are integers there;
-    - the ratio at a non-integer v, where no factor c0 + c1 m can vanish
-      at an integer m: c1 does not divide c0, or c1 = 0 and c0 != 0;
+    - the ratio at b > 1 with z >= 1.  No factor of it can vanish at an
+      integer m: each is (a + i b, k b), and b does not divide a, or a
+      constant that is not 0;
     - the closed form term by term elsewhere: at z <= 0, or at c < 1, as
-      at a pinned negative integer v.
-
-    A factor with no ``integer`` map takes the closed form at an integer v.
+      at a pinned negative integer argument.
     """
 
-    kernel: Callable[[int, int, int, int], Ratio]
-    steps: Callable[[int, int, int], Steps | None]
-    integer: Callable[[int, int], tuple[int, int]] | None = None
-    at: Callable[[int, Scalar], tuple[int, Scalar]] = lambda z, v: (z, v)
+    at: Callable[[int, Scalar], tuple[int, int, Scalar]]
 
     def __call__(self, first: int, v: Scalar) -> Column:
-        z, v = self.at(first, v)
-        a, b = _ratio(v)
-        term = partial(self.kernel, z, a, b)
-        if b > 1:
-            steps = self.steps(z, a, b)
-            if steps and all(c0 % c1 if c1 else c0 for c0, c1 in chain(*steps)):
-                return Column(term, steps)
-        elif self.integer is not None and z >= 1:
-            g, c = self.integer(z, a)
-            if c >= 1:
-                return Column(term, integer=(z, g, c))
+        z, g, c = self.at(first, v)
+        a, b = _ratio(c)
+        term = partial(_family_ratio, z, g, a, b)
+        if z >= 1 and b > 1:
+            return Column(term, _family_steps(z, g, a, b))
+        if z >= 1 and a >= 1:  # b = 1
+            return Column(term, integer=(z, g, a))
         return Column(term)
 
 
-_catalan_power = Factor(_binomial_power_ratio, _binomial_power_steps,
-                        lambda z, a: (0, a))  # B_z^x
-# B_z^x and C(y + zm, m); at z = p and x = ps, F_x is the subsampled (t h)^s over t^s
-_CATALAN_BINOMIAL = (_catalan_power, Factor(_shifted_binomial_ratio, _binomial_steps,
-                                            lambda z, a: (z - 1, a + 1)))
+# B_z^x at (z, x); at z = p and x = ps it is the subsampled (t h)^s over t^s
+_catalan_power = Factor(lambda z, x: (z, 0, x))
+# B_z^x and C(y + zm, m)
+_CATALAN_BINOMIAL = (_catalan_power, Factor(lambda z, y: (z, z - 1, y + 1)))
 # B_z^x and B_z^y: one factor, so the two sides share their columns
 _ROTHE_HAGEN = (_catalan_power, _catalan_power)
-# the ballot family B(e, alpha), read at each series' map
-_ballot = Factor(_ballot_ratio, _ballot_steps, lambda e, a: (e - 2, a))
 # B_{p+1}^x and the fuss ballot series at y, B(p + 1, y + 1)
-_BALLOT = (_catalan_power._replace(at=lambda p, x: (p + 1, x)), _ballot._replace(at=_fuss))
+_BALLOT = (Factor(lambda p, x: (p + 1, 0, x)), Factor(lambda p, y: _ballot(*_fuss(p, y))))
 # B_{2p}^{2x} and the central ballot series at y, B(2p, 2y + 2)
-_CENTRAL = (_catalan_power._replace(at=lambda p, x: (2 * p, 2 * x)),
-            _ballot._replace(at=_central))
+_CENTRAL = (Factor(lambda p, x: (2 * p, 0, 2 * x)),
+            Factor(lambda p, y: _ballot(*_central(p, y))))
 
 
 # -- registry ------------------------------------------------------------------

@@ -42,10 +42,11 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
+        # the family kernel, which every ballot series reads, with C(N, m) for C(N, m - 1)
         "ballot-ratio-reads-C-N-m",
-        "riordan/identities.py",
-        "    num, den = _binomial_ratio(e * m * b + a - b, b, m - 1)\n",
-        "    num, den = _binomial_ratio(e * m * b + a - b, b, m)\n",
+        "riordan/hypergeom.py",
+        "    num, den = _binomial_ratio(a + (z * m - 1) * b, b, m - 1)\n",
+        "    num, den = _binomial_ratio(a + (z * m - 1) * b, b, m)\n",
         (
             "tests/test_identities_kernel.py::test_ballot_kernels_and_poles",
             "tests/test_identities_kernel.py"
@@ -66,13 +67,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the family kernel as (g m + c)/((z - 1) m + c) C(z m + c - 1, m), with its pole
         "ballot-ratio-in-its-stated-form",
-        "riordan/identities.py",
+        "riordan/hypergeom.py",
         "    if m == 0:\n        return 1, 1\n"
-        "    num, den = _binomial_ratio(e * m * b + a - b, b, m - 1)\n"
-        "    return ((e - 2) * m * b + a) * num, b * m * den\n",
-        "    num, den = _binomial_ratio(e * m * b + a - b, b, m)\n"
-        "    return ((e - 2) * m * b + a) * num, ((e - 1) * m * b + a) * den\n",
+        "    num, den = _binomial_ratio(a + (z * m - 1) * b, b, m - 1)\n"
+        "    if b == 1:\n        return (g * m + a) * num // (m * den), 1\n"
+        "    return (g * m * b + a) * num, b * m * den\n",
+        "    num, den = _binomial_ratio(a + (z * m - 1) * b, b, m)\n"
+        "    return (g * m * b + a) * num, ((z - 1) * m * b + a) * den\n",
         (
             "tests/test_identities_kernel.py::test_ballot_kernels_and_poles",
             "tests/test_identities_kernel.py"
@@ -106,10 +109,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the weight's upper factor g(m + 1) + c with g + 1 for g, e - 1 for e - 2 at a ballot map
         "ballot-weight-ratio-with-e-minus-1",
-        "riordan/identities.py",
-        "[*upper, ((e - 2) * b + a, (e - 2) * b),",
-        "[*upper, ((e - 1) * b + a, (e - 1) * b),",
+        "riordan/hypergeom.py",
+        "    upper += [(g * b + a, g * b),",
+        "    upper += [((g + 1) * b + a, (g + 1) * b),",
         (
             "tests/test_identities_kernel.py::test_step_ratio_is_the_ratio_of_closed_form_terms",
             "tests/test_identities_kernel.py::test_stepped_column_is_its_closed_form",
@@ -328,21 +332,23 @@ MUTANTS = (
     Mutant(
         "shifted-binomial-integer-map-with-z",
         "riordan/identities.py",
-        "lambda z, a: (z - 1, a + 1)",
-        "lambda z, a: (z, a + 1)",
+        "Factor(lambda z, y: (z, z - 1, y + 1))",
+        "Factor(lambda z, y: (z, z, y + 1))",
         (
             "tests/test_identities_kernel.py"
             "::test_the_integer_kernel_is_each_familys_term[shifted]",
             "tests/test_identities_kernel.py"
             "::test_an_integer_column_is_its_closed_form_however_its_reaches_are_cut[shifted]",
-            "tests/test_cli.py::test_check_all_matches_golden_jsonl",
+            # not check --all: the mutant reads C(y + 1 + zm, m) on every route, and
+            # F_x * G_{y+1} = G_{x+y+1} holds, so only a closed-form rhs sees it
+            "tests/test_identities_kernel.py::test_sum_rhs_is_the_closed_form[catalan-vandermonde]",
         ),
     ),
     Mutant(
         "ballot-integer-map-with-alpha-plus-1",
         "riordan/identities.py",
-        "lambda e, a: (e - 2, a)",
-        "lambda e, a: (e - 2, a + 1)",
+        "    return e, e - 2, alpha\n",
+        "    return e, e - 2, alpha + 1\n",
         (
             "tests/test_identities_kernel.py"
             "::test_the_integer_kernel_is_each_familys_term[ballot]",
@@ -350,6 +356,32 @@ MUTANTS = (
             "::test_an_integer_column_is_its_closed_form_however_its_reaches_are_cut[fuss]",
             "tests/test_identities_kernel.py"
             "::test_an_integer_column_is_its_closed_form_however_its_reaches_are_cut[central]",
+        ),
+    ),
+    Mutant(
+        # the weight's upper factor (z - 1) m + c with z for z - 1: it no longer cancels
+        "family-weight-ratio-with-z-for-z-minus-1",
+        "riordan/hypergeom.py",
+        "(a, (z - 1) * b)]",
+        "(a, z * b)]",
+        (
+            "tests/test_identities_kernel.py::test_step_ratio_is_the_ratio_of_closed_form_terms",
+            "tests/test_identities_kernel.py::test_stepped_column_is_its_closed_form",
+            "tests/test_identities.py::test_specs_read_off_the_ratio_equal_the_listed_parameters"
+            "[power-2]",
+        ),
+    ),
+    Mutant(
+        # the integer term at c = a without the weight's g m
+        "family-integer-term-without-g-m",
+        "riordan/hypergeom.py",
+        "        return (g * m + a) * num // (m * den), 1\n",
+        "        return a * num // (m * den), 1\n",
+        (
+            "tests/test_identities_kernel.py::test_binomial",
+            "tests/test_identities_kernel.py"
+            "::test_the_kernel_at_each_map_is_the_familys_closed_form[ballot]",
+            "tests/test_identities.py::test_direct_sums_equal_their_substitution[1-2]",
         ),
     ),
     Mutant(

@@ -8,11 +8,11 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from test_identities import first_column_off
 
 from riordan import cli, identities
 from riordan.arrays import a_sequence, ballot_triangle, catalan_triangle, pascal
@@ -596,8 +596,7 @@ def test_check_all_goes_on_past_an_identity_that_raises(capsys, monkeypatch, fai
 
 def test_check_all_counterexample_then_raise_exits_2(capsys, monkeypatch):
     # a counterexample record (1) from fibonacci-riordan, then an identity that raises (2)
-    wrong = dict(identities._EXTRACTED_D, odd=lambda m: comb(2 * m + 1, m + 1) + (m == 3))
-    monkeypatch.setattr(identities, "_EXTRACTED_D", wrong)
+    first_column_off(monkeypatch, 1, 3)
     stub_entry(monkeypatch, "hypergeometric-power-law", ValueError("boom"))
     code, out, err = run(capsys, "check", "--all", "--max-n", "4", "--format", "jsonl")
     assert code == 2
@@ -1248,23 +1247,23 @@ def test_check_andrews_from_n_1_at_max_n_0_is_not_a_pass(capsys, variant):
     )
 
 
-def wrong_kernel(p, a, b, m):
-    # a direct-sum term kernel whose term 1 is 2, against the true one of the substitution route
+def wrong_kernel(z, g, a, b, m):
+    # a family kernel whose term 1 is 2, against the true one of the substitution route
     return m + 1, 1
 
 
-def wrong_ballot_sum(monkeypatch, gf, family, at_p=None):
-    """Make the ballot series ``gf`` sum ``wrong_kernel`` at its map ``family`` (at ``at_p`` only).
+def wrong_sum(monkeypatch, gf, at_p=None):
+    """Make the direct sum ``gf`` sum ``wrong_kernel``'s terms (at ``at_p`` only).
 
-    The two ballot series share one kernel, and fuss at p = 3 and central at p = 2 both
-    have e = 4, so the series perturbed is picked by its map, not by the kernel's e.
+    The direct sums share one kernel, so the sum perturbed is picked by its
+    function alone; the other sums and every substitution route stay true.
     """
     real = getattr(identities, gf)
 
     def wrong(p, y, precision):
         if at_p not in (None, p):
             return real(p, y, precision)
-        return identities._direct_sum(wrong_kernel, *family(p, y), precision)
+        return FormalPowerSeries([m + 1 for m in range(precision)])  # wrong_kernel's terms
 
     wrong.__name__ = gf
     monkeypatch.setattr(identities, gf, wrong)
@@ -1293,35 +1292,29 @@ def assert_route_failure_report(capsys, gf, slot, rhs, p=2, points=2):
 
 
 def test_check_disagreeing_routes_exit_1(capsys, monkeypatch):
-    # a wrong ballot kernel makes both ballot series' routes disagree, and fuss_ballot_gf's
+    # a wrong family kernel makes every direct sum's routes disagree, and fuss_ballot_gf's
     # are compared first
-    monkeypatch.setattr(identities, "_ballot_ratio", wrong_kernel)
+    monkeypatch.setattr(identities, "_family_ratio", wrong_kernel)
     # term 1 at p = 2, y = 1/2: (p + y)/(p + y + 1) C(p + 1 + y, 1) = 5/7 * 7/2
     assert_route_failure_report(capsys, "fuss_ballot_gf", "y", "5/2")
 
 
-@pytest.mark.parametrize("kernel, gf, slot, rhs", [
+@pytest.mark.parametrize("gf, slot, rhs", [
     # term 1 at p = 2, x = 1/2: 2x/(2p - 1 + 2x) C(2p + 2x - 1, 1) = 1/4 * 4
-    pytest.param("_binomial_power_ratio", "central_power_gf", "x", "1",
-                 id="_binomial_power_ratio-central_power_gf"),
-])
-def test_check_disagreeing_central_routes_exit_1(capsys, monkeypatch, kernel, gf, slot, rhs):
-    # a wrong direct summation makes the central power's two routes disagree
-    monkeypatch.setattr(identities, kernel, wrong_kernel)
-    assert_route_failure_report(capsys, gf, slot, rhs)
-
-
-def test_check_disagreeing_central_ballot_routes_exit_1(capsys, monkeypatch):
-    # a wrong direct summation at the central map makes central_ballot_gf's routes disagree
-    wrong_ballot_sum(monkeypatch, "central_ballot_gf", identities._central)
+    ("central_power_gf", "x", "1"),
     # term 1 at p = 2, y = 1/2: (p + y)/(p + y + 1) C(2(p + y + 1), 1) = 5/7 * 7
-    assert_route_failure_report(capsys, "central_ballot_gf", "y", "5")
+    ("central_ballot_gf", "y", "5"),
+], ids=["central_power_gf", "central_ballot_gf"])
+def test_check_disagreeing_central_routes_exit_1(capsys, monkeypatch, gf, slot, rhs):
+    # a wrong direct summation makes that central series' two routes disagree
+    wrong_sum(monkeypatch, gf)
+    assert_route_failure_report(capsys, gf, slot, rhs)
 
 
 def test_check_disagreeing_routes_count_the_points_before_them(capsys, monkeypatch):
     # fuss_ballot_gf is wrong at p = 3 only: p = 2 holds on its 25 (x, y) points,
     # 4 laws of 4 coefficients each, then the first p = 3 point fails
-    wrong_ballot_sum(monkeypatch, "fuss_ballot_gf", identities._fuss, at_p=3)
+    wrong_sum(monkeypatch, "fuss_ballot_gf", at_p=3)
     # term 1 at p = 3, y = 1/2: (p + y)/(p + y + 1) C(p + 1 + y, 1) = 7/9 * 9/2
     assert_route_failure_report(capsys, "fuss_ballot_gf", "y", "7/2", p=3, points=25 * 16 + 2)
 
@@ -1419,8 +1412,7 @@ def test_triangle_and_extract_refuse_no_rows_and_a_missing_list(capsys, argv, me
 
 
 def test_check_via_riordan_closed_form_mismatch(capsys, monkeypatch):
-    wrong = dict(identities._EXTRACTED_D, odd=lambda m: comb(2 * m + 1, m + 1) + (m == 3))
-    monkeypatch.setattr(identities, "_EXTRACTED_D", wrong)
+    first_column_off(monkeypatch, 1, 3)
     code, out, _ = run(
         capsys, "check", "fibonacci-riordan", "--max-n", "5", "--format", "jsonl"
     )
@@ -1429,8 +1421,8 @@ def test_check_via_riordan_closed_form_mismatch(capsys, monkeypatch):
     assert rec["verdict"] == "counterexample"
     assert rec["counterexample"] == {
         "params": {"rows": "odd", "column": "d", "n": "3"},
-        "lhs": "35",
-        "rhs": "36",
+        "lhs": "36",
+        "rhs": "35",
     }
     assert rec["points"] == 6 + 4
 
@@ -1440,8 +1432,7 @@ def test_check_via_riordan_checks_each_point_in_order(capsys, monkeypatch):
     # first column wrong at n = 1 and F_6 wrong at (even, 3), the even point
     # is met first, after 4 points
     fibonacci_off_at_6(monkeypatch)
-    wrong = dict(identities._EXTRACTED_D, odd=lambda m: comb(2 * m + 1, m + 1) + (m == 1))
-    monkeypatch.setattr(identities, "_EXTRACTED_D", wrong)
+    first_column_off(monkeypatch, 1, 1)
     assert run(capsys, "check", "fibonacci-riordan", "--max-n", "5") == (
         1,
         "fibonacci-riordan: counterexample (4 points, rows even, n <= 5)\n"

@@ -18,8 +18,8 @@ from riordan import hypergeom, series
 from riordan.hypergeom import (
     HypergeometricSpec,
     HypergeomError,
-    _binomial_power_ratio,
     _binomial_ratio,
+    _family_ratio,
     binomial_series,
     expand,
     pochhammer,
@@ -264,7 +264,7 @@ def test_binomial_kernels_reduce_no_pair(monkeypatch):
 
 
 def power_term(q, r, n):
-    num, den = _binomial_power_ratio(q, r.numerator, r.denominator, n)
+    num, den = _family_ratio(q, 0, r.numerator, r.denominator, n)  # B_q^r: the family (q, 0, r)
     assert den > 0
     if r.denominator == 1:
         assert den == 1

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -285,14 +286,14 @@ def test_direct_sums_equal_their_substitution(p, v):
     # integers down to -12 and the odd halves put v on poles of the stated forms below 9
     # terms, at every p: pm + v + 1 = 0 of the ballot forms (m = 3 at p = 2, v = -7) and
     # (2p-1)m + 2v = 0 of the central power; the sums start at p = 1, so p = 0 reads
-    # their kernels through _direct_sum at the route's (e, a)
+    # the family kernel through _direct_sum at the route's (e, a) and the sum's weight g
     n = 9
-    for gf, kernel, route in (
-        (fuss_ballot_gf, identities._ballot_ratio, (p + 1, v + 1, True)),
-        (central_power_gf, identities._binomial_power_ratio, (2 * p, 2 * v, False)),
-        (central_ballot_gf, identities._ballot_ratio, (2 * p, 2 * v + 2, True)),
+    for gf, g, route in (
+        (fuss_ballot_gf, p - 1, (p + 1, v + 1, True)),
+        (central_power_gf, 0, (2 * p, 2 * v, False)),
+        (central_ballot_gf, 2 * p - 2, (2 * p, 2 * v + 2, True)),
     ):
-        got = gf(p, v, n) if p else identities._direct_sum(kernel, *route[:2], n)
+        got = gf(p, v, n) if p else identities._direct_sum(route[0], g, route[1], n)
         assert got == identities._substitution(*route, n), gf.__name__
 
 
@@ -781,11 +782,32 @@ def test_an_n_pin_below_the_first_n_is_refused_by_name(entry):
         check_registry(entry.id, 5, {"n": least - 1})
 
 
+def first_column_off(monkeypatch, rows, m):
+    """Make fibonacci-riordan's first column at row offset ``rows`` one too large at m.
+
+    ``rows`` is 0 for the even extraction and 1 for the odd one; the
+    closed form C(2m + r, m) is the side that stays right.
+    """
+    real = identities.pascal
+
+    class Base:
+        def __init__(self, nrows):
+            self.array = real(nrows)
+
+        def extract_subarray(self, p, r):
+            arr = self.array.extract_subarray(p, r)
+            if r != rows:
+                return arr
+            bump = FormalPowerSeries([0] * m + [1], precision=arr.d.precision)
+            return SimpleNamespace(d=arr.d + bump, h=arr.h)
+
+    monkeypatch.setattr(identities, "pascal", Base)
+
+
 def test_fibonacci_riordan_n_pin_checks_coefficient_n_of_both_extractions(monkeypatch):
-    wrong = dict(identities._EXTRACTED_D, even=lambda m: comb(2 * m, m) + (m == 3))
     rep = check_registry("fibonacci-riordan", 5, {"n": 7})
     assert (rep.holds, rep.points, rep.grid) == (True, 2, "even and odd extractions, n=7")
-    monkeypatch.setattr(identities, "_EXTRACTED_D", wrong)
+    first_column_off(monkeypatch, 0, 3)
     assert check_registry("fibonacci-riordan", 5, {"n": 2}).holds
     rep = check_registry("fibonacci-riordan", 5, {"n": 3})
     assert rep.grid == "first column of rows even, n=3"

@@ -154,6 +154,12 @@ def poles_too(p_strategy):
 # -- term functions -----------------------------------------------------------
 
 
+def family_term(family, z, v, m):
+    """Term m of the one kernel, at the (z, g, c) that the map ``family`` gives at (z, v)."""
+    z, g, c = family(z, v)
+    return Fraction(*I._family_ratio(z, g, *I._ratio(c), m))
+
+
 @KERNEL
 @given(scalar, st.integers(-2, 12))
 def test_binomial(a, k):
@@ -177,13 +183,13 @@ def test_central_power_term(p, x, i):
 @KERNEL
 @given(st.data(), st.integers(0, 4), index)
 def test_ballot_kernels_and_poles(data, p, m):
-    # the family kernel term by term at the fuss (p + 1, y + 1) and the central
-    # (2p, 2y + 2), from p = 0 on, where the two ballot rows start: the stated form off
-    # the pole line, the substitution route on it
+    # the kernel term by term at the ballot map of the fuss (p + 1, y + 1) and the
+    # central (2p, 2y + 2), from p = 0 on, where the two ballot rows start: the stated
+    # form off the pole line, the substitution route on it
     y = Fraction(data.draw(poles_too(st.just(p))))
     for (e, alpha), ref in (((p + 1, y + 1), ref_ballot),
                             ((2 * p, 2 * y + 2), ref_central_ballot)):
-        assert Fraction(*I._ballot_ratio(e, *I._ratio(alpha), m)) == ref(p, y, m)
+        assert family_term(I._ballot, e, alpha, m) == ref(p, y, m)
 
 
 @pytest.mark.parametrize("wrapper, args", [
@@ -256,36 +262,36 @@ def test_column_is_exact_over_one_denominator(ratios, data):
 # before it; it must hold the same canonical (nums, den) as the closed form,
 # however its reaches are cut.
 
-# the four factor families, each a factor and the (z, alpha) of its binomial
-# C(alpha + zm, m) at the factor's first set slot and argument: the ballot family's
-# binomial is C(alpha - 1 + em, m), at the fuss (p + 1, y + 1) and the central (2p, 2y + 2)
+# the four factor families, each by its factor, whose map gives the (z, g, c) of the
+# family's binomial C(c - 1 + zm, m) at the factor's first set slot and argument: the
+# ballot family's c is alpha, at the fuss (p + 1, y + 1) and the central (2p, 2y + 2)
 STEPPED = {
-    "power": (I._catalan_power, lambda z, v: (z, v)),
-    "shifted": (I._CATALAN_BINOMIAL[1], lambda z, v: (z, v)),
-    "ballot": (I._BALLOT[1], lambda p, y: (p + 1, y)),
-    "central": (I._CENTRAL[1], lambda p, y: (2 * p, 2 * y + 1)),
+    "power": I._catalan_power,
+    "shifted": I._CATALAN_BINOMIAL[1],
+    "ballot": I._BALLOT[1],
+    "central": I._CENTRAL[1],
 }
 non_integer = st.builds(Fraction, st.integers(-60, 60), st.integers(2, 12)).filter(
     lambda v: v.denominator > 1)
 
 
-def family_at(factor, z, v):
-    """The (z, a, b) at which ``factor`` reads its kernel and its ratio: its family's map."""
-    z, v = factor.at(z, v)
-    return (z, *I._ratio(v))
+def family_at(factor, first, v):
+    """The (z, g, a, b) at which ``factor`` reads the kernel and the ratio: its map, at c = a/b."""
+    z, g, c = factor.at(first, v)
+    return (z, g, *I._ratio(c))
 
 
-def closed_form(factor, z, v, length):
-    return _collect(factor.kernel(*family_at(factor, z, v), m) for m in range(length))
+def closed_form(factor, first, v, length):
+    return _collect(I._family_ratio(*family_at(factor, first, v), m) for m in range(length))
 
 
 @KERNEL
 @given(kind=st.sampled_from(sorted(STEPPED)), z=st.integers(1, 5), v=non_integer,
        cuts=st.lists(st.integers(1, 60), min_size=1, max_size=4))
 def test_stepped_column_is_its_closed_form(kind, z, v, cuts):
-    factor, binomial = STEPPED[kind]
+    factor = STEPPED[kind]
     col = factor(z, v)
-    if binomial(z, v)[1].denominator == 1:  # the central map takes y = a/2 to an integer
+    if factor.at(z, v)[2].denominator == 1:  # the central map takes y = a/2 to an integer c
         assert (kind, v.denominator, col.steps) == ("central", 2, None)
         return
     assert col.steps is not None
@@ -299,12 +305,12 @@ def test_stepped_column_is_its_closed_form(kind, z, v, cuts):
        v=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)))
 def test_factor_steps_only_at_a_non_integer_alpha_and_z_at_least_one(kind, z, v):
     # elsewhere a linear factor can vanish, and the column keeps its closed form
-    factor, binomial = STEPPED[kind]
-    binomial_z, upper = binomial(z, v)
+    factor = STEPPED[kind]
+    family_z, _, c = factor.at(z, v)
     col = factor(z, v)
-    assert (col.steps is None) == (binomial_z < 1 or upper.denominator == 1)
+    assert (col.steps is None) == (family_z < 1 or c.denominator == 1)
     # below z = 1 the ratio has no product form at all
-    assert (factor.steps(*family_at(factor, z, v)) is None) == (binomial_z < 1)
+    assert (I._family_steps(*family_at(factor, z, v)) is None) == (family_z < 1)
 
 
 @KERNEL
@@ -314,12 +320,11 @@ def test_step_ratio_is_the_ratio_of_closed_form_terms(kind, z, v, m):
     # at every argument, integer alpha included, wherever term m is not 0 (the ratio's
     # m + 1 is implied); where a lower factor vanishes, an upper one does too and the
     # ratio reads 0/0, which is why such a column is never stepped
-    factor, _ = STEPPED[kind]
-    at = family_at(factor, z, v)
-    term = Fraction(*factor.kernel(*at, m))
+    at = family_at(STEPPED[kind], z, v)
+    term = Fraction(*I._family_ratio(*at, m))
     if not term:
         return
-    upper, lower = factor.steps(*at)
+    upper, lower = I._family_steps(*at)
     if not all(c0 + c1 * m for c0, c1 in lower):
         assert not all(c0 + c1 * m for c0, c1 in upper)
         return
@@ -328,40 +333,27 @@ def test_step_ratio_is_the_ratio_of_closed_form_terms(kind, z, v, m):
         value *= c0 + c1 * m
     for c0, c1 in lower:
         value /= c0 + c1 * m
-    assert value == Fraction(*factor.kernel(*at, m + 1))
-
-
-# linear factors (c0, c1), and some that cannot vanish: c1 does not divide c0
-linear = st.tuples(st.integers(-50, 50), st.integers(-6, 6))
-safe = st.tuples(st.integers(-50, 50), st.integers(2, 6)).filter(lambda f: f[0] % f[1])
+    assert value == Fraction(*I._family_ratio(*at, m + 1))
 
 
 @KERNEL
-@given(st.lists(st.one_of(linear, safe), max_size=5), st.lists(st.one_of(linear, safe),
-       max_size=5), st.integers(0, 200), st.integers(-6, 6).filter(bool))
-def test_a_column_steps_only_by_factors_that_cannot_vanish(upper, lower, m0, c1):
-    def steps(upper, lower):
-        # the ratio is data here: Factor's guard reads nothing but its factors
-        return I.Factor(lambda z, a, b, m: (1, 1), lambda z, a, b: (upper, lower))(
-            1, Fraction(1, 2)).steps
-
-    if steps(upper, lower) is not None:
-        assert all(c0 + c1 * m for c0, c1 in upper + lower for m in range(201))
-    # a factor that vanishes at m0 turns the column to its closed form, in either list
-    vanishing = [(-m0 * c1, c1)]
-    assert steps(upper + vanishing, lower) is None
-    assert steps(upper, lower + vanishing) is None
+@given(z=st.integers(1, 8), g=st.integers(-3, 8), c=non_integer)
+def test_no_factor_of_the_ratio_vanishes_at_a_non_integer_argument(z, g, c):
+    # each factor is (a + i b, k b), where b does not divide a, or a constant other than
+    # 0, so a column at a non-integer c steps by the ratio with no guard
+    upper, lower = I._family_steps(z, g, c.numerator, c.denominator)
+    assert all(c0 + c1 * m for c0, c1 in upper + lower for m in range(201))
 
 
 def test_non_integer_columns_read_the_closed_form_once_per_reach(monkeypatch):
     # a reach of a column at a non-integer argument (b >= 2 in catalan-vandermonde's
-    # two kernels) takes its first term from _binomial_ratio and steps the rest
+    # two factors) takes its first term from the kernel and steps the rest
     calls, reaches = [], []
-    binomial_ratio, reach = hypergeom._binomial_ratio, I.Column.reach
+    family_ratio, reach = I._family_ratio, I.Column.reach
 
-    def spy(a, b, k):
+    def spy(z, g, a, b, m):
         calls.append(b)
-        return binomial_ratio(a, b, k)
+        return family_ratio(z, g, a, b, m)
 
     def counting_reach(col, length):
         before, start = len(calls), len(col.nums)
@@ -369,8 +361,7 @@ def test_non_integer_columns_read_the_closed_form_once_per_reach(monkeypatch):
         reaches.append((length - start, calls[before:]))
         return out
 
-    for module in (hypergeom, I):
-        monkeypatch.setattr(module, "_binomial_ratio", spy)
+    monkeypatch.setattr(I, "_family_ratio", spy)
     monkeypatch.setattr(I.Column, "reach", counting_reach)
     assert I.check_registry("catalan-vandermonde", 30).holds
     rational = [(grown, [b for b in made if b > 1]) for grown, made in reaches]
@@ -383,17 +374,16 @@ def test_non_integer_columns_read_the_closed_form_once_per_reach(monkeypatch):
 
 
 # -- integer factor columns ----------------------------------------------------
-# At an integer argument a of its family, every factor's term m >= 1 is
-# (g m + c)/m C(z m + c - 1, m - 1) at the (g, c) its ``integer`` map gives; where
-# z >= 1 and c >= 1 one math.comb kernel (``_integer_terms``) makes the column's
-# terms, which must be the family's per-term kernel and its stated form, however
-# the column's reaches are cut.
+# Every factor's term m >= 1 is (g m + c)/m C(z m + c - 1, m - 1) at the (z, g, c) its
+# map gives; where c is an integer, z >= 1 and c >= 1 one math.comb kernel
+# (``_integer_terms``) makes the column's terms, which must be the family's term and
+# its stated form, however the column's reaches are cut.
 
-# each family at its own (z, a): its factor, and its stated term in Fraction and
+# each family at its own (z, a): its map, and its stated term in Fraction and
 # math.comb, defined wherever the integer route runs
 FAMILIES = {
-    "power": (I._catalan_power, lambda z, a, m: Fraction(a, z * m + a) * comb(z * m + a, m)),
-    "shifted": (I._CATALAN_BINOMIAL[1], lambda z, a, m: Fraction(comb(a + z * m, m))),
+    "power": (I._catalan_power.at, lambda z, a, m: Fraction(a, z * m + a) * comb(z * m + a, m)),
+    "shifted": (I._CATALAN_BINOMIAL[1].at, lambda z, a, m: Fraction(comb(a + z * m, m))),
     "ballot": (I._ballot, lambda e, a, m: Fraction((e - 2) * m + a, (e - 1) * m + a)
                * comb(e * m + a - 1, m)),
 }
@@ -403,22 +393,56 @@ FAMILIES = {
 @KERNEL
 @given(z=st.integers(1, 6), c=st.integers(1, 60), stop=st.integers(0, 61))
 def test_the_integer_kernel_is_each_familys_term(family, z, c, stop):
-    factor, stated = FAMILIES[family]
+    family_map, stated = FAMILIES[family]
     a = c - 1 if family == "shifted" else c  # the argument whose map gives this c
-    g, mapped = factor.integer(z, a)
-    assert mapped == c
+    mapped_z, g, mapped = family_map(z, a)
+    assert (mapped_z, mapped) == (z, c)
     terms = I._integer_terms(z, g, c, 0, stop)
     assert all(type(term) is int for term in terms)
-    assert terms == [Fraction(*factor.kernel(z, a, 1, m)) for m in range(stop)]
+    assert terms == [Fraction(*I._family_ratio(z, g, c, 1, m)) for m in range(stop)]
     assert terms == [stated(z, a, m) for m in range(stop)]
 
 
+def ref_ballot_family(e, v, m):
+    # the ballot family's stated form; on its pole (e - 1)m + v = 0 (m >= 1) the
+    # cancelled form ((e - 2)m + v)/m C(em + v - 1, m - 1)
+    if m == 0:
+        return Fraction(1)
+    den = (e - 1) * m + v
+    if den:
+        return ((e - 2) * m + v) / den * ref_binomial(e * m + v - 1, m)
+    return ((e - 2) * m + v) / m * ref_binomial(e * m + v - 1, m - 1)
+
+
+# each family's map at its own (z, v), and its closed form at every argument in Fraction
+CLOSED_FORMS = {
+    "power": (I._catalan_power.at, ref_catalan_power),
+    "shifted": (I._CATALAN_BINOMIAL[1].at, lambda z, v, m: ref_binomial(v + z * m, m)),
+    "ballot": (I._ballot, ref_ballot_family),
+}
+
+
+@pytest.mark.parametrize("family", CLOSED_FORMS)
+@KERNEL
+@given(z=st.integers(-2, 6), m=index, data=st.data())
+def test_the_kernel_at_each_map_is_the_familys_closed_form(family, z, m, data):
+    # at zero, negative and rational arguments, and on the stated forms' poles
+    # (z - 1)m + v = 0 and zm + v = 0
+    family_map, closed = CLOSED_FORMS[family]
+    v = data.draw(st.one_of(st.just(Fraction(0)), st.just(Fraction(-(z - 1) * m)),
+                            st.just(Fraction(-z * m)), integer.map(Fraction), rational))
+    assert family_term(family_map, z, v, m) == closed(z, v, m)
+
+
 # every factor of the four pairs, read at a row's first set slot and argument, so the
-# fuss and central maps (_fuss, _central) are read too
+# fuss and central maps (_fuss, _central) are read too, with its stated term there
 ROW_FACTORS = {
-    "power": I._catalan_power, "shifted": I._CATALAN_BINOMIAL[1],
-    "fuss-power": I._BALLOT[0], "fuss": I._BALLOT[1],
-    "central-power": I._CENTRAL[0], "central": I._CENTRAL[1],
+    "power": (I._catalan_power, ref_catalan_power),
+    "shifted": (I._CATALAN_BINOMIAL[1], lambda z, y, m: ref_binomial(y + z * m, m)),
+    "fuss-power": (I._BALLOT[0], lambda p, x, m: ref_catalan_power(p + 1, x, m)),
+    "fuss": (I._BALLOT[1], ref_ballot),
+    "central-power": (I._CENTRAL[0], ref_central_power),
+    "central": (I._CENTRAL[1], ref_central_ballot),
 }
 
 
@@ -431,20 +455,53 @@ def test_an_integer_column_is_its_closed_form_however_its_reaches_are_cut(
         kind, first, v, cuts):
     # a half-integer v reaches an integer argument of the family through the central
     # maps (2x and 2y + 2); anywhere else it takes another route
-    factor = ROW_FACTORS[kind]
-    z, a, b = family_at(factor, first, v)
-    integer = b == 1 and z >= 1 and factor.integer(z, a)[1] >= 1
+    factor, stated = ROW_FACTORS[kind]
+    z, g, a, b = family_at(factor, first, v)
+    integer = b == 1 and z >= 1 and a >= 1
     col = factor(first, v)
-    assert col.integer == ((z, *factor.integer(z, a)) if integer else None)
+    assert col.integer == ((z, g, a) if integer else None)
     if not integer:
         return
     assert col.steps is None
     whole = factor(first, v).reach(max(cuts))
-    assert whole.nums == [Fraction(*factor.kernel(z, a, b, m)) for m in range(max(cuts))]
+    assert whole.nums == [stated(first, v, m) for m in range(max(cuts))]
     # grown over several reaches, in any order, it is the same column grown in one
     for at, length in enumerate(cuts):
         assert col.reach(length) is col
         assert (col.nums, col.den) == (whole.nums[:max(cuts[:at + 1])], 1)
+
+
+# the parent's rule for each factor, from its first set slot and argument: the z and c
+# of its family, c as the parent's integer map or binomial gave it
+ROUTE_RULE = {
+    "power": lambda z, v: (z, v),
+    "shifted": lambda z, v: (z, v + 1),
+    "fuss-power": lambda p, x: (p + 1, x),
+    "fuss": lambda p, y: (p + 1, y + 1),
+    "central-power": lambda p, x: (2 * p, 2 * x),
+    "central": lambda p, y: (2 * p, 2 * y + 2),
+}
+
+
+@pytest.mark.parametrize("kind", ROW_FACTORS)
+def test_each_column_takes_the_route_of_the_parents_rule(kind):
+    # math.comb at an integer c >= 1 with z >= 1, the ratio at a non-integer c with
+    # z >= 1, the closed form term by term elsewhere; for family z -3..6 and
+    # denominators 1..6, zero and negative arguments included
+    factor, _ = ROW_FACTORS[kind]
+    routes = set()
+    for first in range(-3, 7):
+        for v in {Fraction(n, d) for n in range(-12, 13) for d in range(1, 7)}:
+            z, c = ROUTE_RULE[kind](first, v)
+            if not -3 <= z <= 6:
+                continue
+            want = ("closed" if z < 1 else "ratio" if c.denominator > 1
+                    else "integer" if c >= 1 else "closed")
+            col = factor(first, v)
+            got = ("integer" if col.integer else "ratio" if col.steps else "closed")
+            assert got == want, (first, v)
+            routes.add(got)
+    assert routes == {"integer", "ratio", "closed"}
 
 
 # a pinned negative integer argument: the family's c is below 1, so the pinned
@@ -470,7 +527,7 @@ def test_a_pinned_negative_integer_argument_keeps_the_per_term_route(monkeypatch
     monkeypatch.setattr(I, "Column", recording_column)
     assert main(["check", *argv]) == 0
     assert capsys.readouterr().out == PINNED_NEGATIVE[argv]
-    negative = [integer for (z, a, b), integer in made if b == 1 and a < 0]
+    negative = [integer for (z, g, a, b), integer in made if b == 1 and a < 0]
     assert negative and all(integer is None for integer in negative)
     # the run's other integer columns take the kernel
     assert any(integer is not None for _, integer in made)
@@ -500,19 +557,21 @@ def test_dot_reads_only_its_terms_of_columns_reached_further(left, right, n, mor
     assert Fraction(I._dot(a, b, n), a.den * b.den) == ref
 
 
-# the closed-form kernels of the four factor pairs' columns; both ballot series read one
-FACTOR_KERNELS = (I._binomial_power_ratio, I._shifted_binomial_ratio, I._ballot_ratio)
+# the maps of the three factor families to (z, g, c) at the family's own (z, v), read
+# by the one kernel; both ballot series read the one ballot map
+FACTOR_MAPS = tuple(family_map for family_map, _ in CLOSED_FORMS.values())
 
 
 @KERNEL
-@given(st.sampled_from(FACTOR_KERNELS), st.integers(-3, 6), st.integers(1, 6),
+@given(st.sampled_from(FACTOR_MAPS), st.integers(-3, 6), st.integers(1, 6),
        st.integers(0, 24), st.data())
-def test_factor_kernels_return_a_positive_denominator(kernel, z, b, m, data):
+def test_factor_kernels_return_a_positive_denominator(family, z, b, m, data):
     # so a column always holds a term, never a term over 0 and never an exception;
     # a/b = -(z - 1)m is the pole of the ballot family's stated form, a/b = -zm that of
     # B_z^v's and of the family's other form ((z - 2)m + v)/(zm + v) C(zm + v, m)
     a = data.draw(st.one_of(st.integers(-12, 12), st.just(-b * (z - 1) * m), st.just(-b * z * m)))
-    _, d = kernel(z, a, b, m)
+    z, g, c = family(z, Fraction(a, b))
+    _, d = I._family_ratio(z, g, *I._ratio(c), m)
     assert d > 0
 
 
@@ -523,9 +582,9 @@ def forward_difference(f, v, h, order):
 
 
 @KERNEL
-@given(st.sampled_from(FACTOR_KERNELS), st.integers(-3, 5), st.integers(0, 10),
+@given(st.sampled_from(FACTOR_MAPS), st.integers(-3, 5), st.integers(0, 10),
        st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 3)]), st.data())
-def test_factor_kernel_term_m_is_a_polynomial_of_degree_m(kernel, z, m, h, data):
+def test_factor_kernel_term_m_is_a_polynomial_of_degree_m(family, z, m, h, data):
     # term m of every factor is a polynomial of degree m in its argument v (Graham, Knuth
     # & Patashnik, Concrete Mathematics, 5.4): its difference of order m + 1 vanishes and
     # that of order m does not.  The points v, v + h, ... run through the stated forms'
@@ -535,7 +594,7 @@ def test_factor_kernel_term_m_is_a_polynomial_of_degree_m(kernel, z, m, h, data)
                             integer.map(Fraction)))
 
     def term(v):
-        return Fraction(*kernel(z, v.numerator, v.denominator, m))
+        return family_term(family, z, v, m)
 
     assert forward_difference(term, v, h, m + 1) == 0
     assert forward_difference(term, v, h, m) != 0
@@ -882,12 +941,22 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
     # the run makes one column per (factor, first set slot, argument), evaluates
     # each of its closed-form terms once, in order, and grows it no further than a
     # group reads it; a stepped column evaluates only the first term of each reach,
-    # and an integer column none: math.comb makes its terms, each once, in order
+    # and an integer column none: math.comb makes its terms, each once, in order.  A
+    # column is keyed by its factor and the kernel's arguments: two factors may read
+    # one (z, g, c), as B_2^{2x} and the central ballot series do at p = 1
     evaluated, highest, keys, alive, reaches = {}, {}, {}, [], {}
     column, first_failure, reach = I.Column, I._first_failure, I.Column.reach
+    call, making = I.Factor.__call__, []
+
+    def counting_call(factor, first, v):
+        making.append(factor)
+        try:
+            return call(factor, first, v)
+        finally:
+            making.pop()
 
     def counting_column(term, steps=None, integer=None):
-        key = term.func, term.args
+        key = making[-1], term.args
         assert key not in evaluated, key
         evaluated[key] = seen = []
         reaches[key] = []
@@ -916,6 +985,7 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
         return first_failure(left, right, rhs, shift, ns)
 
     monkeypatch.setattr(column, "reach", counting_reach)
+    monkeypatch.setattr(I.Factor, "__call__", counting_call)
     for name, fn in (("Column", counting_column), ("_first_failure", counting_first_failure)):
         monkeypatch.setattr(I, name, fn)
     assert I.check_registry(identity, max_n=50).holds
@@ -924,8 +994,8 @@ def test_columns_are_built_only_as_far_as_they_are_read(monkeypatch, identity):
         made = list(range(len(col.nums)))
         if col.integer is not None:
             assert evaluated[key] == [], key
-            kernel, args = key
-            assert col.nums == [Fraction(*kernel(*args, m)) for m in made], key
+            _, args = key
+            assert col.nums == [Fraction(*I._family_ratio(*args, m)) for m in made], key
         else:
             assert evaluated[key] == (made if col.steps is None else reaches[key]), key
         assert len(col.nums) == highest[key] + 1, key
